@@ -22,15 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .ionchain import CouplingMatrix, nearest_neighbour_coupling
 from .magnon import diagonalize_magnons, max_group_velocity
-
-#: Switch from the power series to the asymptotic expansion above this argument.
-_BESSEL_SERIES_LIMIT = 100.0
-
-#: Relative truncation target of the Bessel power series.
-_BESSEL_RTOL = 1e-14
 
 
 class TruncationError(RuntimeError):
@@ -131,11 +126,9 @@ def lr_bound_bessel(d: int, t: float, g: float) -> float:
 def modified_bessel_i(order: int, x: float, scaled: bool = False) -> float:
     """Modified Bessel function I_order(x) for x >= 0, integer order.
 
-    The power series sum_s (x/2)^(order+2s) / (s! (s+order)!) is used up
-    to x = 100 (all terms positive, relative truncation 1e-14); beyond
-    that the large-argument asymptotic expansion takes over, since the
-    series needs ~x terms there while the asymptotic series converges in
-    a handful.  With ``scaled`` the numerically safe e^-x I_order(x) is
+    Evaluated as e^x times scipy's exponentially scaled ``ive``, which
+    stays accurate where the unscaled ``iv`` underflows (tiny x, high
+    order).  With ``scaled`` the numerically safe e^-x I_order(x) is
     returned; unscaled values overflow to inf for x beyond ~709 as they
     must.
     """
@@ -143,49 +136,11 @@ def modified_bessel_i(order: int, x: float, scaled: bool = False) -> float:
         raise ValueError("order must be non-negative")
     if x < 0:
         raise ValueError("argument must be non-negative")
-    if x <= _BESSEL_SERIES_LIMIT:
-        value = _bessel_series(order, x)
-        if scaled:
-            value *= math.exp(-x)
+    value = float(special.ive(order, x))
+    if scaled or value == 0.0:          # 0 * e^x would be nan once e^x overflows
         return value
-    scaled_value = _bessel_asymptotic_scaled(order, x)
-    if scaled:
-        return scaled_value
     with np.errstate(over="ignore"):
-        return float(np.exp(np.float64(x)) * scaled_value)
-
-
-def _bessel_series(order: int, x: float) -> float:
-    half = 0.5 * x
-    term = 1.0
-    for i in range(1, order + 1):      # (x/2)^order / order!, underflow-safe
-        term *= half / i
-    total = term
-    s = 0
-    while term > _BESSEL_RTOL * total:
-        term *= half * half / ((s + 1) * (s + 1 + order))
-        total += term
-        s += 1
-        if s > 10000:
-            raise TruncationError(f"Bessel series stalled at order={order}, x={x}")
-    return total
-
-
-def _bessel_asymptotic_scaled(order: int, x: float) -> float:
-    """e^-x I_order(x) ~ (2 pi x)^{-1/2} sum_k (-1)^k a_k(order) / x^k."""
-    mu = 4.0 * order * order
-    term = 1.0
-    total = term
-    for k in range(1, 40):
-        factor = -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        new_term = term * factor
-        if abs(new_term) >= abs(term):      # asymptotic series started diverging
-            break
-        term = new_term
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return total / math.sqrt(2.0 * math.pi * x)
+        return float(np.exp(np.float64(x)) * value)
 
 
 def nn_lightcone(J: CouplingMatrix, mu: float = 1.0, C: float = 1.0) -> LightConeParams:

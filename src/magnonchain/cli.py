@@ -392,12 +392,8 @@ def _propagate(rc: RunConfig, J: ionchain.CouplingMatrix):
     psi0 = dynamics.prepare_state(
         dynamics.QuenchSpec(kind=rc.kind, flipped_sites=rc.flip), rc.n_ions)
     traj = dynamics.evolve(psi0, H, times)
-    mag = np.vstack([dynamics.magnetisation(traj.state(k)) for k in range(len(traj))])
-    corr = None
-    if want_corr:
-        corr = np.stack([dynamics.two_point_correlations(traj.state(k))
-                         for k in range(len(traj))])
-    return times, mag, corr
+    corr = dynamics.two_point_correlations(traj) if want_corr else None
+    return times, dynamics.magnetisation(traj), corr
 
 
 def _export_trajectory(rc: RunConfig, times, mag, corr) -> None:

@@ -40,6 +40,9 @@ AXES = ("x", "y", "z")
 #: All nine two-qubit measurement bases {x,y,z} x {x,y,z}.
 TOMOGRAPHY_BASES = tuple((a, b) for a in AXES for b in AXES)
 
+#: Two-qubit spin flip sigma_y x sigma_y of the concurrence.
+_YY = np.kron(PAULI["y"], PAULI["y"])
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -141,14 +144,17 @@ def concurrence(rho: DensityMatrix) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
     C = max(0, l1 - l2 - l3 - l4) with l_i the decreasing square roots of
-    the eigenvalues of rho (sy x sy) rho* (sy x sy).
+    the eigenvalues of rho rho~, rho~ = (sy x sy) rho* (sy x sy).  They are
+    taken as the singular values of sqrt(rho) sqrt(rho~), with sqrt(rho)
+    from ``eigh`` and sqrt(rho~) = (sy x sy) sqrt(rho)* (sy x sy): unlike
+    square roots of the eigenvalues of the non-Hermitian rho rho~, this
+    does not turn roundoff in vanishing eigenvalues into sqrt(eps) errors.
     """
     if rho.dim != 4:
         raise ValueError("concurrence is defined for two-qubit states")
-    yy = np.kron(PAULI["y"], PAULI["y"])
-    R = rho.matrix @ yy @ rho.matrix.conj() @ yy
-    lam = np.sqrt(np.clip(np.linalg.eigvals(R).real, 0.0, None))
-    lam = np.sort(lam)[::-1]
+    w, v = np.linalg.eigh(rho.matrix)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    lam = np.linalg.svd(root @ _YY @ root.conj() @ _YY, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 

@@ -54,21 +54,25 @@ def test_criterion_01_nn_dispersion_analytic():
 
 
 def test_criterion_02_bessel_equals_series():
-    """Path-counting series vs closed-form Bessel to 1e-10 relative."""
+    """Path-counting series vs closed-form Bessel to 1e-10 relative, for
+    d <= 60 and 4g|t| up to 700, where the series still converges
+    (I_d overflows past ~709)."""
     _start()
+    grid = [(d, x) for d in range(0, 11) for x in np.linspace(0.0, 8.0, 17)]
+    grid += [(d, x) for d in (0, 15, 20, 30, 45, 60)
+             for x in (25.0, 50.0, 101.0, 150.0, 300.0, 500.0, 700.0)]
     ok = True
     worst = 0.0
-    for d in range(0, 11):
-        for x in np.linspace(0.0, 8.0, 17):
-            t = x / 4.0
-            s = bounds.lr_bound_series(d, t, 1.0, m_max=400, rtol=1e-14).value
-            b = bounds.lr_bound_bessel(d, t, 1.0)
-            if not math.isclose(s, b, rel_tol=1e-10, abs_tol=1e-300):
-                ok = False
-            if b > 0:
-                worst = max(worst, abs(s - b) / b)
+    for d, x in grid:
+        t = x / 4.0
+        s = bounds.lr_bound_series(d, t, 1.0, m_max=2000, rtol=1e-14).value
+        b = bounds.lr_bound_bessel(d, t, 1.0)
+        if not math.isclose(s, b, rel_tol=1e-10, abs_tol=1e-300):
+            ok = False
+        if b > 0:
+            worst = max(worst, abs(s - b) / b)
     _verdict(2, "series/Bessel equivalence", ok,
-             f"worst rel diff {worst:.1e} over d 0..10, 4g|t| 0..8", budget_s=1.0)
+             f"worst rel diff {worst:.1e} over d 0..60, 4g|t| 0..700", budget_s=1.0)
 
 
 def test_criterion_03_full_xy_matches_magnon_sector():

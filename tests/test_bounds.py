@@ -1,4 +1,4 @@
-"""Path-counting bound, hand-rolled Bessel function, and the NN cone."""
+"""Path-counting bound, the scaled Bessel evaluation, and the NN cone."""
 
 import math
 
@@ -54,6 +54,35 @@ def test_bessel_asymptotic_region_against_scipy(x):
         mine = bounds.modified_bessel_i(order, x)
         ref = float(special.iv(order, x))
         assert mine == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [0, 15, 20, 35, 50, 60])
+def test_bessel_high_order_against_path_count_series(order):
+    # order^2 ~ x is where a large-argument expansion breaks down; the
+    # path-count series F(d, t) = 2 I_d(4 g t) converges up to x ~ 700
+    for x in (50.0, 101.0, 150.0, 300.0, 700.0):
+        series = bounds.lr_bound_series(order, x / 4.0, 1.0, m_max=2000, rtol=1e-15)
+        assert bounds.modified_bessel_i(order, x) == pytest.approx(series.value / 2.0,
+                                                                   rel=1e-12)
+
+
+def _scaled_bessel_by_quadrature(order: int, x: float, points: int = 4096) -> float:
+    """e^-x I_order(x) = (1/2pi) int e^(x (cos th - 1)) cos(order th) dth over a
+    period; the trapezoid rule is exact here up to aliased terms of order
+    e^-x I_(points - order)(x), far below double precision."""
+    theta = 2.0 * np.pi * np.arange(points) / points
+    return float(np.mean(np.exp(x * (np.cos(theta) - 1.0)) * np.cos(order * theta)))
+
+
+@pytest.mark.parametrize("order", [0, 1, 20, 45, 60])
+def test_bessel_beyond_overflow_against_quadrature(order):
+    # past x ~ 709 the series and the unscaled value overflow; the scaled
+    # value still has an independent oracle
+    for x in (700.0, 850.0, 1000.0):
+        expected = _scaled_bessel_by_quadrature(order, x)
+        assert bounds.modified_bessel_i(order, x, scaled=True) == pytest.approx(
+            expected, rel=1e-10)
+    assert np.isinf(bounds.modified_bessel_i(order, 1000.0))
 
 
 def test_bessel_scaled_survives_overflow():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import expm_multiply
 
 from magnonchain import dynamics, ionchain, magnon
 from magnonchain.dynamics import QuenchSpec, StateVector
@@ -115,14 +116,14 @@ def test_krylov_agrees_with_dense():
 
 
 def test_krylov_large_chain_against_magnon_oracle():
-    """Above the dense limit the Krylov path is the one actually used;
-    check it against the independent single-excitation spectral evolution."""
+    """Check the Krylov path on a 13-site chain against the independent
+    single-excitation spectral evolution."""
     n = 13
     J = ionchain.nearest_neighbour_coupling(n, J0)
     H = dynamics.build_hamiltonian(J, model="xy")
     psi0 = dynamics.prepare_state(QuenchSpec(kind="local", flipped_sites=(7,)), n)
     times = np.linspace(0.0, 0.01, 6)
-    traj = dynamics.evolve(psi0, H, times)          # auto -> krylov at N=13
+    traj = dynamics.evolve(psi0, H, times, method="krylov")
     mag_full = np.vstack([dynamics.magnetisation(traj.state(k)) for k in range(len(traj))])
     mag_ref = np.vstack([magnon.magnetisation_single(s)
                          for s in magnon.evolve_single_excitation(J, 7, times)])
@@ -140,6 +141,67 @@ def test_evolution_preserves_norm_and_energy():
         psi = traj.states[k]
         assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-10)
         assert H.expectation(psi) == pytest.approx(e0, abs=1e-7 * max(1.0, abs(e0)))
+
+
+# ---------------------------------------------------------------------------
+# block propagation against the full 2^N space
+
+#: (model, quench, field in units of max|J|) covered at every N.
+BLOCK_CASES = [("xy", (1,), 0.0), ("xy", (1, 3), 0.0), ("xy", (1, 2, 4), 0.0),
+               ("xy", None, 0.0), ("ising", (2,), 0.0), ("ising", None, 0.0),
+               ("ising", (2,), 50.0), ("ising", None, 50.0)]
+
+
+def _full_space_oracle(H, psi, times):
+    """exp(-i H t) psi in the whole 2^N space, blind to conservation laws:
+    eigh of H.dense() up to N = 10, scipy's expm_multiply on the full
+    sparse matrix above (a 4096^2 eigh alone takes about 10 s on a 2-core VM)."""
+    if H.n_sites <= 10:
+        w, v = np.linalg.eigh(H.dense())
+        return (v @ (np.exp(-1j * np.outer(w, times)) * (v.conj().T @ psi)[:, None])).T
+    return expm_multiply(-1j * H._matrix, psi, start=times[0], stop=times[-1],
+                         num=times.size, endpoint=True)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+@pytest.mark.parametrize("model,flips,field", BLOCK_CASES)
+def test_block_propagation_matches_full_space(n, model, flips, field):
+    J = _coupling(random_coupling(n, seed=100 + n, scale=50.0))
+    B = field * np.abs(J.values).max()
+    H = dynamics.build_hamiltonian(J, transverse_field=B, model=model)
+    spec = QuenchSpec(kind="global") if flips is None else QuenchSpec("local", flips)
+    psi0 = dynamics.prepare_state(spec, n)
+    times = np.linspace(0.0, 1.0, 3) / (np.abs(J.values).max() + abs(B))
+    expected = _full_space_oracle(H, psi0.amplitudes, times)
+
+    counts = np.array([bin(b).count("1") for b in range(2 ** n)])
+    labels = counts if model == "xy" else counts % 2
+    outside = ~np.isin(labels, labels[psi0.amplitudes != 0])
+    # dense on the 2048-state Ising blocks of N = 12 runs the code already
+    # checked at N <= 11 and would add seconds of eigh per case
+    methods = ("krylov",) if model == "ising" and n == 12 else ("dense", "krylov")
+    for method in methods:
+        traj = dynamics.evolve(psi0, H, times, method=method, step_tol=1e-12)
+        np.testing.assert_allclose(traj.states, expected, atol=1e-10, err_msg=method)
+        assert np.all(traj.states[:, outside] == 0.0)
+
+
+def test_block_rejects_states_the_hamiltonian_leaves():
+    H = dynamics.build_hamiltonian(ionchain.nearest_neighbour_coupling(4, J0), model="xy")
+    one_flip = np.array([1, 2, 4, 8])
+    assert H.block(one_flip).dim == 4
+    with pytest.raises(ValueError, match="outside"):
+        H.block(one_flip[:3])
+
+
+def test_matvec_matches_sparse_product():
+    n = 6
+    H = dynamics.build_hamiltonian(_coupling(random_coupling(n, seed=5)),
+                                   transverse_field=3.0, model="ising")
+    rng = np.random.default_rng(6)
+    psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    np.testing.assert_allclose(H.matvec(psi), H.dense() @ psi, rtol=1e-13, atol=1e-10)
+    np.testing.assert_allclose(H.matvec(psi.real), H.dense() @ psi.real, atol=1e-10)
 
 
 def test_evolve_rejects_mismatched_sizes():
@@ -181,6 +243,23 @@ def test_correlations_match_operator_expectation():
             mi = np.vdot(amps, zi @ amps).real
             mj = np.vdot(amps, zj @ amps).real
             assert C[i - 1, j - 1] == pytest.approx(zz - mi * mj, abs=1e-12)
+
+
+@pytest.mark.parametrize("model,spec", [("xy", QuenchSpec("local", (2, 5))),
+                                        ("ising", QuenchSpec("global"))])
+def test_trajectory_observables_match_per_state_results(model, spec):
+    n = 6
+    H = dynamics.build_hamiltonian(_coupling(random_coupling(n, seed=41)),
+                                   transverse_field=70.0, model=model)
+    traj = dynamics.evolve(dynamics.prepare_state(spec, n), H, np.linspace(0, 0.01, 7))
+    mag = dynamics.magnetisation(traj)
+    corr = dynamics.two_point_correlations(traj)
+    assert mag.shape == (7, n) and corr.shape == (7, n, n)
+    for k in range(len(traj)):
+        np.testing.assert_allclose(mag[k], dynamics.magnetisation(traj.state(k)),
+                                   atol=1e-14)
+        np.testing.assert_allclose(corr[k], dynamics.two_point_correlations(traj.state(k)),
+                                   atol=1e-14)
 
 
 def test_averaged_correlations_by_hand():

@@ -117,9 +117,25 @@ def test_pure_state_concurrence_closed_form(seed):
     psi = _random_state(4, seed)
     rho = DensityMatrix(matrix=np.outer(psi, psi.conj()), subsystem=(1, 2))
     expected = 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2])
-    # the spin-flip spectrum is {C^2, 0, 0, 0}; the general eigensolver
-    # resolves the zeros only to ~sqrt(eps), which the sqrt then amplifies
-    assert ent.concurrence(rho) == pytest.approx(expected, abs=1e-6)
+    # the spin-flip spectrum is {C^2, 0, 0, 0}; taking singular values of
+    # sqrt(rho) sqrt(rho~) keeps the zeros from growing to ~sqrt(eps)
+    assert ent.concurrence(rho) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("pair", [(3, 4), (3, 5), (4, 6), (2, 6), (1, 7), (1, 2)])
+def test_one_excitation_concurrence_is_twice_the_amplitude_product(pair):
+    # sum_k psi_k |k> with one spin up: every pair (i, j) holds the pure
+    # component psi_i |ud> + psi_j |du> plus |dd> weight, so C = 2 |psi_i psi_j|
+    n = 7
+    rng = np.random.default_rng(sum(pair))
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[1 << np.arange(n)] = psi / np.linalg.norm(psi)
+    state = _state(amps, n)
+    i, j = pair
+    expected = 2.0 * abs(state.amplitudes[1 << (i - 1)] * state.amplitudes[1 << (j - 1)])
+    rho = ent.reduced_density_matrix(state, pair)
+    assert ent.concurrence(rho) == pytest.approx(expected, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=25)
