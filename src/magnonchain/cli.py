@@ -32,6 +32,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,7 @@ class RunConfig:
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_points)
 
-    @property
+    @cached_property
     def hash(self) -> str:
         d = asdict(self)
         d.pop("outdir")             # where artifacts land is not physics
@@ -397,11 +398,12 @@ def _propagate(rc: RunConfig, J: ionchain.CouplingMatrix):
 
 
 def _export_trajectory(rc: RunConfig, times, mag, corr) -> None:
+    if corr is not None:
+        cbar = np.array([dynamics.averaged_correlations(c) for c in corr])
     if rc.format == "ndjson":
         records = list(mio.trajectory_records(times, mag, corr))
         if corr is not None:
-            cbar = [dynamics.averaged_correlations(c).tolist() for c in corr]
-            records = [dict(r, cbar=cb) for r, cb in zip(records, cbar)]
+            records = [dict(r, cbar=cb) for r, cb in zip(records, cbar.tolist())]
         path = mio.write_ndjson(rc.outdir / "trajectory.ndjson", records,
                                 rc.meta(model=rc.model))
         _report(path, "trajectory")
@@ -413,11 +415,10 @@ def _export_trajectory(rc: RunConfig, times, mag, corr) -> None:
         path = mio.save_correlations(rc.outdir / "correlations.csv", times, corr,
                                      rc.meta(model=rc.model))
         _report(path, "correlations")
-        rows = ((t, n + 1, cb)
-                for t, c in zip(times, corr)
-                for n, cb in enumerate(dynamics.averaged_correlations(c)))
-        path = mio.write_table(rc.outdir / "cbar.csv", ("t_s", "n", "cbar"), rows,
-                               rc.meta(model=rc.model))
+        n_t, n_d = cbar.shape
+        columns = (np.repeat(times, n_d), np.tile(np.arange(1, n_d + 1), n_t), cbar.ravel())
+        path = mio.write_columns(rc.outdir / "cbar.csv", ("t_s", "n", "cbar"), columns,
+                                 rc.meta(model=rc.model))
         _report(path, "cbar")
 
 
@@ -427,15 +428,13 @@ def _export_trajectory(rc: RunConfig, times, mag, corr) -> None:
 
 def _cmd_modes(rc: RunConfig) -> int:
     modes = ionchain.transverse_mode_spectrum(rc.trap)
-    rows = [(i + 1, modes.branches[i], modes.frequencies[i])
-            for i in range(2 * rc.n_ions)]
-    path = mio.write_table(rc.outdir / "modes.csv", ("n", "branch", "freq_hz"),
-                           rows, rc.meta(detuning_hz=rc.trap.detuning))
+    columns = (np.arange(1, 2 * rc.n_ions + 1), modes.branches, modes.frequencies)
+    path = mio.write_columns(rc.outdir / "modes.csv", ("n", "branch", "freq_hz"),
+                             columns, rc.meta(detuning_hz=rc.trap.detuning))
     _report(path, "modes")
-    rows = [(s + 1, modes.positions[s], modes.positions_m[s])
-            for s in range(rc.n_ions)]
-    path = mio.write_table(rc.outdir / "positions.csv", ("site", "u", "x_m"),
-                           rows, rc.meta())
+    columns = (np.arange(1, rc.n_ions + 1), modes.positions, modes.positions_m)
+    path = mio.write_columns(rc.outdir / "positions.csv", ("site", "u", "x_m"),
+                             columns, rc.meta())
     _report(path, "positions")
     return EXIT_OK
 

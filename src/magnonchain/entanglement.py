@@ -43,6 +43,14 @@ TOMOGRAPHY_BASES = tuple((a, b) for a in AXES for b in AXES)
 #: Two-qubit spin flip sigma_y x sigma_y of the concurrence.
 _YY = np.kron(PAULI["y"], PAULI["y"])
 
+_EYE = np.eye(2, dtype=complex)
+#: The 16 two-qubit Pauli products: 1 x 1, P x 1 and 1 x P for P in AXES,
+#: then P x Q over TOMOGRAPHY_BASES.
+_PAULI_PRODUCTS = np.array([np.kron(_EYE, _EYE)]
+                           + [np.kron(PAULI[a], _EYE) for a in AXES]
+                           + [np.kron(_EYE, PAULI[a]) for a in AXES]
+                           + [np.kron(PAULI[a], PAULI[b]) for a, b in TOMOGRAPHY_BASES])
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -60,16 +68,23 @@ class DensityMatrix:
         object.__setattr__(self, "subsystem", tuple(int(s) for s in self.subsystem))
         if rho.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"density matrix must be 2x2 or 4x4, got {rho.shape}")
-        if np.abs(rho - rho.conj().T).max() > 1e-10:
-            raise ValueError("density matrix not Hermitian to 1e-10")
-        if abs(np.trace(rho).real - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace {np.trace(rho).real!r} != 1")
-        if np.linalg.eigvalsh(rho).min() < -1e-8:
-            raise ValueError("density matrix has eigenvalue below -1e-8")
+        _check_physical(rho[None])
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _check_physical(rhos: np.ndarray) -> None:
+    """The :class:`DensityMatrix` checks on a (R, d, d) stack at once."""
+    if np.abs(rhos - rhos.conj().swapaxes(-1, -2)).max() > 1e-10:
+        raise ValueError("density matrix not Hermitian to 1e-10")
+    trace = np.trace(rhos, axis1=-2, axis2=-1).real
+    off = np.abs(trace - 1.0) > 1e-10
+    if off.any():
+        raise ValueError(f"density matrix trace {trace[off][0]!r} != 1")
+    if np.linalg.eigvalsh(rhos).min() < -1e-8:
+        raise ValueError("density matrix has eigenvalue below -1e-8")
 
 
 @dataclass(frozen=True)
@@ -133,11 +148,15 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
     A single-spin value therefore lies in [0, 1].
     """
-    lam = np.linalg.eigvalsh(rho.matrix)
+    return float(_entropies(rho.matrix[None])[0])
+
+
+def _entropies(rhos: np.ndarray) -> np.ndarray:
+    lam = np.linalg.eigvalsh(rhos)
     if lam.min() < -1e-8:
         raise ValueError(f"invalid state: eigenvalue {lam.min():.3e} < -1e-8")
-    lam = lam[lam > 1e-15]
-    return float(-np.sum(lam * np.log2(lam)))
+    lam = np.where(lam > 1e-15, lam, 1.0)          # 1 log 1 = 0 stands in for 0 log 0
+    return -np.sum(lam * np.log2(lam), axis=-1)
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -152,19 +171,28 @@ def concurrence(rho: DensityMatrix) -> float:
     """
     if rho.dim != 4:
         raise ValueError("concurrence is defined for two-qubit states")
-    w, v = np.linalg.eigh(rho.matrix)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return float(_concurrences(rho.matrix[None])[0])
+
+
+def _concurrences(rhos: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(rhos)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(-1, -2)
     lam = np.linalg.svd(root @ _YY @ root.conj() @ _YY, compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
 
 
 def fidelity(rho: DensityMatrix, target: np.ndarray) -> float:
     """Overlap fidelity Tr(rho |psi><psi|) with a pure target state."""
+    return float(_fidelities(rho.matrix[None], target)[0])
+
+
+def _fidelities(rhos: np.ndarray, target) -> np.ndarray:
     psi = np.asarray(target, dtype=complex).ravel()
-    if psi.size != rho.dim:
-        raise ValueError(f"target dimension {psi.size} != {rho.dim}")
+    if psi.size != rhos.shape[-1]:
+        raise ValueError(f"target dimension {psi.size} != {rhos.shape[-1]}")
     psi = psi / np.linalg.norm(psi)
-    return float(np.real(psi.conj() @ rho.matrix @ psi))
+    # one (1, d) @ (d, 1) product per matrix, as for a single psi^H rho psi
+    return np.real((psi.conj() @ rhos)[:, None, :] @ psi[:, None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,68 +263,74 @@ def tomography_reconstruct(records, subsystem: tuple[int, int] = (1, 2)) -> Dens
     expectations are averaged over the three settings that share the
     axis), assembled into rho = (1/4) sum <P x Q> P x Q, and the result is
     projected to the nearest PSD unit-trace matrix (Frobenius norm); see
-    :func:`_project_physical`.
+    :func:`_project_stack`.  Where a basis occurs more than once, its
+    last record is used.
     """
     records = list(records)
-    by_basis = {}
-    for rec in records:
-        by_basis[tuple(rec.basis)] = rec
-    missing = [b for b in TOMOGRAPHY_BASES if b not in by_basis]
+    index = _setting_index(records)
+    counts = np.array([rec.counts for rec in records])[index]
+    shots = np.array([rec.shots for rec in records])[index]
+    rho = _project_stack(_linear_inversion(counts[None], shots))
+    return DensityMatrix(matrix=rho[0], subsystem=subsystem)
+
+
+def _setting_index(records) -> np.ndarray:
+    """Position in ``records`` of the record used for each of TOMOGRAPHY_BASES."""
+    position = {tuple(rec.basis): k for k, rec in enumerate(records)}
+    missing = [b for b in TOMOGRAPHY_BASES if b not in position]
     if missing:
         raise ValueError(f"missing tomography bases: {missing}")
-    if any(rec.shots == 0 for rec in by_basis.values()):
+    index = np.array([position[b] for b in TOMOGRAPHY_BASES])
+    if any(records[k].shots == 0 for k in index):
         raise ValueError("tomography record with zero shots")
+    return index
 
-    def expectations(rec: MeasurementRecord) -> tuple[float, float, float]:
-        """(first-qubit, second-qubit, correlator) expectations of one record."""
-        pp, pm, mp, mm = (c / rec.shots for c in rec.counts)
-        return pp + pm - mp - mm, pp - pm + mp - mm, pp - pm - mp + mm
 
-    single1 = {a: [] for a in AXES}
-    single2 = {a: [] for a in AXES}
-    corr = {}
-    for basis, rec in by_basis.items():
-        e1, e2, e12 = expectations(rec)
-        single1[basis[0]].append(e1)
-        single2[basis[1]].append(e2)
-        corr[basis] = e12
-
-    eye = np.eye(2, dtype=complex)
-    rho = 0.25 * np.kron(eye, eye)
-    for a in AXES:
-        rho += 0.25 * np.mean(single1[a]) * np.kron(PAULI[a], eye)
-        rho += 0.25 * np.mean(single2[a]) * np.kron(eye, PAULI[a])
-    for (a, b), e in corr.items():
-        rho += 0.25 * e * np.kron(PAULI[a], PAULI[b])
-
-    return DensityMatrix(matrix=_project_physical(rho), subsystem=subsystem)
+def _linear_inversion(counts: np.ndarray, shots: np.ndarray) -> np.ndarray:
+    """Raw (R, 4, 4) estimates from (R, 9, 4) counts in TOMOGRAPHY_BASES order."""
+    pp, pm, mp, mm = np.moveaxis(counts / shots[:, None], -1, 0)
+    # coefficients of _PAULI_PRODUCTS; a single-qubit expectation is the
+    # mean over the three settings that measure that qubit along the axis
+    coeffs = np.concatenate([np.ones((counts.shape[0], 1)),
+                             (pp + pm - mp - mm).reshape(-1, 3, 3).mean(axis=2),
+                             (pp - pm + mp - mm).reshape(-1, 3, 3).mean(axis=1),
+                             pp - pm - mp + mm], axis=1)
+    return 0.25 * np.einsum("rk,kij->rij", coeffs, _PAULI_PRODUCTS)
 
 
 def _project_physical(rho: np.ndarray) -> np.ndarray:
-    """Project onto the nearest PSD unit-trace matrix in Frobenius norm.
+    """Nearest PSD unit-trace matrix to one (d, d) matrix; see :func:`_project_stack`."""
+    return _project_stack(np.asarray(rho)[None])[0]
+
+
+def _project_stack(rhos: np.ndarray) -> np.ndarray:
+    """Project each of a (R, d, d) stack onto the nearest PSD unit-trace matrix.
 
     Hermitize, then replace the eigenvalue vector by its Euclidean
-    projection onto the probability simplex: walk the spectrum from the
-    bottom, zeroing negative eigenvalues and spreading their mass
-    uniformly over the ones that remain.  This is the water-filling
-    solution of the constrained least-squares problem and keeps the
-    trace exactly 1 (up to the normalization of the input).
+    projection onto the probability simplex (Smolin, Gambetta & Smith,
+    PRL 108, 070502, 2012): walk the spectrum from the bottom, zeroing
+    negative eigenvalues and spreading their mass uniformly over the ones
+    that remain.  This is the water-filling solution of the constrained
+    least-squares problem and keeps the trace exactly 1 (up to the
+    normalization of the input).
     """
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    lam, vec = np.linalg.eigh(rho)
-    lam = lam[::-1]
-    vec = vec[:, ::-1]
-    out = np.zeros_like(lam)
-    acc = 0.0
-    for i in range(len(lam) - 1, -1, -1):
-        shift = acc / (i + 1)
-        if lam[i] + shift < 0.0:
-            acc += lam[i]
-        else:
-            out[: i + 1] = lam[: i + 1] + shift
-            break
-    return (vec * out) @ vec.conj().T
+    rhos = 0.5 * (rhos + rhos.conj().swapaxes(-1, -2))
+    rhos = rhos / np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
+    lam, vec = np.linalg.eigh(rhos)
+    lam = lam[:, ::-1]
+    vec = vec[:, :, ::-1]
+    d = lam.shape[1]
+    # acc[:, i]: mass of the eigenvalues below i, summed from the bottom up
+    acc = np.zeros_like(lam)
+    for i in range(d - 2, -1, -1):
+        acc[:, i] = acc[:, i + 1] + lam[:, i + 1]
+    shift = acc / np.arange(1, d + 1)
+    # keep the top k + 1: k is the first index, from the bottom, that
+    # stays non-negative after taking the mass below it
+    k = d - 1 - np.argmax(~(lam + shift < 0.0)[:, ::-1], axis=1)
+    out = np.where(np.arange(d) <= k[:, None],
+                   lam + np.take_along_axis(shift, k[:, None], axis=1), 0.0)
+    return (vec * out[:, None, :]) @ vec.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -314,33 +348,32 @@ def bootstrap(records, resamples: int, statistic: str, seed: int,
     the record's empirical frequencies, reconstructs the density matrix,
     and evaluates the statistic ('concurrence', 'entropy', or 'fidelity'
     against ``target``).  Returns (sample mean, sample standard deviation).
-    Resamples use independent RNG streams derived from ``seed``, so the
-    result does not depend on evaluation order.
+    Resample r draws the records in the given order from its own RNG
+    stream (seed, 1000 + r), so the result does not depend on evaluation
+    order; all resamples are then reconstructed and evaluated as one stack.
     """
     if resamples < 100:
         raise ValueError("need at least 100 resamples for a stable error bar")
     records = list(records)
     evaluate = _statistic_fn(statistic, target)
-    freqs = [np.array(rec.counts) / rec.shots for rec in records]
-    values = np.empty(resamples)
-    for r in range(resamples):
-        rng = _rng(seed, _BOOTSTRAP_STREAM_BASE + r)
-        redrawn = [
-            MeasurementRecord(basis=rec.basis, shots=rec.shots,
-                              counts=tuple(rng.multinomial(rec.shots, f)), seed=seed)
-            for rec, f in zip(records, freqs)
-        ]
-        values[r] = evaluate(tomography_reconstruct(redrawn))
+    index = _setting_index(records)
+    shots = np.array([rec.shots for rec in records])
+    freqs = np.array([rec.counts for rec in records]) / shots[:, None]
+    counts = np.stack([_rng(seed, _BOOTSTRAP_STREAM_BASE + r).multinomial(shots, freqs)
+                       for r in range(resamples)])
+    rhos = _project_stack(_linear_inversion(counts[:, index], shots[index]))
+    _check_physical(rhos)
+    values = evaluate(rhos)
     return float(values.mean()), float(values.std(ddof=1))
 
 
 def _statistic_fn(statistic: str, target):
     if statistic == "concurrence":
-        return concurrence
+        return _concurrences
     if statistic == "entropy":
-        return von_neumann_entropy
+        return _entropies
     if statistic == "fidelity":
         if target is None:
             raise ValueError("fidelity statistic needs a target state")
-        return lambda rho: fidelity(rho, target)
+        return lambda rhos: _fidelities(rhos, target)
     raise ValueError(f"unknown statistic {statistic!r}")

@@ -57,7 +57,7 @@ def _jsonify(obj):
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, Path):
         return str(obj)
     return obj
@@ -74,36 +74,57 @@ def header_lines(meta: dict | None = None) -> list[str]:
     return lines
 
 
-def _fmt(x) -> str:
+#: Rows formatted and written per chunk: bounds the text held in memory.
+_CHUNK_ROWS = 4096
+
+
+def _cell(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
     return repr(float(x))
 
 
-def _write_lines(path, lines) -> Path:
+def _column_cells(col):
+    """Formatted cells of one column slice; numeric arrays skip the per-cell checks."""
+    if isinstance(col, np.ndarray):
+        if col.dtype.kind in "iu":
+            return map(str, col.tolist())
+        if col.dtype.kind in "fb":
+            return map(repr, col.astype(float, copy=False).tolist())
+    return map(_cell, col)
+
+
+def _write_lines(path, lines: list[str], columns=()) -> Path:
+    """Write ``lines``, then CSV rows assembled from equal-length ``columns``."""
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            cells = [_column_cells(c[start:start + _CHUNK_ROWS]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return path
 
 
-def write_table(path, columns, rows, meta: dict | None = None) -> Path:
-    """Generic CSV: header comments, a column-name row, then data rows.
+def write_columns(path, names, columns, meta: dict | None = None) -> Path:
+    """Generic CSV from equal-length columns: header comments, a name row, data rows.
 
     Integral cells are written as integers, strings verbatim, everything
-    else with full float round-trip precision.
+    else with full float round-trip precision.  Numeric numpy columns are
+    formatted a chunk of rows at a time, without per-cell type checks.
     """
-    lines = header_lines(meta)
-    lines.append(",".join(columns))
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(_fmt(cell))
-        lines.append(",".join(cells))
-    return _write_lines(path, lines)
+    return _write_lines(path, header_lines(meta) + [",".join(names)], columns)
+
+
+def write_table(path, columns, rows, meta: dict | None = None) -> Path:
+    """Row-wise form of :func:`write_columns`: ``columns`` names, ``rows`` tuples."""
+    return write_columns(path, columns, list(zip(*rows)), meta)
 
 
 def write_ndjson(path, records, meta: dict | None = None) -> Path:
@@ -126,12 +147,8 @@ def save_couplings(path, J: CouplingMatrix, meta: dict | None = None,
         raise ConfigError(f"unknown unit {unit!r}; use one of {sorted(UNIT_FACTORS)}")
     meta = dict(meta or {})
     meta.setdefault("provenance", J.meta)
-    lines = header_lines(meta)
-    lines.append(f"# unit = {unit}")
-    values = J.values / UNIT_FACTORS[unit]
-    for row in values:
-        lines.append(",".join(_fmt(x) for x in row))
-    return _write_lines(path, lines)
+    lines = header_lines(meta) + [f"# unit = {unit}"]
+    return _write_lines(path, lines, (J.values / UNIT_FACTORS[unit]).T)
 
 
 def load_couplings(path) -> CouplingMatrix:
@@ -190,29 +207,28 @@ def load_couplings(path) -> CouplingMatrix:
 
 def save_dispersion(path, spectrum: MagnonSpectrum, meta: dict | None = None) -> Path:
     """Dispersion CSV: (n, k_n [rad/site], omega_k [rad/s], node_count)."""
-    rows = [(n + 1, spectrum.pseudo_momenta[n], spectrum.energies[n],
-             int(spectrum.node_counts[n]))
-            for n in range(spectrum.energies.size)]
-    return write_table(path, ("n", "k_n", "omega_k", "node_count"), rows, meta)
+    columns = (np.arange(1, spectrum.energies.size + 1), spectrum.pseudo_momenta,
+               spectrum.energies, spectrum.node_counts)
+    return write_columns(path, ("n", "k_n", "omega_k", "node_count"), columns, meta)
 
 
 def save_magnetisation(path, times, values, meta: dict | None = None) -> Path:
     """Long-format magnetisation CSV: (t_s, site, sz), site 1-based."""
     values = np.asarray(values, dtype=float)
-    rows = ((t, s + 1, values[it, s])
-            for it, t in enumerate(np.asarray(times, dtype=float))
-            for s in range(values.shape[1]))
-    return write_table(path, ("t_s", "site", "sz"), rows, meta)
+    n_t, n = values.shape
+    columns = (np.repeat(np.asarray(times, dtype=float), n),
+               np.tile(np.arange(1, n + 1), n_t), values.ravel())
+    return write_columns(path, ("t_s", "site", "sz"), columns, meta)
 
 
 def save_correlations(path, times, corr, meta: dict | None = None) -> Path:
     """Correlation CSV: (t_s, i, j, Cij) over pairs i < j, 1-based sites."""
     corr = np.asarray(corr, dtype=float)
-    n = corr.shape[1]
-    rows = ((t, i + 1, j + 1, corr[it, i, j])
-            for it, t in enumerate(np.asarray(times, dtype=float))
-            for i in range(n) for j in range(i + 1, n))
-    return write_table(path, ("t_s", "i", "j", "Cij"), rows, meta)
+    i, j = np.triu_indices(corr.shape[1], 1)
+    columns = (np.repeat(np.asarray(times, dtype=float), i.size),
+               np.tile(i + 1, corr.shape[0]), np.tile(j + 1, corr.shape[0]),
+               corr[:, i, j].ravel())
+    return write_columns(path, ("t_s", "i", "j", "Cij"), columns, meta)
 
 
 def save_density_matrix(path, rho: DensityMatrix, meta: dict | None = None) -> Path:
@@ -224,16 +240,16 @@ def save_density_matrix(path, rho: DensityMatrix, meta: dict | None = None) -> P
     meta = dict(meta or {})
     meta.setdefault("subsystem", ",".join(str(s) for s in rho.subsystem))
     meta.setdefault("basis", "|dd>,|du>,|ud>,|uu> (lower site first)")
-    m = rho.matrix
-    rows = ((i, j, m[i, j].real, m[i, j].imag)
-            for i in range(m.shape[0]) for j in range(m.shape[1]))
-    return write_table(path, ("row", "col", "re", "im"), rows, meta)
+    d = rho.dim
+    columns = (np.repeat(np.arange(d), d), np.tile(np.arange(d), d),
+               rho.matrix.real.ravel(), rho.matrix.imag.ravel())
+    return write_columns(path, ("row", "col", "re", "im"), columns, meta)
 
 
 def save_cone(path, distances, cone_times, meta: dict | None = None) -> Path:
     """Light-cone overlay CSV: (d, t_cone_s) for heat-map plotting."""
-    rows = zip(np.asarray(distances, dtype=float), np.asarray(cone_times, dtype=float))
-    return write_table(path, ("d", "t_cone_s"), rows, meta)
+    columns = (np.asarray(distances, dtype=float), np.asarray(cone_times, dtype=float))
+    return write_columns(path, ("d", "t_cone_s"), columns, meta)
 
 
 def trajectory_records(times, values, correlations=None):

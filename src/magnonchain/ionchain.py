@@ -208,7 +208,11 @@ def equilibrium_positions(n_ions: int, force_tol: float = 1e-13, max_iter: int =
     n_ions : int
         Number of ions (>= 2).
     force_tol : float
-        Convergence threshold on the maximum force residual.
+        Convergence threshold on the maximum force residual.  Where the
+        roundoff floor of the force sum, N eps max_i(|u_i| + sum_j
+        1/d_ij^2), lies above it (most N >= 54), the iteration also stops
+        once the residual is below that floor and no damped Newton step
+        lowers it further.
     max_iter : int
         Maximum number of damped Newton iterations.
 
@@ -234,6 +238,9 @@ def equilibrium_positions(n_ions: int, force_tol: float = 1e-13, max_iter: int =
             if ftrial < fmax:
                 break
             lam /= 2
+        else:
+            if fmax < _force_roundoff(u):       # no step helps: roundoff floor reached
+                return u
         u, fmax = u - lam * step, np.max(np.abs(_chain_force(u - lam * step)))
     raise ConvergenceError(
         f"equilibrium positions for n={n_ions} did not converge after "
@@ -245,6 +252,14 @@ def _chain_force(u: np.ndarray) -> np.ndarray:
     d = u[:, None] - u[None, :]
     np.fill_diagonal(d, np.inf)
     return u - np.sum(np.sign(d) / d ** 2, axis=1)
+
+
+def _force_roundoff(u: np.ndarray) -> float:
+    """Roundoff floor of :func:`_chain_force`: N eps times its largest term sum."""
+    d = u[:, None] - u[None, :]
+    np.fill_diagonal(d, np.inf)
+    terms = np.abs(u) + np.sum(1.0 / d ** 2, axis=1)
+    return u.size * np.finfo(float).eps * float(terms.max())
 
 
 def _chain_hessian(u: np.ndarray) -> np.ndarray:

@@ -52,6 +52,23 @@ def random_coupling(n: int, seed: int, scale: float = 100.0) -> np.ndarray:
     return J
 
 
+def reference_csv(names, rows, meta=None) -> str:
+    """CSV text as the row-at-a-time writer formats it: strings verbatim,
+    integral cells with str(int(x)), everything else with repr(float(x))."""
+    from magnonchain.io import header_lines
+
+    def cell(x):
+        if isinstance(x, str):
+            return x
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return repr(float(x))
+
+    lines = header_lines(meta) + [",".join(names)]
+    lines += [",".join(cell(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def reference_trap():
     """The reference trap used throughout: (0.219, 2.655, 2.628) MHz, N=7."""

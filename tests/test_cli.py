@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from magnonchain import cli, dynamics, ionchain, magnon
+from conftest import reference_csv
+from magnonchain import bounds, cli, dynamics, ionchain, magnon
 from magnonchain import io as mio
 
 
@@ -138,6 +139,70 @@ def test_global_quench_defaults(tmp_path, capsys):
     rows = np.array(read_data_rows(tmp_path / "magnetisation.csv"))
     # all spins along +x: <sigma_z> starts at 0 on every site
     np.testing.assert_allclose(rows[rows[:, 0] == 0.0, 2], 0.0, atol=1e-12)
+
+
+def _data_text(text):
+    """CSV text without its '#' header lines."""
+    return "".join(l for l in text.splitlines(keepends=True) if not l.startswith("#"))
+
+
+def _trajectory_csvs(times, mag, corr):
+    """The trajectory CSVs' rows, one tuple per line as the row-wise writer took them."""
+    n = mag.shape[1]
+    out = {"magnetisation.csv": (("t_s", "site", "sz"),
+                                 [(t, s + 1, mag[it, s]) for it, t in enumerate(times)
+                                  for s in range(n)])}
+    if corr is not None:
+        out["correlations.csv"] = (("t_s", "i", "j", "Cij"),
+                                   [(t, i + 1, j + 1, corr[it, i, j])
+                                    for it, t in enumerate(times)
+                                    for i in range(n) for j in range(i + 1, n)])
+        out["cbar.csv"] = (("t_s", "n", "cbar"),
+                           [(t, k + 1, cb) for t, c in zip(times, corr)
+                            for k, cb in enumerate(dynamics.averaged_correlations(c))])
+    return out
+
+
+@pytest.mark.parametrize("command", ["quench", "global-quench"])
+def test_quench_csvs_match_row_formatter(tmp_path, capsys, command):
+    n, flip = 6, (2, 5)
+    argv = [command, "-o", str(tmp_path), "--n", str(n), "--t-end", "0.004",
+            "--n-points", "9"]
+    argv += ["--flip", "2", "5", "--model", "xy", "--correlations"] if command == "quench" else []
+    assert run(argv, capsys)[0] == 0
+    J = ionchain.power_law_coupling(n, 1.5, 2 * np.pi * 30.0)
+    if command == "quench":
+        H = dynamics.build_hamiltonian(J, model="xy")
+        spec = dynamics.QuenchSpec(kind="local", flipped_sites=flip)
+    else:
+        H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
+                                       model="ising")
+        spec = dynamics.QuenchSpec(kind="global", flipped_sites=())
+    times = np.linspace(0.0, 0.004, 9)
+    traj = dynamics.evolve(dynamics.prepare_state(spec, n), H, times)
+    csvs = _trajectory_csvs(times, dynamics.magnetisation(traj),
+                            dynamics.two_point_correlations(traj))
+    for name, (columns, rows) in csvs.items():
+        assert (_data_text((tmp_path / name).read_text())
+                == _data_text(reference_csv(columns, rows))), name
+
+
+def test_lightcone_csvs_match_row_formatter(tmp_path, capsys):
+    argv = ["lightcone", "-o", str(tmp_path), "--source", "power-law", "--n", "15",
+            "--alpha", "1.2", "--t-end", "0.02", "--n-points", "201"]
+    assert run(argv, capsys)[0] == 0
+    J = ionchain.power_law_coupling(15, 1.2, 2 * np.pi * 30.0)
+    times = np.linspace(0.0, 0.02, 201)
+    states = magnon.evolve_single_excitation(J, 8, times)
+    mag = np.vstack([magnon.magnetisation_single(s) for s in states])
+    columns, rows = _trajectory_csvs(times, mag, None)["magnetisation.csv"]
+    assert (_data_text((tmp_path / "magnetisation.csv").read_text())
+            == _data_text(reference_csv(columns, rows)))
+    distances = np.arange(1, 15)
+    cone = bounds.cone_arrival_times(bounds.nn_lightcone(J), distances)
+    rows = zip(distances.astype(float), cone)
+    assert (_data_text((tmp_path / "cone.csv").read_text())
+            == _data_text(reference_csv(("d", "t_cone_s"), rows)))
 
 
 def test_tomo_artifacts_and_rerun_bytes(tmp_path, capsys):

@@ -254,6 +254,74 @@ def test_projection_fixes_physical_states():
     np.testing.assert_allclose(ent._project_physical(rho), rho, atol=1e-12)
 
 
+def _simplex_projection_oracle(rho):
+    """Nearest PSD unit-trace matrix by the sort-and-threshold simplex projection."""
+    rho = 0.5 * (rho + rho.conj().T)
+    lam, vec = np.linalg.eigh(rho / np.trace(rho).real)
+    mu = np.sort(lam)[::-1]
+    cum = np.cumsum(mu) - 1.0
+    k = np.nonzero(mu - cum / np.arange(1, mu.size + 1) > 0)[0][-1]
+    out = np.clip(lam - cum[k] / (k + 1), 0.0, None)
+    return (vec * out) @ vec.conj().T
+
+
+def _indefinite_hermitian(seed):
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    lam = rng.uniform(-0.4, 0.8, size=4)
+    lam[0] = abs(lam[0]) + 1.3           # a positive trace to normalize by
+    lam[1] = -abs(lam[1]) - 0.01         # and at least one negative eigenvalue
+    return (u * lam) @ u.conj().T
+
+
+def test_stacked_projection_matches_loop_over_indefinite_matrices():
+    stack = np.array([_indefinite_hermitian(seed) for seed in range(200)])
+    assert (np.linalg.eigvalsh(stack).min(axis=1) < 0).all()
+    out = ent._project_stack(stack)
+    for rho, got in zip(stack, out):
+        np.testing.assert_allclose(got, _simplex_projection_oracle(rho), atol=1e-12)
+        np.testing.assert_allclose(got, ent._project_physical(rho), atol=1e-15)
+    hand = np.array([np.diag([0.7, 0.5, -0.1, -0.1]), np.outer(BELL, BELL)]).astype(complex)
+    out = ent._project_stack(hand)
+    np.testing.assert_allclose(np.sort(np.diag(out[0]).real)[::-1], [0.6, 0.4, 0.0, 0.0],
+                               atol=1e-12)
+    np.testing.assert_allclose(out[1], hand[1], atol=1e-12)
+
+
+def test_reconstruction_matches_term_by_term_inversion():
+    """Linear inversion written out one Pauli product at a time, then projected."""
+    for seed in range(20):
+        records = ent.simulate_tomography(_random_state(4, seed), shots=50, seed=seed)
+        by_basis = {r.basis: np.array(r.counts) / r.shots for r in records}
+        rho = np.eye(4, dtype=complex) / 4
+        for a in ent.AXES:
+            first = np.mean([(p[0] + p[1] - p[2] - p[3])
+                             for b, p in by_basis.items() if b[0] == a])
+            second = np.mean([(p[0] - p[1] + p[2] - p[3])
+                              for b, p in by_basis.items() if b[1] == a])
+            rho += first * np.kron(ent.PAULI[a], np.eye(2)) / 4
+            rho += second * np.kron(np.eye(2), ent.PAULI[a]) / 4
+        for (a, b), p in by_basis.items():
+            rho += (p[0] - p[1] - p[2] + p[3]) * np.kron(ent.PAULI[a], ent.PAULI[b]) / 4
+        got = ent.tomography_reconstruct(records).matrix
+        np.testing.assert_allclose(got, _simplex_projection_oracle(rho), atol=1e-12)
+
+
+def test_stacked_physicality_check_names_the_fault():
+    good = np.outer(BELL, BELL).astype(complex)
+    checks = {
+        "Hermitian": good + np.triu(np.full((4, 4), 1e-9), 1),
+        "trace": good * 1.001,
+        "eigenvalue": np.diag([1.0 + 1e-6, 0.0, 0.0, -1e-6]).astype(complex),
+    }
+    ent._check_physical(np.array([good, good]))
+    for fault, bad in checks.items():
+        with pytest.raises(ValueError, match=fault):
+            ent._check_physical(np.array([good, bad, good]))
+        with pytest.raises(ValueError, match=fault):
+            DensityMatrix(matrix=bad, subsystem=(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # bootstrap
 
@@ -283,3 +351,39 @@ def test_bootstrap_tracks_the_statistic():
     mean, std = ent.bootstrap(records, resamples=200, statistic="concurrence", seed=6)
     assert std > 0.0
     assert abs(mean - point) < 5.0 * std + 0.02
+
+
+def _bootstrap_loop(records, resamples, statistic, seed, target=None):
+    """Per-resample oracle: nine redrawn records and one reconstruction at a time."""
+    evaluate = {"concurrence": ent.concurrence, "entropy": ent.von_neumann_entropy,
+                "fidelity": lambda rho: ent.fidelity(rho, target)}[statistic]
+    values = []
+    for r in range(resamples):
+        rng = ent._rng(seed, 1000 + r)
+        redrawn = [MeasurementRecord(basis=rec.basis, shots=rec.shots,
+                                     counts=tuple(rng.multinomial(
+                                         rec.shots, np.array(rec.counts) / rec.shots)))
+                   for rec in records]
+        values.append(evaluate(ent.tomography_reconstruct(redrawn)))
+    return np.mean(values), np.std(values, ddof=1)
+
+
+@pytest.mark.parametrize("case", ["bell", "random", "noisy", "shuffled"])
+@pytest.mark.parametrize("statistic", ["concurrence", "entropy", "fidelity"])
+def test_bootstrap_equals_per_resample_loop(case, statistic):
+    psi = BELL if case in ("bell", "noisy") else _random_state(4, 31)
+    shots = 20 if case == "noisy" else 500
+    records = ent.simulate_tomography(psi, shots=shots, seed=12)
+    if case == "shuffled":
+        records = [records[k] for k in np.random.default_rng(4).permutation(9)]
+    got = ent.bootstrap(records, resamples=150, statistic=statistic, seed=21, target=psi)
+    expected = _bootstrap_loop(records, 150, statistic, seed=21, target=psi)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_bootstrap_uses_the_last_record_of_a_repeated_basis():
+    records = ent.simulate_tomography(BELL, shots=200, seed=2)
+    extra = ent.sample_measurements(_random_state(4, 3), ("z", "z"), shots=200, seed=9)
+    got = ent.bootstrap(records + [extra], resamples=100, statistic="concurrence", seed=3)
+    expected = _bootstrap_loop(records + [extra], 100, "concurrence", seed=3)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)

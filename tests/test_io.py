@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_csv
 from magnonchain import io as mio
 from magnonchain import __version__, dynamics, entanglement, ionchain, magnon
 from magnonchain.io import ConfigError
@@ -23,6 +24,15 @@ def test_config_hash_is_stable_and_order_free():
     assert a == b
     assert len(a) == 12
     assert mio.config_hash({"x": 2}) != a
+
+
+def test_config_hash_of_arrays_equals_hash_of_nested_lists():
+    J = np.random.default_rng(1).normal(size=(9, 9))
+    assert mio.config_hash({"J": J}) == mio.config_hash({"J": J.tolist()})
+    assert mio.config_hash(np.arange(4)) == mio.config_hash([0, 1, 2, 3])
+    # frozen: the hash a light-cone run records for its 201-ion couplings
+    J201 = ionchain.power_law_coupling(201, 1.2, J0).values
+    assert mio.config_hash(J201) == "f2c9c5d9affa"
 
 
 def test_config_hash_accepts_numpy_and_paths(tmp_path):
@@ -63,6 +73,90 @@ def test_write_table_cell_formats(tmp_path):
 def test_write_table_creates_parents(tmp_path):
     path = mio.write_table(tmp_path / "deep" / "dir" / "t.csv", ("a",), [(1,)])
     assert path.exists()
+
+
+# Doubles whose repr takes every branch of float formatting.
+EDGE_FLOATS = np.array([-0.0, 0.0, 1e-17, 1e16, np.nan, np.inf, -np.inf, 0.1,
+                        1.0 / 3.0, -2.5e-300, 5e-324, 123456789.125])
+
+
+def test_write_columns_edge_cells_match_row_formatter(tmp_path):
+    n = EDGE_FLOATS.size
+    names = ("f64", "i64", "f32", "py_int", "text", "u8", "flag")
+    columns = (EDGE_FLOATS, np.arange(-3, n - 3, dtype=np.int64),
+               EDGE_FLOATS.astype(np.float32), list(range(-1, n - 1)),
+               [f"s{k}" for k in range(n)], np.arange(n, dtype=np.uint8),
+               np.arange(n) % 2 == 0)
+    path = mio.write_columns(tmp_path / "c.csv", names, columns, {"seed": 4})
+    assert path.read_text() == reference_csv(names, zip(*columns), {"seed": 4})
+
+
+def test_write_table_mixed_scalar_cells_match_row_formatter(tmp_path):
+    names = ("a", "b", "c", "d", "e", "f")
+    rows = [(np.int64(3), np.float32(0.1), 7, "x", -0.0, np.float64(1e16)),
+            (np.int32(-2), np.float32(np.nan), -8, "", np.inf, np.float64(1e-17)),
+            (True, 2.5, 0, "y z", float("-inf"), np.uint64(2 ** 63))]
+    path = mio.write_table(tmp_path / "t.csv", names, rows)
+    assert path.read_text() == reference_csv(names, rows)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, mio._CHUNK_ROWS, mio._CHUNK_ROWS + 1])
+def test_writers_across_chunk_boundaries(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    t = rng.normal(size=n_rows) * 10.0 ** rng.integers(-20, 20, size=n_rows)
+    site = rng.integers(-5, 1000, size=n_rows)
+    expected = reference_csv(("t", "site"), zip(t, site), {"seed": 2})
+    path = mio.write_columns(tmp_path / "c.csv", ("t", "site"), (t, site), {"seed": 2})
+    assert path.read_text() == expected
+    path = mio.write_table(tmp_path / "r.csv", ("t", "site"),
+                           list(zip(t.tolist(), site.tolist())), {"seed": 2})
+    assert path.read_text() == expected
+
+
+def test_write_columns_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="length"):
+        mio.write_columns(tmp_path / "c.csv", ("a", "b"), (np.zeros(3), np.zeros(4)))
+
+
+def test_observable_exports_match_row_formatter(tmp_path):
+    rng = np.random.default_rng(8)
+    times = np.linspace(0.0, 0.01, 7)
+    mag = rng.normal(size=(7, 5))
+    corr = rng.normal(size=(7, 5, 5))
+    meta = {"seed": 3, "command": "test"}
+    text = mio.save_magnetisation(tmp_path / "m.csv", times, mag, meta).read_text()
+    rows = ((t, s + 1, mag[it, s]) for it, t in enumerate(times) for s in range(5))
+    assert text == reference_csv(("t_s", "site", "sz"), rows, meta)
+    text = mio.save_correlations(tmp_path / "c.csv", times, corr, meta).read_text()
+    rows = ((t, i + 1, j + 1, corr[it, i, j]) for it, t in enumerate(times)
+            for i in range(5) for j in range(i + 1, 5))
+    assert text == reference_csv(("t_s", "i", "j", "Cij"), rows, meta)
+    distances, cone = np.arange(1, 6), rng.uniform(size=5)
+    text = mio.save_cone(tmp_path / "cone.csv", distances, cone, meta).read_text()
+    assert text == reference_csv(("d", "t_cone_s"), zip(distances.astype(float), cone), meta)
+
+    spectrum = magnon.diagonalize_magnons(ionchain.power_law_coupling(6, 1.2, J0))
+    text = mio.save_dispersion(tmp_path / "d.csv", spectrum, meta).read_text()
+    rows = [(n + 1, spectrum.pseudo_momenta[n], spectrum.energies[n],
+             int(spectrum.node_counts[n])) for n in range(6)]
+    assert text == reference_csv(("n", "k_n", "omega_k", "node_count"), rows, meta)
+
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    rho = entanglement.DensityMatrix(matrix=np.outer(psi, psi.conj()), subsystem=(2, 5))
+    text = mio.save_density_matrix(tmp_path / "rho.csv", rho, meta).read_text()
+    rows = [(i, j, rho.matrix[i, j].real, rho.matrix[i, j].imag)
+            for i in range(4) for j in range(4)]
+    rho_meta = dict(meta, subsystem="2,5", basis="|dd>,|du>,|ud>,|uu> (lower site first)")
+    assert text == reference_csv(("row", "col", "re", "im"), rows, rho_meta)
+
+
+def test_save_couplings_matches_row_formatter(tmp_path):
+    J = _random_J(n=7, seed=5)
+    text = mio.save_couplings(tmp_path / "J.csv", J, {"seed": 1}, unit="Hz").read_text()
+    lines = mio.header_lines({"seed": 1, "provenance": J.meta}) + ["# unit = Hz"]
+    lines += [",".join(repr(float(x)) for x in row) for row in J.values / (2 * math.pi)]
+    assert text == "\n".join(lines) + "\n"
 
 
 def test_write_ndjson_header_first(tmp_path):

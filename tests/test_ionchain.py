@@ -48,6 +48,26 @@ def test_positions_are_sorted_symmetric_force_free(n):
     assert np.abs(force).max() < 1e-12
 
 
+def test_positions_converge_up_to_160_ions():
+    # past N ~ 53 the force sum cannot be evaluated below 1e-13; the
+    # solver stops at its roundoff floor N eps max_i(|u_i| + sum_j d_ij^-2)
+    for n in range(2, 161):
+        u = ionchain.equilibrium_positions(n)
+        assert np.all(np.diff(u) > 0), n
+        np.testing.assert_allclose(u, -u[::-1], atol=1e-12, err_msg=f"n={n}")
+        d = u[:, None] - u[None, :]
+        np.fill_diagonal(d, np.inf)
+        force = u - np.sum(np.sign(d) / d ** 2, axis=1)
+        floor = n * np.finfo(float).eps * np.max(np.abs(u) + np.sum(d ** -2.0, axis=1))
+        assert np.abs(force).max() < max(1e-13, floor), n
+        assert floor < 1e-11, n
+
+
+def test_positions_still_report_non_convergence():
+    with pytest.raises(ionchain.ConvergenceError, match="n=100"):
+        ionchain.equilibrium_positions(100, max_iter=2)
+
+
 def test_positions_need_two_ions():
     with pytest.raises(ValueError):
         ionchain.equilibrium_positions(1)
