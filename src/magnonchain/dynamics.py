@@ -15,10 +15,18 @@ spin up.  |down...down> is index 0.
 
 H_XY conserves the excitation number (popcount of b) and H_Ising its
 parity, so ``evolve`` splits the initial state's support into these
-conserved blocks and propagates each block on its own: a one-flip XY
-quench is an N x N problem, a global XY quench a set of C(N, k) blocks,
-an Ising quench one or two 2^(N-1) blocks (cf. the symmetry blocks of
-QuSpin, Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).  Blocks up to
+conserved blocks and assembles H directly on each block's sorted basis;
+the full 2^N matrix is built only for the full-space methods of
+:class:`Hamiltonian`.  When J is exactly symmetric under the reflection
+i -> N+1-i, as for a power law or a nearest-neighbour chain, H also
+commutes with reversing the bits of b, and each block splits again into
+a + and a - mirror sector of about half its size; only the sectors the
+initial state reaches are propagated.  A global quench, or a flip of
+the centre site of an odd chain, lies wholly in the + sector.  So a
+one-flip XY quench is an N x N problem or smaller, a global XY quench a
+set of about C(N, k)/2-state sectors, and an Ising quench one or two
+sectors of about 2^(N-2) states (cf. the symmetry blocks of QuSpin,
+Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).  Sectors up to
 ``DENSE_LIMIT`` states use a dense eigendecomposition, larger ones an
 adaptive Lanczos (Krylov) propagator with per-step error control.
 """
@@ -36,16 +44,17 @@ from .ionchain import CouplingMatrix, _check_site, _readonly
 #: Largest chain the full propagator accepts (2^16 basis states).
 MAX_SITES = 16
 
-#: Dense eigendecomposition for conserved blocks up to this many basis
-#: states, Krylov stepping above.  Measured with one BLAS thread on a
-#: 2-core Xeon VM, Ising at B = 50 max|J|: two 1024-state blocks (N = 11,
-#: global, 201 points) take 0.78 s dense vs 3.0 s Krylov; one 2048-state
-#: block (N = 12, global, 201 points) 2.2 s dense vs 1.8 s Krylov; one
-#: 4096-state block (N = 13, local, 51 points) 16.7 s dense vs 3.3 s
-#: Krylov.  Krylov cost grows with spectral width times time span, so the
-#: narrow XY spectrum crosses over sooner: a 1001-state block (N = 14,
-#: global, 51 points to 20 ms) takes 0.23 s dense vs 0.09 s Krylov, a
-#: 1716-state block (N = 13) 1.09 s vs 0.19 s.  The limit follows Ising.
+#: Dense eigendecomposition for sectors up to this many basis states,
+#: Krylov stepping above.  Measured per sector with one BLAS thread on a
+#: 2-core Xeon VM, power law alpha = 1.3, Ising at B = 50 max|J|: two
+#: 528-state sectors (N = 11, global, 201 points) take 0.16 s dense vs
+#: 0.89 s Krylov; a 1056- and a 1024-state sector (N = 12, global, 201
+#: points) 0.82 s vs 1.79 s; one 2080-state sector (N = 13, centre flip,
+#: 51 points) 2.03 s vs 1.08 s.  Krylov cost grows with spectral width
+#: times time span, so the narrow XY spectrum crosses over sooner: a
+#: global XY quench with sectors of at most 868 states (N = 13, 51 points
+#: to 20 ms) takes 0.70 s dense vs 0.66 s Krylov, with sectors of at most
+#: 1716 states (N = 14) 3.41 s vs 1.00 s.  The limit sits between.
 DENSE_LIMIT = 1024
 
 
@@ -119,15 +128,19 @@ class Trajectory:
 class Hamiltonian:
     """Immutable sparse operator handle for H_Ising or H_XY.
 
-    Holds the real CSR matrix (rad/s) plus the ingredients it was built
-    from, on the full 2^N space or on one conserved block (:meth:`block`).
-    The dense eigendecomposition is computed lazily and cached; the handle
-    is safe to share across threads after construction.
+    Holds the ingredients (couplings, field, model) and the real CSR matrix
+    (rad/s) on the full 2^N space, on one conserved block (:meth:`block`)
+    or on one mirror sector of a block.  The full-space matrix is assembled
+    only when first used (``dense``, ``matvec``, ``expectation``,
+    ``eigensystem``); ``evolve`` never needs it.  The dense
+    eigendecomposition is computed lazily and cached; concurrent first uses
+    may both compute the same value, so the handle is safe to share
+    across threads.
     """
 
-    def __init__(self, matrix: sp.csr_matrix, n_sites: int, model: str,
+    def __init__(self, matrix: sp.csr_matrix | None, n_sites: int, model: str,
                  transverse_field: float, coupling: CouplingMatrix):
-        self._matrix = matrix
+        self._csr = matrix
         self.n_sites = n_sites
         self.model = model
         self.transverse_field = transverse_field
@@ -135,8 +148,14 @@ class Hamiltonian:
         self._eig = None
 
     @property
+    def _matrix(self) -> sp.csr_matrix:
+        if self._csr is None:
+            self._csr = _assemble(self, np.arange(1 << self.n_sites))
+        return self._csr
+
+    @property
     def dim(self) -> int:
-        return self._matrix.shape[0]
+        return 1 << self.n_sites if self._csr is None else self._csr.shape[0]
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         """H @ psi.  A complex psi is applied as two real products, about
@@ -149,18 +168,14 @@ class Hamiltonian:
         return out
 
     def block(self, basis: np.ndarray) -> Hamiltonian:
-        """H restricted to the sorted basis indices ``basis``; row and
-        column k of the block belong to basis state ``basis[k]``.
+        """H restricted to the sorted basis indices ``basis``, assembled
+        directly on them; row and column k of the block belong to basis
+        state ``basis[k]``.
 
         Raises ValueError if H couples those states to any other state,
         i.e. if ``basis`` is not a union of conserved blocks.
         """
-        rows = self._matrix[basis]
-        inside = np.zeros(self.dim, dtype=bool)
-        inside[basis] = True
-        if np.any(rows.data[~inside[rows.indices]]):
-            raise ValueError("the Hamiltonian couples the block to states outside it")
-        return Hamiltonian(rows[:, basis], self.n_sites, self.model,
+        return Hamiltonian(_assemble(self, basis), self.n_sites, self.model,
                            self.transverse_field, self.coupling)
 
     def dense(self) -> np.ndarray:
@@ -179,7 +194,7 @@ class Hamiltonian:
 
 def build_hamiltonian(J: CouplingMatrix, transverse_field: float = 0.0,
                       model: str = "ising", max_sites: int = MAX_SITES) -> Hamiltonian:
-    """Assemble the sparse Hamiltonian.
+    """The Hamiltonian handle; matrices are assembled on first use.
 
     Parameters
     ----------
@@ -196,35 +211,41 @@ def build_hamiltonian(J: CouplingMatrix, transverse_field: float = 0.0,
     n = J.n_ions
     if n > max_sites:
         raise ValueError(f"N={n} exceeds the {max_sites}-site limit of the full propagator")
-    dim = 1 << n
-    basis = np.arange(dim)
+    return Hamiltonian(None, n, model, transverse_field, J)
 
+
+def _assemble(H: Hamiltonian, basis: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix of H on the sorted basis states ``basis``.
+
+    Each coupling J_ij flips the bits i and j (only antiparallel ones for
+    XY); the flipped states are mapped back to rows by binary search.
+    Raises ValueError if one of them is not in ``basis``.
+    """
+    n, J = H.n_sites, H.coupling.values
     rows, cols, vals = [], [], []
     for i in range(n - 1):
         for j in range(i + 1, n):
-            if J.values[i, j] == 0.0:
+            if J[i, j] == 0.0:
                 continue
-            mask = (1 << i) | (1 << j)
-            if model == "xy":
-                src = basis[((basis >> i) ^ (basis >> j)) & 1 == 1]
+            if H.model == "xy":
+                src = np.flatnonzero(((basis >> i) ^ (basis >> j)) & 1)
             else:
-                src = basis
-            rows.append(src ^ mask)
+                src = np.arange(basis.size)
+            target = basis[src] ^ ((1 << i) | (1 << j))
+            dst = np.searchsorted(basis, target).clip(max=basis.size - 1)
+            if np.any(basis[dst] != target):
+                raise ValueError("the Hamiltonian couples the block to states outside it")
+            rows.append(dst)
             cols.append(src)
-            vals.append(np.full(src.size, J.values[i, j]))
-    if model == "ising" and transverse_field != 0.0:
-        mz = 2 * _popcount(n) - n
-        rows.append(basis)
-        cols.append(basis)
-        vals.append(transverse_field * mz)
-
-    if rows:
-        matrix = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim)).tocsr()
-    else:
-        matrix = sp.csr_matrix((dim, dim))
-    return Hamiltonian(matrix, n, model, transverse_field, J)
+            vals.append(np.full(src.size, J[i, j]))
+    if H.model == "ising" and H.transverse_field != 0.0:
+        rows.append(np.arange(basis.size))
+        cols.append(rows[-1])
+        vals.append(H.transverse_field * (2 * _popcount(n)[basis] - n))
+    if not rows:
+        return sp.csr_matrix((basis.size, basis.size))
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(basis.size, basis.size)).tocsr()
 
 
 def prepare_state(spec: QuenchSpec, n: int) -> StateVector:
@@ -247,13 +268,14 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
     """Propagate |psi(t)> = exp(-i H t) |psi(0)> onto the output times.
 
     The initial state's support is split into conserved blocks
-    (excitation number for H_XY, parity for H_Ising) and each block is
-    propagated on its own; amplitudes outside those blocks stay exactly 0.
-    ``method='dense'`` uses the block's exact eigendecomposition (no step
-    error); ``method='krylov'`` steps between output times with an
-    adaptive Lanczos propagator holding each step's error below
-    ``step_tol``.  ``'auto'`` picks dense for blocks of at most
-    ``DENSE_LIMIT`` states.
+    (excitation number for H_XY, parity for H_Ising), each block into its
+    mirror sectors when J is reflection symmetric, and each sector the
+    state reaches is propagated on its own; amplitudes outside those
+    blocks stay exactly 0.  ``method='dense'`` uses the sector's exact
+    eigendecomposition (no step error); ``method='krylov'`` steps between
+    output times with an adaptive Lanczos propagator holding each step's
+    error below ``step_tol``.  ``'auto'`` picks dense for sectors of at
+    most ``DENSE_LIMIT`` states.
     """
     if state.n_sites != H.n_sites or H.dim != state.amplitudes.size:
         raise ValueError("state and Hamiltonian sizes differ")
@@ -268,37 +290,83 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
     states = np.zeros((times.size, H.dim), dtype=complex)
     for label in np.unique(labels[amps != 0]):
         basis = np.flatnonzero(labels == label)
-        states[:, basis] = _propagate_block(H.block(basis), amps[basis], times,
-                                            method, step_tol)
+        block = _assemble(H, basis)
+        for U in _mirror_sectors(H, basis):
+            psi = U.T @ amps[basis]
+            if not psi.any():
+                continue
+            sector = Hamiltonian((U.T @ block @ U).tocsr(), H.n_sites, H.model,
+                                 H.transverse_field, H.coupling)
+            states[:, basis] += (U @ _propagate_block(sector, psi, times, method,
+                                                      step_tol).T).T
     return Trajectory(times=times, states=states, n_sites=H.n_sites)
+
+
+def _mirror_sectors(H: Hamiltonian, basis: np.ndarray) -> list[sp.csr_matrix]:
+    """Isometries from the mirror sectors of a conserved block into it.
+
+    If J is exactly symmetric under the reflection i -> N+1-i (the field
+    is uniform), H commutes with reversing the N bits of every basis
+    state.  The + sector then holds each palindrome and each symmetric
+    pair (|b> + |rev b>)/sqrt(2), the - sector each antisymmetric pair;
+    representatives are the smaller state of each pair.  Otherwise the
+    only sector is the block itself.  ``basis`` must be closed under
+    reflection, as every conserved block is.
+    """
+    J = H.coupling.values
+    if not np.array_equal(J, J[::-1, ::-1]):
+        return [sp.identity(basis.size, format="csr")]
+    mirror = np.zeros_like(basis)
+    for i in range(H.n_sites):
+        mirror |= ((basis >> i) & 1) << (H.n_sites - 1 - i)
+    partner = np.searchsorted(basis, mirror)
+    rep = np.flatnonzero(partner >= np.arange(basis.size))
+    pair = partner[rep] != rep
+    lo, hi = rep[pair], partner[rep[pair]]
+    s = np.sqrt(0.5)
+    col = np.arange(rep.size)
+    plus = sp.csr_matrix((np.concatenate([np.where(pair, s, 1.0), np.full(hi.size, s)]),
+                          (np.concatenate([rep, hi]), np.concatenate([col, col[pair]]))),
+                         shape=(basis.size, rep.size))
+    col = np.arange(lo.size)
+    minus = sp.csr_matrix((np.concatenate([np.full(lo.size, s), np.full(hi.size, -s)]),
+                           (np.concatenate([lo, hi]), np.concatenate([col, col]))),
+                          shape=(basis.size, lo.size))
+    return [plus, minus]
 
 
 def _propagate_block(H: Hamiltonian, psi: np.ndarray, times: np.ndarray,
                      method: str, step_tol: float) -> np.ndarray:
-    """(T, dim) amplitudes of exp(-i H t) psi within one conserved block."""
+    """(T, dim) amplitudes of exp(-i H t) psi within one block or sector."""
     if method == "dense" or (method == "auto" and H.dim <= DENSE_LIMIT):
         energies, vectors = H.eigensystem()
         modes = vectors.T @ psi
         return (vectors @ (np.exp(-1j * np.outer(energies, times)) * modes[:, None])).T
     states = np.empty((times.size, H.dim), dtype=complex)
-    t_now = 0.0
+    t_now, order = 0.0, 0
     for k, t in enumerate(times):
-        psi = _krylov_propagate(H.matvec, psi, t - t_now, step_tol)
+        psi, order = _krylov_propagate(H.matvec, psi, t - t_now, step_tol, order)
         t_now = t
         states[k] = psi
     return states
 
 
-def _krylov_propagate(matvec, psi: np.ndarray, dt: float, tol: float,
-                      m_max: int = 96, max_splits: int = 40) -> np.ndarray:
-    """exp(-i dt H) psi for Hermitian H, splitting the step as needed."""
+def _krylov_propagate(matvec, psi: np.ndarray, dt: float, tol: float, order: int = 0,
+                      m_max: int = 96, max_splits: int = 40) -> tuple[np.ndarray, int]:
+    """exp(-i dt H) psi for Hermitian H, splitting the step as needed.
+
+    ``order`` is the Lanczos order at which to start testing convergence;
+    returns the propagated state and the order to start from next time:
+    the last converged order minus 2, so a steady step size re-tests
+    only the last few orders while a shrinking one still converges early.
+    """
     if dt == 0.0:
-        return psi.copy()
+        return psi.copy(), order
     pieces = [dt]
     splits = 0
     while pieces:
         step = pieces.pop()
-        result = _lanczos_expm(matvec, psi, step, tol, m_max)
+        result = _lanczos_expm(matvec, psi, step, tol, m_max, order)
         if result is None:
             if splits >= max_splits:
                 raise PropagatorError(
@@ -306,21 +374,25 @@ def _krylov_propagate(matvec, psi: np.ndarray, dt: float, tol: float,
                     f"dimension {m_max} after {max_splits} step splits")
             pieces.extend([step / 2, step / 2])
             splits += 1
+            order = 0
         else:
-            psi = result
-    return psi
+            psi, m = result
+            order = max(m - 2, 0)
+    return psi, order
 
 
-def _lanczos_expm(matvec, psi, dt, tol, m_max):
-    """One Lanczos approximation of exp(-i dt H) psi, or None if not converged.
+def _lanczos_expm(matvec, psi, dt, tol, m_max, m_test=0):
+    """One Lanczos approximation of exp(-i dt H) psi and the order m at
+    which it converged, or None if it did not within ``m_max``.
 
     Standard a-posteriori estimate: the error of the order-m approximation
-    is ~ beta_m * |last component of exp(-i dt T_m) e_1|.  Full
+    is ~ beta_m * |last component of exp(-i dt T_m) e_1|.  It is tested
+    from order ``m_test`` on, and at any breakdown.  Full
     reorthogonalization keeps the basis clean (subspace is small).
     """
     norm = np.linalg.norm(psi)
     if norm == 0.0:
-        return psi.copy()
+        return psi.copy(), 0
     V = np.empty((m_max + 1, psi.size), dtype=complex)
     V[0] = psi / norm
     alpha = np.empty(m_max)
@@ -333,11 +405,12 @@ def _lanczos_expm(matvec, psi, dt, tol, m_max):
             w = w - beta[m - 1] * V[m - 1]
         w -= V[:m + 1].T @ (V[:m + 1] @ w.conj()).conj()    # reorthogonalize
         beta[m] = np.linalg.norm(w)
-        evals, evecs = eigh_tridiagonal(alpha[:m + 1], beta[:m])
-        y = evecs @ (np.exp(-1j * dt * evals) * evecs[0])
-        err = beta[m] * abs(y[m])
-        if err < tol / 4 or beta[m] < 1e-14:
-            return (y @ V[:m + 1]) * norm
+        if m >= m_test or beta[m] < 1e-14:
+            evals, evecs = eigh_tridiagonal(alpha[:m + 1], beta[:m])
+            y = evecs @ (np.exp(-1j * dt * evals) * evecs[0])
+            err = beta[m] * abs(y[m])
+            if err < tol / 4 or beta[m] < 1e-14:
+                return (y @ V[:m + 1]) * norm, m
         V[m + 1] = w / beta[m]
     return None
 

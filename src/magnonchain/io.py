@@ -212,12 +212,18 @@ def save_dispersion(path, spectrum: MagnonSpectrum, meta: dict | None = None) ->
     return write_columns(path, ("n", "k_n", "omega_k", "node_count"), columns, meta)
 
 
+def _repeated_cells(times, count: int) -> np.ndarray:
+    """Time column of a long-format CSV: each time formatted once, as the
+    writer formats a float, and the string repeated for its ``count`` rows."""
+    cells = np.array(list(map(repr, np.asarray(times, dtype=float).tolist())), dtype=object)
+    return np.repeat(cells, count)
+
+
 def save_magnetisation(path, times, values, meta: dict | None = None) -> Path:
     """Long-format magnetisation CSV: (t_s, site, sz), site 1-based."""
     values = np.asarray(values, dtype=float)
     n_t, n = values.shape
-    columns = (np.repeat(np.asarray(times, dtype=float), n),
-               np.tile(np.arange(1, n + 1), n_t), values.ravel())
+    columns = (_repeated_cells(times, n), np.tile(np.arange(1, n + 1), n_t), values.ravel())
     return write_columns(path, ("t_s", "site", "sz"), columns, meta)
 
 
@@ -225,9 +231,8 @@ def save_correlations(path, times, corr, meta: dict | None = None) -> Path:
     """Correlation CSV: (t_s, i, j, Cij) over pairs i < j, 1-based sites."""
     corr = np.asarray(corr, dtype=float)
     i, j = np.triu_indices(corr.shape[1], 1)
-    columns = (np.repeat(np.asarray(times, dtype=float), i.size),
-               np.tile(i + 1, corr.shape[0]), np.tile(j + 1, corr.shape[0]),
-               corr[:, i, j].ravel())
+    columns = (_repeated_cells(times, i.size), np.tile(i + 1, corr.shape[0]),
+               np.tile(j + 1, corr.shape[0]), corr[:, i, j].ravel())
     return write_columns(path, ("t_s", "i", "j", "Cij"), columns, meta)
 
 

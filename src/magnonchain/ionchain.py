@@ -331,13 +331,10 @@ def transverse_mode_spectrum(trap: TrapConfig) -> ModeSpectrum:
 
 
 def _fix_gauge(vectors: np.ndarray) -> np.ndarray:
-    """Deterministic sign convention: largest-|entry| component positive."""
-    vectors = vectors.copy()
-    for n in range(vectors.shape[1]):
-        lead = np.argmax(np.abs(vectors[:, n]))
-        if vectors[lead, n] < 0:
-            vectors[:, n] = -vectors[:, n]
-    return vectors
+    """Deterministic sign convention for the columns of ``vectors``: the
+    largest-|entry| component of each (the first on ties) is positive."""
+    lead = np.take_along_axis(vectors, np.argmax(np.abs(vectors), axis=0)[None, :], axis=0)
+    return np.where(lead < 0, -vectors, vectors)
 
 
 def detuning_above_top_mode(trap: TrapConfig, modes: ModeSpectrum | None = None) -> float:

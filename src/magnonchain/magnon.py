@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ionchain import CouplingMatrix, _check_site, _readonly
+from .ionchain import CouplingMatrix, _check_site, _fix_gauge, _readonly
 
 #: Relative magnitude below which a mode-function entry is ignored when
 #: counting sign changes.
@@ -88,7 +88,7 @@ def diagonalize_magnons(J: CouplingMatrix, energy_shift: float = 0.0) -> MagnonS
     """
     energies, vectors = np.linalg.eigh(J.values)
     n = J.n_ions
-    vectors = _fix_mode_sign(vectors)
+    vectors = _fix_gauge(vectors)
     nodes = np.array([count_nodes(vectors[:, k]) for k in range(n)])
     if len(set(nodes.tolist())) != n:
         counts = np.bincount(nodes, minlength=n)
@@ -104,15 +104,6 @@ def diagonalize_magnons(J: CouplingMatrix, energy_shift: float = 0.0) -> MagnonS
         node_counts=nodes[order],
         energy_shift=energy_shift,
     )
-
-
-def _fix_mode_sign(vectors: np.ndarray) -> np.ndarray:
-    vectors = vectors.copy()
-    for k in range(vectors.shape[1]):
-        lead = np.argmax(np.abs(vectors[:, k]))
-        if vectors[lead, k] < 0:
-            vectors[:, k] = -vectors[:, k]
-    return vectors
 
 
 def max_group_velocity(spectrum: MagnonSpectrum) -> float:

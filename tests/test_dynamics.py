@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from magnonchain import dynamics, ionchain, magnon
@@ -186,12 +187,150 @@ def test_block_propagation_matches_full_space(n, model, flips, field):
         assert np.all(traj.states[:, outside] == 0.0)
 
 
+def _full_csr_reference(J, field, model):
+    """The whole 2^N CSR built state by state in the product basis, the
+    way the package assembled it before blocks were built directly."""
+    n = J.shape[0]
+    basis = np.arange(2 ** n)
+    rows, cols, vals = [basis], [basis], [np.zeros(basis.size)]
+    if model == "ising":
+        vals[0] = field * np.array([2 * bin(b).count("1") - n for b in basis], dtype=float)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            if J[i, j] == 0.0:
+                continue
+            src = basis[((basis >> i) ^ (basis >> j)) & 1 == 1] if model == "xy" else basis
+            rows.append(src ^ ((1 << i) | (1 << j)))
+            cols.append(src)
+            vals.append(np.full(src.size, J[i, j]))
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(basis.size, basis.size)).tocsr()
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+@pytest.mark.parametrize("model", ["xy", "ising"])
+def test_direct_block_assembly_equals_sliced_full_matrix(n, model):
+    J = random_coupling(n, seed=200 + n, scale=50.0)
+    J[0, n - 1] = J[n - 1, 0] = 0.0                     # a skipped pair
+    H = dynamics.build_hamiltonian(_coupling(J), transverse_field=37.0, model=model)
+    full = _full_csr_reference(J, 37.0, model)
+    assert (H._matrix != full).nnz == 0
+    counts = np.array([bin(b).count("1") for b in range(2 ** n)])
+    labels = counts if model == "xy" else counts % 2
+    for label in np.unique(labels):
+        basis = np.flatnonzero(labels == label)
+        block = H.block(basis)._matrix
+        assert block.shape == (basis.size, basis.size)
+        assert (block != full[basis][:, basis]).nnz == 0
+
+
+def test_quench_path_never_assembles_the_full_matrix():
+    J = ionchain.power_law_coupling(9, 1.2, J0)
+    H = dynamics.build_hamiltonian(J, transverse_field=40.0, model="ising")
+    dynamics.evolve(dynamics.prepare_state(QuenchSpec("local", (2,)), 9), H,
+                    np.linspace(0.0, 1e-3, 3), method="krylov")
+    assert H._csr is None
+    assert H.dim == 2 ** 9 and H._matrix.shape == (2 ** 9, 2 ** 9)
+
+
+#: (model, quench, field in units of max|J|) on mirror-symmetric couplings;
+#: "centre" flips site (N+1)//2, which is the exact centre for odd N.
+MIRROR_CASES = [("xy", "centre", 0.0), ("xy", (1,), 0.0), ("xy", (1, 3), 0.0),
+                ("xy", None, 0.0), ("ising", "centre", 50.0), ("ising", (2,), 0.0),
+                ("ising", (1, 2), 50.0), ("ising", None, 50.0)]
+
+
+def _reverse(states, n):
+    """Bit reversal over n bits, one state at a time."""
+    return np.array([int(format(b, f"0{n}b")[::-1], 2) for b in states])
+
+
+def _spec(n, flips):
+    if flips is None:
+        return QuenchSpec(kind="global")
+    return QuenchSpec("local", ((n + 1) // 2,) if flips == "centre" else flips)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+@pytest.mark.parametrize("model,flips,field", MIRROR_CASES)
+def test_mirror_sector_propagation_matches_full_space(n, model, flips, field):
+    J = ionchain.power_law_coupling(n, 1.3, J0)
+    assert np.array_equal(J.values, J.values[::-1, ::-1])
+    B = field * np.abs(J.values).max()
+    H = dynamics.build_hamiltonian(J, transverse_field=B, model=model)
+    psi0 = dynamics.prepare_state(_spec(n, flips), n)
+    times = np.linspace(0.0, 1.0, 3) / (np.abs(J.values).max() + abs(B))
+    expected = _full_space_oracle(H, psi0.amplitudes, times)
+
+    counts = np.array([bin(b).count("1") for b in range(2 ** n)])
+    labels = counts if model == "xy" else counts % 2
+    outside = ~np.isin(labels, labels[psi0.amplitudes != 0])
+    basis = np.flatnonzero(labels == labels[np.flatnonzero(psi0.amplitudes)[0]])
+    plus, minus = dynamics._mirror_sectors(H, basis)
+    assert plus.shape[1] + minus.shape[1] == basis.size
+    np.testing.assert_allclose((plus.T @ plus).toarray(), np.eye(plus.shape[1]), atol=1e-15)
+    np.testing.assert_allclose((minus.T @ plus).toarray(), 0.0, atol=1e-15)
+    reflected = psi0.amplitudes[basis][np.searchsorted(basis, _reverse(basis, n))]
+    assert np.any(minus.T @ psi0.amplitudes[basis]) == np.any(reflected != psi0.amplitudes[basis])
+
+    methods = ("krylov",) if model == "ising" and n == 12 else ("dense", "krylov")
+    for method in methods:
+        traj = dynamics.evolve(psi0, H, times, method=method, step_tol=1e-12)
+        np.testing.assert_allclose(traj.states, expected, atol=1e-10, err_msg=method)
+        assert np.all(traj.states[:, outside] == 0.0)
+
+
+@pytest.mark.parametrize("model,flips,field", [("xy", (2,), 0.0), ("ising", (1, 2), 50.0)])
+def test_coupling_off_mirror_by_one_ulp_propagates_the_whole_block(model, flips, field):
+    n = 7
+    values = ionchain.power_law_coupling(n, 1.1, J0).values.copy()
+    values[0, 1] = values[1, 0] = np.nextafter(values[0, 1], np.inf)
+    J = _coupling(values)
+    B = field * np.abs(values).max()
+    H = dynamics.build_hamiltonian(J, transverse_field=B, model=model)
+    psi0 = dynamics.prepare_state(QuenchSpec("local", flips), n)
+    (identity,) = dynamics._mirror_sectors(H, np.arange(2 ** n))
+    assert identity.shape == (2 ** n, 2 ** n)
+    times = np.linspace(0.0, 1.0, 3) / (np.abs(values).max() + B)
+    expected = _full_space_oracle(H, psi0.amplitudes, times)
+    for method in ("dense", "krylov"):
+        traj = dynamics.evolve(psi0, H, times, method=method, step_tol=1e-12)
+        np.testing.assert_allclose(traj.states, expected, atol=1e-10, err_msg=method)
+
+
+def test_krylov_tests_convergence_from_the_previous_order():
+    n = 9
+    H = dynamics.build_hamiltonian(ionchain.power_law_coupling(n, 1.2, J0),
+                                   transverse_field=30.0 * J0, model="ising")
+    psi = dynamics.prepare_state(QuenchSpec("local", (3,)), n).amplitudes
+    dt = 2e-4
+    first = dynamics._lanczos_expm(H.matvec, psi, dt, 1e-9, 96)
+    late = dynamics._lanczos_expm(H.matvec, psi, dt, 1e-9, 96, first[1] - 2)
+    np.testing.assert_array_equal(late[0], first[0])
+    assert late[1] == first[1]
+    psi_next, order = dynamics._krylov_propagate(H.matvec, psi, dt, 1e-9)
+    assert order == first[1] - 2
+    np.testing.assert_allclose(psi_next, expm_multiply(-1j * dt * H._matrix, psi), atol=1e-9)
+    # a start past the converged order still meets the target there
+    past = dynamics._lanczos_expm(H.matvec, psi, dt, 1e-9, 96, first[1] + 1)
+    assert past[1] == first[1] + 1
+    np.testing.assert_allclose(past[0], psi_next, atol=1e-9)
+
+
 def test_block_rejects_states_the_hamiltonian_leaves():
     H = dynamics.build_hamiltonian(ionchain.nearest_neighbour_coupling(4, J0), model="xy")
     one_flip = np.array([1, 2, 4, 8])
     assert H.block(one_flip).dim == 4
     with pytest.raises(ValueError, match="outside"):
         H.block(one_flip[:3])
+    with pytest.raises(ValueError, match="outside"):
+        H.block(one_flip[1:])                           # target below the basis
+    ising = dynamics.build_hamiltonian(ionchain.nearest_neighbour_coupling(4, J0),
+                                       transverse_field=5.0, model="ising")
+    odd = np.array([1, 2, 4, 7, 8, 11, 13, 14])
+    assert ising.block(odd).dim == 8
+    with pytest.raises(ValueError, match="outside"):
+        ising.block(odd[:-1])                           # target above the basis
 
 
 def test_matvec_matches_sparse_product():

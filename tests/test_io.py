@@ -113,6 +113,21 @@ def test_writers_across_chunk_boundaries(tmp_path, n_rows):
     assert path.read_text() == expected
 
 
+def test_long_format_time_column_matches_row_formatter_across_chunks(tmp_path):
+    rng = np.random.default_rng(9)
+    times = [0.0, -0.0, 1e-17, 5e-324, 1 / 3, 1e16, np.float32(0.1)] + list(
+        rng.uniform(0.0, 2e-3, size=794))
+    mag = rng.normal(size=(len(times), 7))
+    text = mio.save_magnetisation(tmp_path / "m.csv", times, mag).read_text()
+    rows = ((t, s + 1, mag[it, s]) for it, t in enumerate(times) for s in range(7))
+    assert text == reference_csv(("t_s", "site", "sz"), rows)
+    corr = rng.normal(size=(len(times), 4, 4))
+    text = mio.save_correlations(tmp_path / "c.csv", times, corr).read_text()
+    rows = ((t, i + 1, j + 1, corr[it, i, j]) for it, t in enumerate(times)
+            for i in range(4) for j in range(i + 1, 4))
+    assert text == reference_csv(("t_s", "i", "j", "Cij"), rows)
+
+
 def test_write_columns_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="length"):
         mio.write_columns(tmp_path / "c.csv", ("a", "b"), (np.zeros(3), np.zeros(4)))

@@ -106,6 +106,27 @@ def test_beam_profile_rejects_zero_waist():
         BeamProfile(peak_rabi=1e5, waist_along_chain=0.0, waist_transverse=1e-5)
 
 
+def _fix_gauge_loop(vectors):
+    """Column-by-column sign convention, the reference for ``_fix_gauge``."""
+    vectors = vectors.copy()
+    for k in range(vectors.shape[1]):
+        lead = np.argmax(np.abs(vectors[:, k]))
+        if vectors[lead, k] < 0:
+            vectors[:, k] = -vectors[:, k]
+    return vectors
+
+
+def test_fix_gauge_matches_column_loop_bit_for_bit():
+    rng = np.random.default_rng(3)
+    cases = [np.linalg.eigh(a + a.T)[1] for a in rng.normal(size=(20, 9, 9))]
+    cases.append(np.array([[0.0, -0.5, 0.0], [-0.0, 0.5, -2.0], [0.0, -0.5, 2.0]]))
+    for vectors in cases:
+        fixed = ionchain._fix_gauge(vectors)
+        expected = _fix_gauge_loop(vectors)
+        assert fixed.tobytes() == expected.tobytes()
+        assert np.all(fixed[np.argmax(np.abs(fixed), axis=0), np.arange(fixed.shape[1])] >= 0)
+
+
 def test_coupling_matrix_rejects_asymmetry():
     J = np.array([[0.0, 1.0], [1.1, 0.0]])
     with pytest.raises(ValueError, match="symmetric"):
