@@ -118,15 +118,11 @@ class RunConfig:
             raise ConfigError("n_points must be >= 2")
         if not (self.t_end > self.t_start >= 0.0):
             raise ConfigError("need t_end > t_start >= 0")
-        for s in self.flip:
-            if not 1 <= s <= self.n_ions:
-                raise ConfigError(f"site {s} outside 1..{self.n_ions}")
+        self._check_sites(self.flip)
         if self.command == "tomo":
             if len(set(self.sites)) != 2:
                 raise ConfigError("tomography sites must be two distinct sites")
-            for s in self.sites:
-                if not 1 <= s <= self.n_ions:
-                    raise ConfigError(f"site {s} outside 1..{self.n_ions}")
+            self._check_sites(self.sites)
         if self.format not in ("csv", "ndjson"):
             raise ConfigError(f"unknown format {self.format!r}")
         if self.unit not in mio.UNIT_FACTORS:
@@ -135,6 +131,13 @@ class RunConfig:
             raise ConfigError("need shots >= 1 and resamples >= 100")
         if self.sample_time < 0:
             raise ConfigError("sample time must be >= 0")
+
+    def _check_sites(self, sites) -> None:
+        try:
+            for s in sites:
+                ionchain._check_site(self.n_ions, s)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def times(self) -> np.ndarray:
@@ -513,12 +516,14 @@ def _cmd_lightcone(rc: RunConfig) -> int:
     _export_trajectory(rc, times, mag, corr)
 
     source = rc.flip[0] if rc.flip else (rc.n_ions + 1) // 2
-    fits = analysis.arrival_times(times, mag, source)
+    skipped = []
+    fits = analysis.arrival_times(times, mag, source, skipped=skipped)
     front = analysis.fit_front_velocity([(d, f.t0) for d, f in fits])
     cone = bounds.nn_lightcone(J)
 
     provenance = mio.config_hash(J.values)
     records = [mio.fit_record(f, provenance) for _, f in fits]
+    records += [mio.fit_record(s, provenance) for s in skipped]
     records.append(mio.fit_record(front, provenance))
     records.append(mio.fit_record(cone, provenance))
     path = mio.write_ndjson(rc.outdir / "arrivals.ndjson", records,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import StateVector
-from .ionchain import _readonly
+from .ionchain import _check_site, _readonly
 
 #: Pauli matrices in the (|down>, |up>) basis ordering used throughout.
 PAULI = {
@@ -131,8 +131,7 @@ def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
         raise ValueError("sites must be one index or a pair of distinct indices")
     n = state.n_sites
     for s in sites:
-        if not 1 <= s <= n:
-            raise ValueError(f"site {s} outside 1..{n}")
+        _check_site(n, s)
     sites = tuple(sorted(sites))
     # axis n-1 of the reshaped tensor is site 1 (least significant bit)
     tensor = state.amplitudes.reshape((2,) * n)

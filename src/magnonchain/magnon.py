@@ -7,7 +7,8 @@ the mode energies (rad/s, on top of the bookkeeping shift hbar*B) and the
 real orthonormal eigenvectors c_{i,k} are standing-wave mode functions.
 Open boundaries make true momentum ill-defined, but the number of nodes of
 c_{.,k} is well defined and assigns each mode a pseudo-momentum
-k_n = n pi / (N+1) with n-1 nodes.
+k_n = n pi / (N+1) with n-1 nodes.  The node counts of all N mode functions
+are taken in one vectorised pass over the eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -71,11 +72,27 @@ def count_nodes(mode_function: np.ndarray, threshold: float = NODE_THRESHOLD) ->
     """Number of sign changes of a mode function.
 
     Entries smaller than ``threshold * max|c|`` are treated as exact zeros
-    and skipped, so a node sitting on a site is counted once.
+    and skipped, so a node sitting on a site is counted once.  This is the
+    one-column case of the count that labels every mode in
+    :func:`diagonalize_magnons`.
     """
-    c = np.asarray(mode_function, dtype=float)
-    keep = c[np.abs(c) > threshold * np.abs(c).max()]
-    return int(np.sum(np.signbit(keep[1:]) != np.signbit(keep[:-1])))
+    return int(_node_counts(np.asarray(mode_function, dtype=float)[:, None], threshold)[0])
+
+
+def _node_counts(vectors: np.ndarray, threshold: float = NODE_THRESHOLD) -> np.ndarray:
+    """Sign changes of every column of ``vectors`` (sites x modes), at once.
+
+    Per column, entries at most ``threshold`` times the column's largest
+    magnitude are dropped; each kept entry is compared with the previous
+    kept entry of the same column.
+    """
+    c = vectors.T
+    mag = np.abs(c)
+    keep = mag > threshold * mag.max(axis=1, keepdims=True)
+    column = np.nonzero(keep)[0]                 # column of each kept entry, in order
+    negative = np.signbit(c[keep])
+    change = (negative[1:] != negative[:-1]) & (column[1:] == column[:-1])
+    return np.bincount(column[1:][change], minlength=c.shape[0])
 
 
 def diagonalize_magnons(J: CouplingMatrix, energy_shift: float = 0.0) -> MagnonSpectrum:
@@ -89,7 +106,7 @@ def diagonalize_magnons(J: CouplingMatrix, energy_shift: float = 0.0) -> MagnonS
     energies, vectors = np.linalg.eigh(J.values)
     n = J.n_ions
     vectors = _fix_gauge(vectors)
-    nodes = np.array([count_nodes(vectors[:, k]) for k in range(n)])
+    nodes = _node_counts(vectors)
     if len(set(nodes.tolist())) != n:
         counts = np.bincount(nodes, minlength=n)
         dup = [int(c) for c in np.nonzero(counts > 1)[0]]

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import curve_fit
+from scipy.optimize._numdiff import approx_derivative
 
 from magnonchain import analysis, ionchain, magnon
 from magnonchain.analysis import FitError
@@ -114,6 +116,44 @@ def test_arrival_fit_recovers_synthetic_pulse():
     assert fit.goodness < 1e-3
 
 
+def test_gauss_jacobian_matches_numerical_derivative():
+    rng = np.random.default_rng(12)
+    t = np.linspace(0.0, 0.02, 61)
+    for _ in range(20):
+        params = np.array([rng.uniform(-1.0, 0.0), rng.uniform(0.01, 2.0),
+                           rng.uniform(0.0, 0.02), rng.uniform(2e-4, 5e-3)])
+        analytic = analysis._gauss_jacobian(t, *params)
+        numeric = approx_derivative(lambda p: analysis._gauss(t, *p), params,
+                                    method="cs")
+        assert analytic.shape == (t.size, 4)
+        scale = np.abs(numeric).max(axis=0)           # per column
+        np.testing.assert_allclose(analytic / scale, numeric / scale,
+                                   rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore:site")
+@pytest.mark.parametrize("alpha", [1.07, 1.41, 1.75, 2.0])
+def test_arrival_fits_match_finite_difference_oracle(alpha, monkeypatch):
+    """The analytic Jacobian leaves the N = 201 light cone where the
+    finite-difference fit put it: same sites, t0 to 1e-6, velocity to 1e-5."""
+    J = ionchain.power_law_coupling(201, alpha, J0)
+    times = np.linspace(0.0, 0.04, 801)
+    mag = np.vstack([magnon.magnetisation_single(s)
+                     for s in magnon.evolve_single_excitation(J, 101, times)])
+    fits = analysis.arrival_times(times, mag, 101)
+    # the oracle: the same pipeline with curve_fit's own 2-point Jacobian
+    monkeypatch.setattr(analysis, "curve_fit",
+                        lambda *args, jac=None, **kwargs: curve_fit(*args, **kwargs))
+    oracle = analysis.arrival_times(times, mag, 101)
+    assert len(fits) >= 18
+    assert [d for d, _ in fits] == [d for d, _ in oracle]
+    np.testing.assert_allclose([f.t0 for _, f in fits], [f.t0 for _, f in oracle],
+                               rtol=1e-6, atol=0.0)
+    velocity = analysis.fit_front_velocity([(d, f.t0) for d, f in fits]).velocity
+    expected = analysis.fit_front_velocity([(d, f.t0) for d, f in oracle]).velocity
+    assert velocity == pytest.approx(expected, rel=1e-5)
+
+
 def test_arrival_fit_picks_first_peak_not_largest():
     """A later, larger boundary reflection must not displace the arrival."""
     t = np.linspace(0.0, 0.02, 801)
@@ -212,14 +252,19 @@ def test_arrival_times_skips_failing_sites_with_warning():
     mag[:, 1] = _pulse(times, 0.005, 0.001)     # site 2 arrives
     mag[:, 2] = _pulse(times, 0.010, 0.001)     # site 3 arrives
     # site 4 stays flat -> FitError -> skipped
-    with pytest.warns(UserWarning, match="site 4"):
-        fits = analysis.arrival_times(times, mag, 1)
+    skipped = []
+    with pytest.warns(UserWarning, match="site 4") as record:
+        fits = analysis.arrival_times(times, mag, 1, skipped=skipped)
     assert [d for d, _ in fits] == [1, 2]
+    assert skipped == [analysis.ArrivalSkipped(
+        site=4, distance=3, reason="signal never rises above its baseline")]
+    assert [str(w.message) for w in record] == ["site 4: signal never rises above its baseline"]
 
 
 def test_arrival_times_validates_source():
     mag = np.zeros((10, 5))
-    with pytest.raises(ValueError):
-        analysis.arrival_times(np.linspace(0, 1, 10), mag, 6)
+    for source in (0, 6):
+        with pytest.raises(ValueError, match=f"site {source} outside 1..5"):
+            analysis.arrival_times(np.linspace(0, 1, 10), mag, source)
     with pytest.raises(ValueError, match="edge"):
         analysis.arrival_times(np.linspace(0, 1, 10), mag, 4)

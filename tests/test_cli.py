@@ -243,6 +243,27 @@ def test_lightcone_reports_velocities(tmp_path, capsys):
     assert cone["v"] == pytest.approx(374.57, rel=0.01)
 
 
+def test_lightcone_records_skipped_arrival_sites(tmp_path, capsys):
+    argv = ["lightcone", "-o", str(tmp_path), "--source", "power-law", "--n", "31",
+            "--alpha", "1.75", "--t-end", "0.02", "--n-points", "201"]
+    with pytest.warns(UserWarning) as warned:
+        code, _ = run(argv, capsys)
+    assert code == 0
+    records = [json.loads(l)
+               for l in (tmp_path / "arrivals.ndjson").read_text().splitlines()[1:]]
+    skipped = [r for r in records if r["fit"] == "ArrivalSkipped"]
+    assert len(skipped) > 0
+    assert ([f"site {r['site']}: {r['reason']}" for r in skipped]
+            == [str(w.message) for w in warned])
+    assert all(r["distance"] == r["site"] - 16 for r in skipped)
+    # after the ArrivalFit records, before the front and cone records
+    kinds = [r["fit"] for r in records]
+    n_fits = kinds.count("ArrivalFit")
+    assert kinds == (["ArrivalFit"] * n_fits + ["ArrivalSkipped"] * len(skipped)
+                     + ["FrontFit", "LightConeParams"])
+    assert n_fits + len(skipped) == 31 - 16 - 1
+
+
 def test_fit_report_from_coupling_file(tmp_path, capsys):
     J = ionchain.power_law_coupling(7, 1.75, 2 * np.pi * 30.0)
     mio.save_couplings(tmp_path / "J.csv", J)
@@ -307,8 +328,11 @@ def test_bad_n_ions_is_config_error(tmp_path, capsys):
 
 
 def test_flip_site_out_of_range_is_config_error(tmp_path, capsys):
-    code, _ = run(["quench", "-o", str(tmp_path), "--n", "4", "--flip", "9"], capsys)
-    assert code == 2
+    for argv, site in ((["quench", "--n", "4", "--flip", "9"], 9),
+                       (["quench", "--n", "4", "--flip", "2", "0"], 0),
+                       (["tomo", "--n", "4", "--sites", "2", "9"], 9)):
+        assert cli.main(argv + ["-o", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: site {site} outside 1..4\n"
 
 
 def test_missing_coupling_file_flag_is_config_error(tmp_path, capsys):

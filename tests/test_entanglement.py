@@ -71,7 +71,7 @@ def test_reduce_validates_sites():
     state = _state([1, 0, 0, 0], 2)
     with pytest.raises(ValueError):
         ent.reduced_density_matrix(state, (1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"site 3 outside 1\.\.2"):
         ent.reduced_density_matrix(state, (1, 3))
 
 

@@ -42,6 +42,80 @@ def test_count_nodes_basic():
     assert magnon.count_nodes(np.array([1.0, 1e-12, -1.0])) == 1
 
 
+def _reference_node_counts(vectors, threshold=magnon.NODE_THRESHOLD):
+    """The per-column loop that the vectorised count replaced."""
+    counts = []
+    for k in range(vectors.shape[1]):
+        c = vectors[:, k]
+        keep = c[np.abs(c) > threshold * np.abs(c).max()]
+        counts.append(int(np.sum(np.signbit(keep[1:]) != np.signbit(keep[:-1]))))
+    return np.array(counts)
+
+
+def _trap_coupling(n):
+    # weaker axial confinement for longer chains keeps them linear
+    axial = 0.219e6 if n <= 25 else (0.1e6 if n <= 51 else 0.05e6)
+    trap = ionchain.TrapConfig(n_ions=n, axial_freq=axial, transverse_freq_x=2.655e6,
+                               transverse_freq_y=2.628e6, detuning=0.0,
+                               transverse_field=0.0)
+    beam = ionchain.BeamProfile(peak_rabi=100e3, waist_along_chain=380e-6,
+                                waist_transverse=40e-6)
+    return ionchain.build_coupling_matrix(ionchain.with_detuning_above_top(trap, 30e3), beam)
+
+
+def _node_count_cases():
+    """Power law at every N = 2..201 (each N with one of the four exponents,
+    in turn), nearest-neighbour, random symmetric, and trap N = 7..100."""
+    for n in range(2, 202):
+        alpha = (0.0, 0.01, 1.0, 3.0)[n % 4]
+        yield f"power-law a={alpha} N={n}", ionchain.power_law_coupling(n, alpha, J0).values
+    for n in (2, 3, 10, 57, 201):
+        yield f"nearest-neighbour N={n}", ionchain.nearest_neighbour_coupling(n, J0).values
+    rng = np.random.default_rng(5)
+    for n in (2, 5, 31, 120):
+        J = rng.normal(size=(n, n))
+        yield f"random N={n}", J + J.T
+    for n in range(7, 101, 3):
+        yield f"trap N={n}", _trap_coupling(n).values
+
+
+def test_vectorised_node_counts_equal_the_per_column_loop():
+    for name, J in _node_count_cases():
+        _, vectors = np.linalg.eigh(J)
+        vectors = ionchain._fix_gauge(vectors)
+        expected = _reference_node_counts(vectors)
+        assert np.array_equal(magnon._node_counts(vectors), expected), name
+        assert magnon.count_nodes(vectors[:, -1]) == expected[-1], name
+
+
+def test_node_counts_skip_small_entries_per_column():
+    # exact zeros, entries just below / above the threshold, an all-zero
+    # column and a column with a single kept entry
+    rng = np.random.default_rng(3)
+    vectors = rng.normal(size=(40, 12))
+    vectors[rng.random(vectors.shape) < 0.3] = 0.0
+    vectors[5, 1] = 0.9e-8 * np.abs(vectors[:, 1]).max()
+    vectors[6, 2] = -1.1e-8 * np.abs(vectors[:, 2]).max()
+    vectors[:, 3] = 0.0
+    vectors[:, 4] = 0.0
+    vectors[17, 4] = -2.0
+    assert np.array_equal(magnon._node_counts(vectors), _reference_node_counts(vectors))
+    for threshold in (0.0, 0.5):
+        assert np.array_equal(magnon._node_counts(vectors, threshold),
+                              _reference_node_counts(vectors, threshold))
+
+
+def test_diagonalize_labels_by_the_vectorised_counts():
+    for n in (25, 100):
+        J = _trap_coupling(n)
+        _, vectors = np.linalg.eigh(J.values)
+        expected = np.sort(_reference_node_counts(ionchain._fix_gauge(vectors)))
+        # both trap chains are near-degenerate: duplicate counts still warn
+        with pytest.warns(RuntimeWarning, match="ambiguous node labelling"):
+            spec = magnon.diagonalize_magnons(J)
+        assert np.array_equal(spec.node_counts, expected)
+
+
 def test_degenerate_spectrum_warns_about_node_labels():
     # alpha = 0 makes every coupling equal: one bright mode plus an
     # (N-1)-fold degenerate subspace whose node counts collide
