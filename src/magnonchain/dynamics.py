@@ -27,8 +27,15 @@ one-flip XY quench is an N x N problem or smaller, a global XY quench a
 set of about C(N, k)/2-state sectors, and an Ising quench one or two
 sectors of about 2^(N-2) states (cf. the symmetry blocks of QuSpin,
 Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).  Sectors up to
-``DENSE_LIMIT`` states use a dense eigendecomposition, larger ones an
-adaptive Lanczos (Krylov) propagator with per-step error control.
+``DENSE_LIMIT`` states use a dense eigendecomposition, which is exact.
+Larger ones use a Lanczos (Krylov) propagator: one subspace, grown from
+the state at the time reached so far, serves every later output time it
+converges for, and the next subspace starts from the last of them.  Each
+time a subspace serves has an a-posteriori error estimate below
+``step_tol / 4``, so the error at an output time is at most the sum of
+the estimates of the subspaces chained up to it: about
+``step_tol / 4`` times their number, which is smaller the more times
+each subspace serves (cf. Expokit, Sidje, ACM TOMS 24, 130 (1998)).
 """
 
 from __future__ import annotations
@@ -45,16 +52,18 @@ from .ionchain import CouplingMatrix, _check_site, _readonly
 MAX_SITES = 16
 
 #: Dense eigendecomposition for sectors up to this many basis states,
-#: Krylov stepping above.  Measured per sector with one BLAS thread on a
-#: 2-core Xeon VM, power law alpha = 1.3, Ising at B = 50 max|J|: two
-#: 528-state sectors (N = 11, global, 201 points) take 0.16 s dense vs
-#: 0.89 s Krylov; a 1056- and a 1024-state sector (N = 12, global, 201
-#: points) 0.82 s vs 1.79 s; one 2080-state sector (N = 13, centre flip,
-#: 51 points) 2.03 s vs 1.08 s.  Krylov cost grows with spectral width
-#: times time span, so the narrow XY spectrum crosses over sooner: a
-#: global XY quench with sectors of at most 868 states (N = 13, 51 points
-#: to 20 ms) takes 0.70 s dense vs 0.66 s Krylov, with sectors of at most
-#: 1716 states (N = 14) 3.41 s vs 1.00 s.  The limit sits between.
+#: Krylov propagation above.  Measured per quench with one BLAS thread on a
+#: 2-core Xeon VM, power law alpha = 1.3, dense vs Krylov: Ising at
+#: B = 50 max|J|, global, 201 points to 5 ms, with sectors of at most 272
+#: states (N = 10) 0.041 vs 0.053 s, 528 (N = 11) 0.15 vs 0.13 s and 1056
+#: (N = 12) 0.58 vs 0.20 s; one 2080-state sector (N = 13, centre flip, 51
+#: points to 10 ms) 1.57 vs 0.29 s; XY, global, 51 points to 20 ms, sectors
+#: of at most 472 states (N = 12) 0.12 vs 0.07 s and 868 (N = 13) 0.46 vs
+#: 0.12 s.  So Krylov now wins from a few hundred states on.  The limit
+#: stays higher: between 500 and 1024 states the saving is a few
+#: hundredths of a second per quench (a limit of 512 took 0.03 s off a 0.68 s pass of the
+#: N = 11 global and N = 13 local Ising quenches, less than the spread
+#: between passes), and dense results carry no propagation error.
 DENSE_LIMIT = 1024
 
 
@@ -272,10 +281,16 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
     mirror sectors when J is reflection symmetric, and each sector the
     state reaches is propagated on its own; amplitudes outside those
     blocks stay exactly 0.  ``method='dense'`` uses the sector's exact
-    eigendecomposition (no step error); ``method='krylov'`` steps between
-    output times with an adaptive Lanczos propagator holding each step's
-    error below ``step_tol``.  ``'auto'`` picks dense for sectors of at
-    most ``DENSE_LIMIT`` states.
+    eigendecomposition (no propagation error).  ``method='krylov'`` uses
+    Lanczos subspaces, each serving the output times it converges for
+    with an estimated error below ``step_tol / 4`` and handing its last
+    state to the next one; the error at an output time is at most the sum
+    of these estimates over the subspaces chained up to it, so fewer
+    subspaces give a smaller sum.  ``'auto'`` picks dense for sectors of
+    at most ``DENSE_LIMIT`` states.
+
+    Raises PropagatorError if a Krylov subspace cannot meet ``step_tol``
+    even after repeated halving of the interval to the next output time.
     """
     if state.n_sites != H.n_sites or H.dim != state.amplitudes.size:
         raise ValueError("state and Hamiltonian sizes differ")
@@ -342,58 +357,74 @@ def _propagate_block(H: Hamiltonian, psi: np.ndarray, times: np.ndarray,
         energies, vectors = H.eigensystem()
         modes = vectors.T @ psi
         return (vectors @ (np.exp(-1j * np.outer(energies, times)) * modes[:, None])).T
-    states = np.empty((times.size, H.dim), dtype=complex)
-    t_now, order = 0.0, 0
-    for k, t in enumerate(times):
-        psi, order = _krylov_propagate(H.matvec, psi, t - t_now, step_tol, order)
-        t_now = t
-        states[k] = psi
+    return _krylov_trajectory(H.matvec, psi, times, step_tol)
+
+
+def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float,
+                       m_max: int = 96, max_splits: int = 40) -> np.ndarray:
+    """(T, dim) amplitudes of exp(-i H t) psi for Hermitian H, from t = 0.
+
+    One Lanczos subspace, grown from the state at the time reached so
+    far, serves every pending output time it converges for
+    (:func:`_lanczos_subspace`); the next subspace starts from the last
+    of them.  When no time converges within ``m_max`` orders, the first
+    interval is halved: from then on the subspaces also try stops at
+    h, 2h, 4h, ... short of the next output time, h being the last step
+    that converged, and restart from the furthest time that converges.
+    Every subspace is built in the same (m_max + 1, dim) buffer.
+    """
+    states = np.empty((times.size, psi.size), dtype=complex)
+    basis = np.empty((m_max + 1, psi.size), dtype=complex)
+    t_now, k, h, splits = 0.0, 0, np.inf, 0
+    while k < times.size:
+        gap = times[k] - t_now
+        stops = []
+        while h * 2 ** len(stops) < abs(gap):
+            stops.append(np.copysign(h * 2 ** len(stops), gap))
+        dts = np.concatenate([stops, times[k:] - t_now])
+        Y, V = _lanczos_subspace(matvec, psi, dts, tol, basis)
+        done = Y.shape[1]
+        if done == 0:
+            splits += 1
+            if splits > max_splits:
+                raise PropagatorError(
+                    f"Krylov propagation of a {psi.size}-state sector stalled at "
+                    f"t = {t_now:.6g} s, short of the output time {times[k]:.6g} s: "
+                    f"error target {tol:g} not met at subspace dimension {m_max} "
+                    f"after {max_splits} step halvings")
+            h = min(h, abs(gap)) / 2
+            continue
+        if dts[done - 1] != 0.0:                # a repeated time sets no step
+            h = abs(dts[done - 1])
+        reached = done - len(stops)
+        if reached > 0:
+            states[k:k + reached] = Y[:, len(stops):].T @ V
+            k += reached
+            t_now, psi = times[k - 1], states[k - 1]
+        else:
+            t_now, psi = t_now + dts[done - 1], Y[:, -1] @ V
     return states
 
 
-def _krylov_propagate(matvec, psi: np.ndarray, dt: float, tol: float, order: int = 0,
-                      m_max: int = 96, max_splits: int = 40) -> tuple[np.ndarray, int]:
-    """exp(-i dt H) psi for Hermitian H, splitting the step as needed.
+def _lanczos_subspace(matvec, psi: np.ndarray, dts: np.ndarray, tol: float,
+                      V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lanczos approximations of exp(-i dt H) psi for the leading ``dts``
+    that converge in one subspace, built in the rows of the buffer ``V``
+    (so ``m_max`` is its row count minus one).
 
-    ``order`` is the Lanczos order at which to start testing convergence;
-    returns the propagated state and the order to start from next time:
-    the last converged order minus 2, so a steady step size re-tests
-    only the last few orders while a shrinking one still converges early.
+    Returns (Y, V[:m + 1]) at the final order m: the propagated states
+    are the rows of ``Y.T @ V[:m + 1]``, one per converged time, so Y has
+    0 columns if none converged.  The error of the order-m approximation
+    at dt is estimated a posteriori as beta_m |last component of
+    exp(-i dt T_m) e_1|, and a time converges when that is below tol / 4.
+    The estimates of all times come from one eigendecomposition of T_m,
+    taken every 4 orders, at a breakdown (then the subspace is invariant
+    and exact) and at ``m_max``; the subspace grows until every time
+    converges or ``m_max`` is reached.  Full reorthogonalization keeps the
+    basis clean (the subspace is small).
     """
-    if dt == 0.0:
-        return psi.copy(), order
-    pieces = [dt]
-    splits = 0
-    while pieces:
-        step = pieces.pop()
-        result = _lanczos_expm(matvec, psi, step, tol, m_max, order)
-        if result is None:
-            if splits >= max_splits:
-                raise PropagatorError(
-                    f"Krylov step error target {tol:g} unreachable at subspace "
-                    f"dimension {m_max} after {max_splits} step splits")
-            pieces.extend([step / 2, step / 2])
-            splits += 1
-            order = 0
-        else:
-            psi, m = result
-            order = max(m - 2, 0)
-    return psi, order
-
-
-def _lanczos_expm(matvec, psi, dt, tol, m_max, m_test=0):
-    """One Lanczos approximation of exp(-i dt H) psi and the order m at
-    which it converged, or None if it did not within ``m_max``.
-
-    Standard a-posteriori estimate: the error of the order-m approximation
-    is ~ beta_m * |last component of exp(-i dt T_m) e_1|.  It is tested
-    from order ``m_test`` on, and at any breakdown.  Full
-    reorthogonalization keeps the basis clean (subspace is small).
-    """
+    m_max = V.shape[0] - 1
     norm = np.linalg.norm(psi)
-    if norm == 0.0:
-        return psi.copy(), 0
-    V = np.empty((m_max + 1, psi.size), dtype=complex)
     V[0] = psi / norm
     alpha = np.empty(m_max)
     beta = np.empty(m_max)
@@ -405,14 +436,17 @@ def _lanczos_expm(matvec, psi, dt, tol, m_max, m_test=0):
             w = w - beta[m - 1] * V[m - 1]
         w -= V[:m + 1].T @ (V[:m + 1] @ w.conj()).conj()    # reorthogonalize
         beta[m] = np.linalg.norm(w)
-        if m >= m_test or beta[m] < 1e-14:
+        breakdown = beta[m] < 1e-14
+        if breakdown or (m + 1) % 4 == 0 or m == m_max - 1:
             evals, evecs = eigh_tridiagonal(alpha[:m + 1], beta[:m])
-            y = evecs @ (np.exp(-1j * dt * evals) * evecs[0])
-            err = beta[m] * abs(y[m])
-            if err < tol / 4 or beta[m] < 1e-14:
-                return (y @ V[:m + 1]) * norm, m
+            phases = np.exp(-1j * np.outer(evals, dts))
+            err = beta[m] * np.abs((evecs[m] * evecs[0]) @ phases)
+            ok = (err < tol / 4) | breakdown
+            if ok.all() or m == m_max - 1:
+                done = dts.size if ok.all() else int(np.argmin(ok))
+                Y = evecs @ (phases[:, :done] * evecs[0][:, None])
+                return Y * norm, V[:m + 1]
         V[m + 1] = w / beta[m]
-    return None
 
 
 # ---------------------------------------------------------------------------

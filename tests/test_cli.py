@@ -366,6 +366,25 @@ def test_resonant_detuning_is_numeric_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_unreachable_krylov_target_is_numeric_error(tmp_path, capsys, monkeypatch):
+    # the Krylov path on a 136-state mirror sector, every subspace tested
+    # against an error target of 0, so the CLI's target of 1e-9 is never met
+    monkeypatch.setattr(dynamics, "DENSE_LIMIT", 0)
+    subspace = dynamics._lanczos_subspace
+    monkeypatch.setattr(dynamics, "_lanczos_subspace",
+                        lambda matvec, psi, dts, tol, V: subspace(matvec, psi, dts, 0.0, V))
+    code = cli.main(["quench", "-o", str(tmp_path), "--source", "power-law", "--n", "9",
+                     "--model", "ising", "--field", "auto", "--flip", "3",
+                     "--t-start", "1e-4", "--n-points", "3"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NUMERIC == 3
+    assert captured.out == "" and not list(tmp_path.iterdir())
+    assert captured.err == (
+        "error (PropagatorError): Krylov propagation of a 136-state sector stalled at "
+        "t = 0 s, short of the output time 0.0001 s: error target 1e-09 not met at "
+        "subspace dimension 96 after 40 step halvings\n")
+
+
 def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         cli.main(["warp"])

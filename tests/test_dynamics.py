@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
@@ -298,23 +298,161 @@ def test_coupling_off_mirror_by_one_ulp_propagates_the_whole_block(model, flips,
         np.testing.assert_allclose(traj.states, expected, atol=1e-10, err_msg=method)
 
 
-def test_krylov_tests_convergence_from_the_previous_order():
-    n = 9
-    H = dynamics.build_hamiltonian(ionchain.power_law_coupling(n, 1.2, J0),
+def _ising_n9():
+    """N = 9 Ising at B = 30 J0 with site 3 flipped: 512 states in the full
+    space and mirror sectors of 136 and 120, all above the 96 Lanczos
+    orders, so no subspace becomes invariant and exact."""
+    H = dynamics.build_hamiltonian(ionchain.power_law_coupling(9, 1.2, J0),
                                    transverse_field=30.0 * J0, model="ising")
-    psi = dynamics.prepare_state(QuenchSpec("local", (3,)), n).amplitudes
-    dt = 2e-4
-    first = dynamics._lanczos_expm(H.matvec, psi, dt, 1e-9, 96)
-    late = dynamics._lanczos_expm(H.matvec, psi, dt, 1e-9, 96, first[1] - 2)
-    np.testing.assert_array_equal(late[0], first[0])
-    assert late[1] == first[1]
-    psi_next, order = dynamics._krylov_propagate(H.matvec, psi, dt, 1e-9)
-    assert order == first[1] - 2
-    np.testing.assert_allclose(psi_next, expm_multiply(-1j * dt * H._matrix, psi), atol=1e-9)
-    # a start past the converged order still meets the target there
-    past = dynamics._lanczos_expm(H.matvec, psi, dt, 1e-9, 96, first[1] + 1)
-    assert past[1] == first[1] + 1
-    np.testing.assert_allclose(past[0], psi_next, atol=1e-9)
+    return H, dynamics.prepare_state(QuenchSpec("local", (3,)), 9)
+
+
+class _Counting:
+    """Counts the matvecs of H and the Lanczos subspaces built on them,
+    with the number of times (outputs or stops) each subspace served."""
+
+    def __init__(self, H, monkeypatch):
+        self.H, self.matvecs, self.served = H, 0, []
+        subspace = dynamics._lanczos_subspace
+
+        def counted(*args):
+            Y, V = subspace(*args)
+            self.served.append(Y.shape[1])
+            return Y, V
+
+        monkeypatch.setattr(dynamics, "_lanczos_subspace", counted)
+
+    def matvec(self, psi):
+        self.matvecs += 1
+        return self.H.matvec(psi)
+
+
+def test_one_krylov_subspace_serves_several_output_times(monkeypatch):
+    H, psi0 = _ising_n9()
+    count = _Counting(H, monkeypatch)
+    times = np.linspace(0.0, 1e-3, 11)
+    states = dynamics._krylov_trajectory(count.matvec, psi0.amplitudes, times, 1e-9)
+    assert sum(count.served) == times.size and 0 not in count.served
+    assert max(count.served) >= 2 and len(count.served) <= times.size // 2
+    assert count.matvecs <= 96 * len(count.served)
+    expected = expm_multiply(-1j * H._matrix, psi0.amplitudes, start=0.0, stop=1e-3,
+                             num=11, endpoint=True)
+    np.testing.assert_allclose(states, expected, atol=1e-9)
+
+
+def test_krylov_halves_an_interval_too_long_for_one_subspace(monkeypatch):
+    H, psi0 = _ising_n9()
+    count = _Counting(H, monkeypatch)
+    t = 0.02
+    (state,) = dynamics._krylov_trajectory(count.matvec, psi0.amplitudes, np.array([t]),
+                                           1e-9)
+    assert count.served[0] == 0                 # the whole interval did not converge,
+    assert len(count.served) > 2                # so stops short of it carried the state
+    np.testing.assert_allclose(state, _full_space_oracle(H, psi0.amplitudes, [t])[0],
+                               atol=1e-9)
+
+
+def test_krylov_raises_when_the_error_target_is_unreachable():
+    H, psi0 = _ising_n9()
+    times = np.array([0.0, 1e-4, 2e-3])
+    with pytest.raises(dynamics.PropagatorError) as err:
+        dynamics._krylov_trajectory(H.matvec, psi0.amplitudes, times, 1e-9, m_max=3,
+                                    max_splits=4)
+    assert str(err.value) == (
+        "Krylov propagation of a 512-state sector stalled at t = 0 s, short of the "
+        "output time 0.0001 s: error target 1e-09 not met at subspace dimension 3 "
+        "after 4 step halvings")
+    # through evolve, in the 136-state mirror sector, a zero target is never met
+    with pytest.raises(dynamics.PropagatorError, match=r"136-state sector .* target 0 "):
+        dynamics.evolve(psi0, H, times, method="krylov", step_tol=0.0)
+
+
+def test_krylov_error_stays_within_the_chained_estimates(monkeypatch):
+    """The error at an output time is at most tol / 4 per subspace chained
+    up to it, and a looser target is met with fewer matvecs."""
+    H, psi0 = _ising_n9()
+    psi = psi0.amplitudes
+    count = _Counting(H, monkeypatch)
+    for times in (np.linspace(0.0, 2e-3, 9), np.linspace(0.0, 2e-2, 41)):
+        expected = _full_space_oracle(H, psi, times)
+        matvecs = []
+        for tol in (1e-2, 1e-5, 1e-8):
+            count.matvecs, count.served = 0, []
+            states = dynamics._krylov_trajectory(count.matvec, psi, times, tol)
+            error = np.linalg.norm(states - expected, axis=1)
+            assert error.max() <= np.count_nonzero(count.served) * tol / 4
+            matvecs.append(count.matvecs)
+        assert matvecs[0] < matvecs[1] < matvecs[2]
+
+
+@pytest.mark.parametrize("n,model,flips", [(9, "xy", (2,)), (9, "xy", (2, 5)),
+                                           (5, "ising", (2,))])
+def test_krylov_is_exact_on_an_invariant_subspace(n, model, flips):
+    # sectors of 4 to 20 states: the Lanczos recursion breaks down inside
+    # them, and the subspace it spans then gives every time exactly, so
+    # even an error target of 0 is met
+    J = ionchain.power_law_coupling(n, 1.3, J0)
+    H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
+                                   model=model)
+    psi0 = dynamics.prepare_state(QuenchSpec("local", flips), n)
+    times = np.linspace(0.0, 0.05, 6)
+    dense = dynamics.evolve(psi0, H, times, method="dense")
+    krylov = dynamics.evolve(psi0, H, times, method="krylov", step_tol=0.0)
+    np.testing.assert_allclose(krylov.states, dense.states, atol=1e-12)
+
+
+def test_krylov_starts_late_and_repeats_output_times():
+    H, psi0 = _ising_n9()
+    times = np.array([3e-4, 3e-4, 3e-4, 7e-4, 7e-4, 1e-3, 1e-3])
+    traj = dynamics.evolve(psi0, H, times, method="krylov", step_tol=1e-12)
+    np.testing.assert_allclose(traj.states, _full_space_oracle(H, psi0.amplitudes, times),
+                               atol=1e-10)
+    np.testing.assert_array_equal(traj.states[1], traj.states[0])
+    np.testing.assert_array_equal(traj.states[4], traj.states[3])
+
+
+# ---------------------------------------------------------------------------
+# the Krylov path against closed-form oracles (independent of the sector code)
+
+
+@settings(deadline=None, max_examples=10)
+@given(n=st.integers(4, 14), alpha=st.floats(0.5, 3.0), data=st.data())
+@example(n=14, alpha=1.3, data=None)
+def test_krylov_ising_at_zero_field_is_a_product_of_cosines(n, alpha, data):
+    """At B = 0 the sigma^x sigma^x terms commute, and from a sigma^z product
+    state <sigma_i^z(t)> = s_i prod_j cos(2 J_ij t) (Foss-Feig et al., PRA 87,
+    042101 (2013))."""
+    flips = (2, n - 1) if data is None else data.draw(
+        st.sets(st.integers(1, n), min_size=1, max_size=n), label="flips")
+    J = ionchain.power_law_coupling(n, alpha, J0)
+    H = dynamics.build_hamiltonian(J, model="ising")
+    psi0 = dynamics.prepare_state(QuenchSpec("local", tuple(flips)), n)
+    times = np.linspace(0.0, 0.02, 6)
+    traj = dynamics.evolve(psi0, H, times, method="krylov", step_tol=1e-12)
+    s = np.where(np.isin(np.arange(1, n + 1), list(flips)), 1.0, -1.0)
+    expected = s * np.prod(np.cos(2.0 * J.values * times[:, None, None]), axis=2)
+    np.testing.assert_allclose(dynamics.magnetisation(traj), expected, atol=1e-10)
+
+
+@settings(deadline=None, max_examples=10)
+@given(n=st.integers(4, 14), data=st.data())
+@example(n=14, data=None)
+def test_krylov_nearest_neighbour_xy_is_free_fermions(n, data):
+    """Nearest-neighbour XY is a free-fermion chain (Lieb, Schultz & Mattis,
+    Ann. Phys. 16, 407 (1961)): from flips at the sites S,
+    n_i(t) = sum_{s in S} |U_is(t)|^2 with U the one-particle propagator."""
+    flips = (1, 7, 14) if data is None else data.draw(
+        st.sets(st.integers(1, n), min_size=1, max_size=3), label="flips")
+    J = ionchain.nearest_neighbour_coupling(n, J0)
+    H = dynamics.build_hamiltonian(J, model="xy")
+    psi0 = dynamics.prepare_state(QuenchSpec("local", tuple(flips)), n)
+    times = np.linspace(0.0, 0.05, 6)
+    traj = dynamics.evolve(psi0, H, times, method="krylov", step_tol=1e-12)
+    U = np.array([[a.amplitudes for a in magnon.evolve_single_excitation(J, s, times)]
+                  for s in flips])                                  # (k, T, N)
+    density = np.sum(np.abs(U) ** 2, axis=0)
+    np.testing.assert_allclose(dynamics.magnetisation(traj), 2.0 * density - 1.0,
+                               atol=1e-10)
 
 
 def test_block_rejects_states_the_hamiltonian_leaves():
