@@ -69,11 +69,11 @@ def main():
         print(f"{gap / 1e3:9.2f} {jbar:9.2f} {a_disp:12.4f} {a_real:12.4f} "
               f"{res:10.3e}  {note}")
 
-    path = io.write_table(
+    path = io.write_columns(
         args.outdir / "alpha_vs_gap.csv",
         ["gap_hz", "jbar_hz", "alpha_dispersion", "alpha_realspace",
          "residual", "note"],
-        rows,
+        [list(column) for column in zip(*rows)],
         meta={"n_ions": N_IONS, "peak_rabi_hz": PEAK_RABI,
               "config": io.config_hash({"gaps": list(gaps), "n_ions": N_IONS})})
     print(f"\nwrote {path}")

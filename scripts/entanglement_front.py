@@ -80,13 +80,14 @@ def main():
     print(f"  reconstructed concurrence  {entanglement.concurrence(rec):.4f}")
     print(f"  bootstrap                  {est:.4f} +- {err:.4f}")
 
-    io.write_table(outdir / "concurrence_front.csv",
-                   ["time"] + [f"C_{a}_{b}" for a, b in PAIRS],
-                   np.column_stack([times] + [traces[p] for p in PAIRS]),
-                   meta={"alpha": ALPHA, "jbar_rad_s": JBAR, "flip_site": FLIP_SITE})
-    path = io.write_table(outdir / "peaks.csv",
-                          ["site_a", "site_b", "t_peak", "c_peak"], peak_rows,
-                          meta={"alpha": ALPHA, "peak_floor": PEAK_FLOOR})
+    io.write_columns(outdir / "concurrence_front.csv",
+                     ["time"] + [f"C_{a}_{b}" for a, b in PAIRS],
+                     [times] + [traces[p] for p in PAIRS],
+                     meta={"alpha": ALPHA, "jbar_rad_s": JBAR, "flip_site": FLIP_SITE})
+    path = io.write_columns(outdir / "peaks.csv",
+                            ["site_a", "site_b", "t_peak", "c_peak"],
+                            [list(column) for column in zip(*peak_rows)],
+                            meta={"alpha": ALPHA, "peak_floor": PEAK_FLOOR})
     print(f"\nwrote {path.parent}/")
 
 

@@ -54,17 +54,17 @@ def main():
         print(f"{alpha:6.2f} {front.velocity:12.1f} {front.velocity_stderr:8.2f} "
               f"{ratio:9.3f} {len(front.sites_used):6d}")
         table.append((alpha, front.velocity, front.velocity_stderr, ratio))
-        io.write_table(outdir / f"arrivals_alpha_{alpha:.2f}.csv",
-                       ["site", "distance", "t0", "width", "goodness"],
-                       [(fit.site, d, fit.t0, fit.width, fit.goodness)
-                        for d, fit in arrivals],
-                       meta={"alpha": alpha, "jbar_rad_s": JBAR, "source": SOURCE})
+        rows = [(fit.site, d, fit.t0, fit.width, fit.goodness) for d, fit in arrivals]
+        io.write_columns(outdir / f"arrivals_alpha_{alpha:.2f}.csv",
+                         ["site", "distance", "t0", "width", "goodness"],
+                         [list(column) for column in zip(*rows)],
+                         meta={"alpha": alpha, "jbar_rad_s": JBAR, "source": SOURCE})
 
-    path = io.write_table(outdir / "front_velocities.csv",
-                          ["alpha", "velocity", "velocity_stderr", "ratio_to_cone"],
-                          table,
-                          meta={"n_ions": N_IONS, "jbar_rad_s": JBAR,
-                                "cone_velocity": cone.v})
+    path = io.write_columns(outdir / "front_velocities.csv",
+                            ["alpha", "velocity", "velocity_stderr", "ratio_to_cone"],
+                            [list(column) for column in zip(*table)],
+                            meta={"n_ions": N_IONS, "jbar_rad_s": JBAR,
+                                  "cone_velocity": cone.v})
     print(f"\nwrote {path}")
 
 

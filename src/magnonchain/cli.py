@@ -402,7 +402,7 @@ def _propagate(rc: RunConfig, J: ionchain.CouplingMatrix):
 
 def _export_trajectory(rc: RunConfig, times, mag, corr) -> None:
     if corr is not None:
-        cbar = np.array([dynamics.averaged_correlations(c) for c in corr])
+        cbar = dynamics.averaged_correlations(corr)
     if rc.format == "ndjson":
         records = list(mio.trajectory_records(times, mag, corr))
         if corr is not None:

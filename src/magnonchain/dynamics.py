@@ -488,12 +488,14 @@ def two_point_correlations(state: StateVector | Trajectory) -> np.ndarray:
 
 
 def averaged_correlations(C: np.ndarray) -> np.ndarray:
-    """Distance-averaged correlations Cbar_n = (1/(N-n)) sum_i C_{i,i+n}, n = 1..N-1."""
+    """Distance-averaged correlations Cbar_n = (1/(N-n)) sum_i C_{i,i+n}, n = 1..N-1;
+    shape (N-1,), or (..., N-1) for a stack of shape (..., N, N)."""
     C = np.asarray(C)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError("need a square correlation matrix")
-    n = C.shape[0]
-    return np.array([np.mean(np.diag(C, k)) for k in range(1, n)])
+    if C.ndim < 2 or C.shape[-1] != C.shape[-2]:
+        raise ValueError("need square correlation matrices")
+    n = C.shape[-1]
+    means = [np.diagonal(C, k, axis1=-2, axis2=-1).mean(axis=-1) for k in range(1, n)]
+    return np.stack(means, axis=-1) if means else np.zeros(C.shape[:-2] + (0,))
 
 
 def excitation_sector_weights(state: StateVector) -> np.ndarray:

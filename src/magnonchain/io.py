@@ -6,6 +6,13 @@ any artifact can be traced back to its run and reruns are byte-identical.
 Floats are written with ``repr``, which round-trips IEEE doubles exactly;
 CSV always uses '.' as the decimal separator regardless of locale.
 
+Every CSV is written column-wise, 4096 rows at a time (:func:`write_columns`
+for tables; there is no row-wise writer).  Within a chunk each numeric
+numpy column formats each distinct value once (``repr`` per distinct float
+bit pattern, ``str`` per distinct integer) and takes the text back to every
+row; the same float formatter builds the JSON text a coupling matrix is
+hashed from.
+
 Coupling matrices travel as N x N CSV with a mandatory '# unit = ...' tag
 (rad/s or Hz) — an untagged file is rejected rather than guessed at.
 """
@@ -42,8 +49,19 @@ class ConfigError(ValueError):
 
 
 def config_hash(obj) -> str:
-    """Short stable hash of any JSON-serializable configuration object."""
-    blob = json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":"))
+    """Short stable hash of any JSON-serializable configuration object.
+
+    A finite 2-D float array (a coupling matrix) is hashed from the same
+    text ``json.dumps`` writes for its nested lists, built from
+    :func:`_float_cells`, so each distinct entry is formatted once.
+    """
+    if (isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f"
+            and obj.dtype.itemsize <= 8 and np.isfinite(obj).all()):
+        cells, m = _float_cells(obj), obj.shape[1]
+        rows = (",".join(cells[i * m:(i + 1) * m]) for i in range(obj.shape[0]))
+        blob = "[" + ",".join(f"[{row}]" for row in rows) + "]"
+    else:
+        blob = json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -86,13 +104,31 @@ def _cell(x) -> str:
     return repr(float(x))
 
 
+def _distinct_cells(keys: np.ndarray, text) -> list[str]:
+    """Cells of a 1-D ``keys`` array: ``text`` formats the sorted distinct
+    keys once, and each position takes its key's string."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.array(text(distinct), dtype=object)[inverse].tolist()
+
+
+def _float_cells(values) -> list[str]:
+    """``repr`` of every value as a double, flattened, each distinct one formatted once.
+
+    Values are told apart by their bit patterns, so -0.0 and 0.0 keep their
+    own text, and every NaN payload prints 'nan'.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.int64)
+    return _distinct_cells(bits, lambda k: list(map(repr, k.view(np.float64).tolist())))
+
+
 def _column_cells(col):
-    """Formatted cells of one column slice; numeric arrays skip the per-cell checks."""
+    """Formatted cells of one column slice; numeric numpy columns format
+    each distinct value once (bool columns as floats, like the per-cell rule)."""
     if isinstance(col, np.ndarray):
         if col.dtype.kind in "iu":
-            return map(str, col.tolist())
+            return _distinct_cells(col, lambda k: list(map(str, k.tolist())))
         if col.dtype.kind in "fb":
-            return map(repr, col.astype(float, copy=False).tolist())
+            return _float_cells(col)
     return map(_cell, col)
 
 
@@ -117,14 +153,10 @@ def write_columns(path, names, columns, meta: dict | None = None) -> Path:
 
     Integral cells are written as integers, strings verbatim, everything
     else with full float round-trip precision.  Numeric numpy columns are
-    formatted a chunk of rows at a time, without per-cell type checks.
+    formatted a chunk of rows at a time, each distinct value once, without
+    per-cell type checks; other columns (lists, tuples) go cell by cell.
     """
     return _write_lines(path, header_lines(meta) + [",".join(names)], columns)
-
-
-def write_table(path, columns, rows, meta: dict | None = None) -> Path:
-    """Row-wise form of :func:`write_columns`: ``columns`` names, ``rows`` tuples."""
-    return write_columns(path, columns, list(zip(*rows)), meta)
 
 
 def write_ndjson(path, records, meta: dict | None = None) -> Path:
@@ -212,18 +244,12 @@ def save_dispersion(path, spectrum: MagnonSpectrum, meta: dict | None = None) ->
     return write_columns(path, ("n", "k_n", "omega_k", "node_count"), columns, meta)
 
 
-def _repeated_cells(times, count: int) -> np.ndarray:
-    """Time column of a long-format CSV: each time formatted once, as the
-    writer formats a float, and the string repeated for its ``count`` rows."""
-    cells = np.array(list(map(repr, np.asarray(times, dtype=float).tolist())), dtype=object)
-    return np.repeat(cells, count)
-
-
 def save_magnetisation(path, times, values, meta: dict | None = None) -> Path:
     """Long-format magnetisation CSV: (t_s, site, sz), site 1-based."""
     values = np.asarray(values, dtype=float)
     n_t, n = values.shape
-    columns = (_repeated_cells(times, n), np.tile(np.arange(1, n + 1), n_t), values.ravel())
+    columns = (np.repeat(np.asarray(times, dtype=float), n), np.tile(np.arange(1, n + 1), n_t),
+               values.ravel())
     return write_columns(path, ("t_s", "site", "sz"), columns, meta)
 
 
@@ -231,7 +257,7 @@ def save_correlations(path, times, corr, meta: dict | None = None) -> Path:
     """Correlation CSV: (t_s, i, j, Cij) over pairs i < j, 1-based sites."""
     corr = np.asarray(corr, dtype=float)
     i, j = np.triu_indices(corr.shape[1], 1)
-    columns = (_repeated_cells(times, i.size), np.tile(i + 1, corr.shape[0]),
+    columns = (np.repeat(np.asarray(times, dtype=float), i.size), np.tile(i + 1, corr.shape[0]),
                np.tile(j + 1, corr.shape[0]), corr[:, i, j].ravel())
     return write_columns(path, ("t_s", "i", "j", "Cij"), columns, meta)
 

@@ -205,6 +205,21 @@ def test_lightcone_csvs_match_row_formatter(tmp_path, capsys):
             == _data_text(reference_csv(("d", "t_cone_s"), rows)))
 
 
+def test_lightcone_n31_magnetisation_matches_row_formatter(tmp_path, capsys):
+    # a centre source: mirror sites repeat their values, and 801 x 31 rows span six chunks
+    argv = ["lightcone", "-o", str(tmp_path), "--source", "power-law", "--n", "31",
+            "--alpha", "1.2"]
+    assert run(argv, capsys)[0] == 0
+    J = ionchain.power_law_coupling(31, 1.2, 2 * np.pi * 30.0)
+    times = np.linspace(0.0, 0.04, 801)
+    mag = np.vstack([magnon.magnetisation_single(s)
+                     for s in magnon.evolve_single_excitation(J, 16, times)])
+    assert np.unique(mag).size < mag.size
+    columns, rows = _trajectory_csvs(times, mag, None)["magnetisation.csv"]
+    assert (_data_text((tmp_path / "magnetisation.csv").read_text())
+            == _data_text(reference_csv(columns, rows)))
+
+
 def test_tomo_artifacts_and_rerun_bytes(tmp_path, capsys):
     args = ["tomo", "--n", "7", "--sites", "3", "5", "--shots", "300",
             "--resamples", "100", "--seed", "11"]

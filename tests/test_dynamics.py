@@ -548,6 +548,18 @@ def test_averaged_correlations_by_hand():
         dynamics.averaged_correlations(np.zeros((2, 3)))
 
 
+def test_averaged_correlations_of_a_stack_equals_each_matrix_bitwise():
+    C = np.random.default_rng(4).normal(size=(3, 5, 23, 23))
+    stacked = dynamics.averaged_correlations(C)
+    assert stacked.shape == (3, 5, 22)
+    for idx in np.ndindex(3, 5):
+        assert np.array_equal(stacked[idx], dynamics.averaged_correlations(C[idx]))
+        assert np.array_equal(stacked[idx], [np.mean(np.diag(C[idx], k)) for k in range(1, 23)])
+    assert dynamics.averaged_correlations(np.zeros((4, 1, 1))).shape == (4, 0)
+    with pytest.raises(ValueError):
+        dynamics.averaged_correlations(np.zeros((4, 2, 3)))
+
+
 def test_sector_weights_of_global_state_are_binomial():
     n = 5
     state = dynamics.prepare_state(QuenchSpec(kind="global"), n)

@@ -1,10 +1,12 @@
 """Artifact files: headers, coupling CSV round trips, config parsing."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import reference_csv
 from magnonchain import io as mio
@@ -35,6 +37,47 @@ def test_config_hash_of_arrays_equals_hash_of_nested_lists():
     assert mio.config_hash(J201) == "f2c9c5d9affa"
 
 
+def _json_hash(obj) -> str:
+    """Hash of the ``json.dumps`` text of ``obj``: the reference ``config_hash`` matches."""
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+#: Finite doubles with distinct repr branches, -0.0 next to 0.0.
+FINITE_POOL = np.array([-0.0, 0.0, 1e-17, 1e16, 0.1, 1.0 / 3.0, -2.5e-300, 5e-324,
+                        -1e-320, 123456789.125, 1.0, -1.0])
+
+
+@settings(deadline=None, max_examples=40)
+@given(rows=st.integers(0, 7), cols=st.integers(0, 7), data=st.data())
+def test_config_hash_of_float_matrix_equals_json_hash(rows, cols, data):
+    picks = data.draw(st.lists(st.integers(0, FINITE_POOL.size - 1),
+                               min_size=rows * cols, max_size=rows * cols))
+    A = FINITE_POOL[np.array(picks, dtype=int)].reshape(rows, cols)
+    if data.draw(st.booleans()):
+        A = A.astype(np.float32)
+    if data.draw(st.booleans()):
+        A = A.T                         # a strided view hashes like its copy
+    assert mio.config_hash(A) == _json_hash(A.tolist())
+
+
+def test_config_hash_keeps_signed_zeros_apart():
+    A = np.array([[-0.0, 0.0], [0.0, -0.0]])
+    assert mio.config_hash(A) == _json_hash([[-0.0, 0.0], [0.0, -0.0]])
+    assert mio.config_hash(A) != mio.config_hash(np.abs(A))
+
+
+def test_config_hash_of_non_finite_matrix_goes_through_json(monkeypatch):
+    def no_cells(values):
+        raise AssertionError("formatted cell by cell")
+
+    monkeypatch.setattr(mio, "_float_cells", no_cells)
+    A = np.array([[0.0, np.nan], [np.inf, -np.inf]])
+    assert mio.config_hash(A) == _json_hash(A.tolist())
+    with pytest.raises(AssertionError, match="cell by cell"):
+        mio.config_hash(np.zeros((2, 2)))
+
+
 def test_config_hash_accepts_numpy_and_paths(tmp_path):
     h = mio.config_hash({"arr": np.arange(3), "f": np.float64(1.5),
                          "i": np.int64(7), "p": tmp_path})
@@ -59,9 +102,9 @@ def test_header_lines_default_to_none():
 # generic writers
 
 
-def test_write_table_cell_formats(tmp_path):
-    path = mio.write_table(tmp_path / "t.csv", ("a", "b", "c"),
-                           [(1, "x", 0.1), (2, "y", 1.0 / 3.0)])
+def test_write_columns_cell_formats(tmp_path):
+    path = mio.write_columns(tmp_path / "t.csv", ("a", "b", "c"),
+                             [[1, 2], ["x", "y"], [0.1, 1.0 / 3.0]])
     lines = path.read_text().splitlines()
     assert "a,b,c" in lines
     data = [l for l in lines if not l.startswith("#") and l != "a,b,c"]
@@ -70,8 +113,8 @@ def test_write_table_cell_formats(tmp_path):
     assert float(data[1].split(",")[2]) == 1.0 / 3.0
 
 
-def test_write_table_creates_parents(tmp_path):
-    path = mio.write_table(tmp_path / "deep" / "dir" / "t.csv", ("a",), [(1,)])
+def test_write_columns_creates_parents(tmp_path):
+    path = mio.write_columns(tmp_path / "deep" / "dir" / "t.csv", ("a",), [[1]])
     assert path.exists()
 
 
@@ -91,12 +134,12 @@ def test_write_columns_edge_cells_match_row_formatter(tmp_path):
     assert path.read_text() == reference_csv(names, zip(*columns), {"seed": 4})
 
 
-def test_write_table_mixed_scalar_cells_match_row_formatter(tmp_path):
+def test_write_columns_mixed_scalar_cells_match_row_formatter(tmp_path):
     names = ("a", "b", "c", "d", "e", "f")
     rows = [(np.int64(3), np.float32(0.1), 7, "x", -0.0, np.float64(1e16)),
             (np.int32(-2), np.float32(np.nan), -8, "", np.inf, np.float64(1e-17)),
             (True, 2.5, 0, "y z", float("-inf"), np.uint64(2 ** 63))]
-    path = mio.write_table(tmp_path / "t.csv", names, rows)
+    path = mio.write_columns(tmp_path / "t.csv", names, [list(c) for c in zip(*rows)])
     assert path.read_text() == reference_csv(names, rows)
 
 
@@ -108,9 +151,42 @@ def test_writers_across_chunk_boundaries(tmp_path, n_rows):
     expected = reference_csv(("t", "site"), zip(t, site), {"seed": 2})
     path = mio.write_columns(tmp_path / "c.csv", ("t", "site"), (t, site), {"seed": 2})
     assert path.read_text() == expected
-    path = mio.write_table(tmp_path / "r.csv", ("t", "site"),
-                           list(zip(t.tolist(), site.tolist())), {"seed": 2})
+    path = mio.write_columns(tmp_path / "r.csv", ("t", "site"),
+                             [t.tolist(), site.tolist()], {"seed": 2})
     assert path.read_text() == expected
+
+
+#: Values each numeric column draws from, so cells repeat within and across
+#: chunks; the f64 pool holds NaNs with four different bit patterns.
+POOLS = {
+    "f64": np.concatenate([
+        np.array([-0.0, 0.0, np.inf, -np.inf, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                  1e16, 1e-17, 0.1, 1.0 / 3.0]),
+        np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                  0x7FF0000000000001], dtype=np.uint64).view(np.float64)]),
+    "f32": np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-45, -1.2e-38, 0.1, 3.4e38],
+                    dtype=np.float32),
+    "i64": np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 1, 7],
+                    dtype=np.int64),
+    "u64": np.array([0, 1, 2 ** 63, 2 ** 63 + 5, 2 ** 64 - 1], dtype=np.uint64),
+    "flag": np.array([True, False]),
+}
+
+
+@settings(deadline=None, max_examples=25)
+@given(n_rows=st.sampled_from([0, 1, 5, mio._CHUNK_ROWS - 1, mio._CHUNK_ROWS,
+                               mio._CHUNK_ROWS + 1, 2 * mio._CHUNK_ROWS + 3]),
+       data=st.data())
+def test_write_columns_matches_row_formatter_on_repeated_values(tmp_path_factory, n_rows,
+                                                               data):
+    columns = []
+    for name, pool in POOLS.items():
+        pattern = data.draw(st.lists(st.integers(0, pool.size - 1), min_size=1,
+                                     max_size=2 * pool.size), label=name)
+        columns.append(pool[np.resize(np.array(pattern, dtype=int), n_rows)])
+    path = mio.write_columns(tmp_path_factory.mktemp("pool") / "p.csv", tuple(POOLS),
+                             columns, {"seed": 1})
+    assert path.read_text() == reference_csv(tuple(POOLS), zip(*columns), {"seed": 1})
 
 
 def test_long_format_time_column_matches_row_formatter_across_chunks(tmp_path):
