@@ -4,10 +4,12 @@ Three families of estimators:
 
 * ``fit_alpha_dispersion`` infers the interaction-range exponent alpha by
   matching a measured magnon dispersion against the dispersion of synthetic
-  open-chain power-law couplings J_ij = scale / |i-j|^alpha.  This is the
-  preferred estimator; the couplings themselves are not a perfect power law,
-  so the real-space log-log fit (``fit_alpha_realspace``) is provided for
-  comparison only.
+  open-chain power-law couplings J_ij = scale / |i-j|^alpha.  The scan
+  needs only the model's eigenvalues: a power-law mode's node count equals
+  its descending-energy rank, so the labels k_n = n pi / (N+1) follow from
+  the sorted energies.  This is the preferred estimator; the couplings
+  themselves are not a perfect power law, so the real-space log-log fit
+  (``fit_alpha_realspace``) is provided for comparison only.
 * ``fit_gaussian_arrival`` fits a + b exp(-(t-t0)^2 / 2 w^2) to the first
   magnetisation maximum of one site, giving the magnon arrival time t0.
   "First maximum" means the earliest local maximum exceeding the
@@ -17,7 +19,11 @@ Three families of estimators:
   velocity by ordinary least squares t0 = d / v + intercept.
 
 ``arrival_times`` chains the last two into the standard light-cone
-pipeline, excluding the outermost site to reduce finite-size effects.
+pipeline, excluding the outermost site to reduce finite-size effects.  It
+detects every site's pulse segment first and then fits all segments in
+one batched, bounded Levenberg-Marquardt solve (``_fit_pulses``), which
+stops a site once no parameter steps by more than ``FIT_STEP_RTOL``
+relative; ``fit_gaussian_arrival`` runs the same solver on one site.
 """
 
 from __future__ import annotations
@@ -27,13 +33,20 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .ionchain import CouplingMatrix, _check_site, power_law_coupling
-from .magnon import diagonalize_magnons
 
 ALPHA_SEARCH_RANGE = (0.0, 4.0)
 ALPHA_BRACKET_TOL = 1e-4
+
+#: An arrival fit has converged once no parameter's step exceeds this
+#: fraction of the parameter (or of its scale, when that is larger).
+FIT_STEP_RTOL = 1e-10
+#: Levenberg-Marquardt iterations after which an arrival fit has failed.
+FIT_MAX_ITERATIONS = 500
+_INITIAL_DAMPING = 1e-3
+_DAMPING_FLOOR = 1e-12
+_BLOCK = 128
 
 
 class FitError(RuntimeError):
@@ -156,14 +169,16 @@ def fit_alpha_dispersion(dispersion, n_ions: int) -> AlphaFit:
 
 
 def _dispersion_mismatch(alpha, k_meas, w_meas, n_ions):
-    """(rms residual, best scale) for J_ij = scale/|i-j|^alpha, given data."""
-    with warnings.catch_warnings():
-        # alpha -> 0 makes the synthetic spectrum degenerate; the node-count
-        # relabeling warning is irrelevant to the scan
-        warnings.simplefilter("ignore", RuntimeWarning)
-        model = diagonalize_magnons(power_law_coupling(n_ions, alpha, 1.0))
-    idx = np.abs(model.pseudo_momenta[None, :] - k_meas[:, None]).argmin(axis=1)
-    w_model = model.energies[idx]
+    """(rms residual, best scale) for J_ij = scale/|i-j|^alpha, given data.
+
+    Only the model's energies are needed: for a power-law chain the mode
+    with the n-th highest energy has n - 1 nodes, so its pseudo-momentum
+    is n pi / (N + 1) without looking at the mode functions.
+    """
+    energies = np.linalg.eigvalsh(power_law_coupling(n_ions, alpha, 1.0).values)[::-1]
+    k_model = np.arange(1, n_ions + 1) * np.pi / (n_ions + 1)
+    idx = np.abs(k_model[None, :] - k_meas[:, None]).argmin(axis=1)
+    w_model = energies[idx]
     denom = float(w_model @ w_model)
     scale = float(w_model @ w_meas) / denom if denom > 0 else 0.0
     resid = w_meas - scale * w_model
@@ -236,19 +251,33 @@ def fit_gaussian_arrival(times, signal, window=None, site: int = 0) -> ArrivalFi
     The model a + b exp(-(t - t0)^2 / 2 w^2) is fitted to the pulse
     segment between the local minima flanking the first qualifying
     maximum, so neither the initial transient nor later interference
-    revivals bias the arrival time.  Initial guesses: t0 at the detected
-    peak, w a sixth of the segment, b the peak height; the amplitude is
+    revivals bias the arrival time.  Initial guesses, clipped into the
+    bounds: t0 at the detected peak, w a sixth of the segment (at least
+    half a sample step), b the peak height; the amplitude is
     constrained non-negative and the center to the segment, which keeps
-    the optimizer from inverting the pulse on weak precursor bumps.  The
-    optimizer is given the analytic Jacobian (:func:`_gauss_jacobian`),
-    so no iteration spends model calls on finite differences.
+    the optimizer from inverting the pulse on weak precursor bumps.
+
+    This is the one-site call of the solver :func:`arrival_times` runs on
+    every site at once (:func:`_fit_pulses`): a bounded Levenberg-Marquardt
+    on the analytic Jacobian, converged once no parameter moves by more
+    than ``FIT_STEP_RTOL`` relative; a site gives the same fit, bit for
+    bit, alone or in a batch.
 
     Raises
     ------
     FitError
         If no interior maximum rises above the detection threshold, or
-        the nonlinear fit does not converge.
+        the fit is not converged after ``FIT_MAX_ITERATIONS`` iterations.
     """
+    segment = _arrival_segment(*_samples(times, signal, window))
+    fit = _fit_pulses([site], [segment])[0]
+    if isinstance(fit, FitError):
+        raise fit
+    return fit
+
+
+def _samples(times, signal, window=None):
+    """The (times, signal) arrays of one trace, validated and windowed."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(signal, dtype=float)
     if t.shape != v.shape or t.ndim != 1:
@@ -258,7 +287,16 @@ def fit_gaussian_arrival(times, signal, window=None, site: int = 0) -> ArrivalFi
         t, v = t[sel], v[sel]
     if t.size < 5:
         raise ValueError("need at least 5 samples in the window")
+    return t, v
 
+
+def _arrival_segment(t, v):
+    """(t_fit, v_fit, p0, lower, upper) of the first maximum of one trace.
+
+    The segment runs between the local minima flanking the first
+    qualifying maximum; p0 and the bounds are those documented in
+    :func:`fit_gaussian_arrival`.
+    """
     peak = _first_maximum(v)
     start = _prev_minimum(v, peak)
     stop = _next_minimum(v, peak)
@@ -269,16 +307,121 @@ def fit_gaussian_arrival(times, signal, window=None, site: int = 0) -> ArrivalFi
     p0 = (baseline, float(v[peak] - baseline), float(t[peak]), span / 6.0)
     lower = (-np.inf, 0.0, t_fit[0], 0.5 * (t_fit[1] - t_fit[0]))
     upper = (np.inf, np.inf, t_fit[-1], 10.0 * span)
-    try:
-        popt, _ = curve_fit(_gauss, t_fit, v_fit, p0=p0, bounds=(lower, upper),
-                            jac=_gauss_jacobian, maxfev=20000)
-    except RuntimeError as exc:
-        raise FitError(f"arrival fit for site {site} did not converge") from exc
-    a, b, t0, w = popt
-    resid = v_fit - _gauss(t_fit, *popt)
-    return ArrivalFit(site=site, t0=float(t0), width=float(abs(w)),
-                      amplitude=float(b),
-                      goodness=float(np.sqrt(np.mean(resid ** 2))))
+    return t_fit, v_fit, p0, lower, upper
+
+
+def _fit_pulses(sites, segments) -> list:
+    """Fit :func:`_gauss` to every segment at once; an ArrivalFit or FitError each.
+
+    Each segment is padded to whole blocks of ``_BLOCK`` samples, masked,
+    and the blocks of all segments are stacked.  One Levenberg-Marquardt
+    iteration advances every unconverged site: the normal equations come
+    from the augmented Jacobian [J | r] (:func:`_normal_equations`), the
+    damping is Marquardt scaled (lambda times the diagonal of J^T J) and
+    updated per site by Nielsen's rule.  Bounds are kept by an active
+    set: a parameter on a bound whose gradient points outward is held,
+    the other steps are clipped to the bounds.  A site leaves the batch
+    once every parameter's step is at most ``FIT_STEP_RTOL`` of the
+    larger of the parameter and its scale (the segment's signal excursion
+    for a and b, its time span for t0 and w).  Each site's arithmetic
+    depends only on its own blocks, so its fit does not depend on the
+    batch it is in.
+    """
+    count = len(segments)
+    sizes = np.array([seg[0].size for seg in segments], dtype=int)
+    blocks = -(-sizes // _BLOCK)
+    t = np.empty((int(blocks.sum()), _BLOCK))
+    y = np.zeros_like(t)
+    mask = np.zeros_like(t)
+    p = np.empty((count, 4))
+    lower, upper, scale = np.empty((3, count, 4))
+    first = np.cumsum(blocks) - blocks
+    for j, (t_fit, v_fit, p0, lo, hi) in enumerate(segments):
+        rows = slice(first[j], first[j] + blocks[j])
+        n = t_fit.size
+        t_site, y_site, mask_site = (a[rows].reshape(-1) for a in (t, y, mask))
+        t_site[:n], t_site[n:] = t_fit, t_fit[-1]
+        y_site[:n] = v_fit
+        mask_site[:n] = 1.0
+        lower[j], upper[j] = lo, hi
+        p[j] = np.clip(p0, lo, hi)
+        excursion = float(np.ptp(v_fit))
+        span = float(t_fit[-1] - t_fit[0])
+        scale[j] = (excursion, excursion, span, span)
+
+    work = np.empty((5,) + t.shape)
+    normal = _normal_equations(p, t, y, mask, blocks, work)
+    damping = np.full(count, _INITIAL_DAMPING)
+    growth = np.full(count, 2.0)
+    converged = np.zeros(count, dtype=bool)
+    active = np.arange(count)
+    eye = np.eye(4)
+    with np.errstate(all="ignore"):
+        for _ in range(FIT_MAX_ITERATIONS):
+            if active.size == 0:
+                break
+            pa, na, lo, hi = p[active], normal[active], lower[active], upper[active]
+            hess, grad = na[:, :4, :4], na[:, :4, 4]
+            held = ((pa <= lo) & (grad > 0.0)) | ((pa >= hi) & (grad < 0.0))
+            diag = np.diagonal(hess, axis1=1, axis2=2)
+            free = ~held & (diag > 0.0)
+            inv = np.where(free, 1.0 / np.sqrt(np.where(free, diag, 1.0)), 0.0)
+            system = hess * inv[:, :, None] * inv[:, None, :]
+            system += eye * np.where(free, damping[active, None], 1.0)[:, :, None]
+            step = np.linalg.solve(system, (-grad * inv)[..., None])[..., 0] * inv
+            trial = np.clip(pa + step, lo, hi)
+            step = trial - pa
+            trial_normal = _normal_equations(trial, t, y, mask, blocks[active], work)
+            actual = 0.5 * (na[:, 4, 4] - trial_normal[:, 4, 4])
+            predicted = -((grad * step).sum(axis=1) + 0.5 * (
+                step[:, :, None] * hess * step[:, None, :]).sum(axis=(1, 2)))
+            better = (actual > 0.0) & (predicted > 0.0)
+            rho = actual / predicted
+            damping[active] = np.maximum(_DAMPING_FLOOR, damping[active] * np.where(
+                better, np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), growth[active]))
+            growth[active] = np.where(better, 2.0, 2.0 * growth[active])
+            p[active] = pa = np.where(better[:, None], trial, pa)
+            normal[active] = np.where(better[:, None, None], trial_normal, na)
+            done = np.all(np.abs(step) <= FIT_STEP_RTOL
+                          * np.maximum(np.abs(pa), scale[active]), axis=1)
+            if done.any():
+                converged[active[done]] = True
+                keep = np.repeat(~done, blocks[active])
+                t, y, mask = t[keep], y[keep], mask[keep]
+                active = active[~done]
+
+    fits = []
+    for j, site in enumerate(sites):
+        if not converged[j]:
+            fits.append(FitError(f"arrival fit for site {site} did not converge"))
+            continue
+        a, b, t0, w = p[j]
+        fits.append(ArrivalFit(site=site, t0=float(t0), width=float(w),
+                               amplitude=float(b),
+                               goodness=float(np.sqrt(normal[j, 4, 4] / sizes[j]))))
+    return fits
+
+
+def _normal_equations(p, t, y, mask, blocks, work):
+    """[J | r]^T [J | r] per site, shape (sites, 5, 5), for params p (sites, 4).
+
+    ``t``, ``y`` and ``mask`` are (total blocks, ``_BLOCK``); site j's
+    samples fill ``blocks[j]`` consecutive rows and masked samples add
+    exact zeros.  ``work`` is a (5, at least total blocks, ``_BLOCK``)
+    buffer, reused so that no evaluation allocates it afresh.  Each block
+    is one small matrix product, and a site's blocks are summed in order,
+    so its sums do not depend on the other sites' blocks.
+    """
+    owner = np.repeat(np.arange(blocks.size), blocks)
+    a, b, t0, w = p[owner].T[..., None]
+    aug = work[:, :owner.size]
+    _gauss_jacobian(t, a, b, t0, w, axis=0, out=aug[:4])
+    np.subtract(a + b * aug[1], y, out=aug[4])       # _gauss(t, a, b, t0, w) - y
+    aug *= mask
+    per_block = aug.transpose(1, 0, 2) @ aug.transpose(1, 2, 0)
+    stacked = np.zeros((blocks.size, blocks.max(initial=0), 5, 5))
+    stacked[owner, np.arange(owner.size) - np.repeat(np.cumsum(blocks) - blocks, blocks)] = per_block
+    return stacked.sum(axis=1)
 
 
 def _gauss(t, a, b, t0, w):
@@ -286,15 +429,17 @@ def _gauss(t, a, b, t0, w):
     return a + b * np.exp(-((t - t0) ** 2) / (2.0 * w ** 2))
 
 
-def _gauss_jacobian(t, a, b, t0, w):
+def _gauss_jacobian(t, a, b, t0, w, axis=-1, out=None):
     """Columns d/da, d/db, d/dt0, d/dw of :func:`_gauss`, shape (len(t), 4).
 
     With x = t - t0 and e = exp(-x^2 / 2 w^2): 1, e, b e x / w^2, b e x^2 / w^3.
+    The parameters broadcast against ``t``; the four derivatives are
+    stacked on ``axis`` of the result, or written into ``out``.
     """
     x = t - t0
     e = np.exp(-(x ** 2) / (2.0 * w ** 2))
     be_x = b * e * x / w ** 2
-    return np.column_stack((np.ones_like(t), e, be_x, be_x * x / w))
+    return np.stack(np.broadcast_arrays(1.0, e, be_x, be_x * x / w), axis=axis, out=out)
 
 
 def _first_maximum(v: np.ndarray) -> int:
@@ -382,8 +527,9 @@ def arrival_times(times, magnetisation, source: int, max_distance=None,
         every site whose fit fails.
 
     Returns a list of (distance, ArrivalFit) pairs following the front to
-    the right of the source.  Sites whose arrival fit fails are skipped
-    with a warning.
+    the right of the source.  All sites are fitted in one batched solve;
+    each fit equals :func:`fit_gaussian_arrival` on that site's trace.
+    Sites whose arrival fit fails are skipped with a warning.
     """
     mag = np.asarray(magnetisation, dtype=float)
     n = mag.shape[1]
@@ -394,13 +540,22 @@ def arrival_times(times, magnetisation, source: int, max_distance=None,
     max_distance = min(max_distance, edge)
     if max_distance < 1:
         raise ValueError("no sites between the source and the excluded edge")
-    fits = []
+    outcome = {}                     # distance -> segment, then fit or FitError
     for dist in range(1, max_distance + 1):
-        s = source + dist
         try:
-            fits.append((dist, fit_gaussian_arrival(times, mag[:, s - 1], site=s)))
+            outcome[dist] = _arrival_segment(*_samples(times, mag[:, source + dist - 1]))
         except FitError as exc:
-            warnings.warn(f"site {s}: {exc}", stacklevel=2)
+            outcome[dist] = exc
+    found = [d for d, seg in outcome.items() if not isinstance(seg, FitError)]
+    outcome.update(zip(found, _fit_pulses([source + d for d in found],
+                                          [outcome[d] for d in found])))
+    fits = []
+    for dist, fit in outcome.items():
+        if isinstance(fit, FitError):
+            s = source + dist
+            warnings.warn(f"site {s}: {fit}", stacklevel=2)
             if skipped is not None:
-                skipped.append(ArrivalSkipped(site=s, distance=dist, reason=str(exc)))
+                skipped.append(ArrivalSkipped(site=s, distance=dist, reason=str(fit)))
+        else:
+            fits.append((dist, fit))
     return fits

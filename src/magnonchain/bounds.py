@@ -38,16 +38,12 @@ class LightConeParams:
 
     ``g`` (rad/s) is the largest nearest-neighbour bond and feeds the
     Bessel bound; ``v`` (sites/s) is the cone velocity of the uniform
-    nearest-neighbour model at the mean bond strength ``jbar``.  ``mu``
-    and ``C`` are display constants for the generic exponential envelope
-    C exp(mu (v|t| - d)); they are not derived from the couplings.
+    nearest-neighbour model at the mean bond strength ``jbar``.
     """
 
     g: float
     v: float
     jbar: float
-    mu: float = 1.0
-    C: float = 1.0
 
     def __post_init__(self):
         if self.g < 0 or self.v < 0:
@@ -143,7 +139,7 @@ def modified_bessel_i(order: int, x: float, scaled: bool = False) -> float:
         return float(np.exp(np.float64(x)) * value)
 
 
-def nn_lightcone(J: CouplingMatrix, mu: float = 1.0, C: float = 1.0) -> LightConeParams:
+def nn_lightcone(J: CouplingMatrix) -> LightConeParams:
     """Nearest-neighbour light-cone reference for a given coupling matrix.
 
     The mean first-off-diagonal coupling Jbar defines a uniform
@@ -155,7 +151,7 @@ def nn_lightcone(J: CouplingMatrix, mu: float = 1.0, C: float = 1.0) -> LightCon
     g = float(np.abs(np.diag(J.values, 1)).max())
     reference = nearest_neighbour_coupling(J.n_ions, jbar)
     v = max_group_velocity(diagonalize_magnons(reference))
-    return LightConeParams(g=g, v=v, jbar=jbar, mu=mu, C=C)
+    return LightConeParams(g=g, v=v, jbar=jbar)
 
 
 def cone_arrival_times(params: LightConeParams, distances) -> np.ndarray:

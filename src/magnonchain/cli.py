@@ -32,7 +32,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -158,7 +158,13 @@ class RunConfig:
 # argument parsing and resolution
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``magnonchain`` argument parser, built on first use and then reused.
+
+    Parsing never changes the parser, and every ``parse_args`` call fills
+    a fresh namespace, so one instance serves every ``main`` call.
+    """
     parser = argparse.ArgumentParser(
         prog="magnonchain",
         description="Magnon dynamics in long-range interacting trapped-ion spin chains.",

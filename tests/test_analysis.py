@@ -1,12 +1,14 @@
 """Exponent fits, Gaussian arrival fits, and front-velocity regression."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import curve_fit
 from scipy.optimize._numdiff import approx_derivative
 
-from magnonchain import analysis, ionchain, magnon
+from magnonchain import analysis, cli, ionchain, magnon
 from magnonchain.analysis import FitError
 
 J0 = 2 * np.pi * 30.0
@@ -63,6 +65,53 @@ def test_dispersion_fit_flags_flat_objective():
     pairs = np.column_stack([np.linspace(0.3, 3.0, 6), np.zeros(6)])
     fit = analysis.fit_alpha_dispersion(pairs, 6)
     assert "flat" in fit.note
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(min_value=2, max_value=201),
+       alpha=st.floats(min_value=1e-6, max_value=4.0))
+def test_power_law_energy_rank_is_node_count(n, alpha):
+    """The alpha scan labels power-law modes by descending energy: the mode
+    with the n-th highest energy has n - 1 nodes.  (Below alpha ~ 1e-9 the
+    couplings are so close to uniform that float64 no longer resolves the
+    nearly degenerate modes.)"""
+    spec = magnon.diagonalize_magnons(ionchain.power_law_coupling(n, alpha, J0))
+    np.testing.assert_array_equal(spec.node_counts, np.arange(n))
+    assert np.all(np.diff(spec.energies) < 0.0)
+
+
+def _node_count_mismatch(alpha, k_meas, w_meas, n_ions):
+    """The alpha-scan objective as it was: the full node-counted spectrum."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = magnon.diagonalize_magnons(ionchain.power_law_coupling(n_ions, alpha, 1.0))
+    idx = np.abs(model.pseudo_momenta[None, :] - k_meas[:, None]).argmin(axis=1)
+    w_model = model.energies[idx]
+    denom = float(w_model @ w_model)
+    scale = float(w_model @ w_meas) / denom if denom > 0 else 0.0
+    resid = w_meas - scale * w_model
+    return float(np.sqrt(np.mean(resid ** 2))), scale
+
+
+@pytest.mark.filterwarnings("ignore:ambiguous node labelling")
+@pytest.mark.parametrize("n, axial", [(7, 0.219e6), (25, 0.219e6), (51, 0.1e6),
+                                      (100, 0.05e6)])
+def test_trap_alpha_fit_matches_node_count_objective(n, axial, monkeypatch):
+    """On trap couplings the eigenvalue-only scan finds the exponent the
+    eigenvector-based objective found, and scale and residual to 1e-14."""
+    trap = ionchain.TrapConfig(n_ions=n, detuning=0.0,
+                               **{**cli.DEFAULT_TRAP, "axial_freq": axial})
+    trap = ionchain.with_detuning_above_top(trap, 30e3)
+    J = ionchain.build_coupling_matrix(trap, ionchain.BeamProfile(**cli.DEFAULT_BEAM))
+    spec = magnon.diagonalize_magnons(J)
+    pairs = np.column_stack([spec.pseudo_momenta, spec.energies])
+    fit = analysis.fit_alpha_dispersion(pairs, n)
+    monkeypatch.setattr(analysis, "_dispersion_mismatch", _node_count_mismatch)
+    expected = analysis.fit_alpha_dispersion(pairs, n)
+    assert fit.alpha == expected.alpha
+    assert fit.scale == pytest.approx(expected.scale, rel=1e-14)
+    assert fit.residual == pytest.approx(expected.residual, rel=1e-14)
+    assert fit.note == expected.note
 
 
 def test_dispersion_fit_input_validation():
@@ -131,27 +180,109 @@ def test_gauss_jacobian_matches_numerical_derivative():
                                    rtol=1e-6, atol=1e-6)
 
 
-@pytest.mark.filterwarnings("ignore:site")
-@pytest.mark.parametrize("alpha", [1.07, 1.41, 1.75, 2.0])
-def test_arrival_fits_match_finite_difference_oracle(alpha, monkeypatch):
-    """The analytic Jacobian leaves the N = 201 light cone where the
-    finite-difference fit put it: same sites, t0 to 1e-6, velocity to 1e-5."""
-    J = ionchain.power_law_coupling(201, alpha, J0)
+CONE_ALPHAS = (1.07, 1.41, 1.75, 2.0)
+
+
+@pytest.fixture(scope="module")
+def cones():
+    """<sigma_z> of the N = 201 single-excitation light cones, centre source."""
     times = np.linspace(0.0, 0.04, 801)
-    mag = np.vstack([magnon.magnetisation_single(s)
-                     for s in magnon.evolve_single_excitation(J, 101, times)])
+    out = {}
+    for alpha in CONE_ALPHAS:
+        J = ionchain.power_law_coupling(201, alpha, J0)
+        out[alpha] = np.vstack([magnon.magnetisation_single(s)
+                                for s in magnon.evolve_single_excitation(J, 101, times)])
+    return times, out
+
+
+def _tight_curve_fit(t_fit, v_fit, p0, lower, upper):
+    """Bounded curve_fit run to its tightest tolerances: the reference fit."""
+    popt, _ = curve_fit(analysis._gauss, t_fit, v_fit, p0=p0, bounds=(lower, upper),
+                        jac=analysis._gauss_jacobian, ftol=1e-15, xtol=1e-15,
+                        gtol=1e-15, maxfev=100000)
+    return popt
+
+
+@pytest.mark.filterwarnings("ignore:site")
+@pytest.mark.parametrize("alpha", CONE_ALPHAS)
+def test_arrival_fits_match_tight_curve_fit_reference(alpha, cones):
+    """On the N = 201 light cones the batched fits land where scipy's
+    bounded curve_fit, run to ftol = xtol = gtol = 1e-15 on the same
+    segments, puts them: same sites, t0 and front velocity to 1e-7."""
+    times, mags = cones
+    mag = mags[alpha]
     fits = analysis.arrival_times(times, mag, 101)
-    # the oracle: the same pipeline with curve_fit's own 2-point Jacobian
-    monkeypatch.setattr(analysis, "curve_fit",
-                        lambda *args, jac=None, **kwargs: curve_fit(*args, **kwargs))
-    oracle = analysis.arrival_times(times, mag, 101)
+    reference = []
+    for dist in range(1, 100):
+        try:
+            segment = analysis._arrival_segment(times, mag[:, 100 + dist])
+        except FitError:
+            continue
+        reference.append((dist, _tight_curve_fit(*segment)[2]))
     assert len(fits) >= 18
-    assert [d for d, _ in fits] == [d for d, _ in oracle]
-    np.testing.assert_allclose([f.t0 for _, f in fits], [f.t0 for _, f in oracle],
-                               rtol=1e-6, atol=0.0)
+    assert [d for d, _ in fits] == [d for d, _ in reference]
+    np.testing.assert_allclose([f.t0 for _, f in fits], [t0 for _, t0 in reference],
+                               rtol=1e-7, atol=0.0)
     velocity = analysis.fit_front_velocity([(d, f.t0) for d, f in fits]).velocity
-    expected = analysis.fit_front_velocity([(d, f.t0) for d, f in oracle]).velocity
-    assert velocity == pytest.approx(expected, rel=1e-5)
+    expected = analysis.fit_front_velocity(reference).velocity
+    assert velocity == pytest.approx(expected, rel=1e-7)
+
+
+@pytest.mark.filterwarnings("ignore:site")
+def test_single_site_fit_is_bit_identical_to_batch(cones):
+    """fit_gaussian_arrival is the one-site call of the batched solver: every
+    site of a light cone gets the same fit alone as in arrival_times."""
+    times, mags = cones
+    for alpha in (1.41, 2.0):
+        mag = mags[alpha]
+        for dist, fit in analysis.arrival_times(times, mag, 101):
+            alone = analysis.fit_gaussian_arrival(times, mag[:, 100 + dist], site=fit.site)
+            assert alone == fit
+
+
+def test_arrival_fit_with_t0_on_segment_bound_matches_curve_fit():
+    """A pulse switched on after its centre: the segment starts at the last
+    baseline sample, the best centre lies before it, and t0 is held on the
+    lower bound where bounded curve_fit also ends."""
+    t = np.linspace(0.0, 0.02, 201)
+    v = _pulse(t, 0.0, 0.004)
+    v[t < 0.004] = -1.0
+    segment = analysis._arrival_segment(t, v)
+    reference = _tight_curve_fit(*segment)
+    fit = analysis.fit_gaussian_arrival(t, v)
+    assert fit.t0 == segment[3][2]                      # the segment's first time
+    np.testing.assert_allclose([fit.amplitude, fit.t0, fit.width], reference[1:],
+                               rtol=1e-7)
+
+
+def test_one_sample_spike_fits_with_width_on_its_bound():
+    """A three-sample segment puts the initial width (a sixth of the span)
+    below its lower bound of half a sample step; the guess is clipped into
+    the bounds, so the spike is fitted instead of raising ValueError."""
+    t = np.linspace(0.0, 0.01, 21)
+    v = np.full(21, -1.0)
+    v[10] = 0.5
+    fit = analysis.fit_gaussian_arrival(t, v)
+    assert fit.t0 == t[10]
+    assert fit.width == 0.5 * (t[10] - t[9])
+    assert fit.goodness == pytest.approx(0.0, abs=1e-12)
+
+
+def test_iteration_cap_gives_fit_error_and_skipped_record(monkeypatch):
+    """A fit still moving at FIT_MAX_ITERATIONS fails with FitError, and
+    arrival_times turns that into a warning and an ArrivalSkipped record."""
+    monkeypatch.setattr(analysis, "FIT_MAX_ITERATIONS", 2)
+    t = np.linspace(0.0, 0.02, 201)
+    with pytest.raises(FitError, match="arrival fit for site 3 did not converge"):
+        analysis.fit_gaussian_arrival(t, _pulse(t, 0.008, 0.0012), site=3)
+    mag = np.full((201, 4), -1.0)
+    mag[:, 1] = _pulse(t, 0.008, 0.0012)
+    skipped = []
+    with pytest.warns(UserWarning, match="site 2: arrival fit for site 2 did not converge"):
+        fits = analysis.arrival_times(t, mag, 1, max_distance=1, skipped=skipped)
+    assert fits == []
+    assert skipped == [analysis.ArrivalSkipped(
+        site=2, distance=1, reason="arrival fit for site 2 did not converge")]
 
 
 def test_arrival_fit_picks_first_peak_not_largest():

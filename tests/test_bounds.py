@@ -186,7 +186,6 @@ def test_nn_lightcone_uses_mean_bond_of_nonuniform_chain():
     params = bounds.nn_lightcone(J)
     assert params.jbar == pytest.approx(J0)      # power law: first diagonal is flat
     assert params.g == pytest.approx(J0)
-    assert params.mu == 1.0 and params.C == 1.0
 
 
 def test_cone_arrival_times():

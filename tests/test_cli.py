@@ -400,6 +400,26 @@ def test_unreachable_krylov_target_is_numeric_error(tmp_path, capsys, monkeypatc
         "subspace dimension 96 after 40 step halvings\n")
 
 
+def test_main_reuses_one_parser_with_fresh_namespaces(monkeypatch):
+    """The parser is built once and reused; two calls with different
+    subcommands still get independent namespaces, so no option or default
+    of one leaks into the other."""
+    seen = []
+    monkeypatch.setattr(cli, "resolve", lambda args: seen.append(args) or args)
+    for command in ("tomo", "couplings"):
+        monkeypatch.setitem(cli._HANDLERS, command, lambda rc: cli.EXIT_OK)
+    assert cli.main(["tomo", "--shots", "50", "--sites", "2", "4", "--n", "9"]) == 0
+    assert cli.main(["couplings", "--unit", "Hz"]) == 0
+    assert cli.main(["tomo"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    first, second, third = seen
+    assert (first.command, first.shots, first.sites, first.n_ions) == ("tomo", 50, [2, 4], 9)
+    assert (second.command, second.unit, second.n_ions) == ("couplings", "Hz", None)
+    assert not hasattr(second, "shots") and not hasattr(second, "sites")
+    assert not hasattr(first, "unit") and not hasattr(third, "unit")
+    assert (third.shots, third.sites, third.n_ions) == (None, None, None)
+
+
 def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         cli.main(["warp"])
