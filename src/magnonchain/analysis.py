@@ -298,8 +298,7 @@ def _arrival_segment(t, v):
     :func:`fit_gaussian_arrival`.
     """
     peak = _first_maximum(v)
-    start = _prev_minimum(v, peak)
-    stop = _next_minimum(v, peak)
+    start, stop = _flanking_minima(v, peak)
     t_fit, v_fit = t[start: stop + 1], v[start: stop + 1]
 
     baseline = float(v_fit.min())
@@ -467,20 +466,16 @@ def _first_maximum(v: np.ndarray) -> int:
     return int(interior[0])
 
 
-def _next_minimum(v: np.ndarray, start: int) -> int:
-    """Index of the first local minimum after ``start`` (or the last sample)."""
-    for i in range(start + 1, v.size - 1):
-        if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
-            return i
-    return v.size - 1
-
-
-def _prev_minimum(v: np.ndarray, start: int) -> int:
-    """Index of the closest local minimum before ``start`` (or the first sample)."""
-    for i in range(start - 1, 0, -1):
-        if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
-            return i
-    return 0
+def _flanking_minima(v: np.ndarray, peak: int) -> tuple[int, int]:
+    """Indices of the closest interior local minima before and after
+    ``peak``, or the first and the last sample where there is none; both
+    are looked up in one sorted list of the trace's local minima."""
+    minima = np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1
+    before = np.searchsorted(minima, peak)
+    after = np.searchsorted(minima, peak, side="right")
+    start = minima[before - 1] if before > 0 else 0
+    stop = minima[after] if after < minima.size else v.size - 1
+    return int(start), int(stop)
 
 
 def fit_front_velocity(arrivals) -> FrontFit:

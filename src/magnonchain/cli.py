@@ -31,7 +31,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -77,7 +77,9 @@ class RunConfig:
     (minus the output location), so any field change shows up in the
     provenance.  ``nn_strength`` is already angular (rad/s);
     ``field_hz`` stays in Hz with None meaning "auto": B = 50 max|J|
-    for Ising runs.
+    for Ising runs.  ``couplings`` is the matrix read from
+    ``coupling_file`` for the file source (its path is hashed, not its
+    values), and ``n_ions`` is then its size.
     """
 
     command: str
@@ -104,6 +106,8 @@ class RunConfig:
     resamples: int
     outdir: Path
     format: str
+    couplings: ionchain.CouplingMatrix | None = field(default=None, repr=False,
+                                                      compare=False)
 
     def __post_init__(self):
         if self.n_ions < 2:
@@ -147,6 +151,7 @@ class RunConfig:
     def hash(self) -> str:
         d = asdict(self)
         d.pop("outdir")             # where artifacts land is not physics
+        d.pop("couplings")          # read from coupling_file, which is hashed
         return mio.config_hash(d)
 
     def meta(self, **extra) -> dict:
@@ -276,11 +281,16 @@ def resolve(args: argparse.Namespace) -> RunConfig:
     def opt(name):
         return getattr(args, name, None)
 
-    n_ions = _pick(opt("n_ions"), trap_cfg.get("n_ions"),
-                   fallback.get("n_ions"), 7)
+    n_ions = _pick(opt("n_ions"), trap_cfg.get("n_ions"))
     source = _pick(opt("source"), coup_cfg.get("source"),
                    fallback.get("source"), "power_law")
     source = source.replace("-", "_")
+    coupling_file = _pick(opt("couplings"), coup_cfg.get("file"))
+    couplings = None
+    if source == "file":
+        couplings = _load_coupling_file(coupling_file, n_ions)
+        n_ions = couplings.n_ions
+    n_ions = _pick(n_ions, fallback.get("n_ions"), 7)
     model = _pick(opt("model"), quench_cfg.get("model"), fallback.get("model"), "xy")
     model = model.replace("-", "_")
     kind = _pick(fallback.get("kind"), quench_cfg.get("kind"), "local")
@@ -316,7 +326,7 @@ def resolve(args: argparse.Namespace) -> RunConfig:
         alpha=float(_pick(opt("alpha"), coup_cfg.get("alpha"), DEFAULT_ALPHA)),
         nn_strength=2.0 * np.pi * float(_pick(opt("jbar"), coup_cfg.get("nn_strength"),
                                               DEFAULT_JBAR)),
-        coupling_file=_pick(opt("couplings"), coup_cfg.get("file")),
+        coupling_file=coupling_file,
         kind=kind,
         flip=tuple(int(s) for s in flip),
         model=model,
@@ -338,7 +348,21 @@ def resolve(args: argparse.Namespace) -> RunConfig:
         resamples=int(_pick(opt("resamples"), run_cfg.get("resamples"), 200)),
         outdir=Path(outdir),
         format=_pick(opt("format"), out_cfg.get("format"), "csv"),
+        couplings=couplings,
     )
+
+
+def _load_coupling_file(path: str | None, n_ions: int | None) -> ionchain.CouplingMatrix:
+    """The coupling matrix of the file source; an explicit chain length
+    (``--n`` or ``[trap] n_ions``) must match its size."""
+    if not path:
+        raise ConfigError("coupling source 'file' needs --couplings PATH "
+                          "(or [couplings] file = ...)")
+    J = import_couplings(path)
+    if n_ions is not None and int(n_ions) != J.n_ions:
+        raise ConfigError(f"chain length {n_ions} disagrees with the {J.n_ions} ions "
+                          f"of the coupling file {path}")
+    return J
 
 
 def _resolve_trap(trap_cfg: dict, args, n_ions: int) -> ionchain.TrapConfig:
@@ -365,10 +389,7 @@ def _report(path: Path, kind: str) -> None:
 
 def _build_couplings(rc: RunConfig) -> ionchain.CouplingMatrix:
     if rc.source == "file":
-        if not rc.coupling_file:
-            raise ConfigError("coupling source 'file' needs --couplings PATH "
-                              "(or [couplings] file = ...)")
-        return import_couplings(rc.coupling_file)
+        return rc.couplings
     if rc.source == "power_law":
         return ionchain.power_law_coupling(rc.n_ions, rc.alpha, rc.nn_strength)
     if rc.source == "nearest_neighbour":

@@ -30,12 +30,17 @@ Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).  Sectors up to
 ``DENSE_LIMIT`` states use a dense eigendecomposition, which is exact.
 Larger ones use a Lanczos (Krylov) propagator: one subspace, grown from
 the state at the time reached so far, serves every later output time it
-converges for, and the next subspace starts from the last of them.  Each
-time a subspace serves has an a-posteriori error estimate below
-``step_tol / 4``, so the error at an output time is at most the sum of
-the estimates of the subspaces chained up to it: about
-``step_tol / 4`` times their number, which is smaller the more times
-each subspace serves (cf. Expokit, Sidje, ACM TOMS 24, 130 (1998)).
+converges for, and the next subspace starts from the last of them.  The
+order-m Lanczos approximation leaves a defect (residual) of norm
+delta(s) = beta_m |e_m^T exp(-i s T_m) e_1|, a rate in rad/s, and its
+error after a step dt is at most the integral of delta over [0, dt], so
+at most |dt| max_{s <= |dt|} delta(s) (Jawecki, Auzinger & Koch, BIT
+Numer. Math. 60, 157 (2020); cf. Expokit, Sidje, ACM TOMS 24, 130
+(1998)).  A subspace serves a time once that estimate, with the maximum
+taken over the steps it evaluates, is below ``step_tol / 4``.  So the
+error at an output time is at most the sum of the estimates of the
+subspaces chained up to it: about ``step_tol / 4`` times their number,
+which is smaller the more times each subspace serves.
 """
 
 from __future__ import annotations
@@ -53,17 +58,19 @@ MAX_SITES = 16
 
 #: Dense eigendecomposition for sectors up to this many basis states,
 #: Krylov propagation above.  Measured per quench with one BLAS thread on a
-#: 2-core Xeon VM, power law alpha = 1.3, dense vs Krylov: Ising at
-#: B = 50 max|J|, global, 201 points to 5 ms, with sectors of at most 272
-#: states (N = 10) 0.041 vs 0.053 s, 528 (N = 11) 0.15 vs 0.13 s and 1056
-#: (N = 12) 0.58 vs 0.20 s; one 2080-state sector (N = 13, centre flip, 51
-#: points to 10 ms) 1.57 vs 0.29 s; XY, global, 51 points to 20 ms, sectors
-#: of at most 472 states (N = 12) 0.12 vs 0.07 s and 868 (N = 13) 0.46 vs
-#: 0.12 s.  So Krylov now wins from a few hundred states on.  The limit
-#: stays higher: between 500 and 1024 states the saving is a few
-#: hundredths of a second per quench (a limit of 512 took 0.03 s off a 0.68 s pass of the
-#: N = 11 global and N = 13 local Ising quenches, less than the spread
-#: between passes), and dense results carry no propagation error.
+#: 2-core Xeon VM, power law alpha = 1.3, dense vs Krylov (best of 3, in a
+#: slow spell of the host: dense N = 13 took 1.57 s in an earlier one):
+#: Ising at B = 50 max|J|, global, 201 points to 5 ms, with sectors of at
+#: most 272 states (N = 10) 0.051 vs 0.076 s, 528 (N = 11) 0.18 vs 0.13 s
+#: and 1056 (N = 12) 0.76 vs 0.28 s; one 2080-state sector (N = 13, centre
+#: flip, 51 points to 10 ms) 1.9 vs 0.28 s; XY, global, 51 points to
+#: 20 ms, sectors of at most 472 states (N = 12) 0.16 vs 0.11 s and 868
+#: (N = 13) 0.66 vs 0.20 s.  So Krylov wins from a few hundred states on.
+#: The limit stays higher: between 500 and 1024 states the saving is a few
+#: hundredths of a second per quench (a limit of 512 took 0.03 s off a
+#: 0.68 s pass of the N = 11 global and N = 13 local Ising quenches, less
+#: than the spread between passes), and dense results carry no
+#: propagation error.
 DENSE_LIMIT = 1024
 
 
@@ -167,14 +174,10 @@ class Hamiltonian:
         return 1 << self.n_sites if self._csr is None else self._csr.shape[0]
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
-        """H @ psi.  A complex psi is applied as two real products, about
-        twice as fast as letting the real CSR upcast to complex."""
+        """H @ psi, a complex psi as two real products (:func:`_real_matmul`)."""
         if not np.iscomplexobj(psi):
             return self._matrix @ psi
-        out = np.empty(psi.shape, dtype=complex)
-        out.real = self._matrix @ psi.real
-        out.imag = self._matrix @ psi.imag
-        return out
+        return _real_matmul(self._matrix, psi)
 
     def block(self, basis: np.ndarray) -> Hamiltonian:
         """H restricted to the sorted basis indices ``basis``, assembled
@@ -282,12 +285,14 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
     state reaches is propagated on its own; amplitudes outside those
     blocks stay exactly 0.  ``method='dense'`` uses the sector's exact
     eigendecomposition (no propagation error).  ``method='krylov'`` uses
-    Lanczos subspaces, each serving the output times it converges for
-    with an estimated error below ``step_tol / 4`` and handing its last
-    state to the next one; the error at an output time is at most the sum
-    of these estimates over the subspaces chained up to it, so fewer
+    Lanczos subspaces, each serving the output times whose error bound
+    estimate, the step |dt| times the largest Lanczos defect over the
+    steps up to it, is below ``step_tol / 4``, and handing its last state
+    to the next one; the error at an output time is at most the sum of
+    these estimates over the subspaces chained up to it, so fewer
     subspaces give a smaller sum.  ``'auto'`` picks dense for sectors of
-    at most ``DENSE_LIMIT`` states.
+    at most ``DENSE_LIMIT`` states.  Either way a time equal to 0 returns
+    the initial state itself.
 
     Raises PropagatorError if a Krylov subspace cannot meet ``step_tol``
     even after repeated halving of the interval to the next output time.
@@ -352,12 +357,27 @@ def _mirror_sectors(H: Hamiltonian, basis: np.ndarray) -> list[sp.csr_matrix]:
 
 def _propagate_block(H: Hamiltonian, psi: np.ndarray, times: np.ndarray,
                      method: str, step_tol: float) -> np.ndarray:
-    """(T, dim) amplitudes of exp(-i H t) psi within one block or sector."""
+    """(T, dim) amplitudes of exp(-i H t) psi within one block or sector;
+    psi itself at t = 0, free of the roundoff of either propagator."""
     if method == "dense" or (method == "auto" and H.dim <= DENSE_LIMIT):
         energies, vectors = H.eigensystem()
-        modes = vectors.T @ psi
-        return (vectors @ (np.exp(-1j * np.outer(energies, times)) * modes[:, None])).T
-    return _krylov_trajectory(H.matvec, psi, times, step_tol)
+        modes = _real_matmul(vectors.T, psi)
+        states = _real_matmul(vectors, np.exp(-1j * np.outer(energies, times))
+                              * modes[:, None]).T
+    else:
+        states = _krylov_trajectory(H.matvec, psi, times, step_tol)
+    states[times == 0.0] = psi
+    return states
+
+
+def _real_matmul(a, b: np.ndarray) -> np.ndarray:
+    """a @ b for a real (dense or sparse) matrix a and a complex array b,
+    as two real products: letting numpy or scipy upcast a to complex
+    copies it and about doubles the cost."""
+    out = np.empty(a.shape[:1] + b.shape[1:], dtype=complex)
+    out.real = a @ b.real
+    out.imag = a @ b.imag
+    return out
 
 
 def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float,
@@ -382,7 +402,7 @@ def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float,
         while h * 2 ** len(stops) < abs(gap):
             stops.append(np.copysign(h * 2 ** len(stops), gap))
         dts = np.concatenate([stops, times[k:] - t_now])
-        Y, V = _lanczos_subspace(matvec, psi, dts, tol, basis)
+        Y, V, _ = _lanczos_subspace(matvec, psi, dts, tol, basis)
         done = Y.shape[1]
         if done == 0:
             splits += 1
@@ -412,22 +432,27 @@ def _lanczos_subspace(matvec, psi: np.ndarray, dts: np.ndarray, tol: float,
     that converge in one subspace, built in the rows of the buffer ``V``
     (so ``m_max`` is its row count minus one).
 
-    Returns (Y, V[:m + 1]) at the final order m: the propagated states
-    are the rows of ``Y.T @ V[:m + 1]``, one per converged time, so Y has
-    0 columns if none converged.  The error of the order-m approximation
-    at dt is estimated a posteriori as beta_m |last component of
-    exp(-i dt T_m) e_1|, and a time converges when that is below tol / 4.
-    The estimates of all times come from one eigendecomposition of T_m,
-    taken every 4 orders, at a breakdown (then the subspace is invariant
-    and exact) and at ``m_max``; the subspace grows until every time
-    converges or ``m_max`` is reached.  Full reorthogonalization keeps the
-    basis clean (the subspace is small).
+    Returns (Y, V[:m + 1], estimates) at the final order m: the
+    propagated states are the rows of ``Y.T @ V[:m + 1]``, one per
+    converged time, so Y has 0 columns if none converged, and
+    ``estimates`` bounds the error of each of them.  The order-m
+    approximation leaves the defect delta(s) = beta_m |last component of
+    exp(-i s T_m) e_1| (a rate), whose integral over the step bounds the
+    error, so the estimate at dt is |dt| times the largest delta among
+    the steps of ``dts`` no longer than |dt|; a time converges when that
+    is below tol / 4.  The defects of all steps come from one
+    eigendecomposition of T_m, taken every 4 orders, at a breakdown (then
+    the subspace is invariant and exact) and at ``m_max``; the subspace
+    grows until every time converges or ``m_max`` is reached.  Full
+    reorthogonalization keeps the basis clean (the subspace is small).
     """
     m_max = V.shape[0] - 1
     norm = np.linalg.norm(psi)
     V[0] = psi / norm
     alpha = np.empty(m_max)
     beta = np.empty(m_max)
+    steps = np.abs(dts)
+    order = np.argsort(steps, kind="stable")
     for m in range(m_max):
         w = matvec(V[m])
         alpha[m] = np.real(np.vdot(V[m], w))
@@ -440,12 +465,14 @@ def _lanczos_subspace(matvec, psi: np.ndarray, dts: np.ndarray, tol: float,
         if breakdown or (m + 1) % 4 == 0 or m == m_max - 1:
             evals, evecs = eigh_tridiagonal(alpha[:m + 1], beta[:m])
             phases = np.exp(-1j * np.outer(evals, dts))
-            err = beta[m] * np.abs((evecs[m] * evecs[0]) @ phases)
+            defect = beta[m] * np.abs((evecs[m] * evecs[0]) @ phases)
+            err = np.empty_like(defect)
+            err[order] = steps[order] * np.maximum.accumulate(defect[order])
             ok = (err < tol / 4) | breakdown
             if ok.all() or m == m_max - 1:
                 done = dts.size if ok.all() else int(np.argmin(ok))
                 Y = evecs @ (phases[:, :done] * evecs[0][:, None])
-                return Y * norm, V[:m + 1]
+                return Y * norm, V[:m + 1], err[:done] * norm
         V[m + 1] = w / beta[m]
 
 
@@ -483,8 +510,8 @@ def two_point_correlations(state: StateVector | Trajectory) -> np.ndarray:
     shape (N, N), or (T, N, N) for a whole Trajectory."""
     p, z = _populations(state)
     m = p @ z
-    zz = np.array([(z * q[:, None]).T @ z for q in p.reshape(-1, p.shape[-1])])
-    return zz.reshape(m.shape + m.shape[-1:]) - m[..., :, None] * m[..., None, :]
+    zz = np.stack([p @ (z * z[:, [i]]) for i in range(state.n_sites)], axis=-2)
+    return zz - m[..., :, None] * m[..., None, :]
 
 
 def averaged_correlations(C: np.ndarray) -> np.ndarray:

@@ -228,6 +228,39 @@ def test_arrival_fits_match_tight_curve_fit_reference(alpha, cones):
     assert velocity == pytest.approx(expected, rel=1e-7)
 
 
+def _scanned_minima(v, peak):
+    """The closest local minima before and after ``peak`` by a scalar scan
+    outward from it: the reference for the sorted-list lookup."""
+    start = next((i for i in range(peak - 1, 0, -1)
+                  if v[i] <= v[i - 1] and v[i] <= v[i + 1]), 0)
+    stop = next((i for i in range(peak + 1, v.size - 1)
+                 if v[i] <= v[i - 1] and v[i] <= v[i + 1]), v.size - 1)
+    return start, stop
+
+
+def test_flanking_minima_match_the_scalar_scan(cones):
+    """Every detected peak of the four N = 201 light cones, and every
+    interior sample of random, rounded (so with ties) and flat traces, gets
+    the segment the scalar scans find."""
+    times, mags = cones
+    checked = 0
+    for mag in mags.values():
+        for v in mag.T:
+            try:
+                peak = analysis._first_maximum(v)
+            except FitError:
+                continue
+            assert analysis._flanking_minima(v, peak) == _scanned_minima(v, peak)
+            checked += 1
+    assert checked >= 4 * 99
+    rng = np.random.default_rng(5)
+    traces = [rng.normal(size=size) for size in (3, 4, 5, 17, 200)]
+    traces += [np.round(rng.normal(size=60), 0), np.zeros(9), np.arange(9.0), -np.arange(9.0)]
+    for v in traces:
+        for peak in range(1, v.size - 1):
+            assert analysis._flanking_minima(v, peak) == _scanned_minima(v, peak)
+
+
 @pytest.mark.filterwarnings("ignore:site")
 def test_single_site_fit_is_bit_identical_to_batch(cones):
     """fit_gaussian_arrival is the one-site call of the batched solver: every

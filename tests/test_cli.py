@@ -293,6 +293,67 @@ def test_fit_report_from_coupling_file(tmp_path, capsys):
     assert "summary" in by_fit
 
 
+def _header(path):
+    """The ``# key = value`` header lines of a CSV artifact as a dict."""
+    return dict(line[2:].split(" = ", 1) for line in path.read_text().splitlines()
+                if line.startswith("# "))
+
+
+@pytest.fixture
+def coupling_file_25(tmp_path):
+    path = tmp_path / "J25.csv"
+    mio.save_couplings(path, ionchain.power_law_coupling(25, 1.3, 2 * np.pi * 30.0))
+    return path
+
+
+def test_chain_length_comes_from_the_coupling_file(tmp_path, capsys, coupling_file_25,
+                                                  monkeypatch):
+    """A 25-ion file, read once per run, sets N in the headers and the
+    config hash, and the default flip is its centre site, 13."""
+    loads = []
+    monkeypatch.setattr(cli, "import_couplings",
+                        lambda path, load=cli.import_couplings: loads.append(path) or load(path))
+    out = tmp_path / "q"
+    code, _ = run(["quench", "-o", str(out), "--source", "file", "--couplings",
+                   str(coupling_file_25), "--model", "single-excitation",
+                   "--t-end", "0.001", "--n-points", "3"], capsys)
+    assert code == 0
+    assert _header(out / "magnetisation.csv")["n_ions"] == "25"
+    rows = np.array(read_data_rows(out / "magnetisation.csv"))
+    first = rows[rows[:, 0] == 0.0]
+    assert first.shape[0] == 25
+    assert first[np.argmax(first[:, 2]), 1] == 13 and first[:, 2].max() > 0.999
+    assert loads == [str(coupling_file_25)]
+
+    ini = tmp_path / "fit.ini"
+    ini.write_text(f"[couplings]\nsource = file\nfile = {coupling_file_25}\n")
+    for argv in (["--couplings", str(coupling_file_25)], ["-c", str(ini)],
+                 ["--couplings", str(coupling_file_25), "--n", "25"]):
+        code, _ = run(["fit", "-o", str(tmp_path / "fit"), *argv], capsys)
+        assert code == 0
+        header = json.loads((tmp_path / "fit" / "fit_report.ndjson").read_text()
+                            .splitlines()[0])["header"]
+        assert header["n_ions"] == 25
+    rc = cli.resolve(cli.build_parser().parse_args(
+        ["fit", "--couplings", str(coupling_file_25)]))
+    assert (rc.n_ions, rc.flip) == (25, (13,)) and header["config_hash"] == rc.hash
+
+
+@pytest.mark.parametrize("argv,config", [(["--n", "7"], ""),
+                                         ([], "[trap]\nn_ions = 24\n")])
+def test_chain_length_that_disagrees_with_the_file_is_config_error(
+        argv, config, tmp_path, capsys, coupling_file_25):
+    ini = tmp_path / "run.ini"
+    ini.write_text(config)
+    assert cli.main(["fit", "-o", str(tmp_path), "-c", str(ini), "--couplings",
+                     str(coupling_file_25), *argv]) == 2
+    n = argv[1] if argv else "24"
+    assert capsys.readouterr().err == (
+        f"config error: chain length {n} disagrees with the 25 ions of the "
+        f"coupling file {coupling_file_25}\n")
+    assert not (tmp_path / "fit_report.ndjson").exists()
+
+
 # ---------------------------------------------------------------------------
 # configuration plumbing
 

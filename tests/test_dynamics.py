@@ -1,5 +1,7 @@
 """Full 2^N Hamiltonians, propagation, and sigma-z observables."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -316,9 +318,9 @@ class _Counting:
         subspace = dynamics._lanczos_subspace
 
         def counted(*args):
-            Y, V = subspace(*args)
-            self.served.append(Y.shape[1])
-            return Y, V
+            result = subspace(*args)
+            self.served.append(result[0].shape[1])
+            return result
 
         monkeypatch.setattr(dynamics, "_lanczos_subspace", counted)
 
@@ -409,6 +411,119 @@ def test_krylov_starts_late_and_repeats_output_times():
                                atol=1e-10)
     np.testing.assert_array_equal(traj.states[1], traj.states[0])
     np.testing.assert_array_equal(traj.states[4], traj.states[3])
+
+
+def _reached_sectors(H, psi0):
+    """(sector Hamiltonian as a dense array, sector state) for every mirror
+    sector of every conserved block that ``psi0`` reaches, as ``evolve``
+    splits them."""
+    labels = dynamics._popcount(H.n_sites)
+    if H.model != "xy":
+        labels &= 1
+    sectors = []
+    for label in np.unique(labels[psi0.amplitudes != 0]):
+        basis = np.flatnonzero(labels == label)
+        block = dynamics._assemble(H, basis)
+        for U in dynamics._mirror_sectors(H, basis):
+            psi = U.T @ psi0.amplitudes[basis]
+            if psi.any():
+                sectors.append(((U.T @ block @ U).toarray(), psi))
+    return sectors
+
+
+#: Roundoff allowed on top of the estimate, in units of eps (1 + ||H|| |dt|):
+#: a subspace that becomes invariant estimates about 1e-30, while the
+#: eigenvalues of the Lanczos matrix and of the dense reference each carry
+#: errors of order eps ||H||, which turn into phase errors growing with |dt|.
+ROUNDOFF_EPS = 32
+
+
+@settings(deadline=None, max_examples=12)
+@given(n=st.integers(6, 11), alpha=st.floats(0.5, 3.0),
+       field=st.sampled_from(["zero", "30 J0", "50 max|J|"]),
+       tol=st.sampled_from([1e-3, 1e-6, 1e-9]), data=st.data())
+@example(n=11, alpha=1.0, field="50 max|J|", tol=1e-9, data=None)
+def test_krylov_estimate_bounds_the_error_of_every_time_served(n, alpha, field, tol, data):
+    """Each time a Lanczos subspace serves is off from the exact propagation
+    of that subspace's start state, by the sector's dense eigh, by at most
+    the time's a-posteriori estimate |dt| max_{s <= |dt|} delta(s)
+    (Jawecki, Auzinger & Koch, BIT Numer. Math. 60, 157 (2020))."""
+    flips = (n // 2,) if data is None else data.draw(
+        st.sets(st.integers(1, n), min_size=1, max_size=n), label="flips")
+    J = ionchain.power_law_coupling(n, alpha, J0)
+    B = {"zero": 0.0, "30 J0": 30.0 * J0, "50 max|J|": 50.0 * np.abs(J.values).max()}[field]
+    H = dynamics.build_hamiltonian(J, transverse_field=B, model="ising")
+    psi0 = dynamics.prepare_state(QuenchSpec("local", tuple(flips)), n)
+    times = np.linspace(0.0, 0.01, 21)
+    served = []
+    subspace = dynamics._lanczos_subspace
+
+    def recorded(matvec, psi, dts, tol, V):
+        Y, basis, estimates = subspace(matvec, psi, dts, tol, V)
+        served.append((psi.copy(), dts[:Y.shape[1]], Y.T @ basis, estimates))
+        return Y, basis, estimates
+
+    with mock.patch.object(dynamics, "_lanczos_subspace", recorded):
+        for matrix, psi in _reached_sectors(H, psi0):
+            served.clear()
+            dynamics._krylov_trajectory(lambda v: matrix @ v, psi, times, tol)
+            w, v = np.linalg.eigh(matrix)
+            for start, dts, states, estimates in served:
+                assert np.all(estimates < tol / 4)
+                exact = (v @ (np.exp(-1j * np.outer(w, dts)) * (v.T @ start)[:, None])).T
+                error = np.linalg.norm(states - exact, axis=1)
+                roundoff = ROUNDOFF_EPS * np.finfo(float).eps * (1 + np.abs(w).max() * dts)
+                assert np.all(error <= estimates + roundoff), (error, estimates)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_benchmark_ising_quench_needs_at_most_300_matvecs(alpha, monkeypatch):
+    """The N = 13 centre flip at B = 50 max|J|, 51 points to 10 ms: the
+    step-length bound stops each subspace at the order 1e-9 needs."""
+    J = ionchain.power_law_coupling(13, alpha, J0)
+    H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
+                                   model="ising")
+    psi0 = dynamics.prepare_state(QuenchSpec("local", (7,)), 13)
+    times = np.linspace(0.0, 0.01, 51)
+    reference = dynamics.evolve(psi0, H, times, step_tol=1e-13)
+    matvec, calls = dynamics.Hamiltonian.matvec, []
+    monkeypatch.setattr(dynamics.Hamiltonian, "matvec",
+                        lambda self, psi: calls.append(1) or matvec(self, psi))
+    traj = dynamics.evolve(psi0, H, times, step_tol=1e-9)
+    assert len(calls) <= 300
+    assert np.linalg.norm(traj.states - reference.states, axis=1).max() <= 1e-9
+
+
+@pytest.mark.parametrize("method", ["dense", "krylov"])
+def test_time_zero_returns_the_initial_state_exactly(method):
+    """No roundoff of either propagator at t = 0, so sigma-z starts at
+    exactly +-1 and never leaves [-1, 1] there."""
+    J = ionchain.power_law_coupling(9, 1.3, J0)
+    H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
+                                   model="ising")
+    psi0 = dynamics.prepare_state(QuenchSpec("local", (5,)), 9)
+    traj = dynamics.evolve(psi0, H, np.array([0.0, 1e-3]), method=method)
+    np.testing.assert_array_equal(traj.states[0], psi0.amplitudes)
+    np.testing.assert_array_equal(dynamics.magnetisation(traj)[0],
+                                  np.where(np.arange(1, 10) == 5, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("n", [4, 7, 10])
+@pytest.mark.parametrize("model", ["xy", "ising"])
+def test_dense_sector_propagation_equals_the_complex_product(n, model):
+    """Two real products give exp(-i H t) psi as the complex matmul did."""
+    J = _coupling(random_coupling(n, seed=300 + n, scale=50.0))
+    H = dynamics.build_hamiltonian(J, transverse_field=40.0, model=model)
+    labels = dynamics._popcount(n) if model == "xy" else dynamics._popcount(n) & 1
+    block = H.block(np.flatnonzero(labels == 1))
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=block.dim) + 1j * rng.normal(size=block.dim)
+    psi /= np.linalg.norm(psi)
+    times = np.linspace(0.0, 0.01, 9)
+    w, v = block.eigensystem()
+    expected = (v @ (np.exp(-1j * np.outer(w, times)) * (v.T @ psi)[:, None])).T
+    states = dynamics._propagate_block(block, psi, times, "dense", 1e-9)
+    np.testing.assert_allclose(states, expected, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +652,24 @@ def test_trajectory_observables_match_per_state_results(model, spec):
                                    atol=1e-14)
         np.testing.assert_allclose(corr[k], dynamics.two_point_correlations(traj.state(k)),
                                    atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_per_site_correlations_equal_the_per_time_products(n):
+    """C_ij from N products over sites equals the per-time formula."""
+    rng = np.random.default_rng(n)
+    states = rng.normal(size=(6, 2 ** n)) + 1j * rng.normal(size=(6, 2 ** n))
+    states[:, rng.random(2 ** n) < 0.3] = 0.0           # states that carry no weight
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    traj = dynamics.Trajectory(times=np.arange(6.0), states=states, n_sites=n)
+    z = 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1) - 1.0
+    p = np.abs(states) ** 2
+    m = p @ z
+    expected = np.array([(z * q[:, None]).T @ z for q in p]) - m[:, :, None] * m[:, None, :]
+    np.testing.assert_allclose(dynamics.two_point_correlations(traj), expected,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dynamics.two_point_correlations(traj.state(3)), expected[3],
+                               rtol=0, atol=1e-12)
 
 
 def test_averaged_correlations_by_hand():
