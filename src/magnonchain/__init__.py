@@ -13,8 +13,9 @@ magnon
     Single-excitation sector: dispersion relation, group velocities, exact
     spectral quench evolution.
 dynamics
-    Full 2^N state-vector evolution under the transverse-field Ising or XY
-    Hamiltonian, with quench preparation and observables.
+    State-vector evolution under the transverse-field Ising or XY
+    Hamiltonian on the conserved blocks a quench reaches (sector-native
+    states and trajectories), with quench preparation and observables.
 entanglement
     Reduced density matrices, entropy/concurrence/fidelity, simulated
     finite-shot two-qubit tomography with bootstrap error bars.

@@ -1,4 +1,4 @@
-"""Full 2^N state-vector dynamics under H_Ising or H_XY.
+"""Sector-native state-vector dynamics under H_Ising or H_XY.
 
 Hamiltonians (hbar = 1, everything in rad/s):
 
@@ -6,7 +6,7 @@ Hamiltonians (hbar = 1, everything in rad/s):
     H_XY    = sum_{i<j} J_ij (sigma_i^+ sigma_j^- + sigma_i^- sigma_j^+)
 
 For B >> max|J| the Ising model conserves the excitation number and its
-one-excitation dynamics reduces to the XY model; the full propagator here
+one-excitation dynamics reduces to the XY model; the propagator here
 is exact and lets that reduction be audited.
 
 Basis convention: product sigma^z basis indexed by an integer b whose bit
@@ -14,24 +14,35 @@ Basis convention: product sigma^z basis indexed by an integer b whose bit
 spin up.  |down...down> is index 0.
 
 H_XY conserves the excitation number (popcount of b) and H_Ising its
-parity, so ``evolve`` splits the initial state's support into these
-conserved blocks and assembles H directly on each block's sorted basis;
-the full 2^N matrix is built only for the full-space methods of
-:class:`Hamiltonian`.  When J is exactly symmetric under the reflection
-i -> N+1-i, as for a power law or a nearest-neighbour chain, H also
-commutes with reversing the bits of b, and each block splits again into
-a + and a - mirror sector of about half its size; only the sectors the
-initial state reaches are propagated.  A global quench, or a flip of
-the centre site of an odd chain, lies wholly in the + sector.  So a
-one-flip XY quench is an N x N problem or smaller, a global XY quench a
-set of about C(N, k)/2-state sectors, and an Ising quench one or two
-sectors of about 2^(N-2) states (cf. the symmetry blocks of QuSpin,
-Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).  Sectors up to
-``DENSE_LIMIT`` states use a dense eigendecomposition, which is exact.
-Larger ones use a Lanczos (Krylov) propagator: one subspace, grown from
-the state at the time reached so far, serves every later output time it
-converges for, and the next subspace starts from the last of them.  The
-order-m Lanczos approximation leaves a defect (residual) of norm
+parity, so a quench from product states never leaves the conserved
+blocks it starts in.  States and trajectories are sector-native: a
+:class:`StateVector` or :class:`Trajectory` holds a sorted int64
+``basis`` of product states and amplitudes on those states only.
+``prepare_state`` builds only the blocks the quench reaches (the k-flip
+block for XY, the parity half for Ising, the whole space for a global
+quench) and refuses a quench that reaches more than ``MAX_STATES``
+states; an XY quench of 2 flips at N = 40 holds 780.  Basis states are
+int64 bit strings, so a chain has at most ``MAX_BASIS_SITES`` = 63
+sites.  ``evolve`` assembles H directly on each block's sorted basis
+and writes every propagated block into one (T, dim) array on the
+state's basis; observables read spin values from the bits of the basis.
+The full 2^N matrix is built only for the full-space methods of
+:class:`Hamiltonian`, and only up to ``MAX_STATES`` states.  When J is
+exactly symmetric under the reflection i -> N+1-i, as for a power law or
+a nearest-neighbour chain, H also commutes with reversing the bits of b,
+and each block splits again into a + and a - mirror sector of about
+half its size; only the sectors the initial state reaches are
+propagated.  A global quench, or a flip of the centre site of an odd
+chain, lies wholly in the + sector.  So a one-flip XY quench is an
+N x N problem or smaller, a global XY quench a set of about
+C(N, k)/2-state sectors, and an Ising quench one or two sectors of about
+2^(N-2) states (cf. the symmetry blocks of QuSpin, Weinberg & Bukov,
+SciPost Phys. 2, 003 (2017)).  Sectors up to ``DENSE_LIMIT`` states use
+a dense eigendecomposition, which is exact.  Larger ones use a Lanczos
+(Krylov) propagator: one subspace, grown from the state at the time
+reached so far, serves every later output time it converges for, and the
+next subspace starts from the last of them.  The order-m Lanczos
+approximation leaves a defect (residual) of norm
 delta(s) = beta_m |e_m^T exp(-i s T_m) e_1|, a rate in rad/s, and its
 error after a step dt is at most the integral of delta over [0, dt], so
 at most |dt| max_{s <= |dt|} delta(s) (Jawecki, Auzinger & Koch, BIT
@@ -46,15 +57,21 @@ which is smaller the more times each subspace serves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .ionchain import CouplingMatrix, _check_site, _readonly
+from .ionchain import CouplingMatrix, _check_site
 
-#: Largest chain the full propagator accepts (2^16 basis states).
-MAX_SITES = 16
+#: Most basis states a quench may reach: 2^16, the full space of 16 sites.
+#: A local XY quench of k flips reaches C(N, k) states, a local Ising quench
+#: the 2^(N-1) states of one parity, a global quench all 2^N.
+MAX_STATES = 1 << 16
+
+#: Basis states are int64 bit strings, so a chain has at most 63 sites.
+MAX_BASIS_SITES = 63
 
 #: Dense eigendecomposition for sectors up to this many basis states,
 #: Krylov propagation above.  Measured per quench with one BLAS thread on a
@@ -104,16 +121,22 @@ class QuenchSpec:
 
 @dataclass(frozen=True)
 class StateVector:
-    """State in the 2^N product basis (site 1 = least significant bit)."""
+    """Pure state on the sorted product-basis states ``basis`` (site 1 =
+    least significant bit); ``amplitudes[k]`` belongs to ``basis[k]`` and
+    every state outside ``basis`` has amplitude 0.  Without a basis the
+    amplitudes span the whole 2^N space.  Both arrays are kept as
+    read-only views, not copied."""
 
     amplitudes: np.ndarray
     n_sites: int
+    basis: np.ndarray | None = None
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", _readonly(amps))
-        if amps.shape != (2 ** self.n_sites,):
-            raise ValueError(f"expected {2 ** self.n_sites} amplitudes, got {amps.shape}")
+        amps = _read_only_view(np.asarray(self.amplitudes, dtype=complex))
+        if amps.ndim != 1:
+            raise ValueError(f"expected one row of amplitudes, got shape {amps.shape}")
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "basis", _checked_basis(self.basis, self.n_sites, amps.size))
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state not normalized: |psi|^2 = {norm!r}")
@@ -121,24 +144,72 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States sampled on a time grid; row t of ``states`` is |psi(times[t])>."""
+    """States sampled on a time grid; row t of ``states`` holds the
+    amplitudes of |psi(times[t])> on the sorted product states ``basis``
+    (the whole 2^N space without one), as in :class:`StateVector`.
+    ``states`` and ``basis`` are kept as read-only views, not copied."""
 
     times: np.ndarray
     states: np.ndarray
     n_sites: int
+    basis: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _readonly(np.asarray(self.times, float)))
-        states = np.asarray(self.states, dtype=complex)
-        object.__setattr__(self, "states", _readonly(states))
-        if states.shape != (self.times.size, 2 ** self.n_sites):
-            raise ValueError("trajectory shape mismatch")
+        object.__setattr__(self, "times", _read_only_view(np.array(self.times, float)))
+        states = _read_only_view(np.asarray(self.states, dtype=complex))
+        if states.ndim != 2 or states.shape[0] != self.times.size:
+            raise ValueError(f"expected {self.times.size} rows of amplitudes, got shape "
+                             f"{states.shape}")
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "basis", _checked_basis(self.basis, self.n_sites,
+                                                         states.shape[1]))
 
     def state(self, index: int) -> StateVector:
-        return StateVector(amplitudes=self.states[index], n_sites=self.n_sites)
+        return StateVector(amplitudes=self.states[index], n_sites=self.n_sites,
+                           basis=self.basis)
 
     def __len__(self) -> int:
         return self.times.size
+
+
+def _read_only_view(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _checked_basis(basis, n: int, dim: int) -> np.ndarray:
+    """``basis`` as a read-only int64 view, or all 2^n states if None;
+    raises ValueError unless it is ``dim`` strictly increasing states of
+    n sites, one per amplitude."""
+    _check_sites_fit(n)
+    if basis is None:
+        if dim != 1 << n:
+            raise ValueError(f"expected {1 << n} amplitudes, got {dim}")
+        return _read_only_view(np.arange(dim))
+    basis = _read_only_view(np.asarray(basis, dtype=np.int64))
+    if basis.shape != (dim,):
+        raise ValueError(f"expected one amplitude per basis state, got {dim} "
+                         f"amplitudes for a basis of shape {basis.shape}")
+    if dim and (basis[0] < 0 or basis[-1] >> n) or np.any(basis[1:] <= basis[:-1]):
+        raise ValueError(f"basis must be strictly increasing states of {n} sites")
+    return basis
+
+
+def _check_sites_fit(n: int) -> None:
+    if n > MAX_BASIS_SITES:
+        raise ValueError(f"N={n} is above the {MAX_BASIS_SITES} sites an int64 basis "
+                         f"state holds")
+
+
+def _check_states(n: int, count: int, limit: int) -> None:
+    """The one size guard: ValueError if ``count`` basis states of an
+    N = ``n`` chain are more than ``limit``, or if N is more than
+    ``MAX_BASIS_SITES``."""
+    _check_sites_fit(n)
+    if count > limit:
+        raise ValueError(f"N={n} reaches {count} basis states, above the limit of "
+                         f"{limit} states")
 
 
 class Hamiltonian:
@@ -148,7 +219,8 @@ class Hamiltonian:
     (rad/s) on the full 2^N space, on one conserved block (:meth:`block`)
     or on one mirror sector of a block.  The full-space matrix is assembled
     only when first used (``dense``, ``matvec``, ``expectation``,
-    ``eigensystem``); ``evolve`` never needs it.  The dense
+    ``eigensystem``), and only up to ``MAX_STATES`` states; ``evolve``
+    never needs it.  The dense
     eigendecomposition is computed lazily and cached; concurrent first uses
     may both compute the same value, so the handle is safe to share
     across threads.
@@ -166,6 +238,7 @@ class Hamiltonian:
     @property
     def _matrix(self) -> sp.csr_matrix:
         if self._csr is None:
+            _check_states(self.n_sites, 1 << self.n_sites, MAX_STATES)
             self._csr = _assemble(self, np.arange(1 << self.n_sites))
         return self._csr
 
@@ -205,8 +278,10 @@ class Hamiltonian:
 
 
 def build_hamiltonian(J: CouplingMatrix, transverse_field: float = 0.0,
-                      model: str = "ising", max_sites: int = MAX_SITES) -> Hamiltonian:
-    """The Hamiltonian handle; matrices are assembled on first use.
+                      model: str = "ising") -> Hamiltonian:
+    """The Hamiltonian handle; matrices are assembled on first use, so
+    any N is accepted (the size guard acts on the states a quench reaches,
+    see :func:`prepare_state`).
 
     Parameters
     ----------
@@ -215,15 +290,10 @@ def build_hamiltonian(J: CouplingMatrix, transverse_field: float = 0.0,
     transverse_field : float
         B in rad/s; only the Ising model uses it.
     model : {'ising', 'xy'}
-    max_sites : int
-        Memory guard; 2^N amplitudes must stay affordable.
     """
     if model not in ("ising", "xy"):
         raise ValueError(f"model must be 'ising' or 'xy', got {model!r}")
-    n = J.n_ions
-    if n > max_sites:
-        raise ValueError(f"N={n} exceeds the {max_sites}-site limit of the full propagator")
-    return Hamiltonian(None, n, model, transverse_field, J)
+    return Hamiltonian(None, J.n_ions, model, transverse_field, J)
 
 
 def _assemble(H: Hamiltonian, basis: np.ndarray) -> sp.csr_matrix:
@@ -253,37 +323,69 @@ def _assemble(H: Hamiltonian, basis: np.ndarray) -> sp.csr_matrix:
     if H.model == "ising" and H.transverse_field != 0.0:
         rows.append(np.arange(basis.size))
         cols.append(rows[-1])
-        vals.append(H.transverse_field * (2 * _popcount(n)[basis] - n))
+        vals.append(H.transverse_field * (2 * _popcount(basis, n) - n))
     if not rows:
         return sp.csr_matrix((basis.size, basis.size))
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(basis.size, basis.size)).tocsr()
 
 
-def prepare_state(spec: QuenchSpec, n: int) -> StateVector:
-    """Initial state of a quench (see :class:`QuenchSpec`)."""
-    if spec.kind == "local":
-        for s in spec.flipped_sites:
-            _check_site(n, s)
-        index = 0
-        for s in spec.flipped_sites:
-            index |= 1 << (s - 1)
-        amps = np.zeros(2 ** n, dtype=complex)
-        amps[index] = 1.0
+def prepare_state(spec: QuenchSpec, n: int, model: str = "ising",
+                  max_states: int = MAX_STATES) -> StateVector:
+    """Initial state of a quench (see :class:`QuenchSpec`), on the basis of
+    the conserved blocks that H_``model`` takes it through.
+
+    A local quench of k flips lies in the C(n, k)-state k-flip block of
+    H_XY and in the 2^(n-1)-state parity half of H_Ising; the parity half
+    is closed under H_XY too, so the default suits either model.  A global
+    quench spans the whole 2^n space.  Raises ValueError, naming n, the
+    number of states and the limit, if that is more than ``max_states``;
+    nothing of that size is allocated first.
+    """
+    if model not in ("ising", "xy"):
+        raise ValueError(f"model must be 'ising' or 'xy', got {model!r}")
+    if spec.kind == "global":
+        _check_states(n, 1 << n, max_states)
+        basis = np.arange(1 << n)
+        return StateVector(np.full(basis.size, 2.0 ** (-n / 2), dtype=complex), n, basis)
+    for s in spec.flipped_sites:
+        _check_site(n, s)
+    k = len(spec.flipped_sites)
+    index = sum(1 << (s - 1) for s in spec.flipped_sites)
+    if model == "xy":
+        _check_states(n, comb(n, k), max_states)
+        basis = _excitation_block(n, k)
     else:
-        amps = np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
-    return StateVector(amplitudes=amps, n_sites=n)
+        _check_states(n, 1 << (n - 1), max_states)
+        half = np.arange(1 << (n - 1))
+        basis = (half << 1) | ((_popcount(half, n - 1) & 1) ^ (k & 1))
+    amps = np.zeros(basis.size, dtype=complex)
+    amps[np.searchsorted(basis, index)] = 1.0
+    return StateVector(amps, n, basis)
+
+
+def _excitation_block(n: int, k: int) -> np.ndarray:
+    """The sorted states of n sites with k spins up, by the recurrence
+    S(m, j) = S(m-1, j) U (S(m-1, j-1) + 2^(m-1)), whose second part lies
+    wholly above the first."""
+    blocks = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * k
+    for m in range(n):
+        for j in range(min(k, m + 1), 0, -1):
+            blocks[j] = np.concatenate([blocks[j], blocks[j - 1] + (1 << m)])
+    return blocks[k]
 
 
 def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
            method: str = "auto", step_tol: float = 1e-9) -> Trajectory:
     """Propagate |psi(t)> = exp(-i H t) |psi(0)> onto the output times.
 
-    The initial state's support is split into conserved blocks
-    (excitation number for H_XY, parity for H_Ising), each block into its
-    mirror sectors when J is reflection symmetric, and each sector the
-    state reaches is propagated on its own; amplitudes outside those
-    blocks stay exactly 0.  ``method='dense'`` uses the sector's exact
+    The state's basis is split into the conserved blocks of H (excitation
+    number for H_XY, parity for H_Ising), each block into its mirror
+    sectors when J is reflection symmetric, and each sector the state
+    reaches is propagated on its own and written in place into one
+    preallocated (T, dim) array on the state's basis, which the returned
+    :class:`Trajectory` shares; amplitudes of blocks the state does not
+    reach stay exactly 0.  ``method='dense'`` uses the sector's exact
     eigendecomposition (no propagation error).  ``method='krylov'`` uses
     Lanczos subspaces, each serving the output times whose error bound
     estimate, the step |dt| times the largest Lanczos defect over the
@@ -294,32 +396,37 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
     at most ``DENSE_LIMIT`` states.  Either way a time equal to 0 returns
     the initial state itself.
 
-    Raises PropagatorError if a Krylov subspace cannot meet ``step_tol``
-    even after repeated halving of the interval to the next output time.
+    Raises ValueError if H couples the state's basis to states outside it
+    (a state prepared for H_XY evolved under H_Ising), and
+    PropagatorError if a Krylov subspace cannot meet ``step_tol`` even
+    after repeated halving of the interval to the next output time.
     """
-    if state.n_sites != H.n_sites or H.dim != state.amplitudes.size:
-        raise ValueError("state and Hamiltonian sizes differ")
+    if state.n_sites != H.n_sites:
+        raise ValueError(f"state of {state.n_sites} sites, Hamiltonian of {H.n_sites}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if method not in ("auto", "dense", "krylov"):
         raise ValueError(f"unknown method {method!r}")
 
-    amps = state.amplitudes
-    labels = _popcount(H.n_sites)
+    amps, basis = state.amplitudes, state.basis
+    labels = _popcount(basis, H.n_sites)
     if H.model != "xy":
         labels &= 1
-    states = np.zeros((times.size, H.dim), dtype=complex)
+    states = np.zeros((times.size, basis.size), dtype=complex)
     for label in np.unique(labels[amps != 0]):
-        basis = np.flatnonzero(labels == label)
-        block = _assemble(H, basis)
-        for U in _mirror_sectors(H, basis):
-            psi = U.T @ amps[basis]
+        rows = np.flatnonzero(labels == label)
+        block_basis = basis[rows]
+        if rows.size == basis.size:                 # the whole basis: write in place
+            rows = slice(None)
+        block = _assemble(H, block_basis)
+        for U in _mirror_sectors(H, block_basis):
+            psi = U.T @ amps[rows]
             if not psi.any():
                 continue
             sector = Hamiltonian((U.T @ block @ U).tocsr(), H.n_sites, H.model,
                                  H.transverse_field, H.coupling)
-            states[:, basis] += (U @ _propagate_block(sector, psi, times, method,
-                                                      step_tol).T).T
-    return Trajectory(times=times, states=states, n_sites=H.n_sites)
+            states[:, rows] += (U @ _propagate_block(sector, psi, times, method,
+                                                     step_tol).T).T
+    return Trajectory(times=times, states=states, n_sites=H.n_sites, basis=basis)
 
 
 def _mirror_sectors(H: Hamiltonian, basis: np.ndarray) -> list[sp.csr_matrix]:
@@ -480,22 +587,22 @@ def _lanczos_subspace(matvec, psi: np.ndarray, dts: np.ndarray, tol: float,
 # observables
 
 
-def _popcount(n: int) -> np.ndarray:
-    """Number of up spins in every product-basis state 0..2^n - 1."""
-    counts = np.zeros(1 << n, dtype=np.int64)
+def _popcount(basis: np.ndarray, n: int) -> np.ndarray:
+    """Number of up spins of each of the product states ``basis`` of n sites
+    (one pass per site: numpy before 2.0 has no ``bitwise_count``)."""
+    counts = np.zeros(basis.shape, dtype=np.int64)
     for i in range(n):
-        counts[1 << i:2 << i] = counts[:1 << i] + 1
+        counts += (basis >> i) & 1
     return counts
 
 
 def _populations(state: StateVector | Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """|amplitude|^2 on the basis states that carry weight at some time, shape (s,)
-    for a StateVector or (T, s) for a Trajectory, and the matching (s, N)
-    table of sigma^z eigenvalues."""
+    """|amplitude|^2 on the basis states, shape (dim,) for a StateVector or
+    (T, dim) for a Trajectory, and the matching (dim, N) table of sigma^z
+    eigenvalues."""
     amps = state.states if isinstance(state, Trajectory) else state.amplitudes
-    support = np.flatnonzero((amps.reshape(-1, amps.shape[-1]) != 0).any(axis=0))
-    z = 2.0 * ((support[:, None] >> np.arange(state.n_sites)) & 1) - 1.0
-    return np.abs(amps[..., support]) ** 2, z
+    z = 2.0 * ((state.basis[:, None] >> np.arange(state.n_sites)) & 1) - 1.0
+    return np.abs(amps) ** 2, z
 
 
 def magnetisation(state: StateVector | Trajectory) -> np.ndarray:
@@ -533,4 +640,5 @@ def excitation_sector_weights(state: StateVector) -> np.ndarray:
     at large B.
     """
     p = np.abs(state.amplitudes) ** 2
-    return np.bincount(_popcount(state.n_sites), weights=p, minlength=state.n_sites + 1)
+    return np.bincount(_popcount(state.basis, state.n_sites), weights=p,
+                       minlength=state.n_sites + 1)

@@ -122,7 +122,10 @@ def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
     """Partial trace of a pure chain state onto one or two sites.
 
     For a site pair (i, j), i < j, the first factor of the product basis
-    is site i (see module docstring for the ordering).
+    is site i (see module docstring for the ordering).  The kept spins and
+    the rest of each basis state are read from its bits, so only the
+    states the StateVector holds enter: rho = A A^dagger, with one column
+    of A per distinct rest, in increasing order.
     """
     if np.isscalar(sites):
         sites = (int(sites),)
@@ -133,11 +136,13 @@ def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
     for s in sites:
         _check_site(n, s)
     sites = tuple(sorted(sites))
-    # axis n-1 of the reshaped tensor is site 1 (least significant bit)
-    tensor = state.amplitudes.reshape((2,) * n)
-    kept_axes = [n - s for s in sites]
-    tensor = np.moveaxis(tensor, kept_axes, range(len(sites)))
-    flat = tensor.reshape(2 ** len(sites), -1)
+    basis = state.basis
+    kept = np.zeros(basis.size, dtype=np.int64)
+    for s in sites:                                 # the first site is the high bit
+        kept = 2 * kept + ((basis >> (s - 1)) & 1)
+    rest, column = np.unique(basis & ~sum(1 << (s - 1) for s in sites), return_inverse=True)
+    flat = np.zeros((2 ** len(sites), rest.size), dtype=complex)
+    flat[kept, column] = state.amplitudes
     rho = flat @ flat.conj().T
     return DensityMatrix(matrix=rho, subsystem=sites)
 

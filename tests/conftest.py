@@ -43,6 +43,17 @@ def xy_oracle(J: np.ndarray, n: int) -> np.ndarray:
     return H
 
 
+def full_space(x) -> np.ndarray:
+    """Amplitudes of a StateVector, shape (2^N,), or of a Trajectory,
+    shape (T, 2^N), scattered from their basis into the whole product
+    space, for the full-space oracles (N <= 12)."""
+    assert x.n_sites <= 12, "full-space oracles stop at N = 12"
+    values = x.states if hasattr(x, "states") else x.amplitudes
+    out = np.zeros(values.shape[:-1] + (2 ** x.n_sites,), dtype=complex)
+    out[..., x.basis] = values
+    return out
+
+
 def random_coupling(n: int, seed: int, scale: float = 100.0) -> np.ndarray:
     """Random symmetric zero-diagonal matrix for oracle comparisons."""
     rng = np.random.default_rng(seed)

@@ -89,7 +89,7 @@ def test_quench_magnetisation_matches_module(tmp_path, capsys):
     J = ionchain.power_law_coupling(5, 1.5, 2 * np.pi * 30.0)
     H = dynamics.build_hamiltonian(J, model="xy")
     psi0 = dynamics.prepare_state(
-        dynamics.QuenchSpec(kind="local", flipped_sites=(3,)), 5)
+        dynamics.QuenchSpec(kind="local", flipped_sites=(3,)), 5, "xy")
     times = np.linspace(0.0, 0.01, 21)
     traj = dynamics.evolve(psi0, H, times)
     mag = np.vstack([dynamics.magnetisation(traj.state(k)) for k in range(21)])
@@ -233,6 +233,29 @@ def test_tomo_artifacts_and_rerun_bytes(tmp_path, capsys):
     assert summary["sites"] == [3, 5]
     assert 0.0 <= summary["concurrence"] <= 1.0
     assert summary["bootstrap_std"] > 0.0
+
+
+def test_quench_beyond_16_sites_on_a_two_flip_block(tmp_path, capsys):
+    """N = 40 with 2 flips reaches C(40, 2) = 780 states."""
+    code, _ = run(["quench", "--source", "power-law", "--n", "40", "--model", "xy",
+                   "--flip", "10", "20", "--correlations", "--n-points", "51",
+                   "-o", str(tmp_path)], capsys)
+    assert code == 0
+    assert count_data_lines(tmp_path / "magnetisation.csv") == 40 * 51
+    assert count_data_lines(tmp_path / "correlations.csv") == 780 * 51
+    rows = np.array(read_data_rows(tmp_path / "magnetisation.csv"))
+    np.testing.assert_allclose(rows[:, 2].reshape(51, 40).sum(axis=1), 4.0 - 40.0,
+                               atol=1e-9)                   # two spins up throughout
+
+
+def test_tomo_on_a_three_flip_block_of_30_sites(tmp_path, capsys):
+    code, _ = run(["tomo", "--n", "30", "--source", "power-law", "--model", "xy",
+                   "--flip", "10", "15", "20", "--sites", "14", "16", "-o", str(tmp_path)],
+                  capsys)
+    assert code == 0
+    summary = json.loads((tmp_path / "tomo.ndjson").read_text().splitlines()[-1])
+    assert summary["sites"] == [14, 16]
+    assert 0.0 < summary["concurrence_exact"] <= 1.0
 
 
 def test_tomo_seed_changes_counts(tmp_path, capsys):
@@ -409,6 +432,23 @@ def test_flip_site_out_of_range_is_config_error(tmp_path, capsys):
                        (["tomo", "--n", "4", "--sites", "2", "9"], 9)):
         assert cli.main(argv + ["-o", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"config error: site {site} outside 1..4\n"
+
+
+@pytest.mark.parametrize("argv,n,states", [
+    (["global-quench", "--n", "17"], 17, 2 ** 17),
+    (["quench", "--n", "40", "--model", "ising"], 40, 2 ** 39),
+    (["quench", "--n", "40", "--model", "xy", "--flip"] + [str(s) for s in range(1, 9)],
+     40, 76904685),
+    (["tomo", "--n", "64", "--model", "xy", "--flip", "1"], 64, None),
+])
+def test_quench_above_the_state_limit_is_config_error(tmp_path, capsys, argv, n, states):
+    assert cli.main(argv + ["-o", str(tmp_path)]) == 2
+    if states is None:
+        message = f"N={n} is above the 63 sites an int64 basis state holds"
+    else:
+        message = f"N={n} reaches {states} basis states, above the limit of 65536 states"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_missing_coupling_file_flag_is_config_error(tmp_path, capsys):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import full_space
+from magnonchain import dynamics, ionchain, magnon
 from magnonchain import entanglement as ent
-from magnonchain.dynamics import StateVector
+from magnonchain.dynamics import QuenchSpec, StateVector
 from magnonchain.entanglement import DensityMatrix, MeasurementRecord
 
 BELL = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)    # (|du> + |ud>)/sqrt(2)
@@ -136,6 +138,49 @@ def test_one_excitation_concurrence_is_twice_the_amplitude_product(pair):
     expected = 2.0 * abs(state.amplitudes[1 << (i - 1)] * state.amplitudes[1 << (j - 1)])
     rho = ent.reduced_density_matrix(state, pair)
     assert ent.concurrence(rho) == pytest.approx(expected, abs=1e-12)
+
+
+def _reshape_reduction(amps, n, sites):
+    """The partial trace as a reshape of the whole 2^N vector (axis n - s
+    of the tensor is site s), blind to the basis bits."""
+    tensor = np.moveaxis(amps.reshape((2,) * n), [n - s for s in sites], range(len(sites)))
+    flat = tensor.reshape(2 ** len(sites), -1)
+    return flat @ flat.conj().T
+
+
+@pytest.mark.parametrize("n", [4, 7, 10])
+@pytest.mark.parametrize("model,spec", [("xy", QuenchSpec("local", (2,))),
+                                        ("xy", QuenchSpec("local", (1, 2, 4))),
+                                        ("ising", QuenchSpec("local", (3,))),
+                                        ("xy", QuenchSpec("global")),
+                                        ("ising", QuenchSpec("global"))])
+def test_reduction_on_the_basis_equals_the_full_space_reshape(n, model, spec):
+    J = ionchain.power_law_coupling(n, 1.3, 2 * np.pi * 30.0)
+    H = dynamics.build_hamiltonian(J, transverse_field=300.0, model=model)
+    traj = dynamics.evolve(dynamics.prepare_state(spec, n, model), H,
+                           np.linspace(0.0, 0.01, 4))
+    for k in range(len(traj)):
+        state = traj.state(k)
+        for sites in ((1,), (n,), (1, 2), (2, n), (1, n)):
+            rho = ent.reduced_density_matrix(state, sites)
+            np.testing.assert_allclose(rho.matrix,
+                                       _reshape_reduction(full_space(state), n, sites),
+                                       rtol=0, atol=1e-14)
+
+
+def test_one_excitation_concurrence_of_30_sites_from_the_magnon_amplitudes():
+    """Concurrence 2 |a_i a_j| with a_i from the single-excitation propagator."""
+    n, flip, t = 30, 12, 0.004
+    J = ionchain.power_law_coupling(n, 1.3, 2 * np.pi * 30.0)
+    H = dynamics.build_hamiltonian(J, model="xy")
+    traj = dynamics.evolve(dynamics.prepare_state(QuenchSpec("local", (flip,)), n, "xy"),
+                           H, np.array([t]))
+    assert traj.basis.size == n
+    (a,) = magnon.evolve_single_excitation(J, flip, np.array([t]))
+    for i, j in ((11, 13), (12, 20), (1, 30), (5, 6)):
+        rho = ent.reduced_density_matrix(traj.state(0), (i, j))
+        expected = 2.0 * abs(a.amplitudes[i - 1] * a.amplitudes[j - 1])
+        assert ent.concurrence(rho) == pytest.approx(expected, abs=1e-10)
 
 
 @settings(deadline=None, max_examples=25)
