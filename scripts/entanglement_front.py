@@ -48,7 +48,7 @@ def main():
     J = ionchain.power_law_coupling(N_IONS, ALPHA, JBAR)
     H = dynamics.build_hamiltonian(J, model="xy")
     psi0 = dynamics.prepare_state(
-        dynamics.QuenchSpec(kind="local", flipped_sites=(FLIP_SITE,)), N_IONS, "xy")
+        dynamics.QuenchSpec(kind="local", flipped_sites=(FLIP_SITE,)), N_IONS)
     traj = dynamics.evolve(psi0, H, times)
 
     traces = {}

@@ -421,7 +421,7 @@ def _propagate(rc: RunConfig, J: ionchain.CouplingMatrix):
         return times, mag, None
     H = dynamics.build_hamiltonian(J, transverse_field=_field_rad(rc, J), model=rc.model)
     psi0 = dynamics.prepare_state(
-        dynamics.QuenchSpec(kind=rc.kind, flipped_sites=rc.flip), rc.n_ions, rc.model)
+        dynamics.QuenchSpec(kind=rc.kind, flipped_sites=rc.flip), rc.n_ions)
     traj = dynamics.evolve(psi0, H, times)
     corr = dynamics.two_point_correlations(traj) if want_corr else None
     return times, dynamics.magnetisation(traj), corr
@@ -506,7 +506,7 @@ def _cmd_tomo(rc: RunConfig) -> int:
     sites = tuple(sorted(rc.sites))
     H = dynamics.build_hamiltonian(J, transverse_field=_field_rad(rc, J), model=rc.model)
     psi0 = dynamics.prepare_state(
-        dynamics.QuenchSpec(kind=rc.kind, flipped_sites=rc.flip), rc.n_ions, rc.model)
+        dynamics.QuenchSpec(kind=rc.kind, flipped_sites=rc.flip), rc.n_ions)
     traj = dynamics.evolve(psi0, H, np.array([rc.sample_time]))
     rho_exact = entanglement.reduced_density_matrix(traj.state(0), sites)
 

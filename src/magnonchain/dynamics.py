@@ -18,14 +18,16 @@ parity, so a quench from product states never leaves the conserved
 blocks it starts in.  States and trajectories are sector-native: a
 :class:`StateVector` or :class:`Trajectory` holds a sorted int64
 ``basis`` of product states and amplitudes on those states only.
-``prepare_state`` builds only the blocks the quench reaches (the k-flip
-block for XY, the parity half for Ising, the whole space for a global
-quench) and refuses a quench that reaches more than ``MAX_STATES``
-states; an XY quench of 2 flips at N = 40 holds 780.  Basis states are
-int64 bit strings, so a chain has at most ``MAX_BASIS_SITES`` = 63
-sites.  ``evolve`` assembles H directly on each block's sorted basis
-and writes every propagated block into one (T, dim) array on the
-state's basis; observables read spin values from the bits of the basis.
+``prepare_state`` holds a local quench on its one product state and a
+global quench on all 2^N.  ``evolve`` widens the state to the conserved
+blocks of H it reaches (the k-flip block for XY, the parity half for
+Ising), so the Hamiltonian alone decides them, and refuses a quench that
+reaches more than ``MAX_STATES`` states; an XY quench of 2 flips at
+N = 40 reaches 780.  Basis states are int64 bit strings, so a chain has
+at most ``MAX_BASIS_SITES`` = 63 sites.  ``evolve`` assembles H directly
+on each block's sorted basis and writes every propagated block into one
+(T, dim) array on the union of the reached blocks; observables read
+spin values from the bits of the basis.
 The full 2^N matrix is built only for the full-space methods of
 :class:`Hamiltonian`, and only up to ``MAX_STATES`` states.  When J is
 exactly symmetric under the reflection i -> N+1-i, as for a power law or
@@ -63,7 +65,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .ionchain import CouplingMatrix, _check_site
+from .ionchain import CouplingMatrix, _check_site, _readonly
 
 #: Most basis states a quench may reach: 2^16, the full space of 16 sites.
 #: A local XY quench of k flips reaches C(N, k) states, a local Ising quench
@@ -124,22 +126,18 @@ class StateVector:
     """Pure state on the sorted product-basis states ``basis`` (site 1 =
     least significant bit); ``amplitudes[k]`` belongs to ``basis[k]`` and
     every state outside ``basis`` has amplitude 0.  Without a basis the
-    amplitudes span the whole 2^N space.  Both arrays are kept as
-    read-only views, not copied."""
+    amplitudes span the whole 2^N space.  Both arrays are kept read-only:
+    a writable input is copied, a read-only one (a row of a
+    :class:`Trajectory`) is shared."""
 
     amplitudes: np.ndarray
     n_sites: int
     basis: np.ndarray | None = None
 
     def __post_init__(self):
-        amps = _read_only_view(np.asarray(self.amplitudes, dtype=complex))
-        if amps.ndim != 1:
-            raise ValueError(f"expected one row of amplitudes, got shape {amps.shape}")
+        amps = _checked_amplitudes(_frozen(np.asarray(self.amplitudes, dtype=complex)))
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "basis", _checked_basis(self.basis, self.n_sites, amps.size))
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state not normalized: |psi|^2 = {norm!r}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,7 @@ class Trajectory:
     """States sampled on a time grid; row t of ``states`` holds the
     amplitudes of |psi(times[t])> on the sorted product states ``basis``
     (the whole 2^N space without one), as in :class:`StateVector`.
-    ``states`` and ``basis`` are kept as read-only views, not copied."""
+    ``states`` is kept as a read-only view, not copied."""
 
     times: np.ndarray
     states: np.ndarray
@@ -165,8 +163,13 @@ class Trajectory:
                                                          states.shape[1]))
 
     def state(self, index: int) -> StateVector:
-        return StateVector(amplitudes=self.states[index], n_sites=self.n_sites,
-                           basis=self.basis)
+        """Row ``index`` as a StateVector sharing this trajectory's arrays;
+        the basis, checked once here, is not checked again."""
+        state = object.__new__(StateVector)
+        object.__setattr__(state, "amplitudes", _checked_amplitudes(self.states[index]))
+        object.__setattr__(state, "n_sites", self.n_sites)
+        object.__setattr__(state, "basis", self.basis)
+        return state
 
     def __len__(self) -> int:
         return self.times.size
@@ -178,16 +181,30 @@ def _read_only_view(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is read-only, else a read-only copy of it."""
+    return _readonly(a) if a.flags.writeable else a
+
+
+def _checked_amplitudes(amps: np.ndarray) -> np.ndarray:
+    if amps.ndim != 1:
+        raise ValueError(f"expected one row of amplitudes, got shape {amps.shape}")
+    norm = float(np.sum(np.abs(amps) ** 2))
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"state not normalized: |psi|^2 = {norm!r}")
+    return amps
+
+
 def _checked_basis(basis, n: int, dim: int) -> np.ndarray:
-    """``basis`` as a read-only int64 view, or all 2^n states if None;
-    raises ValueError unless it is ``dim`` strictly increasing states of
-    n sites, one per amplitude."""
+    """``basis`` as a read-only int64 array (copied if it was writable), or
+    all 2^n states if None; raises ValueError unless it is ``dim`` strictly
+    increasing states of n sites, one per amplitude."""
     _check_sites_fit(n)
     if basis is None:
         if dim != 1 << n:
             raise ValueError(f"expected {1 << n} amplitudes, got {dim}")
         return _read_only_view(np.arange(dim))
-    basis = _read_only_view(np.asarray(basis, dtype=np.int64))
+    basis = _frozen(np.asarray(basis, dtype=np.int64))
     if basis.shape != (dim,):
         raise ValueError(f"expected one amplitude per basis state, got {dim} "
                          f"amplitudes for a basis of shape {basis.shape}")
@@ -202,14 +219,14 @@ def _check_sites_fit(n: int) -> None:
                          f"state holds")
 
 
-def _check_states(n: int, count: int, limit: int) -> None:
+def _check_states(n: int, count: int) -> None:
     """The one size guard: ValueError if ``count`` basis states of an
-    N = ``n`` chain are more than ``limit``, or if N is more than
+    N = ``n`` chain are more than ``MAX_STATES``, or if N is more than
     ``MAX_BASIS_SITES``."""
     _check_sites_fit(n)
-    if count > limit:
+    if count > MAX_STATES:
         raise ValueError(f"N={n} reaches {count} basis states, above the limit of "
-                         f"{limit} states")
+                         f"{MAX_STATES} states")
 
 
 class Hamiltonian:
@@ -238,7 +255,7 @@ class Hamiltonian:
     @property
     def _matrix(self) -> sp.csr_matrix:
         if self._csr is None:
-            _check_states(self.n_sites, 1 << self.n_sites, MAX_STATES)
+            _check_states(self.n_sites, 1 << self.n_sites)
             self._csr = _assemble(self, np.arange(1 << self.n_sites))
         return self._csr
 
@@ -281,7 +298,7 @@ def build_hamiltonian(J: CouplingMatrix, transverse_field: float = 0.0,
                       model: str = "ising") -> Hamiltonian:
     """The Hamiltonian handle; matrices are assembled on first use, so
     any N is accepted (the size guard acts on the states a quench reaches,
-    see :func:`prepare_state`).
+    see :func:`evolve`).
 
     Parameters
     ----------
@@ -330,38 +347,38 @@ def _assemble(H: Hamiltonian, basis: np.ndarray) -> sp.csr_matrix:
                          shape=(basis.size, basis.size)).tocsr()
 
 
-def prepare_state(spec: QuenchSpec, n: int, model: str = "ising",
-                  max_states: int = MAX_STATES) -> StateVector:
-    """Initial state of a quench (see :class:`QuenchSpec`), on the basis of
-    the conserved blocks that H_``model`` takes it through.
-
-    A local quench of k flips lies in the C(n, k)-state k-flip block of
-    H_XY and in the 2^(n-1)-state parity half of H_Ising; the parity half
-    is closed under H_XY too, so the default suits either model.  A global
-    quench spans the whole 2^n space.  Raises ValueError, naming n, the
-    number of states and the limit, if that is more than ``max_states``;
-    nothing of that size is allocated first.
-    """
-    if model not in ("ising", "xy"):
-        raise ValueError(f"model must be 'ising' or 'xy', got {model!r}")
+def prepare_state(spec: QuenchSpec, n: int) -> StateVector:
+    """Initial state of a quench (see :class:`QuenchSpec`) on its own
+    support: one basis state for a local quench, all 2^n for a global one.
+    :func:`evolve` widens it to the conserved blocks the Hamiltonian takes
+    it through.  Raises ValueError, naming n, the number of states and the
+    limit, if a global quench has more than ``MAX_STATES`` states; nothing
+    of that size is allocated first."""
     if spec.kind == "global":
-        _check_states(n, 1 << n, max_states)
-        basis = np.arange(1 << n)
-        return StateVector(np.full(basis.size, 2.0 ** (-n / 2), dtype=complex), n, basis)
+        _check_states(n, 1 << n)
+        return StateVector(np.full(1 << n, 2.0 ** (-n / 2), dtype=complex), n)
     for s in spec.flipped_sites:
         _check_site(n, s)
-    k = len(spec.flipped_sites)
     index = sum(1 << (s - 1) for s in spec.flipped_sites)
-    if model == "xy":
-        _check_states(n, comb(n, k), max_states)
-        basis = _excitation_block(n, k)
-    else:
-        _check_states(n, 1 << (n - 1), max_states)
-        half = np.arange(1 << (n - 1))
-        basis = (half << 1) | ((_popcount(half, n - 1) & 1) ^ (k & 1))
-    amps = np.zeros(basis.size, dtype=complex)
-    amps[np.searchsorted(basis, index)] = 1.0
-    return StateVector(amps, n, basis)
+    return StateVector(np.ones(1, dtype=complex), n, [index])
+
+
+def _block_labels(basis: np.ndarray, H: Hamiltonian) -> np.ndarray:
+    """The conserved block of each basis state: its excitation number
+    under H_XY, its parity under H_Ising."""
+    labels = _popcount(basis, H.n_sites)
+    return labels if H.model == "xy" else labels & 1
+
+
+def _block_basis(H: Hamiltonian, label: int) -> np.ndarray:
+    """The sorted states of conserved block ``label`` (see
+    :func:`_block_labels`): the C(N, k)-state k-flip block of H_XY or the
+    2^(N-1)-state parity half of H_Ising."""
+    n = H.n_sites
+    if H.model == "xy":
+        return _excitation_block(n, label)
+    half = np.arange(1 << (n - 1))
+    return (half << 1) | ((_popcount(half, n - 1) & 1) ^ label)
 
 
 def _excitation_block(n: int, k: int) -> np.ndarray:
@@ -375,17 +392,40 @@ def _excitation_block(n: int, k: int) -> np.ndarray:
     return blocks[k]
 
 
+def _on_reached_blocks(state: StateVector, H: Hamiltonian):
+    """(labels, basis, amplitudes): the conserved blocks of H that ``state``
+    reaches, the sorted union of their states and the state on it.
+    Raises ValueError, naming N, the number of states and the limit,
+    before enumerating more than ``MAX_STATES`` states."""
+    n = H.n_sites
+    nonzero = state.amplitudes != 0
+    labels = np.unique(_block_labels(state.basis[nonzero], H))
+    size = (sum(comb(n, int(k)) for k in labels) if H.model == "xy"
+            else labels.size << (n - 1))
+    _check_states(n, size)
+    if size == 1 << n:
+        basis = np.arange(size)
+    elif labels.size == 1:
+        basis = _block_basis(H, int(labels[0]))
+    else:
+        basis = np.sort(np.concatenate([_block_basis(H, int(k)) for k in labels]))
+    amps = np.zeros(basis.size, dtype=complex)
+    amps[np.searchsorted(basis, state.basis[nonzero])] = state.amplitudes[nonzero]
+    return labels, basis, amps
+
+
 def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
            method: str = "auto", step_tol: float = 1e-9) -> Trajectory:
     """Propagate |psi(t)> = exp(-i H t) |psi(0)> onto the output times.
 
-    The state's basis is split into the conserved blocks of H (excitation
-    number for H_XY, parity for H_Ising), each block into its mirror
-    sectors when J is reflection symmetric, and each sector the state
-    reaches is propagated on its own and written in place into one
-    preallocated (T, dim) array on the state's basis, which the returned
-    :class:`Trajectory` shares; amplitudes of blocks the state does not
-    reach stay exactly 0.  ``method='dense'`` uses the sector's exact
+    The state is widened to the conserved blocks of H it reaches
+    (excitation number for H_XY, parity for H_Ising), which H decides, so
+    a state from :func:`prepare_state` suits either model.  Each block is
+    split into its mirror sectors when J is reflection symmetric, and each
+    sector the state reaches is propagated on its own and written in place
+    into one preallocated (T, dim) array on the sorted union of the
+    reached blocks, which the returned :class:`Trajectory` shares as its
+    ``basis``.  ``method='dense'`` uses the sector's exact
     eigendecomposition (no propagation error).  ``method='krylov'`` uses
     Lanczos subspaces, each serving the output times whose error bound
     estimate, the step |dt| times the largest Lanczos defect over the
@@ -396,8 +436,8 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
     at most ``DENSE_LIMIT`` states.  Either way a time equal to 0 returns
     the initial state itself.
 
-    Raises ValueError if H couples the state's basis to states outside it
-    (a state prepared for H_XY evolved under H_Ising), and
+    Raises ValueError, naming N, the number of states and the limit, if
+    the reached blocks hold more than ``MAX_STATES`` states, and
     PropagatorError if a Krylov subspace cannot meet ``step_tol`` even
     after repeated halving of the interval to the next output time.
     """
@@ -407,16 +447,13 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
     if method not in ("auto", "dense", "krylov"):
         raise ValueError(f"unknown method {method!r}")
 
-    amps, basis = state.amplitudes, state.basis
-    labels = _popcount(basis, H.n_sites)
-    if H.model != "xy":
-        labels &= 1
+    reached, basis, amps = _on_reached_blocks(state, H)
+    basis.flags.writeable = False
+    labels = _block_labels(basis, H) if reached.size > 1 else None
     states = np.zeros((times.size, basis.size), dtype=complex)
-    for label in np.unique(labels[amps != 0]):
-        rows = np.flatnonzero(labels == label)
+    for label in reached:
+        rows = slice(None) if labels is None else np.flatnonzero(labels == label)
         block_basis = basis[rows]
-        if rows.size == basis.size:                 # the whole basis: write in place
-            rows = slice(None)
         block = _assemble(H, block_basis)
         for U in _mirror_sectors(H, block_basis):
             psi = U.T @ amps[rows]

@@ -89,7 +89,7 @@ def test_quench_magnetisation_matches_module(tmp_path, capsys):
     J = ionchain.power_law_coupling(5, 1.5, 2 * np.pi * 30.0)
     H = dynamics.build_hamiltonian(J, model="xy")
     psi0 = dynamics.prepare_state(
-        dynamics.QuenchSpec(kind="local", flipped_sites=(3,)), 5, "xy")
+        dynamics.QuenchSpec(kind="local", flipped_sites=(3,)), 5)
     times = np.linspace(0.0, 0.01, 21)
     traj = dynamics.evolve(psi0, H, times)
     mag = np.vstack([dynamics.magnetisation(traj.state(k)) for k in range(21)])

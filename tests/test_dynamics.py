@@ -52,12 +52,14 @@ def test_unknown_model_rejected():
         dynamics.build_hamiltonian(J, model="heisenberg")
 
 
-def test_site_limit_guard():
+def test_site_limit_guard(monkeypatch):
     # the guard counts the states a quench reaches, not the sites
     spec = QuenchSpec(kind="global")
+    monkeypatch.setattr(dynamics, "MAX_STATES", 16)
     with pytest.raises(ValueError, match="limit"):
-        dynamics.prepare_state(spec, 5, model="xy", max_states=16)
-    assert dynamics.prepare_state(spec, 5, model="xy", max_states=32).basis.size == 32
+        dynamics.prepare_state(spec, 5)
+    monkeypatch.setattr(dynamics, "MAX_STATES", 32)
+    assert dynamics.prepare_state(spec, 5).basis.size == 32
 
 
 # ---------------------------------------------------------------------------
@@ -77,45 +79,62 @@ def test_global_quench_is_uniform_superposition():
     np.testing.assert_allclose(state.amplitudes, np.full(8, 8 ** -0.5), atol=1e-15)
 
 
+def _reached(state, model, field=1.0):
+    """The trajectory at t = 0 of ``state`` under a nearest-neighbour H_``model``."""
+    J = ionchain.nearest_neighbour_coupling(state.n_sites, J0)
+    H = dynamics.build_hamiltonian(J, transverse_field=field, model=model)
+    return dynamics.evolve(state, H, np.array([0.0]), method="krylov")
+
+
 @pytest.mark.parametrize("n", [2, 5, 12])
-def test_prepared_basis_is_the_block_the_quench_reaches(n):
-    """XY: the sorted k-flip block; Ising: the sorted parity half."""
+def test_evolved_basis_is_the_block_the_quench_reaches(n):
+    """A local quench is prepared on its one product state; the Hamiltonian
+    decides the block: XY the sorted k-flip block, Ising the sorted parity
+    half."""
     every = np.arange(2 ** n)
     counts = np.array([bin(b).count("1") for b in every])
     for flips in ((1,), (2, 1), tuple(range(1, n + 1))):
         k, index = len(flips), sum(1 << (s - 1) for s in flips)
+        state = dynamics.prepare_state(QuenchSpec("local", flips), n)
+        assert state.basis.tolist() == [index] and state.amplitudes.tolist() == [1.0]
         for model, expected in (("xy", every[counts == k]),
                                 ("ising", every[counts % 2 == k % 2])):
-            state = dynamics.prepare_state(QuenchSpec("local", flips), n, model)
-            assert state.basis.dtype == np.int64
-            np.testing.assert_array_equal(state.basis, expected)
-            np.testing.assert_array_equal(state.amplitudes, expected == index)
+            traj = _reached(state, model)
+            assert traj.basis.dtype == np.int64
+            np.testing.assert_array_equal(traj.basis, expected)
+            np.testing.assert_allclose(traj.states[0], expected == index, atol=1e-15)
 
 
 def test_two_flips_of_40_sites_hold_780_states():
-    state = dynamics.prepare_state(QuenchSpec("local", (10, 20)), 40, "xy")
-    assert state.basis.size == 780 and np.all(np.diff(state.basis) > 0)
-    assert {bin(b).count("1") for b in state.basis.tolist()} == {2}
-    assert state.basis[state.amplitudes != 0].tolist() == [(1 << 9) | (1 << 19)]
+    traj = _reached(dynamics.prepare_state(QuenchSpec("local", (10, 20)), 40), "xy")
+    assert traj.basis.size == 780 and np.all(np.diff(traj.basis) > 0)
+    assert {bin(b).count("1") for b in traj.basis.tolist()} == {2}
+    assert traj.basis[traj.states[0] != 0].tolist() == [(1 << 9) | (1 << 19)]
 
 
-def test_state_limit_names_the_chain_the_states_and_the_limit():
+def test_state_limit_names_the_chain_the_states_and_the_limit(monkeypatch):
     message = "N=17 reaches 131072 basis states, above the limit of 65536 states"
     with pytest.raises(ValueError) as err:
         dynamics.prepare_state(QuenchSpec(kind="global"), 17)
     assert str(err.value) == message
-    # a parity half of 17 sites is exactly the limit
-    assert dynamics.prepare_state(QuenchSpec("local", (9,)), 17).basis.size == 2 ** 16
+    # the parity half of 18 sites is above the limit, and is refused
+    # before it is enumerated
     with pytest.raises(ValueError, match="N=18 reaches 131072 basis states"):
-        dynamics.prepare_state(QuenchSpec("local", (9,)), 18)
+        _reached(dynamics.prepare_state(QuenchSpec("local", (9,)), 18), "ising")
     H = dynamics.build_hamiltonian(ionchain.power_law_coupling(17, 1.3, J0), model="xy")
     with pytest.raises(ValueError) as err:
         H._matrix
     assert str(err.value) == message
+    # a parity half exactly at the limit is accepted
+    monkeypatch.setattr(dynamics, "MAX_STATES", 256)
+    assert _reached(dynamics.prepare_state(QuenchSpec("local", (4,)), 9), "ising").basis.size == 256
+    with pytest.raises(ValueError, match="N=10 reaches 512 basis states, above the limit of 256"):
+        _reached(dynamics.prepare_state(QuenchSpec("local", (4,)), 10), "ising")
+    monkeypatch.undo()
     # basis states are int64 bit strings: 63 sites fit, 64 do not
-    top = dynamics.prepare_state(QuenchSpec("local", (1, 63)), 63, "xy").basis[-1]
+    top = _reached(dynamics.prepare_state(QuenchSpec("local", (1, 63)), 63), "xy").basis[-1]
     assert top == (1 << 62) | (1 << 61)
-    for make in (lambda: dynamics.prepare_state(QuenchSpec("local", (1,)), 64, "xy"),
+    for make in (lambda: dynamics.prepare_state(QuenchSpec("local", (1,)), 64),
                  lambda: StateVector(amplitudes=[1.0], n_sites=64, basis=[1])):
         with pytest.raises(ValueError, match="N=64 is above the 63 sites"):
             make()
@@ -134,6 +153,14 @@ def test_trajectory_keeps_a_read_only_view_without_copying():
             Trajectory(times=np.array([0.0, 1.0]), states=states, n_sites=3, basis=bad)
     with pytest.raises(ValueError, match="amplitudes"):
         StateVector(amplitudes=[1.0, 0.0], n_sites=3, basis=[1, 2, 4])
+    # a row of the trajectory is shared with its basis; a writable input
+    # to StateVector is copied, so later writes to it leave the state alone
+    row = traj.state(1)
+    assert np.shares_memory(row.amplitudes, traj.states) and row.basis is traj.basis
+    amps, own = np.array([0.0, 1.0, 0.0], dtype=complex), np.array([0, 1, 2])
+    state = StateVector(amplitudes=amps, n_sites=2, basis=own)
+    amps[1], own[2] = 5.0, 1
+    assert state.amplitudes.tolist() == [0.0, 1.0, 0.0] and state.basis.tolist() == [0, 1, 2]
 
 
 def test_quench_spec_validation():
@@ -235,7 +262,7 @@ def test_block_propagation_matches_full_space(n, model, flips, field):
     B = field * np.abs(J.values).max()
     H = dynamics.build_hamiltonian(J, transverse_field=B, model=model)
     spec = QuenchSpec(kind="global") if flips is None else QuenchSpec("local", flips)
-    psi0 = dynamics.prepare_state(spec, n, model)
+    psi0 = dynamics.prepare_state(spec, n)
     times = np.linspace(0.0, 1.0, 3) / (np.abs(J.values).max() + abs(B))
     expected = _full_space_oracle(H, full_space(psi0), times)
 
@@ -322,8 +349,6 @@ def test_mirror_sector_propagation_matches_full_space(n, model, flips, field):
     assert np.array_equal(J.values, J.values[::-1, ::-1])
     B = field * np.abs(J.values).max()
     H = dynamics.build_hamiltonian(J, transverse_field=B, model=model)
-    # the default parity-half basis: under H_XY the other excitation
-    # blocks in it stay exactly 0
     psi0 = dynamics.prepare_state(_spec(n, flips), n)
     times = np.linspace(0.0, 1.0, 3) / (np.abs(J.values).max() + abs(B))
     expected = _full_space_oracle(H, full_space(psi0), times)
@@ -482,15 +507,16 @@ def _reached_sectors(H, psi0):
     """(sector Hamiltonian as a dense array, sector state) for every mirror
     sector of every conserved block that ``psi0`` reaches, as ``evolve``
     splits them."""
-    labels = np.array([bin(b).count("1") for b in psi0.basis])
+    amps = full_space(psi0)
+    labels = np.array([bin(b).count("1") for b in range(amps.size)])
     if H.model != "xy":
         labels &= 1
     sectors = []
-    for label in np.unique(labels[psi0.amplitudes != 0]):
-        rows = np.flatnonzero(labels == label)
-        block = dynamics._assemble(H, psi0.basis[rows])
-        for U in dynamics._mirror_sectors(H, psi0.basis[rows]):
-            psi = U.T @ psi0.amplitudes[rows]
+    for label in np.unique(labels[amps != 0]):
+        basis = np.flatnonzero(labels == label)
+        block = dynamics._assemble(H, basis)
+        for U in dynamics._mirror_sectors(H, basis):
+            psi = U.T @ amps[basis]
             if psi.any():
                 sectors.append(((U.T @ block @ U).toarray(), psi))
     return sectors
@@ -568,7 +594,7 @@ def test_time_zero_returns_the_initial_state_exactly(method):
                                    model="ising")
     psi0 = dynamics.prepare_state(QuenchSpec("local", (5,)), 9)
     traj = dynamics.evolve(psi0, H, np.array([0.0, 1e-3]), method=method)
-    np.testing.assert_array_equal(traj.states[0], psi0.amplitudes)
+    np.testing.assert_array_equal(full_space(traj)[0], full_space(psi0))
     np.testing.assert_array_equal(dynamics.magnetisation(traj)[0],
                                   np.where(np.arange(1, 10) == 5, 1.0, -1.0))
 
@@ -634,7 +660,7 @@ def test_krylov_nearest_neighbour_xy_is_free_fermions(n, method, data):
         st.sets(st.integers(1, n), min_size=1, max_size=most), label="flips")
     J = ionchain.nearest_neighbour_coupling(n, J0)
     H = dynamics.build_hamiltonian(J, model="xy")
-    psi0 = dynamics.prepare_state(QuenchSpec("local", tuple(flips)), n, "xy")
+    psi0 = dynamics.prepare_state(QuenchSpec("local", tuple(flips)), n)
     times = np.linspace(0.0, 0.05, 6)
     traj = dynamics.evolve(psi0, H, times, method=method, step_tol=1e-12)
     U = np.array([[a.amplitudes for a in magnon.evolve_single_excitation(J, s, times)]
@@ -670,17 +696,30 @@ def test_matvec_matches_sparse_product():
     np.testing.assert_allclose(H.matvec(psi.real), H.dense() @ psi.real, atol=1e-10)
 
 
+@pytest.mark.parametrize("model", ["xy", "ising"])
+def test_state_over_several_blocks_evolves_on_their_union(model):
+    """A hand-built state on the 1- and 2-flip states of 6 sites (one parity
+    block each under H_Ising): the trajectory's basis is the sorted union of
+    the blocks H takes it through, and the amplitudes match the full space."""
+    n = 6
+    J = _coupling(random_coupling(n, seed=71, scale=50.0))
+    H = dynamics.build_hamiltonian(J, transverse_field=30.0, model=model)
+    state = StateVector(amplitudes=np.array([0.6, 0.8j]), n_sites=n, basis=[0b100, 0b10010])
+    times = np.linspace(0.0, 0.02, 4)
+    traj = dynamics.evolve(state, H, times)
+    counts = np.array([bin(b).count("1") for b in range(2 ** n)])
+    reached = np.isin(counts, [1, 2]) if model == "xy" else np.ones(2 ** n, bool)
+    np.testing.assert_array_equal(traj.basis, np.flatnonzero(reached))
+    np.testing.assert_allclose(full_space(traj), _full_space_oracle(H, full_space(state), times),
+                               atol=1e-10)
+
+
 def test_evolve_rejects_mismatched_sizes():
     J = ionchain.nearest_neighbour_coupling(3, J0)
     H = dynamics.build_hamiltonian(J, model="xy")
     psi = dynamics.prepare_state(QuenchSpec(kind="global"), 4)
     with pytest.raises(ValueError):
         dynamics.evolve(psi, H, np.array([0.0]))
-    # the one-flip block of H_XY is not closed under H_Ising
-    psi = dynamics.prepare_state(QuenchSpec("local", (2,)), 3, "xy")
-    ising = dynamics.build_hamiltonian(J, transverse_field=1.0, model="ising")
-    with pytest.raises(ValueError, match="outside"):
-        dynamics.evolve(psi, ising, np.array([0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +852,7 @@ def test_three_flips_of_30_sites_never_allocate_the_full_space():
     tracemalloc.start()
     try:
         H = dynamics.build_hamiltonian(J, model="xy")
-        psi0 = dynamics.prepare_state(QuenchSpec("local", (10, 15, 20)), n, "xy")
+        psi0 = dynamics.prepare_state(QuenchSpec("local", (10, 15, 20)), n)
         traj = dynamics.evolve(psi0, H, np.linspace(0.0, 0.02, 51))
         mag = dynamics.magnetisation(traj)
         corr = dynamics.two_point_correlations(traj)

@@ -157,7 +157,7 @@ def _reshape_reduction(amps, n, sites):
 def test_reduction_on_the_basis_equals_the_full_space_reshape(n, model, spec):
     J = ionchain.power_law_coupling(n, 1.3, 2 * np.pi * 30.0)
     H = dynamics.build_hamiltonian(J, transverse_field=300.0, model=model)
-    traj = dynamics.evolve(dynamics.prepare_state(spec, n, model), H,
+    traj = dynamics.evolve(dynamics.prepare_state(spec, n), H,
                            np.linspace(0.0, 0.01, 4))
     for k in range(len(traj)):
         state = traj.state(k)
@@ -173,7 +173,7 @@ def test_one_excitation_concurrence_of_30_sites_from_the_magnon_amplitudes():
     n, flip, t = 30, 12, 0.004
     J = ionchain.power_law_coupling(n, 1.3, 2 * np.pi * 30.0)
     H = dynamics.build_hamiltonian(J, model="xy")
-    traj = dynamics.evolve(dynamics.prepare_state(QuenchSpec("local", (flip,)), n, "xy"),
+    traj = dynamics.evolve(dynamics.prepare_state(QuenchSpec("local", (flip,)), n),
                            H, np.array([t]))
     assert traj.basis.size == n
     (a,) = magnon.evolve_single_excitation(J, flip, np.array([t]))
