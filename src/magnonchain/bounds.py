@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .ionchain import CouplingMatrix, nearest_neighbour_coupling
 from .magnon import diagonalize_magnons, max_group_velocity
@@ -126,8 +125,11 @@ def modified_bessel_i(order: int, x: float, scaled: bool = False) -> float:
     stays accurate where the unscaled ``iv`` underflows (tiny x, high
     order).  With ``scaled`` the numerically safe e^-x I_order(x) is
     returned; unscaled values overflow to inf for x beyond ~709 as they
-    must.
+    must.  scipy.special is imported here, on first use: no command-line
+    entry point evaluates the bound, and the import costs every start.
     """
+    from scipy import special
+
     if order < 0:
         raise ValueError("order must be non-negative")
     if x < 0:

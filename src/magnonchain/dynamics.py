@@ -24,26 +24,24 @@ blocks of H it reaches (the k-flip block for XY, the parity half for
 Ising), so the Hamiltonian alone decides them, and refuses a quench that
 reaches more than ``MAX_STATES`` states; an XY quench of 2 flips at
 N = 40 reaches 780.  Basis states are int64 bit strings, so a chain has
-at most ``MAX_BASIS_SITES`` = 63 sites.  ``evolve`` assembles H directly
-on each block's sorted basis and writes every propagated block into one
-(T, dim) array on the union of the reached blocks; observables read
-spin values from the bits of the basis.
-The full 2^N matrix is built only for the full-space methods of
-:class:`Hamiltonian`, and only up to ``MAX_STATES`` states.  When J is
-exactly symmetric under the reflection i -> N+1-i, as for a power law or
-a nearest-neighbour chain, H also commutes with reversing the bits of b,
-and each block splits again into a + and a - mirror sector of about
-half its size; only the sectors the initial state reaches are
-propagated.  A global quench, or a flip of the centre site of an odd
-chain, lies wholly in the + sector.  So a one-flip XY quench is an
-N x N problem or smaller, a global XY quench a set of about
-C(N, k)/2-state sectors, and an Ising quench one or two sectors of about
-2^(N-2) states (cf. the symmetry blocks of QuSpin, Weinberg & Bukov,
-SciPost Phys. 2, 003 (2017)).  Sectors up to ``DENSE_LIMIT`` states use
-a dense eigendecomposition, which is exact.  Larger ones use a Lanczos
-(Krylov) propagator: one subspace, grown from the state at the time
-reached so far, serves every later output time it converges for, and the
-next subspace starts from the last of them.  The order-m Lanczos
+at most ``MAX_BASIS_SITES`` = 63 sites.  When J is exactly symmetric
+under the reflection i -> N+1-i, as for a power law or a nearest-neighbour
+chain, H also commutes with reversing the bits of b, and each block
+splits again into a + and a - mirror sector of about half its size.
+``evolve`` assembles H directly on each sector the initial state reaches,
+in the symmetry-adapted basis of its mirror representatives (Sandvik,
+AIP Conf. Proc. 1297, 135 (2010)), and adds every propagated sector into
+one (T, dim) array on the union of the reached blocks; observables read
+spin values from the bits of the basis.  A global quench, or a flip of
+the centre site of an odd chain, lies wholly in the + sector.  So a
+one-flip XY quench is an N x N problem or smaller, a global XY quench a
+set of about C(N, k)/2-state sectors, and an Ising quench one or two
+sectors of about 2^(N-2) states (cf. the symmetry blocks of QuSpin,
+Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).  Sectors up to
+``DENSE_LIMIT`` states use a dense eigendecomposition, which is exact.
+Larger ones use a Lanczos (Krylov) propagator: one subspace, grown from
+the state at the time reached so far, serves every later output time it
+converges for, and the next subspace starts from the last of them.  The order-m Lanczos
 approximation leaves a defect (residual) of norm
 delta(s) = beta_m |e_m^T exp(-i s T_m) e_1|, a rate in rad/s, and its
 error after a step dt is at most the integral of delta over [0, dt], so
@@ -233,14 +231,9 @@ class Hamiltonian:
     """Immutable sparse operator handle for H_Ising or H_XY.
 
     Holds the ingredients (couplings, field, model) and the real CSR matrix
-    (rad/s) on the full 2^N space, on one conserved block (:meth:`block`)
-    or on one mirror sector of a block.  The full-space matrix is assembled
-    only when first used (``dense``, ``matvec``, ``expectation``,
-    ``eigensystem``), and only up to ``MAX_STATES`` states; ``evolve``
-    never needs it.  The dense
-    eigendecomposition is computed lazily and cached; concurrent first uses
-    may both compute the same value, so the handle is safe to share
-    across threads.
+    (rad/s), either of one mirror sector (built by :func:`evolve`) or of
+    the full 2^N space.  The full-space matrix is assembled only when first
+    used, and only up to ``MAX_STATES`` states; ``evolve`` never needs it.
     """
 
     def __init__(self, matrix: sp.csr_matrix | None, n_sites: int, model: str,
@@ -250,7 +243,6 @@ class Hamiltonian:
         self.model = model
         self.transverse_field = transverse_field
         self.coupling = coupling
-        self._eig = None
 
     @property
     def _matrix(self) -> sp.csr_matrix:
@@ -269,29 +261,9 @@ class Hamiltonian:
             return self._matrix @ psi
         return _real_matmul(self._matrix, psi)
 
-    def block(self, basis: np.ndarray) -> Hamiltonian:
-        """H restricted to the sorted basis indices ``basis``, assembled
-        directly on them; row and column k of the block belong to basis
-        state ``basis[k]``.
-
-        Raises ValueError if H couples those states to any other state,
-        i.e. if ``basis`` is not a union of conserved blocks.
-        """
-        return Hamiltonian(_assemble(self, basis), self.n_sites, self.model,
-                           self.transverse_field, self.coupling)
-
-    def dense(self) -> np.ndarray:
-        return self._matrix.toarray()
-
-    def expectation(self, psi: np.ndarray) -> float:
-        return float(np.real(np.vdot(psi, self._matrix @ psi)))
-
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached dense eigendecomposition (energies, eigenvectors)."""
-        if self._eig is None:
-            energies, vectors = np.linalg.eigh(self.dense())
-            self._eig = (energies, vectors)
-        return self._eig
+        """Dense eigendecomposition (energies, eigenvectors)."""
+        return np.linalg.eigh(self._matrix.toarray())
 
 
 def build_hamiltonian(J: CouplingMatrix, transverse_field: float = 0.0,
@@ -313,38 +285,56 @@ def build_hamiltonian(J: CouplingMatrix, transverse_field: float = 0.0,
     return Hamiltonian(None, J.n_ions, model, transverse_field, J)
 
 
-def _assemble(H: Hamiltonian, basis: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix of H on the sorted basis states ``basis``.
+def _assemble(H: Hamiltonian, basis: np.ndarray, partner: np.ndarray | None = None,
+              rep: np.ndarray | None = None, sign: float = 1.0) -> sp.csr_matrix:
+    """CSR matrix of H on the sorted basis states ``basis``, or on the
+    mirror sector (``partner``, ``rep``, ``sign``) of them (see
+    :func:`_mirror_sectors`); without a sector, on ``basis`` itself.
 
-    Each coupling J_ij flips the bits i and j (only antiparallel ones for
-    XY); the flipped states are mapped back to rows by binary search.
-    Raises ValueError if one of them is not in ``basis``.
+    Each coupling J_ij flips the bits i and j of a representative (only
+    antiparallel ones for XY); the flipped state is mapped back to its
+    index by binary search and on to the representative of its pair.  The
+    element is J_ij, times ``sign`` if the flipped state is the mirror
+    image of that representative, times sqrt(orbit[src] / orbit[dst]),
+    the orbit being 2 for a pair and 1 for a palindrome; a palindrome has
+    no state in the - sector, so targets there are dropped.  Raises
+    ValueError if a flipped state is not in ``basis``.
     """
     n, J = H.n_sites, H.coupling.values
+    every = np.arange(basis.size)
+    if partner is None:
+        partner = rep = every
+    orbit = np.where(partner == every, 1.0, 2.0)
+    row_of = np.full(basis.size, -1)
+    row_of[rep] = np.arange(rep.size)
+    rep_states = basis[rep]
     rows, cols, vals = [], [], []
     for i in range(n - 1):
-        for j in range(i + 1, n):
-            if J[i, j] == 0.0:
-                continue
-            if H.model == "xy":
-                src = np.flatnonzero(((basis >> i) ^ (basis >> j)) & 1)
-            else:
-                src = np.arange(basis.size)
-            target = basis[src] ^ ((1 << i) | (1 << j))
-            dst = np.searchsorted(basis, target).clip(max=basis.size - 1)
-            if np.any(basis[dst] != target):
-                raise ValueError("the Hamiltonian couples the block to states outside it")
-            rows.append(dst)
-            cols.append(src)
-            vals.append(np.full(src.size, J[i, j]))
+        j = i + 1 + np.flatnonzero(J[i, i + 1:])
+        if H.model == "xy":                             # antiparallel pairs only
+            src, k = np.nonzero(((rep_states[:, None] >> i) ^ (rep_states[:, None] >> j)) & 1)
+        else:
+            src, k = np.nonzero(np.ones((rep.size, j.size), bool))
+        target = rep_states[src] ^ ((1 << i) | (1 << j[k]))
+        dst = np.searchsorted(basis, target).clip(max=basis.size - 1)
+        if np.any(basis[dst] != target):
+            raise ValueError("the Hamiltonian couples the block to states outside it")
+        own = np.minimum(dst, partner[dst])
+        value = (J[i, j[k]] * np.where(own == dst, 1.0, sign)
+                 * np.sqrt(orbit[rep[src]] / orbit[own]))
+        row = row_of[own]
+        kept = row >= 0
+        rows.append(row[kept])
+        cols.append(src[kept])
+        vals.append(value[kept])
     if H.model == "ising" and H.transverse_field != 0.0:
-        rows.append(np.arange(basis.size))
+        rows.append(np.arange(rep.size))
         cols.append(rows[-1])
-        vals.append(H.transverse_field * (2 * _popcount(basis, n) - n))
+        vals.append(H.transverse_field * (2 * _popcount(rep_states, n) - n))
     if not rows:
-        return sp.csr_matrix((basis.size, basis.size))
+        return sp.csr_matrix((rep.size, rep.size))
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(basis.size, basis.size)).tocsr()
+                         shape=(rep.size, rep.size)).tocsr()
 
 
 def prepare_state(spec: QuenchSpec, n: int) -> StateVector:
@@ -421,11 +411,12 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
     The state is widened to the conserved blocks of H it reaches
     (excitation number for H_XY, parity for H_Ising), which H decides, so
     a state from :func:`prepare_state` suits either model.  Each block is
-    split into its mirror sectors when J is reflection symmetric, and each
-    sector the state reaches is propagated on its own and written in place
-    into one preallocated (T, dim) array on the sorted union of the
-    reached blocks, which the returned :class:`Trajectory` shares as its
-    ``basis``.  ``method='dense'`` uses the sector's exact
+    split into its mirror sectors when J is reflection symmetric
+    (:func:`_mirror_sectors`).  Each sector the state reaches is assembled
+    on its representatives, propagated on its own and added back, as the
+    two halves of its symmetric or antisymmetric pairs, into one (T, dim)
+    array on the sorted union of the reached blocks, which the returned
+    :class:`Trajectory` shares.  ``method='dense'`` uses the sector's exact
     eigendecomposition (no propagation error).  ``method='krylov'`` uses
     Lanczos subspaces, each serving the output times whose error bound
     estimate, the step |dt| times the largest Lanczos defect over the
@@ -452,66 +443,59 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
     labels = _block_labels(basis, H) if reached.size > 1 else None
     states = np.zeros((times.size, basis.size), dtype=complex)
     for label in reached:
-        rows = slice(None) if labels is None else np.flatnonzero(labels == label)
-        block_basis = basis[rows]
-        block = _assemble(H, block_basis)
-        for U in _mirror_sectors(H, block_basis):
-            psi = U.T @ amps[rows]
+        block = np.arange(basis.size) if labels is None else np.flatnonzero(labels == label)
+        for partner, rep, sign in _mirror_sectors(H, basis[block]):
+            # a palindrome is its own partner, so both terms fall on it
+            half = np.where(partner[rep] == rep, 0.5, np.sqrt(0.5))
+            mine, theirs = block[rep], block[partner[rep]]
+            psi = half * (amps[mine] + sign * amps[theirs])
             if not psi.any():
                 continue
-            sector = Hamiltonian((U.T @ block @ U).tocsr(), H.n_sites, H.model,
-                                 H.transverse_field, H.coupling)
-            states[:, rows] += (U @ _propagate_block(sector, psi, times, method,
-                                                     step_tol).T).T
+            sector = Hamiltonian(_assemble(H, basis[block], partner, rep, sign), H.n_sites,
+                                 H.model, H.transverse_field, H.coupling)
+            propagated = half * _propagate_block(sector, psi, times, method, step_tol)
+            states[:, mine] += propagated
+            states[:, theirs] += sign * propagated
+    states[times == 0.0] = amps
     return Trajectory(times=times, states=states, n_sites=H.n_sites, basis=basis)
 
 
-def _mirror_sectors(H: Hamiltonian, basis: np.ndarray) -> list[sp.csr_matrix]:
-    """Isometries from the mirror sectors of a conserved block into it.
+def _mirror_sectors(H: Hamiltonian,
+                    basis: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """The mirror sectors of a conserved block, each as index arrays
+    (partner, rep, sign).
 
     If J is exactly symmetric under the reflection i -> N+1-i (the field
     is uniform), H commutes with reversing the N bits of every basis
-    state.  The + sector then holds each palindrome and each symmetric
-    pair (|b> + |rev b>)/sqrt(2), the - sector each antisymmetric pair;
-    representatives are the smaller state of each pair.  Otherwise the
-    only sector is the block itself.  ``basis`` must be closed under
-    reflection, as every conserved block is.
+    state.  ``partner[k]`` is then the index of the reversed ``basis[k]``,
+    and sector state m is (|basis[rep[m]]> + sign |basis[partner[rep[m]]]>)
+    / sqrt(2), or |basis[rep[m]]> for a palindrome: the + sector (sign 1)
+    holds every palindrome and the smaller state of every reversed pair,
+    the - sector (sign -1) the smaller state of every pair.  Otherwise the
+    only sector is the block itself, with ``partner = rep = arange``.
+    ``basis`` must be closed under reflection, as every conserved block is.
     """
+    every = np.arange(basis.size)
     J = H.coupling.values
     if not np.array_equal(J, J[::-1, ::-1]):
-        return [sp.identity(basis.size, format="csr")]
+        return [(every, every, 1.0)]
     mirror = np.zeros_like(basis)
     for i in range(H.n_sites):
         mirror |= ((basis >> i) & 1) << (H.n_sites - 1 - i)
     partner = np.searchsorted(basis, mirror)
-    rep = np.flatnonzero(partner >= np.arange(basis.size))
-    pair = partner[rep] != rep
-    lo, hi = rep[pair], partner[rep[pair]]
-    s = np.sqrt(0.5)
-    col = np.arange(rep.size)
-    plus = sp.csr_matrix((np.concatenate([np.where(pair, s, 1.0), np.full(hi.size, s)]),
-                          (np.concatenate([rep, hi]), np.concatenate([col, col[pair]]))),
-                         shape=(basis.size, rep.size))
-    col = np.arange(lo.size)
-    minus = sp.csr_matrix((np.concatenate([np.full(lo.size, s), np.full(hi.size, -s)]),
-                           (np.concatenate([lo, hi]), np.concatenate([col, col]))),
-                          shape=(basis.size, lo.size))
-    return [plus, minus]
+    return [(partner, np.flatnonzero(partner >= every), 1.0),
+            (partner, np.flatnonzero(partner > every), -1.0)]
 
 
 def _propagate_block(H: Hamiltonian, psi: np.ndarray, times: np.ndarray,
                      method: str, step_tol: float) -> np.ndarray:
-    """(T, dim) amplitudes of exp(-i H t) psi within one block or sector;
-    psi itself at t = 0, free of the roundoff of either propagator."""
+    """(T, dim) amplitudes of exp(-i H t) psi within one block or sector."""
     if method == "dense" or (method == "auto" and H.dim <= DENSE_LIMIT):
         energies, vectors = H.eigensystem()
         modes = _real_matmul(vectors.T, psi)
-        states = _real_matmul(vectors, np.exp(-1j * np.outer(energies, times))
-                              * modes[:, None]).T
-    else:
-        states = _krylov_trajectory(H.matvec, psi, times, step_tol)
-    states[times == 0.0] = psi
-    return states
+        return _real_matmul(vectors, np.exp(-1j * np.outer(energies, times))
+                            * modes[:, None]).T
+    return _krylov_trajectory(H.matvec, psi, times, step_tol)
 
 
 def _real_matmul(a, b: np.ndarray) -> np.ndarray:

@@ -29,21 +29,21 @@ def test_ising_matrix_matches_kron_oracle():
     n = 5
     J = random_coupling(n, seed=11)
     H = dynamics.build_hamiltonian(_coupling(J), transverse_field=137.0, model="ising")
-    np.testing.assert_allclose(H.dense(), ising_oracle(J, 137.0, n), atol=1e-10)
+    np.testing.assert_allclose(H._matrix.toarray(), ising_oracle(J, 137.0, n), atol=1e-10)
 
 
 def test_xy_matrix_matches_kron_oracle():
     n = 5
     J = random_coupling(n, seed=12)
     H = dynamics.build_hamiltonian(_coupling(J), model="xy")
-    np.testing.assert_allclose(H.dense(), xy_oracle(J, n), atol=1e-10)
+    np.testing.assert_allclose(H._matrix.toarray(), xy_oracle(J, n), atol=1e-10)
 
 
 def test_xy_ignores_transverse_field():
     J = ionchain.nearest_neighbour_coupling(3, J0)
     a = dynamics.build_hamiltonian(J, transverse_field=999.0, model="xy")
     b = dynamics.build_hamiltonian(J, transverse_field=0.0, model="xy")
-    np.testing.assert_array_equal(a.dense(), b.dense())
+    np.testing.assert_array_equal(a._matrix.toarray(), b._matrix.toarray())
 
 
 def test_unknown_model_rejected():
@@ -228,11 +228,12 @@ def test_evolution_preserves_norm_and_energy():
     H = dynamics.build_hamiltonian(_coupling(J), transverse_field=25.0, model="ising")
     psi0 = dynamics.prepare_state(QuenchSpec(kind="global"), n)
     traj = dynamics.evolve(psi0, H, np.linspace(0, 0.05, 11))
-    e0 = H.expectation(psi0.amplitudes)
+    e0 = np.vdot(psi0.amplitudes, H._matrix @ psi0.amplitudes).real
     for k in range(len(traj)):
         psi = traj.states[k]
         assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-10)
-        assert H.expectation(psi) == pytest.approx(e0, abs=1e-7 * max(1.0, abs(e0)))
+        assert np.vdot(psi, H._matrix @ psi).real == pytest.approx(
+            e0, abs=1e-7 * max(1.0, abs(e0)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +247,10 @@ BLOCK_CASES = [("xy", (1,), 0.0), ("xy", (1, 3), 0.0), ("xy", (1, 2, 4), 0.0),
 
 def _full_space_oracle(H, psi, times):
     """exp(-i H t) psi in the whole 2^N space, blind to conservation laws:
-    eigh of H.dense() up to N = 10, scipy's expm_multiply on the full
+    eigh of the full matrix up to N = 10, scipy's expm_multiply on the full
     sparse matrix above (a 4096^2 eigh alone takes about 10 s on a 2-core VM)."""
     if H.n_sites <= 10:
-        w, v = np.linalg.eigh(H.dense())
+        w, v = np.linalg.eigh(H._matrix.toarray())
         return (v @ (np.exp(-1j * np.outer(w, times)) * (v.conj().T @ psi)[:, None])).T
     return expm_multiply(-1j * H._matrix, psi, start=times[0], stop=times[-1],
                          num=times.size, endpoint=True)
@@ -310,7 +311,7 @@ def test_direct_block_assembly_equals_sliced_full_matrix(n, model):
     labels = counts if model == "xy" else counts % 2
     for label in np.unique(labels):
         basis = np.flatnonzero(labels == label)
-        block = H.block(basis)._matrix
+        block = dynamics._assemble(H, basis)
         assert block.shape == (basis.size, basis.size)
         assert (block != full[basis][:, basis]).nnz == 0
 
@@ -336,6 +337,48 @@ def _reverse(states, n):
     return np.array([int(format(b, f"0{n}b")[::-1], 2) for b in states])
 
 
+def _mirror_isometries(basis, n):
+    """The + and - mirror sectors of a block closed under reflection, as
+    sparse isometries into it built state by state from :func:`_reverse`:
+    one column |b> per palindrome b (+ only) and (|b> +- |rev b>)/sqrt(2)
+    per smaller state b of a reversed pair, in the order of b."""
+    position = {b: k for k, b in enumerate(basis.tolist())}
+    pairs = list(zip(basis.tolist(), _reverse(basis, n).tolist()))
+    isometries = []
+    for sign in (1.0, -1.0):
+        columns = []
+        for b, r in pairs:
+            if b == r and sign > 0:
+                columns.append({position[b]: 1.0})
+            elif b < r:
+                columns.append({position[b]: np.sqrt(0.5), position[r]: sign * np.sqrt(0.5)})
+        U = sp.lil_matrix((basis.size, len(columns)))
+        for m, column in enumerate(columns):
+            for k, value in column.items():
+                U[k, m] = value
+        isometries.append(U.tocsr())
+    return isometries
+
+
+def _check_sectors(H, basis, mirrored):
+    """The sectors ``evolve`` assembles for a block partition it, and each
+    equals U^T H_block U to 1e-12 of its largest element: U from
+    :func:`_mirror_isometries` if J is mirror symmetric, else the identity."""
+    block = dynamics._assemble(H, basis)
+    isometries = (_mirror_isometries(basis, H.n_sites) if mirrored
+                  else [sp.identity(basis.size, format="csr")])
+    sectors = dynamics._mirror_sectors(H, basis)
+    assert len(sectors) == len(isometries)
+    assert sum(rep.size for _, rep, _ in sectors) == basis.size
+    for sector, U in zip(sectors, isometries):
+        matrix = dynamics._assemble(H, basis, *sector).toarray()
+        expected = (U.T @ block @ U).toarray()
+        assert matrix.shape == expected.shape
+        assert np.abs(matrix - expected).max(initial=0.0) <= \
+            1e-12 * np.abs(expected).max(initial=0.0)
+    return sectors
+
+
 def _spec(n, flips):
     if flips is None:
         return QuenchSpec(kind="global")
@@ -358,10 +401,8 @@ def test_mirror_sector_propagation_matches_full_space(n, model, flips, field):
     outside = ~np.isin(labels, labels[full_space(psi0) != 0])
     psi = full_space(psi0)
     basis = np.flatnonzero(labels == labels[np.flatnonzero(psi)[0]])
-    plus, minus = dynamics._mirror_sectors(H, basis)
-    assert plus.shape[1] + minus.shape[1] == basis.size
-    np.testing.assert_allclose((plus.T @ plus).toarray(), np.eye(plus.shape[1]), atol=1e-15)
-    np.testing.assert_allclose((minus.T @ plus).toarray(), 0.0, atol=1e-15)
+    _check_sectors(H, basis, mirrored=True)
+    plus, minus = _mirror_isometries(basis, n)
     reflected = psi[basis][np.searchsorted(basis, _reverse(basis, n))]
     assert np.any(minus.T @ psi[basis]) == np.any(reflected != psi[basis])
 
@@ -381,13 +422,33 @@ def test_coupling_off_mirror_by_one_ulp_propagates_the_whole_block(model, flips,
     B = field * np.abs(values).max()
     H = dynamics.build_hamiltonian(J, transverse_field=B, model=model)
     psi0 = dynamics.prepare_state(QuenchSpec("local", flips), n)
-    (identity,) = dynamics._mirror_sectors(H, np.arange(2 ** n))
-    assert identity.shape == (2 ** n, 2 ** n)
+    every = np.arange(2 ** n)
+    (sector,) = _check_sectors(H, every, mirrored=False)
+    assert (dynamics._assemble(H, every, *sector) != dynamics._assemble(H, every)).nnz == 0
     times = np.linspace(0.0, 1.0, 3) / (np.abs(values).max() + B)
     expected = _full_space_oracle(H, full_space(psi0), times)
     for method in ("dense", "krylov"):
         traj = dynamics.evolve(psi0, H, times, method=method, step_tol=1e-12)
         np.testing.assert_allclose(full_space(traj), expected, atol=1e-10, err_msg=method)
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+@pytest.mark.parametrize("model", ["xy", "ising"])
+def test_every_mirror_sector_is_the_projected_block(n, model):
+    """Every conserved block, with the Ising field on: the sectors equal
+    U^T H_block U, and the + sector holds one state more than the - sector
+    per palindrome of the block, which has no antisymmetric partner."""
+    J = ionchain.power_law_coupling(n, 1.3, J0)
+    H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
+                                   model=model)
+    every = np.arange(2 ** n)
+    counts = np.array([bin(b).count("1") for b in every])
+    labels = counts if model == "xy" else counts % 2
+    palindromes = every == _reverse(every, n)
+    for label in np.unique(labels):
+        basis = every[labels == label]
+        (_, plus, _), (_, minus, _) = _check_sectors(H, basis, mirrored=True)
+        assert plus.size - minus.size == np.count_nonzero(palindromes[basis])
 
 
 def _ising_n9():
@@ -506,7 +567,8 @@ def test_krylov_starts_late_and_repeats_output_times():
 def _reached_sectors(H, psi0):
     """(sector Hamiltonian as a dense array, sector state) for every mirror
     sector of every conserved block that ``psi0`` reaches, as ``evolve``
-    splits them."""
+    splits them, on mirror-symmetric couplings; the state is projected by
+    the isometries of :func:`_mirror_isometries`."""
     amps = full_space(psi0)
     labels = np.array([bin(b).count("1") for b in range(amps.size)])
     if H.model != "xy":
@@ -514,11 +576,11 @@ def _reached_sectors(H, psi0):
     sectors = []
     for label in np.unique(labels[amps != 0]):
         basis = np.flatnonzero(labels == label)
-        block = dynamics._assemble(H, basis)
-        for U in dynamics._mirror_sectors(H, basis):
+        for sector, U in zip(dynamics._mirror_sectors(H, basis),
+                             _mirror_isometries(basis, H.n_sites)):
             psi = U.T @ amps[basis]
             if psi.any():
-                sectors.append(((U.T @ block @ U).toarray(), psi))
+                sectors.append((dynamics._assemble(H, basis, *sector).toarray(), psi))
     return sectors
 
 
@@ -588,15 +650,18 @@ def test_benchmark_ising_quench_needs_at_most_300_matvecs(alpha, monkeypatch):
 @pytest.mark.parametrize("method", ["dense", "krylov"])
 def test_time_zero_returns_the_initial_state_exactly(method):
     """No roundoff of either propagator at t = 0, so sigma-z starts at
-    exactly +-1 and never leaves [-1, 1] there."""
+    exactly +-1 and never leaves [-1, 1] there.  The centre flip lies wholly
+    in the + mirror sector; a flip of site 2 is split between both, whose
+    halves must not add back to 1 + 2e-16."""
     J = ionchain.power_law_coupling(9, 1.3, J0)
-    H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
-                                   model="ising")
-    psi0 = dynamics.prepare_state(QuenchSpec("local", (5,)), 9)
-    traj = dynamics.evolve(psi0, H, np.array([0.0, 1e-3]), method=method)
-    np.testing.assert_array_equal(full_space(traj)[0], full_space(psi0))
-    np.testing.assert_array_equal(dynamics.magnetisation(traj)[0],
-                                  np.where(np.arange(1, 10) == 5, 1.0, -1.0))
+    for model, site in (("ising", 5), ("ising", 2), ("xy", 2)):
+        H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
+                                       model=model)
+        psi0 = dynamics.prepare_state(QuenchSpec("local", (site,)), 9)
+        traj = dynamics.evolve(psi0, H, np.array([0.0, 1e-3]), method=method)
+        np.testing.assert_array_equal(full_space(traj)[0], full_space(psi0))
+        np.testing.assert_array_equal(dynamics.magnetisation(traj)[0],
+                                      np.where(np.arange(1, 10) == site, 1.0, -1.0))
 
 
 @pytest.mark.parametrize("n", [4, 7, 10])
@@ -606,7 +671,8 @@ def test_dense_sector_propagation_equals_the_complex_product(n, model):
     J = _coupling(random_coupling(n, seed=300 + n, scale=50.0))
     H = dynamics.build_hamiltonian(J, transverse_field=40.0, model=model)
     labels = np.array([bin(b).count("1") for b in range(2 ** n)])
-    block = H.block(np.flatnonzero((labels if model == "xy" else labels % 2) == 1))
+    basis = np.flatnonzero((labels if model == "xy" else labels % 2) == 1)
+    block = dynamics.Hamiltonian(dynamics._assemble(H, basis), n, model, 40.0, J)
     rng = np.random.default_rng(n)
     psi = rng.normal(size=block.dim) + 1j * rng.normal(size=block.dim)
     psi /= np.linalg.norm(psi)
@@ -673,17 +739,17 @@ def test_krylov_nearest_neighbour_xy_is_free_fermions(n, method, data):
 def test_block_rejects_states_the_hamiltonian_leaves():
     H = dynamics.build_hamiltonian(ionchain.nearest_neighbour_coupling(4, J0), model="xy")
     one_flip = np.array([1, 2, 4, 8])
-    assert H.block(one_flip).dim == 4
+    assert dynamics._assemble(H, one_flip).shape == (4, 4)
     with pytest.raises(ValueError, match="outside"):
-        H.block(one_flip[:3])
+        dynamics._assemble(H, one_flip[:3])
     with pytest.raises(ValueError, match="outside"):
-        H.block(one_flip[1:])                           # target below the basis
+        dynamics._assemble(H, one_flip[1:])             # target below the basis
     ising = dynamics.build_hamiltonian(ionchain.nearest_neighbour_coupling(4, J0),
                                        transverse_field=5.0, model="ising")
     odd = np.array([1, 2, 4, 7, 8, 11, 13, 14])
-    assert ising.block(odd).dim == 8
+    assert dynamics._assemble(ising, odd).shape == (8, 8)
     with pytest.raises(ValueError, match="outside"):
-        ising.block(odd[:-1])                           # target above the basis
+        dynamics._assemble(ising, odd[:-1])             # target above the basis
 
 
 def test_matvec_matches_sparse_product():
@@ -692,8 +758,9 @@ def test_matvec_matches_sparse_product():
                                    transverse_field=3.0, model="ising")
     rng = np.random.default_rng(6)
     psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-    np.testing.assert_allclose(H.matvec(psi), H.dense() @ psi, rtol=1e-13, atol=1e-10)
-    np.testing.assert_allclose(H.matvec(psi.real), H.dense() @ psi.real, atol=1e-10)
+    dense = H._matrix.toarray()
+    np.testing.assert_allclose(H.matvec(psi), dense @ psi, rtol=1e-13, atol=1e-10)
+    np.testing.assert_allclose(H.matvec(psi.real), dense @ psi.real, atol=1e-10)
 
 
 @pytest.mark.parametrize("model", ["xy", "ising"])
