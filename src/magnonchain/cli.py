@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -67,6 +68,11 @@ DEFAULT_JBAR = 30.0         # nearest-neighbour coupling scale, Hz (ms-scale dyn
 
 _MODELS = ("ising", "xy", "single_excitation")
 _SOURCES = ("trap", "power_law", "nearest_neighbour", "file")
+#: Subcommands that propagate a quench.
+_QUENCH_COMMANDS = ("quench", "global-quench", "tomo", "lightcone")
+#: Flag and INI key of each RunConfig float that must be finite.
+_FINITE = {"t_start": "--t-start / [run] t_start", "t_end": "--t-end / [run] t_end",
+           "sample_time": "--time", "field_hz": "--field / [trap] transverse_field"}
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,8 @@ class RunConfig:
     ``field_hz`` stays in Hz with None meaning "auto": B = 50 max|J|
     for Ising runs.  ``couplings`` is the matrix read from
     ``coupling_file`` for the file source (its path is hashed, not its
-    values), and ``n_ions`` is then its size.
+    values), and ``n_ions`` is then its size.  Construction checks the
+    whole run, so a bad one is refused before any work starts.
     """
 
     command: str
@@ -112,6 +119,9 @@ class RunConfig:
     def __post_init__(self):
         if self.n_ions < 2:
             raise ConfigError("need at least 2 ions")
+        if self.command in ("dispersion", "fit") and self.n_ions < 4:
+            raise ConfigError(f"{self.command} needs a chain of at least 4 ions for its "
+                              f"exponent fit, got N = {self.n_ions}")
         if self.source not in _SOURCES:
             raise ConfigError(f"unknown coupling source {self.source!r}")
         if self.model not in _MODELS:
@@ -120,6 +130,8 @@ class RunConfig:
             raise ConfigError(f"unknown quench kind {self.kind!r}")
         if self.n_points < 2:
             raise ConfigError("n_points must be >= 2")
+        for name, flag in _FINITE.items():
+            _check_finite(getattr(self, name), flag)
         if not (self.t_end > self.t_start >= 0.0):
             raise ConfigError("need t_end > t_start >= 0")
         self._check_sites(self.flip)
@@ -135,6 +147,17 @@ class RunConfig:
             raise ConfigError("need shots >= 1 and resamples >= 100")
         if self.sample_time < 0:
             raise ConfigError("sample time must be >= 0")
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError(f"--seed / [run] seed must be in [0, 2^64), got {self.seed}")
+        if self.command in _QUENCH_COMMANDS and self.model == "single_excitation":
+            if self.command == "tomo":
+                raise ConfigError("tomography needs a full-state model (ising or xy)")
+            if self.kind != "local" or len(self.flip) != 1:
+                raise ConfigError("the single-excitation model needs a local quench "
+                                  "with exactly one flipped site")
+            if "correlations" in self.observables:
+                raise ConfigError("sigma-z correlations need a full-Hilbert-space "
+                                  "model (ising or xy)")
 
     def _check_sites(self, sites) -> None:
         try:
@@ -157,6 +180,11 @@ class RunConfig:
     def meta(self, **extra) -> dict:
         return {"config_hash": self.hash, "seed": self.seed,
                 "command": self.command, "n_ions": self.n_ions, **extra}
+
+
+def _check_finite(value: float | None, flag: str) -> None:
+    if value is not None and not math.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +402,10 @@ def _resolve_trap(trap_cfg: dict, args, n_ions: int) -> ionchain.TrapConfig:
     trap = ionchain.TrapConfig(n_ions=n_ions, detuning=0.0, **params)
     detuning = _pick(getattr(args, "detuning", None), trap_cfg.get("detuning"))
     if detuning is not None:
+        _check_finite(detuning, "--detuning / [trap] detuning")
         return replace(trap, detuning=float(detuning))
     gap = _pick(getattr(args, "gap", None), trap_cfg.get("detuning_gap"), DEFAULT_GAP)
+    _check_finite(gap, "--gap / [trap] detuning_gap")
     return ionchain.with_detuning_above_top(trap, float(gap))
 
 
@@ -405,25 +435,22 @@ def _field_rad(rc: RunConfig, J: ionchain.CouplingMatrix) -> float:
     return 2.0 * np.pi * rc.field_hz
 
 
-def _propagate(rc: RunConfig, J: ionchain.CouplingMatrix):
-    """(times, magnetisation (T,N), correlations (T,N,N) or None)."""
-    times = rc.times
-    want_corr = "correlations" in rc.observables
-    if rc.model == "single_excitation":
-        if rc.kind != "local" or len(rc.flip) != 1:
-            raise ConfigError("the single-excitation model needs a local quench "
-                              "with exactly one flipped site")
-        states = magnon.evolve_single_excitation(J, rc.flip[0], times)
-        mag = np.vstack([magnon.magnetisation_single(s) for s in states])
-        if want_corr:
-            raise ConfigError("sigma-z correlations need a full-Hilbert-space "
-                              "model (ising or xy)")
-        return times, mag, None
+def _evolve(rc: RunConfig, J: ionchain.CouplingMatrix, times) -> dynamics.Trajectory:
+    """The quench of ``rc`` under its Ising or XY Hamiltonian, on ``times``."""
     H = dynamics.build_hamiltonian(J, transverse_field=_field_rad(rc, J), model=rc.model)
     psi0 = dynamics.prepare_state(
         dynamics.QuenchSpec(kind=rc.kind, flipped_sites=rc.flip), rc.n_ions)
-    traj = dynamics.evolve(psi0, H, times)
-    corr = dynamics.two_point_correlations(traj) if want_corr else None
+    return dynamics.evolve(psi0, H, times)
+
+
+def _propagate(rc: RunConfig, J: ionchain.CouplingMatrix):
+    """(times, magnetisation (T,N), correlations (T,N,N) or None)."""
+    times = rc.times
+    if rc.model == "single_excitation":
+        states = magnon.evolve_single_excitation(J, rc.flip[0], times)
+        return times, np.vstack([magnon.magnetisation_single(s) for s in states]), None
+    traj = _evolve(rc, J, times)
+    corr = dynamics.two_point_correlations(traj) if "correlations" in rc.observables else None
     return times, dynamics.magnetisation(traj), corr
 
 
@@ -500,14 +527,9 @@ def _cmd_quench(rc: RunConfig) -> int:
 
 
 def _cmd_tomo(rc: RunConfig) -> int:
-    if rc.model == "single_excitation":
-        raise ConfigError("tomography needs a full-state model (ising or xy)")
     J = _build_couplings(rc)
     sites = tuple(sorted(rc.sites))
-    H = dynamics.build_hamiltonian(J, transverse_field=_field_rad(rc, J), model=rc.model)
-    psi0 = dynamics.prepare_state(
-        dynamics.QuenchSpec(kind=rc.kind, flipped_sites=rc.flip), rc.n_ions)
-    traj = dynamics.evolve(psi0, H, np.array([rc.sample_time]))
+    traj = _evolve(rc, J, np.array([rc.sample_time]))
     rho_exact = entanglement.reduced_density_matrix(traj.state(0), sites)
 
     records = entanglement.simulate_tomography(rho_exact, rc.shots, rc.seed)

@@ -123,14 +123,13 @@ class QuenchSpec:
 class StateVector:
     """Pure state on the sorted product-basis states ``basis`` (site 1 =
     least significant bit); ``amplitudes[k]`` belongs to ``basis[k]`` and
-    every state outside ``basis`` has amplitude 0.  Without a basis the
-    amplitudes span the whole 2^N space.  Both arrays are kept read-only:
-    a writable input is copied, a read-only one (a row of a
+    every state outside ``basis`` has amplitude 0.  Both arrays are kept
+    read-only: a writable input is copied, a read-only one (a row of a
     :class:`Trajectory`) is shared."""
 
     amplitudes: np.ndarray
     n_sites: int
-    basis: np.ndarray | None = None
+    basis: np.ndarray
 
     def __post_init__(self):
         amps = _checked_amplitudes(_frozen(np.asarray(self.amplitudes, dtype=complex)))
@@ -141,14 +140,14 @@ class StateVector:
 @dataclass(frozen=True)
 class Trajectory:
     """States sampled on a time grid; row t of ``states`` holds the
-    amplitudes of |psi(times[t])> on the sorted product states ``basis``
-    (the whole 2^N space without one), as in :class:`StateVector`.
-    ``states`` is kept as a read-only view, not copied."""
+    amplitudes of |psi(times[t])> on the sorted product states ``basis``,
+    as in :class:`StateVector`.  ``states`` is kept as a read-only view,
+    not copied."""
 
     times: np.ndarray
     states: np.ndarray
     n_sites: int
-    basis: np.ndarray | None = None
+    basis: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "times", _read_only_view(np.array(self.times, float)))
@@ -161,13 +160,9 @@ class Trajectory:
                                                          states.shape[1]))
 
     def state(self, index: int) -> StateVector:
-        """Row ``index`` as a StateVector sharing this trajectory's arrays;
-        the basis, checked once here, is not checked again."""
-        state = object.__new__(StateVector)
-        object.__setattr__(state, "amplitudes", _checked_amplitudes(self.states[index]))
-        object.__setattr__(state, "n_sites", self.n_sites)
-        object.__setattr__(state, "basis", self.basis)
-        return state
+        """Row ``index`` as a StateVector sharing this trajectory's
+        read-only arrays (nothing is copied)."""
+        return StateVector(self.states[index], self.n_sites, self.basis)
 
     def __len__(self) -> int:
         return self.times.size
@@ -194,14 +189,10 @@ def _checked_amplitudes(amps: np.ndarray) -> np.ndarray:
 
 
 def _checked_basis(basis, n: int, dim: int) -> np.ndarray:
-    """``basis`` as a read-only int64 array (copied if it was writable), or
-    all 2^n states if None; raises ValueError unless it is ``dim`` strictly
-    increasing states of n sites, one per amplitude."""
+    """``basis`` as a read-only int64 array (copied if it was writable);
+    raises ValueError unless it is ``dim`` strictly increasing states of n
+    sites, one per amplitude."""
     _check_sites_fit(n)
-    if basis is None:
-        if dim != 1 << n:
-            raise ValueError(f"expected {1 << n} amplitudes, got {dim}")
-        return _read_only_view(np.arange(dim))
     basis = _frozen(np.asarray(basis, dtype=np.int64))
     if basis.shape != (dim,):
         raise ValueError(f"expected one amplitude per basis state, got {dim} "
@@ -346,7 +337,8 @@ def prepare_state(spec: QuenchSpec, n: int) -> StateVector:
     of that size is allocated first."""
     if spec.kind == "global":
         _check_states(n, 1 << n)
-        return StateVector(np.full(1 << n, 2.0 ** (-n / 2), dtype=complex), n)
+        return StateVector(np.full(1 << n, 2.0 ** (-n / 2), dtype=complex), n,
+                           np.arange(1 << n))
     for s in spec.flipped_sites:
         _check_site(n, s)
     index = sum(1 << (s - 1) for s in spec.flipped_sites)

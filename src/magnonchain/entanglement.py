@@ -93,14 +93,12 @@ class MeasurementRecord:
 
     ``counts`` tallies the outcomes (++, +-, -+, --) of measuring the two
     qubits along ``basis``; +/- are the eigenvalues of the chosen Pauli
-    operators.  ``seed`` records the RNG seed used to draw the counts
-    (None for counts not produced by the sampler).
+    operators.
     """
 
     basis: tuple[str, str]
     shots: int
     counts: tuple[int, int, int, int]
-    seed: int | None = None
 
     def __post_init__(self):
         basis = tuple(self.basis)
@@ -251,7 +249,7 @@ def sample_measurements(rho_or_state, basis: tuple[str, str], shots: int,
     basis = tuple(basis)
     probs = measurement_probabilities(rho_or_state, basis)
     counts = _rng(seed, _record_stream(basis)).multinomial(shots, probs)
-    return MeasurementRecord(basis=basis, shots=shots, counts=tuple(counts), seed=seed)
+    return MeasurementRecord(basis=basis, shots=shots, counts=tuple(counts))
 
 
 def simulate_tomography(rho_or_state, shots: int, seed: int) -> list[MeasurementRecord]:
@@ -300,11 +298,6 @@ def _linear_inversion(counts: np.ndarray, shots: np.ndarray) -> np.ndarray:
                              (pp - pm + mp - mm).reshape(-1, 3, 3).mean(axis=1),
                              pp - pm - mp + mm], axis=1)
     return 0.25 * np.einsum("rk,kij->rij", coeffs, _PAULI_PRODUCTS)
-
-
-def _project_physical(rho: np.ndarray) -> np.ndarray:
-    """Nearest PSD unit-trace matrix to one (d, d) matrix; see :func:`_project_stack`."""
-    return _project_stack(np.asarray(rho)[None])[0]
 
 
 def _project_stack(rhos: np.ndarray) -> np.ndarray:

@@ -32,6 +32,19 @@ MASS_CA40 = 39.9625909 * constants.atomic_mass
 #: Wavelength of the S-D quadrupole transition of Ca-40 in meters.
 WAVELENGTH_CA40 = 729e-9
 
+#: Convergence threshold on the largest force residual of the equilibrium
+#: positions.  Where the roundoff floor of the force sum, N eps max_i(|u_i| +
+#: sum_j 1/d_ij^2), lies above it (most N >= 54), the iteration also stops
+#: once the residual is below that floor and no damped Newton step lowers it
+#: further.
+FORCE_TOL = 1e-13
+
+#: Most damped Newton iterations of the equilibrium-position solve.
+MAX_NEWTON_ITERATIONS = 200
+
+#: Smallest allowed |Delta - nu_n| in Hz between the detuning and any mode.
+MIN_MODE_GAP = 1e3
+
 
 class ConvergenceError(RuntimeError):
     """Raised when the equilibrium-position root solve does not converge."""
@@ -196,25 +209,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 # equilibrium positions
 
 
-def equilibrium_positions(n_ions: int, force_tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
+def equilibrium_positions(n_ions: int) -> np.ndarray:
     """Equilibrium positions of a linear Coulomb chain, dimensionless.
 
     Positions are expressed in units of the Coulomb length scale
     l = (e^2 / (4 pi eps0 m omega_ax^2))^(1/3) and satisfy the force
-    balance u_i = sum_{j<i} (u_i-u_j)^-2 - sum_{j>i} (u_i-u_j)^-2.
+    balance u_i = sum_{j<i} (u_i-u_j)^-2 - sum_{j>i} (u_i-u_j)^-2,
+    solved by damped Newton steps to ``FORCE_TOL`` (or the roundoff floor)
+    within ``MAX_NEWTON_ITERATIONS``.
 
     Parameters
     ----------
     n_ions : int
         Number of ions (>= 2).
-    force_tol : float
-        Convergence threshold on the maximum force residual.  Where the
-        roundoff floor of the force sum, N eps max_i(|u_i| + sum_j
-        1/d_ij^2), lies above it (most N >= 54), the iteration also stops
-        once the residual is below that floor and no damped Newton step
-        lowers it further.
-    max_iter : int
-        Maximum number of damped Newton iterations.
 
     Returns
     -------
@@ -227,8 +234,8 @@ def equilibrium_positions(n_ions: int, force_tol: float = 1e-13, max_iter: int =
     spacing = 2.018 / n_ions ** 0.559
     u = spacing * (np.arange(1, n_ions + 1) - (n_ions + 1) / 2)
     fmax = np.max(np.abs(_chain_force(u)))
-    for iteration in range(max_iter):
-        if fmax < force_tol:
+    for iteration in range(MAX_NEWTON_ITERATIONS):
+        if fmax < FORCE_TOL:
             return u
         step = np.linalg.solve(_chain_hessian(u), _chain_force(u))
         lam = 1.0
@@ -244,7 +251,7 @@ def equilibrium_positions(n_ions: int, force_tol: float = 1e-13, max_iter: int =
         u, fmax = u - lam * step, np.max(np.abs(_chain_force(u - lam * step)))
     raise ConvergenceError(
         f"equilibrium positions for n={n_ions} did not converge after "
-        f"{max_iter} iterations (residual {fmax:.3e})")
+        f"{MAX_NEWTON_ITERATIONS} iterations (residual {fmax:.3e})")
 
 
 def _chain_force(u: np.ndarray) -> np.ndarray:
@@ -371,8 +378,7 @@ def rabi_profile(beam: BeamProfile, positions_m: np.ndarray) -> np.ndarray:
     return beam.peak_rabi * np.exp(-(x / beam.waist_along_chain) ** 2)
 
 
-def coupling_matrix(trap: TrapConfig, modes: ModeSpectrum, rabi: np.ndarray,
-                    min_mode_gap: float = 1e3) -> CouplingMatrix:
+def coupling_matrix(trap: TrapConfig, modes: ModeSpectrum, rabi: np.ndarray) -> CouplingMatrix:
     """Spin-spin coupling matrix J_ij (rad/s) from the 2N-mode sum.
 
     Parameters
@@ -383,9 +389,11 @@ def coupling_matrix(trap: TrapConfig, modes: ModeSpectrum, rabi: np.ndarray,
         Transverse modes of both branches.
     rabi : ndarray
         Per-ion Rabi frequencies Omega_i in Hz (see :func:`rabi_profile`).
-    min_mode_gap : float
-        Minimum allowed |Delta - nu_n| in Hz (default 1 kHz); closer
-        approaches raise :class:`ResonanceError`.
+
+    Raises
+    ------
+    ResonanceError
+        If the detuning lies within ``MIN_MODE_GAP`` Hz of a mode.
 
     Notes
     -----
@@ -397,11 +405,11 @@ def coupling_matrix(trap: TrapConfig, modes: ModeSpectrum, rabi: np.ndarray,
     if omega.shape != (trap.n_ions,):
         raise ValueError(f"need {trap.n_ions} Rabi frequencies, got shape {omega.shape}")
     gaps = np.abs(trap.detuning - modes.frequencies)
-    if gaps.min() < min_mode_gap:
+    if gaps.min() < MIN_MODE_GAP:
         n_bad = int(np.argmin(gaps))
         raise ResonanceError(
             f"detuning {trap.detuning:.6g} Hz is within {gaps.min():.3g} Hz of mode "
-            f"{n_bad} at {modes.frequencies[n_bad]:.6g} Hz (minimum gap {min_mode_gap:.3g} Hz)")
+            f"{n_bad} at {modes.frequencies[n_bad]:.6g} Hz (minimum gap {MIN_MODE_GAP:.3g} Hz)")
 
     delta = 2 * np.pi * trap.detuning
     nu = 2 * np.pi * modes.frequencies
@@ -419,12 +427,11 @@ def coupling_matrix(trap: TrapConfig, modes: ModeSpectrum, rabi: np.ndarray,
     return CouplingMatrix(values=J, meta=meta)
 
 
-def build_coupling_matrix(trap: TrapConfig, beam: BeamProfile,
-                          min_mode_gap: float = 1e3) -> CouplingMatrix:
+def build_coupling_matrix(trap: TrapConfig, beam: BeamProfile) -> CouplingMatrix:
     """Convenience pipeline: modes -> Rabi profile -> coupling matrix."""
     modes = transverse_mode_spectrum(trap)
     rabi = rabi_profile(beam, modes.positions_m)
-    return coupling_matrix(trap, modes, rabi, min_mode_gap=min_mode_gap)
+    return coupling_matrix(trap, modes, rabi)
 
 
 def exchange_frequency(J: CouplingMatrix, i: int, j: int) -> float:

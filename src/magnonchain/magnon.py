@@ -3,7 +3,7 @@
 One flipped spin on the all-down background delocalises into N magnon
 modes.  Diagonalising the bosonic hopping Hamiltonian is equivalent to
 diagonalising the N x N coupling matrix J itself: eigenvalues omega_k are
-the mode energies (rad/s, on top of the bookkeeping shift hbar*B) and the
+the mode energies (rad/s) and the
 real orthonormal eigenvectors c_{i,k} are standing-wave mode functions.
 Open boundaries make true momentum ill-defined, but the number of nodes of
 c_{.,k} is well defined and assigns each mode a pseudo-momentum
@@ -31,16 +31,13 @@ class MagnonSpectrum:
 
     ``energies[k]`` (rad/s) and mode function ``mode_functions[:, k]``
     belong to pseudo-momentum ``pseudo_momenta[k] = (node_counts[k]+1) *
-    pi/(N+1)``.  ``energy_shift`` records the transverse-field offset
-    hbar*B (rad/s) of the dispersion; it is bookkeeping only and enters no
-    dynamics here.
+    pi/(N+1)``.
     """
 
     energies: np.ndarray
     mode_functions: np.ndarray
     pseudo_momenta: np.ndarray
     node_counts: np.ndarray
-    energy_shift: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "energies", _readonly(np.asarray(self.energies, float)))
@@ -68,17 +65,6 @@ class SingleExcitationState:
             raise ValueError(f"single-excitation state not normalized: sum |a|^2 = {norm!r}")
 
 
-def count_nodes(mode_function: np.ndarray, threshold: float = NODE_THRESHOLD) -> int:
-    """Number of sign changes of a mode function.
-
-    Entries smaller than ``threshold * max|c|`` are treated as exact zeros
-    and skipped, so a node sitting on a site is counted once.  This is the
-    one-column case of the count that labels every mode in
-    :func:`diagonalize_magnons`.
-    """
-    return int(_node_counts(np.asarray(mode_function, dtype=float)[:, None], threshold)[0])
-
-
 def _node_counts(vectors: np.ndarray, threshold: float = NODE_THRESHOLD) -> np.ndarray:
     """Sign changes of every column of ``vectors`` (sites x modes), at once.
 
@@ -95,7 +81,7 @@ def _node_counts(vectors: np.ndarray, threshold: float = NODE_THRESHOLD) -> np.n
     return np.bincount(column[1:][change], minlength=c.shape[0])
 
 
-def diagonalize_magnons(J: CouplingMatrix, energy_shift: float = 0.0) -> MagnonSpectrum:
+def diagonalize_magnons(J: CouplingMatrix) -> MagnonSpectrum:
     """Diagonalize the coupling matrix and label modes by node count.
 
     Modes are sorted by increasing node count, i.e. by pseudo-momentum
@@ -119,7 +105,6 @@ def diagonalize_magnons(J: CouplingMatrix, energy_shift: float = 0.0) -> MagnonS
         mode_functions=vectors[:, order],
         pseudo_momenta=(nodes[order] + 1) * np.pi / (n + 1),
         node_counts=nodes[order],
-        energy_shift=energy_shift,
     )
 
 

@@ -469,6 +469,66 @@ def test_tomo_rejects_single_excitation_model(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("seed,code", [(-1, 2), (0, 0), (2 ** 64 - 1, 0), (2 ** 64, 2)])
+def test_seed_outside_the_philox_key_range_is_config_error(tmp_path, capsys, seed, code):
+    assert cli.main(["tomo", "-o", str(tmp_path), "--seed", str(seed), "--shots", "10",
+                     "--resamples", "100"]) == code
+    if code:
+        assert capsys.readouterr().err == (
+            f"config error: --seed / [run] seed must be in [0, 2^64), got {seed}\n")
+        assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,ini,flag", [
+    (["quench", "--t-end", "inf"], "", "--t-end / [run] t_end"),
+    (["quench", "--t-start", "nan"], "", "--t-start / [run] t_start"),
+    (["quench"], "[run]\nt_end = inf\n", "--t-end / [run] t_end"),
+    (["quench", "--model", "ising", "--field", "nan"], "", "--field / [trap] transverse_field"),
+    (["quench", "--model", "ising", "--field=-inf"], "", "--field / [trap] transverse_field"),
+    (["quench", "--model", "ising"], "[trap]\ntransverse_field = inf\n",
+     "--field / [trap] transverse_field"),
+    (["tomo", "--time", "inf"], "", "--time"),
+    (["lightcone", "--t-end", "inf"], "", "--t-end / [run] t_end"),
+    (["couplings", "--gap", "inf"], "", "--gap / [trap] detuning_gap"),
+    (["modes"], "[trap]\ndetuning_gap = nan\n", "--gap / [trap] detuning_gap"),
+    (["couplings", "--detuning", "nan"], "", "--detuning / [trap] detuning"),
+])
+def test_non_finite_setting_is_config_error_naming_it(tmp_path, capsys, argv, ini, flag):
+    out = tmp_path / "out"
+    if ini:
+        (tmp_path / "run.ini").write_text(ini)
+        argv = argv + ["-c", str(tmp_path / "run.ini")]
+    assert cli.main(argv + ["--n", "7", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag} must be finite, got "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["lightcone", "--n", "201", "--correlations"],
+     "sigma-z correlations need a full-Hilbert-space model (ising or xy)"),
+    (["quench", "--model", "single-excitation", "--flip", "2", "4"],
+     "the single-excitation model needs a local quench with exactly one flipped site"),
+    (["global-quench", "--model", "single-excitation"],
+     "the single-excitation model needs a local quench with exactly one flipped site"),
+    (["tomo", "--model", "single-excitation"],
+     "tomography needs a full-state model (ising or xy)"),
+    (["fit", "--source", "power-law", "--n", "2"],
+     "fit needs a chain of at least 4 ions for its exponent fit, got N = 2"),
+    (["dispersion", "--source", "power-law", "--n", "3"],
+     "dispersion needs a chain of at least 4 ions for its exponent fit, got N = 3"),
+])
+def test_run_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
+    def never(*args, **kwargs):
+        raise AssertionError("the run was not refused up front")
+    for module, name in ((magnon, "evolve_single_excitation"), (magnon, "diagonalize_magnons"),
+                         (dynamics, "evolve"), (cli, "_build_couplings")):
+        monkeypatch.setattr(module, name, never)
+    assert cli.main(argv + ["-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_unstable_chain_is_numeric_error(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[trap]\ntransverse_freq_x = 650000\n")   # deep in the zig-zag

@@ -736,6 +736,48 @@ def test_krylov_nearest_neighbour_xy_is_free_fermions(n, method, data):
                                atol=1e-10)
 
 
+@settings(deadline=None, max_examples=12)
+@given(model=st.sampled_from(["xy", "ising"]), data=st.data())
+@example(model="xy", data=None)
+@example(model="ising", data=None)
+def test_norm_sectors_and_magnetisation_hold_across_the_ladder(model, data):
+    """At every output time the norm is 1 to 1e-10, the weight stays in the
+    conserved block the quench starts in (k flips for XY, the parity for
+    Ising), and for XY sum_i <sigma_i^z> = 2k - N.  XY takes 1 or 2 flips
+    at N = 2..63, Ising 1 to 3 flips or a global quench at N = 2..13; the
+    largest sizes always run, on random couplings, so that no mirror
+    symmetry halves the C(63, 2) = 1953-state XY block and the 4096-state
+    Ising parity half, and both take the Krylov path.  Drawn cases also
+    take mirror-symmetric power laws and an Ising field."""
+    top = {"xy": 63, "ising": 13}[model]
+    if data is None:
+        n, flips, mirror, B = top, (1, top // 2), False, 0.0
+    else:
+        n = data.draw(st.integers(2, top), label="n")
+        fewest, most = (1, 2) if model == "xy" else (0, 3)     # no flips: a global quench
+        flips = tuple(data.draw(st.sets(st.integers(1, n), min_size=fewest,
+                                        max_size=min(most, n)), label="flips"))
+        mirror = data.draw(st.booleans(), label="mirror")
+        B = 0.0 if model == "xy" else data.draw(st.sampled_from([0.0, 30.0 * J0]),
+                                                label="field")
+    J = (ionchain.power_law_coupling(n, 1.3, J0) if mirror
+         else _coupling(random_coupling(n, seed=n, scale=J0)))
+    H = dynamics.build_hamiltonian(J, transverse_field=B, model=model)
+    spec = QuenchSpec("local", flips) if flips else QuenchSpec("global")
+    traj = dynamics.evolve(dynamics.prepare_state(spec, n), H, np.linspace(0.0, 0.01, 5))
+    np.testing.assert_allclose(np.linalg.norm(traj.states, axis=1), 1.0, rtol=0, atol=1e-10)
+    weights = np.array([dynamics.excitation_sector_weights(traj.state(t))
+                        for t in range(len(traj))])                     # (T, N + 1)
+    if model == "xy":
+        k = len(flips)
+        assert not np.delete(weights, k, axis=1).any()
+        np.testing.assert_allclose(weights[:, k], 1.0, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dynamics.magnetisation(traj).sum(axis=1), 2 * k - n,
+                                   rtol=0, atol=1e-10)
+    elif flips:
+        assert not weights[:, (len(flips) + 1) % 2::2].any()
+
+
 def test_block_rejects_states_the_hamiltonian_leaves():
     H = dynamics.build_hamiltonian(ionchain.nearest_neighbour_coupling(4, J0), model="xy")
     one_flip = np.array([1, 2, 4, 8])
@@ -798,7 +840,7 @@ def test_magnetisation_matches_operator_expectation():
     rng = np.random.default_rng(31)
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     amps /= np.linalg.norm(amps)
-    state = StateVector(amplitudes=amps, n_sites=n)
+    state = StateVector(amplitudes=amps, n_sites=n, basis=np.arange(2 ** n))
     mag = dynamics.magnetisation(state)
     for s in range(1, n + 1):
         expected = np.vdot(amps, op_on_site(SZ, s, n) @ amps).real
@@ -810,7 +852,7 @@ def test_correlations_match_operator_expectation():
     rng = np.random.default_rng(32)
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     amps /= np.linalg.norm(amps)
-    state = StateVector(amplitudes=amps, n_sites=n)
+    state = StateVector(amplitudes=amps, n_sites=n, basis=np.arange(2 ** n))
     C = dynamics.two_point_correlations(state)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -846,7 +888,8 @@ def test_per_site_correlations_equal_the_per_time_products(n):
     states = rng.normal(size=(6, 2 ** n)) + 1j * rng.normal(size=(6, 2 ** n))
     states[:, rng.random(2 ** n) < 0.3] = 0.0           # states that carry no weight
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    traj = dynamics.Trajectory(times=np.arange(6.0), states=states, n_sites=n)
+    traj = dynamics.Trajectory(times=np.arange(6.0), states=states, n_sites=n,
+                               basis=np.arange(2 ** n))
     z = 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1) - 1.0
     p = np.abs(states) ** 2
     m = p @ z

@@ -15,7 +15,8 @@ BELL = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)    # (|du> + |ud>)/sqrt(2)
 
 def _state(amps, n):
     amps = np.asarray(amps, dtype=complex)
-    return StateVector(amplitudes=amps / np.linalg.norm(amps), n_sites=n)
+    return StateVector(amplitudes=amps / np.linalg.norm(amps), n_sites=n,
+                       basis=np.arange(amps.size))
 
 
 def _random_state(dim, seed):
@@ -289,14 +290,14 @@ def test_reconstructed_matrix_is_physical():
 def test_nearest_psd_projection_by_hand():
     # eigenvalues (0.7, 0.5, -0.1, -0.1): the Euclidean simplex projection
     # keeps the top two shifted by the lost mass, tau = 0.1
-    out = ent._project_physical(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
+    out = ent._project_stack(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)[None])[0]
     np.testing.assert_allclose(np.sort(np.diag(out).real)[::-1],
                                [0.6, 0.4, 0.0, 0.0], atol=1e-12)
 
 
 def test_projection_fixes_physical_states():
     rho = np.outer(BELL, BELL)
-    np.testing.assert_allclose(ent._project_physical(rho), rho, atol=1e-12)
+    np.testing.assert_allclose(ent._project_stack(rho[None])[0], rho, atol=1e-12)
 
 
 def _simplex_projection_oracle(rho):
@@ -325,7 +326,7 @@ def test_stacked_projection_matches_loop_over_indefinite_matrices():
     out = ent._project_stack(stack)
     for rho, got in zip(stack, out):
         np.testing.assert_allclose(got, _simplex_projection_oracle(rho), atol=1e-12)
-        np.testing.assert_allclose(got, ent._project_physical(rho), atol=1e-15)
+        np.testing.assert_allclose(got, ent._project_stack(rho[None])[0], atol=1e-15)
     hand = np.array([np.diag([0.7, 0.5, -0.1, -0.1]), np.outer(BELL, BELL)]).astype(complex)
     out = ent._project_stack(hand)
     np.testing.assert_allclose(np.sort(np.diag(out[0]).real)[::-1], [0.6, 0.4, 0.0, 0.0],

@@ -63,9 +63,10 @@ def test_positions_converge_up_to_160_ions():
         assert floor < 1e-11, n
 
 
-def test_positions_still_report_non_convergence():
+def test_positions_still_report_non_convergence(monkeypatch):
+    monkeypatch.setattr(ionchain, "MAX_NEWTON_ITERATIONS", 2)
     with pytest.raises(ionchain.ConvergenceError, match="n=100"):
-        ionchain.equilibrium_positions(100, max_iter=2)
+        ionchain.equilibrium_positions(100)
 
 
 def test_positions_need_two_ions():
