@@ -70,9 +70,15 @@ _MODELS = ("ising", "xy", "single_excitation")
 _SOURCES = ("trap", "power_law", "nearest_neighbour", "file")
 #: Subcommands that propagate a quench.
 _QUENCH_COMMANDS = ("quench", "global-quench", "tomo", "lightcone")
-#: Flag and INI key of each RunConfig float that must be finite.
-_FINITE = {"t_start": "--t-start / [run] t_start", "t_end": "--t-end / [run] t_end",
-           "sample_time": "--time", "field_hz": "--field / [trap] transverse_field"}
+#: Flag and INI key of each RunConfig float that must be finite, and the
+#: coupling sources that read it (None: every source).
+_FINITE = {"t_start": ("--t-start / [run] t_start", None),
+           "t_end": ("--t-end / [run] t_end", None),
+           "sample_time": ("--time", None),
+           "field_hz": ("--field / [trap] transverse_field", None),
+           "alpha": ("--alpha / [couplings] alpha", ("power_law",)),
+           "nn_strength": ("--jbar / [couplings] nn_strength",
+                           ("power_law", "nearest_neighbour"))}
 
 
 @dataclass(frozen=True)
@@ -130,11 +136,18 @@ class RunConfig:
             raise ConfigError(f"unknown quench kind {self.kind!r}")
         if self.n_points < 2:
             raise ConfigError("n_points must be >= 2")
-        for name, flag in _FINITE.items():
-            _check_finite(getattr(self, name), flag)
+        for name, (flag, sources) in _FINITE.items():
+            if sources is None or self.source in sources:
+                _check_finite(getattr(self, name), flag)
         if not (self.t_end > self.t_start >= 0.0):
             raise ConfigError("need t_end > t_start >= 0")
         self._check_sites(self.flip)
+        if self.command == "lightcone" and self.n_ions - 1 - self.cone_source < 3:
+            raise ConfigError(
+                f"the light cone from site {self.cone_source} has "
+                f"{max(self.n_ions - 1 - self.cone_source, 0)} sites to fit before the "
+                f"excluded edge site {self.n_ions}, and the front velocity needs at least 3 "
+                f"(--n / [trap] n_ions, --flip / [quench] flip)")
         if self.command == "tomo":
             if len(set(self.sites)) != 2:
                 raise ConfigError("tomography sites must be two distinct sites")
@@ -165,6 +178,12 @@ class RunConfig:
                 ionchain._check_site(self.n_ions, s)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+
+    @property
+    def cone_source(self) -> int:
+        """The site whose arrival front ``lightcone`` fits: the first flip,
+        else the centre site."""
+        return self.flip[0] if self.flip else (self.n_ions + 1) // 2
 
     @property
     def times(self) -> np.ndarray:
@@ -562,11 +581,14 @@ def _cmd_tomo(rc: RunConfig) -> int:
 def _cmd_lightcone(rc: RunConfig) -> int:
     J = _build_couplings(rc)
     times, mag, corr = _propagate(rc, J)
+    skipped = []
+    fits = analysis.arrival_times(times, mag, rc.cone_source, skipped=skipped)
+    if len(fits) < 3:
+        raise analysis.FitError(
+            f"{len(fits)} of {len(fits) + len(skipped)} sites gave an arrival fit, and the "
+            f"front velocity needs at least 3; lengthen --t-end / [run] t_end")
     _export_trajectory(rc, times, mag, corr)
 
-    source = rc.flip[0] if rc.flip else (rc.n_ions + 1) // 2
-    skipped = []
-    fits = analysis.arrival_times(times, mag, source, skipped=skipped)
     front = analysis.fit_front_velocity([(d, f.t0) for d, f in fits])
     cone = bounds.nn_lightcone(J)
 

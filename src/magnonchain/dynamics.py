@@ -37,9 +37,12 @@ the centre site of an odd chain, lies wholly in the + sector.  So a
 one-flip XY quench is an N x N problem or smaller, a global XY quench a
 set of about C(N, k)/2-state sectors, and an Ising quench one or two
 sectors of about 2^(N-2) states (cf. the symmetry blocks of QuSpin,
-Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).  Sectors up to
-``DENSE_LIMIT`` states use a dense eigendecomposition, which is exact.
-Larger ones use a Lanczos (Krylov) propagator: one subspace, grown from
+Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).  Each sector is
+assembled as COO triplets.  Sectors up to ``DENSE_LIMIT`` states use a
+dense eigendecomposition of the array the triplets fill, which is exact
+and needs numpy alone.  Larger ones use a Lanczos (Krylov) propagator on
+a scipy CSR matrix of the triplets, so scipy is imported only when a
+sector above ``DENSE_LIMIT`` is propagated: one subspace, grown from
 the state at the time reached so far, serves every later output time it
 converges for, and the next subspace starts from the last of them.  The order-m Lanczos
 approximation leaves a defect (residual) of norm
@@ -60,8 +63,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
 
 from .ionchain import CouplingMatrix, _check_site, _readonly
 
@@ -219,32 +220,46 @@ def _check_states(n: int, count: int) -> None:
 
 
 class Hamiltonian:
-    """Immutable sparse operator handle for H_Ising or H_XY.
+    """Immutable operator handle for H_Ising or H_XY.
 
-    Holds the ingredients (couplings, field, model) and the real CSR matrix
-    (rad/s), either of one mirror sector (built by :func:`evolve`) or of
-    the full 2^N space.  The full-space matrix is assembled only when first
-    used, and only up to ``MAX_STATES`` states; ``evolve`` never needs it.
+    Holds the ingredients (couplings, field, model) and the real matrix
+    elements (rad/s) as COO triplets ``(values, rows, cols, size)``, either
+    of one mirror sector (built by :func:`evolve`) or of the full 2^N
+    space.  The full-space triplets are assembled only when first used,
+    and only up to ``MAX_STATES`` states; ``evolve`` never needs them.
+    :meth:`eigensystem` reads the triplets into a dense array; the CSR
+    matrix behind :meth:`matvec` is built from them on first use, and only
+    then is ``scipy.sparse`` imported.
     """
 
-    def __init__(self, matrix: sp.csr_matrix | None, n_sites: int, model: str,
+    def __init__(self, triplets: tuple | None, n_sites: int, model: str,
                  transverse_field: float, coupling: CouplingMatrix):
-        self._csr = matrix
+        self._coo = triplets
+        self._csr = None
         self.n_sites = n_sites
         self.model = model
         self.transverse_field = transverse_field
         self.coupling = coupling
 
     @property
-    def _matrix(self) -> sp.csr_matrix:
-        if self._csr is None:
+    def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        if self._coo is None:
             _check_states(self.n_sites, 1 << self.n_sites)
-            self._csr = _assemble(self, np.arange(1 << self.n_sites))
+            self._coo = _assemble(self, np.arange(1 << self.n_sites))
+        return self._coo
+
+    @property
+    def _matrix(self):
+        """The scipy CSR matrix of the triplets, built on first use."""
+        if self._csr is None:
+            import scipy.sparse as sp
+            values, rows, cols, size = self._triplets
+            self._csr = sp.coo_matrix((values, (rows, cols)), shape=(size, size)).tocsr()
         return self._csr
 
     @property
     def dim(self) -> int:
-        return 1 << self.n_sites if self._csr is None else self._csr.shape[0]
+        return 1 << self.n_sites if self._coo is None else self._coo[3]
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         """H @ psi, a complex psi as two real products (:func:`_real_matmul`)."""
@@ -254,7 +269,10 @@ class Hamiltonian:
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense eigendecomposition (energies, eigenvectors)."""
-        return np.linalg.eigh(self._matrix.toarray())
+        values, rows, cols, size = self._triplets
+        dense = np.zeros((size, size))
+        np.add.at(dense, (rows, cols), values)
+        return np.linalg.eigh(dense)
 
 
 def build_hamiltonian(J: CouplingMatrix, transverse_field: float = 0.0,
@@ -277,10 +295,13 @@ def build_hamiltonian(J: CouplingMatrix, transverse_field: float = 0.0,
 
 
 def _assemble(H: Hamiltonian, basis: np.ndarray, partner: np.ndarray | None = None,
-              rep: np.ndarray | None = None, sign: float = 1.0) -> sp.csr_matrix:
-    """CSR matrix of H on the sorted basis states ``basis``, or on the
-    mirror sector (``partner``, ``rep``, ``sign``) of them (see
-    :func:`_mirror_sectors`); without a sector, on ``basis`` itself.
+              rep: np.ndarray | None = None, sign: float = 1.0
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """COO triplets ``(values, rows, cols, size)`` of H on the sorted basis
+    states ``basis``, or on the mirror sector (``partner``, ``rep``,
+    ``sign``) of them (see :func:`_mirror_sectors`); without a sector, on
+    ``basis`` itself.  ``size`` is the number of sector states, and an
+    element that two couplings reach appears as two triplets, to be added.
 
     Each coupling J_ij flips the bits i and j of a representative (only
     antiparallel ones for XY); the flipped state is mapped back to its
@@ -323,9 +344,8 @@ def _assemble(H: Hamiltonian, basis: np.ndarray, partner: np.ndarray | None = No
         cols.append(rows[-1])
         vals.append(H.transverse_field * (2 * _popcount(rep_states, n) - n))
     if not rows:
-        return sp.csr_matrix((rep.size, rep.size))
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(rep.size, rep.size)).tocsr()
+        return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), rep.size
+    return np.concatenate(vals), np.concatenate(rows), np.concatenate(cols), rep.size
 
 
 def prepare_state(spec: QuenchSpec, n: int) -> StateVector:
@@ -566,6 +586,8 @@ def _lanczos_subspace(matvec, psi: np.ndarray, dts: np.ndarray, tol: float,
     grows until every time converges or ``m_max`` is reached.  Full
     reorthogonalization keeps the basis clean (the subspace is small).
     """
+    from scipy.linalg import eigh_tridiagonal     # on first use: dense sectors need no scipy
+
     m_max = V.shape[0] - 1
     norm = np.linalg.norm(psi)
     V[0] = psi / norm

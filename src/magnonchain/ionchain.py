@@ -24,10 +24,18 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import constants
+
+#: SI constants of CODATA 2022, the doubles ``scipy.constants`` holds for
+#: them (kept here so that importing the package needs no scipy): atomic
+#: mass constant in kg, elementary charge in C, vacuum permittivity in F/m
+#: and the reduced Planck constant in J s.
+ATOMIC_MASS = 1.66053906892e-27
+ELEMENTARY_CHARGE = 1.602176634e-19
+EPSILON_0 = 8.8541878188e-12
+HBAR = 1.0545718176461565e-34
 
 #: Mass of a calcium-40 ion in kg (the species used for the reference traps).
-MASS_CA40 = 39.9625909 * constants.atomic_mass
+MASS_CA40 = 39.9625909 * ATOMIC_MASS
 
 #: Wavelength of the S-D quadrupole transition of Ca-40 in meters.
 WAVELENGTH_CA40 = 729e-9
@@ -280,7 +288,7 @@ def _chain_hessian(u: np.ndarray) -> np.ndarray:
 def length_scale(trap: TrapConfig) -> float:
     """Coulomb length scale l = (e^2/(4 pi eps0 m omega_ax^2))^(1/3) in meters."""
     omega_ax = 2 * np.pi * trap.axial_freq
-    coulomb = constants.e ** 2 / (4 * np.pi * constants.epsilon_0)
+    coulomb = ELEMENTARY_CHARGE ** 2 / (4 * np.pi * EPSILON_0)
     return (coulomb / (trap.ion_mass * omega_ax ** 2)) ** (1 / 3)
 
 
@@ -414,7 +422,7 @@ def coupling_matrix(trap: TrapConfig, modes: ModeSpectrum, rabi: np.ndarray) -> 
     delta = 2 * np.pi * trap.detuning
     nu = 2 * np.pi * modes.frequencies
     k = 2 * np.pi / trap.laser_wavelength
-    recoil = constants.hbar * k ** 2 / (2 * trap.ion_mass)
+    recoil = HBAR * k ** 2 / (2 * trap.ion_mass)
 
     weights = 1.0 / (delta ** 2 - nu ** 2)                      # (2N,)
     b = modes.mode_vectors                                      # (N, 2N)

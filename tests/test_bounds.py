@@ -1,10 +1,6 @@
 """Path-counting bound, the scaled Bessel evaluation, and the NN cone."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,17 +64,6 @@ def test_bessel_high_order_against_path_count_series(order):
         series = bounds.lr_bound_series(order, x / 4.0, 1.0, m_max=2000, rtol=1e-15)
         assert bounds.modified_bessel_i(order, x) == pytest.approx(series.value / 2.0,
                                                                    rel=1e-12)
-
-
-def test_importing_the_cli_leaves_scipy_special_unloaded():
-    """Only the Bessel bound needs scipy.special, and it imports it on first
-    use, so starting the command line does not pay for it."""
-    src = str(Path(bounds.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, magnonchain.cli; print('scipy.special' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
 
 
 def _scaled_bessel_by_quadrature(order: int, x: float, points: int = 4096) -> float:

@@ -1,6 +1,10 @@
 """CLI contract: precedence, artifacts, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,6 +496,13 @@ def test_seed_outside_the_philox_key_range_is_config_error(tmp_path, capsys, see
     (["couplings", "--gap", "inf"], "", "--gap / [trap] detuning_gap"),
     (["modes"], "[trap]\ndetuning_gap = nan\n", "--gap / [trap] detuning_gap"),
     (["couplings", "--detuning", "nan"], "", "--detuning / [trap] detuning"),
+    (["quench", "--alpha", "nan"], "", "--alpha / [couplings] alpha"),
+    (["quench"], "[couplings]\nalpha = -inf\n", "--alpha / [couplings] alpha"),
+    (["quench", "--jbar", "inf"], "", "--jbar / [couplings] nn_strength"),
+    (["couplings", "--source", "nearest-neighbour", "--jbar", "nan"], "",
+     "--jbar / [couplings] nn_strength"),
+    (["lightcone"], "[couplings]\nsource = power_law\nnn_strength = inf\n",
+     "--jbar / [couplings] nn_strength"),
 ])
 def test_non_finite_setting_is_config_error_naming_it(tmp_path, capsys, argv, ini, flag):
     out = tmp_path / "out"
@@ -502,6 +513,15 @@ def test_non_finite_setting_is_config_error_naming_it(tmp_path, capsys, argv, in
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {flag} must be finite, got "), err
     assert not out.exists()
+
+
+def test_coupling_parameters_are_checked_only_for_the_sources_that_read_them(
+        tmp_path, capsys):
+    assert cli.main(["couplings", "--n", "7", "--alpha", "nan", "--jbar", "inf",
+                     "-o", str(tmp_path / "trap")]) == 0
+    assert cli.main(["couplings", "--n", "7", "--source", "nearest-neighbour",
+                     "--alpha", "nan", "-o", str(tmp_path / "nn")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -517,6 +537,12 @@ def test_non_finite_setting_is_config_error_naming_it(tmp_path, capsys, argv, in
      "fit needs a chain of at least 4 ions for its exponent fit, got N = 2"),
     (["dispersion", "--source", "power-law", "--n", "3"],
      "dispersion needs a chain of at least 4 ions for its exponent fit, got N = 3"),
+    (["lightcone", "--n", "7"],
+     "the light cone from site 4 has 2 sites to fit before the excluded edge site 7, and "
+     "the front velocity needs at least 3 (--n / [trap] n_ions, --flip / [quench] flip)"),
+    (["lightcone", "--flip", "15"],
+     "the light cone from site 15 has 0 sites to fit before the excluded edge site 15, and "
+     "the front velocity needs at least 3 (--n / [trap] n_ions, --flip / [quench] flip)"),
 ])
 def test_run_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
     def never(*args, **kwargs):
@@ -526,6 +552,18 @@ def test_run_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, mes
         monkeypatch.setattr(module, name, never)
     assert cli.main(argv + ["-o", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_light_cone_with_too_few_arrival_fits_is_numeric_error(tmp_path, capsys):
+    """A window too short for any arrival: every site is skipped, and the
+    run fails as a numeric error naming the window, not as a bad argument."""
+    argv = ["lightcone", "--n", "15", "--t-end", "1e-12", "-o", str(tmp_path)]
+    with pytest.warns(UserWarning, match="never rises above its baseline"):
+        assert cli.main(argv) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "error (FitError): 0 of 6 sites gave an arrival fit, and the front velocity needs "
+        "at least 3; lengthen --t-end / [run] t_end\n")
     assert not any(tmp_path.iterdir())
 
 
@@ -579,6 +617,67 @@ def test_main_reuses_one_parser_with_fresh_namespaces(monkeypatch):
     assert not hasattr(second, "shots") and not hasattr(second, "sites")
     assert not hasattr(first, "unit") and not hasattr(third, "unit")
     assert (third.shots, third.sites, third.n_ions) == (None, None, None)
+
+
+# ---------------------------------------------------------------------------
+# cold start: scipy loads only for Krylov sectors and the Bessel bound
+
+
+#: Runs each argv list of the JSON in argv[1] through ``cli.main`` and
+#: prints, as its last line, each exit code with the scipy modules loaded
+#: after that run.
+_SCIPY_PROBE = """
+import json, sys
+from magnonchain import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    report.append([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+print(json.dumps(report))
+"""
+
+
+def _in_fresh_interpreter(code: str, *args: str) -> str:
+    """Standard output of ``python -c code *args`` importing this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """Starting the command line loads no scipy module: scipy.sparse and
+    scipy.linalg wait for a sector above DENSE_LIMIT, scipy.special for
+    the Bessel bound."""
+    code = ("import sys, magnonchain.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert _in_fresh_interpreter(code).strip() == "[]"
+
+
+def test_paper_size_commands_leave_scipy_unloaded(tmp_path):
+    """Every subcommand at the paper's N = 7 (the light cone at its default
+    N = 15) runs without importing scipy; a Krylov quench (the N = 13
+    Ising centre flip, one 2080-state sector) then loads scipy.sparse and
+    scipy.linalg."""
+    runs = [["quench", "--n", "7", "--model", "xy"],
+            ["quench", "--n", "7", "--model", "ising"],
+            ["global-quench", "--n", "7"],
+            ["tomo", "--n", "7"],
+            ["lightcone"],
+            ["couplings", "--n", "7"],
+            ["couplings", "--n", "7", "--source", "power-law"],
+            ["dispersion", "--n", "7"],
+            ["fit", "--couplings", str(tmp_path / "5" / "couplings.csv")],   # run 5's
+            ["modes", "--n", "7"],
+            ["quench", "--n", "13", "--model", "ising", "--t-end", "0.0002",
+             "--n-points", "3"]]
+    argvs = [argv + ["-o", str(tmp_path / str(k))] for k, argv in enumerate(runs)]
+    out = _in_fresh_interpreter(_SCIPY_PROBE, json.dumps(argvs))
+    report = json.loads(out.splitlines()[-1])
+    assert [code for code, _ in report] == [0] * len(runs)
+    loaded = {" ".join(argv): modules for argv, (_, modules) in zip(runs[:-1], report)}
+    assert loaded == dict.fromkeys(loaded, [])
+    assert {"scipy.sparse", "scipy.linalg"} <= set(report[-1][1])
 
 
 def test_unknown_subcommand_exits_via_argparse(capsys):

@@ -21,6 +21,13 @@ def _coupling(values):
     return ionchain.CouplingMatrix(values=values)
 
 
+def _assembled(H, basis, *sector):
+    """The CSR matrix of ``dynamics._assemble(H, basis, *sector)``, built
+    from its COO triplets."""
+    values, rows, cols, size = dynamics._assemble(H, basis, *sector)
+    return sp.coo_matrix((values, (rows, cols)), shape=(size, size)).tocsr()
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian assembly against the kron oracle
 
@@ -311,7 +318,7 @@ def test_direct_block_assembly_equals_sliced_full_matrix(n, model):
     labels = counts if model == "xy" else counts % 2
     for label in np.unique(labels):
         basis = np.flatnonzero(labels == label)
-        block = dynamics._assemble(H, basis)
+        block = _assembled(H, basis)
         assert block.shape == (basis.size, basis.size)
         assert (block != full[basis][:, basis]).nnz == 0
 
@@ -321,7 +328,7 @@ def test_quench_path_never_assembles_the_full_matrix():
     H = dynamics.build_hamiltonian(J, transverse_field=40.0, model="ising")
     dynamics.evolve(dynamics.prepare_state(QuenchSpec("local", (2,)), 9), H,
                     np.linspace(0.0, 1e-3, 3), method="krylov")
-    assert H._csr is None
+    assert H._coo is None and H._csr is None
     assert H.dim == 2 ** 9 and H._matrix.shape == (2 ** 9, 2 ** 9)
 
 
@@ -364,14 +371,14 @@ def _check_sectors(H, basis, mirrored):
     """The sectors ``evolve`` assembles for a block partition it, and each
     equals U^T H_block U to 1e-12 of its largest element: U from
     :func:`_mirror_isometries` if J is mirror symmetric, else the identity."""
-    block = dynamics._assemble(H, basis)
+    block = _assembled(H, basis)
     isometries = (_mirror_isometries(basis, H.n_sites) if mirrored
                   else [sp.identity(basis.size, format="csr")])
     sectors = dynamics._mirror_sectors(H, basis)
     assert len(sectors) == len(isometries)
     assert sum(rep.size for _, rep, _ in sectors) == basis.size
     for sector, U in zip(sectors, isometries):
-        matrix = dynamics._assemble(H, basis, *sector).toarray()
+        matrix = _assembled(H, basis, *sector).toarray()
         expected = (U.T @ block @ U).toarray()
         assert matrix.shape == expected.shape
         assert np.abs(matrix - expected).max(initial=0.0) <= \
@@ -424,7 +431,7 @@ def test_coupling_off_mirror_by_one_ulp_propagates_the_whole_block(model, flips,
     psi0 = dynamics.prepare_state(QuenchSpec("local", flips), n)
     every = np.arange(2 ** n)
     (sector,) = _check_sectors(H, every, mirrored=False)
-    assert (dynamics._assemble(H, every, *sector) != dynamics._assemble(H, every)).nnz == 0
+    assert (_assembled(H, every, *sector) != _assembled(H, every)).nnz == 0
     times = np.linspace(0.0, 1.0, 3) / (np.abs(values).max() + B)
     expected = _full_space_oracle(H, full_space(psi0), times)
     for method in ("dense", "krylov"):
@@ -449,6 +456,39 @@ def test_every_mirror_sector_is_the_projected_block(n, model):
         basis = every[labels == label]
         (_, plus, _), (_, minus, _) = _check_sectors(H, basis, mirrored=True)
         assert plus.size - minus.size == np.count_nonzero(palindromes[basis])
+
+
+def _eigh_input(H):
+    """The dense array that ``H.eigensystem()`` hands to ``np.linalg.eigh``."""
+    seen = []
+    with mock.patch.object(np.linalg, "eigh", lambda a: seen.append(a) or (None, None)):
+        H.eigensystem()
+    (dense,) = seen
+    return dense
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("model", ["xy", "ising"])
+@pytest.mark.parametrize("field", [0.0, 50.0])
+def test_dense_sector_from_triplets_equals_the_csr_bitwise(n, model, field):
+    """Every mirror sector of every conserved block: the dense matrix the
+    eigendecomposition reads from the triplets is, bit for bit, the CSR
+    matrix that scipy builds from the same triplets (field in units of
+    max|J|)."""
+    J = ionchain.power_law_coupling(n, 1.3, J0)
+    H = dynamics.build_hamiltonian(J, transverse_field=field * np.abs(J.values).max(),
+                                   model=model)
+    counts = np.array([bin(b).count("1") for b in range(2 ** n)])
+    labels = counts if model == "xy" else counts % 2
+    for label in np.unique(labels):
+        basis = np.flatnonzero(labels == label)
+        for sector in dynamics._mirror_sectors(H, basis):
+            block = dynamics.Hamiltonian(dynamics._assemble(H, basis, *sector), n, model,
+                                         H.transverse_field, J)
+            dense = _eigh_input(block)
+            assert dense.dtype == np.float64 and dense.shape == (block.dim, block.dim)
+            np.testing.assert_array_equal(dense.view(np.int64),
+                                          block._matrix.toarray().view(np.int64))
 
 
 def _ising_n9():
@@ -580,7 +620,7 @@ def _reached_sectors(H, psi0):
                              _mirror_isometries(basis, H.n_sites)):
             psi = U.T @ amps[basis]
             if psi.any():
-                sectors.append((dynamics._assemble(H, basis, *sector).toarray(), psi))
+                sectors.append((_assembled(H, basis, *sector).toarray(), psi))
     return sectors
 
 
@@ -781,7 +821,7 @@ def test_norm_sectors_and_magnetisation_hold_across_the_ladder(model, data):
 def test_block_rejects_states_the_hamiltonian_leaves():
     H = dynamics.build_hamiltonian(ionchain.nearest_neighbour_coupling(4, J0), model="xy")
     one_flip = np.array([1, 2, 4, 8])
-    assert dynamics._assemble(H, one_flip).shape == (4, 4)
+    assert _assembled(H, one_flip).shape == (4, 4)
     with pytest.raises(ValueError, match="outside"):
         dynamics._assemble(H, one_flip[:3])
     with pytest.raises(ValueError, match="outside"):
@@ -789,7 +829,7 @@ def test_block_rejects_states_the_hamiltonian_leaves():
     ising = dynamics.build_hamiltonian(ionchain.nearest_neighbour_coupling(4, J0),
                                        transverse_field=5.0, model="ising")
     odd = np.array([1, 2, 4, 7, 8, 11, 13, 14])
-    assert dynamics._assemble(ising, odd).shape == (8, 8)
+    assert _assembled(ising, odd).shape == (8, 8)
     with pytest.raises(ValueError, match="outside"):
         dynamics._assemble(ising, odd[:-1])             # target above the basis
 

@@ -74,6 +74,19 @@ def test_positions_need_two_ions():
         ionchain.equilibrium_positions(1)
 
 
+def test_si_constants_are_the_codata_2022_doubles_of_scipy():
+    """The module's constants are scipy's CODATA 2022 values, exactly;
+    an installed scipy with another CODATA release has nothing to pin."""
+    codata = getattr(constants._codata, "_current_codata", None)
+    if codata != "CODATA 2022":
+        pytest.skip(f"the installed scipy carries {codata}")
+    assert ionchain.ATOMIC_MASS == constants.atomic_mass
+    assert ionchain.ELEMENTARY_CHARGE == constants.e
+    assert ionchain.EPSILON_0 == constants.epsilon_0
+    assert ionchain.HBAR == constants.hbar
+    assert ionchain.MASS_CA40 == 39.9625909 * constants.atomic_mass
+
+
 def test_length_scale_reference_value(reference_trap):
     assert ionchain.length_scale(reference_trap) == pytest.approx(
         REFERENCE_LENGTH_SCALE, rel=1e-12)
