@@ -31,7 +31,7 @@ def scan(gaps_hz):
     trap = ionchain.TrapConfig(
         n_ions=N_IONS, axial_freq=AXIAL_FREQ,
         transverse_freq_x=TRANSVERSE_FREQ_X, transverse_freq_y=TRANSVERSE_FREQ_Y,
-        detuning=TRANSVERSE_FREQ_X, transverse_field=0.0)
+        detuning=TRANSVERSE_FREQ_X)
     beam = ionchain.BeamProfile(peak_rabi=PEAK_RABI,
                                 waist_along_chain=WAIST_ALONG_CHAIN,
                                 waist_transverse=WAIST_TRANSVERSE)

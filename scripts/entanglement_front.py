@@ -71,9 +71,9 @@ def main():
     pair = PAIRS[0]
     k = first_peak(times, traces[pair])
     rho = entanglement.reduced_density_matrix(traj.state(k), pair)
-    records = entanglement.simulate_tomography(rho, shots=TOMO_SHOTS, seed=TOMO_SEED)
-    rec = entanglement.tomography_reconstruct(records, subsystem=pair)
-    est, err = entanglement.bootstrap(records, BOOT_RESAMPLES, "concurrence",
+    counts = entanglement.simulate_tomography(rho, shots=TOMO_SHOTS, seed=TOMO_SEED)
+    rec = entanglement.tomography_reconstruct(counts, subsystem=pair)
+    est, err = entanglement.bootstrap(counts, BOOT_RESAMPLES, "concurrence",
                                       seed=TOMO_SEED + 1)
     print(f"\npair {pair} at t = {times[k] * 1e3:.2f} ms, {TOMO_SHOTS} shots/basis:")
     print(f"  exact concurrence          {traces[pair][k]:.4f}")

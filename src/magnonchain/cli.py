@@ -53,7 +53,6 @@ DEFAULT_TRAP = {
     "axial_freq": 0.219e6,
     "transverse_freq_x": 2.655e6,
     "transverse_freq_y": 2.628e6,
-    "transverse_field": 0.0,
 }
 #: Reference addressing beam (Hz / meters).
 DEFAULT_BEAM = {
@@ -139,6 +138,9 @@ class RunConfig:
         for name, (flag, sources) in _FINITE.items():
             if sources is None or self.source in sources:
                 _check_finite(getattr(self, name), flag)
+        if self.field_hz is not None and self.field_hz < 0:
+            raise ConfigError(f"--field / [trap] transverse_field must be >= 0, "
+                              f"got {self.field_hz}")
         if not (self.t_end > self.t_start >= 0.0):
             raise ConfigError("need t_end > t_start >= 0")
         self._check_sites(self.flip)
@@ -250,20 +252,24 @@ def build_parser() -> argparse.ArgumentParser:
                         help="absolute detuning from the spin transition "
                              "(overrides --gap)")
 
-    quenchy = argparse.ArgumentParser(add_help=False)
-    quenchy.add_argument("--flip", type=int, nargs="+", metavar="SITE",
-                         help="1-based sites to flip (default: center site)")
-    quenchy.add_argument("--model", "-m",
-                         choices=[m.replace("_", "-") for m in _MODELS],
-                         help="propagation model")
-    quenchy.add_argument("--field", metavar="HZ|auto",
-                         help="transverse field for Ising runs; 'auto' = 50 max|J| "
-                              "(the excitation-conserving regime)")
-    quenchy.add_argument("--t-start", type=float, metavar="S", help="first sample time")
-    quenchy.add_argument("--t-end", "-t", type=float, metavar="S", help="last sample time")
-    quenchy.add_argument("--n-points", type=int, metavar="M", help="number of sample times")
-    quenchy.add_argument("--correlations", action="store_true",
-                         help="also export connected sigma-z correlations")
+    # the quench flags come in groups, and each subcommand gets the groups it reads
+    flip = argparse.ArgumentParser(add_help=False)
+    flip.add_argument("--flip", type=int, nargs="+", metavar="SITE",
+                      help="1-based sites to flip (default: center site)")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", "-m",
+                       choices=[m.replace("_", "-") for m in _MODELS],
+                       help="propagation model")
+    model.add_argument("--field", metavar="HZ|auto",
+                       help="transverse field for Ising runs; 'auto' = 50 max|J| "
+                            "(the excitation-conserving regime)")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--t-start", type=float, metavar="S", help="first sample time")
+    window.add_argument("--t-end", "-t", type=float, metavar="S", help="last sample time")
+    window.add_argument("--n-points", type=int, metavar="M", help="number of sample times")
+    correlations = argparse.ArgumentParser(add_help=False)
+    correlations.add_argument("--correlations", action="store_true",
+                              help="also export connected sigma-z correlations")
 
     sub.add_parser("modes", parents=[common],
                    help="transverse mode spectrum and ion positions")
@@ -273,11 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="unit tag of the exported matrix")
     sub.add_parser("dispersion", parents=[common],
                    help="magnon dispersion + power-law exponent fit")
-    sub.add_parser("quench", parents=[common, quenchy],
+    sub.add_parser("quench", parents=[common, flip, model, window, correlations],
                    help="local quench: flip sites and propagate")
-    sub.add_parser("global-quench", parents=[common, quenchy],
-                   help="all spins along +x under the Ising model")
-    p = sub.add_parser("tomo", parents=[common, quenchy],
+    sub.add_parser("global-quench", parents=[common, model, window],
+                   help="all spins along +x under the Ising model (correlations "
+                        "always exported)")
+    p = sub.add_parser("tomo", parents=[common, flip, model],
                        help="simulated two-qubit tomography after a quench")
     p.add_argument("--sites", type=int, nargs=2, metavar=("I", "J"),
                    help="tomography site pair (default 3 5)")
@@ -286,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, metavar="K", help="shots per basis (default 1000)")
     p.add_argument("--resamples", type=int, metavar="R",
                    help="bootstrap resamples (default 200)")
-    sub.add_parser("lightcone", parents=[common, quenchy],
+    sub.add_parser("lightcone", parents=[common, flip, model, window, correlations],
                    help="arrival fits, front velocity, and NN cone overlay")
     sub.add_parser("fit", parents=[common],
                    help="exponent / cone report for an existing coupling CSV")
@@ -415,7 +422,7 @@ def _load_coupling_file(path: str | None, n_ions: int | None) -> ionchain.Coupli
 def _resolve_trap(trap_cfg: dict, args, n_ions: int) -> ionchain.TrapConfig:
     params = dict(DEFAULT_TRAP)
     for key in ("axial_freq", "transverse_freq_x", "transverse_freq_y",
-                "transverse_field", "ion_mass", "laser_wavelength"):
+                "ion_mass", "laser_wavelength"):
         if key in trap_cfg:
             params[key] = trap_cfg[key]
     trap = ionchain.TrapConfig(n_ions=n_ions, detuning=0.0, **params)
@@ -551,16 +558,16 @@ def _cmd_tomo(rc: RunConfig) -> int:
     traj = _evolve(rc, J, np.array([rc.sample_time]))
     rho_exact = entanglement.reduced_density_matrix(traj.state(0), sites)
 
-    records = entanglement.simulate_tomography(rho_exact, rc.shots, rc.seed)
-    rho_hat = entanglement.tomography_reconstruct(records, subsystem=sites)
+    counts = entanglement.simulate_tomography(rho_exact, rc.shots, rc.seed)
+    rho_hat = entanglement.tomography_reconstruct(counts, sites)
     boot_mean, boot_std = entanglement.bootstrap(
-        records, rc.resamples, "concurrence", rc.seed)
+        counts, rc.resamples, "concurrence", rc.seed)
 
     path = mio.save_density_matrix(rc.outdir / "rho.csv", rho_hat,
                                    rc.meta(t_s=rc.sample_time, shots=rc.shots))
     _report(path, "density_matrix")
-    report = [{"basis": "".join(r.basis), "shots": r.shots, "counts": list(r.counts)}
-              for r in records]
+    report = [{"basis": "".join(b), "shots": int(row.sum()), "counts": row.tolist()}
+              for b, row in zip(entanglement.TOMOGRAPHY_BASES, counts)]
     report.append({
         "sites": list(sites),
         "t_s": rc.sample_time,

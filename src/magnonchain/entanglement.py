@@ -12,10 +12,14 @@ in this ordering read
 (sigma_y and sigma_z pick up a sign relative to the usual |up>-first
 convention so that the algebra sigma_x sigma_y = i sigma_z still holds).
 
-Simulated tomography draws multinomial projection noise with a
-counter-based RNG (Philox) keyed by (seed, record stream), so every
-measurement record and bootstrap resample has its own reproducible
-stream regardless of evaluation order.
+Tomography data is one (9, 4) integer counts array: row b counts the
+outcomes (++, +-, -+, --) of setting TOMOGRAPHY_BASES[b], where +/- are
+the eigenvalues of the two measured Pauli operators, and the shots of a
+setting are its row sum.  Simulated tomography draws multinomial
+projection noise with a counter-based RNG (Philox) keyed by
+(seed, stream): stream b draws row b, and stream 1000 + r bootstrap
+resample r, so each has its own reproducible stream regardless of
+evaluation order.
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ PAULI = {
     "z": np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex),
 }
 
-#: Axis order fixing the stream index of each tomography basis.
+#: Axis order of the settings: (AXES[i], AXES[j]) is row 3 i + j of the counts.
 AXES = ("x", "y", "z")
 
-#: All nine two-qubit measurement bases {x,y,z} x {x,y,z}.
+#: All nine two-qubit measurement settings {x,y,z} x {x,y,z}, one per row
+#: of the tomography counts.
 TOMOGRAPHY_BASES = tuple((a, b) for a in AXES for b in AXES)
 
 #: Two-qubit spin flip sigma_y x sigma_y of the concurrence.
@@ -85,31 +90,6 @@ def _check_physical(rhos: np.ndarray) -> None:
         raise ValueError(f"density matrix trace {trace[off][0]!r} != 1")
     if np.linalg.eigvalsh(rhos).min() < -1e-8:
         raise ValueError("density matrix has eigenvalue below -1e-8")
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Counts of one two-qubit measurement setting.
-
-    ``counts`` tallies the outcomes (++, +-, -+, --) of measuring the two
-    qubits along ``basis``; +/- are the eigenvalues of the chosen Pauli
-    operators.
-    """
-
-    basis: tuple[str, str]
-    shots: int
-    counts: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        basis = tuple(self.basis)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(basis) != 2 or any(a not in AXES for a in basis):
-            raise ValueError(f"basis must be a pair from {AXES}, got {basis!r}")
-        if len(self.counts) != 4 or any(c < 0 for c in self.counts):
-            raise ValueError("counts must be 4 non-negative tallies")
-        if sum(self.counts) != self.shots:
-            raise ValueError(f"counts sum {sum(self.counts)} != shots {self.shots}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,34 +181,26 @@ def _fidelities(rhos: np.ndarray, target) -> np.ndarray:
 # simulated tomography
 
 
-def _as_pair_density(rho_or_state) -> np.ndarray:
-    if isinstance(rho_or_state, DensityMatrix):
-        if rho_or_state.dim != 4:
-            raise ValueError("tomography operates on two-qubit states")
-        return rho_or_state.matrix
-    psi = np.asarray(rho_or_state, dtype=complex).ravel()
-    if psi.size != 4:
-        raise ValueError("expected a two-qubit pure state or DensityMatrix")
-    psi = psi / np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
+def measurement_probabilities(rho: DensityMatrix) -> np.ndarray:
+    """Exact outcome probabilities of the nine settings as a (9, 4) table.
 
-
-def measurement_probabilities(rho_or_state, basis: tuple[str, str]) -> np.ndarray:
-    """Exact outcome probabilities (++, +-, -+, --) for one basis setting."""
-    rho = _as_pair_density(rho_or_state)
+    Row b is setting TOMOGRAPHY_BASES[b], and the columns are the outcomes
+    (++, +-, -+, --).
+    """
+    if rho.dim != 4:
+        raise ValueError("tomography operates on two-qubit states")
     eye = np.eye(2)
-    probs = []
-    for s1 in (1.0, -1.0):
-        proj1 = 0.5 * (eye + s1 * PAULI[basis[0]])
-        for s2 in (1.0, -1.0):
-            proj2 = 0.5 * (eye + s2 * PAULI[basis[1]])
-            probs.append(np.real(np.trace(rho @ np.kron(proj1, proj2))))
-    probs = np.clip(np.array(probs), 0.0, None)
-    return probs / probs.sum()
-
-
-def _record_stream(basis: tuple[str, str]) -> int:
-    return 3 * AXES.index(basis[0]) + AXES.index(basis[1])
+    table = []
+    for basis in TOMOGRAPHY_BASES:
+        probs = []
+        for s1 in (1.0, -1.0):
+            proj1 = 0.5 * (eye + s1 * PAULI[basis[0]])
+            for s2 in (1.0, -1.0):
+                proj2 = 0.5 * (eye + s2 * PAULI[basis[1]])
+                probs.append(np.real(np.trace(rho.matrix @ np.kron(proj1, proj2))))
+        probs = np.clip(np.array(probs), 0.0, None)
+        table.append(probs / probs.sum())
+    return np.array(table)
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -236,60 +208,52 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def sample_measurements(rho_or_state, basis: tuple[str, str], shots: int,
-                        seed: int) -> MeasurementRecord:
-    """Draw multinomial projection noise for one measurement setting.
+def simulate_tomography(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray:
+    """Multinomial projection noise on all nine settings: (9, 4) counts.
 
-    Deterministic for a given (seed, basis): each of the nine settings has
-    its own RNG stream derived from the seed, so records may be produced
-    in any order.
+    Row b draws ``shots`` outcomes of setting TOMOGRAPHY_BASES[b] from
+    its own stream (seed, b).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    basis = tuple(basis)
-    probs = measurement_probabilities(rho_or_state, basis)
-    counts = _rng(seed, _record_stream(basis)).multinomial(shots, probs)
-    return MeasurementRecord(basis=basis, shots=shots, counts=tuple(counts))
+    probs = measurement_probabilities(rho)
+    return np.array([_rng(seed, b).multinomial(shots, p) for b, p in enumerate(probs)])
 
 
-def simulate_tomography(rho_or_state, shots: int, seed: int) -> list[MeasurementRecord]:
-    """Sample all nine basis settings of the two-qubit tomography."""
-    return [sample_measurements(rho_or_state, basis, shots, seed)
-            for basis in TOMOGRAPHY_BASES]
+def _checked_counts(counts) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, shots per setting) of a (9, 4) counts array; a ValueError
+    names what is wrong with it."""
+    counts = np.asarray(counts)
+    if counts.shape != (len(TOMOGRAPHY_BASES), 4):
+        raise ValueError(f"tomography counts must have shape (9, 4), one row per setting "
+                         f"and one column per outcome, got {counts.shape}")
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"tomography counts must be integers, got dtype {counts.dtype}")
+    if (counts < 0).any():
+        raise ValueError("tomography counts must be non-negative")
+    shots = counts.sum(axis=1)
+    if not shots.all():
+        empty = TOMOGRAPHY_BASES[int(np.argmin(shots))]
+        raise ValueError(f"tomography setting {''.join(empty)} has no shots")
+    return counts, shots
 
 
-def tomography_reconstruct(records, subsystem: tuple[int, int] = (1, 2)) -> DensityMatrix:
-    """Linear-inversion reconstruction from the nine basis settings.
+def tomography_reconstruct(counts: np.ndarray, subsystem: tuple[int, int]) -> DensityMatrix:
+    """Linear-inversion reconstruction from (9, 4) counts.
 
     The 15 Pauli expectations are estimated from the counts (single-qubit
     expectations are averaged over the three settings that share the
     axis), assembled into rho = (1/4) sum <P x Q> P x Q, and the result is
     projected to the nearest PSD unit-trace matrix (Frobenius norm); see
-    :func:`_project_stack`.  Where a basis occurs more than once, its
-    last record is used.
+    :func:`_project_stack`.
     """
-    records = list(records)
-    index = _setting_index(records)
-    counts = np.array([rec.counts for rec in records])[index]
-    shots = np.array([rec.shots for rec in records])[index]
+    counts, shots = _checked_counts(counts)
     rho = _project_stack(_linear_inversion(counts[None], shots))
     return DensityMatrix(matrix=rho[0], subsystem=subsystem)
 
 
-def _setting_index(records) -> np.ndarray:
-    """Position in ``records`` of the record used for each of TOMOGRAPHY_BASES."""
-    position = {tuple(rec.basis): k for k, rec in enumerate(records)}
-    missing = [b for b in TOMOGRAPHY_BASES if b not in position]
-    if missing:
-        raise ValueError(f"missing tomography bases: {missing}")
-    index = np.array([position[b] for b in TOMOGRAPHY_BASES])
-    if any(records[k].shots == 0 for k in index):
-        raise ValueError("tomography record with zero shots")
-    return index
-
-
 def _linear_inversion(counts: np.ndarray, shots: np.ndarray) -> np.ndarray:
-    """Raw (R, 4, 4) estimates from (R, 9, 4) counts in TOMOGRAPHY_BASES order."""
+    """Raw (R, 4, 4) estimates from (R, 9, 4) counts and the (9,) shots per setting."""
     pp, pm, mp, mm = np.moveaxis(counts / shots[:, None], -1, 0)
     # coefficients of _PAULI_PRODUCTS; a single-qubit expectation is the
     # mean over the three settings that measure that qubit along the axis
@@ -337,28 +301,27 @@ def _project_stack(rhos: np.ndarray) -> np.ndarray:
 _BOOTSTRAP_STREAM_BASE = 1000
 
 
-def bootstrap(records, resamples: int, statistic: str, seed: int,
+def bootstrap(counts: np.ndarray, resamples: int, statistic: str, seed: int,
               target: np.ndarray | None = None) -> tuple[float, float]:
     """Monte-Carlo bootstrap of a tomography-derived statistic.
 
-    Each resample redraws every record's counts from a multinomial with
-    the record's empirical frequencies, reconstructs the density matrix,
-    and evaluates the statistic ('concurrence', 'entropy', or 'fidelity'
-    against ``target``).  Returns (sample mean, sample standard deviation).
-    Resample r draws the records in the given order from its own RNG
-    stream (seed, 1000 + r), so the result does not depend on evaluation
-    order; all resamples are then reconstructed and evaluated as one stack.
+    Each resample redraws every row of the (9, 4) ``counts`` from a
+    multinomial with the row's shots and empirical frequencies,
+    reconstructs the density matrix, and evaluates the statistic
+    ('concurrence', 'entropy', or 'fidelity' against ``target``).  Returns
+    (sample mean, sample standard deviation).  Resample r draws its nine
+    rows from its own RNG stream (seed, 1000 + r), so the result does not
+    depend on evaluation order; all resamples are then reconstructed and
+    evaluated as one stack.
     """
     if resamples < 100:
         raise ValueError("need at least 100 resamples for a stable error bar")
-    records = list(records)
     evaluate = _statistic_fn(statistic, target)
-    index = _setting_index(records)
-    shots = np.array([rec.shots for rec in records])
-    freqs = np.array([rec.counts for rec in records]) / shots[:, None]
-    counts = np.stack([_rng(seed, _BOOTSTRAP_STREAM_BASE + r).multinomial(shots, freqs)
-                       for r in range(resamples)])
-    rhos = _project_stack(_linear_inversion(counts[:, index], shots[index]))
+    counts, shots = _checked_counts(counts)
+    freqs = counts / shots[:, None]
+    redrawn = np.stack([_rng(seed, _BOOTSTRAP_STREAM_BASE + r).multinomial(shots, freqs)
+                        for r in range(resamples)])
+    rhos = _project_stack(_linear_inversion(redrawn, shots))
     _check_physical(rhos)
     values = evaluate(rhos)
     return float(values.mean()), float(values.std(ddof=1))

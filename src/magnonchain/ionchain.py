@@ -72,14 +72,13 @@ class ResonanceError(ValueError):
 
 @dataclass(frozen=True)
 class TrapConfig:
-    """Trap, drive and field parameters defining the spin system.
+    """Trap and drive parameters defining the spin system.
 
     All frequencies are plain frequencies in Hz.  ``detuning`` is the
     Moelmer-Soerensen symmetric detuning Delta measured from the spin
     transition; the anti-ferromagnetic regime requires it to lie above the
     highest transverse mode (checked when the coupling matrix is built,
-    see :func:`detuning_above_top_mode`).  ``transverse_field`` is the
-    effective field B of the Ising model.
+    see :func:`detuning_above_top_mode`).
     """
 
     n_ions: int
@@ -87,7 +86,6 @@ class TrapConfig:
     transverse_freq_x: float
     transverse_freq_y: float
     detuning: float
-    transverse_field: float
     ion_mass: float = MASS_CA40
     laser_wavelength: float = WAVELENGTH_CA40
 
@@ -102,8 +100,6 @@ class TrapConfig:
                              "for a stable linear chain")
         if self.ion_mass <= 0 or self.laser_wavelength <= 0:
             raise ValueError("ion_mass and laser_wavelength must be > 0")
-        if self.transverse_field < 0:
-            raise ValueError("transverse_field must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,7 @@ def reference_trap():
     from magnonchain import ionchain
     trap = ionchain.TrapConfig(n_ions=7, axial_freq=0.219e6,
                                transverse_freq_x=2.655e6, transverse_freq_y=2.628e6,
-                               detuning=0.0, transverse_field=0.0)
+                               detuning=0.0)
     return ionchain.with_detuning_above_top(trap, 30e3)
 
 

@@ -136,7 +136,7 @@ def test_criterion_06_detuning_sweep_brackets_intermediate_alpha():
         trap = ionchain.TrapConfig(n_ions=7, axial_freq=0.219e6,
                                    transverse_freq_x=2.655e6,
                                    transverse_freq_y=2.628e6,
-                                   detuning=0.0, transverse_field=0.0)
+                                   detuning=0.0)
         trap = ionchain.with_detuning_above_top(trap, gap)
         J = ionchain.build_coupling_matrix(trap, beam)
         spec = magnon.diagonalize_magnons(J)
@@ -241,27 +241,23 @@ def test_criterion_10_tomography_pipeline():
     bell = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
 
     # exact expected counts: all nine bases give integer counts at 1000 shots
-    records = []
-    for basis in entanglement.TOMOGRAPHY_BASES:
-        probs = entanglement.measurement_probabilities(bell, basis)
-        counts = np.round(probs * 1000).astype(int)
-        records.append(entanglement.MeasurementRecord(
-            basis=basis, shots=1000, counts=tuple(counts)))
+    bell_rho = entanglement.DensityMatrix(np.outer(bell, bell), (1, 2))
+    counts = np.round(entanglement.measurement_probabilities(bell_rho) * 1000).astype(int)
     noiseless = entanglement.fidelity(
-        entanglement.tomography_reconstruct(records), bell)
+        entanglement.tomography_reconstruct(counts, (1, 2)), bell)
 
     fids = []
     for seed in range(100):
-        recs = entanglement.simulate_tomography(bell, shots=1000, seed=seed)
+        counts = entanglement.simulate_tomography(bell_rho, shots=1000, seed=seed)
         fids.append(entanglement.fidelity(
-            entanglement.tomography_reconstruct(recs), bell))
+            entanglement.tomography_reconstruct(counts, (1, 2)), bell))
     fraction = float(np.mean(np.array(fids) > 0.97))
 
-    recs_1 = entanglement.simulate_tomography(bell, shots=500, seed=7)
-    recs_4 = entanglement.simulate_tomography(bell, shots=2000, seed=7)
-    _, sigma_1 = entanglement.bootstrap(recs_1, resamples=300,
+    counts_1 = entanglement.simulate_tomography(bell_rho, shots=500, seed=7)
+    counts_4 = entanglement.simulate_tomography(bell_rho, shots=2000, seed=7)
+    _, sigma_1 = entanglement.bootstrap(counts_1, resamples=300,
                                         statistic="fidelity", seed=11, target=bell)
-    _, sigma_4 = entanglement.bootstrap(recs_4, resamples=300,
+    _, sigma_4 = entanglement.bootstrap(counts_4, resamples=300,
                                         statistic="fidelity", seed=11, target=bell)
     ratio = sigma_4 / sigma_1
 

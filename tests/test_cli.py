@@ -543,6 +543,8 @@ def test_coupling_parameters_are_checked_only_for_the_sources_that_read_them(
     (["lightcone", "--flip", "15"],
      "the light cone from site 15 has 0 sites to fit before the excluded edge site 15, and "
      "the front velocity needs at least 3 (--n / [trap] n_ions, --flip / [quench] flip)"),
+    (["quench", "--model", "ising", "--field", "-1"],
+     "--field / [trap] transverse_field must be >= 0, got -1.0"),
 ])
 def test_run_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
     def never(*args, **kwargs):
@@ -553,6 +555,58 @@ def test_run_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, mes
     assert cli.main(argv + ["-o", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,ini", [
+    (["quench", "--model", "xy", "--field", "-100"], ""),
+    (["quench", "--model", "ising", "--source", "trap", "--field", "-100"], ""),
+    (["quench", "--model", "ising"], "[trap]\ntransverse_field = -100\n"),
+    (["quench", "--model", "ising"],
+     "[trap]\ntransverse_field = -100\n[couplings]\nsource = trap\n"),
+    (["tomo", "--model", "ising", "--field", "-100"], ""),
+], ids=["flag-xy", "flag-trap", "ini", "ini-trap", "tomo"])
+def test_negative_field_is_refused_on_every_path(tmp_path, capsys, argv, ini):
+    """One check of the field, whichever model reads it, whichever source the
+    couplings come from and wherever the field is set (the Ising flag case is
+    in the table of test_run_is_refused_before_any_work)."""
+    out = tmp_path / "out"
+    if ini:
+        (tmp_path / "run.ini").write_text(ini)
+        argv = argv + ["-c", str(tmp_path / "run.ini")]
+    assert cli.main(argv + ["--n", "7", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: --field / [trap] transverse_field must be >= 0, got -100.0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tomo", "--correlations"],
+    ["tomo", "--t-start", "0.1"],
+    ["tomo", "--t-end", "0.5"],
+    ["tomo", "--t-end", "-1"],
+    ["tomo", "--n-points", "1"],
+    ["global-quench", "--flip", "3"],
+    ["global-quench", "--correlations"],
+], ids=" ".join)
+def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--n", "7", "-o", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_each_quench_subcommand_offers_the_flags_it_reads():
+    parser = cli.build_parser()
+    tomo = parser.parse_args(["tomo", "--flip", "3", "--model", "ising", "--field", "auto"])
+    assert (tomo.flip, tomo.model, tomo.field) == ([3], "ising", "auto")
+    window = ["--t-start", "0.001", "--t-end", "0.002", "--n-points", "3"]
+    glob = parser.parse_args(["global-quench", "--model", "xy", "--field", "5"] + window)
+    assert (glob.model, glob.field, glob.t_start, glob.t_end, glob.n_points) == (
+        "xy", "5", 0.001, 0.002, 3)
+    for command in ("quench", "lightcone"):
+        args = parser.parse_args([command, "--flip", "2", "--correlations"] + window)
+        assert (args.flip, args.correlations, args.n_points) == ([2], True, 3)
 
 
 def test_light_cone_with_too_few_arrival_fits_is_numeric_error(tmp_path, capsys):

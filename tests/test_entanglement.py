@@ -8,9 +8,14 @@ from conftest import full_space
 from magnonchain import dynamics, ionchain, magnon
 from magnonchain import entanglement as ent
 from magnonchain.dynamics import QuenchSpec, StateVector
-from magnonchain.entanglement import DensityMatrix, MeasurementRecord
+from magnonchain.entanglement import DensityMatrix
 
 BELL = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)    # (|du> + |ud>)/sqrt(2)
+
+
+def _pure(psi):
+    """The two-qubit DensityMatrix |psi><psi| that tomography takes."""
+    return DensityMatrix(np.outer(psi, psi.conj()), (1, 2))
 
 
 def _state(amps, n):
@@ -214,74 +219,105 @@ def test_fidelity_pure_targets():
 def test_bell_measurement_probabilities():
     # the triplet Bell state is perfectly correlated in x and y,
     # perfectly anti-correlated in z
-    np.testing.assert_allclose(ent.measurement_probabilities(BELL, ("z", "z")),
-                               [0.0, 0.5, 0.5, 0.0], atol=1e-12)
-    np.testing.assert_allclose(ent.measurement_probabilities(BELL, ("x", "x")),
-                               [0.5, 0.0, 0.0, 0.5], atol=1e-12)
-    np.testing.assert_allclose(ent.measurement_probabilities(BELL, ("x", "y")),
-                               [0.25, 0.25, 0.25, 0.25], atol=1e-12)
+    probs = ent.measurement_probabilities(_pure(BELL))
+    assert probs.shape == (9, 4)
+    row = {basis: p for basis, p in zip(ent.TOMOGRAPHY_BASES, probs)}
+    np.testing.assert_allclose(row["z", "z"], [0.0, 0.5, 0.5, 0.0], atol=1e-12)
+    np.testing.assert_allclose(row["x", "x"], [0.5, 0.0, 0.0, 0.5], atol=1e-12)
+    np.testing.assert_allclose(row["x", "y"], [0.25, 0.25, 0.25, 0.25], atol=1e-12)
+
+
+def test_tomography_needs_a_two_qubit_state():
+    single = DensityMatrix(np.eye(2) / 2, (1,))
+    with pytest.raises(ValueError, match="two-qubit"):
+        ent.measurement_probabilities(single)
+    with pytest.raises(ValueError, match="two-qubit"):
+        ent.simulate_tomography(single, shots=10, seed=0)
 
 
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_probabilities_normalized_for_random_states(seed):
-    psi = _random_state(4, seed)
-    for basis in ent.TOMOGRAPHY_BASES:
-        p = ent.measurement_probabilities(psi, basis)
-        assert np.all(p >= 0)
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    p = ent.measurement_probabilities(_pure(_random_state(4, seed)))
+    assert np.all(p >= 0)
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_sampling_is_deterministic_per_seed_and_basis():
-    a = ent.sample_measurements(BELL, ("x", "y"), shots=500, seed=42)
-    b = ent.sample_measurements(BELL, ("x", "y"), shots=500, seed=42)
-    c = ent.sample_measurements(BELL, ("x", "y"), shots=500, seed=43)
-    assert a.counts == b.counts
-    assert a.counts != c.counts     # astronomically unlikely to collide
+    a = ent.simulate_tomography(_pure(BELL), shots=500, seed=42)
+    b = ent.simulate_tomography(_pure(BELL), shots=500, seed=42)
+    c = ent.simulate_tomography(_pure(BELL), shots=500, seed=43)
+    assert a.shape == (9, 4) and a.dtype.kind == "i"
+    np.testing.assert_array_equal(a.sum(axis=1), 500)
+    np.testing.assert_array_equal(a, b)
+    assert (a != c).any()           # astronomically unlikely to collide
 
 
 def test_record_streams_differ_between_bases():
-    records = ent.simulate_tomography(_random_state(4, 7), shots=300, seed=5)
-    assert len(records) == 9
-    assert len({r.counts for r in records}) > 1
+    counts = ent.simulate_tomography(_pure(_random_state(4, 7)), shots=300, seed=5)
+    assert len({tuple(row) for row in counts}) > 1
 
 
-def test_measurement_record_validation():
-    with pytest.raises(ValueError):
-        MeasurementRecord(basis=("x", "q"), shots=4, counts=(1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        MeasurementRecord(basis=("x", "y"), shots=5, counts=(1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        MeasurementRecord(basis=("x", "y"), shots=2, counts=(3, -1, 0, 0))
+#: A random state with no two outcomes of one setting within 0.02 in
+#: probability, so no draw below sits on a tie (see _random_state(4, 48)).
+_PINNED_COUNTS = [[301, 619, 70, 10], [685, 239, 30, 46], [844, 79, 18, 59],
+                  [52, 410, 298, 240], [316, 135, 376, 173], [325, 114, 535, 26],
+                  [207, 305, 157, 331], [487, 35, 234, 244], [368, 136, 467, 29]]
+
+
+def test_the_rng_layout_is_pinned():
+    """Row b of the counts draws from stream (seed, b), bootstrap resample r
+    from stream (seed, 1000 + r).  The counts are compared exactly; the
+    bootstrap mean and std to 1e-12, since a redrawn resample would move
+    them by far more, while another LAPACK build may move their last bits."""
+    rho = _pure(_random_state(4, 48))
+    probs = ent.measurement_probabilities(rho)
+    assert np.diff(np.sort(probs, axis=1), axis=1).min() > 0.02
+    counts = ent.simulate_tomography(rho, shots=1000, seed=2024)
+    np.testing.assert_array_equal(counts, _PINNED_COUNTS)
+    mean, std = ent.bootstrap(counts, resamples=200, statistic="concurrence", seed=2025)
+    assert mean == pytest.approx(0.49531184997032973, rel=1e-12, abs=0)
+    assert std == pytest.approx(0.02002062771298194, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("counts,fault", [
+    (np.ones((8, 4), dtype=int), r"shape \(9, 4\).*got \(8, 4\)"),
+    (np.ones((9, 3), dtype=int), r"shape \(9, 4\).*got \(9, 3\)"),
+    (np.ones(36, dtype=int), r"shape \(9, 4\).*got \(36,\)"),
+    (np.where(np.arange(36).reshape(9, 4) == 5, -1, 3), "non-negative"),
+    (np.full((9, 4), 2.0), "integers, got dtype float64"),
+    (np.where(np.arange(9)[:, None] == 4, 0, np.ones((9, 4), dtype=int)),
+     "setting yy has no shots"),
+], ids=["8-rows", "3-columns", "flat", "negative", "float", "empty-row"])
+def test_counts_validation_names_the_fault(counts, fault):
+    with pytest.raises(ValueError, match=fault):
+        ent.tomography_reconstruct(counts, (1, 2))
+    with pytest.raises(ValueError, match=fault):
+        ent.bootstrap(counts, resamples=100, statistic="concurrence", seed=0)
 
 
 def test_reconstruction_from_exact_counts_is_exact():
-    """Records holding the exact expected counts must reproduce the state."""
+    """The exact expected counts must reproduce the state."""
     psi = _random_state(4, 99)
     shots = 10_000
-    records = []
-    for basis in ent.TOMOGRAPHY_BASES:
-        probs = ent.measurement_probabilities(psi, basis)
-        counts = np.round(probs * shots).astype(int)
-        counts[0] += shots - counts.sum()       # rounding slack, <= a few shots
-        records.append(MeasurementRecord(basis=basis, shots=shots,
-                                         counts=tuple(counts)))
-    rho = ent.tomography_reconstruct(records, subsystem=(2, 4))
+    counts = np.round(ent.measurement_probabilities(_pure(psi)) * shots).astype(int)
+    counts[:, 0] += shots - counts.sum(axis=1)      # rounding slack, <= a few shots
+    rho = ent.tomography_reconstruct(counts, subsystem=(2, 4))
     assert rho.subsystem == (2, 4)
     assert ent.fidelity(rho, psi) > 0.999
 
 
 def test_reconstruction_requires_all_bases():
-    records = ent.simulate_tomography(BELL, shots=100, seed=1)
-    with pytest.raises(ValueError, match="missing"):
-        ent.tomography_reconstruct(records[:-1])
+    counts = ent.simulate_tomography(_pure(BELL), shots=100, seed=1)
+    with pytest.raises(ValueError, match=r"shape \(9, 4\)"):
+        ent.tomography_reconstruct(counts[:-1], (1, 2))
 
 
 def test_reconstructed_matrix_is_physical():
     # heavy projection noise: the raw linear inversion is far from PSD,
     # the projected result must still pass the DensityMatrix checks
-    records = ent.simulate_tomography(BELL, shots=20, seed=8)
-    rho = ent.tomography_reconstruct(records)
+    counts = ent.simulate_tomography(_pure(BELL), shots=20, seed=8)
+    rho = ent.tomography_reconstruct(counts, (1, 2))
     lam = np.linalg.eigvalsh(rho.matrix)
     assert lam.min() >= -1e-12
     assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
@@ -337,8 +373,8 @@ def test_stacked_projection_matches_loop_over_indefinite_matrices():
 def test_reconstruction_matches_term_by_term_inversion():
     """Linear inversion written out one Pauli product at a time, then projected."""
     for seed in range(20):
-        records = ent.simulate_tomography(_random_state(4, seed), shots=50, seed=seed)
-        by_basis = {r.basis: np.array(r.counts) / r.shots for r in records}
+        counts = ent.simulate_tomography(_pure(_random_state(4, seed)), shots=50, seed=seed)
+        by_basis = {basis: row / row.sum() for basis, row in zip(ent.TOMOGRAPHY_BASES, counts)}
         rho = np.eye(4, dtype=complex) / 4
         for a in ent.AXES:
             first = np.mean([(p[0] + p[1] - p[2] - p[3])
@@ -349,7 +385,7 @@ def test_reconstruction_matches_term_by_term_inversion():
             rho += second * np.kron(np.eye(2), ent.PAULI[a]) / 4
         for (a, b), p in by_basis.items():
             rho += (p[0] - p[1] - p[2] + p[3]) * np.kron(ent.PAULI[a], ent.PAULI[b]) / 4
-        got = ent.tomography_reconstruct(records).matrix
+        got = ent.tomography_reconstruct(counts, (1, 2)).matrix
         np.testing.assert_allclose(got, _simplex_projection_oracle(rho), atol=1e-12)
 
 
@@ -373,63 +409,50 @@ def test_stacked_physicality_check_names_the_fault():
 
 
 def test_bootstrap_is_deterministic():
-    records = ent.simulate_tomography(BELL, shots=400, seed=3)
-    a = ent.bootstrap(records, resamples=120, statistic="concurrence", seed=17)
-    b = ent.bootstrap(records, resamples=120, statistic="concurrence", seed=17)
+    counts = ent.simulate_tomography(_pure(BELL), shots=400, seed=3)
+    a = ent.bootstrap(counts, resamples=120, statistic="concurrence", seed=17)
+    b = ent.bootstrap(counts, resamples=120, statistic="concurrence", seed=17)
     assert a == b
-    c = ent.bootstrap(records, resamples=120, statistic="concurrence", seed=18)
+    c = ent.bootstrap(counts, resamples=120, statistic="concurrence", seed=18)
     assert a != c
 
 
 def test_bootstrap_validates_inputs():
-    records = ent.simulate_tomography(BELL, shots=100, seed=0)
+    counts = ent.simulate_tomography(_pure(BELL), shots=100, seed=0)
     with pytest.raises(ValueError, match="resamples"):
-        ent.bootstrap(records, resamples=50, statistic="concurrence", seed=0)
+        ent.bootstrap(counts, resamples=50, statistic="concurrence", seed=0)
     with pytest.raises(ValueError, match="statistic"):
-        ent.bootstrap(records, resamples=100, statistic="purity", seed=0)
+        ent.bootstrap(counts, resamples=100, statistic="purity", seed=0)
     with pytest.raises(ValueError, match="target"):
-        ent.bootstrap(records, resamples=100, statistic="fidelity", seed=0)
+        ent.bootstrap(counts, resamples=100, statistic="fidelity", seed=0)
 
 
 def test_bootstrap_tracks_the_statistic():
-    records = ent.simulate_tomography(BELL, shots=2000, seed=5)
-    point = ent.concurrence(ent.tomography_reconstruct(records))
-    mean, std = ent.bootstrap(records, resamples=200, statistic="concurrence", seed=6)
+    counts = ent.simulate_tomography(_pure(BELL), shots=2000, seed=5)
+    point = ent.concurrence(ent.tomography_reconstruct(counts, (1, 2)))
+    mean, std = ent.bootstrap(counts, resamples=200, statistic="concurrence", seed=6)
     assert std > 0.0
     assert abs(mean - point) < 5.0 * std + 0.02
 
 
-def _bootstrap_loop(records, resamples, statistic, seed, target=None):
-    """Per-resample oracle: nine redrawn records and one reconstruction at a time."""
+def _bootstrap_loop(counts, resamples, statistic, seed, target=None):
+    """Per-resample oracle: nine redrawn rows and one reconstruction at a time."""
     evaluate = {"concurrence": ent.concurrence, "entropy": ent.von_neumann_entropy,
                 "fidelity": lambda rho: ent.fidelity(rho, target)}[statistic]
     values = []
     for r in range(resamples):
         rng = ent._rng(seed, 1000 + r)
-        redrawn = [MeasurementRecord(basis=rec.basis, shots=rec.shots,
-                                     counts=tuple(rng.multinomial(
-                                         rec.shots, np.array(rec.counts) / rec.shots)))
-                   for rec in records]
-        values.append(evaluate(ent.tomography_reconstruct(redrawn)))
+        redrawn = np.array([rng.multinomial(row.sum(), row / row.sum()) for row in counts])
+        values.append(evaluate(ent.tomography_reconstruct(redrawn, (1, 2))))
     return np.mean(values), np.std(values, ddof=1)
 
 
-@pytest.mark.parametrize("case", ["bell", "random", "noisy", "shuffled"])
+@pytest.mark.parametrize("case", ["bell", "random", "noisy"])
 @pytest.mark.parametrize("statistic", ["concurrence", "entropy", "fidelity"])
 def test_bootstrap_equals_per_resample_loop(case, statistic):
     psi = BELL if case in ("bell", "noisy") else _random_state(4, 31)
     shots = 20 if case == "noisy" else 500
-    records = ent.simulate_tomography(psi, shots=shots, seed=12)
-    if case == "shuffled":
-        records = [records[k] for k in np.random.default_rng(4).permutation(9)]
-    got = ent.bootstrap(records, resamples=150, statistic=statistic, seed=21, target=psi)
-    expected = _bootstrap_loop(records, 150, statistic, seed=21, target=psi)
-    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
-
-
-def test_bootstrap_uses_the_last_record_of_a_repeated_basis():
-    records = ent.simulate_tomography(BELL, shots=200, seed=2)
-    extra = ent.sample_measurements(_random_state(4, 3), ("z", "z"), shots=200, seed=9)
-    got = ent.bootstrap(records + [extra], resamples=100, statistic="concurrence", seed=3)
-    expected = _bootstrap_loop(records + [extra], 100, "concurrence", seed=3)
+    counts = ent.simulate_tomography(_pure(psi), shots=shots, seed=12)
+    got = ent.bootstrap(counts, resamples=150, statistic=statistic, seed=21, target=psi)
+    expected = _bootstrap_loop(counts, 150, statistic, seed=21, target=psi)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)

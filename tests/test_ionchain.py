@@ -106,13 +106,7 @@ def test_length_scale_mass_scaling(reference_trap):
 def test_trap_config_rejects_soft_transverse_confinement():
     with pytest.raises(ValueError):
         TrapConfig(n_ions=5, axial_freq=1e6, transverse_freq_x=0.5e6,
-                   transverse_freq_y=2e6, detuning=0.0, transverse_field=0.0)
-
-
-def test_trap_config_rejects_negative_field():
-    with pytest.raises(ValueError):
-        TrapConfig(n_ions=5, axial_freq=0.2e6, transverse_freq_x=2e6,
-                   transverse_freq_y=2e6, detuning=0.0, transverse_field=-1.0)
+                   transverse_freq_y=2e6, detuning=0.0)
 
 
 def test_beam_profile_rejects_zero_waist():
@@ -199,7 +193,7 @@ def test_mode_vectors_orthonormal(reference_trap):
 def test_zigzag_instability_raises():
     # nu_t/nu_ax = 3 is far below the linear-chain threshold for 7 ions
     trap = TrapConfig(n_ions=7, axial_freq=0.219e6, transverse_freq_x=3 * 0.219e6,
-                      transverse_freq_y=2.628e6, detuning=0.0, transverse_field=0.0)
+                      transverse_freq_y=2.628e6, detuning=0.0)
     with pytest.raises(ChainUnstableError, match="zig-zag"):
         ionchain.transverse_mode_spectrum(trap)
 
