@@ -21,7 +21,6 @@ TRANSVERSE_FREQ_X = 2.655e6    # Hz
 TRANSVERSE_FREQ_Y = 2.628e6    # Hz
 PEAK_RABI = 100e3              # Hz, one bichromatic component
 WAIST_ALONG_CHAIN = 380e-6     # m
-WAIST_TRANSVERSE = 40e-6       # m
 GAP_MIN = 15e3                 # Hz above the top mode
 GAP_MAX = 120e3
 # ---------------------------------------------------------------------------
@@ -33,8 +32,7 @@ def scan(gaps_hz):
         transverse_freq_x=TRANSVERSE_FREQ_X, transverse_freq_y=TRANSVERSE_FREQ_Y,
         detuning=TRANSVERSE_FREQ_X)
     beam = ionchain.BeamProfile(peak_rabi=PEAK_RABI,
-                                waist_along_chain=WAIST_ALONG_CHAIN,
-                                waist_transverse=WAIST_TRANSVERSE)
+                                waist_along_chain=WAIST_ALONG_CHAIN)
     modes = ionchain.transverse_mode_spectrum(trap)
 
     rows = []

@@ -7,14 +7,24 @@ couplings      build (or re-export) a coupling matrix as CSV
 dispersion     magnon dispersion of a coupling matrix + exponent fit
 quench         local quench: flip sites, propagate, export magnetisation
 global-quench  all spins along +x under the Ising model with field
-tomo           simulated two-qubit tomography with projection noise
+tomo           simulated two-qubit tomography after a quench
 lightcone      arrival-time fits, front velocity, and NN cone overlay
 fit            exponent / cone report for an existing coupling file
 
-Option precedence: command-line flag > config file ([trap]/[beam]/
-[couplings]/[quench]/[run]/[output] INI sections) > built-in default.
-The output directory additionally falls back to $MAGNONCHAIN_OUTDIR
-before defaulting to the working directory.
+Every run setting is declared once, in :data:`SETTINGS`: its flag, its
+INI section and key, its default and any per-subcommand default, the
+checks its value must pass, and the parser group that offers it.
+:data:`COMMANDS` gives each subcommand its groups.  A subcommand offers
+the flags of its groups only (argparse refuses any other), and reads a
+setting only if it has the setting's group: command-line flag > config
+file key > built-in default.  It ignores the INI keys of the settings it
+does not read, so one INI file can serve every subcommand, and those
+settings keep their defaults, in the checks and in the config hash.
+Each refusal names its setting as ``--flag / [section] key`` (the flag
+alone where there is no key).  The output directory additionally falls
+back to $MAGNONCHAIN_OUTDIR before defaulting to the working directory.
+The trap and beam keys without a flag (``[trap] axial_freq``,
+``[beam] peak_rabi``, ...) are read by the trap coupling source.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 Every run prints one JSON line per artifact written; identical
@@ -49,35 +59,136 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 #: Reference trap used when no config file overrides it (Hz).
-DEFAULT_TRAP = {
-    "axial_freq": 0.219e6,
-    "transverse_freq_x": 2.655e6,
-    "transverse_freq_y": 2.628e6,
-}
-#: Reference addressing beam (Hz / meters).
-DEFAULT_BEAM = {
-    "peak_rabi": 100e3,
-    "waist_along_chain": 380e-6,
-    "waist_transverse": 40e-6,
-    "center_offset": 0.0,
-}
-DEFAULT_GAP = 30e3          # detuning above the top mode, Hz
-DEFAULT_ALPHA = 1.5
-DEFAULT_JBAR = 30.0         # nearest-neighbour coupling scale, Hz (ms-scale dynamics)
+DEFAULT_TRAP = {"axial_freq": 0.219e6, "transverse_freq_x": 2.655e6,
+                "transverse_freq_y": 2.628e6}
+#: ``[trap]`` keys the trap source reads besides those of :data:`SETTINGS`.
+TRAP_KEYS = (*DEFAULT_TRAP, "ion_mass", "laser_wavelength")
+#: Reference addressing beam (Hz / meters); the trap source reads its ``[beam]`` keys.
+DEFAULT_BEAM = {"peak_rabi": 100e3, "waist_along_chain": 380e-6, "center_offset": 0.0}
 
-_MODELS = ("ising", "xy", "single_excitation")
-_SOURCES = ("trap", "power_law", "nearest_neighbour", "file")
-#: Subcommands that propagate a quench.
-_QUENCH_COMMANDS = ("quench", "global-quench", "tomo", "lightcone")
-#: Flag and INI key of each RunConfig float that must be finite, and the
-#: coupling sources that read it (None: every source).
-_FINITE = {"t_start": ("--t-start / [run] t_start", None),
-           "t_end": ("--t-end / [run] t_end", None),
-           "sample_time": ("--time", None),
-           "field_hz": ("--field / [trap] transverse_field", None),
-           "alpha": ("--alpha / [couplings] alpha", ("power_law",)),
-           "nn_strength": ("--jbar / [couplings] nn_strength",
-                           ("power_law", "nearest_neighbour"))}
+
+@dataclass(frozen=True)
+class Setting:
+    """One run setting: where its value comes from and what it must be.
+
+    ``name`` is the :class:`RunConfig` field (and argparse dest) it fills,
+    ``group`` the parser group that offers it, ``ini`` its (section, key)
+    in :data:`io.CONFIG_SCHEMA`, and ``defaults`` overrides ``default``
+    per subcommand.  A float value must be finite, a value at least
+    ``low`` (and below 2^``bits``) where given, and one of ``choices``
+    where given; ``sources`` limits the checks to the coupling sources
+    that read the value.  ``arg`` holds further ``add_argument`` keywords.
+    """
+
+    name: str
+    group: str
+    flags: tuple[str, ...]
+    ini: tuple[str, str] | None
+    help: str
+    default: object = None
+    defaults: dict = field(default_factory=dict)
+    low: int | None = None
+    bits: int | None = None
+    choices: tuple[str, ...] | None = None
+    sources: tuple[str, ...] | None = None
+    arg: dict = field(default_factory=dict)
+
+    @property
+    def label(self) -> str:
+        """The setting as refusals name it: ``--flag / [section] key``."""
+        return self.flags[0] + (" / [{}] {}".format(*self.ini) if self.ini else "")
+
+    def check(self, value) -> None:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{self.label} must be finite, got {value}")
+        if self.choices and value not in self.choices:
+            raise ConfigError(f"{self.label} must be one of {', '.join(self.choices)}, "
+                              f"got {value!r}")
+        if self.bits and not self.low <= value < 1 << self.bits:
+            raise ConfigError(f"{self.label} must be in [{self.low}, 2^{self.bits}), "
+                              f"got {value}")
+        if self.low is not None and value is not None and value < self.low:
+            raise ConfigError(f"{self.label} must be >= {self.low}, got {value}")
+
+
+#: Every run setting, in the order of each subcommand's flags and of the checks.
+SETTINGS = (
+    Setting("n_ions", "common", ("--n", "--n-ions"), ("trap", "n_ions"), "chain length", 7,
+            {"lightcone": 15}, low=2, arg=dict(type=int, metavar="N")),
+    Setting("outdir", "common", ("--outdir", "-o"), ("output", "directory"),
+            "artifact directory", arg=dict(metavar="DIR")),
+    Setting("source", "couplings", ("--source",), ("couplings", "source"),
+            "coupling matrix source", "power_law",
+            {"modes": "trap", "couplings": "trap", "dispersion": "trap", "fit": "file"},
+            choices=("trap", "power_law", "nearest_neighbour", "file")),
+    Setting("alpha", "couplings", ("--alpha", "-a"), ("couplings", "alpha"),
+            "power-law exponent for synthetic couplings", 1.5, sources=("power_law",),
+            arg=dict(type=float)),
+    Setting("nn_strength", "couplings", ("--jbar", "-j"), ("couplings", "nn_strength"),
+            "nearest-neighbour coupling scale in Hz", 30.0,
+            sources=("power_law", "nearest_neighbour"), arg=dict(type=float, metavar="HZ")),
+    Setting("coupling_file", "couplings", ("--couplings",), ("couplings", "file"),
+            "coupling CSV for --source file", arg=dict(metavar="FILE")),
+    Setting("gap", "common", ("--gap", "-g"), ("trap", "detuning_gap"),
+            "detuning above the top transverse mode", 30e3, sources=("trap",),
+            arg=dict(type=float, metavar="HZ")),
+    Setting("detuning", "common", ("--detuning",), ("trap", "detuning"),
+            "absolute detuning from the spin transition (overrides --gap)",
+            sources=("trap",), arg=dict(type=float, metavar="HZ")),
+    Setting("flip", "flip", ("--flip",), ("quench", "flip"),
+            "1-based sites to flip (default: centre site)", None, {"global-quench": ()},
+            arg=dict(type=int, nargs="+", metavar="SITE")),
+    Setting("model", "model", ("--model", "-m"), ("quench", "model"), "propagation model",
+            "xy", {"global-quench": "ising", "lightcone": "single_excitation"},
+            choices=("ising", "xy", "single_excitation")),
+    Setting("field_hz", "model", ("--field",), ("trap", "transverse_field"),
+            "transverse field for Ising runs; 'auto' (the default) = 50 max|J|, the "
+            "excitation-conserving regime", low=0,
+            arg=dict(type=mio.float_or_auto, metavar="HZ|auto")),
+    Setting("t_start", "window", ("--t-start",), ("run", "t_start"), "first sample time",
+            0.0, low=0, arg=dict(type=float, metavar="S")),
+    Setting("t_end", "window", ("--t-end", "-t"), ("run", "t_end"), "last sample time",
+            0.02, {"global-quench": 0.005, "lightcone": 0.04},
+            arg=dict(type=float, metavar="S")),
+    Setting("n_points", "window", ("--n-points",), ("run", "n_points"),
+            "number of sample times", 201, {"lightcone": 801}, low=2,
+            arg=dict(type=int, metavar="M")),
+    Setting("correlations", "correlations", ("--correlations",), None,
+            "also export connected sigma-z correlations", False, {"global-quench": True},
+            arg=dict(action="store_true")),
+    Setting("format", "export", ("--format", "-f"), ("output", "format"),
+            "trajectory export format", "csv", choices=("csv", "ndjson")),
+    Setting("unit", "unit", ("--unit",), None, "unit tag of the exported matrix", "rad/s",
+            choices=tuple(sorted(mio.UNIT_FACTORS))),
+    Setting("sites", "tomo", ("--sites",), None, "tomography site pair", (3, 5),
+            arg=dict(type=int, nargs=2, metavar=("I", "J"))),
+    Setting("sample_time", "tomo", ("--time",), None, "evolution time before tomography",
+            0.0043, low=0, arg=dict(type=float, metavar="S")),
+    Setting("shots", "tomo", ("--shots",), ("run", "shots"), "shots per basis", 1000, low=1,
+            arg=dict(type=int, metavar="K")),
+    Setting("resamples", "tomo", ("--resamples",), ("run", "resamples"),
+            "bootstrap resamples", 200, low=100, arg=dict(type=int, metavar="R")),
+    Setting("seed", "tomo", ("--seed", "-s"), ("run", "seed"), "RNG seed", 0, low=0,
+            bits=64, arg=dict(type=int)),
+)
+_LABELS = {s.name: s.label for s in SETTINGS}
+
+#: Each subcommand's help line and the setting groups it reads.
+COMMANDS = {
+    "modes": ("transverse mode spectrum and ion positions", ("common",)),
+    "couplings": ("build a coupling matrix and export it as CSV",
+                  ("common", "couplings", "unit")),
+    "dispersion": ("magnon dispersion + power-law exponent fit", ("common", "couplings")),
+    "quench": ("local quench: flip sites and propagate",
+               ("common", "couplings", "flip", "model", "window", "correlations", "export")),
+    "global-quench": ("all spins along +x under the Ising model (correlations always "
+                      "exported)", ("common", "couplings", "model", "window", "export")),
+    "tomo": ("simulated two-qubit tomography after a quench",
+             ("common", "couplings", "flip", "model", "tomo")),
+    "lightcone": ("arrival fits, front velocity, and NN cone overlay",
+                  ("common", "couplings", "flip", "model", "window", "correlations", "export")),
+    "fit": ("exponent / cone report for an existing coupling CSV", ("common", "couplings")),
+}
 
 
 @dataclass(frozen=True)
@@ -90,8 +201,9 @@ class RunConfig:
     ``field_hz`` stays in Hz with None meaning "auto": B = 50 max|J|
     for Ising runs.  ``couplings`` is the matrix read from
     ``coupling_file`` for the file source (its path is hashed, not its
-    values), and ``n_ions`` is then its size.  Construction checks the
-    whole run, so a bad one is refused before any work starts.
+    values), and ``n_ions`` is then its size.  :func:`resolve` checks
+    each value against its setting; construction checks how the values
+    combine, so a bad run is refused before any work starts.
     """
 
     command: str
@@ -122,51 +234,26 @@ class RunConfig:
                                                       compare=False)
 
     def __post_init__(self):
-        if self.n_ions < 2:
-            raise ConfigError("need at least 2 ions")
+        n_ions, flip = _LABELS["n_ions"], _LABELS["flip"]
         if self.command in ("dispersion", "fit") and self.n_ions < 4:
-            raise ConfigError(f"{self.command} needs a chain of at least 4 ions for its "
-                              f"exponent fit, got N = {self.n_ions}")
-        if self.source not in _SOURCES:
-            raise ConfigError(f"unknown coupling source {self.source!r}")
-        if self.model not in _MODELS:
-            raise ConfigError(f"unknown model {self.model!r} (expected {_MODELS})")
-        if self.kind not in ("local", "global"):
-            raise ConfigError(f"unknown quench kind {self.kind!r}")
-        if self.n_points < 2:
-            raise ConfigError("n_points must be >= 2")
-        for name, (flag, sources) in _FINITE.items():
-            if sources is None or self.source in sources:
-                _check_finite(getattr(self, name), flag)
-        if self.field_hz is not None and self.field_hz < 0:
-            raise ConfigError(f"--field / [trap] transverse_field must be >= 0, "
-                              f"got {self.field_hz}")
-        if not (self.t_end > self.t_start >= 0.0):
-            raise ConfigError("need t_end > t_start >= 0")
-        self._check_sites(self.flip)
+            raise ConfigError(f"{self.command} needs {n_ions} >= 4 for its exponent fit, "
+                              f"got {self.n_ions}")
+        if not self.t_end > self.t_start:
+            raise ConfigError(f"{_LABELS['t_end']} must be > {_LABELS['t_start']}, got "
+                              f"{self.t_end} <= {self.t_start}")
+        self._check_sites("flip")
         if self.command == "lightcone" and self.n_ions - 1 - self.cone_source < 3:
             raise ConfigError(
                 f"the light cone from site {self.cone_source} has "
                 f"{max(self.n_ions - 1 - self.cone_source, 0)} sites to fit before the "
                 f"excluded edge site {self.n_ions}, and the front velocity needs at least 3 "
-                f"(--n / [trap] n_ions, --flip / [quench] flip)")
+                f"({n_ions}, {flip})")
         if self.command == "tomo":
-            if len(set(self.sites)) != 2:
-                raise ConfigError("tomography sites must be two distinct sites")
-            self._check_sites(self.sites)
-        if self.format not in ("csv", "ndjson"):
-            raise ConfigError(f"unknown format {self.format!r}")
-        if self.unit not in mio.UNIT_FACTORS:
-            raise ConfigError(f"unknown unit {self.unit!r}")
-        if self.shots < 1 or self.resamples < 100:
-            raise ConfigError("need shots >= 1 and resamples >= 100")
-        if self.sample_time < 0:
-            raise ConfigError("sample time must be >= 0")
-        if not 0 <= self.seed < 1 << 64:
-            raise ConfigError(f"--seed / [run] seed must be in [0, 2^64), got {self.seed}")
-        if self.command in _QUENCH_COMMANDS and self.model == "single_excitation":
+            self._check_sites("sites")
+        if self.model == "single_excitation":      # only the quench subcommands read it
             if self.command == "tomo":
-                raise ConfigError("tomography needs a full-state model (ising or xy)")
+                raise ConfigError(f"tomography needs {_LABELS['model']} ising or xy, "
+                                  f"got single-excitation")
             if self.kind != "local" or len(self.flip) != 1:
                 raise ConfigError("the single-excitation model needs a local quench "
                                   "with exactly one flipped site")
@@ -174,12 +261,16 @@ class RunConfig:
                 raise ConfigError("sigma-z correlations need a full-Hilbert-space "
                                   "model (ising or xy)")
 
-    def _check_sites(self, sites) -> None:
+    def _check_sites(self, name: str) -> None:
+        sites = getattr(self, name)
+        if len(set(sites)) != len(sites):
+            raise ConfigError(f"{_LABELS[name]} must be distinct sites, "
+                              f"got {' '.join(map(str, sites))}")
         try:
             for s in sites:
                 ionchain._check_site(self.n_ions, s)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"{_LABELS[name]}: {exc}") from None
 
     @property
     def cone_source(self) -> int:
@@ -203,11 +294,6 @@ class RunConfig:
                 "command": self.command, "n_ions": self.n_ions, **extra}
 
 
-def _check_finite(value: float | None, flag: str) -> None:
-    if value is not None and not math.isfinite(value):
-        raise ConfigError(f"{flag} must be finite, got {value}")
-
-
 # ---------------------------------------------------------------------------
 # argument parsing and resolution
 
@@ -216,8 +302,11 @@ def _check_finite(value: float | None, flag: str) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The ``magnonchain`` argument parser, built on first use and then reused.
 
-    Parsing never changes the parser, and every ``parse_args`` call fills
-    a fresh namespace, so one instance serves every ``main`` call.
+    Each subcommand offers ``--config`` and the flags of its groups.  An
+    absent flag leaves no attribute, so :func:`resolve` can tell it from
+    any value, ``--field auto`` (None) included.  Parsing never changes
+    the parser, and every ``parse_args`` call fills a fresh namespace, so
+    one instance serves every ``main`` call.
     """
     parser = argparse.ArgumentParser(
         prog="magnonchain",
@@ -226,213 +315,113 @@ def build_parser() -> argparse.ArgumentParser:
                f"else ${OUTDIR_ENV}, else '.'")
     parser.add_argument("--version", action="version", version=f"magnonchain {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", "-c", metavar="FILE", help="INI run configuration")
-    common.add_argument("--outdir", "-o", metavar="DIR", help="artifact directory")
-    common.add_argument("--seed", "-s", type=int, help="RNG seed (default 0)")
-    common.add_argument("--format", "-f", choices=("csv", "ndjson"),
-                        help="trajectory export format (default csv)")
-    common.add_argument("--n", "--n-ions", dest="n_ions", type=int, metavar="N",
-                        help="chain length")
-    common.add_argument("--source", choices=[s.replace("_", "-") for s in _SOURCES],
-                        help="coupling matrix source")
-    common.add_argument("--alpha", "-a", type=float,
-                        help=f"power-law exponent for synthetic couplings "
-                             f"(default {DEFAULT_ALPHA})")
-    common.add_argument("--jbar", "-j", type=float, metavar="HZ",
-                        help=f"nearest-neighbour coupling scale in Hz "
-                             f"(default {DEFAULT_JBAR:g})")
-    common.add_argument("--couplings", metavar="FILE",
-                        help="coupling CSV for --source file")
-    common.add_argument("--gap", "-g", type=float, metavar="HZ",
-                        help=f"detuning above the top transverse mode "
-                             f"(default {DEFAULT_GAP:g})")
-    common.add_argument("--detuning", type=float, metavar="HZ",
-                        help="absolute detuning from the spin transition "
-                             "(overrides --gap)")
-
-    # the quench flags come in groups, and each subcommand gets the groups it reads
-    flip = argparse.ArgumentParser(add_help=False)
-    flip.add_argument("--flip", type=int, nargs="+", metavar="SITE",
-                      help="1-based sites to flip (default: center site)")
-    model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--model", "-m",
-                       choices=[m.replace("_", "-") for m in _MODELS],
-                       help="propagation model")
-    model.add_argument("--field", metavar="HZ|auto",
-                       help="transverse field for Ising runs; 'auto' = 50 max|J| "
-                            "(the excitation-conserving regime)")
-    window = argparse.ArgumentParser(add_help=False)
-    window.add_argument("--t-start", type=float, metavar="S", help="first sample time")
-    window.add_argument("--t-end", "-t", type=float, metavar="S", help="last sample time")
-    window.add_argument("--n-points", type=int, metavar="M", help="number of sample times")
-    correlations = argparse.ArgumentParser(add_help=False)
-    correlations.add_argument("--correlations", action="store_true",
-                              help="also export connected sigma-z correlations")
-
-    sub.add_parser("modes", parents=[common],
-                   help="transverse mode spectrum and ion positions")
-    p = sub.add_parser("couplings", parents=[common],
-                       help="build a coupling matrix and export it as CSV")
-    p.add_argument("--unit", choices=sorted(mio.UNIT_FACTORS), default="rad/s",
-                   help="unit tag of the exported matrix")
-    sub.add_parser("dispersion", parents=[common],
-                   help="magnon dispersion + power-law exponent fit")
-    sub.add_parser("quench", parents=[common, flip, model, window, correlations],
-                   help="local quench: flip sites and propagate")
-    sub.add_parser("global-quench", parents=[common, model, window],
-                   help="all spins along +x under the Ising model (correlations "
-                        "always exported)")
-    p = sub.add_parser("tomo", parents=[common, flip, model],
-                       help="simulated two-qubit tomography after a quench")
-    p.add_argument("--sites", type=int, nargs=2, metavar=("I", "J"),
-                   help="tomography site pair (default 3 5)")
-    p.add_argument("--time", type=float, metavar="S",
-                   help="evolution time before tomography (default 0.0043)")
-    p.add_argument("--shots", type=int, metavar="K", help="shots per basis (default 1000)")
-    p.add_argument("--resamples", type=int, metavar="R",
-                   help="bootstrap resamples (default 200)")
-    sub.add_parser("lightcone", parents=[common, flip, model, window, correlations],
-                   help="arrival fits, front velocity, and NN cone overlay")
-    sub.add_parser("fit", parents=[common],
-                   help="exponent / cone report for an existing coupling CSV")
+    for command, (help_line, groups) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", "-c", metavar="FILE", help="INI run configuration")
+        for s in SETTINGS:
+            if s.group not in groups:
+                continue
+            kwargs, help_text = dict(s.arg), s.help
+            default = s.defaults.get(command, s.default)
+            if s.choices:
+                kwargs["choices"] = [c.replace("_", "-") for c in s.choices]
+                default = default.replace("_", "-")
+            if default is not None and default is not False:
+                help_text += f" (default {default:g})" if isinstance(
+                    default, float) else f" (default {default})"
+            p.add_argument(*s.flags, dest=s.name, help=help_text, **kwargs)
     return parser
 
 
-#: Per-subcommand fallbacks applied after flags and config file.
-_COMMAND_DEFAULTS = {
-    "modes": {"source": "trap"},
-    "couplings": {"source": "trap"},
-    "dispersion": {"source": "trap"},
-    "quench": {},
-    "global-quench": {"kind": "global", "model": "ising", "t_end": 0.005},
-    "tomo": {},
-    "lightcone": {"model": "single_excitation", "n_ions": 15,
-                  "t_end": 0.04, "n_points": 801},
-    "fit": {"source": "file"},
-}
-
-
-def _pick(*values):
-    """First value that is not None."""
-    for v in values:
-        if v is not None:
-            return v
-    return None
-
-
 def resolve(args: argparse.Namespace) -> RunConfig:
-    """Merge flags, config file, environment, and defaults into a RunConfig."""
-    cfg = mio.load_run_config(args.config) if args.config else {}
-    trap_cfg = cfg.get("trap", {})
-    coup_cfg = cfg.get("couplings", {})
-    quench_cfg = cfg.get("quench", {})
-    run_cfg = cfg.get("run", {})
-    out_cfg = cfg.get("output", {})
-    fallback = _COMMAND_DEFAULTS[args.command]
+    """Merge flags, config file, environment, and defaults into a RunConfig.
 
-    def opt(name):
-        return getattr(args, name, None)
+    A setting of one of the subcommand's groups comes from its flag, else
+    its INI key, else its default; any other keeps its default.  Every
+    value is then checked against its setting.
+    """
+    given = vars(args)
+    cfg = mio.load_run_config(given["config"]) if "config" in given else {}
+    groups = COMMANDS[args.command][1]
+    v, read = {}, set()
+    for s in SETTINGS:
+        v[s.name] = s.defaults.get(args.command, s.default)
+        section = cfg.get(s.ini[0], {}) if s.ini and s.group in groups else {}
+        if s.name in given:
+            value = given[s.name]
+        elif s.ini and s.ini[1] in section:
+            value = section[s.ini[1]]
+        else:
+            continue
+        v[s.name] = value.replace("-", "_") if s.choices else value
+        read.add(s.name)
 
-    n_ions = _pick(opt("n_ions"), trap_cfg.get("n_ions"))
-    source = _pick(opt("source"), coup_cfg.get("source"),
-                   fallback.get("source"), "power_law")
-    source = source.replace("-", "_")
-    coupling_file = _pick(opt("couplings"), coup_cfg.get("file"))
     couplings = None
-    if source == "file":
-        couplings = _load_coupling_file(coupling_file, n_ions)
-        n_ions = couplings.n_ions
-    n_ions = _pick(n_ions, fallback.get("n_ions"), 7)
-    model = _pick(opt("model"), quench_cfg.get("model"), fallback.get("model"), "xy")
-    model = model.replace("-", "_")
-    kind = _pick(fallback.get("kind"), quench_cfg.get("kind"), "local")
-    flip = _pick(tuple(opt("flip") or ()) or None, quench_cfg.get("flip"),
-                 ((n_ions + 1) // 2,))
-    if kind == "global":
-        flip = ()
+    if v["source"] == "file":
+        couplings = _load_coupling_file(v["coupling_file"],
+                                        v["n_ions"] if "n_ions" in read else None)
+        v["n_ions"] = couplings.n_ions
+    for s in SETTINGS:
+        if s.sources is None or v["source"] in s.sources:
+            s.check(v[s.name])
 
-    # absent everywhere -> None -> "auto" (B = 50 max|J| for Ising runs);
-    # an explicit 0 from flag or file is honored
-    field_raw = _pick(opt("field"), trap_cfg.get("transverse_field"))
-    if isinstance(field_raw, str):
-        field_hz = None if field_raw == "auto" else float(field_raw)
-    else:
-        field_hz = field_raw
-
-    trap = None
-    beam = None
-    if source == "trap" or args.command == "modes":
-        trap = _resolve_trap(trap_cfg, args, n_ions)
-        beam_params = {**DEFAULT_BEAM, **cfg.get("beam", {})}
-        beam = ionchain.BeamProfile(**beam_params)
-
-    outdir = _pick(opt("outdir"), out_cfg.get("directory"),
-                   os.environ.get(OUTDIR_ENV), ".")
+    n_ions = v["n_ions"]
+    trap = beam = None
+    if v["source"] == "trap":
+        trap_cfg = cfg.get("trap", {})
+        params = {**DEFAULT_TRAP, **{k: trap_cfg[k] for k in TRAP_KEYS if k in trap_cfg}}
+        trap = ionchain.TrapConfig(n_ions=n_ions, detuning=0.0, **params)
+        trap = (replace(trap, detuning=v["detuning"]) if v["detuning"] is not None
+                else ionchain.with_detuning_above_top(trap, v["gap"]))
+        beam = ionchain.BeamProfile(**{**DEFAULT_BEAM, **cfg.get("beam", {})})
+    outdir = v["outdir"] if v["outdir"] is not None else os.environ.get(OUTDIR_ENV, ".")
 
     return RunConfig(
         command=args.command,
-        n_ions=int(n_ions),
+        n_ions=n_ions,
         trap=trap,
         beam=beam,
-        source=source,
-        alpha=float(_pick(opt("alpha"), coup_cfg.get("alpha"), DEFAULT_ALPHA)),
-        nn_strength=2.0 * np.pi * float(_pick(opt("jbar"), coup_cfg.get("nn_strength"),
-                                              DEFAULT_JBAR)),
-        coupling_file=coupling_file,
-        kind=kind,
-        flip=tuple(int(s) for s in flip),
-        model=model,
-        field_hz=field_hz,
-        t_start=float(_pick(opt("t_start"), run_cfg.get("t_start"),
-                            fallback.get("t_start"), 0.0)),
-        t_end=float(_pick(opt("t_end"), run_cfg.get("t_end"),
-                          fallback.get("t_end"), 0.02)),
-        n_points=int(_pick(opt("n_points"), run_cfg.get("n_points"),
-                           fallback.get("n_points"), 201)),
-        observables=("magnetisation", "correlations")
-        if (getattr(args, "correlations", False) or args.command == "global-quench")
+        source=v["source"],
+        alpha=v["alpha"],
+        nn_strength=2.0 * np.pi * v["nn_strength"],
+        coupling_file=v["coupling_file"],
+        kind="global" if args.command == "global-quench" else "local",
+        flip=tuple(v["flip"]) if v["flip"] is not None else ((n_ions + 1) // 2,),
+        model=v["model"],
+        field_hz=v["field_hz"],
+        t_start=v["t_start"],
+        t_end=v["t_end"],
+        n_points=v["n_points"],
+        observables=("magnetisation", "correlations") if v["correlations"]
         else ("magnetisation",),
-        sites=tuple(getattr(args, "sites", None) or (3, 5)),
-        sample_time=float(_pick(opt("time"), 0.0043)),
-        unit=getattr(args, "unit", "rad/s"),
-        seed=int(_pick(opt("seed"), run_cfg.get("seed"), 0)),
-        shots=int(_pick(opt("shots"), run_cfg.get("shots"), 1000)),
-        resamples=int(_pick(opt("resamples"), run_cfg.get("resamples"), 200)),
+        sites=tuple(v["sites"]),
+        sample_time=v["sample_time"],
+        unit=v["unit"],
+        seed=v["seed"],
+        shots=v["shots"],
+        resamples=v["resamples"],
         outdir=Path(outdir),
-        format=_pick(opt("format"), out_cfg.get("format"), "csv"),
+        format=v["format"],
         couplings=couplings,
     )
 
 
 def _load_coupling_file(path: str | None, n_ions: int | None) -> ionchain.CouplingMatrix:
     """The coupling matrix of the file source; an explicit chain length
-    (``--n`` or ``[trap] n_ions``) must match its size."""
+    must match its size."""
     if not path:
-        raise ConfigError("coupling source 'file' needs --couplings PATH "
-                          "(or [couplings] file = ...)")
-    J = import_couplings(path)
-    if n_ions is not None and int(n_ions) != J.n_ions:
-        raise ConfigError(f"chain length {n_ions} disagrees with the {J.n_ions} ions "
-                          f"of the coupling file {path}")
+        raise ConfigError(f"coupling source 'file' needs {_LABELS['coupling_file']}")
+    try:
+        J = import_couplings(path)
+    except OSError as exc:
+        raise ConfigError(f"{_LABELS['coupling_file']}: cannot read {path}: "
+                          f"{exc.strerror}") from None
+    if J.n_ions < 2:
+        raise ConfigError(f"{_LABELS['coupling_file']}: {path} holds 1 ion, need at least 2")
+    if n_ions is not None and n_ions != J.n_ions:
+        raise ConfigError(f"{_LABELS['n_ions']} = {n_ions} disagrees with the {J.n_ions} "
+                          f"ions of the coupling file {path}")
     return J
-
-
-def _resolve_trap(trap_cfg: dict, args, n_ions: int) -> ionchain.TrapConfig:
-    params = dict(DEFAULT_TRAP)
-    for key in ("axial_freq", "transverse_freq_x", "transverse_freq_y",
-                "ion_mass", "laser_wavelength"):
-        if key in trap_cfg:
-            params[key] = trap_cfg[key]
-    trap = ionchain.TrapConfig(n_ions=n_ions, detuning=0.0, **params)
-    detuning = _pick(getattr(args, "detuning", None), trap_cfg.get("detuning"))
-    if detuning is not None:
-        _check_finite(detuning, "--detuning / [trap] detuning")
-        return replace(trap, detuning=float(detuning))
-    gap = _pick(getattr(args, "gap", None), trap_cfg.get("detuning_gap"), DEFAULT_GAP)
-    _check_finite(gap, "--gap / [trap] detuning_gap")
-    return ionchain.with_detuning_above_top(trap, float(gap))
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +582,7 @@ def _cmd_lightcone(rc: RunConfig) -> int:
     if len(fits) < 3:
         raise analysis.FitError(
             f"{len(fits)} of {len(fits) + len(skipped)} sites gave an arrival fit, and the "
-            f"front velocity needs at least 3; lengthen --t-end / [run] t_end")
+            f"front velocity needs at least 3; lengthen {_LABELS['t_end']}")
     _export_trajectory(rc, times, mag, corr)
 
     front = analysis.fit_front_velocity([(d, f.t0) for d, f in fits])

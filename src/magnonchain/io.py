@@ -309,22 +309,27 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.replace(",", " ").split())
 
 
+def float_or_auto(text: str) -> float | None:
+    """A field in Hz, or None for ``auto`` (B = 50 max|J| in Ising runs);
+    the one coercion of both ``--field`` and ``[trap] transverse_field``."""
+    return None if text.strip() == "auto" else float(text)
+
+
 #: section -> {key: coercion}; unknown sections/keys are hard errors.
 CONFIG_SCHEMA = {
     "trap": {
         "n_ions": int, "axial_freq": float, "transverse_freq_x": float,
         "transverse_freq_y": float, "detuning": float, "detuning_gap": float,
-        "transverse_field": float, "ion_mass": float, "laser_wavelength": float,
+        "transverse_field": float_or_auto, "ion_mass": float, "laser_wavelength": float,
     },
     "beam": {
-        "peak_rabi": float, "waist_along_chain": float,
-        "waist_transverse": float, "center_offset": float,
+        "peak_rabi": float, "waist_along_chain": float, "center_offset": float,
     },
     "couplings": {
         "source": str, "alpha": float, "nn_strength": float, "file": str,
     },
     "quench": {
-        "kind": str, "flip": _int_list, "model": str,
+        "flip": _int_list, "model": str,
     },
     "run": {
         "t_start": float, "t_end": float, "n_points": int,

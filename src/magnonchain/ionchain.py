@@ -108,21 +108,20 @@ class BeamProfile:
 
     ``peak_rabi`` is the Rabi frequency (Hz) of one bichromatic component at
     the beam center; ``waist_along_chain`` (w_par) sets the field-amplitude
-    falloff along the chain axis; the transverse waist does not vary across
-    the chain and is kept for bookkeeping.  ``center_offset`` displaces the
-    beam center from the trap center along the chain.
+    falloff along the chain axis (the transverse waist does not vary across
+    the chain, so it plays no part).  ``center_offset`` displaces the beam
+    center from the trap center along the chain.
     """
 
     peak_rabi: float
     waist_along_chain: float
-    waist_transverse: float
     center_offset: float = 0.0
 
     def __post_init__(self):
         if self.peak_rabi <= 0:
             raise ValueError("peak_rabi must be > 0")
-        if self.waist_along_chain <= 0 or self.waist_transverse <= 0:
-            raise ValueError("beam waists must be > 0")
+        if self.waist_along_chain <= 0:
+            raise ValueError("waist_along_chain must be > 0")
 
 
 @dataclass(frozen=True)

@@ -93,5 +93,4 @@ def reference_trap():
 @pytest.fixture
 def reference_beam():
     from magnonchain import ionchain
-    return ionchain.BeamProfile(peak_rabi=100e3, waist_along_chain=380e-6,
-                                waist_transverse=40e-6)
+    return ionchain.BeamProfile(peak_rabi=100e3, waist_along_chain=380e-6)

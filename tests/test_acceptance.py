@@ -129,8 +129,7 @@ def test_criterion_06_detuning_sweep_brackets_intermediate_alpha():
     """Reference trap, detuning 15-120 kHz above the top mode: the fitted
     exponent range brackets 1.36."""
     _start()
-    beam = ionchain.BeamProfile(peak_rabi=100e3, waist_along_chain=380e-6,
-                                waist_transverse=40e-6)
+    beam = ionchain.BeamProfile(peak_rabi=100e3, waist_along_chain=380e-6)
     alphas = []
     for gap in (15e3, 30e3, 60e3, 120e3):
         trap = ionchain.TrapConfig(n_ions=7, axial_freq=0.219e6,

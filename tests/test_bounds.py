@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
-from magnonchain import bounds, ionchain, magnon
+from magnonchain import bounds, dynamics, ionchain, magnon
 
 J0 = 2 * np.pi * 30.0
 
@@ -194,3 +194,36 @@ def test_cone_arrival_times():
                                [0.005, 0.01, 0.02])
     frozen = bounds.LightConeParams(g=1.0, v=0.0, jbar=1.0)
     assert np.all(np.isinf(bounds.cone_arrival_times(frozen, [1, 2])))
+
+
+@pytest.mark.parametrize("propagator,top", [("evolve", 63), ("magnon", 501)])
+@settings(deadline=None, max_examples=8)
+@given(data=st.data())
+@example(data=None)
+def test_lr_bound_holds_across_the_nearest_neighbour_ladder(propagator, top, data):
+    """After one flip in a nearest-neighbour XY chain, |change in <sigma_z>|
+    at distance d never exceeds 2 F(d, t) = 4 I_d(4 J0 t).  The full-space
+    propagator runs N = 5..63 (63 sites is the most a basis state holds),
+    the single-excitation one N = 5..501; the largest of each always runs,
+    with a centre flip."""
+    if data is None:
+        n, flip = top, (top + 1) // 2
+    else:
+        n = data.draw(st.integers(5, top), label="n")
+        flip = data.draw(st.integers(1, n), label="flip")
+    J = ionchain.nearest_neighbour_coupling(n, J0)
+    times = np.linspace(0.0, 0.02, 21)
+    if propagator == "evolve":
+        psi0 = dynamics.prepare_state(dynamics.QuenchSpec("local", (flip,)), n)
+        traj = dynamics.evolve(psi0, dynamics.build_hamiltonian(J, model="xy"), times)
+        mag = dynamics.magnetisation(traj)
+    else:
+        mag = np.vstack([magnon.magnetisation_single(s)
+                         for s in magnon.evolve_single_excitation(J, flip, times)])
+    start = np.full(n, -1.0)
+    start[flip - 1] = 1.0
+    distance = np.abs(np.arange(1, n + 1) - flip)
+    bound = np.array([[2.0 * bounds.lr_bound_bessel(d, t, J0) for d in distance]
+                      for t in times])
+    # 1e-12 absolute slack: at t = 0 the bound of d > 0 is exactly zero
+    assert (np.abs(mag - start) <= bound + 1e-12).all()

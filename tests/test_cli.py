@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -376,7 +377,7 @@ def test_chain_length_that_disagrees_with_the_file_is_config_error(
                      str(coupling_file_25), *argv]) == 2
     n = argv[1] if argv else "24"
     assert capsys.readouterr().err == (
-        f"config error: chain length {n} disagrees with the 25 ions of the "
+        f"config error: --n / [trap] n_ions = {n} disagrees with the 25 ions of the "
         f"coupling file {coupling_file_25}\n")
     assert not (tmp_path / "fit_report.ndjson").exists()
 
@@ -431,11 +432,12 @@ def test_bad_n_ions_is_config_error(tmp_path, capsys):
 
 
 def test_flip_site_out_of_range_is_config_error(tmp_path, capsys):
-    for argv, site in ((["quench", "--n", "4", "--flip", "9"], 9),
-                       (["quench", "--n", "4", "--flip", "2", "0"], 0),
-                       (["tomo", "--n", "4", "--sites", "2", "9"], 9)):
+    for argv, site, label in ((["quench", "--n", "4", "--flip", "9"], 9, "--flip / [quench] flip"),
+                              (["quench", "--n", "4", "--flip", "2", "0"], 0,
+                               "--flip / [quench] flip"),
+                              (["tomo", "--n", "4", "--sites", "2", "9"], 9, "--sites")):
         assert cli.main(argv + ["-o", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == f"config error: site {site} outside 1..4\n"
+        assert capsys.readouterr().err == f"config error: {label}: site {site} outside 1..4\n"
 
 
 @pytest.mark.parametrize("argv,n,states", [
@@ -465,6 +467,20 @@ def test_untagged_coupling_file_is_config_error(tmp_path, capsys):
     p.write_text("0.0,1.0\n1.0,0.0\n")
     code, _ = run(["fit", "-o", str(tmp_path), "--couplings", str(p)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("name,message", [
+    ("one.csv", "{path} holds 1 ion, need at least 2"),
+    ("missing.csv", "cannot read {path}: No such file or directory"),
+    ("", "cannot read {path}: Is a directory"),
+])
+def test_unusable_coupling_file_is_config_error_naming_it(tmp_path, capsys, name, message):
+    (tmp_path / "one.csv").write_text("# unit = Hz\n0.0\n")
+    path = tmp_path / name
+    assert cli.main(["fit", "-o", str(tmp_path / "out"), "--couplings", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --couplings / [couplings] file: {message.format(path=path)}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_tomo_rejects_single_excitation_model(tmp_path, capsys):
@@ -532,11 +548,11 @@ def test_coupling_parameters_are_checked_only_for_the_sources_that_read_them(
     (["global-quench", "--model", "single-excitation"],
      "the single-excitation model needs a local quench with exactly one flipped site"),
     (["tomo", "--model", "single-excitation"],
-     "tomography needs a full-state model (ising or xy)"),
+     "tomography needs --model / [quench] model ising or xy, got single-excitation"),
     (["fit", "--source", "power-law", "--n", "2"],
-     "fit needs a chain of at least 4 ions for its exponent fit, got N = 2"),
+     "fit needs --n / [trap] n_ions >= 4 for its exponent fit, got 2"),
     (["dispersion", "--source", "power-law", "--n", "3"],
-     "dispersion needs a chain of at least 4 ions for its exponent fit, got N = 3"),
+     "dispersion needs --n / [trap] n_ions >= 4 for its exponent fit, got 3"),
     (["lightcone", "--n", "7"],
      "the light cone from site 4 has 2 sites to fit before the excluded edge site 7, and "
      "the front velocity needs at least 3 (--n / [trap] n_ions, --flip / [quench] flip)"),
@@ -545,6 +561,8 @@ def test_coupling_parameters_are_checked_only_for_the_sources_that_read_them(
      "the front velocity needs at least 3 (--n / [trap] n_ions, --flip / [quench] flip)"),
     (["quench", "--model", "ising", "--field", "-1"],
      "--field / [trap] transverse_field must be >= 0, got -1.0"),
+    (["quench", "--flip", "3", "3"], "--flip / [quench] flip must be distinct sites, got 3 3"),
+    (["tomo", "--sites", "4", "4"], "--sites must be distinct sites, got 4 4"),
 ])
 def test_run_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
     def never(*args, **kwargs):
@@ -587,6 +605,12 @@ def test_negative_field_is_refused_on_every_path(tmp_path, capsys, argv, ini):
     ["tomo", "--n-points", "1"],
     ["global-quench", "--flip", "3"],
     ["global-quench", "--correlations"],
+    ["modes", "--seed", "3", "--alpha", "9", "--format", "ndjson"],
+    ["modes", "--source", "power-law"],
+    ["modes", "--jbar", "10"],
+    ["modes", "--couplings", "J.csv"],
+    *([command, "--seed", "1"] for command in cli.COMMANDS if command != "tomo"),
+    *([command, "--format", "csv"] for command in ("couplings", "dispersion", "tomo", "fit")),
 ], ids=" ".join)
 def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -599,14 +623,220 @@ def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys, argv):
 def test_each_quench_subcommand_offers_the_flags_it_reads():
     parser = cli.build_parser()
     tomo = parser.parse_args(["tomo", "--flip", "3", "--model", "ising", "--field", "auto"])
-    assert (tomo.flip, tomo.model, tomo.field) == ([3], "ising", "auto")
+    assert (tomo.flip, tomo.model, tomo.field_hz) == ([3], "ising", None)
     window = ["--t-start", "0.001", "--t-end", "0.002", "--n-points", "3"]
     glob = parser.parse_args(["global-quench", "--model", "xy", "--field", "5"] + window)
-    assert (glob.model, glob.field, glob.t_start, glob.t_end, glob.n_points) == (
-        "xy", "5", 0.001, 0.002, 3)
+    assert (glob.model, glob.field_hz, glob.t_start, glob.t_end, glob.n_points) == (
+        "xy", 5.0, 0.001, 0.002, 3)
     for command in ("quench", "lightcone"):
         args = parser.parse_args([command, "--flip", "2", "--correlations"] + window)
         assert (args.flip, args.correlations, args.n_points) == ([2], True, 3)
+
+
+# ---------------------------------------------------------------------------
+# the settings table: each subcommand reads, checks and hashes its own settings
+
+
+#: The settings each subcommand reads, written out here rather than taken
+#: from the table.
+_READS = {
+    "modes": {"n_ions", "outdir", "gap", "detuning"},
+    "couplings": {"n_ions", "outdir", "gap", "detuning", "source", "alpha", "nn_strength",
+                  "coupling_file", "unit"},
+    "dispersion": {"n_ions", "outdir", "gap", "detuning", "source", "alpha", "nn_strength",
+                   "coupling_file"},
+    "quench": {"n_ions", "outdir", "gap", "detuning", "source", "alpha", "nn_strength",
+               "coupling_file", "flip", "model", "field_hz", "t_start", "t_end", "n_points",
+               "correlations", "format"},
+    "global-quench": {"n_ions", "outdir", "gap", "detuning", "source", "alpha",
+                      "nn_strength", "coupling_file", "model", "field_hz", "t_start",
+                      "t_end", "n_points", "format"},
+    "tomo": {"n_ions", "outdir", "gap", "detuning", "source", "alpha", "nn_strength",
+             "coupling_file", "flip", "model", "field_hz", "sites", "sample_time", "shots",
+             "resamples", "seed"},
+    "lightcone": {"n_ions", "outdir", "gap", "detuning", "source", "alpha", "nn_strength",
+                  "coupling_file", "flip", "model", "field_hz", "t_start", "t_end",
+                  "n_points", "correlations", "format"},
+    "fit": {"n_ions", "outdir", "gap", "detuning", "source", "alpha", "nn_strength",
+            "coupling_file"},
+}
+
+#: A small fast run of each subcommand.
+_RUNS = {
+    "modes": ["modes", "--n", "5"],
+    "couplings": ["couplings", "--n", "5"],
+    "dispersion": ["dispersion", "--n", "5"],
+    "quench": ["quench", "--n", "5", "--t-end", "0.002", "--n-points", "3"],
+    "global-quench": ["global-quench", "--n", "4", "--n-points", "3"],
+    "tomo": ["tomo", "--n", "5", "--sites", "2", "4", "--shots", "50", "--resamples", "100"],
+    "lightcone": ["lightcone", "--source", "power-law"],
+    "fit": ["fit", "--source", "power-law", "--n", "5"],
+}
+
+#: An INI value for each key that some subcommand does not read, each one
+#: refused or changing the run where the key is read.
+_UNREAD_VALUES = {
+    ("couplings", "source"): "bogus", ("couplings", "alpha"): "nan",
+    ("couplings", "nn_strength"): "inf", ("couplings", "file"): "missing.csv",
+    ("quench", "flip"): "3", ("quench", "model"): "bogus",
+    ("trap", "transverse_field"): "-1", ("run", "t_start"): "-1", ("run", "t_end"): "-1",
+    ("run", "n_points"): "1", ("output", "format"): "bogus", ("run", "seed"): "-1",
+    ("run", "shots"): "0", ("run", "resamples"): "1",
+}
+
+
+def _option_strings(parser) -> set[str]:
+    return {o for action in parser._actions for o in action.option_strings}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_each_subcommand_offers_exactly_the_flags_of_its_settings(command):
+    groups = cli.COMMANDS[command][1]
+    settings = [s for s in cli.SETTINGS if s.group in groups]
+    assert {s.name for s in settings} == _READS[command]
+    sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
+    assert _option_strings(sub) == ({"-h", "--help", "--config", "-c"}
+                                    | {f for s in settings for f in s.flags})
+
+
+def test_every_config_key_is_read_by_a_setting_or_the_trap_source():
+    from_table = [s.ini for s in cli.SETTINGS if s.ini]
+    from_builders = ([("trap", k) for k in cli.TRAP_KEYS]
+                     + [("beam", k) for k in cli.DEFAULT_BEAM])
+    schema = [(section, key) for section, keys in mio.CONFIG_SCHEMA.items() for key in keys]
+    assert sorted(from_table + from_builders) == sorted(schema)
+
+
+def _artifacts(outdir: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_ini_keys_a_subcommand_does_not_read_change_nothing(tmp_path, capsys, command):
+    """Every key of a setting the subcommand does not read, set to a value
+    that is refused (or changes the run) where the key is read, changes
+    neither the artifacts nor the config hash."""
+    sections = {}
+    for s in cli.SETTINGS:
+        if s.ini and s.name not in _READS[command]:
+            sections.setdefault(s.ini[0], []).append(f"{s.ini[1]} = {_UNREAD_VALUES[s.ini]}\n")
+    assert sections
+    ini = tmp_path / "unread.ini"
+    ini.write_text("".join(f"[{section}]\n" + "".join(lines)
+                           for section, lines in sections.items()))
+    argv = _RUNS[command]
+    assert cli.main(argv + ["-o", str(tmp_path / "plain")]) == 0
+    assert cli.main(argv + ["-o", str(tmp_path / "ini"), "-c", str(ini)]) == 0
+    plain = _artifacts(tmp_path / "plain")
+    assert plain and _artifacts(tmp_path / "ini") == plain
+    parse = cli.build_parser().parse_args
+    assert (cli.resolve(parse(argv + ["-c", str(ini)])).hash
+            == cli.resolve(parse(argv)).hash)
+
+
+def test_the_unread_values_are_refused_where_read(tmp_path, capsys):
+    """The values of ``_UNREAD_VALUES`` do count where a subcommand reads
+    them: each is refused, or (a flip) moves the config hash."""
+    parse = cli.build_parser().parse_args
+    for (section, key), value in _UNREAD_VALUES.items():
+        setting = next(s for s in cli.SETTINGS if s.ini == (section, key))
+        command = "tomo" if setting.group == "tomo" else "quench"
+        ini = tmp_path / f"{key}.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n"
+                       + ("source = file\n" if key == "file" else ""))
+        if key == "flip":
+            assert (cli.resolve(parse([command, "-c", str(ini)])).hash
+                    != cli.resolve(parse([command])).hash)
+            continue
+        assert cli.main([command, "-c", str(ini), "-o", str(tmp_path / "out")]) == 2, key
+        assert setting.label in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+#: A value other than the default for each setting that has both a flag and
+#: a key: (subcommand, flag arguments, INI text).
+_FLAG_AND_KEY = {
+    "n_ions": ("quench", ["9"], "9"),
+    "outdir": ("quench", ["runs/x"], "runs/x"),
+    "source": ("quench", ["nearest-neighbour"], "nearest_neighbour"),
+    "alpha": ("quench", ["1.3"], "1.3"),
+    "nn_strength": ("quench", ["25"], "25"),
+    "coupling_file": ("fit", None, None),
+    "gap": ("couplings", ["20000"], "20e3"),
+    "detuning": ("couplings", ["2700000"], "2.7e6"),
+    "flip": ("quench", ["2", "4"], "2, 4"),
+    "model": ("quench", ["single-excitation"], "single_excitation"),
+    "field_hz": ("quench", ["12.5"], "12.5"),
+    "t_start": ("quench", ["0.001"], "0.001"),
+    "t_end": ("quench", ["0.003"], "0.003"),
+    "n_points": ("quench", ["5"], "5"),
+    "format": ("quench", ["ndjson"], "ndjson"),
+    "shots": ("tomo", ["20"], "20"),
+    "resamples": ("tomo", ["150"], "150"),
+    "seed": ("tomo", ["5"], "5"),
+}
+
+
+@pytest.mark.parametrize("setting", [s for s in cli.SETTINGS if s.ini],
+                         ids=lambda s: s.name)
+def test_flag_and_key_resolve_to_the_same_run_config(tmp_path, coupling_file_25, setting):
+    command, flag_args, text = _FLAG_AND_KEY[setting.name]
+    if setting.name == "coupling_file":
+        flag_args, text = [str(coupling_file_25)], str(coupling_file_25)
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{setting.ini[0]}]\n{setting.ini[1]} = {text}\n")
+    parse = cli.build_parser().parse_args
+    by_flag = cli.resolve(parse([command, setting.flags[0], *flag_args]))
+    by_key = cli.resolve(parse([command, "-c", str(ini)]))
+    assert by_flag == by_key and by_flag.hash == by_key.hash
+    if setting.name != "coupling_file":         # the file source needs its file
+        assert by_flag != cli.resolve(parse([command]))
+    assert {s.name for s in cli.SETTINGS if s.ini} == _FLAG_AND_KEY.keys()
+
+
+def test_auto_field_is_one_value_from_flag_or_key(tmp_path, capsys):
+    """``--field auto`` and ``[trap] transverse_field = auto`` give the same run
+    as no field at all; an explicit ``--field auto`` beats a key's number."""
+    ini = tmp_path / "run.ini"
+    ini.write_text("[trap]\ntransverse_field = auto\n")
+    parse = cli.build_parser().parse_args
+    argv = ["quench", "--model", "ising", "--n", "5"]
+    runs = [cli.resolve(parse(argv + extra))
+            for extra in (["--field", "auto"], ["-c", str(ini)], [])]
+    assert runs[0] == runs[1] == runs[2] and runs[0].field_hz is None
+    assert len({rc.hash for rc in runs}) == 1
+    ini.write_text("[trap]\ntransverse_field = 100\n")
+    assert cli.resolve(parse(argv + ["-c", str(ini), "--field", "auto"])) == runs[0]
+    ini.write_text("[trap]\ntransverse_field = auto\n")
+    assert cli.main(argv + ["-c", str(ini), "--t-end", "0.001", "--n-points", "3",
+                            "-o", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("setting", [s for s in cli.SETTINGS
+                                     if s.low is not None or (s.choices and s.ini)],
+                         ids=lambda s: s.name)
+def test_a_value_out_of_range_is_refused_naming_its_setting(tmp_path, capsys, setting):
+    """A flag below its setting's minimum, or a key outside its choices (a
+    flag's choices are argparse's to check)."""
+    command = next(c for c, (_, groups) in cli.COMMANDS.items() if setting.group in groups)
+    if setting.choices:
+        (tmp_path / "run.ini").write_text(f"[{setting.ini[0]}]\n{setting.ini[1]} = bogus\n")
+        argv = [command, "-c", str(tmp_path / "run.ini")]
+        message = f"{setting.label} must be one of "
+    else:
+        argv = [command, setting.flags[0], str(setting.low - 1)]
+        message = f"{setting.label} must be "
+    assert cli.main(argv + ["-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_has_no_hand_written_setting_label():
+    """Every ``--flag / [section] key`` in a refusal comes from the table."""
+    source = Path(cli.__file__).read_text()
+    assert [s.label for s in cli.SETTINGS if s.ini and s.label in source] == []
+    assert [label for label in re.findall(r"--[a-z][a-z-]* / \[\w+\] \w+", source)
+            if label != "--flag / [section] key"] == []
 
 
 def test_light_cone_with_too_few_arrival_fits_is_numeric_error(tmp_path, capsys):
@@ -667,10 +897,10 @@ def test_main_reuses_one_parser_with_fresh_namespaces(monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     first, second, third = seen
     assert (first.command, first.shots, first.sites, first.n_ions) == ("tomo", 50, [2, 4], 9)
-    assert (second.command, second.unit, second.n_ions) == ("couplings", "Hz", None)
-    assert not hasattr(second, "shots") and not hasattr(second, "sites")
-    assert not hasattr(first, "unit") and not hasattr(third, "unit")
-    assert (third.shots, third.sites, third.n_ions) == (None, None, None)
+    assert (second.command, second.unit) == ("couplings", "Hz")
+    # an absent flag leaves no attribute
+    assert vars(second).keys() == {"command", "unit"}
+    assert vars(third).keys() == {"command"}
 
 
 # ---------------------------------------------------------------------------

@@ -776,6 +776,39 @@ def test_krylov_nearest_neighbour_xy_is_free_fermions(n, method, data):
                                atol=1e-10)
 
 
+def test_auto_method_takes_each_side_of_the_dense_limit():
+    """A local Ising quench at N = 12 with flips 3 and 7 (power law with
+    alpha = 1.3, B = 50 max|J|) reaches a 1056-state + sector and a
+    992-state - sector, one on each side of DENSE_LIMIT: 'auto' propagates
+    the first by Krylov and the second densely, and agrees with 'dense'
+    everywhere to the Krylov error target."""
+    n = 12
+    J = ionchain.power_law_coupling(n, 1.3, J0)
+    H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
+                                   model="ising")
+    psi0 = dynamics.prepare_state(QuenchSpec("local", (3, 7)), n)
+    times = np.linspace(0.0, 0.002, 11)
+    krylov_trajectory, eigensystem = dynamics._krylov_trajectory, dynamics.Hamiltonian.eigensystem
+    ran = {"krylov": [], "dense": []}
+
+    def krylov(matvec, psi, *args):
+        ran["krylov"].append(psi.size)
+        return krylov_trajectory(matvec, psi, *args)
+
+    def dense(self):
+        ran["dense"].append(self.dim)
+        return eigensystem(self)
+
+    with mock.patch.object(dynamics, "_krylov_trajectory", krylov), \
+            mock.patch.object(dynamics.Hamiltonian, "eigensystem", dense):
+        auto = dynamics.evolve(psi0, H, times)
+    assert 992 <= dynamics.DENSE_LIMIT < 1056
+    assert ran == {"krylov": [1056], "dense": [992]}
+    exact = dynamics.evolve(psi0, H, times, method="dense")
+    np.testing.assert_array_equal(auto.basis, exact.basis)
+    np.testing.assert_allclose(auto.states, exact.states, rtol=0, atol=1e-9)
+
+
 @settings(deadline=None, max_examples=12)
 @given(model=st.sampled_from(["xy", "ising"]), data=st.data())
 @example(model="xy", data=None)

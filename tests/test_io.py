@@ -442,7 +442,6 @@ alpha = 1.2
 nn_strength = 25
 
 [quench]
-kind = local
 flip = 3 5
 model = xy
 
@@ -481,6 +480,23 @@ def test_load_run_config_rejects_unknown_key(tmp_path):
     p.write_text("[trap]\nn_ions = 5\nvoltage = 7\n")
     with pytest.raises(ConfigError, match="voltage"):
         mio.load_run_config(p)
+
+
+@pytest.mark.parametrize("section,key", [("beam", "waist_transverse"), ("quench", "kind")])
+def test_removed_keys_are_unknown(tmp_path, section, key):
+    """The beam's transverse waist played no part, and a subcommand sets the
+    quench kind, so neither has a key."""
+    p = tmp_path / "run.ini"
+    p.write_text(f"[{section}]\n{key} = 1\n")
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[{section}\\]"):
+        mio.load_run_config(p)
+
+
+def test_transverse_field_key_takes_auto(tmp_path):
+    p = tmp_path / "run.ini"
+    for text, value in (("auto", None), ("12.5", 12.5)):
+        p.write_text(f"[trap]\ntransverse_field = {text}\n")
+        assert mio.load_run_config(p) == {"trap": {"transverse_field": value}}
 
 
 def test_load_run_config_reports_bad_value(tmp_path):

@@ -111,7 +111,7 @@ def test_trap_config_rejects_soft_transverse_confinement():
 
 def test_beam_profile_rejects_zero_waist():
     with pytest.raises(ValueError):
-        BeamProfile(peak_rabi=1e5, waist_along_chain=0.0, waist_transverse=1e-5)
+        BeamProfile(peak_rabi=1e5, waist_along_chain=0.0)
 
 
 def _fix_gauge_loop(vectors):
@@ -209,7 +209,7 @@ def test_detuning_gap_round_trip(reference_trap):
 
 
 def test_rabi_profile_peak_and_falloff():
-    beam = BeamProfile(peak_rabi=2e5, waist_along_chain=100e-6, waist_transverse=40e-6)
+    beam = BeamProfile(peak_rabi=2e5, waist_along_chain=100e-6)
     x = np.array([0.0, 100e-6])
     omega = ionchain.rabi_profile(beam, x)
     assert omega[0] == pytest.approx(2e5)
@@ -217,8 +217,7 @@ def test_rabi_profile_peak_and_falloff():
 
 
 def test_rabi_profile_center_offset():
-    beam = BeamProfile(peak_rabi=1e5, waist_along_chain=50e-6,
-                       waist_transverse=40e-6, center_offset=20e-6)
+    beam = BeamProfile(peak_rabi=1e5, waist_along_chain=50e-6, center_offset=20e-6)
     omega = ionchain.rabi_profile(beam, np.array([20e-6, 0.0]))
     assert omega[0] == pytest.approx(1e5)
     assert omega[1] < omega[0]

@@ -61,8 +61,7 @@ def _trap_coupling(n):
     axial = 0.219e6 if n <= 25 else (0.1e6 if n <= 51 else 0.05e6)
     trap = ionchain.TrapConfig(n_ions=n, axial_freq=axial, transverse_freq_x=2.655e6,
                                transverse_freq_y=2.628e6, detuning=0.0)
-    beam = ionchain.BeamProfile(peak_rabi=100e3, waist_along_chain=380e-6,
-                                waist_transverse=40e-6)
+    beam = ionchain.BeamProfile(peak_rabi=100e3, waist_along_chain=380e-6)
     return ionchain.build_coupling_matrix(ionchain.with_detuning_above_top(trap, 30e3), beam)
 
 
