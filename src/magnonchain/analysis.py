@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ionchain import CouplingMatrix, _check_site, power_law_coupling
+from .ionchain import CouplingMatrix, _check_site, _power_law_values
 
 ALPHA_SEARCH_RANGE = (0.0, 4.0)
 ALPHA_BRACKET_TOL = 1e-4
@@ -175,7 +175,7 @@ def _dispersion_mismatch(alpha, k_meas, w_meas, n_ions):
     with the n-th highest energy has n - 1 nodes, so its pseudo-momentum
     is n pi / (N + 1) without looking at the mode functions.
     """
-    energies = np.linalg.eigvalsh(power_law_coupling(n_ions, alpha, 1.0).values)[::-1]
+    energies = np.linalg.eigvalsh(_power_law_values(n_ions, alpha, 1.0))[::-1]
     k_model = np.arange(1, n_ions + 1) * np.pi / (n_ions + 1)
     idx = np.abs(k_model[None, :] - k_meas[:, None]).argmin(axis=1)
     w_model = energies[idx]

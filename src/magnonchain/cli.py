@@ -201,9 +201,11 @@ class RunConfig:
     ``field_hz`` stays in Hz with None meaning "auto": B = 50 max|J|
     for Ising runs.  ``couplings`` is the matrix read from
     ``coupling_file`` for the file source (its path is hashed, not its
-    values), and ``n_ions`` is then its size.  :func:`resolve` checks
-    each value against its setting; construction checks how the values
-    combine, so a bad run is refused before any work starts.
+    values), and ``n_ions`` is then its size.  ``modes`` is the mode
+    spectrum of the trap source, computed once while resolving; the
+    hashed ``trap`` determines it.  :func:`resolve` checks each value
+    against its setting; construction checks how the values combine, so
+    a bad run is refused before any work starts.
     """
 
     command: str
@@ -232,6 +234,7 @@ class RunConfig:
     format: str
     couplings: ionchain.CouplingMatrix | None = field(default=None, repr=False,
                                                       compare=False)
+    modes: ionchain.ModeSpectrum | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n_ions, flip = _LABELS["n_ions"], _LABELS["flip"]
@@ -251,15 +254,16 @@ class RunConfig:
         if self.command == "tomo":
             self._check_sites("sites")
         if self.model == "single_excitation":      # only the quench subcommands read it
-            if self.command == "tomo":
-                raise ConfigError(f"tomography needs {_LABELS['model']} ising or xy, "
+            if self.command in ("tomo", "global-quench"):
+                what = "tomography" if self.command == "tomo" else "a global quench"
+                raise ConfigError(f"{what} needs {_LABELS['model']} ising or xy, "
                                   f"got single-excitation")
-            if self.kind != "local" or len(self.flip) != 1:
+            if len(self.flip) != 1:
                 raise ConfigError("the single-excitation model needs a local quench "
                                   "with exactly one flipped site")
             if "correlations" in self.observables:
-                raise ConfigError("sigma-z correlations need a full-Hilbert-space "
-                                  "model (ising or xy)")
+                raise ConfigError(f"{_LABELS['correlations']} needs {_LABELS['model']} "
+                                  f"ising or xy, got single-excitation")
 
     def _check_sites(self, name: str) -> None:
         sites = getattr(self, name)
@@ -287,6 +291,7 @@ class RunConfig:
         d = asdict(self)
         d.pop("outdir")             # where artifacts land is not physics
         d.pop("couplings")          # read from coupling_file, which is hashed
+        d.pop("modes")              # determined by trap, which is hashed
         return mio.config_hash(d)
 
     def meta(self, **extra) -> dict:
@@ -366,13 +371,14 @@ def resolve(args: argparse.Namespace) -> RunConfig:
             s.check(v[s.name])
 
     n_ions = v["n_ions"]
-    trap = beam = None
+    trap = beam = modes = None
     if v["source"] == "trap":
         trap_cfg = cfg.get("trap", {})
         params = {**DEFAULT_TRAP, **{k: trap_cfg[k] for k in TRAP_KEYS if k in trap_cfg}}
         trap = ionchain.TrapConfig(n_ions=n_ions, detuning=0.0, **params)
+        modes = ionchain.transverse_mode_spectrum(trap)
         trap = (replace(trap, detuning=v["detuning"]) if v["detuning"] is not None
-                else ionchain.with_detuning_above_top(trap, v["gap"]))
+                else ionchain.with_detuning_above_top(trap, v["gap"], modes))
         beam = ionchain.BeamProfile(**{**DEFAULT_BEAM, **cfg.get("beam", {})})
     outdir = v["outdir"] if v["outdir"] is not None else os.environ.get(OUTDIR_ENV, ".")
 
@@ -403,6 +409,7 @@ def resolve(args: argparse.Namespace) -> RunConfig:
         outdir=Path(outdir),
         format=v["format"],
         couplings=couplings,
+        modes=modes,
     )
 
 
@@ -439,7 +446,7 @@ def _build_couplings(rc: RunConfig) -> ionchain.CouplingMatrix:
         return ionchain.power_law_coupling(rc.n_ions, rc.alpha, rc.nn_strength)
     if rc.source == "nearest_neighbour":
         return ionchain.nearest_neighbour_coupling(rc.n_ions, rc.nn_strength)
-    return ionchain.build_coupling_matrix(rc.trap, rc.beam)
+    return ionchain.build_coupling_matrix(rc.trap, rc.beam, rc.modes)
 
 
 def _field_rad(rc: RunConfig, J: ionchain.CouplingMatrix) -> float:
@@ -462,8 +469,8 @@ def _propagate(rc: RunConfig, J: ionchain.CouplingMatrix):
     """(times, magnetisation (T,N), correlations (T,N,N) or None)."""
     times = rc.times
     if rc.model == "single_excitation":
-        states = magnon.evolve_single_excitation(J, rc.flip[0], times)
-        return times, np.vstack([magnon.magnetisation_single(s) for s in states]), None
+        amps = magnon._single_excitation_amplitudes(J, rc.flip[0], times)
+        return times, 2.0 * np.abs(amps) ** 2 - 1.0, None
     traj = _evolve(rc, J, times)
     corr = dynamics.two_point_correlations(traj) if "correlations" in rc.observables else None
     return times, dynamics.magnetisation(traj), corr
@@ -499,7 +506,7 @@ def _export_trajectory(rc: RunConfig, times, mag, corr) -> None:
 
 
 def _cmd_modes(rc: RunConfig) -> int:
-    modes = ionchain.transverse_mode_spectrum(rc.trap)
+    modes = rc.modes
     columns = (np.arange(1, 2 * rc.n_ions + 1), modes.branches, modes.frequencies)
     path = mio.write_columns(rc.outdir / "modes.csv", ("n", "branch", "freq_hz"),
                              columns, rc.meta(detuning_hz=rc.trap.detuning))

@@ -24,6 +24,7 @@ evaluation order.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,9 +204,28 @@ def measurement_probabilities(rho: DensityMatrix) -> np.ndarray:
     return np.array(table)
 
 
+def _streams(seed: int, streams) -> Iterator[np.random.Generator]:
+    """The generator of each stream of ``streams`` in turn, keyed (seed, stream).
+
+    Each draws what ``Generator(Philox(key=[seed, stream]))`` draws: one bit
+    generator is re-keyed per stream (counter 0, empty buffer) rather than
+    a new one built, and seeded from OS entropy, per stream.  A yielded
+    generator is valid until the next one is taken.
+    """
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    for stream in streams:
+        bits.state = {"bit_generator": "Philox",
+                      "state": {"counter": np.zeros(4, dtype=np.uint64),
+                                "key": np.array([seed, stream], dtype=np.uint64)},
+                      "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                      "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator with an independent stream per (seed, stream)."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    """The generator of the one stream (seed, stream)."""
+    return next(_streams(seed, (stream,)))
 
 
 def simulate_tomography(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray:
@@ -217,7 +237,8 @@ def simulate_tomography(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = measurement_probabilities(rho)
-    return np.array([_rng(seed, b).multinomial(shots, p) for b, p in enumerate(probs)])
+    return np.array([rng.multinomial(shots, p)
+                     for rng, p in zip(_streams(seed, range(len(probs))), probs)])
 
 
 def _checked_counts(counts) -> tuple[np.ndarray, np.ndarray]:
@@ -319,8 +340,8 @@ def bootstrap(counts: np.ndarray, resamples: int, statistic: str, seed: int,
     evaluate = _statistic_fn(statistic, target)
     counts, shots = _checked_counts(counts)
     freqs = counts / shots[:, None]
-    redrawn = np.stack([_rng(seed, _BOOTSTRAP_STREAM_BASE + r).multinomial(shots, freqs)
-                        for r in range(resamples)])
+    streams = range(_BOOTSTRAP_STREAM_BASE, _BOOTSTRAP_STREAM_BASE + resamples)
+    redrawn = np.stack([rng.multinomial(shots, freqs) for rng in _streams(seed, streams)])
     rhos = _project_stack(_linear_inversion(redrawn, shots))
     _check_physical(rhos)
     values = evaluate(rhos)

@@ -430,9 +430,16 @@ def coupling_matrix(trap: TrapConfig, modes: ModeSpectrum, rabi: np.ndarray) -> 
     return CouplingMatrix(values=J, meta=meta)
 
 
-def build_coupling_matrix(trap: TrapConfig, beam: BeamProfile) -> CouplingMatrix:
-    """Convenience pipeline: modes -> Rabi profile -> coupling matrix."""
-    modes = transverse_mode_spectrum(trap)
+def build_coupling_matrix(trap: TrapConfig, beam: BeamProfile,
+                          modes: ModeSpectrum | None = None) -> CouplingMatrix:
+    """Convenience pipeline: modes -> Rabi profile -> coupling matrix.
+
+    ``modes``, when given, is the mode spectrum of ``trap`` (the detuning
+    plays no part in it), so a caller that already holds it saves the
+    equilibrium solve and both ``eigh``.
+    """
+    if modes is None:
+        modes = transverse_mode_spectrum(trap)
     rabi = rabi_profile(beam, modes.positions_m)
     return coupling_matrix(trap, modes, rabi)
 
@@ -464,13 +471,19 @@ def _check_site(n: int, site: int) -> None:
 
 def power_law_coupling(n_ions: int, alpha: float, nn_strength: float) -> CouplingMatrix:
     """Ideal open-chain power law J_ij = nn_strength / |i-j|^alpha (rad/s)."""
+    return CouplingMatrix(values=_power_law_values(n_ions, alpha, nn_strength),
+                          meta=f"synthetic power law alpha={alpha:g}")
+
+
+def _power_law_values(n_ions: int, alpha: float, nn_strength: float) -> np.ndarray:
+    """The bare (N, N) array of :func:`power_law_coupling`, unchecked and writable."""
     if n_ions < 2:
         raise ValueError("need at least 2 ions")
     d = np.abs(np.arange(n_ions)[:, None] - np.arange(n_ions)[None, :]).astype(float)
-    np.fill_diagonal(d, np.inf)
+    np.fill_diagonal(d, 1.0)            # a finite placeholder: no 0**alpha for any alpha
     J = nn_strength / d ** alpha
-    np.fill_diagonal(J, 0.0)            # inf**0 == 1, so alpha=0 needs the explicit zero
-    return CouplingMatrix(values=J, meta=f"synthetic power law alpha={alpha:g}")
+    np.fill_diagonal(J, 0.0)
+    return J
 
 
 def nearest_neighbour_coupling(n_ions: int, strength: float) -> CouplingMatrix:

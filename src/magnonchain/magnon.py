@@ -129,14 +129,27 @@ def evolve_single_excitation(J: CouplingMatrix, quench_site: int,
     a_i(t) = sum_k c_{i,k} c_{l,k} exp(-i omega_k t); no step error, any
     time grid.  Sites are 1-based.
     """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    amps = _single_excitation_amplitudes(J, quench_site, times)
+    return [SingleExcitationState(amplitudes=a, time=t) for a, t in zip(amps, times)]
+
+
+def _single_excitation_amplitudes(J: CouplingMatrix, quench_site: int,
+                                  times: np.ndarray) -> np.ndarray:
+    """The (T, N) amplitudes a_i(t) of :func:`evolve_single_excitation`, as
+    one array; every row is checked to be normalized to 1e-9."""
     _check_site(J.n_ions, quench_site)
     spectrum = diagonalize_magnons(J)
     c = spectrum.mode_functions
     weights = c[quench_site - 1, :]                       # c_{l,k}
-    times = np.atleast_1d(np.asarray(times, dtype=float))
     phases = np.exp(-1j * np.outer(times, spectrum.energies))   # (T, N)
     amps = (phases * weights) @ c.T                             # (T, N sites)
-    return [SingleExcitationState(amplitudes=a, time=t) for a, t in zip(amps, times)]
+    norms = np.sum(np.abs(amps) ** 2, axis=1)
+    off = np.abs(norms - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"single-excitation state not normalized: sum |a|^2 = "
+                         f"{norms[off][0]!r}")
+    return amps
 
 
 def magnetisation_single(state: SingleExcitationState) -> np.ndarray:

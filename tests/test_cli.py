@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -541,12 +542,12 @@ def test_coupling_parameters_are_checked_only_for_the_sources_that_read_them(
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["lightcone", "--n", "201", "--correlations"],
-     "sigma-z correlations need a full-Hilbert-space model (ising or xy)"),
+    (["lightcone", "--n", "31", "--correlations"],
+     "--correlations needs --model / [quench] model ising or xy, got single-excitation"),
     (["quench", "--model", "single-excitation", "--flip", "2", "4"],
      "the single-excitation model needs a local quench with exactly one flipped site"),
-    (["global-quench", "--model", "single-excitation"],
-     "the single-excitation model needs a local quench with exactly one flipped site"),
+    (["global-quench", "--n", "7", "--model", "single-excitation"],
+     "a global quench needs --model / [quench] model ising or xy, got single-excitation"),
     (["tomo", "--model", "single-excitation"],
      "tomography needs --model / [quench] model ising or xy, got single-excitation"),
     (["fit", "--source", "power-law", "--n", "2"],
@@ -573,6 +574,28 @@ def test_run_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, mes
     assert cli.main(argv + ["-o", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["couplings", "dispersion", "modes"])
+@pytest.mark.parametrize("detuning", [[], ["--detuning", "2.7e6"]], ids=["gap", "detuning"])
+def test_a_trap_run_solves_for_the_ion_positions_once(tmp_path, capsys, monkeypatch,
+                                                      command, detuning):
+    """The mode spectrum that places the detuning is the one the run uses."""
+    calls = []
+    solve = ionchain.equilibrium_positions
+    monkeypatch.setattr(ionchain, "equilibrium_positions",
+                        lambda n: calls.append(n) or solve(n))
+    assert run([command, "--n", "9", *detuning, "-o", str(tmp_path)], capsys)[0] == 0
+    assert calls == [9]
+
+
+def test_power_law_with_negative_alpha_runs_without_warnings(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["couplings", "--source", "power-law", "--n", "7", "--alpha", "-1",
+                         "-o", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv,ini", [

@@ -258,6 +258,24 @@ def test_record_streams_differ_between_bases():
     assert len({tuple(row) for row in counts}) > 1
 
 
+@pytest.mark.parametrize("seed", [0, 2024, 2 ** 64 - 1])
+def test_stream_generators_draw_as_fresh_philox_generators(seed):
+    """Each generator of _streams draws what a freshly built one keyed
+    (seed, stream) draws, in any order of the streams, also after the
+    previous stream left buffered output and a half-used 32-bit word."""
+    freqs = np.array([[0.1, 0.2, 0.3, 0.4], [0.7, 0.0, 0.3, 0.0], [0.25, 0.25, 0.25, 0.25]])
+    shots = np.array([2000, 7, 1])
+    order = [1003, 0, 8, 1000, 5, 1999, 1003, 2]
+    for stream, rng in zip(order, ent._streams(seed, order), strict=True):
+        fresh = np.random.Generator(
+            np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+        np.testing.assert_array_equal(rng.multinomial(shots, freqs),
+                                      fresh.multinomial(shots, freqs))
+        np.testing.assert_array_equal(rng.multinomial(500, freqs[0], size=3),
+                                      fresh.multinomial(500, freqs[0], size=3))
+        assert rng.random(dtype=np.float32) == fresh.random(dtype=np.float32)
+
+
 #: A random state with no two outcomes of one setting within 0.02 in
 #: probability, so no draw below sits on a tie (see _random_state(4, 48)).
 _PINNED_COUNTS = [[301, 619, 70, 10], [685, 239, 30, 46], [844, 79, 18, 59],

@@ -1,6 +1,7 @@
 """Equilibrium positions, transverse modes, and the mode-sum coupling matrix."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,13 @@ def test_couplings_share_one_sign_above_top_mode(reference_trap, reference_beam)
     assert np.all(off > 0) or np.all(off < 0)
 
 
+def test_a_given_mode_spectrum_builds_the_same_couplings(reference_trap, reference_beam):
+    modes = ionchain.transverse_mode_spectrum(reference_trap)
+    np.testing.assert_array_equal(
+        ionchain.build_coupling_matrix(reference_trap, reference_beam, modes).values,
+        ionchain.build_coupling_matrix(reference_trap, reference_beam).values)
+
+
 def test_resonant_detuning_raises(reference_trap, reference_beam):
     modes = ionchain.transverse_mode_spectrum(reference_trap)
     near = dataclasses.replace(reference_trap, detuning=modes.top_mode_freq + 200.0)
@@ -291,6 +299,24 @@ def test_power_law_alpha_zero_keeps_diagonal_clear():
     assert np.all(np.diag(J.values) == 0.0)
     off = J.values[~np.eye(5, dtype=bool)]
     np.testing.assert_allclose(off, 3.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.07, 1.5, 2.0, 3.0, 4.0])
+def test_power_law_has_the_bits_of_the_infinite_diagonal_formula(alpha):
+    """A unit diagonal placeholder changes no entry for alpha >= 0."""
+    d = np.abs(np.subtract.outer(np.arange(9), np.arange(9))).astype(float)
+    np.fill_diagonal(d, np.inf)
+    expected = 30.0 / d ** alpha
+    np.fill_diagonal(expected, 0.0)
+    np.testing.assert_array_equal(ionchain.power_law_coupling(9, alpha, 30.0).values, expected)
+
+
+def test_power_law_with_negative_alpha_builds_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J = ionchain.power_law_coupling(5, -1.0, 3.0)
+    np.testing.assert_array_equal(
+        J.values, 3.0 * np.abs(np.subtract.outer(np.arange(5), np.arange(5))))
 
 
 @settings(deadline=None)

@@ -1,5 +1,7 @@
 """Magnon diagonalization, node-count labelling, and spectral evolution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,6 +185,16 @@ def test_evolve_checks_site_range():
     J = ionchain.nearest_neighbour_coupling(4, J0)
     with pytest.raises(ValueError):
         magnon.evolve_single_excitation(J, 5, np.array([0.0]))
+
+
+def test_amplitude_array_checks_the_norm_of_its_rows(monkeypatch):
+    J = ionchain.power_law_coupling(6, 1.3, J0)
+    spectrum = magnon.diagonalize_magnons(J)
+    stretched = dataclasses.replace(spectrum,
+                                    mode_functions=spectrum.mode_functions * (1 + 1e-8))
+    monkeypatch.setattr(magnon, "diagonalize_magnons", lambda J: stretched)
+    with pytest.raises(ValueError, match="not normalized"):
+        magnon._single_excitation_amplitudes(J, 3, np.linspace(0.0, 0.03, 7))
 
 
 def test_state_normalization_enforced():
