@@ -259,8 +259,9 @@ class RunConfig:
                 raise ConfigError(f"{what} needs {_LABELS['model']} ising or xy, "
                                   f"got single-excitation")
             if len(self.flip) != 1:
-                raise ConfigError("the single-excitation model needs a local quench "
-                                  "with exactly one flipped site")
+                raise ConfigError(f"{_LABELS['model']} single-excitation needs exactly one "
+                                  f"{_LABELS['flip']} site, got "
+                                  f"{' '.join(map(str, self.flip)) or 'none'}")
             if "correlations" in self.observables:
                 raise ConfigError(f"{_LABELS['correlations']} needs {_LABELS['model']} "
                                   f"ising or xy, got single-excitation")
@@ -457,21 +458,36 @@ def _field_rad(rc: RunConfig, J: ionchain.CouplingMatrix) -> float:
     return 2.0 * np.pi * rc.field_hz
 
 
-def _evolve(rc: RunConfig, J: ionchain.CouplingMatrix, times) -> dynamics.Trajectory:
-    """The quench of ``rc`` under its Ising or XY Hamiltonian, on ``times``."""
+def _quench(rc: RunConfig, J: ionchain.CouplingMatrix):
+    """(initial state, Hamiltonian) of the quench of ``rc`` under its Ising
+    or XY Hamiltonian."""
     H = dynamics.build_hamiltonian(J, transverse_field=_field_rad(rc, J), model=rc.model)
     psi0 = dynamics.prepare_state(
         dynamics.QuenchSpec(kind=rc.kind, flipped_sites=rc.flip), rc.n_ions)
-    return dynamics.evolve(psi0, H, times)
+    return psi0, H
+
+
+def _check_window(rc: RunConfig, n_states: int) -> None:
+    """ConfigError naming the setting if the run's ``n_points`` states on
+    ``n_states`` basis states pass ``dynamics.MAX_TRAJECTORY_BYTES``;
+    checked before the times or the trajectory are allocated."""
+    try:
+        dynamics.check_trajectory(rc.n_points, n_states)
+    except ValueError as exc:
+        raise ConfigError(f"{_LABELS['n_points']}: {exc}") from None
 
 
 def _propagate(rc: RunConfig, J: ionchain.CouplingMatrix):
     """(times, magnetisation (T,N), correlations (T,N,N) or None)."""
-    times = rc.times
     if rc.model == "single_excitation":
+        _check_window(rc, rc.n_ions)
+        times = rc.times
         amps = magnon._single_excitation_amplitudes(J, rc.flip[0], times)
         return times, 2.0 * np.abs(amps) ** 2 - 1.0, None
-    traj = _evolve(rc, J, times)
+    psi0, H = _quench(rc, J)
+    _check_window(rc, dynamics.reached_blocks(psi0, H)[1])
+    times = rc.times
+    traj = dynamics.evolve(psi0, H, times)
     corr = dynamics.two_point_correlations(traj) if "correlations" in rc.observables else None
     return times, dynamics.magnetisation(traj), corr
 
@@ -551,7 +567,7 @@ def _cmd_quench(rc: RunConfig) -> int:
 def _cmd_tomo(rc: RunConfig) -> int:
     J = _build_couplings(rc)
     sites = tuple(sorted(rc.sites))
-    traj = _evolve(rc, J, np.array([rc.sample_time]))
+    traj = dynamics.evolve(*_quench(rc, J), np.array([rc.sample_time]))
     rho_exact = entanglement.reduced_density_matrix(traj.state(0), sites)
 
     counts = entanglement.simulate_tomography(rho_exact, rc.shots, rc.seed)

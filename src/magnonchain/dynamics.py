@@ -38,13 +38,15 @@ one-flip XY quench is an N x N problem or smaller, a global XY quench a
 set of about C(N, k)/2-state sectors, and an Ising quench one or two
 sectors of about 2^(N-2) states (cf. the symmetry blocks of QuSpin,
 Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).  Each sector is
-assembled as COO triplets.  Sectors up to ``DENSE_LIMIT`` states use a
-dense eigendecomposition of the array the triplets fill, which is exact
-and needs numpy alone.  Larger ones use a Lanczos (Krylov) propagator on
-a scipy CSR matrix of the triplets, so scipy is imported only when a
-sector above ``DENSE_LIMIT`` is propagated: one subspace, grown from
-the state at the time reached so far, serves every later output time it
-converges for, and the next subspace starts from the last of them.  The order-m Lanczos
+assembled directly as CSR arrays, one row per representative, with
+numpy alone.  Sectors up to ``DENSE_LIMIT`` states use a dense
+eigendecomposition of the array those fill, which is exact.  Larger
+ones use a Lanczos (Krylov) propagator on a scipy CSR matrix that wraps
+the same arrays, so scipy is imported only when a sector above
+``DENSE_LIMIT`` is propagated: one subspace of at most
+``KRYLOV_ORDERS`` orders, grown from the state at the time reached so
+far, serves every later output time it converges for, and the next
+subspace starts from the last of them.  The order-m Lanczos
 approximation leaves a defect (residual) of norm
 delta(s) = beta_m |e_m^T exp(-i s T_m) e_1|, a rate in rad/s, and its
 error after a step dt is at most the integral of delta over [0, dt], so
@@ -71,6 +73,13 @@ from .ionchain import CouplingMatrix, _check_site, _readonly
 #: the 2^(N-1) states of one parity, a global quench all 2^N.
 MAX_STATES = 1 << 16
 
+#: Most bytes the complex (T, dim) amplitudes of one trajectory may take:
+#: 1 GiB.  The largest quench of the size ladder, N = 16 Ising with site 8
+#: flipped, holds 100 MB at 201 points, and its observables about twice
+#: that on top; a window of 10^8 points on the 7 states of one flip at
+#: N = 7 would take 10.4 GiB.
+MAX_TRAJECTORY_BYTES = 1 << 30
+
 #: Basis states are int64 bit strings, so a chain has at most 63 sites.
 MAX_BASIS_SITES = 63
 
@@ -90,6 +99,23 @@ MAX_BASIS_SITES = 63
 #: than the spread between passes), and dense results carry no
 #: propagation error.
 DENSE_LIMIT = 1024
+
+#: Most Lanczos orders one Krylov subspace grows to before the interval
+#: it has to cover is halved.  Measured with one BLAS thread on a 2-core
+#: Xeon VM, Ising at B = 50 max|J|, centre flip, matvecs per quench and
+#: evolve time summed over the exponents, at caps 96 / 200 / 256:
+#: N = 13, 51 points to 10 ms, the 11 exponents of the benchmark's
+#: ``ALPHA_GRID`` (1.0 to 2.0): 268-288 / 160-176 / 160-176 matvecs (one
+#: subspace from 176 orders on), 2.56 / 2.05 / 2.05 s; N = 15, same window
+#: and exponents: 432-552 / 272-316 / 216-256 matvecs, 18.9 / 13.7 /
+#: 12.4 s; N = 16, flip 8, 201 points to 20 ms, alpha = 1.0, 1.3, 1.6,
+#: 2.0: 1920-2448 / 1068-1352 / 916-1196 matvecs, 56.5 / 45.9 / 54.6 s
+#: (a cap of 320 took 55.1 s): past about 200 orders the full
+#: reorthogonalization, quadratic in the order, costs more than the
+#: matvecs it saves.  N = 17, 3 points to 1 ms, takes 80-88 matvecs at any
+#: cap.  The (KRYLOV_ORDERS + 1, dim) buffer is touched only as far as a
+#: subspace grows.
+KRYLOV_ORDERS = 200
 
 
 class PropagatorError(RuntimeError):
@@ -223,18 +249,18 @@ class Hamiltonian:
     """Immutable operator handle for H_Ising or H_XY.
 
     Holds the ingredients (couplings, field, model) and the real matrix
-    elements (rad/s) as COO triplets ``(values, rows, cols, size)``, either
-    of one mirror sector (built by :func:`evolve`) or of the full 2^N
-    space.  The full-space triplets are assembled only when first used,
-    and only up to ``MAX_STATES`` states; ``evolve`` never needs them.
-    :meth:`eigensystem` reads the triplets into a dense array; the CSR
-    matrix behind :meth:`matvec` is built from them on first use, and only
-    then is ``scipy.sparse`` imported.
+    elements (rad/s) as CSR arrays ``(data, indices, indptr)`` (see
+    :func:`_assemble`), either of one mirror sector (built by
+    :func:`evolve`) or of the full 2^N space.  The full-space arrays are
+    assembled only when first used, and only up to ``MAX_STATES`` states;
+    ``evolve`` never needs them.  :meth:`eigensystem` fills a dense array
+    from them; :meth:`matvec` wraps them, unsorted and uncopied, in a scipy
+    CSR matrix on first use, and only then is ``scipy.sparse`` imported.
     """
 
-    def __init__(self, triplets: tuple | None, n_sites: int, model: str,
+    def __init__(self, csr: tuple | None, n_sites: int, model: str,
                  transverse_field: float, coupling: CouplingMatrix):
-        self._coo = triplets
+        self._arrays = csr
         self._csr = None
         self.n_sites = n_sites
         self.model = model
@@ -242,24 +268,23 @@ class Hamiltonian:
         self.coupling = coupling
 
     @property
-    def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        if self._coo is None:
+    def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._arrays is None:
             _check_states(self.n_sites, 1 << self.n_sites)
-            self._coo = _assemble(self, np.arange(1 << self.n_sites))
-        return self._coo
+            self._arrays = _assemble(self, np.arange(1 << self.n_sites))
+        return self._arrays
 
     @property
     def _matrix(self):
-        """The scipy CSR matrix of the triplets, built on first use."""
+        """The scipy CSR matrix of the arrays, built on first use."""
         if self._csr is None:
             import scipy.sparse as sp
-            values, rows, cols, size = self._triplets
-            self._csr = sp.coo_matrix((values, (rows, cols)), shape=(size, size)).tocsr()
+            self._csr = sp.csr_matrix(self._csr_arrays, shape=(self.dim, self.dim))
         return self._csr
 
     @property
     def dim(self) -> int:
-        return 1 << self.n_sites if self._coo is None else self._coo[3]
+        return 1 << self.n_sites if self._arrays is None else self._arrays[2].size - 1
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         """H @ psi, a complex psi as two real products (:func:`_real_matmul`)."""
@@ -269,9 +294,9 @@ class Hamiltonian:
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense eigendecomposition (energies, eigenvectors)."""
-        values, rows, cols, size = self._triplets
-        dense = np.zeros((size, size))
-        np.add.at(dense, (rows, cols), values)
+        data, indices, indptr = self._csr_arrays
+        dense = np.zeros((self.dim, self.dim))
+        dense[np.repeat(np.arange(self.dim), np.diff(indptr)), indices] = data
         return np.linalg.eigh(dense)
 
 
@@ -294,23 +319,39 @@ def build_hamiltonian(J: CouplingMatrix, transverse_field: float = 0.0,
     return Hamiltonian(None, J.n_ions, model, transverse_field, J)
 
 
+#: Coupling targets computed at once per block of rows in :func:`_assemble`,
+#: which bounds its temporaries to a few MB whatever the sector size.
+_ASSEMBLY_CHUNK = 1 << 16
+
+
 def _assemble(H: Hamiltonian, basis: np.ndarray, partner: np.ndarray | None = None,
               rep: np.ndarray | None = None, sign: float = 1.0
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """COO triplets ``(values, rows, cols, size)`` of H on the sorted basis
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays ``(data, indices, indptr)`` of H on the sorted basis
     states ``basis``, or on the mirror sector (``partner``, ``rep``,
     ``sign``) of them (see :func:`_mirror_sectors`); without a sector, on
-    ``basis`` itself.  ``size`` is the number of sector states, and an
-    element that two couplings reach appears as two triplets, to be added.
+    ``basis`` itself.  Row m belongs to the representative ``rep[m]``; the
+    columns of a row are sorted and distinct, and the index arrays int32
+    (``MAX_STATES`` keeps every index and count below 2^31).
 
-    Each coupling J_ij flips the bits i and j of a representative (only
-    antiparallel ones for XY); the flipped state is mapped back to its
-    index by binary search and on to the representative of its pair.  The
-    element is J_ij, times ``sign`` if the flipped state is the mirror
-    image of that representative, times sqrt(orbit[src] / orbit[dst]),
-    the orbit being 2 for a pair and 1 for a palindrome; a palindrome has
-    no state in the - sector, so targets there are dropped.  Raises
-    ValueError if a flipped state is not in ``basis``.
+    Row m takes the targets of every coupling J_ij at once: the
+    representative with bits i and j flipped (only antiparallel ones for
+    XY).  A target's index in ``basis`` is ``b >> 1`` in an Ising parity
+    half, ``b`` in the full space, and found by binary search otherwise;
+    the index is mapped on to the representative of its pair.  The element
+    is J_ij, times ``sign`` if the target is the mirror image of that
+    representative, times sqrt(orbit[rep[m]] / orbit[target]), the orbit
+    being 2 for a pair and 1 for a palindrome; a palindrome has no state
+    in the - sector, so targets there are dropped.  This is the column of
+    ``rep[m]``, which equals its row bit for bit: H is symmetric, an
+    element sums at most two terms, and a palindrome row's two halves of
+    sqrt(2) J sum exactly.  Entries are sorted within the row by column,
+    ties in coupling-pair order (one sort of the column and the term's
+    slot packed in one key, which is a stable argsort), and duplicates
+    summed in that order, the Ising field last, so the arrays equal
+    scipy's ``coo_matrix(...).tocsr()`` of the same terms.  The rows are
+    built a block at a time (``_ASSEMBLY_CHUNK`` terms).  Raises
+    ValueError if a target is not in ``basis``.
     """
     n, J = H.n_sites, H.coupling.values
     every = np.arange(basis.size)
@@ -319,33 +360,71 @@ def _assemble(H: Hamiltonian, basis: np.ndarray, partner: np.ndarray | None = No
     orbit = np.where(partner == every, 1.0, 2.0)
     row_of = np.full(basis.size, -1)
     row_of[rep] = np.arange(rep.size)
-    rep_states = basis[rep]
-    rows, cols, vals = [], [], []
-    for i in range(n - 1):
-        j = i + 1 + np.flatnonzero(J[i, i + 1:])
+    i, j = np.nonzero(np.triu(J, 1))                   # pair order: by i, then j
+    masks, couplings = (1 << i) | (1 << j), J[i, j]
+    index = _index_of(basis, n)
+    field = int(H.model == "ising" and H.transverse_field != 0.0)
+    width = masks.size + field
+    shift = max(width - 1, 1).bit_length()             # a column and its slot in one key
+    slots = np.arange(width)
+    data = np.empty(rep.size * width)                  # at most width terms per row
+    indices = np.empty(rep.size * width, dtype=np.int32)
+    indptr = np.zeros(rep.size + 1, dtype=np.int32)
+    step = max(1, _ASSEMBLY_CHUNK // max(width, 1))
+    for start in range(0, rep.size, step):
+        rows = rep[start:start + step]
+        states = basis[rows][:, None]
+        target = states ^ masks
         if H.model == "xy":                             # antiparallel pairs only
-            src, k = np.nonzero(((rep_states[:, None] >> i) ^ (rep_states[:, None] >> j)) & 1)
-        else:
-            src, k = np.nonzero(np.ones((rep.size, j.size), bool))
-        target = rep_states[src] ^ ((1 << i) | (1 << j[k]))
-        dst = np.searchsorted(basis, target).clip(max=basis.size - 1)
+            flips = (((states >> i) ^ (states >> j)) & 1).astype(bool)
+            target = np.where(flips, target, states)    # dropped below
+        dst = index(target)
         if np.any(basis[dst] != target):
             raise ValueError("the Hamiltonian couples the block to states outside it")
         own = np.minimum(dst, partner[dst])
-        value = (J[i, j[k]] * np.where(own == dst, 1.0, sign)
-                 * np.sqrt(orbit[rep[src]] / orbit[own]))
-        row = row_of[own]
-        kept = row >= 0
-        rows.append(row[kept])
-        cols.append(src[kept])
-        vals.append(value[kept])
-    if H.model == "ising" and H.transverse_field != 0.0:
-        rows.append(np.arange(rep.size))
-        cols.append(rows[-1])
-        vals.append(H.transverse_field * (2 * _popcount(rep_states, n) - n))
-    if not rows:
-        return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), rep.size
-    return np.concatenate(vals), np.concatenate(rows), np.concatenate(cols), rep.size
+        col = np.empty((rows.size, width), dtype=np.int64)
+        value = np.empty((rows.size, width))
+        col[:, :masks.size] = row_of[own]
+        value[:, :masks.size] = (couplings * np.where(own == dst, 1.0, sign)
+                                 * np.sqrt(orbit[rows][:, None] / orbit[own]))
+        if H.model == "xy":
+            col[:, :masks.size][~flips] = -1
+        if field:
+            col[:, -1] = np.arange(start, start + rows.size)
+            value[:, -1] = H.transverse_field * (2 * _popcount(states[:, 0], n) - n)
+        col[col < 0] = rep.size                         # dropped: sorts last
+        key = (col << shift) | slots                    # distinct keys: a stable order
+        key.sort(axis=1)
+        col = key >> shift
+        value = np.take_along_axis(value, key & ((1 << shift) - 1), axis=1)
+        kept = col < rep.size
+        first = kept.copy()
+        first[:, 1:] &= col[:, 1:] != col[:, :-1]
+        sums = value[first]
+        repeat = kept & ~first                          # a column two terms reach
+        if repeat.any():
+            np.add.at(sums, np.cumsum(first)[repeat.ravel()] - 1, value[repeat])
+        nnz = indptr[start]
+        data[nnz:nnz + sums.size] = sums
+        indices[nnz:nnz + sums.size] = col[first]
+        indptr[start + 1:start + rows.size + 1] = nnz + np.cumsum(np.count_nonzero(first, 1))
+    data.resize(indptr[-1], refcheck=False)            # in place, no view is alive
+    indices.resize(indptr[-1], refcheck=False)
+    return data, indices, indptr
+
+
+def _index_of(basis: np.ndarray, n: int):
+    """The map from states of n sites to their index in the sorted
+    ``basis``: ``b`` if it holds all 2^n states, ``b >> 1`` if it is a
+    parity half (one state of each pair 2k, 2k + 1, all of one parity, so
+    a two-bit flip stays in it), else a binary search (clipped; the caller
+    checks what it finds)."""
+    if basis.size == 1 << n:
+        return lambda b: b
+    if basis.size << 1 == 1 << n and basis[0] < 2 and np.array_equal(
+            basis, _parity_half(n, int(basis[0]))):
+        return lambda b: b >> 1
+    return lambda b: np.searchsorted(basis, b).clip(max=basis.size - 1)
 
 
 def prepare_state(spec: QuenchSpec, n: int) -> StateVector:
@@ -376,11 +455,16 @@ def _block_basis(H: Hamiltonian, label: int) -> np.ndarray:
     """The sorted states of conserved block ``label`` (see
     :func:`_block_labels`): the C(N, k)-state k-flip block of H_XY or the
     2^(N-1)-state parity half of H_Ising."""
-    n = H.n_sites
     if H.model == "xy":
-        return _excitation_block(n, label)
+        return _excitation_block(H.n_sites, label)
+    return _parity_half(H.n_sites, label)
+
+
+def _parity_half(n: int, parity: int) -> np.ndarray:
+    """The sorted 2^(n-1) states of n sites with ``parity`` spins up mod 2:
+    state k is 2k or 2k + 1, whichever has that parity."""
     half = np.arange(1 << (n - 1))
-    return (half << 1) | ((_popcount(half, n - 1) & 1) ^ label)
+    return (half << 1) | ((_popcount(half, n - 1) & 1) ^ parity)
 
 
 def _excitation_block(n: int, k: int) -> np.ndarray:
@@ -394,18 +478,39 @@ def _excitation_block(n: int, k: int) -> np.ndarray:
     return blocks[k]
 
 
+def reached_blocks(state: StateVector, H: Hamiltonian) -> tuple[np.ndarray, int]:
+    """(labels, size): the conserved blocks of H that ``state`` reaches
+    (see :func:`_block_labels`) and their number of basis states, the
+    width of the trajectory :func:`evolve` returns.  Raises ValueError,
+    naming N, the number of states and the limit, if that is more than
+    ``MAX_STATES``."""
+    n = H.n_sites
+    labels = np.unique(_block_labels(state.basis[state.amplitudes != 0], H))
+    size = (sum(comb(n, int(k)) for k in labels) if H.model == "xy"
+            else labels.size << (n - 1))
+    _check_states(n, size)
+    return labels, size
+
+
+def check_trajectory(n_times: int, n_states: int) -> None:
+    """Raises ValueError, naming both counts, the size and the limit, if the
+    complex amplitudes of ``n_times`` states on ``n_states`` basis states
+    take more than ``MAX_TRAJECTORY_BYTES``."""
+    size = 16 * n_times * n_states
+    if size > MAX_TRAJECTORY_BYTES:
+        raise ValueError(f"{n_times} times on {n_states} basis states take "
+                         f"{size / 2 ** 30:.3g} GiB of amplitudes, above the limit of "
+                         f"{MAX_TRAJECTORY_BYTES / 2 ** 30:.3g} GiB")
+
+
 def _on_reached_blocks(state: StateVector, H: Hamiltonian):
     """(labels, basis, amplitudes): the conserved blocks of H that ``state``
     reaches, the sorted union of their states and the state on it.
     Raises ValueError, naming N, the number of states and the limit,
     before enumerating more than ``MAX_STATES`` states."""
-    n = H.n_sites
+    labels, size = reached_blocks(state, H)
     nonzero = state.amplitudes != 0
-    labels = np.unique(_block_labels(state.basis[nonzero], H))
-    size = (sum(comb(n, int(k)) for k in labels) if H.model == "xy"
-            else labels.size << (n - 1))
-    _check_states(n, size)
-    if size == 1 << n:
+    if size == 1 << H.n_sites:
         basis = np.arange(size)
     elif labels.size == 1:
         basis = _block_basis(H, int(labels[0]))
@@ -451,6 +556,7 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
         raise ValueError(f"unknown method {method!r}")
 
     reached, basis, amps = _on_reached_blocks(state, H)
+    check_trajectory(times.size, basis.size)
     basis.flags.writeable = False
     labels = _block_labels(basis, H) if reached.size > 1 else None
     states = np.zeros((times.size, basis.size), dtype=complex)
@@ -465,9 +571,11 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
                 continue
             sector = Hamiltonian(_assemble(H, basis[block], partner, rep, sign), H.n_sites,
                                  H.model, H.transverse_field, H.coupling)
-            propagated = half * _propagate_block(sector, psi, times, method, step_tol)
+            propagated = _propagate_block(sector, psi, times, method, step_tol)
+            propagated *= half
             states[:, mine] += propagated
             states[:, theirs] += sign * propagated
+            del sector, propagated                  # before the next sector is built
     states[times == 0.0] = amps
     return Trajectory(times=times, states=states, n_sites=H.n_sites, basis=basis)
 
@@ -477,19 +585,20 @@ def _mirror_sectors(H: Hamiltonian,
     """The mirror sectors of a conserved block, each as index arrays
     (partner, rep, sign).
 
-    If J is exactly symmetric under the reflection i -> N+1-i (the field
-    is uniform), H commutes with reversing the N bits of every basis
-    state.  ``partner[k]`` is then the index of the reversed ``basis[k]``,
-    and sector state m is (|basis[rep[m]]> + sign |basis[partner[rep[m]]]>)
-    / sqrt(2), or |basis[rep[m]]> for a palindrome: the + sector (sign 1)
-    holds every palindrome and the smaller state of every reversed pair,
-    the - sector (sign -1) the smaller state of every pair.  Otherwise the
-    only sector is the block itself, with ``partner = rep = arange``.
+    If the couplings H reads, J_ij for i < j, are exactly symmetric under
+    the reflection i -> N+1-i (the field is uniform), H commutes with
+    reversing the N bits of every basis state.  ``partner[k]`` is then the
+    index of the reversed ``basis[k]``, and sector state m is
+    (|basis[rep[m]]> + sign |basis[partner[rep[m]]]>) / sqrt(2), or
+    |basis[rep[m]]> for a palindrome: the + sector (sign 1) holds every
+    palindrome and the smaller state of every reversed pair, the - sector
+    (sign -1) the smaller state of every pair.  Otherwise the only sector
+    is the block itself, with ``partner = rep = arange``.
     ``basis`` must be closed under reflection, as every conserved block is.
     """
     every = np.arange(basis.size)
-    J = H.coupling.values
-    if not np.array_equal(J, J[::-1, ::-1]):
+    upper = np.triu(H.coupling.values, 1)
+    if not np.array_equal(upper, upper[::-1, ::-1].T):
         return [(every, every, 1.0)]
     mirror = np.zeros_like(basis)
     for i in range(H.n_sites):
@@ -521,17 +630,19 @@ def _real_matmul(a, b: np.ndarray) -> np.ndarray:
 
 
 def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float,
-                       m_max: int = 96, max_splits: int = 40) -> np.ndarray:
+                       m_max: int = KRYLOV_ORDERS, max_splits: int = 40) -> np.ndarray:
     """(T, dim) amplitudes of exp(-i H t) psi for Hermitian H, from t = 0.
 
-    One Lanczos subspace, grown from the state at the time reached so
-    far, serves every pending output time it converges for
-    (:func:`_lanczos_subspace`); the next subspace starts from the last
-    of them.  When no time converges within ``m_max`` orders, the first
-    interval is halved: from then on the subspaces also try stops at
-    h, 2h, 4h, ... short of the next output time, h being the last step
-    that converged, and restart from the furthest time that converges.
-    Every subspace is built in the same (m_max + 1, dim) buffer.
+    One Lanczos subspace of at most ``m_max`` orders (``KRYLOV_ORDERS``),
+    grown from the state at the time reached so far, serves every pending
+    output time it converges for (:func:`_lanczos_subspace`); the next
+    subspace starts from the last of them.  When no time converges within
+    ``m_max`` orders, the first interval is halved: from then on the
+    subspaces also try stops at h, 2h, 4h, ... short of the next output
+    time, h being the last step that converged, and restart from the
+    furthest time that converges.  Every subspace is built in the same
+    (m_max + 1, dim) buffer, whose rows are touched only as the subspace
+    grows.
     """
     states = np.empty((times.size, psi.size), dtype=complex)
     basis = np.empty((m_max + 1, psi.size), dtype=complex)

@@ -545,7 +545,8 @@ def test_coupling_parameters_are_checked_only_for_the_sources_that_read_them(
     (["lightcone", "--n", "31", "--correlations"],
      "--correlations needs --model / [quench] model ising or xy, got single-excitation"),
     (["quench", "--model", "single-excitation", "--flip", "2", "4"],
-     "the single-excitation model needs a local quench with exactly one flipped site"),
+     "--model / [quench] model single-excitation needs exactly one --flip / [quench] flip "
+     "site, got 2 4"),
     (["global-quench", "--n", "7", "--model", "single-excitation"],
      "a global quench needs --model / [quench] model ising or xy, got single-excitation"),
     (["tomo", "--model", "single-excitation"],
@@ -888,22 +889,52 @@ def test_resonant_detuning_is_numeric_error(tmp_path, capsys):
 
 
 def test_unreachable_krylov_target_is_numeric_error(tmp_path, capsys, monkeypatch):
-    # the Krylov path on a 136-state mirror sector, every subspace tested
-    # against an error target of 0, so the CLI's target of 1e-9 is never met
+    # the Krylov path on a 528-state mirror sector, above the Lanczos order
+    # cap, every subspace tested against an error target of 0, so the CLI's
+    # target of 1e-9 is never met
     monkeypatch.setattr(dynamics, "DENSE_LIMIT", 0)
     subspace = dynamics._lanczos_subspace
     monkeypatch.setattr(dynamics, "_lanczos_subspace",
                         lambda matvec, psi, dts, tol, V: subspace(matvec, psi, dts, 0.0, V))
-    code = cli.main(["quench", "-o", str(tmp_path), "--source", "power-law", "--n", "9",
+    code = cli.main(["quench", "-o", str(tmp_path), "--source", "power-law", "--n", "11",
                      "--model", "ising", "--field", "auto", "--flip", "3",
                      "--t-start", "1e-4", "--n-points", "3"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_NUMERIC == 3
     assert captured.out == "" and not list(tmp_path.iterdir())
     assert captured.err == (
-        "error (PropagatorError): Krylov propagation of a 136-state sector stalled at "
+        "error (PropagatorError): Krylov propagation of a 528-state sector stalled at "
         "t = 0 s, short of the output time 0.0001 s: error target 1e-09 not met at "
-        "subspace dimension 96 after 40 step halvings\n")
+        f"subspace dimension {dynamics.KRYLOV_ORDERS} after 40 step halvings\n")
+
+
+@pytest.mark.parametrize("argv,states", [
+    (["quench", "--n", "7"], 7),                        # one XY flip
+    (["quench", "--n", "7", "--model", "ising"], 64),   # one parity half
+    (["global-quench", "--n", "6"], 64),
+    (["quench", "--n", "7", "--model", "single-excitation"], 7),
+    (["lightcone", "--n", "15"], 15),
+])
+def test_a_window_too_large_to_hold_is_refused_naming_n_points(tmp_path, capsys,
+                                                              monkeypatch, argv, states):
+    """The (T, dim) amplitudes are checked against the trajectory limit
+    before the times or the trajectory exist; the limit is lowered so that
+    nothing large is ever allocated.  At the limit itself the run goes."""
+    monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 16 * 40 * states - 1)
+
+    def never(*args, **kwargs):
+        raise AssertionError("allocated before the window was checked")
+    monkeypatch.setattr(cli.RunConfig, "times", property(never))
+    monkeypatch.setattr(dynamics, "evolve", never)
+    monkeypatch.setattr(magnon, "_single_excitation_amplitudes", never)
+    assert cli.main(argv + ["--n-points", "40", "-o", str(tmp_path / "refused")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: --n-points / [run] n_points: 40 times on {states} basis states "
+        f"take ")
+    assert not (tmp_path / "refused").exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 16 * 40 * states)
+    assert cli.main(argv + ["--n-points", "40", "-o", str(tmp_path / "run")]) == 0
 
 
 def test_main_reuses_one_parser_with_fresh_namespaces(monkeypatch):

@@ -22,10 +22,9 @@ def _coupling(values):
 
 
 def _assembled(H, basis, *sector):
-    """The CSR matrix of ``dynamics._assemble(H, basis, *sector)``, built
-    from its COO triplets."""
-    values, rows, cols, size = dynamics._assemble(H, basis, *sector)
-    return sp.coo_matrix((values, (rows, cols)), shape=(size, size)).tocsr()
+    """The CSR matrix of the arrays ``dynamics._assemble(H, basis, *sector)``."""
+    data, indices, indptr = dynamics._assemble(H, basis, *sector)
+    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +327,7 @@ def test_quench_path_never_assembles_the_full_matrix():
     H = dynamics.build_hamiltonian(J, transverse_field=40.0, model="ising")
     dynamics.evolve(dynamics.prepare_state(QuenchSpec("local", (2,)), 9), H,
                     np.linspace(0.0, 1e-3, 3), method="krylov")
-    assert H._coo is None and H._csr is None
+    assert H._arrays is None and H._csr is None
     assert H.dim == 2 ** 9 and H._matrix.shape == (2 ** 9, 2 ** 9)
 
 
@@ -439,6 +438,25 @@ def test_coupling_off_mirror_by_one_ulp_propagates_the_whole_block(model, flips,
         np.testing.assert_allclose(full_space(traj), expected, atol=1e-10, err_msg=method)
 
 
+def test_reflected_but_asymmetric_couplings_propagate_the_whole_block():
+    """J equal to its reflection J[::-1, ::-1] but not exactly symmetric: H
+    reads J_ij for i < j only, and J_12 != J_{N-1,N} there, so H does not
+    commute with the reflection and the block is not split."""
+    n = 7
+    values = ionchain.power_law_coupling(n, 1.1, J0).values.copy()
+    values[0, 1] = values[n - 1, n - 2] = np.nextafter(values[0, 1], np.inf)
+    J = _coupling(values)
+    assert np.array_equal(values, values[::-1, ::-1]) and values[0, 1] != values[1, 0]
+    H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(values).max(),
+                                   model="ising")
+    (sector,) = _check_sectors(H, dynamics._block_basis(H, 1), mirrored=False)
+    psi0 = dynamics.prepare_state(QuenchSpec("local", (2,)), n)
+    times = np.linspace(0.0, 1.0, 3) / (51.0 * np.abs(values).max())
+    traj = dynamics.evolve(psi0, H, times, method="krylov", step_tol=1e-12)
+    np.testing.assert_allclose(full_space(traj), _full_space_oracle(H, full_space(psi0), times),
+                               atol=1e-10)
+
+
 @pytest.mark.parametrize("n", range(4, 13))
 @pytest.mark.parametrize("model", ["xy", "ising"])
 def test_every_mirror_sector_is_the_projected_block(n, model):
@@ -472,9 +490,9 @@ def _eigh_input(H):
 @pytest.mark.parametrize("field", [0.0, 50.0])
 def test_dense_sector_from_triplets_equals_the_csr_bitwise(n, model, field):
     """Every mirror sector of every conserved block: the dense matrix the
-    eigendecomposition reads from the triplets is, bit for bit, the CSR
-    matrix that scipy builds from the same triplets (field in units of
-    max|J|)."""
+    eigendecomposition fills from the assembled CSR arrays (COO triplets
+    when this test was named) is, bit for bit, the scipy CSR matrix of the
+    same arrays (field in units of max|J|)."""
     J = ionchain.power_law_coupling(n, 1.3, J0)
     H = dynamics.build_hamiltonian(J, transverse_field=field * np.abs(J.values).max(),
                                    model=model)
@@ -491,13 +509,114 @@ def test_dense_sector_from_triplets_equals_the_csr_bitwise(n, model, field):
                                           block._matrix.toarray().view(np.int64))
 
 
+def _coo_oracle(H, basis, partner=None, rep=None, sign=1.0):
+    """scipy's ``coo_matrix(...).tocsr()`` of H on a block or mirror sector
+    (as :func:`dynamics._assemble` takes them), its elements listed term by
+    term as the package listed them before it built CSR directly: for each
+    coupling pair, in order, every representative as a source, its target
+    found by binary search and put in the row of the target's
+    representative; the field last."""
+    n, J = H.n_sites, H.coupling.values
+    every = np.arange(basis.size)
+    if partner is None:
+        partner = rep = every
+    orbit = np.where(partner == every, 1.0, 2.0)
+    row_of = np.full(basis.size, -1)
+    row_of[rep] = np.arange(rep.size)
+    states = basis[rep]
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            if J[i, j] == 0.0:
+                continue
+            src = np.arange(rep.size)
+            if H.model == "xy":
+                src = src[((states >> i) ^ (states >> j)) & 1 == 1]
+            dst = np.searchsorted(basis, states[src] ^ ((1 << i) | (1 << j)))
+            own = np.minimum(dst, partner[dst])
+            kept = row_of[own] >= 0
+            rows.append(row_of[own][kept])
+            cols.append(src[kept])
+            vals.append((J[i, j] * np.where(own == dst, 1.0, sign)
+                         * np.sqrt(orbit[rep[src]] / orbit[own]))[kept])
+    if H.model == "ising" and H.transverse_field != 0.0:
+        rows.append(np.arange(rep.size))
+        cols.append(rows[-1])
+        vals.append(H.transverse_field
+                    * np.array([2 * bin(b).count("1") - n for b in states], dtype=float))
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(rep.size, rep.size)).tocsr()
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+@pytest.mark.parametrize("model", ["xy", "ising"])
+@pytest.mark.parametrize("field", [0.0, 50.0])
+@pytest.mark.parametrize("couplings", ["power-law", "random"])
+def test_sector_csr_equals_the_coo_oracle_bitwise(n, model, field, couplings):
+    """Every mirror sector of every conserved block, and the full space:
+    data, indices and indptr of the directly built CSR equal, bit for bit
+    and dtype for dtype, scipy's ``tocsr`` of the term-by-term triplets
+    (field in units of max|J|; random couplings have no mirror symmetry
+    and skip a pair)."""
+    if couplings == "power-law":
+        J = ionchain.power_law_coupling(n, 1.3, J0)
+    else:
+        values = random_coupling(n, seed=500 + n, scale=50.0)
+        values[0, n - 1] = values[n - 1, 0] = 0.0
+        J = _coupling(values)
+    H = dynamics.build_hamiltonian(J, transverse_field=field * np.abs(J.values).max(),
+                                   model=model)
+    counts = np.array([bin(b).count("1") for b in range(2 ** n)])
+    labels = counts if model == "xy" else counts % 2
+    cases = [(np.arange(2 ** n), ())]
+    for label in np.unique(labels):
+        basis = np.flatnonzero(labels == label)
+        cases += [(basis, sector) for sector in dynamics._mirror_sectors(H, basis)]
+    assert len(cases) > 1 + np.unique(labels).size or couplings == "random"  # mirrored
+    for basis, sector in cases:
+        expected = _coo_oracle(H, basis, *sector)
+        for got, want in zip(dynamics._assemble(H, basis, *sector),
+                             (expected.data, expected.indices, expected.indptr)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def test_assembling_an_n15_ising_sector_allocates_little_beyond_its_csr():
+    """The + sector of the odd parity half at N = 15 (8256 states, 862 k
+    elements): no triplets and no re-sort, so the peak stays within twice
+    the 10.4 MB of CSR arrays the assembly returns (1.6x measured; the
+    triplets and ``tocsr`` took 4.1x)."""
+    J = ionchain.power_law_coupling(15, 1.3, J0)
+    H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
+                                   model="ising")
+    basis = dynamics._block_basis(H, 1)
+    sector = dynamics._mirror_sectors(H, basis)[0]
+    tracemalloc.start()
+    try:
+        arrays = dynamics._assemble(H, basis, *sector)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for a in arrays)
+    assert arrays[2].size == 8257
+    assert peak <= 2 * size, f"peak {peak / 1e6:.1f} MB for {size / 1e6:.1f} MB of CSR"
+
+
 def _ising_n9():
     """N = 9 Ising at B = 30 J0 with site 3 flipped: 512 states in the full
-    space and mirror sectors of 136 and 120, all above the 96 Lanczos
-    orders, so no subspace becomes invariant and exact."""
+    space, above ``KRYLOV_ORDERS``, and mirror sectors of 136 and 120."""
     H = dynamics.build_hamiltonian(ionchain.power_law_coupling(9, 1.2, J0),
                                    transverse_field=30.0 * J0, model="ising")
     return H, dynamics.prepare_state(QuenchSpec("local", (3,)), 9)
+
+
+def _ising_n11():
+    """N = 11 Ising at B = 30 J0 with site 3 flipped: 2048 states in the full
+    space and mirror sectors of 528 and 496, all above ``KRYLOV_ORDERS``,
+    so no subspace becomes invariant and exact."""
+    H = dynamics.build_hamiltonian(ionchain.power_law_coupling(11, 1.2, J0),
+                                   transverse_field=30.0 * J0, model="ising")
+    return H, dynamics.prepare_state(QuenchSpec("local", (3,)), 11)
 
 
 class _Counting:
@@ -527,36 +646,38 @@ def test_one_krylov_subspace_serves_several_output_times(monkeypatch):
     states = dynamics._krylov_trajectory(count.matvec, full_space(psi0), times, 1e-9)
     assert sum(count.served) == times.size and 0 not in count.served
     assert max(count.served) >= 2 and len(count.served) <= times.size // 2
-    assert count.matvecs <= 96 * len(count.served)
+    assert count.matvecs <= dynamics.KRYLOV_ORDERS * len(count.served)
     expected = expm_multiply(-1j * H._matrix, full_space(psi0), start=0.0, stop=1e-3,
                              num=11, endpoint=True)
     np.testing.assert_allclose(states, expected, atol=1e-9)
 
 
 def test_krylov_halves_an_interval_too_long_for_one_subspace(monkeypatch):
-    H, psi0 = _ising_n9()
+    H, psi0 = _ising_n11()
     count = _Counting(H, monkeypatch)
-    t = 0.02
+    t = 0.03
     (state,) = dynamics._krylov_trajectory(count.matvec, full_space(psi0), np.array([t]),
                                            1e-9)
     assert count.served[0] == 0                 # the whole interval did not converge,
     assert len(count.served) > 2                # so stops short of it carried the state
-    np.testing.assert_allclose(state, _full_space_oracle(H, full_space(psi0), [t])[0],
-                               atol=1e-9)
+    expected = full_space(dynamics.evolve(psi0, H, np.array([t]), method="dense"))[0]
+    np.testing.assert_allclose(state, expected, atol=1e-9)
 
 
 def test_krylov_raises_when_the_error_target_is_unreachable():
-    H, psi0 = _ising_n9()
+    H, psi0 = _ising_n11()
     times = np.array([0.0, 1e-4, 2e-3])
     with pytest.raises(dynamics.PropagatorError) as err:
         dynamics._krylov_trajectory(H.matvec, full_space(psi0), times, 1e-9, m_max=3,
                                     max_splits=4)
     assert str(err.value) == (
-        "Krylov propagation of a 512-state sector stalled at t = 0 s, short of the "
+        "Krylov propagation of a 2048-state sector stalled at t = 0 s, short of the "
         "output time 0.0001 s: error target 1e-09 not met at subspace dimension 3 "
         "after 4 step halvings")
-    # through evolve, in the 136-state mirror sector, a zero target is never met
-    with pytest.raises(dynamics.PropagatorError, match=r"136-state sector .* target 0 "):
+    # through evolve, in the 528-state mirror sector, a zero target is never met
+    with pytest.raises(dynamics.PropagatorError,
+                       match=rf"528-state sector .* target 0 not met at subspace dimension "
+                             rf"{dynamics.KRYLOV_ORDERS} "):
         dynamics.evolve(psi0, H, times, method="krylov", step_tol=0.0)
 
 
@@ -685,6 +806,41 @@ def test_benchmark_ising_quench_needs_at_most_300_matvecs(alpha, monkeypatch):
     traj = dynamics.evolve(psi0, H, times, step_tol=1e-9)
     assert len(calls) <= 300
     assert np.linalg.norm(traj.states - reference.states, axis=1).max() <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.3, 2.0])
+def test_benchmark_ising_quench_fits_one_lanczos_subspace(alpha, monkeypatch):
+    """The N = 13 centre flip at B = 50 max|J|, 51 points to 10 ms, needs at
+    most 200 matvecs: about 160-180 Lanczos orders reach every output time,
+    so a cap of ``KRYLOV_ORDERS`` no longer restarts the subspace."""
+    J = ionchain.power_law_coupling(13, alpha, J0)
+    H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
+                                   model="ising")
+    psi0 = dynamics.prepare_state(QuenchSpec("local", (7,)), 13)
+    count = _Counting(None, monkeypatch)             # the times each subspace serves
+    matvec, calls = dynamics.Hamiltonian.matvec, []
+    monkeypatch.setattr(dynamics.Hamiltonian, "matvec",
+                        lambda self, psi: calls.append(1) or matvec(self, psi))
+    dynamics.evolve(psi0, H, np.linspace(0.0, 0.01, 51), step_tol=1e-9)
+    assert len(calls) <= 200 and count.served == [51]
+
+
+def test_evolve_refuses_a_trajectory_above_the_byte_limit(monkeypatch):
+    """A (T, dim) complex trajectory over ``MAX_TRAJECTORY_BYTES`` is refused
+    before it is allocated, naming both counts; one at the limit runs."""
+    H = dynamics.build_hamiltonian(ionchain.power_law_coupling(7, 1.3, J0), model="xy")
+    psi0 = dynamics.prepare_state(QuenchSpec("local", (2, 5)), 7)
+    assert dynamics.reached_blocks(psi0, H)[1] == 21
+    times = np.linspace(0.0, 1e-3, 10)
+    monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 16 * 10 * 21 - 1)
+    with pytest.raises(ValueError, match=r"^10 times on 21 basis states take .* GiB of "
+                                         r"amplitudes, above the limit of .* GiB$"):
+        dynamics.evolve(psi0, H, times)
+    monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 16 * 10 * 21)
+    assert dynamics.evolve(psi0, H, times).states.shape == (10, 21)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="10.4 GiB"):       # the size, not an allocation
+        dynamics.check_trajectory(10 ** 8, 7)
 
 
 @pytest.mark.parametrize("method", ["dense", "krylov"])
