@@ -265,6 +265,8 @@ class RunConfig:
             if "correlations" in self.observables:
                 raise ConfigError(f"{_LABELS['correlations']} needs {_LABELS['model']} "
                                   f"ising or xy, got single-excitation")
+        elif self.kind == "local" and not self.flip:
+            raise ConfigError(f"a local quench needs at least one {flip} site, got none")
 
     def _check_sites(self, name: str) -> None:
         sites = getattr(self, name)

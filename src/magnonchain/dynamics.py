@@ -46,7 +46,9 @@ the same arrays, so scipy is imported only when a sector above
 ``DENSE_LIMIT`` is propagated: one subspace of at most
 ``KRYLOV_ORDERS`` orders, grown from the state at the time reached so
 far, serves every later output time it converges for, and the next
-subspace starts from the last of them.  The order-m Lanczos
+subspace starts from the last of them.  H is real, so a real start (as
+every local quench has) spans a real Krylov space, and its subspace runs
+in real arithmetic.  The order-m Lanczos
 approximation leaves a defect (residual) of norm
 delta(s) = beta_m |e_m^T exp(-i s T_m) e_1|, a rate in rad/s, and its
 error after a step dt is at most the integral of delta over [0, dt], so
@@ -631,21 +633,27 @@ def _real_matmul(a, b: np.ndarray) -> np.ndarray:
 
 def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float,
                        m_max: int = KRYLOV_ORDERS, max_splits: int = 40) -> np.ndarray:
-    """(T, dim) amplitudes of exp(-i H t) psi for Hermitian H, from t = 0.
+    """(T, dim) amplitudes of exp(-i H t) psi for real symmetric H, from t = 0.
 
     One Lanczos subspace of at most ``m_max`` orders (``KRYLOV_ORDERS``),
     grown from the state at the time reached so far, serves every pending
     output time it converges for (:func:`_lanczos_subspace`); the next
-    subspace starts from the last of them.  When no time converges within
-    ``m_max`` orders, the first interval is halved: from then on the
-    subspaces also try stops at h, 2h, 4h, ... short of the next output
-    time, h being the last step that converged, and restart from the
-    furthest time that converges.  Every subspace is built in the same
-    (m_max + 1, dim) buffer, whose rows are touched only as the subspace
-    grows.
+    subspace starts from the last of them.  A subspace runs in the dtype of
+    its start state: one with no imaginary part, as a local quench starts,
+    spans a real Krylov space, so it is built in real arithmetic (one real
+    matvec and real reorthogonalization per order); a complex one as
+    complex.  When no time converges within ``m_max`` orders, the first
+    interval is halved: from then on the subspaces also try stops at h, 2h,
+    4h, ... short of the next output time, h being the last step that
+    converged, and restart from the furthest time that converges.  The
+    subspace that stalled is kept and its convergence test replayed for
+    the shorter stops, so a halving costs no matvec.  Every subspace is
+    built in one (m_max + 1, dim) buffer of its dtype, whose rows are
+    touched only as the subspace grows; a complex buffer replaces the real
+    one, never joins it.
     """
     states = np.empty((times.size, psi.size), dtype=complex)
-    basis = np.empty((m_max + 1, psi.size), dtype=complex)
+    buffer = subspace = None
     t_now, k, h, splits = 0.0, 0, np.inf, 0
     while k < times.size:
         gap = times[k] - t_now
@@ -653,9 +661,15 @@ def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float,
         while h * 2 ** len(stops) < abs(gap):
             stops.append(np.copysign(h * 2 ** len(stops), gap))
         dts = np.concatenate([stops, times[k:] - t_now])
-        Y, V, _ = _lanczos_subspace(matvec, psi, dts, tol, basis)
+        if subspace is None:
+            start = psi if psi.imag.any() else psi.real
+            if buffer is None or buffer.dtype != start.dtype:
+                buffer = None                   # freed before its successor is allocated
+                buffer = np.empty((m_max + 1, psi.size), dtype=start.dtype)
+            subspace = _Lanczos(matvec, start, buffer)
+        Y, V, _ = _lanczos_subspace(subspace, dts, tol)
         done = Y.shape[1]
-        if done == 0:
+        if done == 0:                           # the same subspace, tested for shorter stops
             splits += 1
             if splits > max_splits:
                 raise PropagatorError(
@@ -665,23 +679,67 @@ def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float,
                     f"after {max_splits} step halvings")
             h = min(h, abs(gap)) / 2
             continue
+        subspace = None
         if dts[done - 1] != 0.0:                # a repeated time sets no step
             h = abs(dts[done - 1])
         reached = done - len(stops)
         if reached > 0:
-            states[k:k + reached] = Y[:, len(stops):].T @ V
+            states[k:k + reached] = _combine(Y[:, len(stops):], V)
             k += reached
             t_now, psi = times[k - 1], states[k - 1]
         else:
-            t_now, psi = t_now + dts[done - 1], Y[:, -1] @ V
+            t_now, psi = t_now + dts[done - 1], _combine(Y[:, -1], V)
     return states
 
 
-def _lanczos_subspace(matvec, psi: np.ndarray, dts: np.ndarray, tol: float,
-                      V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lanczos approximations of exp(-i dt H) psi for the leading ``dts``
-    that converge in one subspace, built in the rows of the buffer ``V``
-    (so ``m_max`` is its row count minus one).
+def _combine(Y: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``Y.T @ V``: the states whose coefficients on the Lanczos basis
+    ``V`` are the columns of Y; a real V as two real products
+    (:func:`_real_matmul`), not as a complex copy of it."""
+    return Y.T @ V if np.iscomplexobj(V) else _real_matmul(V.T, Y).T
+
+
+class _Lanczos:
+    """The Lanczos basis of one start state, grown an order at a time
+    (:meth:`grow`) in the rows of the buffer ``V``, whose dtype the start
+    shares: a real start under a real H has a real Krylov space.  For each
+    of the ``orders`` built so far, ``alpha`` holds the diagonal of the
+    Lanczos matrix and ``beta`` the norm of the residual (the off-diagonal,
+    and for the last order the scale of the defect); ``norm`` is the norm
+    of the start."""
+
+    def __init__(self, matvec, psi: np.ndarray, V: np.ndarray):
+        self.matvec, self.V, self.orders = matvec, V, 0
+        self.norm = np.linalg.norm(psi)
+        V[0] = psi / self.norm
+        self.alpha = np.empty(V.shape[0] - 1)
+        self.beta = np.empty(V.shape[0] - 1)
+
+    def grow(self) -> None:
+        """Builds order ``orders``: one matvec, fully reorthogonalized
+        against the rows so far (the subspace is small).  The residual goes
+        to the next row and is normalized only when the order after it is
+        built: a breakdown (beta about 0) ends the subspace first."""
+        m, V, alpha, beta = self.orders, self.V, self.alpha, self.beta
+        if m > 0:
+            V[m] /= beta[m - 1]
+        w = self.matvec(V[m])
+        alpha[m] = np.real(np.vdot(V[m], w))
+        w = w - alpha[m] * V[m]
+        if m > 0:
+            w = w - beta[m - 1] * V[m - 1]
+        w -= V[:m + 1].T @ (V[:m + 1] @ w.conj()).conj()    # reorthogonalize
+        beta[m] = np.linalg.norm(w)
+        V[m + 1] = w
+        self.orders = m + 1
+
+
+def _lanczos_subspace(lanczos: _Lanczos, dts: np.ndarray,
+                      tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lanczos approximations of exp(-i dt H) psi, psi the start of
+    ``lanczos``, for the leading ``dts`` that converge in its subspace,
+    grown as far as the test needs (``m_max`` is its buffer's row count
+    minus one).
 
     Returns (Y, V[:m + 1], estimates) at the final order m: the
     propagated states are the rows of ``Y.T @ V[:m + 1]``, one per
@@ -694,26 +752,20 @@ def _lanczos_subspace(matvec, psi: np.ndarray, dts: np.ndarray, tol: float,
     is below tol / 4.  The defects of all steps come from one
     eigendecomposition of T_m, taken every 4 orders, at a breakdown (then
     the subspace is invariant and exact) and at ``m_max``; the subspace
-    grows until every time converges or ``m_max`` is reached.  Full
-    reorthogonalization keeps the basis clean (the subspace is small).
+    grows until every time converges or ``m_max`` is reached.  Orders
+    already built are not built again: on a subspace that stalled, the
+    test is replayed at the same orders for other ``dts``, and gives what
+    a rebuilt subspace would, bit for bit.
     """
     from scipy.linalg import eigh_tridiagonal     # on first use: dense sectors need no scipy
 
+    V, alpha, beta = lanczos.V, lanczos.alpha, lanczos.beta
     m_max = V.shape[0] - 1
-    norm = np.linalg.norm(psi)
-    V[0] = psi / norm
-    alpha = np.empty(m_max)
-    beta = np.empty(m_max)
     steps = np.abs(dts)
     order = np.argsort(steps, kind="stable")
     for m in range(m_max):
-        w = matvec(V[m])
-        alpha[m] = np.real(np.vdot(V[m], w))
-        w = w - alpha[m] * V[m]
-        if m > 0:
-            w = w - beta[m - 1] * V[m - 1]
-        w -= V[:m + 1].T @ (V[:m + 1] @ w.conj()).conj()    # reorthogonalize
-        beta[m] = np.linalg.norm(w)
+        if m == lanczos.orders:
+            lanczos.grow()
         breakdown = beta[m] < 1e-14
         if breakdown or (m + 1) % 4 == 0 or m == m_max - 1:
             evals, evecs = eigh_tridiagonal(alpha[:m + 1], beta[:m])
@@ -725,8 +777,7 @@ def _lanczos_subspace(matvec, psi: np.ndarray, dts: np.ndarray, tol: float,
             if ok.all() or m == m_max - 1:
                 done = dts.size if ok.all() else int(np.argmin(ok))
                 Y = evecs @ (phases[:, :done] * evecs[0][:, None])
-                return Y * norm, V[:m + 1], err[:done] * norm
-        V[m + 1] = w / beta[m]
+                return Y * lanczos.norm, V[:m + 1], err[:done] * lanczos.norm
 
 
 # ---------------------------------------------------------------------------

@@ -567,14 +567,39 @@ def test_coupling_parameters_are_checked_only_for_the_sources_that_read_them(
     (["tomo", "--sites", "4", "4"], "--sites must be distinct sites, got 4 4"),
 ])
 def test_run_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
+    _refused_up_front(tmp_path, capsys, monkeypatch, argv, message)
+
+
+def _refused_up_front(outdir, capsys, monkeypatch, argv, message):
+    """``argv`` exits 2 with ``message`` before it builds couplings or
+    propagates, and writes nothing to the empty ``outdir``."""
     def never(*args, **kwargs):
         raise AssertionError("the run was not refused up front")
     for module, name in ((magnon, "evolve_single_excitation"), (magnon, "diagonalize_magnons"),
                          (dynamics, "evolve"), (cli, "_build_couplings")):
         monkeypatch.setattr(module, name, never)
-    assert cli.main(argv + ["-o", str(tmp_path)]) == 2
+    assert cli.main(argv + ["-o", str(outdir)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not any(tmp_path.iterdir())
+    assert not any(outdir.iterdir())
+
+
+_NO_FLIP = "a local quench needs at least one --flip / [quench] flip site, got none"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["quench", "--model", "ising"], _NO_FLIP),
+    (["quench", "--model", "xy"], _NO_FLIP),
+    (["tomo", "--model", "ising"], _NO_FLIP),
+    (["lightcone", "--model", "xy"], _NO_FLIP),
+    (["quench", "--model", "single-excitation"],
+     "--model / [quench] model single-excitation needs exactly one --flip / [quench] flip "
+     "site, got none"),
+])
+def test_an_empty_ini_flip_is_refused_naming_it(tmp_path, capsys, monkeypatch, argv, message):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[quench]\nflip =\n")
+    (tmp_path / "out").mkdir()
+    _refused_up_front(tmp_path / "out", capsys, monkeypatch, argv + ["-c", str(ini)], message)
 
 
 @pytest.mark.parametrize("command", ["couplings", "dispersion", "modes"])
@@ -895,7 +920,7 @@ def test_unreachable_krylov_target_is_numeric_error(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(dynamics, "DENSE_LIMIT", 0)
     subspace = dynamics._lanczos_subspace
     monkeypatch.setattr(dynamics, "_lanczos_subspace",
-                        lambda matvec, psi, dts, tol, V: subspace(matvec, psi, dts, 0.0, V))
+                        lambda lanczos, dts, tol: subspace(lanczos, dts, 0.0))
     code = cli.main(["quench", "-o", str(tmp_path), "--source", "power-law", "--n", "11",
                      "--model", "ising", "--field", "auto", "--flip", "3",
                      "--t-start", "1e-4", "--n-points", "3"])
