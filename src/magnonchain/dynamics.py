@@ -706,10 +706,12 @@ class _Lanczos:
     of the ``orders`` built so far, ``alpha`` holds the diagonal of the
     Lanczos matrix and ``beta`` the norm of the residual (the off-diagonal,
     and for the last order the scale of the defect); ``norm`` is the norm
-    of the start."""
+    of the start.  ``tested`` maps each order whose convergence was tested
+    to the eigenvalues of its Lanczos matrix and the first and last rows of
+    its eigenvectors, all a replayed test reads."""
 
     def __init__(self, matvec, psi: np.ndarray, V: np.ndarray):
-        self.matvec, self.V, self.orders = matvec, V, 0
+        self.matvec, self.V, self.orders, self.tested = matvec, V, 0, {}
         self.norm = np.linalg.norm(psi)
         V[0] = psi / self.norm
         self.alpha = np.empty(V.shape[0] - 1)
@@ -753,9 +755,11 @@ def _lanczos_subspace(lanczos: _Lanczos, dts: np.ndarray,
     eigendecomposition of T_m, taken every 4 orders, at a breakdown (then
     the subspace is invariant and exact) and at ``m_max``; the subspace
     grows until every time converges or ``m_max`` is reached.  Orders
-    already built are not built again: on a subspace that stalled, the
-    test is replayed at the same orders for other ``dts``, and gives what
-    a rebuilt subspace would, bit for bit.
+    already built are not built again, nor tested orders decomposed again:
+    on a subspace that stalled, the test is replayed at the same orders for
+    other ``dts`` from ``lanczos.tested``, and only an order that returns
+    a state is decomposed once more, for its whole eigenvectors; the result
+    is what a rebuilt subspace would give, bit for bit.
     """
     from scipy.linalg import eigh_tridiagonal     # on first use: dense sectors need no scipy
 
@@ -768,15 +772,21 @@ def _lanczos_subspace(lanczos: _Lanczos, dts: np.ndarray,
             lanczos.grow()
         breakdown = beta[m] < 1e-14
         if breakdown or (m + 1) % 4 == 0 or m == m_max - 1:
-            evals, evecs = eigh_tridiagonal(alpha[:m + 1], beta[:m])
+            evecs = None
+            if m not in lanczos.tested:
+                evals, evecs = eigh_tridiagonal(alpha[:m + 1], beta[:m])
+                lanczos.tested[m] = evals, evecs[0].copy(), evecs[m].copy()
+            evals, first, last = lanczos.tested[m]
             phases = np.exp(-1j * np.outer(evals, dts))
-            defect = beta[m] * np.abs((evecs[m] * evecs[0]) @ phases)
+            defect = beta[m] * np.abs((last * first) @ phases)
             err = np.empty_like(defect)
             err[order] = steps[order] * np.maximum.accumulate(defect[order])
             ok = (err < tol / 4) | breakdown
             if ok.all() or m == m_max - 1:
                 done = dts.size if ok.all() else int(np.argmin(ok))
-                Y = evecs @ (phases[:, :done] * evecs[0][:, None])
+                if evecs is None and done:      # a replay that returns states
+                    evecs = eigh_tridiagonal(alpha[:m + 1], beta[:m])[1]
+                Y = evecs @ (phases[:, :done] * first[:, None]) if done else np.zeros((m + 1, 0))
                 return Y * lanczos.norm, V[:m + 1], err[:done] * lanczos.norm
 
 

@@ -668,30 +668,58 @@ def test_krylov_halves_an_interval_too_long_for_one_subspace(monkeypatch):
     np.testing.assert_allclose(state, expected, atol=1e-9)
 
 
+def _count_decompositions(monkeypatch) -> list:
+    """Records the order of each ``eigh_tridiagonal`` call from now on."""
+    import scipy.linalg
+
+    decompose, calls = scipy.linalg.eigh_tridiagonal, []
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                        lambda d, e: calls.append(d.size) or decompose(d, e))
+    return calls
+
+
 def test_a_stalled_subspace_is_tested_again_without_a_matvec(monkeypatch):
     """After a stall the kept subspace serves the shorter stops: the
-    matvecs are the orders of the subspaces built, and the states are those
-    of rebuilding the stalled subspace from its start, bit for bit."""
+    matvecs are the orders of the subspaces built, the decompositions the
+    orders tested plus one for the replay that returns states, and the
+    states are those of rebuilding the stalled subspace from its start,
+    bit for bit."""
     H, psi0 = _ising_n11()
     times = np.array([0.0, 0.03])
     count = _Counting(H, monkeypatch)
+    decompositions = _count_decompositions(monkeypatch)
     kept = dynamics._krylov_trajectory(count.matvec, full_space(psi0), times, 1e-9)
     assert count.served.count(0) >= 1
     assert count.matvecs == sum(lanczos.orders for lanczos in count.subspaces)
     assert len(count.subspaces) == len(count.served) - count.served.count(0)
-    matvecs, stalls = count.matvecs, count.served.count(0)
+    stalled = sum(1 for a, b in zip(count.served, count.served[1:]) if a == 0 < b)
+    assert len(decompositions) == (sum(len(lanczos.tested) for lanczos in count.subspaces)
+                                   + stalled)
+    matvecs, stalls, decomposed = count.matvecs, count.served.count(0), len(decompositions)
 
     subspace = dynamics._lanczos_subspace
 
     def rebuilt(lanczos, dts, tol):                 # every test grows from order 0
-        lanczos.orders = 0
+        lanczos.orders, lanczos.tested = 0, {}
         return subspace(lanczos, dts, tol)
 
     monkeypatch.setattr(dynamics, "_lanczos_subspace", rebuilt)
     count = _Counting(H, monkeypatch)
+    decompositions.clear()
     again = dynamics._krylov_trajectory(count.matvec, full_space(psi0), times, 1e-9)
     assert count.matvecs == matvecs + stalls * dynamics.KRYLOV_ORDERS
+    assert len(decompositions) > decomposed
     np.testing.assert_array_equal(again.view(np.uint8), kept.view(np.uint8))
+
+
+def test_a_subspace_that_never_converges_is_decomposed_once_per_tested_order(monkeypatch):
+    """A zero target stalls the 528-state sector for good: every halving
+    replays the test, and each tested order (every 4th) is decomposed once."""
+    H, psi0 = _ising_n11()
+    decompositions = _count_decompositions(monkeypatch)
+    with pytest.raises(dynamics.PropagatorError, match="528-state sector"):
+        dynamics.evolve(psi0, H, np.array([0.0, 1e-4, 2e-3]), method="krylov", step_tol=0.0)
+    assert decompositions == list(range(4, dynamics.KRYLOV_ORDERS + 1, 4))
 
 
 def _krylov_blocks():

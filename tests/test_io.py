@@ -31,6 +31,8 @@ def test_config_hash_is_stable_and_order_free():
 def test_config_hash_of_arrays_equals_hash_of_nested_lists():
     J = np.random.default_rng(1).normal(size=(9, 9))
     assert mio.config_hash({"J": J}) == mio.config_hash({"J": J.tolist()})
+    J = np.random.default_rng(1).normal(size=(40, 40))      # above FLOAT_TEXT_MIN
+    assert mio.config_hash(J) == mio.config_hash(J.tolist())
     assert mio.config_hash(np.arange(4)) == mio.config_hash([0, 1, 2, 3])
     # frozen: the hash a light-cone run records for its 201-ion couplings
     J201 = ionchain.power_law_coupling(201, 1.2, J0).values
@@ -202,6 +204,40 @@ def test_long_format_time_column_matches_row_formatter_across_chunks(tmp_path):
     rows = ((t, i + 1, j + 1, corr[it, i, j]) for it, t in enumerate(times)
             for i in range(4) for j in range(i + 1, 4))
     assert text == reference_csv(("t_s", "i", "j", "Cij"), rows)
+
+
+def test_a_column_above_the_crossover_matches_row_formatter(tmp_path):
+    """Enough distinct floats for the numpy formatter, with every case it
+    hands back to ``repr`` and the edges of its layouts, beside a float32
+    column and integers, across a chunk boundary."""
+    rng = np.random.default_rng(11)
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                     0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+    powers = np.ldexp(1.0, np.arange(-1074, 1024, 7))          # irregular spacing below
+    edges = np.array([1e-4, 1e16, 5e-324, -5e-324, 2.2250738585072014e-308,
+                      np.finfo(float).max, -np.finfo(float).max, 0.0, -0.0, np.inf, -np.inf])
+    values = np.concatenate([nans, powers, -powers, edges, np.nextafter(edges[:2], 0.0),
+                             np.nextafter(edges[:2], np.inf), rng.normal(size=400),
+                             rng.uniform(-1.0, 1.0, size=400) * 1e-3])
+    n_rows = mio._CHUNK_ROWS + 500
+    assert np.unique(values.view(np.int64)).size > 2 * mio.FLOAT_TEXT_MIN
+    with np.errstate(over="ignore", invalid="ignore"):         # float32 overflows to inf
+        f32 = np.resize(values[::-1], n_rows).astype(np.float32)
+    columns = (np.resize(values, n_rows), f32, np.arange(n_rows) - 7)
+    names = ("f64", "f32", "i")
+    path = mio.write_columns(tmp_path / "big.csv", names, columns, {"seed": 6})
+    assert path.read_text() == reference_csv(names, zip(*columns), {"seed": 6})
+
+
+def test_a_non_ascii_header_is_written_as_text(tmp_path):
+    """The header goes through the text file, in its encoding, before the
+    rows written as bytes."""
+    meta = {"seed": 2, "note": "σ_z → ±1 in µs"}
+    values = np.random.default_rng(2).normal(size=3 * mio.FLOAT_TEXT_MIN)
+    path = mio.write_columns(tmp_path / "u.csv", ("x",), (values,), meta)
+    expected = tmp_path / "expected.csv"
+    expected.write_text(reference_csv(("x",), zip(values), meta))
+    assert path.read_bytes() == expected.read_bytes()
 
 
 def test_write_columns_rejects_ragged_columns(tmp_path):
@@ -413,6 +449,26 @@ def test_trajectory_records_shape():
     assert recs == [{"t_s": 0.0, "sz": [1.0, 2.0]}, {"t_s": 1.0, "sz": [3.0, 4.0]}]
     recs = list(mio.trajectory_records(times, values, np.zeros((2, 2, 2))))
     assert recs[0]["corr"] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def test_fit_records_write_the_lines_of_deep_copies(tmp_path):
+    """Each fit dataclass gives the NDJSON line of its ``asdict`` record."""
+    from dataclasses import asdict
+    from magnonchain.analysis import AlphaFit, ArrivalFit, ArrivalSkipped, FrontFit
+    from magnonchain.bounds import LightConeParams
+    fits = [AlphaFit(alpha=np.float64(1.5), scale=2.0, residual=0.1, method="dispersion"),
+            ArrivalFit(site=np.int64(7), t0=1e-3, width=2e-4, amplitude=np.float64(0.3),
+                       goodness=0.99),
+            ArrivalSkipped(site=3, distance=2, reason="no peak above the noise"),
+            FrontFit(velocity=12.5, intercept=-1e-5, velocity_stderr=0.25,
+                     sites_used=[np.int64(2), 3, 4]),
+            LightConeParams(g=np.float64(2.0), v=1.0 / 3.0, jbar=30.0)]
+    for fit in fits:
+        record = {"fit": type(fit).__name__, "input_hash": "abc", **asdict(fit)}
+        expected = mio.write_ndjson(tmp_path / "asdict.ndjson", [record], {"seed": 1})
+        path = mio.write_ndjson(tmp_path / "fields.ndjson", [mio.fit_record(fit, "abc")],
+                                {"seed": 1})
+        assert path.read_bytes() == expected.read_bytes(), type(fit).__name__
 
 
 def test_fit_record_flattens_dataclasses():
