@@ -109,20 +109,38 @@ def _tables():
 
 
 def _mulhi(a_lo, a_hi, b_lo, b_hi):
-    """High 64 bits of the 128-bit product of a and b, given as 32-bit limbs."""
-    lo = a_lo * b_lo
-    m1 = a_hi * b_lo
-    m2 = a_lo * b_hi
-    mid = (lo >> _U[32]) + (m1 & _M32) + (m2 & _M32)
-    return a_hi * b_hi + (m1 >> _U[32]) + (m2 >> _U[32]) + (mid >> _U[32])
+    """High 64 bits of the 128-bit product of a and b, given as 32-bit limbs
+    (summed in place, so that few temporaries are alive at once)."""
+    mid = a_lo * b_lo
+    mid >>= _U[32]
+    cross = a_hi * b_lo
+    mid += cross & _M32
+    cross >>= _U[32]
+    hi = a_hi * b_hi
+    hi += cross
+    np.multiply(a_lo, b_hi, out=cross)
+    mid += cross & _M32
+    cross >>= _U[32]
+    hi += cross
+    mid >>= _U[32]
+    hi += mid
+    return hi
 
 
 def _round_to_odd(g, cp):
     """g cp / 2^127 rounded to odd, for g < 2^126 and cp < 2^63 (``rop``)."""
     g0_lo, g0_hi, g1_lo, g1_hi, g1 = g
     cp_lo, cp_hi = cp & _M32, cp >> _U[32]
-    z = ((g1 * cp) >> _U[1]) + _mulhi(g0_lo, g0_hi, cp_lo, cp_hi)
-    return (_mulhi(g1_lo, g1_hi, cp_lo, cp_hi) + (z >> _U[63])) | (((z & _M63) + _M63) >> _U[63])
+    z = g1 * cp
+    z >>= _U[1]
+    z += _mulhi(g0_lo, g0_hi, cp_lo, cp_hi)
+    vb = _mulhi(g1_lo, g1_hi, cp_lo, cp_hi)
+    vb += z >> _U[63]
+    z &= _M63
+    z += _M63
+    z >>= _U[63]
+    vb |= z
+    return vb
 
 
 # floor(log10 2^q), floor(log10 (3/4) 2^q) and floor(log2 10^e) in fixed

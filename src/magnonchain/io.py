@@ -6,7 +6,7 @@ any artifact can be traced back to its run and reruns are byte-identical.
 Floats are written as ``repr`` writes them, which round-trips IEEE doubles exactly;
 CSV always uses '.' as the decimal separator regardless of locale.
 
-Every CSV is written column-wise, 8192 rows at a time (:func:`write_columns`
+Every CSV is written column-wise, 4096 rows at a time (:func:`write_columns`
 for tables; there is no row-wise writer).  When every column is a numeric
 numpy array, each column of a chunk formats each distinct value once, as
 a fixed-width ASCII field padded with NUL bytes: ``str`` per distinct
@@ -100,9 +100,10 @@ def header_lines(meta: dict | None = None) -> list[str]:
 
 
 #: Rows formatted and written per chunk: bounds the text held in memory.
-#: A 201-ion light cone's magnetisation is written fastest at 8192 (of 4096
-#: to 24576 tried on a 2-core VM): the chunk's arrays stay in cache.
-_CHUNK_ROWS = 8192
+#: 8192 writes a 201-ion light cone's magnetisation about 12% faster, but
+#: raised the benchmark's chain-analysis peak RSS by about 3.5 MB in 9 of
+#: 33 runs (measured on a 2-core VM).
+_CHUNK_ROWS = 4096
 
 #: Distinct floats in a chunk from which :mod:`._floattext` formats them:
 #: below it one ``repr`` per value costs less than the numpy formatter's
@@ -139,8 +140,11 @@ def _distinct_field(col):
     if floats.size < FLOAT_TEXT_MIN:
         return _strings_field(list(map(repr, floats.tolist()))), inverse
     from ._floattext import render
-    text = render(floats)
-    return text[:, text.any(axis=0)], inverse
+    # _CHUNK_ROWS values per call bound the kernel's temporaries: hashing a
+    # 1000 x 1000 matrix of distinct values peaks at 201 MB, not 397 MB
+    text = np.concatenate([render(floats[start:start + _CHUNK_ROWS])
+                           for start in range(0, floats.size, _CHUNK_ROWS)])
+    return np.compress(text.any(axis=0), text, axis=1), inverse
 
 
 def _float_cells(values) -> list[str]:
@@ -150,13 +154,13 @@ def _float_cells(values) -> list[str]:
     own text, and every NaN payload prints 'nan'.
     """
     text, inverse = _distinct_field(np.asarray(values, dtype=np.float64))
-    lines = _rows_text([text], [np.arange(len(text))]).decode().split("\n")
+    lines = _rows_text([text], [np.arange(len(text))]).tobytes().decode().split("\n")
     return np.array(lines[:-1], dtype=object)[inverse].tolist()
 
 
-def _rows_text(fields, inverses) -> bytes:
+def _rows_text(fields, inverses) -> np.ndarray:
     """CSV rows of the distinct-value ``fields`` of each column taken at each
-    row's index, as ASCII bytes: the fields side by side with their
+    row's index, as an array of ASCII bytes: the fields side by side with their
     separators in one byte array, the NUL bytes cut out."""
     widths = [text.shape[1] + 1 for text in fields]
     rows = np.empty((len(inverses[0]), sum(widths)), dtype=np.uint8)
@@ -167,7 +171,7 @@ def _rows_text(fields, inverses) -> bytes:
         rows[:, end - 1] = ord(",")
     rows[:, -1] = ord("\n")
     rows = rows.ravel()
-    return rows[rows != 0].tobytes()
+    return rows[rows != 0]
 
 
 def _write_lines(path, lines: list[str], columns=()) -> Path:
