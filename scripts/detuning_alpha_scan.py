@@ -30,9 +30,10 @@ def scan(gaps_hz):
     trap = ionchain.TrapConfig(
         n_ions=N_IONS, axial_freq=AXIAL_FREQ,
         transverse_freq_x=TRANSVERSE_FREQ_X, transverse_freq_y=TRANSVERSE_FREQ_Y,
-        detuning=TRANSVERSE_FREQ_X)
+        detuning=TRANSVERSE_FREQ_X, ion_mass=ionchain.MASS_CA40,
+        laser_wavelength=ionchain.WAVELENGTH_CA40)
     beam = ionchain.BeamProfile(peak_rabi=PEAK_RABI,
-                                waist_along_chain=WAIST_ALONG_CHAIN)
+                                waist_along_chain=WAIST_ALONG_CHAIN, center_offset=0.0)
     modes = ionchain.transverse_mode_spectrum(trap)
 
     rows = []

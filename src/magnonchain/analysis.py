@@ -10,20 +10,18 @@ Three families of estimators:
   the sorted energies.  This is the preferred estimator; the couplings
   themselves are not a perfect power law, so the real-space log-log fit
   (``fit_alpha_realspace``) is provided for comparison only.
-* ``fit_gaussian_arrival`` fits a + b exp(-(t-t0)^2 / 2 w^2) to the first
-  magnetisation maximum of one site, giving the magnon arrival time t0.
-  "First maximum" means the earliest local maximum exceeding the
-  pre-arrival baseline by three standard deviations; boundary reflections
-  produce later, larger maxima that must not be picked up.
+* ``arrival_times`` fits a + b exp(-(t-t0)^2 / 2 w^2) to the first
+  magnetisation maximum of each site right of a single-excitation source,
+  giving the magnon arrival times t0; the outermost site is excluded to
+  reduce finite-size effects.  "First maximum" means the earliest local
+  maximum exceeding the pre-arrival baseline by three standard
+  deviations; boundary reflections produce later, larger maxima that must
+  not be picked up.  Every site's pulse segment is detected first
+  (``_arrival_segment``), then all segments are fitted in one batched,
+  bounded Levenberg-Marquardt solve (``_fit_pulses``), which stops a site
+  once no parameter steps by more than ``FIT_STEP_RTOL`` relative.
 * ``fit_front_velocity`` turns (distance, arrival-time) pairs into a cone
   velocity by ordinary least squares t0 = d / v + intercept.
-
-``arrival_times`` chains the last two into the standard light-cone
-pipeline, excluding the outermost site to reduce finite-size effects.  It
-detects every site's pulse segment first and then fits all segments in
-one batched, bounded Levenberg-Marquardt solve (``_fit_pulses``), which
-stops a site once no parameter steps by more than ``FIT_STEP_RTOL``
-relative; ``fit_gaussian_arrival`` runs the same solver on one site.
 """
 
 from __future__ import annotations
@@ -44,6 +42,8 @@ ALPHA_BRACKET_TOL = 1e-4
 FIT_STEP_RTOL = 1e-10
 #: Levenberg-Marquardt iterations after which an arrival fit has failed.
 FIT_MAX_ITERATIONS = 500
+#: Fewest samples of a trace an arrival fit accepts.
+MIN_ARRIVAL_SAMPLES = 5
 _INITIAL_DAMPING = 1e-3
 _DAMPING_FLOOR = 1e-12
 _BLOCK = 128
@@ -236,57 +236,14 @@ def fit_alpha_realspace(J: CouplingMatrix) -> AlphaFit:
 # arrival-time and front-velocity fits
 
 
-def fit_gaussian_arrival(times, signal, window=None, site: int = 0) -> ArrivalFit:
-    """Fit a Gaussian to the first magnetisation maximum of one site.
-
-    Parameters
-    ----------
-    times, signal:
-        Sampled <sigma_z(t)> trace for a single site.
-    window:
-        Optional (t_min, t_max) restriction; the whole trace by default.
-    site:
-        Site label carried through to the result.
-
-    The model a + b exp(-(t - t0)^2 / 2 w^2) is fitted to the pulse
-    segment between the local minima flanking the first qualifying
-    maximum, so neither the initial transient nor later interference
-    revivals bias the arrival time.  Initial guesses, clipped into the
-    bounds: t0 at the detected peak, w a sixth of the segment (at least
-    half a sample step), b the peak height; the amplitude is
-    constrained non-negative and the center to the segment, which keeps
-    the optimizer from inverting the pulse on weak precursor bumps.
-
-    This is the one-site call of the solver :func:`arrival_times` runs on
-    every site at once (:func:`_fit_pulses`): a bounded Levenberg-Marquardt
-    on the analytic Jacobian, converged once no parameter moves by more
-    than ``FIT_STEP_RTOL`` relative; a site gives the same fit, bit for
-    bit, alone or in a batch.
-
-    Raises
-    ------
-    FitError
-        If no interior maximum rises above the detection threshold, or
-        the fit is not converged after ``FIT_MAX_ITERATIONS`` iterations.
-    """
-    segment = _arrival_segment(*_samples(times, signal, window))
-    fit = _fit_pulses([site], [segment])[0]
-    if isinstance(fit, FitError):
-        raise fit
-    return fit
-
-
-def _samples(times, signal, window=None):
-    """The (times, signal) arrays of one trace, validated and windowed."""
+def _samples(times, signal):
+    """The (times, signal) arrays of one trace, validated."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(signal, dtype=float)
     if t.shape != v.shape or t.ndim != 1:
         raise ValueError("times and signal must be matching 1-D arrays")
-    if window is not None:
-        sel = (t >= window[0]) & (t <= window[1])
-        t, v = t[sel], v[sel]
-    if t.size < 5:
-        raise ValueError("need at least 5 samples in the window")
+    if t.size < MIN_ARRIVAL_SAMPLES:
+        raise ValueError(f"need at least {MIN_ARRIVAL_SAMPLES} samples per trace")
     return t, v
 
 
@@ -294,8 +251,18 @@ def _arrival_segment(t, v):
     """(t_fit, v_fit, p0, lower, upper) of the first maximum of one trace.
 
     The segment runs between the local minima flanking the first
-    qualifying maximum; p0 and the bounds are those documented in
-    :func:`fit_gaussian_arrival`.
+    qualifying maximum, so neither the initial transient nor later
+    interference revivals bias the arrival time.  Initial guesses p0, to
+    be clipped into the bounds: t0 at the detected peak, w a sixth of the
+    segment (at least half a sample step), b the peak height; the
+    amplitude is constrained non-negative and the center to the segment,
+    which keeps the optimizer from inverting the pulse on weak precursor
+    bumps.
+
+    Raises
+    ------
+    FitError
+        If no interior maximum rises above the detection threshold.
     """
     peak = _first_maximum(v)
     start, stop = _flanking_minima(v, peak)
@@ -502,8 +469,7 @@ def fit_front_velocity(arrivals) -> FrontFit:
                     sites_used=[float(x) for x in d])
 
 
-def arrival_times(times, magnetisation, source: int, max_distance=None,
-                  skipped: list | None = None):
+def arrival_times(times, magnetisation, source: int, skipped: list | None = None):
     """Per-distance Gaussian arrival fits for a single-source quench.
 
     Parameters
@@ -514,29 +480,23 @@ def arrival_times(times, magnetisation, source: int, max_distance=None,
         <sigma_z> trace per site, shape (T, N).
     source:
         1-based site where the excitation started.
-    max_distance:
-        Largest distance to fit; defaults to one short of the chain edge
-        (the outermost site is excluded to reduce finite-size effects).
     skipped:
         Optional list; an :class:`ArrivalSkipped` is appended to it for
         every site whose fit fails.
 
     Returns a list of (distance, ArrivalFit) pairs following the front to
-    the right of the source.  All sites are fitted in one batched solve;
-    each fit equals :func:`fit_gaussian_arrival` on that site's trace.
-    Sites whose arrival fit fails are skipped with a warning.
+    the right of the source, up to the second-to-last site.  All sites are
+    fitted in one batched solve, and a site's fit does not depend on the
+    others.  Sites whose arrival fit fails are skipped with a warning.
     """
     mag = np.asarray(magnetisation, dtype=float)
     n = mag.shape[1]
     _check_site(n, source)
     edge = (n - 1) - source          # distance to the second-to-last site
-    if max_distance is None:
-        max_distance = edge
-    max_distance = min(max_distance, edge)
-    if max_distance < 1:
+    if edge < 1:
         raise ValueError("no sites between the source and the excluded edge")
     outcome = {}                     # distance -> segment, then fit or FitError
-    for dist in range(1, max_distance + 1):
+    for dist in range(1, edge + 1):
         try:
             outcome[dist] = _arrival_segment(*_samples(times, mag[:, source + dist - 1]))
         except FitError as exc:

@@ -21,10 +21,11 @@ file key > built-in default.  It ignores the INI keys of the settings it
 does not read, so one INI file can serve every subcommand, and those
 settings keep their defaults, in the checks and in the config hash.
 Each refusal names its setting as ``--flag / [section] key`` (the flag
-alone where there is no key).  The output directory additionally falls
-back to $MAGNONCHAIN_OUTDIR before defaulting to the working directory.
-The trap and beam keys without a flag (``[trap] axial_freq``,
-``[beam] peak_rabi``, ...) are read by the trap coupling source.
+alone where there is no key, the key alone where there is no flag).  The
+output directory additionally falls back to $MAGNONCHAIN_OUTDIR before
+defaulting to the working directory.  The trap and beam parameters of the
+trap coupling source are settings with a key and no flag.  The INI schema
+(:data:`INI_SCHEMA`) is derived from the table too.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 Every run prints one JSON line per artifact written; identical
@@ -42,7 +43,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -58,26 +59,21 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-#: Reference trap used when no config file overrides it (Hz).
-DEFAULT_TRAP = {"axial_freq": 0.219e6, "transverse_freq_x": 2.655e6,
-                "transverse_freq_y": 2.628e6}
-#: ``[trap]`` keys the trap source reads besides those of :data:`SETTINGS`.
-TRAP_KEYS = (*DEFAULT_TRAP, "ion_mass", "laser_wavelength")
-#: Reference addressing beam (Hz / meters); the trap source reads its ``[beam]`` keys.
-DEFAULT_BEAM = {"peak_rabi": 100e3, "waist_along_chain": 380e-6, "center_offset": 0.0}
-
 
 @dataclass(frozen=True)
 class Setting:
     """One run setting: where its value comes from and what it must be.
 
-    ``name`` is the :class:`RunConfig` field (and argparse dest) it fills,
-    ``group`` the parser group that offers it, ``ini`` its (section, key)
-    in :data:`io.CONFIG_SCHEMA`, and ``defaults`` overrides ``default``
-    per subcommand.  A float value must be finite, a value at least
-    ``low`` (and below 2^``bits``) where given, and one of ``choices``
-    where given; ``sources`` limits the checks to the coupling sources
-    that read the value.  ``arg`` holds further ``add_argument`` keywords.
+    ``name`` is the :class:`RunConfig`, :class:`ionchain.TrapConfig` or
+    :class:`ionchain.BeamProfile` field (and argparse dest) it fills,
+    ``group`` the parser group that offers its flags (a setting may have
+    none), ``ini`` its INI (section, key), and ``defaults`` overrides
+    ``default`` per subcommand.  A float value must be finite, a value at
+    least ``low`` (and below 2^``bits``) where given, and one of
+    ``choices`` where given; ``sources`` limits the checks to the coupling
+    sources that read the value.  ``arg`` holds further ``add_argument``
+    keywords; its ``type`` (per item, where it has ``nargs``) also
+    coerces the INI value.
     """
 
     name: str
@@ -96,7 +92,15 @@ class Setting:
     @property
     def label(self) -> str:
         """The setting as refusals name it: ``--flag / [section] key``."""
-        return self.flags[0] + (" / [{}] {}".format(*self.ini) if self.ini else "")
+        key = ("[{}] {}".format(*self.ini),) if self.ini else ()
+        return " / ".join(self.flags[:1] + key)
+
+    def coerce(self, text: str):
+        """The value of the INI text of this setting's key."""
+        kind = self.arg.get("type", str)
+        if "nargs" in self.arg:
+            return tuple(kind(item) for item in text.replace(",", " ").split())
+        return kind(text)
 
     def check(self, value) -> None:
         if isinstance(value, float) and not math.isfinite(value):
@@ -135,6 +139,28 @@ SETTINGS = (
     Setting("detuning", "common", ("--detuning",), ("trap", "detuning"),
             "absolute detuning from the spin transition (overrides --gap)",
             sources=("trap",), arg=dict(type=float, metavar="HZ")),
+    Setting("axial_freq", "common", (), ("trap", "axial_freq"), "axial trap frequency in Hz",
+            0.219e6, low=0, sources=("trap",), arg=dict(type=float)),
+    Setting("transverse_freq_x", "common", (), ("trap", "transverse_freq_x"),
+            "transverse trap frequency along x in Hz", 2.655e6, low=0, sources=("trap",),
+            arg=dict(type=float)),
+    Setting("transverse_freq_y", "common", (), ("trap", "transverse_freq_y"),
+            "transverse trap frequency along y in Hz", 2.628e6, low=0, sources=("trap",),
+            arg=dict(type=float)),
+    Setting("ion_mass", "common", (), ("trap", "ion_mass"), "ion mass in kg",
+            ionchain.MASS_CA40, low=0, sources=("trap",), arg=dict(type=float)),
+    Setting("laser_wavelength", "common", (), ("trap", "laser_wavelength"),
+            "drive wavelength in meters", ionchain.WAVELENGTH_CA40, low=0, sources=("trap",),
+            arg=dict(type=float)),
+    Setting("peak_rabi", "common", (), ("beam", "peak_rabi"),
+            "Rabi frequency at the beam centre in Hz", 100e3, low=0, sources=("trap",),
+            arg=dict(type=float)),
+    Setting("waist_along_chain", "common", (), ("beam", "waist_along_chain"),
+            "beam waist along the chain in meters", 380e-6, low=0, sources=("trap",),
+            arg=dict(type=float)),
+    Setting("center_offset", "common", (), ("beam", "center_offset"),
+            "beam centre offset along the chain in meters", 0.0, sources=("trap",),
+            arg=dict(type=float)),
     Setting("flip", "flip", ("--flip",), ("quench", "flip"),
             "1-based sites to flip (default: centre site)", None, {"global-quench": ()},
             arg=dict(type=int, nargs="+", metavar="SITE")),
@@ -172,6 +198,10 @@ SETTINGS = (
             bits=64, arg=dict(type=int)),
 )
 _LABELS = {s.name: s.label for s in SETTINGS}
+
+#: section -> {key: :meth:`Setting.coerce`} of every INI key.
+INI_SCHEMA = {section: {s.ini[1]: s.coerce for s in SETTINGS if s.ini and s.ini[0] == section}
+              for section in dict.fromkeys(s.ini[0] for s in SETTINGS if s.ini)}
 
 #: Each subcommand's help line and the setting groups it reads.
 COMMANDS = {
@@ -251,6 +281,10 @@ class RunConfig:
                 f"{max(self.n_ions - 1 - self.cone_source, 0)} sites to fit before the "
                 f"excluded edge site {self.n_ions}, and the front velocity needs at least 3 "
                 f"({n_ions}, {flip})")
+        if self.command == "lightcone" and self.n_points < analysis.MIN_ARRIVAL_SAMPLES:
+            raise ConfigError(f"lightcone needs {_LABELS['n_points']} >= "
+                              f"{analysis.MIN_ARRIVAL_SAMPLES} for its arrival fits, "
+                              f"got {self.n_points}")
         if self.command == "tomo":
             self._check_sites("sites")
         if self.model == "single_excitation":      # only the quench subcommands read it
@@ -319,15 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magnonchain",
         description="Magnon dynamics in long-range interacting trapped-ion spin chains.",
-        epilog=f"Default output directory: --outdir, else [output] directory, "
-               f"else ${OUTDIR_ENV}, else '.'")
+        epilog=f"Default output directory: {_LABELS['outdir']}, else ${OUTDIR_ENV}, "
+               f"else '.'")
     parser.add_argument("--version", action="version", version=f"magnonchain {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for command, (help_line, groups) in COMMANDS.items():
         p = sub.add_parser(command, help=help_line, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", "-c", metavar="FILE", help="INI run configuration")
         for s in SETTINGS:
-            if s.group not in groups:
+            if s.group not in groups or not s.flags:
                 continue
             kwargs, help_text = dict(s.arg), s.help
             default = s.defaults.get(command, s.default)
@@ -349,7 +383,7 @@ def resolve(args: argparse.Namespace) -> RunConfig:
     value is then checked against its setting.
     """
     given = vars(args)
-    cfg = mio.load_run_config(given["config"]) if "config" in given else {}
+    cfg = mio.load_run_config(given["config"], INI_SCHEMA) if "config" in given else {}
     groups = COMMANDS[args.command][1]
     v, read = {}, set()
     for s in SETTINGS:
@@ -376,13 +410,11 @@ def resolve(args: argparse.Namespace) -> RunConfig:
     n_ions = v["n_ions"]
     trap = beam = modes = None
     if v["source"] == "trap":
-        trap_cfg = cfg.get("trap", {})
-        params = {**DEFAULT_TRAP, **{k: trap_cfg[k] for k in TRAP_KEYS if k in trap_cfg}}
-        trap = ionchain.TrapConfig(n_ions=n_ions, detuning=0.0, **params)
+        trap = ionchain.TrapConfig(**{**_fields(ionchain.TrapConfig, v), "detuning": 0.0})
         modes = ionchain.transverse_mode_spectrum(trap)
         trap = (replace(trap, detuning=v["detuning"]) if v["detuning"] is not None
                 else ionchain.with_detuning_above_top(trap, v["gap"], modes))
-        beam = ionchain.BeamProfile(**{**DEFAULT_BEAM, **cfg.get("beam", {})})
+        beam = ionchain.BeamProfile(**_fields(ionchain.BeamProfile, v))
     outdir = v["outdir"] if v["outdir"] is not None else os.environ.get(OUTDIR_ENV, ".")
 
     return RunConfig(
@@ -416,6 +448,11 @@ def resolve(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _fields(cls, values: dict) -> dict:
+    """The resolved ``values`` of the fields of dataclass ``cls``."""
+    return {f.name: values[f.name] for f in fields(cls)}
+
+
 def _load_coupling_file(path: str | None, n_ions: int | None) -> ionchain.CouplingMatrix:
     """The coupling matrix of the file source; an explicit chain length
     must match its size."""
@@ -445,11 +482,17 @@ def _report(path: Path, kind: str) -> None:
 def _build_couplings(rc: RunConfig) -> ionchain.CouplingMatrix:
     if rc.source == "file":
         return rc.couplings
-    if rc.source == "power_law":
-        return ionchain.power_law_coupling(rc.n_ions, rc.alpha, rc.nn_strength)
-    if rc.source == "nearest_neighbour":
+    if rc.source == "trap":
+        return ionchain.build_coupling_matrix(rc.trap, rc.beam, rc.modes)
+    try:
+        if rc.source == "power_law":
+            return ionchain.power_law_coupling(rc.n_ions, rc.alpha, rc.nn_strength)
         return ionchain.nearest_neighbour_coupling(rc.n_ions, rc.nn_strength)
-    return ionchain.build_coupling_matrix(rc.trap, rc.beam, rc.modes)
+    except ValueError:          # finite settings, so the matrix overflowed
+        names = ("nn_strength", "alpha") if rc.source == "power_law" else ("nn_strength",)
+        raise ConfigError(f"the {rc.source.replace('_', '-')} couplings of "
+                          f"{' and '.join(_LABELS[n] for n in names)} must be finite, got "
+                          f"entries beyond the largest double") from None
 
 
 def _field_rad(rc: RunConfig, J: ionchain.CouplingMatrix) -> float:

@@ -131,15 +131,11 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
     A single-spin value therefore lies in [0, 1].
     """
-    return float(_entropies(rho.matrix[None])[0])
-
-
-def _entropies(rhos: np.ndarray) -> np.ndarray:
-    lam = np.linalg.eigvalsh(rhos)
+    lam = np.linalg.eigvalsh(rho.matrix)
     if lam.min() < -1e-8:
         raise ValueError(f"invalid state: eigenvalue {lam.min():.3e} < -1e-8")
     lam = np.where(lam > 1e-15, lam, 1.0)          # 1 log 1 = 0 stands in for 0 log 0
-    return -np.sum(lam * np.log2(lam), axis=-1)
+    return float(-np.sum(lam * np.log2(lam)))
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -329,7 +325,7 @@ def bootstrap(counts: np.ndarray, resamples: int, statistic: str, seed: int,
     Each resample redraws every row of the (9, 4) ``counts`` from a
     multinomial with the row's shots and empirical frequencies,
     reconstructs the density matrix, and evaluates the statistic
-    ('concurrence', 'entropy', or 'fidelity' against ``target``).  Returns
+    ('concurrence' or 'fidelity' against ``target``).  Returns
     (sample mean, sample standard deviation).  Resample r draws its nine
     rows from its own RNG stream (seed, 1000 + r), so the result does not
     depend on evaluation order; all resamples are then reconstructed and
@@ -351,8 +347,6 @@ def bootstrap(counts: np.ndarray, resamples: int, statistic: str, seed: int,
 def _statistic_fn(statistic: str, target):
     if statistic == "concurrence":
         return _concurrences
-    if statistic == "entropy":
-        return _entropies
     if statistic == "fidelity":
         if target is None:
             raise ValueError("fidelity statistic needs a target state")

@@ -21,6 +21,10 @@ the JSON text a coupling matrix is hashed from.
 
 Coupling matrices travel as N x N CSV with a mandatory '# unit = ...' tag
 (rad/s or Hz) — an untagged file is rejected rather than guessed at.
+
+Run configurations are INI files, which :func:`load_run_config` reads
+against the schema its caller passes (the CLI derives it from its table of
+settings).
 """
 
 from __future__ import annotations
@@ -358,47 +362,18 @@ def fit_record(fit, provenance_hash: str) -> dict:
 # run configuration files
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.replace(",", " ").split())
-
-
 def float_or_auto(text: str) -> float | None:
-    """A field in Hz, or None for ``auto`` (B = 50 max|J| in Ising runs);
-    the one coercion of both ``--field`` and ``[trap] transverse_field``."""
+    """A field in Hz, or None for ``auto`` (B = 50 max|J| in Ising runs):
+    the coercion of the Ising field's flag and INI key."""
     return None if text.strip() == "auto" else float(text)
 
 
-#: section -> {key: coercion}; unknown sections/keys are hard errors.
-CONFIG_SCHEMA = {
-    "trap": {
-        "n_ions": int, "axial_freq": float, "transverse_freq_x": float,
-        "transverse_freq_y": float, "detuning": float, "detuning_gap": float,
-        "transverse_field": float_or_auto, "ion_mass": float, "laser_wavelength": float,
-    },
-    "beam": {
-        "peak_rabi": float, "waist_along_chain": float, "center_offset": float,
-    },
-    "couplings": {
-        "source": str, "alpha": float, "nn_strength": float, "file": str,
-    },
-    "quench": {
-        "flip": _int_list, "model": str,
-    },
-    "run": {
-        "t_start": float, "t_end": float, "n_points": int,
-        "seed": int, "shots": int, "resamples": int,
-    },
-    "output": {
-        "directory": str, "format": str,
-    },
-}
-
-
-def load_run_config(path) -> dict:
+def load_run_config(path, schema: dict) -> dict:
     """Parse an INI run configuration into typed nested dicts.
 
-    Only the sections and keys of :data:`CONFIG_SCHEMA` are accepted;
-    anything else is a :class:`ConfigError` naming the offending entry.
+    ``schema`` maps each section to {key: coercion of its text}.  Only its
+    sections and keys are accepted; anything else is a
+    :class:`ConfigError` naming the offending entry.
     Frequencies are plain Hz, lengths meters, times seconds — conversion
     to angular frequencies happens downstream.
     """
@@ -414,17 +389,17 @@ def load_run_config(path) -> dict:
 
     config: dict = {}
     for section in parser.sections():
-        if section not in CONFIG_SCHEMA:
+        if section not in schema:
             raise ConfigError(f"{path}: unknown section [{section}] "
-                              f"(expected {sorted(CONFIG_SCHEMA)})")
-        schema = CONFIG_SCHEMA[section]
+                              f"(expected {sorted(schema)})")
+        keys = schema[section]
         config[section] = {}
         for key, raw in parser.items(section):
-            if key not in schema:
+            if key not in keys:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}] "
-                                  f"(expected {sorted(schema)})")
+                                  f"(expected {sorted(keys)})")
             try:
-                config[section][key] = schema[key](raw)
+                config[section][key] = keys[key](raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}: [{section}] {key} = {raw!r}: {exc}") from exc
     return config

@@ -20,7 +20,6 @@ and everything downstream are angular frequencies (rad/s) with hbar = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,7 +77,9 @@ class TrapConfig:
     Moelmer-Soerensen symmetric detuning Delta measured from the spin
     transition; the anti-ferromagnetic regime requires it to lie above the
     highest transverse mode (checked when the coupling matrix is built,
-    see :func:`detuning_above_top_mode`).
+    see :func:`detuning_above_top_mode`).  ``ion_mass`` is in kg and
+    ``laser_wavelength`` in meters (``MASS_CA40`` and ``WAVELENGTH_CA40``
+    for calcium-40).
     """
 
     n_ions: int
@@ -86,8 +87,8 @@ class TrapConfig:
     transverse_freq_x: float
     transverse_freq_y: float
     detuning: float
-    ion_mass: float = MASS_CA40
-    laser_wavelength: float = WAVELENGTH_CA40
+    ion_mass: float
+    laser_wavelength: float
 
     def __post_init__(self):
         if self.n_ions < 2:
@@ -115,7 +116,7 @@ class BeamProfile:
 
     peak_rabi: float
     waist_along_chain: float
-    center_offset: float = 0.0
+    center_offset: float
 
     def __post_init__(self):
         if self.peak_rabi <= 0:
@@ -158,13 +159,6 @@ class ModeSpectrum:
     @property
     def n_ions(self) -> int:
         return self.positions.size
-
-    def branch(self, label: str) -> tuple[np.ndarray, np.ndarray]:
-        """Return (frequencies, mode_vectors) of one transverse branch."""
-        sel = np.array([b == label for b in self.branches])
-        if not sel.any():
-            raise ValueError(f"no branch {label!r}")
-        return self.frequencies[sel], self.mode_vectors[:, sel]
 
     @property
     def top_mode_freq(self) -> float:
@@ -444,22 +438,6 @@ def build_coupling_matrix(trap: TrapConfig, beam: BeamProfile,
     return coupling_matrix(trap, modes, rabi)
 
 
-def exchange_frequency(J: CouplingMatrix, i: int, j: int) -> float:
-    """Full population-oscillation frequency (Hz) of the two-site exchange.
-
-    Under the XY Hamiltonian restricted to sites {i, j} the shared
-    excitation oscillates as |a_j(t)|^2 = sin^2(J_ij t), i.e. with period
-    pi/|J_ij|.  With J in rad/s the returned frequency is |J_ij|/pi Hz.
-    This is the convention to use when converting measured two-ion
-    exchange frequencies into matrix entries.
-    """
-    if i == j:
-        raise ValueError("exchange frequency needs two distinct sites")
-    _check_site(J.n_ions, i)
-    _check_site(J.n_ions, j)
-    return abs(J.values[i - 1, j - 1]) / math.pi
-
-
 def _check_site(n: int, site: int) -> None:
     if not 1 <= site <= n:
         raise ValueError(f"site {site} outside 1..{n}")
@@ -481,7 +459,8 @@ def _power_law_values(n_ions: int, alpha: float, nn_strength: float) -> np.ndarr
         raise ValueError("need at least 2 ions")
     d = np.abs(np.arange(n_ions)[:, None] - np.arange(n_ions)[None, :]).astype(float)
     np.fill_diagonal(d, 1.0)            # a finite placeholder: no 0**alpha for any alpha
-    J = nn_strength / d ** alpha
+    with np.errstate(over="ignore", divide="ignore"):   # overflows give inf, for the caller
+        J = nn_strength / d ** alpha
     np.fill_diagonal(J, 0.0)
     return J
 

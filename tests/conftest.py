@@ -86,11 +86,12 @@ def reference_trap():
     from magnonchain import ionchain
     trap = ionchain.TrapConfig(n_ions=7, axial_freq=0.219e6,
                                transverse_freq_x=2.655e6, transverse_freq_y=2.628e6,
-                               detuning=0.0)
+                               detuning=0.0, ion_mass=ionchain.MASS_CA40,
+                               laser_wavelength=ionchain.WAVELENGTH_CA40)
     return ionchain.with_detuning_above_top(trap, 30e3)
 
 
 @pytest.fixture
 def reference_beam():
     from magnonchain import ionchain
-    return ionchain.BeamProfile(peak_rabi=100e3, waist_along_chain=380e-6)
+    return ionchain.BeamProfile(peak_rabi=100e3, waist_along_chain=380e-6, center_offset=0.0)

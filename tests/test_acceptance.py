@@ -129,13 +129,14 @@ def test_criterion_06_detuning_sweep_brackets_intermediate_alpha():
     """Reference trap, detuning 15-120 kHz above the top mode: the fitted
     exponent range brackets 1.36."""
     _start()
-    beam = ionchain.BeamProfile(peak_rabi=100e3, waist_along_chain=380e-6)
+    beam = ionchain.BeamProfile(peak_rabi=100e3, waist_along_chain=380e-6, center_offset=0.0)
     alphas = []
     for gap in (15e3, 30e3, 60e3, 120e3):
         trap = ionchain.TrapConfig(n_ions=7, axial_freq=0.219e6,
                                    transverse_freq_x=2.655e6,
                                    transverse_freq_y=2.628e6,
-                                   detuning=0.0)
+                                   detuning=0.0, ion_mass=ionchain.MASS_CA40,
+                                   laser_wavelength=ionchain.WAVELENGTH_CA40)
         trap = ionchain.with_detuning_above_top(trap, gap)
         J = ionchain.build_coupling_matrix(trap, beam)
         spec = magnon.diagonalize_magnons(J)

@@ -99,10 +99,12 @@ def _node_count_mismatch(alpha, k_meas, w_meas, n_ions):
 def test_trap_alpha_fit_matches_node_count_objective(n, axial, monkeypatch):
     """On trap couplings the eigenvalue-only scan finds the exponent the
     eigenvector-based objective found, and scale and residual to 1e-14."""
-    trap = ionchain.TrapConfig(n_ions=n, detuning=0.0,
-                               **{**cli.DEFAULT_TRAP, "axial_freq": axial})
+    defaults = {s.name: s.default for s in cli.SETTINGS}
+    trap = ionchain.TrapConfig(**{**cli._fields(ionchain.TrapConfig, defaults), "n_ions": n,
+                                  "detuning": 0.0, "axial_freq": axial})
     trap = ionchain.with_detuning_above_top(trap, 30e3)
-    J = ionchain.build_coupling_matrix(trap, ionchain.BeamProfile(**cli.DEFAULT_BEAM))
+    J = ionchain.build_coupling_matrix(
+        trap, ionchain.BeamProfile(**cli._fields(ionchain.BeamProfile, defaults)))
     spec = magnon.diagonalize_magnons(J)
     pairs = np.column_stack([spec.pseudo_momenta, spec.energies])
     fit = analysis.fit_alpha_dispersion(pairs, n)
@@ -155,9 +157,18 @@ def _pulse(t, t0, w, b=0.6, a=-1.0):
     return a + b * np.exp(-((t - t0) ** 2) / (2 * w ** 2))
 
 
+def _fit_one(times, signal, site=0):
+    """The arrival fit of one trace: the batched solver on its one segment."""
+    segment = analysis._arrival_segment(*analysis._samples(times, signal))
+    fit = analysis._fit_pulses([site], [segment])[0]
+    if isinstance(fit, FitError):
+        raise fit
+    return fit
+
+
 def test_arrival_fit_recovers_synthetic_pulse():
     t = np.linspace(0.0, 0.02, 401)
-    fit = analysis.fit_gaussian_arrival(t, _pulse(t, 0.008, 0.0012), site=4)
+    fit = _fit_one(t, _pulse(t, 0.008, 0.0012), site=4)
     assert fit.site == 4
     assert fit.t0 == pytest.approx(0.008, abs=1e-5)
     assert fit.width == pytest.approx(0.0012, rel=0.05)
@@ -263,13 +274,13 @@ def test_flanking_minima_match_the_scalar_scan(cones):
 
 @pytest.mark.filterwarnings("ignore:site")
 def test_single_site_fit_is_bit_identical_to_batch(cones):
-    """fit_gaussian_arrival is the one-site call of the batched solver: every
-    site of a light cone gets the same fit alone as in arrival_times."""
+    """The batched solver gives every site of a light cone the same fit
+    alone as in arrival_times."""
     times, mags = cones
     for alpha in (1.41, 2.0):
         mag = mags[alpha]
         for dist, fit in analysis.arrival_times(times, mag, 101):
-            alone = analysis.fit_gaussian_arrival(times, mag[:, 100 + dist], site=fit.site)
+            alone = _fit_one(times, mag[:, 100 + dist], site=fit.site)
             assert alone == fit
 
 
@@ -282,7 +293,7 @@ def test_arrival_fit_with_t0_on_segment_bound_matches_curve_fit():
     v[t < 0.004] = -1.0
     segment = analysis._arrival_segment(t, v)
     reference = _tight_curve_fit(*segment)
-    fit = analysis.fit_gaussian_arrival(t, v)
+    fit = _fit_one(t, v)
     assert fit.t0 == segment[3][2]                      # the segment's first time
     np.testing.assert_allclose([fit.amplitude, fit.t0, fit.width], reference[1:],
                                rtol=1e-7)
@@ -295,7 +306,7 @@ def test_one_sample_spike_fits_with_width_on_its_bound():
     t = np.linspace(0.0, 0.01, 21)
     v = np.full(21, -1.0)
     v[10] = 0.5
-    fit = analysis.fit_gaussian_arrival(t, v)
+    fit = _fit_one(t, v)
     assert fit.t0 == t[10]
     assert fit.width == 0.5 * (t[10] - t[9])
     assert fit.goodness == pytest.approx(0.0, abs=1e-12)
@@ -307,12 +318,12 @@ def test_iteration_cap_gives_fit_error_and_skipped_record(monkeypatch):
     monkeypatch.setattr(analysis, "FIT_MAX_ITERATIONS", 2)
     t = np.linspace(0.0, 0.02, 201)
     with pytest.raises(FitError, match="arrival fit for site 3 did not converge"):
-        analysis.fit_gaussian_arrival(t, _pulse(t, 0.008, 0.0012), site=3)
-    mag = np.full((201, 4), -1.0)
+        _fit_one(t, _pulse(t, 0.008, 0.0012), site=3)
+    mag = np.full((201, 3), -1.0)
     mag[:, 1] = _pulse(t, 0.008, 0.0012)
     skipped = []
     with pytest.warns(UserWarning, match="site 2: arrival fit for site 2 did not converge"):
-        fits = analysis.arrival_times(t, mag, 1, max_distance=1, skipped=skipped)
+        fits = analysis.arrival_times(t, mag, 1, skipped=skipped)
     assert fits == []
     assert skipped == [analysis.ArrivalSkipped(
         site=2, distance=1, reason="arrival fit for site 2 did not converge")]
@@ -322,30 +333,32 @@ def test_arrival_fit_picks_first_peak_not_largest():
     """A later, larger boundary reflection must not displace the arrival."""
     t = np.linspace(0.0, 0.02, 801)
     v = _pulse(t, 0.006, 0.001, b=0.4) + _pulse(t, 0.015, 0.001, b=0.9, a=0.0)
-    fit = analysis.fit_gaussian_arrival(t, v)
+    fit = _fit_one(t, v)
     assert fit.t0 == pytest.approx(0.006, abs=2e-4)
 
 
 def test_arrival_fit_honors_window():
+    """A trace cut to a window is fitted on the pulse inside it."""
     t = np.linspace(0.0, 0.02, 801)
     v = _pulse(t, 0.006, 0.001, b=0.4) + _pulse(t, 0.015, 0.001, b=0.9, a=0.0)
-    fit = analysis.fit_gaussian_arrival(t, v, window=(0.010, 0.020))
+    window = t >= 0.010
+    fit = _fit_one(t[window], v[window])
     assert fit.t0 == pytest.approx(0.015, abs=2e-4)
 
 
 def test_arrival_fit_rejects_flat_and_monotone_signals():
     t = np.linspace(0.0, 0.01, 50)
     with pytest.raises(FitError):
-        analysis.fit_gaussian_arrival(t, np.full(50, -1.0))
+        _fit_one(t, np.full(50, -1.0))
     with pytest.raises(FitError):
-        analysis.fit_gaussian_arrival(t, np.linspace(-1.0, 0.0, 50))
+        _fit_one(t, np.linspace(-1.0, 0.0, 50))
 
 
 def test_arrival_fit_input_validation():
-    with pytest.raises(ValueError):
-        analysis.fit_gaussian_arrival(np.zeros(10), np.zeros(9))
-    with pytest.raises(ValueError):
-        analysis.fit_gaussian_arrival(np.linspace(0, 1, 3), np.zeros(3))
+    with pytest.raises(ValueError, match="matching"):
+        _fit_one(np.zeros(10), np.zeros(9))
+    with pytest.raises(ValueError, match=f"at least {analysis.MIN_ARRIVAL_SAMPLES} samples"):
+        _fit_one(np.linspace(0, 1, 4), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------

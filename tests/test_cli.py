@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_csv
-from magnonchain import bounds, cli, dynamics, ionchain, magnon
+from magnonchain import analysis, bounds, cli, dynamics, ionchain, magnon
 from magnonchain import io as mio
 
 
@@ -520,6 +520,13 @@ def test_seed_outside_the_philox_key_range_is_config_error(tmp_path, capsys, see
      "--jbar / [couplings] nn_strength"),
     (["lightcone"], "[couplings]\nsource = power_law\nnn_strength = inf\n",
      "--jbar / [couplings] nn_strength"),
+    *((["couplings"], f"[{s.ini[0]}]\n{s.ini[1]} = {value}\n", s.label)
+      for s in cli.SETTINGS if not s.flags for value in ("nan", "inf")),
+    *((["quench", *extra], "", "the power-law couplings of --jbar / [couplings] nn_strength "
+       "and --alpha / [couplings] alpha") for extra in (["--alpha=-400"], ["--alpha=-1e308"],
+                                                        ["--jbar", "1e308"])),
+    (["couplings", "--source", "nearest-neighbour", "--jbar", "1e308"], "",
+     "the nearest-neighbour couplings of --jbar / [couplings] nn_strength"),
 ])
 def test_non_finite_setting_is_config_error_naming_it(tmp_path, capsys, argv, ini, flag):
     out = tmp_path / "out"
@@ -565,6 +572,9 @@ def test_coupling_parameters_are_checked_only_for_the_sources_that_read_them(
      "--field / [trap] transverse_field must be >= 0, got -1.0"),
     (["quench", "--flip", "3", "3"], "--flip / [quench] flip must be distinct sites, got 3 3"),
     (["tomo", "--sites", "4", "4"], "--sites must be distinct sites, got 4 4"),
+    (["lightcone", "--n", "201", "--n-points", "4"],
+     f"lightcone needs --n-points / [run] n_points >= {analysis.MIN_ARRIVAL_SAMPLES} for its "
+     f"arrival fits, got 4"),
 ])
 def test_run_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
     _refused_up_front(tmp_path, capsys, monkeypatch, argv, message)
@@ -616,12 +626,17 @@ def test_a_trap_run_solves_for_the_ion_positions_once(tmp_path, capsys, monkeypa
 
 
 def test_power_law_with_negative_alpha_runs_without_warnings(tmp_path, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = cli.main(["couplings", "--source", "power-law", "--n", "7", "--alpha", "-1",
-                         "-o", str(tmp_path)])
-    assert code == 0
-    assert capsys.readouterr().err == ""
+    """Also an exponent so large that |i - j|^alpha overflows: those
+    couplings are 0, and the matrix keeps only its nearest neighbours."""
+    for alpha, name in (("-1", "negative"), ("1e308", "huge")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["couplings", "--source", "power-law", "--n", "7", "--alpha",
+                             alpha, "-o", str(tmp_path / name)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+    J = mio.load_couplings(tmp_path / "huge" / "couplings.csv").values
+    np.testing.assert_array_equal(J, ionchain.nearest_neighbour_coupling(7, J[0, 1]).values)
 
 
 @pytest.mark.parametrize("argv,ini", [
@@ -686,8 +701,12 @@ def test_each_quench_subcommand_offers_the_flags_it_reads():
 # the settings table: each subcommand reads, checks and hashes its own settings
 
 
+#: The trap and beam parameters, read by every subcommand for the trap source.
+_TRAP = {"axial_freq", "transverse_freq_x", "transverse_freq_y", "ion_mass",
+         "laser_wavelength", "peak_rabi", "waist_along_chain", "center_offset"}
+
 #: The settings each subcommand reads, written out here rather than taken
-#: from the table.
+#: from the table (each reads ``_TRAP`` too).
 _READS = {
     "modes": {"n_ions", "outdir", "gap", "detuning"},
     "couplings": {"n_ions", "outdir", "gap", "detuning", "source", "alpha", "nn_strength",
@@ -709,6 +728,7 @@ _READS = {
     "fit": {"n_ions", "outdir", "gap", "detuning", "source", "alpha", "nn_strength",
             "coupling_file"},
 }
+_READS = {command: names | _TRAP for command, names in _READS.items()}
 
 #: A small fast run of each subcommand.
 _RUNS = {
@@ -748,12 +768,30 @@ def test_each_subcommand_offers_exactly_the_flags_of_its_settings(command):
                                     | {f for s in settings for f in s.flags})
 
 
-def test_every_config_key_is_read_by_a_setting_or_the_trap_source():
-    from_table = [s.ini for s in cli.SETTINGS if s.ini]
-    from_builders = ([("trap", k) for k in cli.TRAP_KEYS]
-                     + [("beam", k) for k in cli.DEFAULT_BEAM])
-    schema = [(section, key) for section, keys in mio.CONFIG_SCHEMA.items() for key in keys]
-    assert sorted(from_table + from_builders) == sorted(schema)
+def test_a_key_no_setting_declares_is_refused(tmp_path, capsys):
+    """The INI schema holds the keys of the table and no other: any other
+    key of one of its sections is refused, naming the key."""
+    assert ({(section, key) for section, keys in cli.INI_SCHEMA.items() for key in keys}
+            == {s.ini for s in cli.SETTINGS if s.ini})
+    ini = tmp_path / "run.ini"
+    for section in cli.INI_SCHEMA:
+        ini.write_text(f"[{section}]\nvoltage = 7\n")
+        assert cli.main(["couplings", "-c", str(ini), "-o", str(tmp_path / "out")]) == 2
+        assert f"unknown key 'voltage' in [{section}]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_readme_ini_example_is_the_default_trap(tmp_path, capsys):
+    """README's INI example sets the default trap and beam: ``couplings`` on
+    it writes the matrix and config hash of ``couplings --n 7``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (tmp_path / "run.ini").write_text(re.search(r"```ini\n(.*?)```", readme, re.S)[1])
+    assert cli.main(["couplings", "--n", "7", "-o", str(tmp_path / "flags")]) == 0
+    assert cli.main(["couplings", "-c", str(tmp_path / "run.ini"),
+                     "-o", str(tmp_path / "ini")]) == 0
+    text = (tmp_path / "flags" / "couplings.csv").read_text()
+    assert "# config_hash = f6176e9703e2\n" in text
+    assert (tmp_path / "ini" / "couplings.csv").read_text() == text
 
 
 def _artifacts(outdir: Path) -> dict:
@@ -802,8 +840,8 @@ def test_the_unread_values_are_refused_where_read(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-#: A value other than the default for each setting that has both a flag and
-#: a key: (subcommand, flag arguments, INI text).
+#: A value other than the default for each setting that has a key:
+#: (subcommand, flag arguments or None where it has no flag, INI text).
 _FLAG_AND_KEY = {
     "n_ions": ("quench", ["9"], "9"),
     "outdir": ("quench", ["runs/x"], "runs/x"),
@@ -823,6 +861,14 @@ _FLAG_AND_KEY = {
     "shots": ("tomo", ["20"], "20"),
     "resamples": ("tomo", ["150"], "150"),
     "seed": ("tomo", ["5"], "5"),
+    "axial_freq": ("couplings", None, "0.2e6"),
+    "transverse_freq_x": ("couplings", None, "2.7e6"),
+    "transverse_freq_y": ("couplings", None, "2.6e6"),
+    "ion_mass": ("couplings", None, "1.5e-25"),
+    "laser_wavelength": ("couplings", None, "400e-9"),
+    "peak_rabi": ("couplings", None, "50e3"),
+    "waist_along_chain": ("couplings", None, "100e-6"),
+    "center_offset": ("couplings", None, "5e-6"),
 }
 
 
@@ -835,11 +881,14 @@ def test_flag_and_key_resolve_to_the_same_run_config(tmp_path, coupling_file_25,
     ini = tmp_path / "run.ini"
     ini.write_text(f"[{setting.ini[0]}]\n{setting.ini[1]} = {text}\n")
     parse = cli.build_parser().parse_args
-    by_flag = cli.resolve(parse([command, setting.flags[0], *flag_args]))
     by_key = cli.resolve(parse([command, "-c", str(ini)]))
-    assert by_flag == by_key and by_flag.hash == by_key.hash
+    if setting.flags:
+        by_flag = cli.resolve(parse([command, setting.flags[0], *flag_args]))
+        assert by_flag == by_key and by_flag.hash == by_key.hash
+    else:                                       # a trap or beam key moves the hash
+        assert by_key.hash != cli.resolve(parse([command])).hash
     if setting.name != "coupling_file":         # the file source needs its file
-        assert by_flag != cli.resolve(parse([command]))
+        assert by_key != cli.resolve(parse([command]))
     assert {s.name for s in cli.SETTINGS if s.ini} == _FLAG_AND_KEY.keys()
 
 
@@ -865,16 +914,16 @@ def test_auto_field_is_one_value_from_flag_or_key(tmp_path, capsys):
                                      if s.low is not None or (s.choices and s.ini)],
                          ids=lambda s: s.name)
 def test_a_value_out_of_range_is_refused_naming_its_setting(tmp_path, capsys, setting):
-    """A flag below its setting's minimum, or a key outside its choices (a
-    flag's choices are argparse's to check)."""
+    """A flag (a key, where there is no flag) below its setting's minimum, or
+    a key outside its choices (a flag's choices are argparse's to check)."""
     command = next(c for c, (_, groups) in cli.COMMANDS.items() if setting.group in groups)
-    if setting.choices:
-        (tmp_path / "run.ini").write_text(f"[{setting.ini[0]}]\n{setting.ini[1]} = bogus\n")
+    value = "bogus" if setting.choices else str(setting.low - 1)
+    if setting.choices or not setting.flags:
+        (tmp_path / "run.ini").write_text(f"[{setting.ini[0]}]\n{setting.ini[1]} = {value}\n")
         argv = [command, "-c", str(tmp_path / "run.ini")]
-        message = f"{setting.label} must be one of "
     else:
-        argv = [command, setting.flags[0], str(setting.low - 1)]
-        message = f"{setting.label} must be "
+        argv = [command, setting.flags[0], value]
+    message = f"{setting.label} must be " + ("one of " if setting.choices else "")
     assert cli.main(argv + ["-o", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not (tmp_path / "out").exists()

@@ -455,7 +455,7 @@ def test_bootstrap_tracks_the_statistic():
 
 def _bootstrap_loop(counts, resamples, statistic, seed, target=None):
     """Per-resample oracle: nine redrawn rows and one reconstruction at a time."""
-    evaluate = {"concurrence": ent.concurrence, "entropy": ent.von_neumann_entropy,
+    evaluate = {"concurrence": ent.concurrence,
                 "fidelity": lambda rho: ent.fidelity(rho, target)}[statistic]
     values = []
     for r in range(resamples):
@@ -466,7 +466,7 @@ def _bootstrap_loop(counts, resamples, statistic, seed, target=None):
 
 
 @pytest.mark.parametrize("case", ["bell", "random", "noisy"])
-@pytest.mark.parametrize("statistic", ["concurrence", "entropy", "fidelity"])
+@pytest.mark.parametrize("statistic", ["concurrence", "fidelity"])
 def test_bootstrap_equals_per_resample_loop(case, statistic):
     psi = BELL if case in ("bell", "noisy") else _random_state(4, 31)
     shots = 20 if case == "noisy" else 500

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import reference_csv
 from magnonchain import io as mio
-from magnonchain import __version__, dynamics, entanglement, ionchain, magnon
+from magnonchain import __version__, cli, dynamics, entanglement, ionchain, magnon
 from magnonchain.io import ConfigError
 
 J0 = 2 * np.pi * 30.0
@@ -515,7 +515,7 @@ format = ndjson
 def test_load_run_config_types(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text(GOOD_CONFIG)
-    cfg = mio.load_run_config(p)
+    cfg = mio.load_run_config(p, cli.INI_SCHEMA)
     assert cfg["trap"]["n_ions"] == 9
     assert cfg["trap"]["axial_freq"] == 219000.0
     assert cfg["couplings"]["alpha"] == 1.2
@@ -528,14 +528,14 @@ def test_load_run_config_rejects_unknown_section(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text("[laser]\npower = 3\n")
     with pytest.raises(ConfigError, match="laser"):
-        mio.load_run_config(p)
+        mio.load_run_config(p, cli.INI_SCHEMA)
 
 
 def test_load_run_config_rejects_unknown_key(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text("[trap]\nn_ions = 5\nvoltage = 7\n")
     with pytest.raises(ConfigError, match="voltage"):
-        mio.load_run_config(p)
+        mio.load_run_config(p, cli.INI_SCHEMA)
 
 
 @pytest.mark.parametrize("section,key", [("beam", "waist_transverse"), ("quench", "kind")])
@@ -545,28 +545,29 @@ def test_removed_keys_are_unknown(tmp_path, section, key):
     p = tmp_path / "run.ini"
     p.write_text(f"[{section}]\n{key} = 1\n")
     with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[{section}\\]"):
-        mio.load_run_config(p)
+        mio.load_run_config(p, cli.INI_SCHEMA)
 
 
 def test_transverse_field_key_takes_auto(tmp_path):
     p = tmp_path / "run.ini"
     for text, value in (("auto", None), ("12.5", 12.5)):
         p.write_text(f"[trap]\ntransverse_field = {text}\n")
-        assert mio.load_run_config(p) == {"trap": {"transverse_field": value}}
+        assert mio.load_run_config(p, cli.INI_SCHEMA) == {"trap": {"transverse_field": value}}
 
 
 def test_load_run_config_reports_bad_value(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text("[run]\nn_points = many\n")
     with pytest.raises(ConfigError, match="n_points"):
-        mio.load_run_config(p)
+        mio.load_run_config(p, cli.INI_SCHEMA)
 
 
 def test_load_run_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
-        mio.load_run_config(tmp_path / "absent.ini")
+        mio.load_run_config(tmp_path / "absent.ini", cli.INI_SCHEMA)
 
 
 def test_flip_list_accepts_commas():
-    assert mio._int_list("1, 2, 3") == (1, 2, 3)
-    assert mio._int_list("4 6") == (4, 6)
+    flip = cli.INI_SCHEMA["quench"]["flip"]
+    assert flip("1, 2, 3") == (1, 2, 3)
+    assert flip("4 6") == (4, 6)

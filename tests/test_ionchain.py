@@ -107,12 +107,13 @@ def test_length_scale_mass_scaling(reference_trap):
 def test_trap_config_rejects_soft_transverse_confinement():
     with pytest.raises(ValueError):
         TrapConfig(n_ions=5, axial_freq=1e6, transverse_freq_x=0.5e6,
-                   transverse_freq_y=2e6, detuning=0.0)
+                   transverse_freq_y=2e6, detuning=0.0, ion_mass=ionchain.MASS_CA40,
+                   laser_wavelength=ionchain.WAVELENGTH_CA40)
 
 
 def test_beam_profile_rejects_zero_waist():
     with pytest.raises(ValueError):
-        BeamProfile(peak_rabi=1e5, waist_along_chain=0.0)
+        BeamProfile(peak_rabi=1e5, waist_along_chain=0.0, center_offset=0.0)
 
 
 def _fix_gauge_loop(vectors):
@@ -171,6 +172,12 @@ def test_mode_spectrum_shapes_and_branches(reference_trap):
     assert np.all(np.diff(modes.frequencies[n:]) < 0)
 
 
+def _branch(modes, label):
+    """(frequencies, mode_vectors) of the modes of one branch."""
+    sel = np.array(modes.branches) == label
+    return modes.frequencies[sel], modes.mode_vectors[:, sel]
+
+
 def test_com_mode_at_bare_transverse_frequency(reference_trap):
     """The top mode of each branch is the center-of-mass mode: every ion
     moves identically and the frequency is the bare transverse frequency."""
@@ -178,7 +185,7 @@ def test_com_mode_at_bare_transverse_frequency(reference_trap):
     n = reference_trap.n_ions
     for label, nu_t in (("x", reference_trap.transverse_freq_x),
                         ("y", reference_trap.transverse_freq_y)):
-        freqs, vecs = modes.branch(label)
+        freqs, vecs = _branch(modes, label)
         assert freqs[0] == pytest.approx(nu_t, rel=1e-12)
         np.testing.assert_allclose(vecs[:, 0], np.full(n, 1.0 / np.sqrt(n)), atol=1e-10)
 
@@ -186,7 +193,7 @@ def test_com_mode_at_bare_transverse_frequency(reference_trap):
 def test_mode_vectors_orthonormal(reference_trap):
     modes = ionchain.transverse_mode_spectrum(reference_trap)
     for label in ("x", "y"):
-        _, vecs = modes.branch(label)
+        _, vecs = _branch(modes, label)
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(reference_trap.n_ions),
                                    atol=1e-12)
 
@@ -194,7 +201,8 @@ def test_mode_vectors_orthonormal(reference_trap):
 def test_zigzag_instability_raises():
     # nu_t/nu_ax = 3 is far below the linear-chain threshold for 7 ions
     trap = TrapConfig(n_ions=7, axial_freq=0.219e6, transverse_freq_x=3 * 0.219e6,
-                      transverse_freq_y=2.628e6, detuning=0.0)
+                      transverse_freq_y=2.628e6, detuning=0.0, ion_mass=ionchain.MASS_CA40,
+                      laser_wavelength=ionchain.WAVELENGTH_CA40)
     with pytest.raises(ChainUnstableError, match="zig-zag"):
         ionchain.transverse_mode_spectrum(trap)
 
@@ -210,7 +218,7 @@ def test_detuning_gap_round_trip(reference_trap):
 
 
 def test_rabi_profile_peak_and_falloff():
-    beam = BeamProfile(peak_rabi=2e5, waist_along_chain=100e-6)
+    beam = BeamProfile(peak_rabi=2e5, waist_along_chain=100e-6, center_offset=0.0)
     x = np.array([0.0, 100e-6])
     omega = ionchain.rabi_profile(beam, x)
     assert omega[0] == pytest.approx(2e5)
@@ -270,16 +278,6 @@ def test_resonant_detuning_raises(reference_trap, reference_beam):
     rabi = ionchain.rabi_profile(reference_beam, modes.positions_m)
     with pytest.raises(ResonanceError):
         ionchain.coupling_matrix(near, modes, rabi)
-
-
-def test_exchange_frequency_is_coupling_over_pi():
-    J = ionchain.nearest_neighbour_coupling(4, 2 * np.pi * 50.0)
-    assert ionchain.exchange_frequency(J, 1, 2) == pytest.approx(100.0)
-    assert ionchain.exchange_frequency(J, 1, 3) == 0.0
-    with pytest.raises(ValueError):
-        ionchain.exchange_frequency(J, 2, 2)
-    with pytest.raises(ValueError):
-        ionchain.exchange_frequency(J, 0, 1)
 
 
 # ---------------------------------------------------------------------------

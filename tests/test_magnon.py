@@ -62,8 +62,10 @@ def _trap_coupling(n):
     # weaker axial confinement for longer chains keeps them linear
     axial = 0.219e6 if n <= 25 else (0.1e6 if n <= 51 else 0.05e6)
     trap = ionchain.TrapConfig(n_ions=n, axial_freq=axial, transverse_freq_x=2.655e6,
-                               transverse_freq_y=2.628e6, detuning=0.0)
-    beam = ionchain.BeamProfile(peak_rabi=100e3, waist_along_chain=380e-6)
+                               transverse_freq_y=2.628e6, detuning=0.0,
+                               ion_mass=ionchain.MASS_CA40,
+                               laser_wavelength=ionchain.WAVELENGTH_CA40)
+    beam = ionchain.BeamProfile(peak_rabi=100e3, waist_along_chain=380e-6, center_offset=0.0)
     return ionchain.build_coupling_matrix(ionchain.with_detuning_above_top(trap, 30e3), beam)
 
 
