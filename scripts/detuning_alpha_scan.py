@@ -1,8 +1,9 @@
 """Sweep the drive detuning above the top transverse mode and track the
 interaction-range exponent alpha of the resulting coupling matrix.
 
-For each detuning gap the spin-spin couplings are rebuilt from the trap and
-beam parameters, the magnon dispersion is diagonalized and refit with the
+For each detuning gap the spin-spin couplings are rebuilt from the beam and
+the trap's mode spectrum, which is solved once (the detuning plays no part in
+it), the magnon dispersion is diagonalized and refit with the
 power-law model, and the exponent is compared against the direct real-space
 fit of J_ij vs distance.  Output: a table on stdout and alpha_vs_gap.csv.
 """
@@ -39,7 +40,7 @@ def scan(gaps_hz):
     rows = []
     for gap in gaps_hz:
         t = ionchain.with_detuning_above_top(trap, gap, modes)
-        J = ionchain.build_coupling_matrix(t, beam)
+        J = ionchain.build_coupling_matrix(t, beam, modes)
         spectrum = magnon.diagonalize_magnons(J)
         disp = analysis.fit_alpha_dispersion(
             np.column_stack([spectrum.pseudo_momenta, spectrum.energies]),

@@ -13,6 +13,9 @@ first kind; series and closed form are implemented independently and
 cross-validated (the overall factor 2 is part of the bound's
 normalization and is carried by both routes).
 
+The nearest-neighbour cone velocity comes from the uniform chain's
+closed-form dispersion; no matrix is built or diagonalized.
+
 Everything uses hbar = 1; g and 1/t are angular frequencies.
 """
 
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ionchain import CouplingMatrix, nearest_neighbour_coupling
-from .magnon import diagonalize_magnons, max_group_velocity
+from .ionchain import CouplingMatrix
+from .magnon import max_group_velocity
 
 
 class TruncationError(RuntimeError):
@@ -147,13 +150,13 @@ def nn_lightcone(J: CouplingMatrix) -> LightConeParams:
     The mean first-off-diagonal coupling Jbar defines a uniform
     nearest-neighbour chain of the same length whose maximal magnon group
     velocity is the cone velocity; g = max_i |J_{i,i+1}| feeds the Bessel
-    bound.
+    bound.  That chain's energies 2 Jbar cos(k pi/(N+1)), k = 1..N, are in
+    node order: mode k has k-1 nodes.
     """
-    jbar = J.nn_mean
+    n, jbar = J.n_ions, J.nn_mean
     g = float(np.abs(np.diag(J.values, 1)).max())
-    reference = nearest_neighbour_coupling(J.n_ions, jbar)
-    v = max_group_velocity(diagonalize_magnons(reference))
-    return LightConeParams(g=g, v=v, jbar=jbar)
+    energies = 2.0 * jbar * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    return LightConeParams(g=g, v=max_group_velocity(energies), jbar=jbar)
 
 
 def cone_arrival_times(params: LightConeParams, distances) -> np.ndarray:

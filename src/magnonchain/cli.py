@@ -42,6 +42,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, cached_property
@@ -407,50 +408,41 @@ def resolve(args: argparse.Namespace) -> RunConfig:
         if s.sources is None or v["source"] in s.sources:
             s.check(v[s.name])
 
-    n_ions = v["n_ions"]
-    trap = beam = modes = None
+    v.update(trap=None, beam=None, modes=None)
     if v["source"] == "trap":
-        trap = ionchain.TrapConfig(**{**_fields(ionchain.TrapConfig, v), "detuning": 0.0})
-        modes = ionchain.transverse_mode_spectrum(trap)
-        trap = (replace(trap, detuning=v["detuning"]) if v["detuning"] is not None
-                else ionchain.with_detuning_above_top(trap, v["gap"], modes))
-        beam = ionchain.BeamProfile(**_fields(ionchain.BeamProfile, v))
-    outdir = v["outdir"] if v["outdir"] is not None else os.environ.get(OUTDIR_ENV, ".")
-
-    return RunConfig(
+        trap = _labelled(ionchain.TrapConfig, {**v, "detuning": 0.0})
+        v["modes"] = ionchain.transverse_mode_spectrum(trap)
+        v["trap"] = (replace(trap, detuning=v["detuning"]) if v["detuning"] is not None
+                     else ionchain.with_detuning_above_top(trap, v["gap"], v["modes"]))
+        v["beam"] = _labelled(ionchain.BeamProfile, v)
+    v.update(
         command=args.command,
-        n_ions=n_ions,
-        trap=trap,
-        beam=beam,
-        source=v["source"],
-        alpha=v["alpha"],
+        couplings=couplings,
         nn_strength=2.0 * np.pi * v["nn_strength"],
-        coupling_file=v["coupling_file"],
         kind="global" if args.command == "global-quench" else "local",
-        flip=tuple(v["flip"]) if v["flip"] is not None else ((n_ions + 1) // 2,),
-        model=v["model"],
-        field_hz=v["field_hz"],
-        t_start=v["t_start"],
-        t_end=v["t_end"],
-        n_points=v["n_points"],
+        flip=tuple(v["flip"]) if v["flip"] is not None else ((v["n_ions"] + 1) // 2,),
         observables=("magnetisation", "correlations") if v["correlations"]
         else ("magnetisation",),
         sites=tuple(v["sites"]),
-        sample_time=v["sample_time"],
-        unit=v["unit"],
-        seed=v["seed"],
-        shots=v["shots"],
-        resamples=v["resamples"],
-        outdir=Path(outdir),
-        format=v["format"],
-        couplings=couplings,
-        modes=modes,
+        outdir=Path(v["outdir"] if v["outdir"] is not None else os.environ.get(OUTDIR_ENV, ".")),
     )
+    return RunConfig(**_fields(RunConfig, v))
 
 
 def _fields(cls, values: dict) -> dict:
     """The resolved ``values`` of the fields of dataclass ``cls``."""
     return {f.name: values[f.name] for f in fields(cls)}
+
+
+def _labelled(cls, values: dict):
+    """Trap or beam dataclass ``cls`` of the resolved ``values``; a refusal
+    of its checks names each of its fields by the label of its setting."""
+    try:
+        return cls(**_fields(cls, values))
+    except ValueError as exc:
+        names = "|".join(f.name for f in fields(cls))
+        raise ConfigError(re.sub(rf"\b({names})\b", lambda m: _LABELS[m[1]],
+                                 str(exc))) from None
 
 
 def _load_coupling_file(path: str | None, n_ions: int | None) -> ionchain.CouplingMatrix:
@@ -591,12 +583,12 @@ def _cmd_dispersion(rc: RunConfig) -> int:
     J = _build_couplings(rc)
     spectrum = magnon.diagonalize_magnons(J)
     path = mio.save_dispersion(rc.outdir / "dispersion.csv", spectrum,
-                               rc.meta(v_g_max=magnon.max_group_velocity(spectrum)))
+                               rc.meta(v_g_max=magnon.max_group_velocity(spectrum.energies)))
     _report(path, "dispersion")
     fit = analysis.fit_alpha_dispersion(
         np.column_stack([spectrum.pseudo_momenta, spectrum.energies]), J.n_ions)
     path = mio.write_ndjson(rc.outdir / "alpha_fit.ndjson",
-                            [mio.fit_record(fit, mio.config_hash(J.values))],
+                            [mio.fit_record(fit, mio.matrix_hash(J.values))],
                             rc.meta())
     _report(path, "alpha_fit")
     return EXIT_OK
@@ -656,7 +648,7 @@ def _cmd_lightcone(rc: RunConfig) -> int:
     front = analysis.fit_front_velocity([(d, f.t0) for d, f in fits])
     cone = bounds.nn_lightcone(J)
 
-    provenance = mio.config_hash(J.values)
+    provenance = mio.matrix_hash(J.values)
     records = [mio.fit_record(f, provenance) for _, f in fits]
     records += [mio.fit_record(s, provenance) for s in skipped]
     records.append(mio.fit_record(front, provenance))
@@ -676,7 +668,7 @@ def _cmd_lightcone(rc: RunConfig) -> int:
 def _cmd_fit(rc: RunConfig) -> int:
     J = _build_couplings(rc)
     spectrum = magnon.diagonalize_magnons(J)
-    provenance = mio.config_hash(J.values)
+    provenance = mio.matrix_hash(J.values)
     disp_fit = analysis.fit_alpha_dispersion(
         np.column_stack([spectrum.pseudo_momenta, spectrum.energies]), J.n_ions)
     real_fit = analysis.fit_alpha_realspace(J)

@@ -7,17 +7,21 @@ Floats are written as ``repr`` writes them, which round-trips IEEE doubles exact
 CSV always uses '.' as the decimal separator regardless of locale.
 
 Every CSV is written column-wise, 4096 rows at a time (:func:`write_columns`
-for tables; there is no row-wise writer).  When every column is a numeric
-numpy array, each column of a chunk formats each distinct value once, as
-a fixed-width ASCII field padded with NUL bytes: ``str`` per distinct
+for tables; there is no row-wise writer).  Each numeric numpy column of a
+chunk formats each distinct value once, as a fixed-width ASCII field
+padded with NUL bytes: ``str`` per distinct
 integer, and per distinct float bit pattern either ``repr`` or, from
 ``FLOAT_TEXT_MIN`` distinct floats on, the numpy formatter of
 :mod:`._floattext`, which writes exactly ``repr``'s text (and leaves
 zeros, subnormals, NaN and infinities to ``repr``).  Each row takes its
 fields by index, the fields and separators lie side by side in one byte
-array, and one boolean compress drops the NUL bytes.  A table with a list
-or tuple column is formatted cell by cell.  The same float fields build
-the JSON text a coupling matrix is hashed from.
+array, and one boolean compress drops the NUL bytes.  A list or tuple
+column joins the same rows as a field of its cells' texts, one per row,
+in the file's encoding.
+
+A fit record names its coupling matrix by :func:`matrix_hash`, taken from
+the matrix's bytes; :func:`config_hash` hashes the canonical JSON text of
+a configuration.
 
 Coupling matrices travel as N x N CSV with a mandatory '# unit = ...' tag
 (rad/s or Hz) — an untagged file is rejected rather than guessed at.
@@ -60,20 +64,17 @@ class ConfigError(ValueError):
 
 
 def config_hash(obj) -> str:
-    """Short stable hash of any JSON-serializable configuration object.
-
-    A finite 2-D float array (a coupling matrix) is hashed from the same
-    text ``json.dumps`` writes for its nested lists, built from
-    :func:`_float_cells`, so each distinct entry is formatted once.
-    """
-    if (isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f"
-            and obj.dtype.itemsize <= 8 and np.isfinite(obj).all()):
-        cells, m = _float_cells(obj), obj.shape[1]
-        rows = (",".join(cells[i * m:(i + 1) * m]) for i in range(obj.shape[0]))
-        blob = "[" + ",".join(f"[{row}]" for row in rows) + "]"
-    else:
-        blob = json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":"))
+    """Short stable hash of any JSON-serializable configuration object."""
+    blob = json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def matrix_hash(values) -> str:
+    """Short stable hash of a matrix: sha256 of its shape and its
+    little-endian float64 bytes, so equal values hash alike on any machine
+    (-0.0 and 0.0 apart)."""
+    a = np.ascontiguousarray(values, dtype="<f8")
+    return hashlib.sha256(str(a.shape).encode() + a.tobytes()).hexdigest()[:12]
 
 
 def _jsonify(obj):
@@ -124,8 +125,8 @@ def _cell(x) -> str:
     return repr(float(x))
 
 
-def _strings_field(cells: list[str]) -> np.ndarray:
-    """ASCII ``cells`` as a (n, width) byte field, NUL-padded."""
+def _strings_field(cells: list) -> np.ndarray:
+    """ASCII ``cells`` (or encoded ones) as a (n, width) byte field, NUL-padded."""
     text = np.array(cells, dtype=bytes)
     return text.view(np.uint8).reshape(text.size, text.itemsize)
 
@@ -144,27 +145,22 @@ def _distinct_field(col):
     if floats.size < FLOAT_TEXT_MIN:
         return _strings_field(list(map(repr, floats.tolist()))), inverse
     from ._floattext import render
-    # _CHUNK_ROWS values per call bound the kernel's temporaries: hashing a
-    # 1000 x 1000 matrix of distinct values peaks at 201 MB, not 397 MB
-    text = np.concatenate([render(floats[start:start + _CHUNK_ROWS])
-                           for start in range(0, floats.size, _CHUNK_ROWS)])
+    text = render(floats)                   # at most _CHUNK_ROWS values
     return np.compress(text.any(axis=0), text, axis=1), inverse
 
 
-def _float_cells(values) -> list[str]:
-    """``repr`` of every value as a double, flattened, each distinct one formatted once.
-
-    Values are told apart by their bit patterns, so -0.0 and 0.0 keep their
-    own text, and every NaN payload prints 'nan'.
-    """
-    text, inverse = _distinct_field(np.asarray(values, dtype=np.float64))
-    lines = _rows_text([text], [np.arange(len(text))]).tobytes().decode().split("\n")
-    return np.array(lines[:-1], dtype=object)[inverse].tolist()
+def _field(col, encoding: str):
+    """:func:`_distinct_field` of a numeric numpy array; of any other column,
+    the byte field of each cell's :func:`_cell` text in ``encoding`` and the
+    row index."""
+    if isinstance(col, np.ndarray) and col.dtype.kind in "iufb":
+        return _distinct_field(col)
+    return _strings_field([_cell(x).encode(encoding) for x in col]), np.arange(len(col))
 
 
 def _rows_text(fields, inverses) -> np.ndarray:
     """CSV rows of the distinct-value ``fields`` of each column taken at each
-    row's index, as an array of ASCII bytes: the fields side by side with their
+    row's index, as an array of bytes: the fields side by side with their
     separators in one byte array, the NUL bytes cut out."""
     widths = [text.shape[1] + 1 for text in fields]
     rows = np.empty((len(inverses[0]), sum(widths)), dtype=np.uint8)
@@ -179,27 +175,22 @@ def _rows_text(fields, inverses) -> np.ndarray:
 
 
 def _write_lines(path, lines: list[str], columns=()) -> Path:
-    """Write ``lines``, then CSV rows assembled from equal-length ``columns``.
-
-    When every column is a numeric numpy array the rows are built as bytes
-    (:func:`_rows_text`); otherwise cell by cell as strings.
-    """
+    """Write ``lines``, then CSV rows assembled from equal-length ``columns``
+    as bytes (:func:`_rows_text`): a numeric numpy array by its distinct
+    values, any other column by the :func:`_cell` text of each cell,
+    encoded as the file encodes ``lines``."""
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
-    numeric = all(isinstance(c, np.ndarray) and c.dtype.kind in "iufb" for c in columns)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
         fh.flush()
         for start in range(0, n_rows, _CHUNK_ROWS):
-            chunk = [c[start:start + _CHUNK_ROWS] for c in columns]
-            if numeric:
-                fh.buffer.write(_rows_text(*zip(*map(_distinct_field, chunk))))
-            else:
-                fh.write("\n".join(map(",".join, zip(*(map(_cell, c) for c in chunk)))) + "\n")
+            chunk = [_field(c[start:start + _CHUNK_ROWS], fh.encoding) for c in columns]
+            fh.buffer.write(_rows_text(*zip(*chunk)))
     return path
 
 
@@ -207,10 +198,10 @@ def write_columns(path, names, columns, meta: dict | None = None) -> Path:
     """Generic CSV from equal-length columns: header comments, a name row, data rows.
 
     Integral cells are written as integers, strings verbatim, everything
-    else with full float round-trip precision.  When every column is a
-    numeric numpy array the rows are built as bytes a chunk at a time, each
-    distinct value formatted once, without per-cell type checks; with a
-    list or tuple column every cell goes through the per-cell rule.
+    else with full float round-trip precision.  The rows are built as bytes
+    a chunk at a time: a numeric numpy array formats each distinct value
+    once, without per-cell type checks, and every cell of a list or tuple
+    column goes through the per-cell rule.
     """
     return _write_lines(path, header_lines(meta) + [",".join(names)], columns)
 

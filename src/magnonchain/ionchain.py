@@ -93,14 +93,12 @@ class TrapConfig:
     def __post_init__(self):
         if self.n_ions < 2:
             raise ValueError(f"need at least 2 ions, got {self.n_ions}")
-        for name in ("axial_freq", "transverse_freq_x", "transverse_freq_y"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        _check_positive(self, "axial_freq", "transverse_freq_x", "transverse_freq_y",
+                        "ion_mass", "laser_wavelength")
         if self.transverse_freq_x <= self.axial_freq or self.transverse_freq_y <= self.axial_freq:
-            raise ValueError("transverse frequencies must exceed the axial frequency "
-                             "for a stable linear chain")
-        if self.ion_mass <= 0 or self.laser_wavelength <= 0:
-            raise ValueError("ion_mass and laser_wavelength must be > 0")
+            raise ValueError(f"transverse_freq_x and transverse_freq_y must exceed axial_freq "
+                             f"for a stable linear chain, got {self.transverse_freq_x}, "
+                             f"{self.transverse_freq_y} and {self.axial_freq}")
 
 
 @dataclass(frozen=True)
@@ -119,10 +117,14 @@ class BeamProfile:
     center_offset: float
 
     def __post_init__(self):
-        if self.peak_rabi <= 0:
-            raise ValueError("peak_rabi must be > 0")
-        if self.waist_along_chain <= 0:
-            raise ValueError("waist_along_chain must be > 0")
+        _check_positive(self, "peak_rabi", "waist_along_chain")
+
+
+def _check_positive(config, *names: str) -> None:
+    """ValueError naming the first of the fields ``names`` of ``config`` that is not > 0."""
+    for name in names:
+        if getattr(config, name) <= 0:
+            raise ValueError(f"{name} must be > 0, got {getattr(config, name)}")
 
 
 @dataclass(frozen=True)

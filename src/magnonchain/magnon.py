@@ -8,7 +8,9 @@ real orthonormal eigenvectors c_{i,k} are standing-wave mode functions.
 Open boundaries make true momentum ill-defined, but the number of nodes of
 c_{.,k} is well defined and assigns each mode a pseudo-momentum
 k_n = n pi / (N+1) with n-1 nodes.  The node counts of all N mode functions
-are taken in one vectorised pass over the eigenvector matrix.
+are taken in one vectorised pass over the eigenvector matrix.  Only the
+dispersion needs these labels: the propagator sums over the modes of
+``eigh`` directly, as no amplitude depends on how the modes are named.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ class MagnonSpectrum:
         object.__setattr__(self, "mode_functions", _readonly(np.asarray(self.mode_functions, float)))
         object.__setattr__(self, "pseudo_momenta", _readonly(np.asarray(self.pseudo_momenta, float)))
         object.__setattr__(self, "node_counts", _readonly(np.asarray(self.node_counts, int)))
-
-    @property
-    def n_ions(self) -> int:
-        return self.energies.size
 
 
 @dataclass(frozen=True)
@@ -108,18 +106,18 @@ def diagonalize_magnons(J: CouplingMatrix) -> MagnonSpectrum:
     )
 
 
-def max_group_velocity(spectrum: MagnonSpectrum) -> float:
-    """Maximal group velocity in sites/s.
+def max_group_velocity(energies: np.ndarray) -> float:
+    """Maximal group velocity in sites/s of the mode ``energies`` (rad/s) in
+    node order, e.g. ``MagnonSpectrum.energies``.
 
     Largest magnitude of the forward finite difference of the dispersion
     over adjacent pseudo-momenta:
     v_g^max = max_k |omega_{k + pi/(N+1)} - omega_k| * (N+1)/pi.
     """
-    n = spectrum.n_ions
+    n = len(energies)
     if n < 2:
         raise ValueError("need at least 2 modes")
-    domega = np.diff(spectrum.energies)
-    return float(np.abs(domega).max() * (n + 1) / np.pi)
+    return float(np.abs(np.diff(energies)).max() * (n + 1) / np.pi)
 
 
 def evolve_single_excitation(J: CouplingMatrix, quench_site: int,
@@ -137,12 +135,18 @@ def evolve_single_excitation(J: CouplingMatrix, quench_site: int,
 def _single_excitation_amplitudes(J: CouplingMatrix, quench_site: int,
                                   times: np.ndarray) -> np.ndarray:
     """The (T, N) amplitudes a_i(t) of :func:`evolve_single_excitation`, as
-    one array; every row is checked to be normalized to 1e-9."""
+    one array; every row is checked to be normalized to 1e-9.
+
+    The sum over modes needs neither their node labels nor a sign
+    convention: each term c_{i,k} c_{l,k} is the same for -c_{.,k}."""
     _check_site(J.n_ions, quench_site)
-    spectrum = diagonalize_magnons(J)
-    c = spectrum.mode_functions
+    energies, c = np.linalg.eigh(J.values)
+    # descending energy is the node order of every power-law and
+    # nearest-neighbour chain, so the modes add up in the order of the
+    # labelled spectrum, to the same bits
+    energies, c = energies[::-1], c[:, ::-1]
     weights = c[quench_site - 1, :]                       # c_{l,k}
-    phases = np.exp(-1j * np.outer(times, spectrum.energies))   # (T, N)
+    phases = np.exp(-1j * np.outer(times, energies))      # (T, N)
     amps = (phases * weights) @ c.T                             # (T, N sites)
     norms = np.sum(np.abs(amps) ** 2, axis=1)
     off = np.abs(norms - 1.0) > 1e-9

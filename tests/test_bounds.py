@@ -172,13 +172,20 @@ def test_bound_grows_with_time(d):
 # NN cone reference
 
 
-def test_nn_lightcone_of_uniform_chain():
-    J = ionchain.nearest_neighbour_coupling(9, J0)
+@pytest.mark.parametrize("n,jbar", [(2, J0), (3, J0), (9, J0), (201, J0), (9, -J0), (9, 0.0)],
+                         ids=["n2", "n3", "n9", "n201", "negative", "zero"])
+def test_nn_lightcone_of_uniform_chain(n, jbar):
+    """The closed-form cone velocity is that of the diagonalized chain (0
+    when there is no coupling)."""
+    J = ionchain.nearest_neighbour_coupling(n, jbar)
     params = bounds.nn_lightcone(J)
-    assert params.g == pytest.approx(J0)
-    assert params.jbar == pytest.approx(J0)
+    assert params.g == pytest.approx(abs(jbar))
+    assert params.jbar == pytest.approx(jbar)
+    if jbar == 0.0:
+        assert params.v == 0.0
+        return
     spec = magnon.diagonalize_magnons(J)
-    assert params.v == pytest.approx(magnon.max_group_velocity(spec), rel=1e-12)
+    assert params.v == pytest.approx(magnon.max_group_velocity(spec.energies), rel=1e-12)
 
 
 def test_nn_lightcone_uses_mean_bond_of_nonuniform_chain():

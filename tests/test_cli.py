@@ -639,6 +639,20 @@ def test_power_law_with_negative_alpha_runs_without_warnings(tmp_path, capsys):
     np.testing.assert_array_equal(J, ionchain.nearest_neighbour_coupling(7, J[0, 1]).values)
 
 
+@pytest.mark.parametrize("command", [["lightcone"], ["quench", "--model", "single-excitation"]])
+def test_a_trap_single_excitation_run_does_not_label_modes(tmp_path, capsys, command):
+    """Propagation sums over the modes without naming them, so a trap chain
+    whose node counts repeat runs without a warning; ``dispersion``, which
+    writes the labels, still warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(command + ["--source", "trap", "--n", "25",
+                                   "-o", str(tmp_path / "run")]) == 0
+    with pytest.warns(RuntimeWarning, match="ambiguous node labelling"):
+        assert cli.main(["dispersion", "--n", "25", "-o", str(tmp_path / "dispersion")]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv,ini", [
     (["quench", "--model", "xy", "--field", "-100"], ""),
     (["quench", "--model", "ising", "--source", "trap", "--field", "-100"], ""),
@@ -917,16 +931,22 @@ def test_a_value_out_of_range_is_refused_naming_its_setting(tmp_path, capsys, se
     """A flag (a key, where there is no flag) below its setting's minimum, or
     a key outside its choices (a flag's choices are argparse's to check)."""
     command = next(c for c, (_, groups) in cli.COMMANDS.items() if setting.group in groups)
-    value = "bogus" if setting.choices else str(setting.low - 1)
-    if setting.choices or not setting.flags:
-        (tmp_path / "run.ini").write_text(f"[{setting.ini[0]}]\n{setting.ini[1]} = {value}\n")
-        argv = [command, "-c", str(tmp_path / "run.ini")]
-    else:
-        argv = [command, setting.flags[0], value]
-    message = f"{setting.label} must be " + ("one of " if setting.choices else "")
-    assert cli.main(argv + ["-o", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {message}")
-    assert not (tmp_path / "out").exists()
+    cases = [("bogus" if setting.choices else str(setting.low - 1),
+              f"{setting.label} must be " + ("one of " if setting.choices else ""))]
+    if not setting.flags and setting.low == 0:      # a trap or beam value its dataclass refuses
+        cases.append(("0", f"{setting.label} must be > 0, got 0.0"))
+    if setting.name.startswith("transverse_freq"):
+        cases.append(("1e5", "[trap] transverse_freq_x and [trap] transverse_freq_y must "
+                             "exceed [trap] axial_freq for a stable linear chain, got "))
+    for value, message in cases:
+        if setting.choices or not setting.flags:
+            (tmp_path / "run.ini").write_text(f"[{setting.ini[0]}]\n{setting.ini[1]} = {value}\n")
+            argv = [command, "-c", str(tmp_path / "run.ini")]
+        else:
+            argv = [command, setting.flags[0], value]
+        assert cli.main(argv + ["-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_has_no_hand_written_setting_label():

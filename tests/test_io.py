@@ -69,15 +69,9 @@ def test_config_hash_keeps_signed_zeros_apart():
     assert mio.config_hash(A) != mio.config_hash(np.abs(A))
 
 
-def test_config_hash_of_non_finite_matrix_goes_through_json(monkeypatch):
-    def no_cells(values):
-        raise AssertionError("formatted cell by cell")
-
-    monkeypatch.setattr(mio, "_float_cells", no_cells)
+def test_config_hash_of_non_finite_matrix_goes_through_json():
     A = np.array([[0.0, np.nan], [np.inf, -np.inf]])
     assert mio.config_hash(A) == _json_hash(A.tolist())
-    with pytest.raises(AssertionError, match="cell by cell"):
-        mio.config_hash(np.zeros((2, 2)))
 
 
 def test_config_hash_accepts_numpy_and_paths(tmp_path):
@@ -471,15 +465,25 @@ def test_fit_records_write_the_lines_of_deep_copies(tmp_path):
         assert path.read_bytes() == expected.read_bytes(), type(fit).__name__
 
 
-def test_fit_record_flattens_dataclasses():
+def test_fit_record_flattens_dataclasses(tmp_path):
     from magnonchain.analysis import AlphaFit
-    rec = mio.fit_record(AlphaFit(alpha=1.5, scale=2.0, residual=0.1,
-                                  method="dispersion"), "abc123")
+    fit = AlphaFit(alpha=1.5, scale=2.0, residual=0.1, method="dispersion")
+    rec = mio.fit_record(fit, "abc123")
     assert rec["fit"] == "AlphaFit"
     assert rec["input_hash"] == "abc123"
     assert rec["alpha"] == 1.5
     with pytest.raises(TypeError):
         mio.fit_record({"not": "a dataclass"}, "h")
+    # a trap matrix and its CSV read back are one input; one ulp off is another
+    J = cli._build_couplings(cli.resolve(cli.build_parser().parse_args(["couplings", "--n", "25"])))
+    back = mio.load_couplings(mio.save_couplings(tmp_path / "J.csv", J))
+    assert (mio.fit_record(fit, mio.matrix_hash(back.values))
+            == mio.fit_record(fit, mio.matrix_hash(J.values)))
+    nudged = J.values.copy()
+    nudged[3, 4] = np.nextafter(nudged[3, 4], np.inf)
+    assert mio.matrix_hash(nudged) != mio.matrix_hash(J.values)
+    assert len(mio.matrix_hash(J.values)) == 12
+    assert mio.matrix_hash(np.zeros((2, 3))) != mio.matrix_hash(np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------

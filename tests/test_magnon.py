@@ -1,6 +1,5 @@
 """Magnon diagonalization, node-count labelling, and spectral evolution."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -135,7 +134,7 @@ def test_max_group_velocity_nn_analytic():
     spec = magnon.diagonalize_magnons(ionchain.nearest_neighbour_coupling(n, J0))
     w = nn_dispersion(n, J0)
     expected = np.abs(np.diff(w)).max() * (n + 1) / np.pi
-    assert magnon.max_group_velocity(spec) == pytest.approx(expected, rel=1e-12)
+    assert magnon.max_group_velocity(spec.energies) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +190,8 @@ def test_evolve_checks_site_range():
 
 def test_amplitude_array_checks_the_norm_of_its_rows(monkeypatch):
     J = ionchain.power_law_coupling(6, 1.3, J0)
-    spectrum = magnon.diagonalize_magnons(J)
-    stretched = dataclasses.replace(spectrum,
-                                    mode_functions=spectrum.mode_functions * (1 + 1e-8))
-    monkeypatch.setattr(magnon, "diagonalize_magnons", lambda J: stretched)
+    energies, vectors = np.linalg.eigh(J.values)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (energies, vectors * (1 + 1e-8)))
     with pytest.raises(ValueError, match="not normalized"):
         magnon._single_excitation_amplitudes(J, 3, np.linspace(0.0, 0.03, 7))
 
