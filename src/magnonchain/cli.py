@@ -481,10 +481,14 @@ def _build_couplings(rc: RunConfig) -> ionchain.CouplingMatrix:
             return ionchain.power_law_coupling(rc.n_ions, rc.alpha, rc.nn_strength)
         return ionchain.nearest_neighbour_coupling(rc.n_ions, rc.nn_strength)
     except ValueError:          # finite settings, so the matrix overflowed
-        names = ("nn_strength", "alpha") if rc.source == "power_law" else ("nn_strength",)
         raise ConfigError(f"the {rc.source.replace('_', '-')} couplings of "
-                          f"{' and '.join(_LABELS[n] for n in names)} must be finite, got "
-                          f"entries beyond the largest double") from None
+                          f"{' and '.join(_LABELS[n] for n in _SCALES[rc.source])} must be "
+                          f"finite, got entries beyond the largest double") from None
+
+
+#: The settings that scale a synthetic coupling matrix, by source.
+_SCALES = {"power_law": ("nn_strength", "alpha"), "nearest_neighbour": ("nn_strength",),
+           "trap": (), "file": ()}
 
 
 def _field_rad(rc: RunConfig, J: ionchain.CouplingMatrix) -> float:
@@ -495,13 +499,27 @@ def _field_rad(rc: RunConfig, J: ionchain.CouplingMatrix) -> float:
     return 2.0 * np.pi * rc.field_hz
 
 
-def _quench(rc: RunConfig, J: ionchain.CouplingMatrix):
+def _quench(rc: RunConfig, J: ionchain.CouplingMatrix, window=("t_start", "t_end")):
     """(initial state, Hamiltonian) of the quench of ``rc`` under its Ising
-    or XY Hamiltonian."""
+    or XY Hamiltonian, its phases checked over the times of the ``window``
+    settings (:func:`_check_phases`)."""
     H = dynamics.build_hamiltonian(J, transverse_field=_field_rad(rc, J), model=rc.model)
+    _check_phases(rc, H, window)
     psi0 = dynamics.prepare_state(
         dynamics.QuenchSpec(kind=rc.kind, flipped_sites=rc.flip), rc.n_ions)
     return psi0, H
+
+
+def _check_phases(rc: RunConfig, H: dynamics.Hamiltonian, window=("t_start", "t_end")) -> None:
+    """ConfigError naming the settings that set them if the phases of H
+    over the times of the ``window`` settings pass ``dynamics.MAX_PHASE``;
+    checked before anything is assembled."""
+    try:
+        dynamics.check_phases(H, max(abs(getattr(rc, name)) for name in window))
+    except ValueError as exc:
+        names = _SCALES[rc.source] + ("field_hz",) * (H.model == "ising") + window
+        raise ConfigError(f"{exc}; they are set by "
+                          f"{', '.join(_LABELS[n] for n in names)}") from None
 
 
 def _check_window(rc: RunConfig, n_states: int) -> None:
@@ -516,8 +534,9 @@ def _check_window(rc: RunConfig, n_states: int) -> None:
 
 def _propagate(rc: RunConfig, J: ionchain.CouplingMatrix):
     """(times, magnetisation (T,N), correlations (T,N,N) or None)."""
-    if rc.model == "single_excitation":
+    if rc.model == "single_excitation":          # the one-excitation block of H_XY
         _check_window(rc, rc.n_ions)
+        _check_phases(rc, dynamics.build_hamiltonian(J, model="xy"))
         times = rc.times
         amps = magnon._single_excitation_amplitudes(J, rc.flip[0], times)
         return times, 2.0 * np.abs(amps) ** 2 - 1.0, None
@@ -604,7 +623,7 @@ def _cmd_quench(rc: RunConfig) -> int:
 def _cmd_tomo(rc: RunConfig) -> int:
     J = _build_couplings(rc)
     sites = tuple(sorted(rc.sites))
-    traj = dynamics.evolve(*_quench(rc, J), np.array([rc.sample_time]))
+    traj = dynamics.evolve(*_quench(rc, J, ("sample_time",)), np.array([rc.sample_time]))
     rho_exact = entanglement.reduced_density_matrix(traj.state(0), sites)
 
     counts = entanglement.simulate_tomography(rho_exact, rc.shots, rc.seed)

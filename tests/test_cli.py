@@ -458,6 +458,54 @@ def test_quench_above_the_state_limit_is_config_error(tmp_path, capsys, argv, n,
     assert not any(tmp_path.iterdir())
 
 
+_PHASE_SETTINGS = ("--jbar / [couplings] nn_strength, --alpha / [couplings] alpha, "
+                   "--field / [trap] transverse_field, ")
+_XY_PHASE_SETTINGS = ("--jbar / [couplings] nn_strength, --alpha / [couplings] alpha, "
+                      "--t-start / [run] t_start, --t-end / [run] t_end")
+
+
+@pytest.mark.parametrize("argv,settings", [
+    (["quench", "--n", "7", "--model", "ising", "--jbar", "1e300"],
+     _PHASE_SETTINGS + "--t-start / [run] t_start, --t-end / [run] t_end"),
+    (["global-quench", "--n", "7", "--field", "1e300"],
+     _PHASE_SETTINGS + "--t-start / [run] t_start, --t-end / [run] t_end"),
+    (["quench", "--n", "7", "--model", "xy", "--jbar", "1e300"], _XY_PHASE_SETTINGS),
+    (["quench", "--n", "7", "--model", "single-excitation", "--jbar", "1e300"],
+     _XY_PHASE_SETTINGS),
+    (["lightcone", "--source", "nearest-neighbour", "--jbar", "1e300"],
+     "--jbar / [couplings] nn_strength, --t-start / [run] t_start, --t-end / [run] t_end"),
+    (["tomo", "--n", "7", "--model", "ising", "--time", "1e7"], _PHASE_SETTINGS + "--time"),
+])
+def test_phases_without_digits_are_refused_naming_their_settings(tmp_path, capsys,
+                                                                monkeypatch, argv, settings):
+    """A bound ||H|| max|t| above ``dynamics.MAX_PHASE`` exits 2 before any
+    sector is assembled or propagated, naming the settings that set H and
+    the window."""
+    def never(*args, **kwargs):
+        raise AssertionError("assembled before the phases were checked")
+    monkeypatch.setattr(dynamics, "_assemble", never)
+    monkeypatch.setattr(magnon, "_single_excitation_amplitudes", never)
+    assert cli.main(argv + ["-o", str(tmp_path / "refused")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the phases ||H|| max|t| reach "), err
+    assert err.endswith(f"rad; they are set by {settings}\n"), err
+    assert not (tmp_path / "refused").exists()
+
+
+def test_the_phase_limit_is_checked_against_the_norm_bound(tmp_path, capsys, monkeypatch):
+    """A quench runs at the limit its phase bound reaches, and is refused
+    one ulp below it."""
+    J = ionchain.power_law_coupling(7, 1.5, 2 * np.pi * 30.0)
+    B = 50.0 * np.abs(J.values).max()
+    bound = (np.abs(np.triu(J.values, 1)).sum() + 7 * B) * 0.005
+    argv = ["quench", "--n", "7", "--model", "ising", "--t-end", "0.005", "--n-points", "3"]
+    monkeypatch.setattr(dynamics, "MAX_PHASE", bound)
+    assert cli.main(argv + ["-o", str(tmp_path / "run")]) == 0
+    monkeypatch.setattr(dynamics, "MAX_PHASE", np.nextafter(bound, 0.0))
+    assert cli.main(argv + ["-o", str(tmp_path / "refused")]) == 2
+    assert "config error: the phases ||H|| max|t| reach" in capsys.readouterr().err
+
+
 def test_missing_coupling_file_flag_is_config_error(tmp_path, capsys):
     code, _ = run(["fit", "-o", str(tmp_path)], capsys)
     assert code == 2
@@ -986,7 +1034,7 @@ def test_unreachable_krylov_target_is_numeric_error(tmp_path, capsys, monkeypatc
     # the Krylov path on a 528-state mirror sector, above the Lanczos order
     # cap, every subspace tested against an error target of 0, so the CLI's
     # target of 1e-9 is never met
-    monkeypatch.setattr(dynamics, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(dynamics, "_propagator", lambda *sector: ("krylov", "by the test"))
     subspace = dynamics._lanczos_subspace
     monkeypatch.setattr(dynamics, "_lanczos_subspace",
                         lambda lanczos, dts, tol: subspace(lanczos, dts, 0.0))
@@ -1079,8 +1127,8 @@ def _in_fresh_interpreter(code: str, *args: str) -> str:
 
 def test_importing_the_cli_leaves_scipy_unloaded():
     """Starting the command line loads no scipy module: scipy.sparse and
-    scipy.linalg wait for a sector above DENSE_LIMIT, scipy.special for
-    the Bessel bound."""
+    scipy.linalg wait for a sector the cost rule sends to Krylov,
+    scipy.special for the Bessel bound."""
     code = ("import sys, magnonchain.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert _in_fresh_interpreter(code).strip() == "[]"

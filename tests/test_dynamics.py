@@ -722,20 +722,72 @@ def test_a_subspace_that_never_converges_is_decomposed_once_per_tested_order(mon
     assert decompositions == list(range(4, dynamics.KRYLOV_ORDERS + 1, 4))
 
 
+def test_the_test_shortcut_skips_only_orders_whose_full_test_fails(monkeypatch):
+    """Every order tested before a subspace returns fails the full test,
+    recomputed from ``lanczos.tested``: not every time converges there.  So
+    the one-time check at the longest step (:func:`dynamics._fails_at`),
+    which skips the full test at most of those orders, never skips an order
+    that would have returned.  Covered: 201 times on both sectors of the
+    N = 11 global Ising quench, and a stall with its replay."""
+    calls, skipped = [], []
+    subspace, fails_at = dynamics._lanczos_subspace, dynamics._fails_at
+
+    def recorded(lanczos, dts, tol):
+        result = subspace(lanczos, dts, tol)
+        calls.append((lanczos, dts.copy(), tol, result[1].shape[0] - 1))
+        return result
+
+    monkeypatch.setattr(dynamics, "_lanczos_subspace", recorded)
+    monkeypatch.setattr(dynamics, "_fails_at", lambda *a: skipped.append(fails_at(*a)) or
+                        skipped[-1])
+    J = ionchain.power_law_coupling(11, 1.5, J0)
+    H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
+                                   model="ising")
+    dynamics.evolve(dynamics.prepare_state(QuenchSpec("global"), 11), H,
+                    np.linspace(0.0, 0.005, 201), method="krylov")
+    H, psi0 = _ising_n11()
+    dynamics.evolve(psi0, H, np.array([0.0, 0.03]), method="krylov")
+    checked = 0
+    for lanczos, dts, tol, returned in calls:
+        steps = np.abs(dts)
+        for m, (evals, first, last) in lanczos.tested.items():
+            if m >= returned:
+                continue
+            defect = lanczos.beta[m] * np.abs((last * first) @ np.exp(-1j * np.outer(evals, dts)))
+            err = steps * np.array([defect[steps <= s].max() for s in steps])
+            assert not np.all(err < tol / 4), (m, returned)
+            checked += 1
+    assert checked > 50 and sum(skipped) > 50
+
+
+@pytest.mark.parametrize("empty", [(), (0,), (2, 3), (5,), (0, 1, 2, 3, 4, 5)])
+def test_the_norm_bound_is_the_largest_absolute_row_sum(empty):
+    """Gershgorin's bound of the cost rule, with empty rows first, inside,
+    last or everywhere."""
+    A = random_coupling(6, seed=7)
+    A[list(empty)] = 0.0
+    A[:, list(empty)] = 0.0
+    M = sp.csr_matrix(A)
+    assert dynamics._row_sum_bound(M.data, M.indptr) == pytest.approx(
+        np.abs(A).sum(axis=1).max(), rel=1e-15)
+
+
 def _krylov_blocks():
-    """A conserved block above ``DENSE_LIMIT`` of each model, assembled
-    whole (no mirror split), and its one-basis-state start, as a complex
-    array: the 2048-state odd parity half of N = 12 Ising at B = 50 max|J|,
-    site 6 flipped, and the 1225-state two-flip block of N = 50 XY, sites
-    10 and 30 flipped."""
+    """A conserved block of each model that 'auto' propagates by Krylov,
+    assembled whole (no mirror split), and its one-basis-state start, as a
+    complex array: the 2048-state odd parity half of N = 12 Ising at
+    B = 50 max|J|, site 6 flipped, and the 1225-state two-flip block of
+    N = 50 XY, sites 10 and 30 flipped."""
     for n, model, flips, t_end in ((12, "ising", (6,), 0.01), (50, "xy", (10, 30), 0.02)):
         J = ionchain.power_law_coupling(n, 1.3, J0)
         H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
                                        model=model)
         basis = dynamics._block_basis(H, len(flips) if model == "xy" else 1)
-        assert basis.size > dynamics.DENSE_LIMIT
         block = dynamics.Hamiltonian(dynamics._assemble(H, basis), n, model,
                                      H.transverse_field, J)
+        data, _, indptr = block._csr_arrays
+        assert dynamics._propagator(basis.size, data.size,
+                                    dynamics._row_sum_bound(data, indptr), t_end, 21)[0] == "krylov"
         psi = np.zeros(basis.size, dtype=complex)
         psi[np.searchsorted(basis, sum(1 << (s - 1) for s in flips))] = 1.0
         yield block, psi, np.linspace(0.0, t_end, 21)
@@ -1053,36 +1105,48 @@ def test_krylov_nearest_neighbour_xy_is_free_fermions(n, method, data):
 
 
 def test_auto_method_takes_each_side_of_the_dense_limit():
-    """A local Ising quench at N = 12 with flips 3 and 7 (power law with
-    alpha = 1.3, B = 50 max|J|) reaches a 1056-state + sector and a
-    992-state - sector, one on each side of DENSE_LIMIT: 'auto' propagates
-    the first by Krylov and the second densely, and agrees with 'dense'
-    everywhere to the Krylov error target."""
-    n = 12
-    J = ionchain.power_law_coupling(n, 1.3, J0)
-    H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
-                                   model="ising")
-    psi0 = dynamics.prepare_state(QuenchSpec("local", (3, 7)), n)
-    times = np.linspace(0.0, 0.002, 11)
+    """The cost rule sends one sector size to each side by the window: the
+    two 528-state sectors of a global quench at N = 11 (power law with
+    alpha = 1.5, B = 50 max|J|, 201 points) go to Krylov over 5 ms and to
+    the dense eigendecomposition over 50 ms, whose ten times more phase
+    takes about four times the Lanczos orders.  N = 7 quenches stay dense;
+    'dense' and 'krylov' override the rule.  'auto' agrees with 'dense'
+    to the Krylov error target."""
     krylov_trajectory, eigensystem = dynamics._krylov_trajectory, dynamics.Hamiltonian.eigensystem
-    ran = {"krylov": [], "dense": []}
+    ran = []
 
     def krylov(matvec, psi, *args):
-        ran["krylov"].append(psi.size)
+        ran.append(("krylov", psi.size))
         return krylov_trajectory(matvec, psi, *args)
 
     def dense(self):
-        ran["dense"].append(self.dim)
+        ran.append(("dense", self.dim))
         return eigensystem(self)
 
-    with mock.patch.object(dynamics, "_krylov_trajectory", krylov), \
-            mock.patch.object(dynamics.Hamiltonian, "eigensystem", dense):
-        auto = dynamics.evolve(psi0, H, times)
-    assert 992 <= dynamics.DENSE_LIMIT < 1056
-    assert ran == {"krylov": [1056], "dense": [992]}
-    exact = dynamics.evolve(psi0, H, times, method="dense")
+    def propagators(n, spec, t_end, method="auto"):
+        J = ionchain.power_law_coupling(n, 1.5, J0)
+        H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
+                                       model="ising")
+        ran.clear()
+        with mock.patch.object(dynamics, "_krylov_trajectory", krylov), \
+                mock.patch.object(dynamics.Hamiltonian, "eigensystem", dense):
+            traj = dynamics.evolve(dynamics.prepare_state(spec, n), H,
+                                   np.linspace(0.0, t_end, 201), method=method)
+        return list(ran), traj
+
+    short, auto = propagators(11, QuenchSpec("global"), 0.005)
+    assert short == [("krylov", 528), ("krylov", 528)]
+    assert propagators(11, QuenchSpec("global"), 0.05)[0] == [("dense", 528), ("dense", 528)]
+    choice, reason = dynamics._propagator(528, 27888, 1.06e5, 0.05, 201)   # those sectors
+    assert choice == "dense" and reason.startswith("dense: about ") and "for krylov" in reason
+    forced, exact = propagators(11, QuenchSpec("global"), 0.005, method="dense")
+    assert forced == [("dense", 528), ("dense", 528)]
     np.testing.assert_array_equal(auto.basis, exact.basis)
     np.testing.assert_allclose(auto.states, exact.states, rtol=0, atol=1e-9)
+    for spec in (QuenchSpec("global"), QuenchSpec("local", (2,)), QuenchSpec("local", (4,))):
+        assert {name for name, _ in propagators(7, spec, 0.005)[0]} == {"dense"}
+    assert {name for name, _ in propagators(7, QuenchSpec("local", (2,)), 0.005,
+                                            method="krylov")[0]} == {"krylov"}
 
 
 @settings(deadline=None, max_examples=12)
@@ -1247,6 +1311,29 @@ def test_per_site_correlations_equal_the_per_time_products(n):
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(dynamics.two_point_correlations(traj.state(3)), expected[3],
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("model,spec", [("xy", QuenchSpec("local", (2, 5, 6))),
+                                        ("ising", QuenchSpec("global"))])
+def test_correlations_in_blocks_of_rows_equal_the_per_site_formula(model, spec, monkeypatch):
+    """The one product over blocks of basis rows gives C_ij of the N
+    per-site products p @ (z z_i) to 1e-15 (|<z_i z_j>| <= 1), with block
+    boundaries inside the 84 three-flip XY states and the 256 Ising ones."""
+    n = 9 if model == "xy" else 8
+    H = dynamics.build_hamiltonian(_coupling(random_coupling(n, seed=43)),
+                                   transverse_field=70.0, model=model)
+    traj = dynamics.evolve(dynamics.prepare_state(spec, n), H, np.linspace(0, 0.01, 7))
+    assert traj.basis.size == (84 if model == "xy" else 256)
+    monkeypatch.setattr(dynamics, "_CORRELATION_CHUNK", 30 * n * (n + 1) // 2)
+    z = 2.0 * ((traj.basis[:, None] >> np.arange(n)) & 1) - 1.0
+    p = np.abs(traj.states) ** 2
+    m = p @ z
+    expected = (np.stack([p @ (z * z[:, [i]]) for i in range(n)], axis=-2)
+                - m[..., :, None] * m[..., None, :])
+    np.testing.assert_allclose(dynamics.two_point_correlations(traj), expected,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dynamics.two_point_correlations(traj.state(4)), expected[4],
+                               rtol=0, atol=1e-15)
 
 
 def test_averaged_correlations_by_hand():
