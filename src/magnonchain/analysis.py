@@ -7,8 +7,9 @@ Three families of estimators:
   open-chain power-law couplings J_ij = scale / |i-j|^alpha.  The scan
   needs only the model's eigenvalues: a power-law mode's node count equals
   its descending-energy rank, so the labels k_n = n pi / (N+1) follow from
-  the sorted energies.  This is the preferred estimator; the couplings
-  themselves are not a perfect power law, so the real-space log-log fit
+  the sorted energies, which the model's two half-size mirror blocks
+  give.  This is the preferred estimator; the couplings themselves are
+  not a perfect power law, so the real-space log-log fit
   (``fit_alpha_realspace``) is provided for comparison only.
 * ``arrival_times`` fits a + b exp(-(t-t0)^2 / 2 w^2) to the first
   magnetisation maximum of each site right of a single-excitation source,
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ionchain import CouplingMatrix, _check_site, _power_law_values
+from .magnon import _mirror_blocks
 
 ALPHA_SEARCH_RANGE = (0.0, 4.0)
 ALPHA_BRACKET_TOL = 1e-4
@@ -138,9 +140,12 @@ def fit_alpha_dispersion(dispersion, n_ions: int) -> AlphaFit:
     The exponent is found by golden-section search on [0, 4] (bracket
     tolerance 1e-4); for each candidate alpha the overall coupling scale
     is eliminated in closed form, which also makes the argmin invariant
-    under uniform rescaling of the input energies.  A minimum pinned to
-    the search boundary or a flat objective is reported through ``note``
-    with the best point still returned.
+    under uniform rescaling of the input energies.  So the energies are
+    fitted in units of the power of two 2^e at or below their largest
+    magnitude, an exact rescaling that keeps the squares of energies near
+    the largest double finite, and ``scale`` and ``residual`` are scaled
+    back.  A minimum pinned to the search boundary or a flat objective is
+    reported through ``note`` with the best point still returned.
     """
     pairs = np.atleast_2d(np.asarray(dispersion, dtype=float))
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -149,7 +154,8 @@ def fit_alpha_dispersion(dispersion, n_ions: int) -> AlphaFit:
         raise ValueError("need at least 4 dispersion points")
     order = np.argsort(pairs[:, 0])
     k_meas = pairs[order, 0]
-    w_meas = pairs[order, 1]
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(pairs[:, 1]).max()))[1] - 1)
+    w_meas = pairs[order, 1] / unit
 
     def objective(alpha):
         return _dispersion_mismatch(alpha, k_meas, w_meas, n_ions)[0]
@@ -157,14 +163,15 @@ def fit_alpha_dispersion(dispersion, n_ions: int) -> AlphaFit:
     note = ""
     lo, hi = ALPHA_SEARCH_RANGE
     coarse = [objective(a) for a in np.linspace(lo, hi, 9)]
-    if max(coarse) - min(coarse) <= 1e-12 * max(1.0, max(coarse)):
+    # flat within 1e-12 of max(1 rad/s, the largest mismatch), in fitted units
+    if max(coarse) - min(coarse) <= 1e-12 * max(1.0 / unit, max(coarse)):
         note = "flat objective; exponent not constrained by the data"
     alpha = _golden_section(objective, lo, hi, ALPHA_BRACKET_TOL)
     if not note and min(alpha - lo, hi - alpha) < 2.0 * ALPHA_BRACKET_TOL:
         note = (f"minimum at the alpha={alpha:.3f} search boundary; "
                 "true exponent may lie outside [0, 4]")
     residual, scale = _dispersion_mismatch(alpha, k_meas, w_meas, n_ions)
-    return AlphaFit(alpha=alpha, scale=scale, residual=residual,
+    return AlphaFit(alpha=alpha, scale=scale * unit, residual=residual * unit,
                     method="dispersion", note=note)
 
 
@@ -173,9 +180,12 @@ def _dispersion_mismatch(alpha, k_meas, w_meas, n_ions):
 
     Only the model's energies are needed: for a power-law chain the mode
     with the n-th highest energy has n - 1 nodes, so its pseudo-momentum
-    is n pi / (N + 1) without looking at the mode functions.
+    is n pi / (N + 1) without looking at the mode functions.  They come
+    from the model's two half-size mirror blocks (:func:`_power_law_energies`).
+    ``w_meas`` is in the units :func:`fit_alpha_dispersion` fits in, so that
+    its squares stay finite.
     """
-    energies = np.linalg.eigvalsh(_power_law_values(n_ions, alpha, 1.0))[::-1]
+    energies = _power_law_energies(n_ions, alpha)
     k_model = np.arange(1, n_ions + 1) * np.pi / (n_ions + 1)
     idx = np.abs(k_model[None, :] - k_meas[:, None]).argmin(axis=1)
     w_model = energies[idx]
@@ -183,6 +193,14 @@ def _dispersion_mismatch(alpha, k_meas, w_meas, n_ions):
     scale = float(w_model @ w_meas) / denom if denom > 0 else 0.0
     resid = w_meas - scale * w_model
     return float(np.sqrt(np.mean(resid ** 2))), scale
+
+
+def _power_law_energies(n_ions, alpha):
+    """Descending eigenvalues of J_ij = |i-j|^-alpha.  The matrix is Toeplitz,
+    so reflection symmetric by construction: they are the eigenvalues of its
+    two half-size mirror blocks (:func:`magnon._mirror_blocks`), merged."""
+    blocks = _mirror_blocks(_power_law_values(n_ions, alpha, 1.0))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[::-1]
 
 
 def _golden_section(f, a, b, tol):

@@ -567,7 +567,8 @@ def _export_trajectory(rc: RunConfig, times, mag, corr) -> None:
                                      rc.meta(model=rc.model))
         _report(path, "correlations")
         n_t, n_d = cbar.shape
-        columns = (np.repeat(times, n_d), np.tile(np.arange(1, n_d + 1), n_t), cbar.ravel())
+        columns = (mio._Labels.repeat(times, n_d), mio._Labels.tile(np.arange(1, n_d + 1), n_t),
+                   cbar.ravel())
         path = mio.write_columns(rc.outdir / "cbar.csv", ("t_s", "n", "cbar"), columns,
                                  rc.meta(model=rc.model))
         _report(path, "cbar")

@@ -73,7 +73,7 @@ from math import ceil, comb
 
 import numpy as np
 
-from .ionchain import CouplingMatrix, _check_site, _readonly
+from .ionchain import CouplingMatrix, _check_site, _mirror_symmetric, _readonly
 
 #: Most basis states a quench may reach: 2^16, the full space of 16 sites.
 #: A local XY quench of k flips reaches C(N, k) states, a local Ising quench
@@ -652,8 +652,7 @@ def _mirror_sectors(H: Hamiltonian,
     ``basis`` must be closed under reflection, as every conserved block is.
     """
     every = np.arange(basis.size)
-    upper = np.triu(H.coupling.values, 1)
-    if not np.array_equal(upper, upper[::-1, ::-1].T):
+    if not _mirror_symmetric(H.coupling.values):
         return [(every, every, 1.0)]
     mirror = np.zeros_like(basis)
     for i in range(H.n_sites):

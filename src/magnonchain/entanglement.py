@@ -219,11 +219,6 @@ def _streams(seed: int, streams) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    """The generator of the one stream (seed, stream)."""
-    return next(_streams(seed, (stream,)))
-
-
 def simulate_tomography(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray:
     """Multinomial projection noise on all nine settings: (9, 4) counts.
 

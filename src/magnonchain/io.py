@@ -15,9 +15,11 @@ integer, and per distinct float bit pattern either ``repr`` or, from
 :mod:`._floattext`, which writes exactly ``repr``'s text (and leaves
 zeros, subnormals, NaN and infinities to ``repr``).  Each row takes its
 fields by index, the fields and separators lie side by side in one byte
-array, and one boolean compress drops the NUL bytes.  A list or tuple
-column joins the same rows as a field of its cells' texts, one per row,
-in the file's encoding.
+array, and one boolean compress drops the NUL bytes.  The time and label
+columns of a long-format table repeat or tile a short array: they are
+passed as :class:`_Labels`, its values and a row index, and their values
+are formatted once per file.  A list or tuple column joins the same rows
+as a field of its cells' texts, one per row, in the file's encoding.
 
 A fit record names its coupling matrix by :func:`matrix_hash`, taken from
 the matrix's bytes; :func:`config_hash` hashes the canonical JSON text of
@@ -38,7 +40,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -145,8 +147,33 @@ def _distinct_field(col):
     if floats.size < FLOAT_TEXT_MIN:
         return _strings_field(list(map(repr, floats.tolist()))), inverse
     from ._floattext import render
-    text = render(floats)                   # at most _CHUNK_ROWS values
+    text = np.concatenate([render(floats[start:start + _CHUNK_ROWS])     # bounded temporaries
+                           for start in range(0, floats.size, _CHUNK_ROWS)])
     return np.compress(text.any(axis=0), text, axis=1), inverse
+
+
+@dataclass(frozen=True)
+class _Labels:
+    """A column given as short numeric ``values`` taken at each row's
+    ``index``, such as the repeated times or the tiled sites of a
+    long-format table: :func:`_write_lines` formats the values once per
+    file, not per chunk."""
+
+    values: np.ndarray
+    index: np.ndarray
+
+    def __len__(self):
+        return len(self.index)
+
+    @classmethod
+    def repeat(cls, values, n: int) -> _Labels:
+        """``np.repeat(values, n)``: each value on n rows in turn."""
+        return cls(values, np.repeat(np.arange(len(values)), n))
+
+    @classmethod
+    def tile(cls, values, n: int) -> _Labels:
+        """``np.tile(values, n)``: all the values, n times over."""
+        return cls(values, np.tile(np.arange(len(values)), n))
 
 
 def _field(col, encoding: str):
@@ -177,19 +204,24 @@ def _rows_text(fields, inverses) -> np.ndarray:
 def _write_lines(path, lines: list[str], columns=()) -> Path:
     """Write ``lines``, then CSV rows assembled from equal-length ``columns``
     as bytes (:func:`_rows_text`): a numeric numpy array by its distinct
-    values, any other column by the :func:`_cell` text of each cell,
-    encoded as the file encodes ``lines``."""
+    values, a :class:`_Labels` column by the distinct values of its
+    ``values``, formatted once for all chunks, and any other column by the
+    :func:`_cell` text of each cell, encoded as the file encodes ``lines``."""
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
+    labels = [_distinct_field(c.values) if isinstance(c, _Labels) else None for c in columns]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
         fh.flush()
         for start in range(0, n_rows, _CHUNK_ROWS):
-            chunk = [_field(c[start:start + _CHUNK_ROWS], fh.encoding) for c in columns]
+            rows = slice(start, start + _CHUNK_ROWS)
+            chunk = [_field(c[rows], fh.encoding) if field is None
+                     else (field[0], field[1][c.index[rows]])
+                     for c, field in zip(columns, labels)]
             fh.buffer.write(_rows_text(*zip(*chunk)))
     return path
 
@@ -199,9 +231,11 @@ def write_columns(path, names, columns, meta: dict | None = None) -> Path:
 
     Integral cells are written as integers, strings verbatim, everything
     else with full float round-trip precision.  The rows are built as bytes
-    a chunk at a time: a numeric numpy array formats each distinct value
-    once, without per-cell type checks, and every cell of a list or tuple
-    column goes through the per-cell rule.
+    a chunk at a time: a numeric numpy array formats each distinct value of
+    the chunk once, without per-cell type checks, a :class:`_Labels`
+    column (a repeat or tile of short labels) formats its values once for
+    the whole file, and every cell of a list or tuple column goes through
+    the per-cell rule.
     """
     return _write_lines(path, header_lines(meta) + [",".join(names)], columns)
 
@@ -295,8 +329,8 @@ def save_magnetisation(path, times, values, meta: dict | None = None) -> Path:
     """Long-format magnetisation CSV: (t_s, site, sz), site 1-based."""
     values = np.asarray(values, dtype=float)
     n_t, n = values.shape
-    columns = (np.repeat(np.asarray(times, dtype=float), n), np.tile(np.arange(1, n + 1), n_t),
-               values.ravel())
+    columns = (_Labels.repeat(np.asarray(times, dtype=float), n),
+               _Labels.tile(np.arange(1, n + 1), n_t), values.ravel())
     return write_columns(path, ("t_s", "site", "sz"), columns, meta)
 
 
@@ -304,8 +338,9 @@ def save_correlations(path, times, corr, meta: dict | None = None) -> Path:
     """Correlation CSV: (t_s, i, j, Cij) over pairs i < j, 1-based sites."""
     corr = np.asarray(corr, dtype=float)
     i, j = np.triu_indices(corr.shape[1], 1)
-    columns = (np.repeat(np.asarray(times, dtype=float), i.size), np.tile(i + 1, corr.shape[0]),
-               np.tile(j + 1, corr.shape[0]), corr[:, i, j].ravel())
+    columns = (_Labels.repeat(np.asarray(times, dtype=float), i.size),
+               _Labels.tile(i + 1, corr.shape[0]), _Labels.tile(j + 1, corr.shape[0]),
+               corr[:, i, j].ravel())
     return write_columns(path, ("t_s", "i", "j", "Cij"), columns, meta)
 
 

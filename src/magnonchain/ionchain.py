@@ -204,6 +204,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _mirror_symmetric(values: np.ndarray) -> bool:
+    """Whether the couplings J_ij, i < j, of the (N, N) ``values`` are
+    unchanged bit for bit by the reflection i -> N+1-i, so that both the
+    full-space and the one-excitation Hamiltonians split into mirror
+    sectors.  A trap's mode sum is reflection symmetric only to roundoff,
+    and fails this test."""
+    upper = np.triu(values, 1)
+    return np.array_equal(upper, upper[::-1, ::-1].T)
+
+
 # ---------------------------------------------------------------------------
 # equilibrium positions
 

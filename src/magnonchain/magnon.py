@@ -11,6 +11,11 @@ k_n = n pi / (N+1) with n-1 nodes.  The node counts of all N mode functions
 are taken in one vectorised pass over the eigenvector matrix.  Only the
 dispersion needs these labels: the propagator sums over the modes of
 ``eigh`` directly, as no amplitude depends on how the modes are named.
+A chain whose couplings are reflection symmetric bit for bit (a power law
+or a nearest-neighbour chain, not a trap's mode sum) splits into a
+symmetric and an antisymmetric block of about N/2 states each
+(:func:`_mirror_blocks`), which the propagator diagonalizes instead of J;
+a source on the mirror axis reaches the symmetric block alone.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ionchain import CouplingMatrix, _check_site, _fix_gauge, _readonly
+from .ionchain import CouplingMatrix, _check_site, _fix_gauge, _mirror_symmetric, _readonly
 
 #: Relative magnitude below which a mode-function entry is ignored when
 #: counting sign changes.
@@ -137,23 +142,77 @@ def _single_excitation_amplitudes(J: CouplingMatrix, quench_site: int,
     """The (T, N) amplitudes a_i(t) of :func:`evolve_single_excitation`, as
     one array; every row is checked to be normalized to 1e-9.
 
-    The sum over modes needs neither their node labels nor a sign
-    convention: each term c_{i,k} c_{l,k} is the same for -c_{.,k}."""
-    _check_site(J.n_ions, quench_site)
-    energies, c = np.linalg.eigh(J.values)
-    # descending energy is the node order of every power-law and
-    # nearest-neighbour chain, so the modes add up in the order of the
-    # labelled spectrum, to the same bits
-    energies, c = energies[::-1], c[:, ::-1]
-    weights = c[quench_site - 1, :]                       # c_{l,k}
-    phases = np.exp(-1j * np.outer(times, energies))      # (T, N)
-    amps = (phases * weights) @ c.T                             # (T, N sites)
+    When J is reflection symmetric (:func:`ionchain._mirror_symmetric`),
+    the two half-size blocks of :func:`_mirror_blocks` are propagated on
+    their own and their amplitudes laid out on both halves of the chain; a
+    source on the mirror axis (the centre of an odd chain) has no weight in
+    the antisymmetric block, which is then skipped, and the mirrored half
+    of each row is a copy of the first, a_i = a_{N+1-i} bit for bit.  Any
+    other J takes the eigendecomposition of the whole N x N matrix.  The
+    sum over modes needs neither their node labels nor a sign convention:
+    each term c_{i,k} c_{l,k} is the same for -c_{.,k}."""
+    n = J.n_ions
+    _check_site(n, quench_site)
+    source = quench_site - 1
+    if not _mirror_symmetric(J.values):
+        amps = _spread(*np.linalg.eigh(J.values), source, times)
+    else:
+        h = n // 2
+        symmetric, antisymmetric = _mirror_blocks(J.values)
+        mirrored = min(source, n - 1 - source)
+        amps = np.empty((times.size, n), dtype=complex)
+        # the symmetric block's state j < h is (|j> + |N-1-j>) / sqrt(2)
+        energies, c = np.linalg.eigh(symmetric)
+        c[:h] *= np.sqrt(0.5)                           # a mode's value on site j
+        amps[:, :n - h] = _spread(energies, c, mirrored, times)
+        amps[:, n - h:] = amps[:, :h][:, ::-1]
+        if mirrored != n - 1 - mirrored:                # off the mirror axis
+            # (|j> - |N-1-j>) / sqrt(2): the source on the right half sees -c
+            energies, c = np.linalg.eigh(antisymmetric)
+            c *= np.sqrt(0.5)
+            anti = _spread(energies, c, mirrored, times)
+            if source != mirrored:
+                anti *= -1.0
+            amps[:, n - h:] -= anti[:, ::-1]
+            amps[:, :h] += anti
     norms = np.sum(np.abs(amps) ** 2, axis=1)
     off = np.abs(norms - 1.0) > 1e-9
     if off.any():
         raise ValueError(f"single-excitation state not normalized: sum |a|^2 = "
                          f"{norms[off][0]!r}")
     return amps
+
+
+def _spread(energies: np.ndarray, c: np.ndarray, source: int,
+            times: np.ndarray) -> np.ndarray:
+    """(T, sites) sum_k c_{i,k} c_{source,k} exp(-i omega_k t) over the modes
+    (columns) of ``c`` of the ``energies``, taken in descending energy."""
+    energies, c = energies[::-1], c[:, ::-1]
+    phases = np.exp(-1j * np.outer(times, energies))      # (T, modes)
+    return (phases * c[source, :]) @ c.T
+
+
+def _mirror_blocks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one-excitation block J of a reflection-symmetric chain split into
+    its (symmetric, antisymmetric) blocks under i -> N+1-i.
+
+    With h = floor(N/2), A the top-left h x h block of J and BR its
+    top-right block with the columns reversed, the antisymmetric block is
+    A - BR on the states (|j> - |N-1-j>) / sqrt(2), j < h (0-based), and
+    the symmetric block is A + BR on (|j> + |N-1-j>) / sqrt(2), bordered
+    for odd N by the centre state |h>: [[A + BR, sqrt(2) c], [sqrt(2) c^T,
+    J_hh]], with c the centre column's first h entries.  Their ceil(N/2)
+    and floor(N/2) eigenvalues are together those of J.
+    """
+    n = values.shape[0]
+    h = n // 2
+    top, reversed_right = values[:h, :h], values[:h, ::-1][:, :h]
+    symmetric = np.empty((n - h, n - h))
+    np.add(top, reversed_right, out=symmetric[:h, :h])
+    if n % 2:
+        symmetric[:h, h] = symmetric[h, :h] = np.sqrt(2.0) * values[:h, h]
+        symmetric[h, h] = values[h, h]
+    return symmetric, top - reversed_right
 
 
 def magnetisation_single(state: SingleExcitationState) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Exponent fits, Gaussian arrival fits, and front-velocity regression."""
 
+import json
+import math
 import warnings
 
 import numpy as np
@@ -78,6 +80,43 @@ def test_power_law_energy_rank_is_node_count(n, alpha):
     spec = magnon.diagonalize_magnons(ionchain.power_law_coupling(n, alpha, J0))
     np.testing.assert_array_equal(spec.node_counts, np.arange(n))
     assert np.all(np.diff(spec.energies) < 0.0)
+
+
+def test_alpha_scan_spectrum_from_the_mirror_blocks():
+    """The scan's energies, from the two half-size blocks of the Toeplitz
+    model, are the whole matrix's eigenvalues in descending order, to 1e-14
+    of the largest, for odd and even N and down to uniform couplings."""
+    for n in range(4, 202):
+        for alpha in (0.0, 1e-6, 1.5, 4.0):
+            full = np.linalg.eigvalsh(ionchain._power_law_values(n, alpha, 1.0))[::-1]
+            split = analysis._power_law_energies(n, alpha)
+            np.testing.assert_allclose(split, full, rtol=0,
+                                       atol=1e-14 * np.abs(full).max(), err_msg=f"{n} {alpha}")
+
+
+def test_dispersion_fit_of_energies_near_the_largest_double(tmp_path, capsys):
+    """Energies whose squares overflow are fitted in units of a power of two:
+    the exponent is that of the same chain at 30 Hz, the residual finite,
+    and no numpy warning is raised, through the library and the CLI."""
+    fits = []
+    for jbar in ("30", "1e300"):
+        argv = ["dispersion", "-o", str(tmp_path / jbar), "--n", "7",
+                "--source", "power-law", "--jbar", jbar]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        lines = (tmp_path / jbar / "alpha_fit.ndjson").read_text().splitlines()
+        fits.append(next(r for r in map(json.loads, lines) if r.get("fit") == "AlphaFit"))
+    assert fits[1]["alpha"] == pytest.approx(fits[0]["alpha"], abs=analysis.ALPHA_BRACKET_TOL)
+    assert math.isfinite(fits[1]["residual"]) and math.isfinite(fits[1]["scale"])
+    pairs = _dispersion_pairs(9, 1.5)
+    base = analysis.fit_alpha_dispersion(pairs, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        huge = analysis.fit_alpha_dispersion(pairs * np.array([1.0, 2.0 ** 1000]), 9)
+    assert huge.alpha == base.alpha
+    assert (huge.scale, huge.residual) == (base.scale * 2.0 ** 1000, base.residual * 2.0 ** 1000)
 
 
 def _node_count_mismatch(alpha, k_meas, w_meas, n_ions):

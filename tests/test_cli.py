@@ -193,6 +193,26 @@ def test_quench_csvs_match_row_formatter(tmp_path, capsys, command):
                 == _data_text(reference_csv(columns, rows))), name
 
 
+def test_long_quench_csvs_match_row_formatter(tmp_path, capsys):
+    """801 times of an 11-ion quench: the correlation and cbar tables, whose
+    time and label columns are written from their distinct values, span
+    eleven and two chunks."""
+    argv = ["quench", "-o", str(tmp_path), "--n", "11", "--model", "xy", "--flip", "4",
+            "--correlations", "--t-end", "0.02", "--n-points", "801"]
+    assert run(argv, capsys)[0] == 0
+    J = ionchain.power_law_coupling(11, 1.5, 2 * np.pi * 30.0)
+    spec = dynamics.QuenchSpec(kind="local", flipped_sites=(4,))
+    times = np.linspace(0.0, 0.02, 801)
+    traj = dynamics.evolve(dynamics.prepare_state(spec, 11),
+                           dynamics.build_hamiltonian(J, model="xy"), times)
+    csvs = _trajectory_csvs(times, dynamics.magnetisation(traj),
+                            dynamics.two_point_correlations(traj))
+    assert len(csvs["cbar.csv"][1]) > mio._CHUNK_ROWS
+    for name, (columns, rows) in csvs.items():
+        assert (_data_text((tmp_path / name).read_text())
+                == _data_text(reference_csv(columns, rows))), name
+
+
 def test_lightcone_csvs_match_row_formatter(tmp_path, capsys):
     argv = ["lightcone", "-o", str(tmp_path), "--source", "power-law", "--n", "15",
             "--alpha", "1.2", "--t-end", "0.02", "--n-points", "201"]

@@ -454,12 +454,14 @@ def test_bootstrap_tracks_the_statistic():
 
 
 def _bootstrap_loop(counts, resamples, statistic, seed, target=None):
-    """Per-resample oracle: nine redrawn rows and one reconstruction at a time."""
+    """Per-resample oracle: nine redrawn rows and one reconstruction at a time,
+    each resample r from a fresh ``Generator(Philox(key=[seed, 1000 + r]))``,
+    which is what the re-keyed generator of ``ent._streams`` must draw."""
     evaluate = {"concurrence": ent.concurrence,
                 "fidelity": lambda rho: ent.fidelity(rho, target)}[statistic]
     values = []
     for r in range(resamples):
-        rng = ent._rng(seed, 1000 + r)
+        rng = np.random.Generator(np.random.Philox(key=[seed, 1000 + r]))
         redrawn = np.array([rng.multinomial(row.sum(), row / row.sum()) for row in counts])
         values.append(evaluate(ent.tomography_reconstruct(redrawn, (1, 2))))
     return np.mean(values), np.std(values, ddof=1)

@@ -200,6 +200,42 @@ def test_long_format_time_column_matches_row_formatter_across_chunks(tmp_path):
     assert text == reference_csv(("t_s", "i", "j", "Cij"), rows)
 
 
+def test_long_format_labels_are_formatted_once_per_file(tmp_path, monkeypatch):
+    """The repeated times and tiled sites of a 201-ion light cone (801 times,
+    one repeated, and -0.0) and the times and pair labels of an 11-ion
+    correlation table match the row formatter across chunk boundaries; the
+    light cone's 800 distinct times, above ``FLOAT_TEXT_MIN``, pass the
+    float formatter in one call for the whole file."""
+    from magnonchain import _floattext
+
+    render, rendered = _floattext.render, []
+
+    def recording(values):
+        rendered.append(np.array(values))
+        return render(values)
+
+    monkeypatch.setattr(_floattext, "render", recording)
+    rng = np.random.default_rng(24)
+    times = np.linspace(0.0, 0.04, 801)
+    times[0], times[400] = -0.0, times[399]
+    assert mio.FLOAT_TEXT_MIN < np.unique(times.view(np.int64)).size < mio._CHUNK_ROWS
+    mag = rng.normal(size=(801, 201))
+    text = mio.save_magnetisation(tmp_path / "m.csv", times, mag, {"seed": 5}).read_text()
+    rows = ((t, s + 1, mag[it, s]) for it, t in enumerate(times) for s in range(201))
+    assert text == reference_csv(("t_s", "site", "sz"), rows, {"seed": 5})
+    distinct = np.unique(times.view(np.int64))
+    assert sum(np.array_equal(np.sort(v.view(np.int64)), distinct) for v in rendered) == 1
+
+    times = times[:201].copy()
+    times[101] = times[100]
+    corr = rng.normal(size=(201, 11, 11))
+    text = mio.save_correlations(tmp_path / "c.csv", times, corr).read_text()
+    assert len(text.splitlines()) > 2 * mio._CHUNK_ROWS
+    rows = ((t, i + 1, j + 1, corr[it, i, j]) for it, t in enumerate(times)
+            for i in range(11) for j in range(i + 1, 11))
+    assert text == reference_csv(("t_s", "i", "j", "Cij"), rows)
+
+
 def test_a_column_above_the_crossover_matches_row_formatter(tmp_path):
     """Enough distinct floats for the numpy formatter, with every case it
     hands back to ``repr`` and the edges of its layouts, beside a float32

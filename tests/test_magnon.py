@@ -188,10 +188,88 @@ def test_evolve_checks_site_range():
         magnon.evolve_single_excitation(J, 5, np.array([0.0]))
 
 
+def _full_space_amplitudes(J, site, times):
+    """a_i(t) from the eigendecomposition of the whole N x N matrix."""
+    energies, c = np.linalg.eigh(J.values)
+    return (np.exp(-1j * np.outer(times, energies)) * c[site - 1]) @ c.T
+
+
+def _eigh_sizes(monkeypatch):
+    """The sizes of the matrices ``np.linalg.eigh`` is given, as a list."""
+    eigh, sizes = np.linalg.eigh, []
+
+    def recording(a):
+        sizes.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 200, 201])
+@pytest.mark.parametrize("chain", ["power-law", "nearest-neighbour"])
+def test_mirror_blocks_give_the_full_space_amplitudes(n, chain, monkeypatch):
+    """On a reflection-symmetric chain the amplitudes come from the two
+    half-size blocks, and agree with the whole matrix's eigendecomposition
+    for sources at the centre, off it, at both ends and mirrored."""
+    J = (ionchain.power_law_coupling(n, 1.3, J0) if chain == "power-law"
+         else ionchain.nearest_neighbour_coupling(n, J0))
+    times = np.linspace(-0.01, 0.05, 23)
+    sizes = _eigh_sizes(monkeypatch)
+    for site in sorted({1, 2, (n + 1) // 2, n // 2 + 1, n - 1, n}):
+        sizes.clear()
+        amps = magnon._single_excitation_amplitudes(J, site, times)
+        on_axis = n % 2 == 1 and site == (n + 1) // 2
+        assert sizes == ([(n + 1) // 2] if on_axis else [(n + 1) // 2, n // 2])
+        np.testing.assert_allclose(amps, _full_space_amplitudes(J, site, times),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.sum(np.abs(amps) ** 2, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 9, 201])
+def test_a_centre_source_builds_the_symmetric_block_only(n, monkeypatch):
+    """A source on the mirror axis has no antisymmetric weight: only the
+    ceil(N/2) symmetric block is diagonalized, and each site's amplitude is
+    its mirror site's, bit for bit."""
+    sizes = _eigh_sizes(monkeypatch)
+    amps = magnon._single_excitation_amplitudes(
+        ionchain.power_law_coupling(n, 1.1, J0), (n + 1) // 2, np.linspace(0.0, 0.04, 81))
+    assert sizes == [(n + 1) // 2]
+    assert np.array_equal(amps, amps[:, ::-1])
+
+
+def test_couplings_not_mirror_symmetric_bit_for_bit_take_the_whole_matrix(monkeypatch,
+                                                                          reference_trap,
+                                                                          reference_beam):
+    """A trap's couplings are reflection symmetric only to roundoff, and a
+    power law with one coupling (and its transpose) moved by one ulp not at
+    all: both diagonalize the whole N x N matrix, as before."""
+    trap = ionchain.build_coupling_matrix(reference_trap, reference_beam)
+    values = ionchain.power_law_coupling(9, 1.3, J0).values.copy()
+    values[1, 3] = values[3, 1] = np.nextafter(values[1, 3], np.inf)
+    nudged = ionchain.CouplingMatrix(values)
+    assert not ionchain._mirror_symmetric(trap.values)
+    assert not ionchain._mirror_symmetric(nudged.values)
+    times = np.linspace(0.0, 0.05, 11)
+    for J in (trap, nudged):
+        sizes = _eigh_sizes(monkeypatch)
+        amps = magnon._single_excitation_amplitudes(J, (J.n_ions + 1) // 2, times)
+        assert sizes == [J.n_ions]
+        np.testing.assert_allclose(amps, _full_space_amplitudes(J, (J.n_ions + 1) // 2, times),
+                                   rtol=0, atol=1e-12)
+
+
 def test_amplitude_array_checks_the_norm_of_its_rows(monkeypatch):
+    """Mode functions 1e-8 too long fail the check, whichever blocks are
+    diagonalized: here the two mirror blocks of a symmetric chain."""
     J = ionchain.power_law_coupling(6, 1.3, J0)
-    energies, vectors = np.linalg.eigh(J.values)
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: (energies, vectors * (1 + 1e-8)))
+    eigh = np.linalg.eigh
+
+    def stretched(a):
+        energies, vectors = eigh(a)
+        return energies, vectors * (1 + 1e-8)
+
+    monkeypatch.setattr(np.linalg, "eigh", stretched)
     with pytest.raises(ValueError, match="not normalized"):
         magnon._single_excitation_amplitudes(J, 3, np.linspace(0.0, 0.03, 7))
 
