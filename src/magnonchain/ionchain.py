@@ -242,22 +242,26 @@ def equilibrium_positions(n_ions: int) -> np.ndarray:
     # quasi-uniform starting guess at the known minimum spacing scale
     spacing = 2.018 / n_ions ** 0.559
     u = spacing * (np.arange(1, n_ions + 1) - (n_ions + 1) / 2)
-    fmax = np.max(np.abs(_chain_force(u)))
+    force = _chain_force(u)
+    fmax = np.max(np.abs(force))
     for iteration in range(MAX_NEWTON_ITERATIONS):
         if fmax < FORCE_TOL:
             return u
-        step = np.linalg.solve(_chain_hessian(u), _chain_force(u))
+        step = np.linalg.solve(_chain_hessian(u), force)
         lam = 1.0
         while lam > 1e-8:
             trial = u - lam * step
-            ftrial = np.max(np.abs(_chain_force(trial)))
-            if ftrial < fmax:
+            ftrial = _chain_force(trial)
+            if np.max(np.abs(ftrial)) < fmax:
                 break
             lam /= 2
         else:
             if fmax < _force_roundoff(u):       # no step helps: roundoff floor reached
                 return u
-        u, fmax = u - lam * step, np.max(np.abs(_chain_force(u - lam * step)))
+            trial = u - lam * step              # the smallest step, taken anyway
+            ftrial = _chain_force(trial)
+        u, force = trial, ftrial
+        fmax = np.max(np.abs(force))
     raise ConvergenceError(
         f"equilibrium positions for n={n_ions} did not converge after "
         f"{MAX_NEWTON_ITERATIONS} iterations (residual {fmax:.3e})")
@@ -469,12 +473,11 @@ def _power_law_values(n_ions: int, alpha: float, nn_strength: float) -> np.ndarr
     """The bare (N, N) array of :func:`power_law_coupling`, unchecked and writable."""
     if n_ions < 2:
         raise ValueError("need at least 2 ions")
-    d = np.abs(np.arange(n_ions)[:, None] - np.arange(n_ions)[None, :]).astype(float)
-    np.fill_diagonal(d, 1.0)            # a finite placeholder: no 0**alpha for any alpha
+    by_distance = np.zeros(n_ions)      # J is Toeplitz: one value per distance |i - j|
     with np.errstate(over="ignore", divide="ignore"):   # overflows give inf, for the caller
-        J = nn_strength / d ** alpha
-    np.fill_diagonal(J, 0.0)
-    return J
+        by_distance[1:] = nn_strength / np.arange(1.0, n_ions) ** alpha
+    site = np.arange(n_ions)
+    return by_distance[np.abs(site[:, None] - site[None, :])]
 
 
 def nearest_neighbour_coupling(n_ions: int, strength: float) -> CouplingMatrix:

@@ -1057,7 +1057,7 @@ def test_unreachable_krylov_target_is_numeric_error(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(dynamics, "_propagator", lambda *sector: ("krylov", "by the test"))
     subspace = dynamics._lanczos_subspace
     monkeypatch.setattr(dynamics, "_lanczos_subspace",
-                        lambda lanczos, dts, tol: subspace(lanczos, dts, 0.0))
+                        lambda lanczos, dts, tol, *start: subspace(lanczos, dts, 0.0, *start))
     code = cli.main(["quench", "-o", str(tmp_path), "--source", "power-law", "--n", "11",
                      "--model", "ising", "--field", "auto", "--flip", "3",
                      "--t-start", "1e-4", "--n-points", "3"])

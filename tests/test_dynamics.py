@@ -699,9 +699,9 @@ def test_a_stalled_subspace_is_tested_again_without_a_matvec(monkeypatch):
 
     subspace = dynamics._lanczos_subspace
 
-    def rebuilt(lanczos, dts, tol):                 # every test grows from order 0
+    def rebuilt(lanczos, *args):                    # every test grows from order 0
         lanczos.orders, lanczos.tested = 0, {}
-        return subspace(lanczos, dts, tol)
+        return subspace(lanczos, *args)
 
     monkeypatch.setattr(dynamics, "_lanczos_subspace", rebuilt)
     count = _Counting(H, monkeypatch)
@@ -714,12 +714,18 @@ def test_a_stalled_subspace_is_tested_again_without_a_matvec(monkeypatch):
 
 def test_a_subspace_that_never_converges_is_decomposed_once_per_tested_order(monkeypatch):
     """A zero target stalls the 528-state sector for good: every halving
-    replays the test, and each tested order (every 4th) is decomposed once."""
+    replays the test, and each tested order (every 4th from the start
+    order, which is the same for every replay) is decomposed once."""
     H, psi0 = _ising_n11()
+    subspace, starts = dynamics._lanczos_subspace, set()
+    monkeypatch.setattr(dynamics, "_lanczos_subspace", lambda lanczos, dts, tol, start:
+                        starts.add(start) or subspace(lanczos, dts, tol, start))
     decompositions = _count_decompositions(monkeypatch)
     with pytest.raises(dynamics.PropagatorError, match="528-state sector"):
         dynamics.evolve(psi0, H, np.array([0.0, 1e-4, 2e-3]), method="krylov", step_tol=0.0)
-    assert decompositions == list(range(4, dynamics.KRYLOV_ORDERS + 1, 4))
+    (start,) = starts
+    assert 4 < start < dynamics.KRYLOV_ORDERS
+    assert decompositions == list(range(-(-start // 4) * 4, dynamics.KRYLOV_ORDERS + 1, 4))
 
 
 def test_the_test_shortcut_skips_only_orders_whose_full_test_fails(monkeypatch):
@@ -728,12 +734,14 @@ def test_the_test_shortcut_skips_only_orders_whose_full_test_fails(monkeypatch):
     the one-time check at the longest step (:func:`dynamics._fails_at`),
     which skips the full test at most of those orders, never skips an order
     that would have returned.  Covered: 201 times on both sectors of the
-    N = 11 global Ising quench, and a stall with its replay."""
+    N = 11 global Ising quench, tested from the predicted order, and a
+    stall with its replay, tested from order 4 (a bare matvec, no norm
+    bound)."""
     calls, skipped = [], []
     subspace, fails_at = dynamics._lanczos_subspace, dynamics._fails_at
 
-    def recorded(lanczos, dts, tol):
-        result = subspace(lanczos, dts, tol)
+    def recorded(lanczos, dts, tol, *start):
+        result = subspace(lanczos, dts, tol, *start)
         calls.append((lanczos, dts.copy(), tol, result[1].shape[0] - 1))
         return result
 
@@ -745,19 +753,94 @@ def test_the_test_shortcut_skips_only_orders_whose_full_test_fails(monkeypatch):
                                    model="ising")
     dynamics.evolve(dynamics.prepare_state(QuenchSpec("global"), 11), H,
                     np.linspace(0.0, 0.005, 201), method="krylov")
+    predicted = len(calls)
     H, psi0 = _ising_n11()
-    dynamics.evolve(psi0, H, np.array([0.0, 0.03]), method="krylov")
-    checked = 0
+    dynamics._krylov_trajectory(H.matvec, full_space(psi0), np.array([0.0, 0.03]), 1e-9)
+    checked = []                                    # orders checked per call
     for lanczos, dts, tol, returned in calls:
         steps = np.abs(dts)
+        checked.append(0)
         for m, (evals, first, last) in lanczos.tested.items():
             if m >= returned:
                 continue
             defect = lanczos.beta[m] * np.abs((last * first) @ np.exp(-1j * np.outer(evals, dts)))
             err = steps * np.array([defect[steps <= s].max() for s in steps])
             assert not np.all(err < tol / 4), (m, returned)
-            checked += 1
-    assert checked > 50 and sum(skipped) > 50
+            checked[-1] += 1
+    assert sum(checked[:predicted]) > 0 and sum(checked) > 50 and sum(skipped) > 50
+
+
+def _krylov_run(run, from_order_4=False):
+    """(states, tests) of ``run()``, each Lanczos subspace tested from its
+    start order, or every 4 orders from order 4 with ``from_order_4``;
+    ``tests`` holds (start, accepted order, times served) per test."""
+    subspace, tests = dynamics._lanczos_subspace, []
+
+    def recorded(lanczos, dts, tol, start):
+        Y, V, estimates = subspace(lanczos, dts, tol, 4 if from_order_4 else start)
+        tests.append((start, V.shape[0], Y.shape[1]))
+        return Y, V, estimates
+
+    with mock.patch.object(dynamics, "_lanczos_subspace", recorded):
+        states = run()
+    return states, tests
+
+
+#: (model, N, flipped sites (none: global), alpha, t_end, points, step_tol,
+#: the branch the window takes) for the start-order test below.
+START_ORDER_WINDOWS = [
+    ("ising", 9, (), 1.0, 0.005, 201, 1e-9, "step back"),
+    ("ising", 10, (5,), 1.5, 0.01, 51, 1e-9, "climb"),
+    ("ising", 11, (), 1.2, 0.005, 201, 1e-9, "climb"),        # benchmark, seed 1
+    ("ising", 12, (6,), 1.0, 0.02, 51, 1e-9, "step back"),
+    ("ising", 13, (7,), 1.9, 0.01, 51, 1e-9, "climb"),        # benchmark, seed 1
+    ("ising", 13, (), 2.0, 0.005, 51, 1e-9, "climb"),
+    ("ising", 13, (7,), 1.5, 0.02, 2, 1e-9, "stall"),
+    ("xy", 16, (3, 8, 12), 1.5, 0.02, 51, 1e-9, "climb"),
+    ("xy", 9, (2,), 1.3, 0.05, 6, 0.0, "breakdown"),
+    ("xy", 9, (2, 5), 1.3, 0.05, 6, 0.0, "breakdown"),
+    ("ising", 5, (2,), 1.3, 0.05, 6, 0.0, "breakdown"),
+]
+
+
+@pytest.mark.parametrize("model,n,flips,alpha,t_end,points,tol,branch", START_ORDER_WINDOWS,
+                         ids=[f"{w[0]}-n{w[1]}-{'local' if w[2] else 'global'}-{w[-1]}"
+                              for w in START_ORDER_WINDOWS])
+def test_testing_from_the_start_order_keeps_every_order_and_state(model, n, flips, alpha,
+                                                                  t_end, points, tol, branch):
+    """Each subspace tests its convergence first at a start order from the
+    predicted one, and it accepts the order, and gives the states, of
+    testing every 4 orders from order 4, bit for bit.  The windows take
+    each branch: a first test that fails and climbs; one that passes and
+    steps back; a stall and its replay; a breakdown below the start (the
+    sectors of ``test_krylov_is_exact_on_an_invariant_subspace``, whose
+    target of 0 only a breakdown meets)."""
+    J = ionchain.power_law_coupling(n, alpha, J0)
+    H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
+                                   model=model)
+    psi0 = dynamics.prepare_state(QuenchSpec("local", flips) if flips else
+                                  QuenchSpec("global"), n)
+    times = np.linspace(0.0, t_end, points)
+
+    def run():
+        return np.ascontiguousarray(
+            dynamics.evolve(psi0, H, times, method="krylov", step_tol=tol).states)
+
+    states, tests = _krylov_run(run)
+    scanned, scan = _krylov_run(run, from_order_4=True)
+    assert [test[1:] for test in tests] == [test[1:] for test in scan]
+    np.testing.assert_array_equal(states.view(np.uint8), scanned.view(np.uint8))
+    assert all(start > 4 for start, _, _ in tests)
+    # a first test at start, rounded up to a multiple of 4, that fails climbs
+    climbs = [order >= -(-start // 4) * 4 for start, order, served in tests if served]
+    if branch == "climb":
+        assert all(climbs)
+    elif branch == "step back":
+        assert not all(climbs)
+    elif branch == "stall":
+        assert any(served == 0 for _, _, served in tests)
+    else:
+        assert all(order < start for start, order, _ in tests)
 
 
 @pytest.mark.parametrize("empty", [(), (0,), (2, 3), (5,), (0, 1, 2, 3, 4, 5)])
@@ -937,8 +1020,8 @@ def test_krylov_estimate_bounds_the_error_of_every_time_served(n, alpha, field, 
             super().__init__(matvec, psi, V)
             self.start = psi.copy()
 
-    def recorded(lanczos, dts, tol):
-        Y, basis, estimates = subspace(lanczos, dts, tol)
+    def recorded(lanczos, dts, *args):
+        Y, basis, estimates = subspace(lanczos, dts, *args)
         served.append((lanczos.start, dts[:Y.shape[1]], Y.T @ basis, estimates))
         return Y, basis, estimates
 
@@ -995,6 +1078,39 @@ def test_benchmark_ising_quench_fits_one_lanczos_subspace(alpha, monkeypatch):
     dynamics.evolve(psi0, H, np.linspace(0.0, 0.01, 51), step_tol=1e-9)
     assert 160 <= len(dtypes) <= 176 and count.served == [51]
     assert set(dtypes) == {np.dtype(float)}
+
+
+def test_benchmark_ising_passes_decompose_at_most_20_lanczos_matrices(monkeypatch):
+    """Both Ising jobs of the benchmark (the global quench at N = 11, 201
+    points to 5 ms, and the N = 13 centre flip, 51 points to 10 ms, at
+    B = 50 max|J|) take the matvecs of testing every 4 orders from order
+    4 at every exponent of ``ALPHA_GRID``, and a pass of the two makes at
+    most 20 ``eigh_tridiagonal`` calls (12 to 18), where that scan made 88 to
+    94."""
+    decompositions = _count_decompositions(monkeypatch)
+    matvec, matvecs = dynamics.Hamiltonian.matvec, []
+    monkeypatch.setattr(dynamics.Hamiltonian, "matvec",
+                        lambda self, psi: matvecs.append(1) or matvec(self, psi))
+    counts = {}                                     # (job, from order 4) -> per exponent
+    for job, n, spec, t_end, points in (("global", 11, QuenchSpec("global"), 0.005, 201),
+                                        ("local", 13, QuenchSpec("local", (7,)), 0.01, 51)):
+        for alpha in ALPHA_GRID:
+            J = ionchain.power_law_coupling(n, alpha, J0)
+            H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
+                                           model="ising")
+            psi0 = dynamics.prepare_state(spec, n)
+            for from_order_4 in (False, True):
+                decompositions.clear()
+                matvecs.clear()
+                _krylov_run(lambda: dynamics.evolve(psi0, H, np.linspace(0.0, t_end, points)),
+                            from_order_4)
+                counts.setdefault((job, from_order_4), []).append(
+                    (len(matvecs), len(decompositions)))
+    for job in ("global", "local"):
+        assert [c[0] for c in counts[job, False]] == [c[0] for c in counts[job, True]]
+    passes = [g[1] + loc[1] for g in counts["global", False] for loc in counts["local", False]]
+    scans = [g[1] + loc[1] for g in counts["global", True] for loc in counts["local", True]]
+    assert max(passes) <= 20 and min(scans) >= 88, (passes, scans)
 
 
 def test_evolve_refuses_a_trajectory_above_the_byte_limit(monkeypatch):
@@ -1115,9 +1231,9 @@ def test_auto_method_takes_each_side_of_the_dense_limit():
     krylov_trajectory, eigensystem = dynamics._krylov_trajectory, dynamics.Hamiltonian.eigensystem
     ran = []
 
-    def krylov(matvec, psi, *args):
+    def krylov(matvec, psi, *args, **kwargs):
         ran.append(("krylov", psi.size))
-        return krylov_trajectory(matvec, psi, *args)
+        return krylov_trajectory(matvec, psi, *args, **kwargs)
 
     def dense(self):
         ran.append(("dense", self.dim))

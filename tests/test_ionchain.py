@@ -70,6 +70,19 @@ def test_positions_still_report_non_convergence(monkeypatch):
         ionchain.equilibrium_positions(100)
 
 
+@pytest.mark.parametrize("n", [7, 25, 51])
+def test_positions_evaluate_the_force_once_per_point(n, monkeypatch):
+    """The force of an accepted line-search trial serves the next Newton
+    step: no position vector is evaluated twice.  (From N = 100 on, a line
+    search at the roundoff floor halves its step until trials round to the
+    same positions, so points repeat there.)"""
+    force, points = ionchain._chain_force, []
+    monkeypatch.setattr(ionchain, "_chain_force",
+                        lambda u: points.append(u.tobytes()) or force(u))
+    ionchain.equilibrium_positions(n)
+    assert len(points) == len(set(points)) > 1
+
+
 def test_positions_need_two_ions():
     with pytest.raises(ValueError):
         ionchain.equilibrium_positions(1)
@@ -307,6 +320,22 @@ def test_power_law_has_the_bits_of_the_infinite_diagonal_formula(alpha):
     expected = 30.0 / d ** alpha
     np.fill_diagonal(expected, 0.0)
     np.testing.assert_array_equal(ionchain.power_law_coupling(9, alpha, 30.0).values, expected)
+
+
+@pytest.mark.parametrize("n", [2, 2001])
+@pytest.mark.parametrize("alpha", [-400.0, 0.0, 1.5, 1e308])
+def test_power_law_from_its_distinct_values_has_the_bits_of_every_cell(n, alpha):
+    """J is Toeplitz, so its N - 1 distinct couplings are computed once and
+    laid out by |i - j|: the same bits as the power of every cell, also
+    where d^alpha underflows to 0 (J = inf at alpha = -400) or overflows to
+    inf (J = 0 at alpha = 1e308)."""
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    np.fill_diagonal(d, 1.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        expected = 30.0 / d ** alpha
+    np.fill_diagonal(expected, 0.0)
+    got = ionchain._power_law_values(n, alpha, 30.0)
+    np.testing.assert_array_equal(got.view(np.uint8), expected.view(np.uint8))
 
 
 def test_power_law_with_negative_alpha_builds_without_warnings():
