@@ -56,7 +56,7 @@ def main():
         traces[pair] = np.array([
             entanglement.concurrence(
                 entanglement.reduced_density_matrix(traj.state(k), pair))
-            for k in range(len(traj))])
+            for k in range(traj.times.size)])
 
     print(f"N={N_IONS}, alpha={ALPHA}, Jbar/2pi = {JBAR / (2 * np.pi):.1f} Hz, "
           f"flip site {FLIP_SITE}")

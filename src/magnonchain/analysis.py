@@ -254,17 +254,6 @@ def fit_alpha_realspace(J: CouplingMatrix) -> AlphaFit:
 # arrival-time and front-velocity fits
 
 
-def _samples(times, signal):
-    """The (times, signal) arrays of one trace, validated."""
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(signal, dtype=float)
-    if t.shape != v.shape or t.ndim != 1:
-        raise ValueError("times and signal must be matching 1-D arrays")
-    if t.size < MIN_ARRIVAL_SAMPLES:
-        raise ValueError(f"need at least {MIN_ARRIVAL_SAMPLES} samples per trace")
-    return t, v
-
-
 def _arrival_segment(t, v):
     """(t_fit, v_fit, p0, lower, upper) of the first maximum of one trace.
 
@@ -513,10 +502,16 @@ def arrival_times(times, magnetisation, source: int, skipped: list | None = None
     edge = (n - 1) - source          # distance to the second-to-last site
     if edge < 1:
         raise ValueError("no sites between the source and the excluded edge")
+    t = np.asarray(times, dtype=float)
+    if mag.ndim != 2 or t.shape != mag.shape[:1]:
+        raise ValueError(f"times must be a 1-D array matching the {mag.shape[0]} rows of "
+                         f"magnetisation, got shape {t.shape}")
+    if t.size < MIN_ARRIVAL_SAMPLES:
+        raise ValueError(f"need at least {MIN_ARRIVAL_SAMPLES} samples per trace")
     outcome = {}                     # distance -> segment, then fit or FitError
     for dist in range(1, edge + 1):
         try:
-            outcome[dist] = _arrival_segment(*_samples(times, mag[:, source + dist - 1]))
+            outcome[dist] = _arrival_segment(t, mag[:, source + dist - 1])
         except FitError as exc:
             outcome[dist] = exc
     found = [d for d, seg in outcome.items() if not isinstance(seg, FitError)]

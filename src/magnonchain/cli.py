@@ -566,11 +566,8 @@ def _export_trajectory(rc: RunConfig, times, mag, corr) -> None:
         path = mio.save_correlations(rc.outdir / "correlations.csv", times, corr,
                                      rc.meta(model=rc.model))
         _report(path, "correlations")
-        n_t, n_d = cbar.shape
-        columns = (mio._Labels.repeat(times, n_d), mio._Labels.tile(np.arange(1, n_d + 1), n_t),
-                   cbar.ravel())
-        path = mio.write_columns(rc.outdir / "cbar.csv", ("t_s", "n", "cbar"), columns,
-                                 rc.meta(model=rc.model))
+        path = mio.save_averaged_correlations(rc.outdir / "cbar.csv", times, cbar,
+                                              rc.meta(model=rc.model))
         _report(path, "cbar")
 
 
@@ -732,13 +729,10 @@ def main(argv=None) -> int:
     try:
         rc = resolve(args)
         return _HANDLERS[args.command](rc)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except _NUMERIC_ERRORS as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:           # a ConfigError too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -73,7 +73,8 @@ from math import ceil, comb
 
 import numpy as np
 
-from .ionchain import CouplingMatrix, _check_site, _mirror_symmetric, _readonly
+from .ionchain import (CouplingMatrix, _check_normalized, _check_site, _frozen,
+                       _mirror_symmetric)
 
 #: Most basis states a quench may reach: 2^16, the full space of 16 sites.
 #: A local XY quench of k flips reaches C(N, k) states, a local Ising quench
@@ -210,7 +211,10 @@ class StateVector:
     basis: np.ndarray
 
     def __post_init__(self):
-        amps = _checked_amplitudes(_frozen(np.asarray(self.amplitudes, dtype=complex)))
+        amps = _frozen(np.asarray(self.amplitudes, dtype=complex))
+        if amps.ndim != 1:
+            raise ValueError(f"expected one row of amplitudes, got shape {amps.shape}")
+        _check_normalized(amps)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "basis", _checked_basis(self.basis, self.n_sites, amps.size))
 
@@ -242,28 +246,11 @@ class Trajectory:
         read-only arrays (nothing is copied)."""
         return StateVector(self.states[index], self.n_sites, self.basis)
 
-    def __len__(self) -> int:
-        return self.times.size
-
 
 def _read_only_view(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False
     return view
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` itself if it is read-only, else a read-only copy of it."""
-    return _readonly(a) if a.flags.writeable else a
-
-
-def _checked_amplitudes(amps: np.ndarray) -> np.ndarray:
-    if amps.ndim != 1:
-        raise ValueError(f"expected one row of amplitudes, got shape {amps.shape}")
-    norm = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"state not normalized: |psi|^2 = {norm!r}")
-    return amps
 
 
 def _checked_basis(basis, n: int, dim: int) -> np.ndarray:
@@ -576,14 +563,9 @@ def _on_reached_blocks(state: StateVector, H: Hamiltonian):
     reaches, the sorted union of their states and the state on it.
     Raises ValueError, naming N, the number of states and the limit,
     before enumerating more than ``MAX_STATES`` states."""
-    labels, size = reached_blocks(state, H)
+    labels = reached_blocks(state, H)[0]
     nonzero = state.amplitudes != 0
-    if size == 1 << H.n_sites:
-        basis = np.arange(size)
-    elif labels.size == 1:
-        basis = _block_basis(H, int(labels[0]))
-    else:
-        basis = np.sort(np.concatenate([_block_basis(H, int(k)) for k in labels]))
+    basis = np.sort(np.concatenate([_block_basis(H, int(k)) for k in labels]))
     amps = np.zeros(basis.size, dtype=complex)
     amps[np.searchsorted(basis, state.basis[nonzero])] = state.amplitudes[nonzero]
     return labels, basis, amps
@@ -632,10 +614,10 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
     reached, basis, amps = _on_reached_blocks(state, H)
     check_trajectory(times.size, basis.size)
     basis.flags.writeable = False
-    labels = _block_labels(basis, H) if reached.size > 1 else None
+    labels = _block_labels(basis, H)
     states = np.zeros((basis.size, times.size), dtype=complex)     # a row per state
     for label in reached:
-        block = np.arange(basis.size) if labels is None else np.flatnonzero(labels == label)
+        block = np.flatnonzero(labels == label)
         for partner, rep, sign in _mirror_sectors(H, basis[block]):
             # a palindrome is its own partner, so both terms fall on it
             half = np.where(partner[rep] == rep, 0.5, np.sqrt(0.5))

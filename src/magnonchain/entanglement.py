@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import StateVector
-from .ionchain import _check_site, _readonly
+from .ionchain import _check_site, _frozen
 
 #: Pauli matrices in the (|down>, |up>) basis ordering used throughout.
 PAULI = {
@@ -57,6 +57,13 @@ _PAULI_PRODUCTS = np.array([np.kron(_EYE, _EYE)]
                            + [np.kron(_EYE, PAULI[a]) for a in AXES]
                            + [np.kron(PAULI[a], PAULI[b]) for a, b in TOMOGRAPHY_BASES])
 
+#: The (9, 4, 4, 4) outcome projectors: entry [b, k] projects on outcome k
+#: (++, +-, -+, --) of setting TOMOGRAPHY_BASES[b].
+_OUTCOME_PROJECTORS = np.array([[np.kron(0.5 * (np.eye(2) + s1 * PAULI[a]),
+                                         0.5 * (np.eye(2) + s2 * PAULI[b]))
+                                 for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
+                                for a, b in TOMOGRAPHY_BASES])
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -70,7 +77,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         rho = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", _readonly(rho))
+        object.__setattr__(self, "matrix", _frozen(rho))
         object.__setattr__(self, "subsystem", tuple(int(s) for s in self.subsystem))
         if rho.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"density matrix must be 2x2 or 4x4, got {rho.shape}")
@@ -129,11 +136,10 @@ def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -sum lambda log2 lambda in bits (0 log 0 := 0).
 
-    A single-spin value therefore lies in [0, 1].
+    A single-spin value therefore lies in [0, 1].  The eigenvalues are
+    those :class:`DensityMatrix` checked, none below -1e-8.
     """
     lam = np.linalg.eigvalsh(rho.matrix)
-    if lam.min() < -1e-8:
-        raise ValueError(f"invalid state: eigenvalue {lam.min():.3e} < -1e-8")
     lam = np.where(lam > 1e-15, lam, 1.0)          # 1 log 1 = 0 stands in for 0 log 0
     return float(-np.sum(lam * np.log2(lam)))
 
@@ -186,18 +192,9 @@ def measurement_probabilities(rho: DensityMatrix) -> np.ndarray:
     """
     if rho.dim != 4:
         raise ValueError("tomography operates on two-qubit states")
-    eye = np.eye(2)
-    table = []
-    for basis in TOMOGRAPHY_BASES:
-        probs = []
-        for s1 in (1.0, -1.0):
-            proj1 = 0.5 * (eye + s1 * PAULI[basis[0]])
-            for s2 in (1.0, -1.0):
-                proj2 = 0.5 * (eye + s2 * PAULI[basis[1]])
-                probs.append(np.real(np.trace(rho.matrix @ np.kron(proj1, proj2))))
-        probs = np.clip(np.array(probs), 0.0, None)
-        table.append(probs / probs.sum())
-    return np.array(table)
+    probs = np.real(np.trace(rho.matrix @ _OUTCOME_PROJECTORS, axis1=-2, axis2=-1))
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 def _streams(seed: int, streams) -> Iterator[np.random.Generator]:

@@ -325,13 +325,27 @@ def save_dispersion(path, spectrum: MagnonSpectrum, meta: dict | None = None) ->
     return write_columns(path, ("n", "k_n", "omega_k", "node_count"), columns, meta)
 
 
-def save_magnetisation(path, times, values, meta: dict | None = None) -> Path:
-    """Long-format magnetisation CSV: (t_s, site, sz), site 1-based."""
+def _save_long_format(path, names, times, values, meta: dict | None) -> Path:
+    """CSV of the (T, K) ``values`` in long format: a row (t, k, value) per
+    time t and column k = 1..K, in row-major order, under the three
+    column ``names``."""
     values = np.asarray(values, dtype=float)
     n_t, n = values.shape
     columns = (_Labels.repeat(np.asarray(times, dtype=float), n),
                _Labels.tile(np.arange(1, n + 1), n_t), values.ravel())
-    return write_columns(path, ("t_s", "site", "sz"), columns, meta)
+    return write_columns(path, names, columns, meta)
+
+
+def save_magnetisation(path, times, values, meta: dict | None = None) -> Path:
+    """Long-format magnetisation CSV: (t_s, site, sz), site 1-based."""
+    return _save_long_format(path, ("t_s", "site", "sz"), times, values, meta)
+
+
+def save_averaged_correlations(path, times, cbar, meta: dict | None = None) -> Path:
+    """Long-format CSV of the distance-averaged correlations Cbar_n of
+    :func:`~magnonchain.dynamics.averaged_correlations`: (t_s, n, cbar),
+    n = 1..N-1."""
+    return _save_long_format(path, ("t_s", "n", "cbar"), times, cbar, meta)
 
 
 def save_correlations(path, times, corr, meta: dict | None = None) -> Path:

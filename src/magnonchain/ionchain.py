@@ -146,14 +146,10 @@ class ModeSpectrum:
     positions_m: np.ndarray
 
     def __post_init__(self):
-        freqs = _readonly(np.asarray(self.frequencies, dtype=float))
-        vecs = _readonly(np.asarray(self.mode_vectors, dtype=float))
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "mode_vectors", vecs)
-        object.__setattr__(self, "positions", _readonly(np.asarray(self.positions, dtype=float)))
-        object.__setattr__(self, "positions_m", _readonly(np.asarray(self.positions_m, dtype=float)))
+        for name in ("frequencies", "mode_vectors", "positions", "positions_m"):
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=float)))
         n = self.positions.size
-        if freqs.shape != (2 * n,) or vecs.shape != (n, 2 * n):
+        if self.frequencies.shape != (2 * n,) or self.mode_vectors.shape != (n, 2 * n):
             raise ValueError("inconsistent mode-spectrum shapes")
         if len(self.branches) != 2 * n:
             raise ValueError("need one branch label per mode")
@@ -176,7 +172,7 @@ class CouplingMatrix:
     meta: str = "externally supplied"
 
     def __post_init__(self):
-        J = _readonly(np.asarray(self.values, dtype=float))
+        J = _frozen(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "values", J)
         if J.ndim != 2 or J.shape[0] != J.shape[1]:
             raise ValueError(f"coupling matrix must be square, got shape {J.shape}")
@@ -198,10 +194,24 @@ class CouplingMatrix:
         return float(np.mean(np.diag(self.values, 1)))
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
-    a.setflags(write=False)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is read-only, else a read-only copy of it: the rule
+    by which the frozen dataclasses of the package keep their arrays (only
+    a ``Trajectory`` keeps a read-only view of its input instead)."""
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
     return a
+
+
+def _check_normalized(amplitudes: np.ndarray) -> None:
+    """ValueError unless each row of ``amplitudes`` (one state, or a (T, dim)
+    stack of them) has sum |a|^2 within 1e-9 of 1; it names the first that
+    does not."""
+    norms = np.sum(np.abs(amplitudes) ** 2, axis=-1)
+    off = np.abs(norms - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"state not normalized: sum |a|^2 = {float(norms[off][0])!r}")
 
 
 def _mirror_symmetric(values: np.ndarray) -> bool:
@@ -249,17 +259,18 @@ def equilibrium_positions(n_ions: int) -> np.ndarray:
             return u
         step = np.linalg.solve(_chain_hessian(u), force)
         lam = 1.0
-        while lam > 1e-8:
-            trial = u - lam * step
+        trial = u - lam * step
+        # a trial that rounds to u ends the search: so does every shorter step
+        while lam > 1e-8 and trial.tobytes() != u.tobytes():
             ftrial = _chain_force(trial)
             if np.max(np.abs(ftrial)) < fmax:
                 break
             lam /= 2
+            trial = u - lam * step
         else:
             if fmax < _force_roundoff(u):       # no step helps: roundoff floor reached
                 return u
-            trial = u - lam * step              # the smallest step, taken anyway
-            ftrial = _chain_force(trial)
+            ftrial = _chain_force(trial)        # the smallest step, taken anyway
         u, force = trial, ftrial
         fmax = np.max(np.abs(force))
     raise ConvergenceError(
@@ -267,24 +278,28 @@ def equilibrium_positions(n_ions: int) -> np.ndarray:
         f"{MAX_NEWTON_ITERATIONS} iterations (residual {fmax:.3e})")
 
 
-def _chain_force(u: np.ndarray) -> np.ndarray:
-    """Gradient of the dimensionless chain potential (zero at equilibrium)."""
+def _separations(u: np.ndarray) -> np.ndarray:
+    """The (N, N) table u_i - u_j, with inf on the diagonal: an ion exerts
+    no force on itself, and every inverse power of it is 0 there."""
     d = u[:, None] - u[None, :]
     np.fill_diagonal(d, np.inf)
+    return d
+
+
+def _chain_force(u: np.ndarray) -> np.ndarray:
+    """Gradient of the dimensionless chain potential (zero at equilibrium)."""
+    d = _separations(u)
     return u - np.sum(np.sign(d) / d ** 2, axis=1)
 
 
 def _force_roundoff(u: np.ndarray) -> float:
     """Roundoff floor of :func:`_chain_force`: N eps times its largest term sum."""
-    d = u[:, None] - u[None, :]
-    np.fill_diagonal(d, np.inf)
-    terms = np.abs(u) + np.sum(1.0 / d ** 2, axis=1)
+    terms = np.abs(u) + np.sum(1.0 / _separations(u) ** 2, axis=1)
     return u.size * np.finfo(float).eps * float(terms.max())
 
 
 def _chain_hessian(u: np.ndarray) -> np.ndarray:
-    d = np.abs(u[:, None] - u[None, :])
-    np.fill_diagonal(d, np.inf)
+    d = np.abs(_separations(u))
     h = -2.0 / d ** 3
     np.fill_diagonal(h, 1.0 + 2.0 * np.sum(1.0 / d ** 3, axis=1))
     return h
@@ -320,9 +335,7 @@ def transverse_mode_spectrum(trap: TrapConfig) -> ModeSpectrum:
         parameters).
     """
     u = equilibrium_positions(trap.n_ions)
-    d = np.abs(u[:, None] - u[None, :])
-    np.fill_diagonal(d, np.inf)
-    inv_cube = 1.0 / d ** 3
+    inv_cube = 1.0 / np.abs(_separations(u)) ** 3
 
     freqs, vecs, branches = [], [], []
     for label, nu_t in (("x", trap.transverse_freq_x), ("y", trap.transverse_freq_y)):

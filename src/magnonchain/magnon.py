@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ionchain import CouplingMatrix, _check_site, _fix_gauge, _mirror_symmetric, _readonly
+from .ionchain import (CouplingMatrix, _check_normalized, _check_site, _fix_gauge, _frozen,
+                       _mirror_symmetric)
 
 #: Relative magnitude below which a mode-function entry is ignored when
 #: counting sign changes.
@@ -47,10 +48,9 @@ class MagnonSpectrum:
     node_counts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "energies", _readonly(np.asarray(self.energies, float)))
-        object.__setattr__(self, "mode_functions", _readonly(np.asarray(self.mode_functions, float)))
-        object.__setattr__(self, "pseudo_momenta", _readonly(np.asarray(self.pseudo_momenta, float)))
-        object.__setattr__(self, "node_counts", _readonly(np.asarray(self.node_counts, int)))
+        for name, dtype in (("energies", float), ("mode_functions", float),
+                            ("pseudo_momenta", float), ("node_counts", int)):
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype)))
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,9 @@ class SingleExcitationState:
     time: float
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", _readonly(amps))
-        norm = np.sum(np.abs(amps) ** 2)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"single-excitation state not normalized: sum |a|^2 = {norm!r}")
+        amps = _frozen(np.asarray(self.amplitudes, dtype=complex))
+        object.__setattr__(self, "amplitudes", amps)
+        _check_normalized(amps)
 
 
 def _node_counts(vectors: np.ndarray, threshold: float = NODE_THRESHOLD) -> np.ndarray:
@@ -175,11 +173,7 @@ def _single_excitation_amplitudes(J: CouplingMatrix, quench_site: int,
                 anti *= -1.0
             amps[:, n - h:] -= anti[:, ::-1]
             amps[:, :h] += anti
-    norms = np.sum(np.abs(amps) ** 2, axis=1)
-    off = np.abs(norms - 1.0) > 1e-9
-    if off.any():
-        raise ValueError(f"single-excitation state not normalized: sum |a|^2 = "
-                         f"{norms[off][0]!r}")
+    _check_normalized(amps)
     return amps
 
 

@@ -86,7 +86,7 @@ def test_criterion_03_full_xy_matches_magnon_sector():
         dynamics.QuenchSpec(kind="local", flipped_sites=(4,)), n)
     traj = dynamics.evolve(psi0, H, times)
     mag_full = np.vstack([dynamics.magnetisation(traj.state(k))
-                          for k in range(len(traj))])
+                          for k in range(traj.times.size)])
     mag_single = np.vstack([magnon.magnetisation_single(s)
                             for s in magnon.evolve_single_excitation(J, 4, times)])
     err = np.abs(mag_full - mag_single).max()
@@ -106,7 +106,7 @@ def test_criterion_04_ising_at_large_field_conserves_excitations():
     times = np.linspace(0.0, 10.0 / J.nn_mean, 101)
     traj = dynamics.evolve(psi0, H, times)
     leak = max(1.0 - dynamics.excitation_sector_weights(traj.state(k))[1]
-               for k in range(len(traj)))
+               for k in range(traj.times.size))
     _verdict(4, "XY regime of the Ising model", leak < 1e-2,
              f"max sector leakage {leak:.1e} over t <= 10/Jbar", budget_s=30.0)
 
@@ -170,7 +170,7 @@ def test_criterion_07_entanglement_front_ordering():
         conc = np.array([
             entanglement.concurrence(
                 entanglement.reduced_density_matrix(traj.state(k), pair))
-            for k in range(len(traj))])
+            for k in range(traj.times.size)])
         peaks[pair] = _first_concurrence_peak(times, conc)
     t35, c35 = peaks[(3, 5)]
     t26, c26 = peaks[(2, 6)]
@@ -214,7 +214,7 @@ def test_criterion_09_lr_bound_holds_for_nn_chain():
         dynamics.QuenchSpec(kind="local", flipped_sites=(5,)), n)
     times = np.linspace(0.0, 0.02, 101)
     traj = dynamics.evolve(psi0, H, times)
-    mag = np.vstack([dynamics.magnetisation(traj.state(k)) for k in range(len(traj))])
+    mag = np.vstack([dynamics.magnetisation(traj.state(k)) for k in range(traj.times.size)])
     worst = 0.0
     ok = True
     for k, t in enumerate(times):

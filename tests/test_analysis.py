@@ -198,7 +198,8 @@ def _pulse(t, t0, w, b=0.6, a=-1.0):
 
 def _fit_one(times, signal, site=0):
     """The arrival fit of one trace: the batched solver on its one segment."""
-    segment = analysis._arrival_segment(*analysis._samples(times, signal))
+    segment = analysis._arrival_segment(np.asarray(times, dtype=float),
+                                        np.asarray(signal, dtype=float))
     fit = analysis._fit_pulses([site], [segment])[0]
     if isinstance(fit, FitError):
         raise fit
@@ -394,10 +395,14 @@ def test_arrival_fit_rejects_flat_and_monotone_signals():
 
 
 def test_arrival_fit_input_validation():
-    with pytest.raises(ValueError, match="matching"):
-        _fit_one(np.zeros(10), np.zeros(9))
+    """arrival_times checks the shared time axis once, against the rows of
+    the magnetisation, before any trace is cut into a segment."""
+    for times, mag in ((np.zeros(10), np.zeros((9, 3))), (np.zeros((9, 1)), np.zeros((9, 3))),
+                       (np.zeros(9), np.zeros((9, 3, 1)))):
+        with pytest.raises(ValueError, match="matching"):
+            analysis.arrival_times(times, mag, 1)
     with pytest.raises(ValueError, match=f"at least {analysis.MIN_ARRIVAL_SAMPLES} samples"):
-        _fit_one(np.linspace(0, 1, 4), np.zeros(4))
+        analysis.arrival_times(np.linspace(0, 1, 4), np.zeros((4, 3)), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -653,7 +653,8 @@ def _refused_up_front(outdir, capsys, monkeypatch, argv, message):
     propagates, and writes nothing to the empty ``outdir``."""
     def never(*args, **kwargs):
         raise AssertionError("the run was not refused up front")
-    for module, name in ((magnon, "evolve_single_excitation"), (magnon, "diagonalize_magnons"),
+    for module, name in ((magnon, "_single_excitation_amplitudes"),
+                         (magnon, "diagonalize_magnons"),
                          (dynamics, "evolve"), (cli, "_build_couplings")):
         monkeypatch.setattr(module, name, never)
     assert cli.main(argv + ["-o", str(outdir)]) == 2

@@ -111,6 +111,46 @@ def test_evolved_basis_is_the_block_the_quench_reaches(n):
             np.testing.assert_allclose(traj.states[0], expected == index, atol=1e-15)
 
 
+def _reached_with_shortcuts(state, H):
+    """``dynamics._on_reached_blocks`` with the shortcuts it had for the full
+    space and for one block, and the block index ``evolve`` took for one
+    block."""
+    labels, size = dynamics.reached_blocks(state, H)
+    nonzero = state.amplitudes != 0
+    if size == 1 << H.n_sites:
+        basis = np.arange(size)
+    elif labels.size == 1:
+        basis = dynamics._block_basis(H, int(labels[0]))
+    else:
+        basis = np.sort(np.concatenate([dynamics._block_basis(H, int(k)) for k in labels]))
+    amps = np.zeros(basis.size, dtype=complex)
+    amps[np.searchsorted(basis, state.basis[nonzero])] = state.amplitudes[nonzero]
+    blocks = ([np.arange(basis.size)] if labels.size == 1 else
+              [np.flatnonzero(dynamics._block_labels(basis, H) == k) for k in labels])
+    return labels, basis, amps, blocks
+
+
+def test_one_reached_path_gives_the_arrays_of_the_removed_shortcuts():
+    """Sorting the union of the reached blocks, and labelling its states,
+    gives the full space, a single block and its block index bit for bit."""
+    n = 7
+    mixed = StateVector(np.array([0.6, 0.8j]), n, [1 << 2, (1 << 2) | (1 << 5)])
+    states = [dynamics.prepare_state(QuenchSpec("global"), n), mixed,
+              dynamics.prepare_state(QuenchSpec("local", (4,)), n),
+              dynamics.prepare_state(QuenchSpec("local", (2, 3, 6)), n)]
+    for model in ("xy", "ising"):
+        H = dynamics.build_hamiltonian(ionchain.power_law_coupling(n, 1.5, J0), 1.0, model)
+        for state in states:
+            labels, basis, amps, blocks = _reached_with_shortcuts(state, H)
+            got_labels, got_basis, got_amps = dynamics._on_reached_blocks(state, H)
+            assert got_labels.tolist() == labels.tolist()
+            assert got_basis.dtype == basis.dtype and got_basis.tobytes() == basis.tobytes()
+            assert got_amps.tobytes() == amps.tobytes()
+            block_of = dynamics._block_labels(got_basis, H)
+            for label, block in zip(labels, blocks):
+                assert np.flatnonzero(block_of == label).tobytes() == block.tobytes()
+
+
 def test_two_flips_of_40_sites_hold_780_states():
     traj = _reached(dynamics.prepare_state(QuenchSpec("local", (10, 20)), 40), "xy")
     assert traj.basis.size == 780 and np.all(np.diff(traj.basis) > 0)
@@ -222,7 +262,7 @@ def test_krylov_large_chain_against_magnon_oracle():
     psi0 = dynamics.prepare_state(QuenchSpec(kind="local", flipped_sites=(7,)), n)
     times = np.linspace(0.0, 0.01, 6)
     traj = dynamics.evolve(psi0, H, times, method="krylov")
-    mag_full = np.vstack([dynamics.magnetisation(traj.state(k)) for k in range(len(traj))])
+    mag_full = np.vstack([dynamics.magnetisation(traj.state(k)) for k in range(traj.times.size)])
     mag_ref = np.vstack([magnon.magnetisation_single(s)
                          for s in magnon.evolve_single_excitation(J, 7, times)])
     np.testing.assert_allclose(mag_full, mag_ref, atol=1e-8)
@@ -235,7 +275,7 @@ def test_evolution_preserves_norm_and_energy():
     psi0 = dynamics.prepare_state(QuenchSpec(kind="global"), n)
     traj = dynamics.evolve(psi0, H, np.linspace(0, 0.05, 11))
     e0 = np.vdot(psi0.amplitudes, H._matrix @ psi0.amplitudes).real
-    for k in range(len(traj)):
+    for k in range(traj.times.size):
         psi = traj.states[k]
         assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-10)
         assert np.vdot(psi, H._matrix @ psi).real == pytest.approx(
@@ -1296,7 +1336,7 @@ def test_norm_sectors_and_magnetisation_hold_across_the_ladder(model, data):
     traj = dynamics.evolve(dynamics.prepare_state(spec, n), H, np.linspace(0.0, 0.01, 5))
     np.testing.assert_allclose(np.linalg.norm(traj.states, axis=1), 1.0, rtol=0, atol=1e-10)
     weights = np.array([dynamics.excitation_sector_weights(traj.state(t))
-                        for t in range(len(traj))])                     # (T, N + 1)
+                        for t in range(traj.times.size)])                     # (T, N + 1)
     if model == "xy":
         k = len(flips)
         assert not np.delete(weights, k, axis=1).any()
@@ -1403,7 +1443,7 @@ def test_trajectory_observables_match_per_state_results(model, spec):
     mag = dynamics.magnetisation(traj)
     corr = dynamics.two_point_correlations(traj)
     assert mag.shape == (7, n) and corr.shape == (7, n, n)
-    for k in range(len(traj)):
+    for k in range(traj.times.size):
         np.testing.assert_allclose(mag[k], dynamics.magnetisation(traj.state(k)),
                                    atol=1e-14)
         np.testing.assert_allclose(corr[k], dynamics.two_point_correlations(traj.state(k)),
@@ -1500,7 +1540,7 @@ def test_trajectory_state_round_trip():
     H = dynamics.build_hamiltonian(J, model="xy")
     psi0 = dynamics.prepare_state(QuenchSpec(kind="local", flipped_sites=(2,)), n)
     traj = dynamics.evolve(psi0, H, np.linspace(0, 0.01, 4))
-    assert len(traj) == 4
+    assert traj.times.size == 4
     s = traj.state(2)
     assert s.n_sites == n
     np.testing.assert_array_equal(s.amplitudes, traj.states[2])

@@ -165,7 +165,7 @@ def test_reduction_on_the_basis_equals_the_full_space_reshape(n, model, spec):
     H = dynamics.build_hamiltonian(J, transverse_field=300.0, model=model)
     traj = dynamics.evolve(dynamics.prepare_state(spec, n), H,
                            np.linspace(0.0, 0.01, 4))
-    for k in range(len(traj)):
+    for k in range(traj.times.size):
         state = traj.state(k)
         for sites in ((1,), (n,), (1, 2), (2, n), (1, n)):
             rho = ent.reduced_density_matrix(state, sites)
@@ -225,6 +225,49 @@ def test_bell_measurement_probabilities():
     np.testing.assert_allclose(row["z", "z"], [0.0, 0.5, 0.5, 0.0], atol=1e-12)
     np.testing.assert_allclose(row["x", "x"], [0.5, 0.0, 0.0, 0.5], atol=1e-12)
     np.testing.assert_allclose(row["x", "y"], [0.25, 0.25, 0.25, 0.25], atol=1e-12)
+
+
+def _per_setting_probabilities(rho):
+    """The (9, 4) outcome table as it was built before the projector table:
+    two krons and a trace per outcome, row by row."""
+    eye = np.eye(2)
+    table = []
+    for basis in ent.TOMOGRAPHY_BASES:
+        probs = []
+        for s1 in (1.0, -1.0):
+            proj1 = 0.5 * (eye + s1 * ent.PAULI[basis[0]])
+            for s2 in (1.0, -1.0):
+                proj2 = 0.5 * (eye + s2 * ent.PAULI[basis[1]])
+                probs.append(np.real(np.trace(rho.matrix @ np.kron(proj1, proj2))))
+        probs = np.clip(np.array(probs), 0.0, None)
+        table.append(probs / probs.sum())
+    return np.array(table)
+
+
+def test_outcome_projector_table_gives_the_bits_of_the_per_setting_loop():
+    """One stacked product and trace over the (9, 4, 4, 4) projectors gives
+    every probability of the loop bit for bit: on random pure states, on
+    mirror-symmetric ones (a amplitude on |dd> and |uu>, b on |du> and
+    |ud>), on mixtures and on reduced states of a chain."""
+    rng = np.random.default_rng(11)
+    rhos = [_pure(BELL), _pure(np.array([1.0, 0.0, 0.0, 0.0]))]
+    for seed in range(60):
+        rhos.append(_pure(_random_state(4, seed)))
+        a, b = _random_state(2, 1000 + seed)
+        rhos.append(_pure(np.array([a, b, b, a]) / np.sqrt(2.0)))
+        weights = rng.dirichlet(np.ones(3))
+        mixed = sum(w * np.outer(psi, psi.conj()) for w, psi in
+                    zip(weights, (_random_state(4, 2000 + 3 * seed + k) for k in range(3))))
+        rhos.append(DensityMatrix(mixed, (1, 2)))
+    J = ionchain.power_law_coupling(7, 1.5, 2 * np.pi * 30.0)
+    H = dynamics.build_hamiltonian(J, model="xy")
+    traj = dynamics.evolve(dynamics.prepare_state(QuenchSpec("local", (4,)), 7), H,
+                           np.linspace(0.0, 0.01, 11))
+    rhos += [ent.reduced_density_matrix(traj.state(k), pair)
+             for k in range(traj.times.size) for pair in ((3, 5), (2, 6), (1, 4))]
+    for rho in rhos:
+        assert (ent.measurement_probabilities(rho).view(np.uint64).tolist()
+                == _per_setting_probabilities(rho).view(np.uint64).tolist())
 
 
 def test_tomography_needs_a_two_qubit_state():

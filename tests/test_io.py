@@ -445,6 +445,26 @@ def test_save_magnetisation_long_format(tmp_path):
                     [0.5, 1.0, 0.25], [0.5, 2.0, -0.25]]
 
 
+@pytest.mark.parametrize("save,names", [
+    (mio.save_magnetisation, ("t_s", "site", "sz")),
+    (mio.save_averaged_correlations, ("t_s", "n", "cbar")),
+])
+def test_long_format_saves_have_the_bytes_of_their_former_columns(tmp_path, save, names):
+    """magnetisation.csv and cbar.csv share one long-format layout, which
+    writes what the columns built at each call site wrote: over two chunks
+    of rows and past FLOAT_TEXT_MIN distinct values."""
+    rng = np.random.default_rng(4)
+    times = np.linspace(0.0, 0.02, 801)
+    values = rng.normal(size=(times.size, 10))
+    meta = {"config_hash": "abc", "seed": 3, "model": "xy"}
+    n_t, n = values.shape
+    columns = (mio._Labels.repeat(times, n), mio._Labels.tile(np.arange(1, n + 1), n_t),
+               values.ravel())
+    former = mio.write_columns(tmp_path / "former.csv", names, columns, meta)
+    assert values.size > mio._CHUNK_ROWS and values.size > mio.FLOAT_TEXT_MIN
+    assert save(tmp_path / "saved.csv", times, values, meta).read_bytes() == former.read_bytes()
+
+
 def test_save_correlations_upper_pairs_only(tmp_path):
     corr = np.arange(9.0).reshape(1, 3, 3)
     path = mio.save_correlations(tmp_path / "c.csv", [0.1], corr)

@@ -1,6 +1,7 @@
 """Equilibrium positions, transverse modes, and the mode-sum coupling matrix."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import constants
 
-from magnonchain import ionchain
+from magnonchain import dynamics, entanglement, ionchain, magnon
 from magnonchain.ionchain import (
     BeamProfile, ChainUnstableError, CouplingMatrix, ResonanceError, TrapConfig,
 )
@@ -70,17 +71,152 @@ def test_positions_still_report_non_convergence(monkeypatch):
         ionchain.equilibrium_positions(100)
 
 
-@pytest.mark.parametrize("n", [7, 25, 51])
+@pytest.mark.parametrize("n", [7, 25, 51, 100, 160])
 def test_positions_evaluate_the_force_once_per_point(n, monkeypatch):
     """The force of an accepted line-search trial serves the next Newton
-    step: no position vector is evaluated twice.  (From N = 100 on, a line
-    search at the roundoff floor halves its step until trials round to the
-    same positions, so points repeat there.)"""
+    step, and a trial that rounds to the current positions is not
+    evaluated: no position vector is evaluated twice."""
     force, points = ionchain._chain_force, []
     monkeypatch.setattr(ionchain, "_chain_force",
                         lambda u: points.append(u.tobytes()) or force(u))
     ionchain.equilibrium_positions(n)
     assert len(points) == len(set(points)) > 1
+
+
+def _halving_positions(n_ions):
+    """The equilibrium solve with a line search that evaluates every trial
+    down to a step of 1e-8, also those that round to the current
+    positions."""
+    spacing = 2.018 / n_ions ** 0.559
+    u = spacing * (np.arange(1, n_ions + 1) - (n_ions + 1) / 2)
+    force = ionchain._chain_force(u)
+    fmax = np.max(np.abs(force))
+    for _ in range(ionchain.MAX_NEWTON_ITERATIONS):
+        if fmax < ionchain.FORCE_TOL:
+            return u
+        step = np.linalg.solve(ionchain._chain_hessian(u), force)
+        lam = 1.0
+        while lam > 1e-8:
+            trial = u - lam * step
+            ftrial = ionchain._chain_force(trial)
+            if np.max(np.abs(ftrial)) < fmax:
+                break
+            lam /= 2
+        else:
+            if fmax < ionchain._force_roundoff(u):
+                return u
+            trial = u - lam * step
+            ftrial = ionchain._chain_force(trial)
+        u, force = trial, ftrial
+        fmax = np.max(np.abs(force))
+    raise AssertionError("no convergence")
+
+
+@pytest.mark.parametrize("n", [7, 25, 51, 100, 160])
+def test_a_trial_that_rounds_to_the_positions_goes_straight_to_the_roundoff_check(
+        n, monkeypatch):
+    """Every shorter step rounds to the same positions, so skipping those
+    trials leaves the positions bit for bit; at the roundoff floor of
+    N = 100 and 160 the solve takes at most 20 force evaluations, where
+    halving down to 1e-8 took 37."""
+    reference = _halving_positions(n)
+    force, calls = ionchain._chain_force, []
+    monkeypatch.setattr(ionchain, "_chain_force", lambda u: calls.append(1) or force(u))
+    assert ionchain.equilibrium_positions(n).tobytes() == reference.tobytes()
+    if n >= 100:
+        assert len(calls) <= 20, len(calls)
+
+
+def test_one_separation_table_gives_the_bits_of_the_four_inline_ones():
+    """The force, its roundoff floor, the Hessian and the transverse mode
+    matrix built from ``_separations`` equal the inline tables of old."""
+    for n in range(2, 161):
+        u = ionchain.equilibrium_positions(n)
+        d = u[:, None] - u[None, :]
+        np.fill_diagonal(d, np.inf)
+        force = u - np.sum(np.sign(d) / d ** 2, axis=1)
+        terms = np.abs(u) + np.sum(1.0 / d ** 2, axis=1)
+        roundoff = u.size * np.finfo(float).eps * float(terms.max())
+        a = np.abs(u[:, None] - u[None, :])
+        np.fill_diagonal(a, np.inf)
+        hessian = -2.0 / a ** 3
+        np.fill_diagonal(hessian, 1.0 + 2.0 * np.sum(1.0 / a ** 3, axis=1))
+        assert ionchain._chain_force(u).tobytes() == force.tobytes(), n
+        assert ionchain._force_roundoff(u) == roundoff, n
+        assert ionchain._chain_hessian(u).tobytes() == hessian.tobytes(), n
+    for n, axial in ((2, 0.219e6), (7, 0.219e6), (25, 0.219e6), (100, 0.05e6),
+                     (160, 0.03e6)):
+        trap = TrapConfig(n_ions=n, axial_freq=axial, transverse_freq_x=2.655e6,
+                          transverse_freq_y=2.628e6, detuning=0.0,
+                          ion_mass=ionchain.MASS_CA40, laser_wavelength=ionchain.WAVELENGTH_CA40)
+        modes = ionchain.transverse_mode_spectrum(trap)
+        u = ionchain.equilibrium_positions(n)
+        a = np.abs(u[:, None] - u[None, :])
+        np.fill_diagonal(a, np.inf)
+        inv_cube = 1.0 / a ** 3
+        for branch, nu_t in enumerate((trap.transverse_freq_x, trap.transverse_freq_y)):
+            A = inv_cube.copy()
+            np.fill_diagonal(A, (nu_t / axial) ** 2 - inv_cube.sum(axis=1))
+            lam, b = np.linalg.eigh(A)
+            lam, b = lam[::-1], ionchain._fix_gauge(b[:, ::-1])
+            rows = slice(branch * n, (branch + 1) * n)
+            assert modes.frequencies[rows].tobytes() == (axial * np.sqrt(lam)).tobytes(), n
+            assert modes.mode_vectors[:, rows].tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def test_frozen_arrays_copy_a_writable_input_and_share_a_read_only_one():
+    """One rule for every frozen dataclass: a writable input array is
+    copied and the copy made read-only, so later writes leave the object
+    alone; a read-only input is kept as it is."""
+    vec = np.array([1.0, 0.0, 0.0, 0.0])
+    makers = {
+        "CouplingMatrix.values": (lambda a: CouplingMatrix(a).values, np.zeros((3, 3))),
+        "ModeSpectrum.positions": (lambda a: ionchain.ModeSpectrum(
+            np.ones(4), np.eye(2, 4), ("x", "x", "y", "y"), a, a).positions, np.zeros(2)),
+        "MagnonSpectrum.energies": (lambda a: magnon.MagnonSpectrum(
+            a, np.eye(3), a, np.arange(3)).energies, np.arange(3.0)),
+        "DensityMatrix.matrix": (lambda a: entanglement.DensityMatrix(a, (1, 2)).matrix,
+                                 np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)),
+        "SingleExcitationState.amplitudes": (lambda a: magnon.SingleExcitationState(
+            a, 0.0).amplitudes, vec.astype(complex)),
+        "StateVector.amplitudes": (lambda a: dynamics.StateVector(
+            a, 2, np.arange(4)).amplitudes, vec.astype(complex)),
+    }
+    for name, (field_of, value) in makers.items():
+        writable = value.copy()
+        kept = field_of(writable)
+        assert not kept.flags.writeable and not np.shares_memory(kept, writable), name
+        frozen = value.copy()
+        frozen.setflags(write=False)
+        assert field_of(frozen) is frozen, name
+
+
+def test_every_normalisation_path_has_one_tolerance_and_message(monkeypatch):
+    """A StateVector, a SingleExcitationState and the (T, N) propagated
+    amplitudes are refused alike: off by more than 1e-9, with the same
+    message, naming the sum of the first row that is off."""
+    def refused(norm):
+        return f"^{re.escape(f'state not normalized: sum |a|^2 = {float(norm)!r}')}$"
+
+    for off in (1.5e-9, -1.5e-9, 0.5e-9, -0.5e-9):
+        amps = np.array([np.sqrt(1.0 + off), 0.0], dtype=complex)
+        norm = np.sum(np.abs(amps) ** 2)
+        for make in (lambda: dynamics.StateVector(amps, 1, [0, 1]),
+                     lambda: magnon.SingleExcitationState(amps, 0.0)):
+            if abs(off) < 1e-9:
+                make()
+            else:
+                with pytest.raises(ValueError, match=refused(norm)):
+                    make()
+    values = ionchain.power_law_coupling(6, 1.3, 2 * np.pi * 30.0).values.copy()
+    values[0, 1] = values[1, 0] = 1.1 * values[0, 1]     # no mirror symmetry: one eigh
+    times = np.linspace(0.0, 0.01, 4)
+    spread = magnon._spread
+    scale = np.sqrt([[1.0], [1.0 + 0.5e-9], [1.0 + 2e-9], [1.0 - 3e-9]])
+    monkeypatch.setattr(magnon, "_spread", lambda *args: spread(*args) * scale)
+    norms = np.sum(np.abs(spread(*np.linalg.eigh(values), 0, times) * scale) ** 2, axis=1)
+    with pytest.raises(ValueError, match=refused(norms[2])):
+        magnon._single_excitation_amplitudes(CouplingMatrix(values), 1, times)
 
 
 def test_positions_need_two_ions():
