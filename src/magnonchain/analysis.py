@@ -71,14 +71,6 @@ class AlphaFit:
     method: str
     note: str = ""
 
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        if self.residual < 0:
-            raise ValueError("residual must be non-negative")
-        if self.method not in ("dispersion", "realspace"):
-            raise ValueError(f"unknown method {self.method!r}")
-
 
 @dataclass(frozen=True)
 class ArrivalFit:
@@ -457,7 +449,10 @@ def fit_front_velocity(arrivals) -> FrontFit:
 
     ``arrivals`` is a sequence of (distance, t0) pairs; the model is
     t0 = d / velocity + intercept.  The velocity standard error follows
-    from the slope standard error by error propagation.
+    from the slope standard error by error propagation.  Raises FitError
+    if the front moves backwards, or if the arrival times rise over the
+    distances by no more than the arrival fits resolve (10
+    ``FIT_STEP_RTOL`` of the latest), as under all-to-all equal couplings.
     """
     pairs = np.atleast_2d(np.asarray(arrivals, dtype=float))
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -465,9 +460,14 @@ def fit_front_velocity(arrivals) -> FrontFit:
     if pairs.shape[0] < 3:
         raise ValueError("need at least 3 arrival points")
     d, t0 = pairs[:, 0], pairs[:, 1]
-    if np.ptp(d) == 0.0:
+    span = np.ptp(d)
+    if span == 0.0:
         raise FitError("degenerate distances: all arrivals at the same site")
     (slope, intercept), cov = np.polyfit(d, t0, 1, cov=True)
+    if abs(slope) * span <= 10 * FIT_STEP_RTOL * np.abs(t0).max():
+        raise FitError("the arrival times do not change with distance: their rise over "
+                       f"the fitted sites, {slope * span:.3g} s, is within the "
+                       "arrival fits' tolerance")
     if slope <= 0.0:
         raise FitError(f"non-positive slope {slope:.3g}: front moves backwards")
     slope_err = float(np.sqrt(cov[0, 0]))

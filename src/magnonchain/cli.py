@@ -505,9 +505,7 @@ def _quench(rc: RunConfig, J: ionchain.CouplingMatrix, window=("t_start", "t_end
     settings (:func:`_check_phases`)."""
     H = dynamics.build_hamiltonian(J, transverse_field=_field_rad(rc, J), model=rc.model)
     _check_phases(rc, H, window)
-    psi0 = dynamics.prepare_state(
-        dynamics.QuenchSpec(kind=rc.kind, flipped_sites=rc.flip), rc.n_ions)
-    return psi0, H
+    return dynamics.prepare_state(rc.n_ions, rc.flip if rc.kind == "local" else None), H
 
 
 def _check_phases(rc: RunConfig, H: dynamics.Hamiltonian, window=("t_start", "t_end")) -> None:
@@ -660,9 +658,8 @@ def _cmd_lightcone(rc: RunConfig) -> int:
         raise analysis.FitError(
             f"{len(fits)} of {len(fits) + len(skipped)} sites gave an arrival fit, and the "
             f"front velocity needs at least 3; lengthen {_LABELS['t_end']}")
-    _export_trajectory(rc, times, mag, corr)
-
     front = analysis.fit_front_velocity([(d, f.t0) for d, f in fits])
+    _export_trajectory(rc, times, mag, corr)
     cone = bounds.nn_lightcone(J)
 
     provenance = mio.matrix_hash(J.values)

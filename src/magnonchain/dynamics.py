@@ -175,30 +175,6 @@ class PropagatorError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class QuenchSpec:
-    """Initial-state recipe: ``local`` flips listed sites on the all-down
-    background; ``global`` prepares every spin in (|down> + |up>)/sqrt(2)."""
-
-    kind: str
-    flipped_sites: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("local", "global"):
-            raise ValueError(f"quench kind must be 'local' or 'global', got {self.kind!r}")
-        sites = tuple(int(s) for s in self.flipped_sites)
-        object.__setattr__(self, "flipped_sites", sites)
-        if self.kind == "global" and sites:
-            raise ValueError("global quench takes no flipped sites")
-        if self.kind == "local":
-            if not sites:
-                raise ValueError("local quench needs at least one flipped site")
-            if len(set(sites)) != len(sites):
-                raise ValueError("flipped sites must be distinct")
-            if min(sites) < 1:
-                raise ValueError("site indices are 1-based")
-
-
-@dataclass(frozen=True)
 class StateVector:
     """Pure state on the sorted product-basis states ``basis`` (site 1 =
     least significant bit); ``amplitudes[k]`` belongs to ``basis[k]`` and
@@ -465,21 +441,26 @@ def _index_of(basis: np.ndarray, n: int):
     return lambda b: np.searchsorted(basis, b).clip(max=basis.size - 1)
 
 
-def prepare_state(spec: QuenchSpec, n: int) -> StateVector:
-    """Initial state of a quench (see :class:`QuenchSpec`) on its own
-    support: one basis state for a local quench, all 2^n for a global one.
-    :func:`evolve` widens it to the conserved blocks the Hamiltonian takes
-    it through.  Raises ValueError, naming n, the number of states and the
+def prepare_state(n: int, flipped_sites=None) -> StateVector:
+    """Initial state of a quench of n sites on its own support.  With no
+    ``flipped_sites`` it is a global quench, every spin in
+    (|down> + |up>)/sqrt(2): all 2^n basis states.  Otherwise it is a local
+    quench, the listed 1-based sites flipped up on the all-down background:
+    one basis state.  :func:`evolve` widens it to the conserved blocks the
+    Hamiltonian takes it through.  Raises ValueError if the sites are none,
+    repeated or outside 1..n, or, naming n, the number of states and the
     limit, if a global quench has more than ``MAX_STATES`` states; nothing
     of that size is allocated first."""
-    if spec.kind == "global":
+    if flipped_sites is None:
         _check_states(n, 1 << n)
         return StateVector(np.full(1 << n, 2.0 ** (-n / 2), dtype=complex), n,
                            np.arange(1 << n))
-    for s in spec.flipped_sites:
+    sites = tuple(int(s) for s in flipped_sites)
+    if not sites or len(set(sites)) != len(sites):
+        raise ValueError(f"a local quench needs one or more distinct flipped sites, got {sites}")
+    for s in sites:
         _check_site(n, s)
-    index = sum(1 << (s - 1) for s in spec.flipped_sites)
-    return StateVector(np.ones(1, dtype=complex), n, [index])
+    return StateVector(np.ones(1, dtype=complex), n, [sum(1 << (s - 1) for s in sites)])
 
 
 def _block_labels(basis: np.ndarray, H: Hamiltonian) -> np.ndarray:

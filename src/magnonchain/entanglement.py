@@ -330,9 +330,7 @@ def bootstrap(counts: np.ndarray, resamples: int, statistic: str, seed: int,
     freqs = counts / shots[:, None]
     streams = range(_BOOTSTRAP_STREAM_BASE, _BOOTSTRAP_STREAM_BASE + resamples)
     redrawn = np.stack([rng.multinomial(shots, freqs) for rng in _streams(seed, streams)])
-    rhos = _project_stack(_linear_inversion(redrawn, shots))
-    _check_physical(rhos)
-    values = evaluate(rhos)
+    values = evaluate(_project_stack(_linear_inversion(redrawn, shots)))
     return float(values.mean()), float(values.std(ddof=1))
 
 

@@ -67,7 +67,7 @@ class ConfigError(ValueError):
 
 def config_hash(obj) -> str:
     """Short stable hash of any JSON-serializable configuration object."""
-    blob = json.dumps(_jsonify(obj), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_plain)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -79,20 +79,14 @@ def matrix_hash(values) -> str:
     return hashlib.sha256(str(a.shape).encode() + a.tobytes()).hexdigest()[:12]
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+def _plain(obj):
+    """The JSON-native form of what ``json`` cannot write itself: a numpy
+    scalar or array as its Python value(s), a path as its text."""
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     if isinstance(obj, Path):
         return str(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def header_lines(meta: dict | None = None) -> list[str]:
@@ -242,10 +236,8 @@ def write_columns(path, names, columns, meta: dict | None = None) -> Path:
 
 def write_ndjson(path, records, meta: dict | None = None) -> Path:
     """NDJSON: a header record followed by one JSON record per line."""
-    lines = [json.dumps({"header": _jsonify({"magnonchain": __version__, **(meta or {})})},
-                        sort_keys=True)]
-    for rec in records:
-        lines.append(json.dumps(_jsonify(rec), sort_keys=True))
+    lines = [json.dumps(rec, sort_keys=True, default=_plain)
+             for rec in ({"header": {"magnonchain": __version__, **(meta or {})}}, *records)]
     return _write_lines(path, lines)
 
 

@@ -155,10 +155,6 @@ class ModeSpectrum:
             raise ValueError("need one branch label per mode")
 
     @property
-    def n_ions(self) -> int:
-        return self.positions.size
-
-    @property
     def top_mode_freq(self) -> float:
         """Highest transverse mode frequency (Hz)."""
         return float(self.frequencies.max())
@@ -258,13 +254,16 @@ def equilibrium_positions(n_ions: int) -> np.ndarray:
         if fmax < FORCE_TOL:
             return u
         step = np.linalg.solve(_chain_hessian(u), force)
-        lam = 1.0
+        lam, rejected = 1.0, None
         trial = u - lam * step
-        # a trial that rounds to u ends the search: so does every shorter step
+        # a trial that rounds to u ends the search: so does every shorter step;
+        # one that rounds to the last rejected trial is rejected unevaluated
         while lam > 1e-8 and trial.tobytes() != u.tobytes():
-            ftrial = _chain_force(trial)
-            if np.max(np.abs(ftrial)) < fmax:
-                break
+            if trial.tobytes() != rejected:
+                ftrial = _chain_force(trial)
+                if np.max(np.abs(ftrial)) < fmax:
+                    break
+                rejected = trial.tobytes()
             lam /= 2
             trial = u - lam * step
         else:
@@ -370,23 +369,20 @@ def _fix_gauge(vectors: np.ndarray) -> np.ndarray:
     return np.where(lead < 0, -vectors, vectors)
 
 
-def detuning_above_top_mode(trap: TrapConfig, modes: ModeSpectrum | None = None) -> float:
+def detuning_above_top_mode(trap: TrapConfig, modes: ModeSpectrum) -> float:
     """Detuning minus the highest transverse mode frequency, in Hz.
 
     Positive in the anti-ferromagnetic regime.  Provided because quoted
     detunings are often given relative to the highest transverse mode
     while ``TrapConfig.detuning`` is measured from the spin transition.
+    ``modes`` is the mode spectrum of ``trap``.
     """
-    if modes is None:
-        modes = transverse_mode_spectrum(trap)
     return trap.detuning - modes.top_mode_freq
 
 
-def with_detuning_above_top(trap: TrapConfig, gap: float,
-                            modes: ModeSpectrum | None = None) -> TrapConfig:
-    """Copy of ``trap`` with the detuning placed ``gap`` Hz above the top mode."""
-    if modes is None:
-        modes = transverse_mode_spectrum(trap)
+def with_detuning_above_top(trap: TrapConfig, gap: float, modes: ModeSpectrum) -> TrapConfig:
+    """Copy of ``trap`` with the detuning placed ``gap`` Hz above the top
+    mode of its mode spectrum ``modes``."""
     return replace(trap, detuning=modes.top_mode_freq + gap)
 
 
@@ -454,15 +450,9 @@ def coupling_matrix(trap: TrapConfig, modes: ModeSpectrum, rabi: np.ndarray) -> 
 
 
 def build_coupling_matrix(trap: TrapConfig, beam: BeamProfile,
-                          modes: ModeSpectrum | None = None) -> CouplingMatrix:
-    """Convenience pipeline: modes -> Rabi profile -> coupling matrix.
-
-    ``modes``, when given, is the mode spectrum of ``trap`` (the detuning
-    plays no part in it), so a caller that already holds it saves the
-    equilibrium solve and both ``eigh``.
-    """
-    if modes is None:
-        modes = transverse_mode_spectrum(trap)
+                          modes: ModeSpectrum) -> CouplingMatrix:
+    """Convenience pipeline: Rabi profile -> coupling matrix, on the mode
+    spectrum ``modes`` of ``trap`` (the detuning plays no part in it)."""
     rabi = rabi_profile(beam, modes.positions_m)
     return coupling_matrix(trap, modes, rabi)
 

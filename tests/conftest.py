@@ -88,7 +88,7 @@ def reference_trap():
                                transverse_freq_x=2.655e6, transverse_freq_y=2.628e6,
                                detuning=0.0, ion_mass=ionchain.MASS_CA40,
                                laser_wavelength=ionchain.WAVELENGTH_CA40)
-    return ionchain.with_detuning_above_top(trap, 30e3)
+    return ionchain.with_detuning_above_top(trap, 30e3, ionchain.transverse_mode_spectrum(trap))
 
 
 @pytest.fixture

@@ -82,8 +82,7 @@ def test_criterion_03_full_xy_matches_magnon_sector():
     J = ionchain.power_law_coupling(n, 1.5, J0)
     times = np.linspace(0.0, 0.02, 50)
     H = dynamics.build_hamiltonian(J, model="xy")
-    psi0 = dynamics.prepare_state(
-        dynamics.QuenchSpec(kind="local", flipped_sites=(4,)), n)
+    psi0 = dynamics.prepare_state(n, (4,))
     traj = dynamics.evolve(psi0, H, times)
     mag_full = np.vstack([dynamics.magnetisation(traj.state(k))
                           for k in range(traj.times.size)])
@@ -101,8 +100,7 @@ def test_criterion_04_ising_at_large_field_conserves_excitations():
     J = ionchain.power_law_coupling(n, 1.5, J0)
     B = 50.0 * np.abs(J.values).max()
     H = dynamics.build_hamiltonian(J, transverse_field=B, model="ising")
-    psi0 = dynamics.prepare_state(
-        dynamics.QuenchSpec(kind="local", flipped_sites=(4,)), n)
+    psi0 = dynamics.prepare_state(n, (4,))
     times = np.linspace(0.0, 10.0 / J.nn_mean, 101)
     traj = dynamics.evolve(psi0, H, times)
     leak = max(1.0 - dynamics.excitation_sector_weights(traj.state(k))[1]
@@ -130,15 +128,15 @@ def test_criterion_06_detuning_sweep_brackets_intermediate_alpha():
     exponent range brackets 1.36."""
     _start()
     beam = ionchain.BeamProfile(peak_rabi=100e3, waist_along_chain=380e-6, center_offset=0.0)
+    trap = ionchain.TrapConfig(n_ions=7, axial_freq=0.219e6, transverse_freq_x=2.655e6,
+                               transverse_freq_y=2.628e6, detuning=0.0,
+                               ion_mass=ionchain.MASS_CA40,
+                               laser_wavelength=ionchain.WAVELENGTH_CA40)
+    modes = ionchain.transverse_mode_spectrum(trap)
     alphas = []
     for gap in (15e3, 30e3, 60e3, 120e3):
-        trap = ionchain.TrapConfig(n_ions=7, axial_freq=0.219e6,
-                                   transverse_freq_x=2.655e6,
-                                   transverse_freq_y=2.628e6,
-                                   detuning=0.0, ion_mass=ionchain.MASS_CA40,
-                                   laser_wavelength=ionchain.WAVELENGTH_CA40)
-        trap = ionchain.with_detuning_above_top(trap, gap)
-        J = ionchain.build_coupling_matrix(trap, beam)
+        J = ionchain.build_coupling_matrix(ionchain.with_detuning_above_top(trap, gap, modes),
+                                           beam, modes)
         spec = magnon.diagonalize_magnons(J)
         fit = analysis.fit_alpha_dispersion(
             np.column_stack([spec.pseudo_momenta, spec.energies]), 7)
@@ -162,8 +160,7 @@ def test_criterion_07_entanglement_front_ordering():
     J = ionchain.power_law_coupling(n, 1.75, J0)
     times = np.linspace(0.0, 0.015, 301)
     H = dynamics.build_hamiltonian(J, model="xy")
-    psi0 = dynamics.prepare_state(
-        dynamics.QuenchSpec(kind="local", flipped_sites=(4,)), n)
+    psi0 = dynamics.prepare_state(n, (4,))
     traj = dynamics.evolve(psi0, H, times)
     peaks = {}
     for pair in ((3, 5), (2, 6), (1, 7)):
@@ -210,8 +207,7 @@ def test_criterion_09_lr_bound_holds_for_nn_chain():
     n = 9
     J = ionchain.nearest_neighbour_coupling(n, J0)
     H = dynamics.build_hamiltonian(J, model="xy")
-    psi0 = dynamics.prepare_state(
-        dynamics.QuenchSpec(kind="local", flipped_sites=(5,)), n)
+    psi0 = dynamics.prepare_state(n, (5,))
     times = np.linspace(0.0, 0.02, 101)
     traj = dynamics.evolve(psi0, H, times)
     mag = np.vstack([dynamics.magnetisation(traj.state(k)) for k in range(traj.times.size)])

@@ -141,9 +141,10 @@ def test_trap_alpha_fit_matches_node_count_objective(n, axial, monkeypatch):
     defaults = {s.name: s.default for s in cli.SETTINGS}
     trap = ionchain.TrapConfig(**{**cli._fields(ionchain.TrapConfig, defaults), "n_ions": n,
                                   "detuning": 0.0, "axial_freq": axial})
-    trap = ionchain.with_detuning_above_top(trap, 30e3)
+    modes = ionchain.transverse_mode_spectrum(trap)
     J = ionchain.build_coupling_matrix(
-        trap, ionchain.BeamProfile(**cli._fields(ionchain.BeamProfile, defaults)))
+        ionchain.with_detuning_above_top(trap, 30e3, modes),
+        ionchain.BeamProfile(**cli._fields(ionchain.BeamProfile, defaults)), modes)
     spec = magnon.diagonalize_magnons(J)
     pairs = np.column_stack([spec.pseudo_momenta, spec.energies])
     fit = analysis.fit_alpha_dispersion(pairs, n)

@@ -221,7 +221,7 @@ def test_lr_bound_holds_across_the_nearest_neighbour_ladder(propagator, top, dat
     J = ionchain.nearest_neighbour_coupling(n, J0)
     times = np.linspace(0.0, 0.02, 21)
     if propagator == "evolve":
-        psi0 = dynamics.prepare_state(dynamics.QuenchSpec("local", (flip,)), n)
+        psi0 = dynamics.prepare_state(n, (flip,))
         traj = dynamics.evolve(psi0, dynamics.build_hamiltonian(J, model="xy"), times)
         mag = dynamics.magnetisation(traj)
     else:

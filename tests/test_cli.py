@@ -94,8 +94,7 @@ def test_quench_magnetisation_matches_module(tmp_path, capsys):
     # recompute through the library: identical code path, identical floats
     J = ionchain.power_law_coupling(5, 1.5, 2 * np.pi * 30.0)
     H = dynamics.build_hamiltonian(J, model="xy")
-    psi0 = dynamics.prepare_state(
-        dynamics.QuenchSpec(kind="local", flipped_sites=(3,)), 5)
+    psi0 = dynamics.prepare_state(5, (3,))
     times = np.linspace(0.0, 0.01, 21)
     traj = dynamics.evolve(psi0, H, times)
     mag = np.vstack([dynamics.magnetisation(traj.state(k)) for k in range(21)])
@@ -179,13 +178,13 @@ def test_quench_csvs_match_row_formatter(tmp_path, capsys, command):
     J = ionchain.power_law_coupling(n, 1.5, 2 * np.pi * 30.0)
     if command == "quench":
         H = dynamics.build_hamiltonian(J, model="xy")
-        spec = dynamics.QuenchSpec(kind="local", flipped_sites=flip)
+        spec = flip
     else:
         H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
                                        model="ising")
-        spec = dynamics.QuenchSpec(kind="global", flipped_sites=())
+        spec = None
     times = np.linspace(0.0, 0.004, 9)
-    traj = dynamics.evolve(dynamics.prepare_state(spec, n), H, times)
+    traj = dynamics.evolve(dynamics.prepare_state(n, spec), H, times)
     csvs = _trajectory_csvs(times, dynamics.magnetisation(traj),
                             dynamics.two_point_correlations(traj))
     for name, (columns, rows) in csvs.items():
@@ -201,9 +200,9 @@ def test_long_quench_csvs_match_row_formatter(tmp_path, capsys):
             "--correlations", "--t-end", "0.02", "--n-points", "801"]
     assert run(argv, capsys)[0] == 0
     J = ionchain.power_law_coupling(11, 1.5, 2 * np.pi * 30.0)
-    spec = dynamics.QuenchSpec(kind="local", flipped_sites=(4,))
+    spec = (4,)
     times = np.linspace(0.0, 0.02, 801)
-    traj = dynamics.evolve(dynamics.prepare_state(spec, 11),
+    traj = dynamics.evolve(dynamics.prepare_state(11, spec),
                            dynamics.build_hamiltonian(J, model="xy"), times)
     csvs = _trajectory_csvs(times, dynamics.magnetisation(traj),
                             dynamics.two_point_correlations(traj))
@@ -1036,6 +1035,25 @@ def test_light_cone_with_too_few_arrival_fits_is_numeric_error(tmp_path, capsys)
         "error (FitError): 0 of 6 sites gave an arrival fit, and the front velocity needs "
         "at least 3; lengthen --t-end / [run] t_end\n")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("n", [9, 13, 15, 31, 201])
+def test_equal_all_to_all_couplings_have_no_front(n, tmp_path, capsys):
+    """At alpha = 0 every site is one coupling away from the source, so the
+    arrival times differ only by roundoff: the run is a numeric error
+    naming the flat arrivals, with no artifacts, not a roundoff slope read
+    as a velocity of 1e15 sites/s or as a front moving backwards."""
+    argv = ["lightcone", "--source", "power-law", "--alpha", "0", "--n", str(n),
+            "-o", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("error (FitError): the arrival times do not change with distance")
+    assert not any(tmp_path.iterdir())
+    if n == 15:     # a tiny exponent still spreads the arrivals far above the tolerance
+        argv[argv.index("0")] = "1e-6"
+        assert cli.main(argv) == cli.EXIT_OK
+        front = json.loads((tmp_path / "arrivals.ndjson").read_text().splitlines()[-2])
+        assert front["fit"] == "FrontFit" and front["velocity"] > 0
 
 
 def test_unstable_chain_is_numeric_error(tmp_path, capsys):

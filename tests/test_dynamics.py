@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from magnonchain import dynamics, ionchain, magnon
-from magnonchain.dynamics import QuenchSpec, StateVector, Trajectory
+from magnonchain.dynamics import StateVector, Trajectory
 
 from conftest import SZ, full_space, ising_oracle, op_on_site, random_coupling, xy_oracle
 
@@ -60,12 +60,11 @@ def test_unknown_model_rejected():
 
 def test_site_limit_guard(monkeypatch):
     # the guard counts the states a quench reaches, not the sites
-    spec = QuenchSpec(kind="global")
     monkeypatch.setattr(dynamics, "MAX_STATES", 16)
     with pytest.raises(ValueError, match="limit"):
-        dynamics.prepare_state(spec, 5)
+        dynamics.prepare_state(5)
     monkeypatch.setattr(dynamics, "MAX_STATES", 32)
-    assert dynamics.prepare_state(spec, 5).basis.size == 32
+    assert dynamics.prepare_state(5).basis.size == 32
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +72,7 @@ def test_site_limit_guard(monkeypatch):
 
 
 def test_local_quench_sets_the_right_basis_state():
-    state = dynamics.prepare_state(QuenchSpec(kind="local", flipped_sites=(1, 3)), 4)
+    state = dynamics.prepare_state(4, (1, 3))
     # site 1 -> bit 0, site 3 -> bit 2 -> index 0b101 = 5
     expected = np.zeros(16)
     expected[5] = 1.0
@@ -81,7 +80,7 @@ def test_local_quench_sets_the_right_basis_state():
 
 
 def test_global_quench_is_uniform_superposition():
-    state = dynamics.prepare_state(QuenchSpec(kind="global"), 3)
+    state = dynamics.prepare_state(3)
     np.testing.assert_allclose(state.amplitudes, np.full(8, 8 ** -0.5), atol=1e-15)
 
 
@@ -101,7 +100,7 @@ def test_evolved_basis_is_the_block_the_quench_reaches(n):
     counts = np.array([bin(b).count("1") for b in every])
     for flips in ((1,), (2, 1), tuple(range(1, n + 1))):
         k, index = len(flips), sum(1 << (s - 1) for s in flips)
-        state = dynamics.prepare_state(QuenchSpec("local", flips), n)
+        state = dynamics.prepare_state(n, flips)
         assert state.basis.tolist() == [index] and state.amplitudes.tolist() == [1.0]
         for model, expected in (("xy", every[counts == k]),
                                 ("ising", every[counts % 2 == k % 2])):
@@ -135,9 +134,9 @@ def test_one_reached_path_gives_the_arrays_of_the_removed_shortcuts():
     gives the full space, a single block and its block index bit for bit."""
     n = 7
     mixed = StateVector(np.array([0.6, 0.8j]), n, [1 << 2, (1 << 2) | (1 << 5)])
-    states = [dynamics.prepare_state(QuenchSpec("global"), n), mixed,
-              dynamics.prepare_state(QuenchSpec("local", (4,)), n),
-              dynamics.prepare_state(QuenchSpec("local", (2, 3, 6)), n)]
+    states = [dynamics.prepare_state(n), mixed,
+              dynamics.prepare_state(n, (4,)),
+              dynamics.prepare_state(n, (2, 3, 6))]
     for model in ("xy", "ising"):
         H = dynamics.build_hamiltonian(ionchain.power_law_coupling(n, 1.5, J0), 1.0, model)
         for state in states:
@@ -152,7 +151,7 @@ def test_one_reached_path_gives_the_arrays_of_the_removed_shortcuts():
 
 
 def test_two_flips_of_40_sites_hold_780_states():
-    traj = _reached(dynamics.prepare_state(QuenchSpec("local", (10, 20)), 40), "xy")
+    traj = _reached(dynamics.prepare_state(40, (10, 20)), "xy")
     assert traj.basis.size == 780 and np.all(np.diff(traj.basis) > 0)
     assert {bin(b).count("1") for b in traj.basis.tolist()} == {2}
     assert traj.basis[traj.states[0] != 0].tolist() == [(1 << 9) | (1 << 19)]
@@ -161,26 +160,26 @@ def test_two_flips_of_40_sites_hold_780_states():
 def test_state_limit_names_the_chain_the_states_and_the_limit(monkeypatch):
     message = "N=17 reaches 131072 basis states, above the limit of 65536 states"
     with pytest.raises(ValueError) as err:
-        dynamics.prepare_state(QuenchSpec(kind="global"), 17)
+        dynamics.prepare_state(17)
     assert str(err.value) == message
     # the parity half of 18 sites is above the limit, and is refused
     # before it is enumerated
     with pytest.raises(ValueError, match="N=18 reaches 131072 basis states"):
-        _reached(dynamics.prepare_state(QuenchSpec("local", (9,)), 18), "ising")
+        _reached(dynamics.prepare_state(18, (9,)), "ising")
     H = dynamics.build_hamiltonian(ionchain.power_law_coupling(17, 1.3, J0), model="xy")
     with pytest.raises(ValueError) as err:
         H._matrix
     assert str(err.value) == message
     # a parity half exactly at the limit is accepted
     monkeypatch.setattr(dynamics, "MAX_STATES", 256)
-    assert _reached(dynamics.prepare_state(QuenchSpec("local", (4,)), 9), "ising").basis.size == 256
+    assert _reached(dynamics.prepare_state(9, (4,)), "ising").basis.size == 256
     with pytest.raises(ValueError, match="N=10 reaches 512 basis states, above the limit of 256"):
-        _reached(dynamics.prepare_state(QuenchSpec("local", (4,)), 10), "ising")
+        _reached(dynamics.prepare_state(10, (4,)), "ising")
     monkeypatch.undo()
     # basis states are int64 bit strings: 63 sites fit, 64 do not
-    top = _reached(dynamics.prepare_state(QuenchSpec("local", (1, 63)), 63), "xy").basis[-1]
+    top = _reached(dynamics.prepare_state(63, (1, 63)), "xy").basis[-1]
     assert top == (1 << 62) | (1 << 61)
-    for make in (lambda: dynamics.prepare_state(QuenchSpec("local", (1,)), 64),
+    for make in (lambda: dynamics.prepare_state(64, (1,)),
                  lambda: StateVector(amplitudes=[1.0], n_sites=64, basis=[1])):
         with pytest.raises(ValueError, match="N=64 is above the 63 sites"):
             make()
@@ -209,20 +208,21 @@ def test_trajectory_keeps_a_read_only_view_without_copying():
     assert state.amplitudes.tolist() == [0.0, 1.0, 0.0] and state.basis.tolist() == [0, 1, 2]
 
 
-def test_quench_spec_validation():
-    with pytest.raises(ValueError):
-        QuenchSpec(kind="local")                        # no sites
-    with pytest.raises(ValueError):
-        QuenchSpec(kind="local", flipped_sites=(2, 2))  # duplicate
-    with pytest.raises(ValueError):
-        QuenchSpec(kind="global", flipped_sites=(1,))
-    with pytest.raises(ValueError):
-        QuenchSpec(kind="sudden")
+def test_local_quench_sites_are_checked():
+    """A local quench needs one or more distinct sites in 1..n; no sites at
+    all is the global quench."""
+    for sites, match in (((), "one or more distinct"), ((2, 2), "one or more distinct"),
+                         ((0,), "site 0 outside 1..4"), ((5,), "site 5 outside 1..4"),
+                         ((1, 5), "site 5 outside 1..4")):
+        with pytest.raises(ValueError, match=match):
+            dynamics.prepare_state(4, sites)
+    assert dynamics.prepare_state(4, [np.int64(4), 1]).basis.tolist() == [9]
+    assert dynamics.prepare_state(4).basis.size == 16
 
 
 def test_local_quench_site_out_of_range():
     with pytest.raises(ValueError):
-        dynamics.prepare_state(QuenchSpec(kind="local", flipped_sites=(9,)), 4)
+        dynamics.prepare_state(4, (9,))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_dense_evolution_matches_direct_expm():
     n = 4
     J = random_coupling(n, seed=21, scale=50.0)
     H = dynamics.build_hamiltonian(_coupling(J), transverse_field=40.0, model="ising")
-    psi0 = dynamics.prepare_state(QuenchSpec(kind="global"), n)
+    psi0 = dynamics.prepare_state(n)
     t = 0.013
     traj = dynamics.evolve(psi0, H, np.array([t]), method="dense")
     # oracle: diagonalize the kron-built matrix directly
@@ -246,7 +246,7 @@ def test_krylov_agrees_with_dense():
     n = 5
     J = random_coupling(n, seed=22, scale=80.0)
     H = dynamics.build_hamiltonian(_coupling(J), model="xy")
-    psi0 = dynamics.prepare_state(QuenchSpec(kind="local", flipped_sites=(1, 4)), n)
+    psi0 = dynamics.prepare_state(n, (1, 4))
     times = np.linspace(0.0, 0.02, 9)
     dense = dynamics.evolve(psi0, H, times, method="dense")
     krylov = dynamics.evolve(psi0, H, times, method="krylov")
@@ -259,7 +259,7 @@ def test_krylov_large_chain_against_magnon_oracle():
     n = 13
     J = ionchain.nearest_neighbour_coupling(n, J0)
     H = dynamics.build_hamiltonian(J, model="xy")
-    psi0 = dynamics.prepare_state(QuenchSpec(kind="local", flipped_sites=(7,)), n)
+    psi0 = dynamics.prepare_state(n, (7,))
     times = np.linspace(0.0, 0.01, 6)
     traj = dynamics.evolve(psi0, H, times, method="krylov")
     mag_full = np.vstack([dynamics.magnetisation(traj.state(k)) for k in range(traj.times.size)])
@@ -272,7 +272,7 @@ def test_evolution_preserves_norm_and_energy():
     n = 5
     J = random_coupling(n, seed=23, scale=60.0)
     H = dynamics.build_hamiltonian(_coupling(J), transverse_field=25.0, model="ising")
-    psi0 = dynamics.prepare_state(QuenchSpec(kind="global"), n)
+    psi0 = dynamics.prepare_state(n)
     traj = dynamics.evolve(psi0, H, np.linspace(0, 0.05, 11))
     e0 = np.vdot(psi0.amplitudes, H._matrix @ psi0.amplitudes).real
     for k in range(traj.times.size):
@@ -308,8 +308,7 @@ def test_block_propagation_matches_full_space(n, model, flips, field):
     J = _coupling(random_coupling(n, seed=100 + n, scale=50.0))
     B = field * np.abs(J.values).max()
     H = dynamics.build_hamiltonian(J, transverse_field=B, model=model)
-    spec = QuenchSpec(kind="global") if flips is None else QuenchSpec("local", flips)
-    psi0 = dynamics.prepare_state(spec, n)
+    psi0 = dynamics.prepare_state(n, flips)
     times = np.linspace(0.0, 1.0, 3) / (np.abs(J.values).max() + abs(B))
     expected = _full_space_oracle(H, full_space(psi0), times)
 
@@ -365,7 +364,7 @@ def test_direct_block_assembly_equals_sliced_full_matrix(n, model):
 def test_quench_path_never_assembles_the_full_matrix():
     J = ionchain.power_law_coupling(9, 1.2, J0)
     H = dynamics.build_hamiltonian(J, transverse_field=40.0, model="ising")
-    dynamics.evolve(dynamics.prepare_state(QuenchSpec("local", (2,)), 9), H,
+    dynamics.evolve(dynamics.prepare_state(9, (2,)), H,
                     np.linspace(0.0, 1e-3, 3), method="krylov")
     assert H._arrays is None and H._csr is None
     assert H.dim == 2 ** 9 and H._matrix.shape == (2 ** 9, 2 ** 9)
@@ -425,10 +424,8 @@ def _check_sectors(H, basis, mirrored):
     return sectors
 
 
-def _spec(n, flips):
-    if flips is None:
-        return QuenchSpec(kind="global")
-    return QuenchSpec("local", ((n + 1) // 2,) if flips == "centre" else flips)
+def _flips(n, flips):
+    return ((n + 1) // 2,) if flips == "centre" else flips
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -438,7 +435,7 @@ def test_mirror_sector_propagation_matches_full_space(n, model, flips, field):
     assert np.array_equal(J.values, J.values[::-1, ::-1])
     B = field * np.abs(J.values).max()
     H = dynamics.build_hamiltonian(J, transverse_field=B, model=model)
-    psi0 = dynamics.prepare_state(_spec(n, flips), n)
+    psi0 = dynamics.prepare_state(n, _flips(n, flips))
     times = np.linspace(0.0, 1.0, 3) / (np.abs(J.values).max() + abs(B))
     expected = _full_space_oracle(H, full_space(psi0), times)
 
@@ -467,7 +464,7 @@ def test_coupling_off_mirror_by_one_ulp_propagates_the_whole_block(model, flips,
     J = _coupling(values)
     B = field * np.abs(values).max()
     H = dynamics.build_hamiltonian(J, transverse_field=B, model=model)
-    psi0 = dynamics.prepare_state(QuenchSpec("local", flips), n)
+    psi0 = dynamics.prepare_state(n, flips)
     every = np.arange(2 ** n)
     (sector,) = _check_sectors(H, every, mirrored=False)
     assert (_assembled(H, every, *sector) != _assembled(H, every)).nnz == 0
@@ -490,7 +487,7 @@ def test_reflected_but_asymmetric_couplings_propagate_the_whole_block():
     H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(values).max(),
                                    model="ising")
     (sector,) = _check_sectors(H, dynamics._block_basis(H, 1), mirrored=False)
-    psi0 = dynamics.prepare_state(QuenchSpec("local", (2,)), n)
+    psi0 = dynamics.prepare_state(n, (2,))
     times = np.linspace(0.0, 1.0, 3) / (51.0 * np.abs(values).max())
     traj = dynamics.evolve(psi0, H, times, method="krylov", step_tol=1e-12)
     np.testing.assert_allclose(full_space(traj), _full_space_oracle(H, full_space(psi0), times),
@@ -647,7 +644,7 @@ def _ising_n9():
     space, above ``KRYLOV_ORDERS``, and mirror sectors of 136 and 120."""
     H = dynamics.build_hamiltonian(ionchain.power_law_coupling(9, 1.2, J0),
                                    transverse_field=30.0 * J0, model="ising")
-    return H, dynamics.prepare_state(QuenchSpec("local", (3,)), 9)
+    return H, dynamics.prepare_state(9, (3,))
 
 
 def _ising_n11():
@@ -656,7 +653,7 @@ def _ising_n11():
     so no subspace becomes invariant and exact."""
     H = dynamics.build_hamiltonian(ionchain.power_law_coupling(11, 1.2, J0),
                                    transverse_field=30.0 * J0, model="ising")
-    return H, dynamics.prepare_state(QuenchSpec("local", (3,)), 11)
+    return H, dynamics.prepare_state(11, (3,))
 
 
 class _Counting:
@@ -791,7 +788,7 @@ def test_the_test_shortcut_skips_only_orders_whose_full_test_fails(monkeypatch):
     J = ionchain.power_law_coupling(11, 1.5, J0)
     H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
                                    model="ising")
-    dynamics.evolve(dynamics.prepare_state(QuenchSpec("global"), 11), H,
+    dynamics.evolve(dynamics.prepare_state(11), H,
                     np.linspace(0.0, 0.005, 201), method="krylov")
     predicted = len(calls)
     H, psi0 = _ising_n11()
@@ -858,8 +855,7 @@ def test_testing_from_the_start_order_keeps_every_order_and_state(model, n, flip
     J = ionchain.power_law_coupling(n, alpha, J0)
     H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
                                    model=model)
-    psi0 = dynamics.prepare_state(QuenchSpec("local", flips) if flips else
-                                  QuenchSpec("global"), n)
+    psi0 = dynamics.prepare_state(n, flips or None)
     times = np.linspace(0.0, t_end, points)
 
     def run():
@@ -991,7 +987,7 @@ def test_krylov_is_exact_on_an_invariant_subspace(n, model, flips):
     J = ionchain.power_law_coupling(n, 1.3, J0)
     H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
                                    model=model)
-    psi0 = dynamics.prepare_state(QuenchSpec("local", flips), n)
+    psi0 = dynamics.prepare_state(n, flips)
     times = np.linspace(0.0, 0.05, 6)
     dense = dynamics.evolve(psi0, H, times, method="dense")
     krylov = dynamics.evolve(psi0, H, times, method="krylov", step_tol=0.0)
@@ -1050,7 +1046,7 @@ def test_krylov_estimate_bounds_the_error_of_every_time_served(n, alpha, field, 
     J = ionchain.power_law_coupling(n, alpha, J0)
     B = {"zero": 0.0, "30 J0": 30.0 * J0, "50 max|J|": 50.0 * np.abs(J.values).max()}[field]
     H = dynamics.build_hamiltonian(J, transverse_field=B, model="ising")
-    psi0 = dynamics.prepare_state(QuenchSpec("local", tuple(flips)), n)
+    psi0 = dynamics.prepare_state(n, tuple(flips))
     times = np.linspace(0.0, 0.01, 21)
     served = []
     subspace = dynamics._lanczos_subspace
@@ -1086,7 +1082,7 @@ def test_benchmark_ising_quench_needs_at_most_300_matvecs(alpha, monkeypatch):
     J = ionchain.power_law_coupling(13, alpha, J0)
     H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
                                    model="ising")
-    psi0 = dynamics.prepare_state(QuenchSpec("local", (7,)), 13)
+    psi0 = dynamics.prepare_state(13, (7,))
     times = np.linspace(0.0, 0.01, 51)
     reference = dynamics.evolve(psi0, H, times, step_tol=1e-13)
     matvec, calls = dynamics.Hamiltonian.matvec, []
@@ -1110,7 +1106,7 @@ def test_benchmark_ising_quench_fits_one_lanczos_subspace(alpha, monkeypatch):
     J = ionchain.power_law_coupling(13, alpha, J0)
     H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
                                    model="ising")
-    psi0 = dynamics.prepare_state(QuenchSpec("local", (7,)), 13)
+    psi0 = dynamics.prepare_state(13, (7,))
     count = _Counting(None, monkeypatch)             # the times each subspace serves
     matvec, dtypes = dynamics.Hamiltonian.matvec, []
     monkeypatch.setattr(dynamics.Hamiltonian, "matvec",
@@ -1132,13 +1128,13 @@ def test_benchmark_ising_passes_decompose_at_most_20_lanczos_matrices(monkeypatc
     monkeypatch.setattr(dynamics.Hamiltonian, "matvec",
                         lambda self, psi: matvecs.append(1) or matvec(self, psi))
     counts = {}                                     # (job, from order 4) -> per exponent
-    for job, n, spec, t_end, points in (("global", 11, QuenchSpec("global"), 0.005, 201),
-                                        ("local", 13, QuenchSpec("local", (7,)), 0.01, 51)):
+    for job, n, spec, t_end, points in (("global", 11, None, 0.005, 201),
+                                        ("local", 13, (7,), 0.01, 51)):
         for alpha in ALPHA_GRID:
             J = ionchain.power_law_coupling(n, alpha, J0)
             H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
                                            model="ising")
-            psi0 = dynamics.prepare_state(spec, n)
+            psi0 = dynamics.prepare_state(n, spec)
             for from_order_4 in (False, True):
                 decompositions.clear()
                 matvecs.clear()
@@ -1157,7 +1153,7 @@ def test_evolve_refuses_a_trajectory_above_the_byte_limit(monkeypatch):
     """A (T, dim) complex trajectory over ``MAX_TRAJECTORY_BYTES`` is refused
     before it is allocated, naming both counts; one at the limit runs."""
     H = dynamics.build_hamiltonian(ionchain.power_law_coupling(7, 1.3, J0), model="xy")
-    psi0 = dynamics.prepare_state(QuenchSpec("local", (2, 5)), 7)
+    psi0 = dynamics.prepare_state(7, (2, 5))
     assert dynamics.reached_blocks(psi0, H)[1] == 21
     times = np.linspace(0.0, 1e-3, 10)
     monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 16 * 10 * 21 - 1)
@@ -1181,7 +1177,7 @@ def test_time_zero_returns_the_initial_state_exactly(method):
     for model, site in (("ising", 5), ("ising", 2), ("xy", 2)):
         H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
                                        model=model)
-        psi0 = dynamics.prepare_state(QuenchSpec("local", (site,)), 9)
+        psi0 = dynamics.prepare_state(9, (site,))
         traj = dynamics.evolve(psi0, H, np.array([0.0, 1e-3]), method=method)
         np.testing.assert_array_equal(full_space(traj)[0], full_space(psi0))
         np.testing.assert_array_equal(dynamics.magnetisation(traj)[0],
@@ -1225,7 +1221,7 @@ def test_krylov_ising_at_zero_field_is_a_product_of_cosines(n, alpha, data):
         st.sets(st.integers(1, n), min_size=1, max_size=n), label="flips")
     J = ionchain.power_law_coupling(n, alpha, J0)
     H = dynamics.build_hamiltonian(J, model="ising")
-    psi0 = dynamics.prepare_state(QuenchSpec("local", tuple(flips)), n)
+    psi0 = dynamics.prepare_state(n, tuple(flips))
     times = np.linspace(0.0, 0.02, 6)
     traj = dynamics.evolve(psi0, H, times, method="krylov", step_tol=1e-12)
     s = np.where(np.isin(np.arange(1, n + 1), list(flips)), 1.0, -1.0)
@@ -1250,7 +1246,7 @@ def test_krylov_nearest_neighbour_xy_is_free_fermions(n, method, data):
         st.sets(st.integers(1, n), min_size=1, max_size=most), label="flips")
     J = ionchain.nearest_neighbour_coupling(n, J0)
     H = dynamics.build_hamiltonian(J, model="xy")
-    psi0 = dynamics.prepare_state(QuenchSpec("local", tuple(flips)), n)
+    psi0 = dynamics.prepare_state(n, tuple(flips))
     times = np.linspace(0.0, 0.05, 6)
     traj = dynamics.evolve(psi0, H, times, method=method, step_tol=1e-12)
     U = np.array([[a.amplitudes for a in magnon.evolve_single_excitation(J, s, times)]
@@ -1286,22 +1282,22 @@ def test_auto_method_takes_each_side_of_the_dense_limit():
         ran.clear()
         with mock.patch.object(dynamics, "_krylov_trajectory", krylov), \
                 mock.patch.object(dynamics.Hamiltonian, "eigensystem", dense):
-            traj = dynamics.evolve(dynamics.prepare_state(spec, n), H,
+            traj = dynamics.evolve(dynamics.prepare_state(n, spec), H,
                                    np.linspace(0.0, t_end, 201), method=method)
         return list(ran), traj
 
-    short, auto = propagators(11, QuenchSpec("global"), 0.005)
+    short, auto = propagators(11, None, 0.005)
     assert short == [("krylov", 528), ("krylov", 528)]
-    assert propagators(11, QuenchSpec("global"), 0.05)[0] == [("dense", 528), ("dense", 528)]
+    assert propagators(11, None, 0.05)[0] == [("dense", 528), ("dense", 528)]
     choice, reason = dynamics._propagator(528, 27888, 1.06e5, 0.05, 201)   # those sectors
     assert choice == "dense" and reason.startswith("dense: about ") and "for krylov" in reason
-    forced, exact = propagators(11, QuenchSpec("global"), 0.005, method="dense")
+    forced, exact = propagators(11, None, 0.005, method="dense")
     assert forced == [("dense", 528), ("dense", 528)]
     np.testing.assert_array_equal(auto.basis, exact.basis)
     np.testing.assert_allclose(auto.states, exact.states, rtol=0, atol=1e-9)
-    for spec in (QuenchSpec("global"), QuenchSpec("local", (2,)), QuenchSpec("local", (4,))):
+    for spec in (None, (2,), (4,)):
         assert {name for name, _ in propagators(7, spec, 0.005)[0]} == {"dense"}
-    assert {name for name, _ in propagators(7, QuenchSpec("local", (2,)), 0.005,
+    assert {name for name, _ in propagators(7, (2,), 0.005,
                                             method="krylov")[0]} == {"krylov"}
 
 
@@ -1332,8 +1328,8 @@ def test_norm_sectors_and_magnetisation_hold_across_the_ladder(model, data):
     J = (ionchain.power_law_coupling(n, 1.3, J0) if mirror
          else _coupling(random_coupling(n, seed=n, scale=J0)))
     H = dynamics.build_hamiltonian(J, transverse_field=B, model=model)
-    spec = QuenchSpec("local", flips) if flips else QuenchSpec("global")
-    traj = dynamics.evolve(dynamics.prepare_state(spec, n), H, np.linspace(0.0, 0.01, 5))
+    traj = dynamics.evolve(dynamics.prepare_state(n, flips or None), H,
+                           np.linspace(0.0, 0.01, 5))
     np.testing.assert_allclose(np.linalg.norm(traj.states, axis=1), 1.0, rtol=0, atol=1e-10)
     weights = np.array([dynamics.excitation_sector_weights(traj.state(t))
                         for t in range(traj.times.size)])                     # (T, N + 1)
@@ -1395,7 +1391,7 @@ def test_state_over_several_blocks_evolves_on_their_union(model):
 def test_evolve_rejects_mismatched_sizes():
     J = ionchain.nearest_neighbour_coupling(3, J0)
     H = dynamics.build_hamiltonian(J, model="xy")
-    psi = dynamics.prepare_state(QuenchSpec(kind="global"), 4)
+    psi = dynamics.prepare_state(4)
     with pytest.raises(ValueError):
         dynamics.evolve(psi, H, np.array([0.0]))
 
@@ -1433,13 +1429,13 @@ def test_correlations_match_operator_expectation():
             assert C[i - 1, j - 1] == pytest.approx(zz - mi * mj, abs=1e-12)
 
 
-@pytest.mark.parametrize("model,spec", [("xy", QuenchSpec("local", (2, 5))),
-                                        ("ising", QuenchSpec("global"))])
+@pytest.mark.parametrize("model,spec", [("xy", ((2, 5),)),     # prepare_state's sites
+                                        ("ising", ())])
 def test_trajectory_observables_match_per_state_results(model, spec):
     n = 6
     H = dynamics.build_hamiltonian(_coupling(random_coupling(n, seed=41)),
                                    transverse_field=70.0, model=model)
-    traj = dynamics.evolve(dynamics.prepare_state(spec, n), H, np.linspace(0, 0.01, 7))
+    traj = dynamics.evolve(dynamics.prepare_state(n, *spec), H, np.linspace(0, 0.01, 7))
     mag = dynamics.magnetisation(traj)
     corr = dynamics.two_point_correlations(traj)
     assert mag.shape == (7, n) and corr.shape == (7, n, n)
@@ -1469,8 +1465,8 @@ def test_per_site_correlations_equal_the_per_time_products(n):
                                rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("model,spec", [("xy", QuenchSpec("local", (2, 5, 6))),
-                                        ("ising", QuenchSpec("global"))])
+@pytest.mark.parametrize("model,spec", [("xy", ((2, 5, 6),)),     # prepare_state's sites
+                                        ("ising", ())])
 def test_correlations_in_blocks_of_rows_equal_the_per_site_formula(model, spec, monkeypatch):
     """The one product over blocks of basis rows gives C_ij of the N
     per-site products p @ (z z_i) to 1e-15 (|<z_i z_j>| <= 1), with block
@@ -1478,7 +1474,7 @@ def test_correlations_in_blocks_of_rows_equal_the_per_site_formula(model, spec, 
     n = 9 if model == "xy" else 8
     H = dynamics.build_hamiltonian(_coupling(random_coupling(n, seed=43)),
                                    transverse_field=70.0, model=model)
-    traj = dynamics.evolve(dynamics.prepare_state(spec, n), H, np.linspace(0, 0.01, 7))
+    traj = dynamics.evolve(dynamics.prepare_state(n, *spec), H, np.linspace(0, 0.01, 7))
     assert traj.basis.size == (84 if model == "xy" else 256)
     monkeypatch.setattr(dynamics, "_CORRELATION_CHUNK", 30 * n * (n + 1) // 2)
     z = 2.0 * ((traj.basis[:, None] >> np.arange(n)) & 1) - 1.0
@@ -1515,7 +1511,7 @@ def test_averaged_correlations_of_a_stack_equals_each_matrix_bitwise():
 
 def test_sector_weights_of_global_state_are_binomial():
     n = 5
-    state = dynamics.prepare_state(QuenchSpec(kind="global"), n)
+    state = dynamics.prepare_state(n)
     weights = dynamics.excitation_sector_weights(state)
     from math import comb
     np.testing.assert_allclose(weights, [comb(n, k) / 2 ** n for k in range(n + 1)],
@@ -1528,7 +1524,7 @@ def test_xy_evolution_conserves_excitation_number(t):
     n = 5
     J = ionchain.power_law_coupling(n, 1.3, J0)
     H = dynamics.build_hamiltonian(J, model="xy")
-    psi0 = dynamics.prepare_state(QuenchSpec(kind="local", flipped_sites=(2, 4)), n)
+    psi0 = dynamics.prepare_state(n, (2, 4))
     traj = dynamics.evolve(psi0, H, np.array([t]))
     weights = dynamics.excitation_sector_weights(traj.state(0))
     assert weights[2] == pytest.approx(1.0, abs=1e-10)
@@ -1538,7 +1534,7 @@ def test_trajectory_state_round_trip():
     n = 3
     J = ionchain.nearest_neighbour_coupling(n, J0)
     H = dynamics.build_hamiltonian(J, model="xy")
-    psi0 = dynamics.prepare_state(QuenchSpec(kind="local", flipped_sites=(2,)), n)
+    psi0 = dynamics.prepare_state(n, (2,))
     traj = dynamics.evolve(psi0, H, np.linspace(0, 0.01, 4))
     assert traj.times.size == 4
     s = traj.state(2)
@@ -1554,7 +1550,7 @@ def test_three_flips_of_30_sites_never_allocate_the_full_space():
     tracemalloc.start()
     try:
         H = dynamics.build_hamiltonian(J, model="xy")
-        psi0 = dynamics.prepare_state(QuenchSpec("local", (10, 15, 20)), n)
+        psi0 = dynamics.prepare_state(n, (10, 15, 20))
         traj = dynamics.evolve(psi0, H, np.linspace(0.0, 0.02, 51))
         mag = dynamics.magnetisation(traj)
         corr = dynamics.two_point_correlations(traj)

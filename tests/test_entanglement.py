@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import full_space
 from magnonchain import dynamics, ionchain, magnon
 from magnonchain import entanglement as ent
-from magnonchain.dynamics import QuenchSpec, StateVector
+from magnonchain.dynamics import StateVector
 from magnonchain.entanglement import DensityMatrix
 
 BELL = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)    # (|du> + |ud>)/sqrt(2)
@@ -155,15 +155,15 @@ def _reshape_reduction(amps, n, sites):
 
 
 @pytest.mark.parametrize("n", [4, 7, 10])
-@pytest.mark.parametrize("model,spec", [("xy", QuenchSpec("local", (2,))),
-                                        ("xy", QuenchSpec("local", (1, 2, 4))),
-                                        ("ising", QuenchSpec("local", (3,))),
-                                        ("xy", QuenchSpec("global")),
-                                        ("ising", QuenchSpec("global"))])
+@pytest.mark.parametrize("model,spec", [("xy", ((2,),)),     # prepare_state's sites
+                                        ("xy", ((1, 2, 4),)),
+                                        ("ising", ((3,),)),
+                                        ("xy", ()),
+                                        ("ising", ())])
 def test_reduction_on_the_basis_equals_the_full_space_reshape(n, model, spec):
     J = ionchain.power_law_coupling(n, 1.3, 2 * np.pi * 30.0)
     H = dynamics.build_hamiltonian(J, transverse_field=300.0, model=model)
-    traj = dynamics.evolve(dynamics.prepare_state(spec, n), H,
+    traj = dynamics.evolve(dynamics.prepare_state(n, *spec), H,
                            np.linspace(0.0, 0.01, 4))
     for k in range(traj.times.size):
         state = traj.state(k)
@@ -179,7 +179,7 @@ def test_one_excitation_concurrence_of_30_sites_from_the_magnon_amplitudes():
     n, flip, t = 30, 12, 0.004
     J = ionchain.power_law_coupling(n, 1.3, 2 * np.pi * 30.0)
     H = dynamics.build_hamiltonian(J, model="xy")
-    traj = dynamics.evolve(dynamics.prepare_state(QuenchSpec("local", (flip,)), n),
+    traj = dynamics.evolve(dynamics.prepare_state(n, (flip,)),
                            H, np.array([t]))
     assert traj.basis.size == n
     (a,) = magnon.evolve_single_excitation(J, flip, np.array([t]))
@@ -261,7 +261,7 @@ def test_outcome_projector_table_gives_the_bits_of_the_per_setting_loop():
         rhos.append(DensityMatrix(mixed, (1, 2)))
     J = ionchain.power_law_coupling(7, 1.5, 2 * np.pi * 30.0)
     H = dynamics.build_hamiltonian(J, model="xy")
-    traj = dynamics.evolve(dynamics.prepare_state(QuenchSpec("local", (4,)), 7), H,
+    traj = dynamics.evolve(dynamics.prepare_state(7, (4,)), H,
                            np.linspace(0.0, 0.01, 11))
     rhos += [ent.reduced_density_matrix(traj.state(k), pair)
              for k in range(traj.times.size) for pair in ((3, 5), (2, 6), (1, 4))]

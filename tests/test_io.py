@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +315,69 @@ def test_save_couplings_matches_row_formatter(tmp_path):
     lines = mio.header_lines({"seed": 1, "provenance": J.meta}) + ["# unit = Hz"]
     lines += [",".join(repr(float(x)) for x in row) for row in J.values / (2 * math.pi)]
     assert text == "\n".join(lines) + "\n"
+
+
+def _jsonify(obj):
+    """A plain copy of ``obj`` for ``json``: the walker the writers used
+    before ``json`` wrote numpy values itself, kept as the oracle."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, Path):
+        return str(obj)
+    return obj
+
+
+#: Every kind of value a record or a configuration carries.
+NUMPY_RECORD = {
+    "i64": np.int64(-7), "i32": np.int32(3), "f32": np.float32(0.1), "f64": np.float64(1 / 3),
+    "f64_signed_zero": np.float64(-0.0), "scalar_array": np.array(2.5),
+    "int_array": np.arange(3), "matrix": np.array([[0.1, -0.0], [np.nan, np.inf]]),
+    "f32_array": np.array([0.1, 1e-40], dtype=np.float32), "path": Path("a") / "b.csv",
+    "tuple": (1, np.float64(2.0), (np.int64(3), "x")),
+    "nested": {"z": [np.float64(np.nan), -np.inf, np.float64(np.inf)],
+               "a": {"deep": (np.int64(1), Path("/tmp"))}},
+    "plain": [None, True, 1, 1.5, "text"],
+}
+
+
+def test_json_writes_numpy_values_as_their_plain_copy(tmp_path):
+    """``config_hash`` and ``write_ndjson`` write the bytes json wrote of the
+    record's plain copy, numpy scalars, arrays, paths and non-finite floats
+    included."""
+    blob = json.dumps(_jsonify(NUMPY_RECORD), sort_keys=True, separators=(",", ":"))
+    assert mio.config_hash(NUMPY_RECORD) == hashlib.sha256(blob.encode()).hexdigest()[:12]
+    meta = {"seed": np.int64(5), "f": np.float32(0.25), "where": tmp_path}
+    path = mio.write_ndjson(tmp_path / "r.ndjson", [NUMPY_RECORD, {"k": np.arange(2)}], meta)
+    header = {"header": _jsonify({"magnonchain": __version__, **meta})}
+    expected = [json.dumps(header, sort_keys=True)] + [
+        json.dumps(_jsonify(r), sort_keys=True) for r in (NUMPY_RECORD, {"k": np.arange(2)})]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        mio.config_hash({"x": object()})
+
+
+def test_config_hash_of_each_default_run_is_frozen(tmp_path, monkeypatch):
+    """The provenance hash of each subcommand's run without flags (``fit``
+    with a relative coupling file) is the one earlier runs recorded."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    assert cli.main(["couplings"]) == 0
+    frozen = {"modes": "ccc8c8e99bf5", "couplings": "f6176e9703e2",
+              "dispersion": "33a2e36214e2", "quench": "cc3498928eb0",
+              "global-quench": "213ac91fde94", "tomo": "1f8619f598cc",
+              "lightcone": "aabf87f2ee60", "fit": "80ad80e5e401"}
+    assert set(frozen) == set(cli.COMMANDS)
+    for command, expected in frozen.items():
+        argv = [command] + (["--couplings", "couplings.csv"] if command == "fit" else [])
+        assert cli.resolve(cli.build_parser().parse_args(argv)).hash == expected, command
 
 
 def test_write_ndjson_header_first(tmp_path):

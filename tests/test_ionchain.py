@@ -71,11 +71,12 @@ def test_positions_still_report_non_convergence(monkeypatch):
         ionchain.equilibrium_positions(100)
 
 
-@pytest.mark.parametrize("n", [7, 25, 51, 100, 160])
+@pytest.mark.parametrize("n", [7, 25, 51, 54, 100, 160, 200])
 def test_positions_evaluate_the_force_once_per_point(n, monkeypatch):
     """The force of an accepted line-search trial serves the next Newton
-    step, and a trial that rounds to the current positions is not
-    evaluated: no position vector is evaluated twice."""
+    step, and a trial that rounds to the current positions, or to the last
+    rejected trial (as at N = 54 and 200), is not evaluated: no position
+    vector is evaluated twice."""
     force, points = ionchain._chain_force, []
     monkeypatch.setattr(ionchain, "_chain_force",
                         lambda u: points.append(u.tobytes()) or force(u))
@@ -409,16 +410,10 @@ def test_coupling_matrix_against_plain_loop(reference_trap, reference_beam):
 
 def test_couplings_share_one_sign_above_top_mode(reference_trap, reference_beam):
     # detuning above every transverse mode -> anti-ferromagnetic regime
-    J = ionchain.build_coupling_matrix(reference_trap, reference_beam)
+    J = ionchain.build_coupling_matrix(reference_trap, reference_beam,
+                                       ionchain.transverse_mode_spectrum(reference_trap))
     off = J.values[~np.eye(J.n_ions, dtype=bool)]
     assert np.all(off > 0) or np.all(off < 0)
-
-
-def test_a_given_mode_spectrum_builds_the_same_couplings(reference_trap, reference_beam):
-    modes = ionchain.transverse_mode_spectrum(reference_trap)
-    np.testing.assert_array_equal(
-        ionchain.build_coupling_matrix(reference_trap, reference_beam, modes).values,
-        ionchain.build_coupling_matrix(reference_trap, reference_beam).values)
 
 
 def test_resonant_detuning_raises(reference_trap, reference_beam):

@@ -65,7 +65,9 @@ def _trap_coupling(n):
                                ion_mass=ionchain.MASS_CA40,
                                laser_wavelength=ionchain.WAVELENGTH_CA40)
     beam = ionchain.BeamProfile(peak_rabi=100e3, waist_along_chain=380e-6, center_offset=0.0)
-    return ionchain.build_coupling_matrix(ionchain.with_detuning_above_top(trap, 30e3), beam)
+    modes = ionchain.transverse_mode_spectrum(trap)
+    return ionchain.build_coupling_matrix(ionchain.with_detuning_above_top(trap, 30e3, modes),
+                                          beam, modes)
 
 
 def _node_count_cases():
@@ -244,7 +246,8 @@ def test_couplings_not_mirror_symmetric_bit_for_bit_take_the_whole_matrix(monkey
     """A trap's couplings are reflection symmetric only to roundoff, and a
     power law with one coupling (and its transpose) moved by one ulp not at
     all: both diagonalize the whole N x N matrix, as before."""
-    trap = ionchain.build_coupling_matrix(reference_trap, reference_beam)
+    trap = ionchain.build_coupling_matrix(reference_trap, reference_beam,
+                                          ionchain.transverse_mode_spectrum(reference_trap))
     values = ionchain.power_law_coupling(9, 1.3, J0).values.copy()
     values[1, 3] = values[3, 1] = np.nextafter(values[1, 3], np.inf)
     nudged = ionchain.CouplingMatrix(values)
