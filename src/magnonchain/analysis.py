@@ -137,7 +137,9 @@ def fit_alpha_dispersion(dispersion, n_ions: int) -> AlphaFit:
     magnitude, an exact rescaling that keeps the squares of energies near
     the largest double finite, and ``scale`` and ``residual`` are scaled
     back.  A minimum pinned to the search boundary or a flat objective is
-    reported through ``note`` with the best point still returned.
+    reported through ``note`` with the best point still returned; the
+    objective counts as flat when every value the search evaluated lies
+    within 1e-12 of the largest (or of 1 rad/s, if that is more).
     """
     pairs = np.atleast_2d(np.asarray(dispersion, dtype=float))
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -149,17 +151,19 @@ def fit_alpha_dispersion(dispersion, n_ions: int) -> AlphaFit:
     unit = math.ldexp(1.0, math.frexp(float(np.abs(pairs[:, 1]).max()))[1] - 1)
     w_meas = pairs[order, 1] / unit
 
+    seen = []                                       # every objective value the search takes
+
     def objective(alpha):
-        return _dispersion_mismatch(alpha, k_meas, w_meas, n_ions)[0]
+        seen.append(_dispersion_mismatch(alpha, k_meas, w_meas, n_ions)[0])
+        return seen[-1]
 
     note = ""
     lo, hi = ALPHA_SEARCH_RANGE
-    coarse = [objective(a) for a in np.linspace(lo, hi, 9)]
-    # flat within 1e-12 of max(1 rad/s, the largest mismatch), in fitted units
-    if max(coarse) - min(coarse) <= 1e-12 * max(1.0 / unit, max(coarse)):
-        note = "flat objective; exponent not constrained by the data"
     alpha = _golden_section(objective, lo, hi, ALPHA_BRACKET_TOL)
-    if not note and min(alpha - lo, hi - alpha) < 2.0 * ALPHA_BRACKET_TOL:
+    # flat within 1e-12 of max(1 rad/s, the largest mismatch), in fitted units
+    if max(seen) - min(seen) <= 1e-12 * max(1.0 / unit, max(seen)):
+        note = "flat objective; exponent not constrained by the data"
+    elif min(alpha - lo, hi - alpha) < 2.0 * ALPHA_BRACKET_TOL:
         note = (f"minimum at the alpha={alpha:.3f} search boundary; "
                 "true exponent may lie outside [0, 4]")
     residual, scale = _dispersion_mismatch(alpha, k_meas, w_meas, n_ions)

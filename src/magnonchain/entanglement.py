@@ -17,9 +17,10 @@ outcomes (++, +-, -+, --) of setting TOMOGRAPHY_BASES[b], where +/- are
 the eigenvalues of the two measured Pauli operators, and the shots of a
 setting are its row sum.  Simulated tomography draws multinomial
 projection noise with a counter-based RNG (Philox) keyed by
-(seed, stream): stream b draws row b, and stream 1000 + r bootstrap
-resample r, so each has its own reproducible stream regardless of
-evaluation order.
+(seed, stream): stream b draws row b, so each row has its own
+reproducible stream regardless of evaluation order.  The bootstrap
+draws all its resamples, one after another, from the one stream 1000,
+so the first R resamples of a longer run are those of a run of R.
 """
 
 from __future__ import annotations
@@ -161,9 +162,20 @@ def concurrence(rho: DensityMatrix) -> float:
 
 def _concurrences(rhos: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(rhos)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return _spectral_concurrences(np.clip(w, 0.0, None), v)
+
+
+def _spectral_concurrences(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Concurrences of the stack v diag(w) v^H, from its non-negative
+    eigenvalues w (R, 4) and eigenvectors v (R, 4, 4)."""
+    root = _compose(np.sqrt(w), v)
     lam = np.linalg.svd(root @ _YY @ root.conj() @ _YY, compute_uv=False)
     return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+
+
+def _compose(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (R, d, d) stack v diag(w) v^H of eigenvalues w and eigenvectors v."""
+    return (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def fidelity(rho: DensityMatrix, target: np.ndarray) -> float:
@@ -254,7 +266,7 @@ def tomography_reconstruct(counts: np.ndarray, subsystem: tuple[int, int]) -> De
     expectations are averaged over the three settings that share the
     axis), assembled into rho = (1/4) sum <P x Q> P x Q, and the result is
     projected to the nearest PSD unit-trace matrix (Frobenius norm); see
-    :func:`_project_stack`.
+    :func:`_projected_spectra`.
     """
     counts, shots = _checked_counts(counts)
     rho = _project_stack(_linear_inversion(counts[None], shots))
@@ -274,7 +286,14 @@ def _linear_inversion(counts: np.ndarray, shots: np.ndarray) -> np.ndarray:
 
 
 def _project_stack(rhos: np.ndarray) -> np.ndarray:
-    """Project each of a (R, d, d) stack onto the nearest PSD unit-trace matrix.
+    """Project each of a (R, d, d) stack onto the nearest PSD unit-trace
+    matrix; see :func:`_projected_spectra`."""
+    return _compose(*_projected_spectra(rhos))
+
+
+def _projected_spectra(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (R, d) and eigenvectors (R, d, d) of the nearest PSD
+    unit-trace matrix to each of a (R, d, d) stack.
 
     Hermitize, then replace the eigenvalue vector by its Euclidean
     projection onto the probability simplex (Smolin, Gambetta & Smith,
@@ -300,14 +319,14 @@ def _project_stack(rhos: np.ndarray) -> np.ndarray:
     k = d - 1 - np.argmax(~(lam + shift < 0.0)[:, ::-1], axis=1)
     out = np.where(np.arange(d) <= k[:, None],
                    lam + np.take_along_axis(shift, k[:, None], axis=1), 0.0)
-    return (vec * out[:, None, :]) @ vec.conj().swapaxes(-1, -2)
+    return out, vec
 
 
 # ---------------------------------------------------------------------------
 # bootstrap error bars
 
-#: Stream offset separating bootstrap resampling from measurement sampling.
-_BOOTSTRAP_STREAM_BASE = 1000
+#: Stream of the bootstrap resamples, apart from the measurement streams 0..8.
+_BOOTSTRAP_STREAM = 1000
 
 
 def bootstrap(counts: np.ndarray, resamples: int, statistic: str, seed: int,
@@ -318,27 +337,30 @@ def bootstrap(counts: np.ndarray, resamples: int, statistic: str, seed: int,
     multinomial with the row's shots and empirical frequencies,
     reconstructs the density matrix, and evaluates the statistic
     ('concurrence' or 'fidelity' against ``target``).  Returns
-    (sample mean, sample standard deviation).  Resample r draws its nine
-    rows from its own RNG stream (seed, 1000 + r), so the result does not
-    depend on evaluation order; all resamples are then reconstructed and
-    evaluated as one stack.
+    (sample mean, sample standard deviation).  All resamples are drawn by
+    one call from the one RNG stream (seed, 1000), resample by resample
+    and row by row, so the R resamples of a run are the first R of any
+    longer run; they are then reconstructed and evaluated as one stack.
+    The concurrence takes sqrt(rho) from the eigendecomposition the
+    projection onto density matrices already made.
     """
     if resamples < 100:
         raise ValueError("need at least 100 resamples for a stable error bar")
     evaluate = _statistic_fn(statistic, target)
     counts, shots = _checked_counts(counts)
-    freqs = counts / shots[:, None]
-    streams = range(_BOOTSTRAP_STREAM_BASE, _BOOTSTRAP_STREAM_BASE + resamples)
-    redrawn = np.stack([rng.multinomial(shots, freqs) for rng in _streams(seed, streams)])
-    values = evaluate(_project_stack(_linear_inversion(redrawn, shots)))
+    rng = next(_streams(seed, [_BOOTSTRAP_STREAM]))
+    redrawn = rng.multinomial(np.broadcast_to(shots, (resamples, shots.size)),
+                              counts / shots[:, None])
+    values = evaluate(*_projected_spectra(_linear_inversion(redrawn, shots)))
     return float(values.mean()), float(values.std(ddof=1))
 
 
 def _statistic_fn(statistic: str, target):
+    """The statistic as a function of a stack's eigenvalues and eigenvectors."""
     if statistic == "concurrence":
-        return _concurrences
+        return _spectral_concurrences
     if statistic == "fidelity":
         if target is None:
             raise ValueError("fidelity statistic needs a target state")
-        return lambda rhos: _fidelities(rhos, target)
+        return lambda w, v: _fidelities(_compose(w, v), target)
     raise ValueError(f"unknown statistic {statistic!r}")

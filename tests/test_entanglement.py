@@ -327,18 +327,19 @@ _PINNED_COUNTS = [[301, 619, 70, 10], [685, 239, 30, 46], [844, 79, 18, 59],
 
 
 def test_the_rng_layout_is_pinned():
-    """Row b of the counts draws from stream (seed, b), bootstrap resample r
-    from stream (seed, 1000 + r).  The counts are compared exactly; the
-    bootstrap mean and std to 1e-12, since a redrawn resample would move
-    them by far more, while another LAPACK build may move their last bits."""
+    """Row b of the counts draws from stream (seed, b), and the bootstrap
+    draws resample after resample from the one stream (seed, 1000).  The
+    counts are compared exactly; the bootstrap mean and std to 1e-12, since
+    a redrawn resample would move them by far more, while another LAPACK
+    build may move their last bits."""
     rho = _pure(_random_state(4, 48))
     probs = ent.measurement_probabilities(rho)
     assert np.diff(np.sort(probs, axis=1), axis=1).min() > 0.02
     counts = ent.simulate_tomography(rho, shots=1000, seed=2024)
     np.testing.assert_array_equal(counts, _PINNED_COUNTS)
     mean, std = ent.bootstrap(counts, resamples=200, statistic="concurrence", seed=2025)
-    assert mean == pytest.approx(0.49531184997032973, rel=1e-12, abs=0)
-    assert std == pytest.approx(0.02002062771298194, rel=1e-12, abs=0)
+    assert mean == pytest.approx(0.4924344826619043, rel=1e-12, abs=0)
+    assert std == pytest.approx(0.02115376610530001, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("counts,fault", [
@@ -498,13 +499,14 @@ def test_bootstrap_tracks_the_statistic():
 
 def _bootstrap_loop(counts, resamples, statistic, seed, target=None):
     """Per-resample oracle: nine redrawn rows and one reconstruction at a time,
-    each resample r from a fresh ``Generator(Philox(key=[seed, 1000 + r]))``,
-    which is what the re-keyed generator of ``ent._streams`` must draw."""
+    every row of every resample drawn in turn from one fresh
+    ``Generator(Philox(key=[seed, 1000]))``, which is what the one call on the
+    re-keyed generator of ``ent._streams`` must draw."""
     evaluate = {"concurrence": ent.concurrence,
                 "fidelity": lambda rho: ent.fidelity(rho, target)}[statistic]
+    rng = np.random.Generator(np.random.Philox(key=[seed, 1000]))
     values = []
-    for r in range(resamples):
-        rng = np.random.Generator(np.random.Philox(key=[seed, 1000 + r]))
+    for _ in range(resamples):
         redrawn = np.array([rng.multinomial(row.sum(), row / row.sum()) for row in counts])
         values.append(evaluate(ent.tomography_reconstruct(redrawn, (1, 2))))
     return np.mean(values), np.std(values, ddof=1)
@@ -519,3 +521,40 @@ def test_bootstrap_equals_per_resample_loop(case, statistic):
     got = ent.bootstrap(counts, resamples=150, statistic=statistic, seed=21, target=psi)
     expected = _bootstrap_loop(counts, 150, statistic, seed=21, target=psi)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_bootstrap_draws_of_fewer_resamples_are_a_prefix(monkeypatch):
+    """The R resamples of a run are the first R of a run of 2R: adding
+    resamples never disturbs the draws already made."""
+    counts = ent.simulate_tomography(_pure(_random_state(4, 9)), shots=300, seed=4)
+    drawn, inversion = [], ent._linear_inversion
+
+    def recording_inversion(redrawn, shots):
+        drawn.append(redrawn)
+        return inversion(redrawn, shots)
+
+    monkeypatch.setattr(ent, "_linear_inversion", recording_inversion)
+    for resamples in (100, 200):
+        ent.bootstrap(counts, resamples=resamples, statistic="concurrence", seed=8)
+    short, long = drawn
+    assert short.shape == (100, 9, 4) and long.shape == (200, 9, 4)
+    np.testing.assert_array_equal(short, long[:100])
+    np.testing.assert_array_equal(long.sum(axis=2), np.broadcast_to(counts.sum(axis=1),
+                                                                    (200, 9)))
+    assert (long[:100] != long[100:]).any()
+
+
+def test_concurrence_from_the_projection_spectrum():
+    """Concurrences built from the projection's own eigendecomposition match
+    ``_concurrences`` of the projected matrices to 1e-14, also where the
+    projection zeroes eigenvalues (rank 1 to 3) and for pure inputs."""
+    stack = np.array([_indefinite_hermitian(seed) for seed in range(200)]
+                     + [np.outer(psi, psi.conj()) for psi in
+                        (BELL, _random_state(4, 3), _random_state(4, 5))]
+                     + [np.diag(lam).astype(complex) for lam in
+                        ([0.5, 0.5, 0.0, 0.0], [0.7, 0.5, -0.1, -0.1], [1.0, 0.0, 0.0, 0.0])])
+    w, v = ent._projected_spectra(stack)
+    assert set((w > 0).sum(axis=1)) == {1, 2, 3}
+    np.testing.assert_allclose(ent._spectral_concurrences(w, v),
+                               ent._concurrences(ent._project_stack(stack)),
+                               rtol=0, atol=1e-14)
