@@ -500,46 +500,57 @@ def _field_rad(rc: RunConfig, J: ionchain.CouplingMatrix) -> float:
 
 
 def _quench(rc: RunConfig, J: ionchain.CouplingMatrix, window=("t_start", "t_end")):
-    """(initial state, Hamiltonian) of the quench of ``rc`` under its Ising
-    or XY Hamiltonian, its phases checked over the times of the ``window``
-    settings (:func:`_check_phases`)."""
-    H = dynamics.build_hamiltonian(J, transverse_field=_field_rad(rc, J), model=rc.model)
-    _check_phases(rc, H, window)
-    return dynamics.prepare_state(rc.n_ions, rc.flip if rc.kind == "local" else None), H
+    """(initial state, Hamiltonian, number of basis states it reaches) of
+    the quench of ``rc`` under its Ising or XY Hamiltonian, its phases
+    checked over the times of the ``window`` settings (:func:`_check_phases`)
+    and its states against the limits of ``dynamics``, whose refusal names
+    the settings that set the states: N, and for a local XY quench the
+    flips, which set C(N, k)."""
+    field_rad = _field_rad(rc, J)
+    _check_phases(rc, J, field_rad, window)
+    H = dynamics.build_hamiltonian(J, transverse_field=field_rad, model=rc.model)
+    local = rc.kind == "local"
+    psi0 = _naming(("n_ions",), dynamics.prepare_state, rc.n_ions, rc.flip if local else None)
+    names = ("n_ions",) + ("flip",) * (local and rc.model == "xy")
+    return psi0, H, _naming(names, dynamics.reached_blocks, psi0, H)[1]
 
 
-def _check_phases(rc: RunConfig, H: dynamics.Hamiltonian, window=("t_start", "t_end")) -> None:
-    """ConfigError naming the settings that set them if the phases of H
-    over the times of the ``window`` settings pass ``dynamics.MAX_PHASE``;
-    checked before anything is assembled."""
+def _check_phases(rc: RunConfig, J: ionchain.CouplingMatrix, field_rad: float,
+                  window=("t_start", "t_end")) -> None:
+    """ConfigError naming the settings that set them if the phases of the
+    Hamiltonian of J and ``field_rad`` over the times of the ``window``
+    settings pass ``dynamics.MAX_PHASE``; checked before anything is
+    assembled."""
     try:
-        dynamics.check_phases(H, max(abs(getattr(rc, name)) for name in window))
+        dynamics.check_phases(J, field_rad, max(abs(getattr(rc, name)) for name in window))
     except ValueError as exc:
-        names = _SCALES[rc.source] + ("field_hz",) * (H.model == "ising") + window
+        names = _SCALES[rc.source] + ("field_hz",) * (rc.model == "ising") + window
         raise ConfigError(f"{exc}; they are set by "
                           f"{', '.join(_LABELS[n] for n in names)}") from None
 
 
-def _check_window(rc: RunConfig, n_states: int) -> None:
-    """ConfigError naming the setting if the run's ``n_points`` states on
-    ``n_states`` basis states pass ``dynamics.MAX_TRAJECTORY_BYTES``;
-    checked before the times or the trajectory are allocated."""
+def _naming(names: tuple[str, ...], check, *args):
+    """``check(*args)``; a ValueError it raises becomes a ConfigError led
+    by the labels of the settings ``names``."""
     try:
-        dynamics.check_trajectory(rc.n_points, n_states)
+        return check(*args)
     except ValueError as exc:
-        raise ConfigError(f"{_LABELS['n_points']}: {exc}") from None
+        raise ConfigError(f"{', '.join(_LABELS[n] for n in names)}: {exc}") from None
 
 
 def _propagate(rc: RunConfig, J: ionchain.CouplingMatrix):
-    """(times, magnetisation (T,N), correlations (T,N,N) or None)."""
+    """(times, magnetisation (T,N), correlations (T,N,N) or None); the
+    ``n_points`` states of the window are checked against
+    ``dynamics.MAX_TRAJECTORY_BYTES`` before the times or the trajectory
+    are allocated."""
     if rc.model == "single_excitation":          # the one-excitation block of H_XY
-        _check_window(rc, rc.n_ions)
-        _check_phases(rc, dynamics.build_hamiltonian(J, model="xy"))
+        _naming(("n_points",), dynamics.check_trajectory, rc.n_points, rc.n_ions)
+        _check_phases(rc, J, 0.0)
         times = rc.times
         amps = magnon._single_excitation_amplitudes(J, rc.flip[0], times)
         return times, 2.0 * np.abs(amps) ** 2 - 1.0, None
-    psi0, H = _quench(rc, J)
-    _check_window(rc, dynamics.reached_blocks(psi0, H)[1])
+    psi0, H, n_states = _quench(rc, J)
+    _naming(("n_points",), dynamics.check_trajectory, rc.n_points, n_states)
     times = rc.times
     traj = dynamics.evolve(psi0, H, times)
     corr = dynamics.two_point_correlations(traj) if "correlations" in rc.observables else None
@@ -619,7 +630,8 @@ def _cmd_quench(rc: RunConfig) -> int:
 def _cmd_tomo(rc: RunConfig) -> int:
     J = _build_couplings(rc)
     sites = tuple(sorted(rc.sites))
-    traj = dynamics.evolve(*_quench(rc, J, ("sample_time",)), np.array([rc.sample_time]))
+    psi0, H, _ = _quench(rc, J, ("sample_time",))
+    traj = dynamics.evolve(psi0, H, np.array([rc.sample_time]))
     rho_exact = entanglement.reduced_density_matrix(traj.state(0), sites)
 
     counts = entanglement.simulate_tomography(rho_exact, rc.shots, rc.seed)

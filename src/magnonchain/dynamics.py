@@ -522,16 +522,15 @@ def check_trajectory(n_times: int, n_states: int) -> None:
                          f"{MAX_TRAJECTORY_BYTES / 2 ** 30:.3g} GiB")
 
 
-def check_phases(H: Hamiltonian, span: float) -> None:
+def check_phases(coupling: CouplingMatrix, transverse_field: float, span: float) -> None:
     """Raises ValueError, naming the bound and the limit, if the phases of
-    H over times up to ``span`` (s) from the start can pass
-    ``MAX_PHASE``: their bound is the norm bound of H (sum_{i<j} |J_ij|
-    + N |B| for Ising, the largest absolute row sum of the whole space,
-    which bounds every sector; sum |J_ij| for XY) times ``span``, taken
-    from the couplings before anything is assembled."""
-    upper = np.abs(np.triu(H.coupling.values, 1)).sum()
-    if H.model == "ising":
-        upper += H.n_sites * abs(H.transverse_field)
+    the Hamiltonian of ``coupling`` and ``transverse_field`` (rad/s) over
+    times up to ``span`` (s) from the start can pass ``MAX_PHASE``: their
+    bound is sum_{i<j} |J_ij| + N |B| times ``span``, taken from the
+    couplings before anything is assembled.  For H_Ising this is its norm
+    bound, the largest absolute row sum of the whole space, which bounds
+    every sector; H_XY and its one-excitation block take B = 0."""
+    upper = np.abs(np.triu(coupling.values, 1)).sum() + coupling.n_ions * abs(transverse_field)
     phase = upper * abs(span)
     if span and not phase <= MAX_PHASE:
         raise ValueError(f"the phases ||H|| max|t| reach {phase:.3g} rad, above the "
@@ -590,7 +589,8 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if method not in ("auto", "dense", "krylov"):
         raise ValueError(f"unknown method {method!r}")
-    check_phases(H, float(np.abs(times).max(initial=0.0)))
+    check_phases(H.coupling, H.transverse_field if H.model == "ising" else 0.0,
+                 float(np.abs(times).max(initial=0.0)))
 
     reached, basis, amps = _on_reached_blocks(state, H)
     check_trajectory(times.size, basis.size)

@@ -16,7 +16,7 @@ Tomography data is one (9, 4) integer counts array: row b counts the
 outcomes (++, +-, -+, --) of setting TOMOGRAPHY_BASES[b], where +/- are
 the eigenvalues of the two measured Pauli operators, and the shots of a
 setting are its row sum.  Simulated tomography draws multinomial
-projection noise with a counter-based RNG (Philox) keyed by
+projection noise from the counter-based bit generator Philox, keyed
 (seed, stream): stream b draws row b, so each row has its own
 reproducible stream regardless of evaluation order.  The bootstrap
 draws all its resamples, one after another, from the one stream 1000,
@@ -25,7 +25,6 @@ so the first R resamples of a longer run are those of a run of R.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,23 +81,17 @@ class DensityMatrix:
         object.__setattr__(self, "subsystem", tuple(int(s) for s in self.subsystem))
         if rho.shape not in ((2, 2), (4, 4)):
             raise ValueError(f"density matrix must be 2x2 or 4x4, got {rho.shape}")
-        _check_physical(rho[None])
+        if np.abs(rho - rho.conj().T).max() > 1e-10:
+            raise ValueError("density matrix not Hermitian to 1e-10")
+        trace = np.trace(rho).real
+        if abs(trace - 1.0) > 1e-10:
+            raise ValueError(f"density matrix trace {trace!r} != 1")
+        if np.linalg.eigvalsh(rho).min() < -1e-8:
+            raise ValueError("density matrix has eigenvalue below -1e-8")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def _check_physical(rhos: np.ndarray) -> None:
-    """The :class:`DensityMatrix` checks on a (R, d, d) stack at once."""
-    if np.abs(rhos - rhos.conj().swapaxes(-1, -2)).max() > 1e-10:
-        raise ValueError("density matrix not Hermitian to 1e-10")
-    trace = np.trace(rhos, axis1=-2, axis2=-1).real
-    off = np.abs(trace - 1.0) > 1e-10
-    if off.any():
-        raise ValueError(f"density matrix trace {trace[off][0]!r} != 1")
-    if np.linalg.eigvalsh(rhos).min() < -1e-8:
-        raise ValueError("density matrix has eigenvalue below -1e-8")
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +202,9 @@ def measurement_probabilities(rho: DensityMatrix) -> np.ndarray:
     return probs / probs.sum(axis=1, keepdims=True)
 
 
-def _streams(seed: int, streams) -> Iterator[np.random.Generator]:
-    """The generator of each stream of ``streams`` in turn, keyed (seed, stream).
-
-    Each draws what ``Generator(Philox(key=[seed, stream]))`` draws: one bit
-    generator is re-keyed per stream (counter 0, empty buffer) rather than
-    a new one built, and seeded from OS entropy, per stream.  A yielded
-    generator is valid until the next one is taken.
-    """
-    bits = np.random.Philox(0)
-    rng = np.random.Generator(bits)
-    for stream in streams:
-        bits.state = {"bit_generator": "Philox",
-                      "state": {"counter": np.zeros(4, dtype=np.uint64),
-                                "key": np.array([seed, stream], dtype=np.uint64)},
-                      "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                      "has_uint32": 0, "uinteger": 0}
-        yield rng
+def _stream(seed: int, stream: int) -> np.random.Generator:
+    """The generator of stream ``stream`` of ``seed``: Philox keyed (seed, stream)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def simulate_tomography(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray:
@@ -237,8 +216,7 @@ def simulate_tomography(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = measurement_probabilities(rho)
-    return np.array([rng.multinomial(shots, p)
-                     for rng, p in zip(_streams(seed, range(len(probs))), probs)])
+    return np.array([_stream(seed, b).multinomial(shots, p) for b, p in enumerate(probs)])
 
 
 def _checked_counts(counts) -> tuple[np.ndarray, np.ndarray]:
@@ -348,7 +326,7 @@ def bootstrap(counts: np.ndarray, resamples: int, statistic: str, seed: int,
         raise ValueError("need at least 100 resamples for a stable error bar")
     evaluate = _statistic_fn(statistic, target)
     counts, shots = _checked_counts(counts)
-    rng = next(_streams(seed, [_BOOTSTRAP_STREAM]))
+    rng = _stream(seed, _BOOTSTRAP_STREAM)
     redrawn = rng.multinomial(np.broadcast_to(shots, (resamples, shots.size)),
                               counts / shots[:, None])
     values = evaluate(*_projected_spectra(_linear_inversion(redrawn, shots)))

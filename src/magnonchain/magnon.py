@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import check_phases
 from .ionchain import (CouplingMatrix, _check_normalized, _check_site, _fix_gauge, _frozen,
                        _mirror_symmetric)
 
@@ -128,7 +129,8 @@ def evolve_single_excitation(J: CouplingMatrix, quench_site: int,
     """Exact spectral evolution of one excitation created at ``quench_site``.
 
     a_i(t) = sum_k c_{i,k} c_{l,k} exp(-i omega_k t); no step error, any
-    time grid.  Sites are 1-based.
+    time grid whose phases keep their digits (:func:`dynamics.check_phases`,
+    as for :func:`dynamics.evolve`).  Sites are 1-based.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     amps = _single_excitation_amplitudes(J, quench_site, times)
@@ -138,7 +140,9 @@ def evolve_single_excitation(J: CouplingMatrix, quench_site: int,
 def _single_excitation_amplitudes(J: CouplingMatrix, quench_site: int,
                                   times: np.ndarray) -> np.ndarray:
     """The (T, N) amplitudes a_i(t) of :func:`evolve_single_excitation`, as
-    one array; every row is checked to be normalized to 1e-9.
+    one array; the phases are checked first, with no field
+    (:func:`dynamics.check_phases`), and every row is checked to be
+    normalized to 1e-9.
 
     When J is reflection symmetric (:func:`ionchain._mirror_symmetric`),
     the two half-size blocks of :func:`_mirror_blocks` are propagated on
@@ -151,6 +155,7 @@ def _single_excitation_amplitudes(J: CouplingMatrix, quench_site: int,
     each term c_{i,k} c_{l,k} is the same for -c_{.,k}."""
     n = J.n_ions
     _check_site(n, quench_site)
+    check_phases(J, 0.0, float(np.abs(times).max(initial=0.0)))
     source = quench_site - 1
     if not _mirror_symmetric(J.values):
         amps = _spread(*np.linalg.eigh(J.values), source, times)

@@ -466,14 +466,26 @@ def test_flip_site_out_of_range_is_config_error(tmp_path, capsys):
     (["quench", "--n", "40", "--model", "xy", "--flip"] + [str(s) for s in range(1, 9)],
      40, 76904685),
     (["tomo", "--n", "64", "--model", "xy", "--flip", "1"], 64, None),
+    (["quench", "--n", "18", "--model", "ising"], 18, 2 ** 17),
+    (["tomo", "--n", "18", "--model", "ising"], 18, 2 ** 17),
+    (["quench", "--n", "64", "--model", "xy", "--flip", "1"], 64, None),
+    (["tomo", "--n", "64", "--model", "xy", "--flip", "3"], 64, None),
+    (["global-quench", "--n", "64"], 64, None),
+    (["tomo", "--n", "40", "--model", "xy", "--flip", "1", "2", "3", "4"], 40, 91390),
 ])
 def test_quench_above_the_state_limit_is_config_error(tmp_path, capsys, argv, n, states):
+    """The refusal keeps the library's text behind the settings that set
+    the number of states: N, and for a local XY quench also the flips,
+    which set C(N, k); N alone past the sites a basis state holds."""
     assert cli.main(argv + ["-o", str(tmp_path)]) == 2
+    labels = "--n / [trap] n_ions"
     if states is None:
         message = f"N={n} is above the 63 sites an int64 basis state holds"
     else:
         message = f"N={n} reaches {states} basis states, above the limit of 65536 states"
-    assert capsys.readouterr().err == f"config error: {message}\n"
+        if "xy" in argv and argv[0] != "global-quench":
+            labels += ", --flip / [quench] flip"
+    assert capsys.readouterr().err == f"config error: {labels}: {message}\n"
     assert not any(tmp_path.iterdir())
 
 

@@ -301,24 +301,6 @@ def test_record_streams_differ_between_bases():
     assert len({tuple(row) for row in counts}) > 1
 
 
-@pytest.mark.parametrize("seed", [0, 2024, 2 ** 64 - 1])
-def test_stream_generators_draw_as_fresh_philox_generators(seed):
-    """Each generator of _streams draws what a freshly built one keyed
-    (seed, stream) draws, in any order of the streams, also after the
-    previous stream left buffered output and a half-used 32-bit word."""
-    freqs = np.array([[0.1, 0.2, 0.3, 0.4], [0.7, 0.0, 0.3, 0.0], [0.25, 0.25, 0.25, 0.25]])
-    shots = np.array([2000, 7, 1])
-    order = [1003, 0, 8, 1000, 5, 1999, 1003, 2]
-    for stream, rng in zip(order, ent._streams(seed, order), strict=True):
-        fresh = np.random.Generator(
-            np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-        np.testing.assert_array_equal(rng.multinomial(shots, freqs),
-                                      fresh.multinomial(shots, freqs))
-        np.testing.assert_array_equal(rng.multinomial(500, freqs[0], size=3),
-                                      fresh.multinomial(500, freqs[0], size=3))
-        assert rng.random(dtype=np.float32) == fresh.random(dtype=np.float32)
-
-
 #: A random state with no two outcomes of one setting within 0.02 in
 #: probability, so no draw below sits on a tie (see _random_state(4, 48)).
 _PINNED_COUNTS = [[301, 619, 70, 10], [685, 239, 30, 46], [844, 79, 18, 59],
@@ -340,6 +322,36 @@ def test_the_rng_layout_is_pinned():
     mean, std = ent.bootstrap(counts, resamples=200, statistic="concurrence", seed=2025)
     assert mean == pytest.approx(0.4924344826619043, rel=1e-12, abs=0)
     assert std == pytest.approx(0.02115376610530001, rel=1e-12, abs=0)
+
+
+#: (counts, bootstrap mean, bootstrap std) of the pinned state at 1000
+#: shots and 200 resamples, both drawn at the seed; 2^64 - 1 is the top of
+#: the --seed range, so the uint64 edge of the (seed, stream) key.
+_PINNED_DRAWS = {
+    0: ([[294, 639, 56, 11], [663, 260, 22, 55], [834, 90, 16, 60],
+         [41, 415, 308, 236], [322, 141, 365, 172], [343, 128, 507, 22],
+         [213, 313, 138, 336], [473, 41, 222, 264], [397, 132, 456, 15]],
+        0.4993310539094867, 0.018669388469886496),
+    2024: (_PINNED_COUNTS, 0.4933384781959665, 0.023177907037481713),
+    2 ** 64 - 1: ([[290, 636, 63, 11], [672, 251, 23, 54], [839, 86, 17, 58],
+                   [54, 413, 305, 228], [316, 146, 366, 172], [321, 115, 534, 30],
+                   [207, 288, 151, 354], [451, 41, 251, 257], [400, 143, 442, 15]],
+                  0.4767840092799904, 0.022634822260146112),
+}
+
+
+@pytest.mark.parametrize("seed", list(_PINNED_DRAWS))
+def test_tomography_draws_are_pinned_across_the_seed_range(seed):
+    """The counts and the bootstrap of a seed are those recorded when each
+    stream's Philox was re-keyed in place (counter 0, empty buffer), at
+    the low end, in the middle and at the top of the seed range; the
+    counts exactly, the bootstrap mean and std to 1e-12."""
+    counts_pinned, mean_pinned, std_pinned = _PINNED_DRAWS[seed]
+    counts = ent.simulate_tomography(_pure(_random_state(4, 48)), shots=1000, seed=seed)
+    np.testing.assert_array_equal(counts, counts_pinned)
+    mean, std = ent.bootstrap(counts, resamples=200, statistic="concurrence", seed=seed)
+    assert mean == pytest.approx(mean_pinned, rel=1e-12, abs=0)
+    assert std == pytest.approx(std_pinned, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("counts,fault", [
@@ -451,17 +463,15 @@ def test_reconstruction_matches_term_by_term_inversion():
         np.testing.assert_allclose(got, _simplex_projection_oracle(rho), atol=1e-12)
 
 
-def test_stacked_physicality_check_names_the_fault():
+def test_physicality_check_names_the_fault():
     good = np.outer(BELL, BELL).astype(complex)
     checks = {
-        "Hermitian": good + np.triu(np.full((4, 4), 1e-9), 1),
-        "trace": good * 1.001,
-        "eigenvalue": np.diag([1.0 + 1e-6, 0.0, 0.0, -1e-6]).astype(complex),
+        "not Hermitian to 1e-10": good + np.triu(np.full((4, 4), 1e-9), 1),
+        r"trace \S*1\.000999\S* != 1": good * 1.001,
+        "eigenvalue below -1e-8": np.diag([1.0 + 1e-6, 0.0, 0.0, -1e-6]).astype(complex),
     }
-    ent._check_physical(np.array([good, good]))
+    DensityMatrix(matrix=good, subsystem=(1, 2))
     for fault, bad in checks.items():
-        with pytest.raises(ValueError, match=fault):
-            ent._check_physical(np.array([good, bad, good]))
         with pytest.raises(ValueError, match=fault):
             DensityMatrix(matrix=bad, subsystem=(1, 2))
 
@@ -501,7 +511,7 @@ def _bootstrap_loop(counts, resamples, statistic, seed, target=None):
     """Per-resample oracle: nine redrawn rows and one reconstruction at a time,
     every row of every resample drawn in turn from one fresh
     ``Generator(Philox(key=[seed, 1000]))``, which is what the one call on the
-    re-keyed generator of ``ent._streams`` must draw."""
+    bootstrap's stream must draw."""
     evaluate = {"concurrence": ent.concurrence,
                 "fidelity": lambda rho: ent.fidelity(rho, target)}[statistic]
     rng = np.random.Generator(np.random.Philox(key=[seed, 1000]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magnonchain import ionchain, magnon
+from magnonchain import dynamics, ionchain, magnon
 
 J0 = 2 * np.pi * 30.0      # experiment-scale nearest-neighbour coupling, rad/s
 
@@ -188,6 +188,27 @@ def test_evolve_checks_site_range():
     J = ionchain.nearest_neighbour_coupling(4, J0)
     with pytest.raises(ValueError):
         magnon.evolve_single_excitation(J, 5, np.array([0.0]))
+
+
+def test_phases_without_digits_are_refused_as_by_evolve(monkeypatch):
+    """The one-excitation propagator keeps the phase rule of
+    ``dynamics.evolve``: a one-flip quench whose phases pass ``MAX_PHASE``
+    is refused by both with the same message, and the limit its bound
+    reaches is accepted, one ulp below refused."""
+    J = ionchain.power_law_coupling(7, 1.5, J0)
+    times = np.array([1e300])
+    with pytest.raises(ValueError, match=r"the phases \|\|H\|\| max\|t\| reach") as mine:
+        magnon.evolve_single_excitation(J, 4, times)
+    with pytest.raises(ValueError) as full:
+        dynamics.evolve(dynamics.prepare_state(7, [4]),
+                        dynamics.build_hamiltonian(J, model="xy"), times)
+    assert str(mine.value) == str(full.value)
+    bound = np.abs(np.triu(J.values, 1)).sum() * 0.005
+    monkeypatch.setattr(dynamics, "MAX_PHASE", bound)
+    magnon.evolve_single_excitation(J, 4, np.array([0.0, -0.005]))
+    monkeypatch.setattr(dynamics, "MAX_PHASE", np.nextafter(bound, 0.0))
+    with pytest.raises(ValueError, match="the phases"):
+        magnon.evolve_single_excitation(J, 4, np.array([0.0, -0.005]))
 
 
 def _full_space_amplitudes(J, site, times):
