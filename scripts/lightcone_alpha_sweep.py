@@ -31,7 +31,7 @@ OUTDIR = Path("runs/lightcone")  # overridable via argv[1]
 def front_for_alpha(alpha, times):
     J = ionchain.power_law_coupling(N_IONS, alpha, JBAR)
     states = magnon.evolve_single_excitation(J, SOURCE, times)
-    sz = np.array([magnon.magnetisation_single(s) for s in states])
+    sz = np.array([2.0 * np.abs(s.amplitudes) ** 2 - 1.0 for s in states])
     arrivals = analysis.arrival_times(times, sz, source=SOURCE)
     front = analysis.fit_front_velocity([(d, fit.t0) for d, fit in arrivals])
     return J, arrivals, front

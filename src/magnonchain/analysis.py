@@ -280,7 +280,8 @@ def _arrival_segment(t, v):
 
 
 def _fit_pulses(sites, segments) -> list:
-    """Fit :func:`_gauss` to every segment at once; an ArrivalFit or FitError each.
+    """Fit the arrival model a + b exp(-(t - t0)^2 / 2 w^2) to every segment
+    at once; an ArrivalFit or FitError each.
 
     Each segment is padded to whole blocks of ``_BLOCK`` samples, masked,
     and the blocks of all segments are stacked.  One Levenberg-Marquardt
@@ -385,7 +386,7 @@ def _normal_equations(p, t, y, mask, blocks, work):
     a, b, t0, w = p[owner].T[..., None]
     aug = work[:, :owner.size]
     _gauss_jacobian(t, a, b, t0, w, axis=0, out=aug[:4])
-    np.subtract(a + b * aug[1], y, out=aug[4])       # _gauss(t, a, b, t0, w) - y
+    np.subtract(a + b * aug[1], y, out=aug[4])       # the model's residual
     aug *= mask
     per_block = aug.transpose(1, 0, 2) @ aug.transpose(1, 2, 0)
     stacked = np.zeros((blocks.size, blocks.max(initial=0), 5, 5))
@@ -393,13 +394,9 @@ def _normal_equations(p, t, y, mask, blocks, work):
     return stacked.sum(axis=1)
 
 
-def _gauss(t, a, b, t0, w):
-    """Arrival model a + b exp(-(t - t0)^2 / 2 w^2)."""
-    return a + b * np.exp(-((t - t0) ** 2) / (2.0 * w ** 2))
-
-
 def _gauss_jacobian(t, a, b, t0, w, axis=-1, out=None):
-    """Columns d/da, d/db, d/dt0, d/dw of :func:`_gauss`, shape (len(t), 4).
+    """Columns d/da, d/db, d/dt0, d/dw of the arrival model a + b exp(-(t -
+    t0)^2 / 2 w^2), shape (len(t), 4).
 
     With x = t - t0 and e = exp(-x^2 / 2 w^2): 1, e, b e x / w^2, b e x^2 / w^3.
     The parameters broadcast against ``t``; the four derivatives are

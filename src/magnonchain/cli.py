@@ -21,8 +21,9 @@ file key > built-in default.  It ignores the INI keys of the settings it
 does not read, so one INI file can serve every subcommand, and those
 settings keep their defaults, in the checks and in the config hash.
 Each refusal names its setting as ``--flag / [section] key`` (the flag
-alone where there is no key, the key alone where there is no flag).  The
-output directory additionally falls back to $MAGNONCHAIN_OUTDIR before
+alone where there is no key, the key alone where there is no flag); a
+refusal of the library is re-raised by :func:`_naming` alone, led by the
+labels of the settings behind it.  The output directory additionally falls back to $MAGNONCHAIN_OUTDIR before
 defaulting to the working directory.  The trap and beam parameters of the
 trap coupling source are settings with a key and no flag.  The INI schema
 (:data:`INI_SCHEMA`) is derived from the table too.
@@ -268,10 +269,9 @@ class RunConfig:
     modes: ionchain.ModeSpectrum | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        n_ions, flip = _LABELS["n_ions"], _LABELS["flip"]
         if self.command in ("dispersion", "fit") and self.n_ions < 4:
-            raise ConfigError(f"{self.command} needs {n_ions} >= 4 for its exponent fit, "
-                              f"got {self.n_ions}")
+            raise ConfigError(f"{self.command} needs {_labels(('n_ions',), self.source)} >= 4 "
+                              f"for its exponent fit, got {self.n_ions}")
         if not self.t_end > self.t_start:
             raise ConfigError(f"{_LABELS['t_end']} must be > {_LABELS['t_start']}, got "
                               f"{self.t_end} <= {self.t_start}")
@@ -281,7 +281,7 @@ class RunConfig:
                 f"the light cone from site {self.cone_source} has "
                 f"{max(self.n_ions - 1 - self.cone_source, 0)} sites to fit before the "
                 f"excluded edge site {self.n_ions}, and the front velocity needs at least 3 "
-                f"({n_ions}, {flip})")
+                f"({_labels(('n_ions', 'flip'), self.source)})")
         if self.command == "lightcone" and self.n_points < analysis.MIN_ARRIVAL_SAMPLES:
             raise ConfigError(f"lightcone needs {_LABELS['n_points']} >= "
                               f"{analysis.MIN_ARRIVAL_SAMPLES} for its arrival fits, "
@@ -301,18 +301,16 @@ class RunConfig:
                 raise ConfigError(f"{_LABELS['correlations']} needs {_LABELS['model']} "
                                   f"ising or xy, got single-excitation")
         elif self.kind == "local" and not self.flip:
-            raise ConfigError(f"a local quench needs at least one {flip} site, got none")
+            raise ConfigError(f"a local quench needs at least one {_LABELS['flip']} site, "
+                              f"got none")
 
     def _check_sites(self, name: str) -> None:
         sites = getattr(self, name)
         if len(set(sites)) != len(sites):
             raise ConfigError(f"{_LABELS[name]} must be distinct sites, "
                               f"got {' '.join(map(str, sites))}")
-        try:
-            for s in sites:
-                ionchain._check_site(self.n_ions, s)
-        except ValueError as exc:
-            raise ConfigError(f"{_LABELS[name]}: {exc}") from None
+        for s in sites:
+            _naming((name,), ionchain._check_site, self.n_ions, s)
 
     @property
     def cone_source(self) -> int:
@@ -446,17 +444,11 @@ def _labelled(cls, values: dict):
 
 
 def _load_coupling_file(path: str | None, n_ions: int | None) -> ionchain.CouplingMatrix:
-    """The coupling matrix of the file source; an explicit chain length
-    must match its size."""
+    """The coupling matrix of the file source, whose faults ``io`` judges;
+    an explicit chain length must match its size."""
     if not path:
         raise ConfigError(f"coupling source 'file' needs {_LABELS['coupling_file']}")
-    try:
-        J = import_couplings(path)
-    except OSError as exc:
-        raise ConfigError(f"{_LABELS['coupling_file']}: cannot read {path}: "
-                          f"{exc.strerror}") from None
-    if J.n_ions < 2:
-        raise ConfigError(f"{_LABELS['coupling_file']}: {path} holds 1 ion, need at least 2")
+    J = _naming(("coupling_file",), import_couplings, path)
     if n_ions is not None and n_ions != J.n_ions:
         raise ConfigError(f"{_LABELS['n_ions']} = {n_ions} disagrees with the {J.n_ions} "
                           f"ions of the coupling file {path}")
@@ -476,19 +468,16 @@ def _build_couplings(rc: RunConfig) -> ionchain.CouplingMatrix:
         return rc.couplings
     if rc.source == "trap":
         return ionchain.build_coupling_matrix(rc.trap, rc.beam, rc.modes)
-    try:
-        if rc.source == "power_law":
-            return ionchain.power_law_coupling(rc.n_ions, rc.alpha, rc.nn_strength)
-        return ionchain.nearest_neighbour_coupling(rc.n_ions, rc.nn_strength)
-    except ValueError:          # finite settings, so the matrix overflowed
-        raise ConfigError(f"the {rc.source.replace('_', '-')} couplings of "
-                          f"{' and '.join(_LABELS[n] for n in _SCALES[rc.source])} must be "
-                          f"finite, got entries beyond the largest double") from None
+    if rc.source == "power_law":          # finite settings, so a refusal is an overflow
+        return _naming(_SCALES[rc.source], ionchain.power_law_coupling,
+                       rc.n_ions, rc.alpha, rc.nn_strength)
+    return _naming(_SCALES[rc.source], ionchain.nearest_neighbour_coupling,
+                   rc.n_ions, rc.nn_strength)
 
 
-#: The settings that scale a synthetic coupling matrix, by source.
+#: The settings that scale a coupling matrix other than a trap's, by source.
 _SCALES = {"power_law": ("nn_strength", "alpha"), "nearest_neighbour": ("nn_strength",),
-           "trap": (), "file": ()}
+           "trap": (), "file": ("coupling_file",)}
 
 
 def _field_rad(rc: RunConfig, J: ionchain.CouplingMatrix) -> float:
@@ -510,32 +499,38 @@ def _quench(rc: RunConfig, J: ionchain.CouplingMatrix, window=("t_start", "t_end
     _check_phases(rc, J, field_rad, window)
     H = dynamics.build_hamiltonian(J, transverse_field=field_rad, model=rc.model)
     local = rc.kind == "local"
-    psi0 = _naming(("n_ions",), dynamics.prepare_state, rc.n_ions, rc.flip if local else None)
+    psi0 = _naming(("n_ions",), dynamics.prepare_state, rc.n_ions, rc.flip if local else None,
+                   source=rc.source)
     names = ("n_ions",) + ("flip",) * (local and rc.model == "xy")
-    return psi0, H, _naming(names, dynamics.reached_blocks, psi0, H)[1]
+    return psi0, H, _naming(names, dynamics.reached_blocks, psi0, H, source=rc.source)[1]
 
 
 def _check_phases(rc: RunConfig, J: ionchain.CouplingMatrix, field_rad: float,
                   window=("t_start", "t_end")) -> None:
-    """ConfigError naming the settings that set them if the phases of the
-    Hamiltonian of J and ``field_rad`` over the times of the ``window``
-    settings pass ``dynamics.MAX_PHASE``; checked before anything is
-    assembled."""
-    try:
-        dynamics.check_phases(J, field_rad, max(abs(getattr(rc, name)) for name in window))
-    except ValueError as exc:
-        names = _SCALES[rc.source] + ("field_hz",) * (rc.model == "ising") + window
-        raise ConfigError(f"{exc}; they are set by "
-                          f"{', '.join(_LABELS[n] for n in names)}") from None
+    """``dynamics.check_phases`` of the Hamiltonian of J and ``field_rad``
+    over the times of the ``window`` settings, before anything is
+    assembled; its refusal names the settings that set the couplings, the
+    field and the window."""
+    names = _SCALES[rc.source] + ("field_hz",) * (rc.model == "ising") + window
+    _naming(names, dynamics.check_phases, J, field_rad,
+            max(abs(getattr(rc, name)) for name in window))
 
 
-def _naming(names: tuple[str, ...], check, *args):
+def _labels(names: tuple[str, ...], source: str | None = None) -> str:
+    """The labels of the settings ``names``, comma-separated; N read from
+    a coupling file (``source`` "file") is named by the file's setting."""
+    return ", ".join(_LABELS["coupling_file" if name == "n_ions" and source == "file"
+                             else name] for name in names)
+
+
+def _naming(names: tuple[str, ...], check, *args, source: str | None = None):
     """``check(*args)``; a ValueError it raises becomes a ConfigError led
-    by the labels of the settings ``names``."""
+    by the :func:`_labels` of the settings ``names`` under coupling
+    ``source``."""
     try:
         return check(*args)
     except ValueError as exc:
-        raise ConfigError(f"{', '.join(_LABELS[n] for n in names)}: {exc}") from None
+        raise ConfigError(f"{_labels(names, source)}: {exc}") from None
 
 
 def _propagate(rc: RunConfig, J: ionchain.CouplingMatrix):

@@ -85,7 +85,7 @@ class DensityMatrix:
             raise ValueError("density matrix not Hermitian to 1e-10")
         trace = np.trace(rho).real
         if abs(trace - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace {trace!r} != 1")
+            raise ValueError(f"density matrix trace {float(trace)!r} != 1")
         if np.linalg.eigvalsh(rho).min() < -1e-8:
             raise ValueError("density matrix has eigenvalue below -1e-8")
 

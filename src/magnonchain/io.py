@@ -46,9 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .entanglement import DensityMatrix
 from .ionchain import CouplingMatrix
-from .magnon import MagnonSpectrum
 
 #: Accepted '# unit = ...' tags for coupling files -> factor to rad/s.
 UNIT_FACTORS = {"rad/s": 1.0, "Hz": 2.0 * math.pi}
@@ -261,12 +259,19 @@ def load_couplings(path) -> CouplingMatrix:
 
     The unit tag is mandatory.  Slightly asymmetric input (measurement
     noise) is repaired by averaging J and J^T with the maximum relative
-    asymmetry reported; beyond 5% the file is rejected.
+    asymmetry reported; beyond 5% the file is rejected.  Every fault of
+    the file, from an unreadable path to a ragged or non-finite row (named
+    by its line) and a matrix of fewer than 2 ions, is a
+    :class:`ConfigError` naming the path.
     """
     path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     unit = None
     rows = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -277,16 +282,24 @@ def load_couplings(path) -> CouplingMatrix:
                 unit = tag.strip()
             continue
         try:
-            rows.append([float(x) for x in line.split(",")])
+            row = [float(x) for x in line.split(",")]
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: unparseable row: {raw!r}") from exc
+        if rows and len(row) != len(rows[0]):
+            raise ConfigError(f"{path}:{lineno}: {len(row)} values, but the first row "
+                              f"has {len(rows[0])}")
+        if not all(map(math.isfinite, row)):
+            raise ConfigError(f"{path}:{lineno}: non-finite value in row {raw!r}")
+        rows.append(row)
     if unit is None:
         raise ConfigError(f"{path}: no '# unit = ...' tag; refusing to guess units")
     if unit not in UNIT_FACTORS:
         raise ConfigError(f"{path}: unknown unit {unit!r}; expected one of {sorted(UNIT_FACTORS)}")
     J = np.asarray(rows, dtype=float) * UNIT_FACTORS[unit]
-    if J.ndim != 2 or J.shape[0] != J.shape[1] or J.size == 0:
+    if J.ndim != 2 or J.shape[0] != J.shape[1]:          # ndim 1: no rows
         raise ConfigError(f"{path}: expected a square matrix, got shape {J.shape}")
+    if J.shape[0] < 2:
+        raise ConfigError(f"{path} holds 1 ion, need at least 2")
 
     scale = np.abs(J).max()
     asym = np.abs(J - J.T).max() / scale if scale > 0 else 0.0
@@ -310,8 +323,9 @@ def load_couplings(path) -> CouplingMatrix:
 # observable exports
 
 
-def save_dispersion(path, spectrum: MagnonSpectrum, meta: dict | None = None) -> Path:
-    """Dispersion CSV: (n, k_n [rad/site], omega_k [rad/s], node_count)."""
+def save_dispersion(path, spectrum, meta: dict | None = None) -> Path:
+    """Dispersion CSV of a :class:`~magnonchain.magnon.MagnonSpectrum`:
+    (n, k_n [rad/site], omega_k [rad/s], node_count)."""
     columns = (np.arange(1, spectrum.energies.size + 1), spectrum.pseudo_momenta,
                spectrum.energies, spectrum.node_counts)
     return write_columns(path, ("n", "k_n", "omega_k", "node_count"), columns, meta)
@@ -350,8 +364,9 @@ def save_correlations(path, times, corr, meta: dict | None = None) -> Path:
     return write_columns(path, ("t_s", "i", "j", "Cij"), columns, meta)
 
 
-def save_density_matrix(path, rho: DensityMatrix, meta: dict | None = None) -> Path:
-    """Density-matrix CSV: (row, col, re, im) in row-major order.
+def save_density_matrix(path, rho, meta: dict | None = None) -> Path:
+    """CSV of a :class:`~magnonchain.entanglement.DensityMatrix`: (row, col,
+    re, im) in row-major order.
 
     The header records the subsystem sites and the basis ordering
     (|dd>, |du>, |ud>, |uu> with the lower site index first).

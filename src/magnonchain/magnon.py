@@ -212,8 +212,3 @@ def _mirror_blocks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         symmetric[:h, h] = symmetric[h, :h] = np.sqrt(2.0) * values[:h, h]
         symmetric[h, h] = values[h, h]
     return symmetric, top - reversed_right
-
-
-def magnetisation_single(state: SingleExcitationState) -> np.ndarray:
-    """Site-resolved magnetisation <sigma_i^z> = 2|a_i|^2 - 1."""
-    return 2.0 * np.abs(state.amplitudes) ** 2 - 1.0

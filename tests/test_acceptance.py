@@ -86,7 +86,7 @@ def test_criterion_03_full_xy_matches_magnon_sector():
     traj = dynamics.evolve(psi0, H, times)
     mag_full = np.vstack([dynamics.magnetisation(traj.state(k))
                           for k in range(traj.times.size)])
-    mag_single = np.vstack([magnon.magnetisation_single(s)
+    mag_single = np.vstack([2.0 * np.abs(s.amplitudes) ** 2 - 1.0
                             for s in magnon.evolve_single_excitation(J, 4, times)])
     err = np.abs(mag_full - mag_single).max()
     _verdict(3, "full XY vs magnon sector", err < 1e-8,
@@ -188,7 +188,7 @@ def test_criterion_08_front_velocity_grows_as_alpha_shrinks():
     velocity = {}
     for alpha in (1.41, 1.07, 0.75):
         J = ionchain.power_law_coupling(15, alpha, J0)
-        mag = np.vstack([magnon.magnetisation_single(s)
+        mag = np.vstack([2.0 * np.abs(s.amplitudes) ** 2 - 1.0
                          for s in magnon.evolve_single_excitation(J, 8, times)])
         fits = analysis.arrival_times(times, mag, 8)
         front = analysis.fit_front_velocity([(d, f.t0) for d, f in fits])

@@ -217,6 +217,11 @@ def test_arrival_fit_recovers_synthetic_pulse():
     assert fit.goodness < 1e-3
 
 
+def _gauss(t, a, b, t0, w):
+    """The arrival model a + b exp(-(t - t0)^2 / 2 w^2), as the oracle of the fits."""
+    return a + b * np.exp(-((t - t0) ** 2) / (2.0 * w ** 2))
+
+
 def test_gauss_jacobian_matches_numerical_derivative():
     rng = np.random.default_rng(12)
     t = np.linspace(0.0, 0.02, 61)
@@ -224,7 +229,7 @@ def test_gauss_jacobian_matches_numerical_derivative():
         params = np.array([rng.uniform(-1.0, 0.0), rng.uniform(0.01, 2.0),
                            rng.uniform(0.0, 0.02), rng.uniform(2e-4, 5e-3)])
         analytic = analysis._gauss_jacobian(t, *params)
-        numeric = approx_derivative(lambda p: analysis._gauss(t, *p), params,
+        numeric = approx_derivative(lambda p: _gauss(t, *p), params,
                                     method="cs")
         assert analytic.shape == (t.size, 4)
         scale = np.abs(numeric).max(axis=0)           # per column
@@ -242,14 +247,14 @@ def cones():
     out = {}
     for alpha in CONE_ALPHAS:
         J = ionchain.power_law_coupling(201, alpha, J0)
-        out[alpha] = np.vstack([magnon.magnetisation_single(s)
+        out[alpha] = np.vstack([2.0 * np.abs(s.amplitudes) ** 2 - 1.0
                                 for s in magnon.evolve_single_excitation(J, 101, times)])
     return times, out
 
 
 def _tight_curve_fit(t_fit, v_fit, p0, lower, upper):
     """Bounded curve_fit run to its tightest tolerances: the reference fit."""
-    popt, _ = curve_fit(analysis._gauss, t_fit, v_fit, p0=p0, bounds=(lower, upper),
+    popt, _ = curve_fit(_gauss, t_fit, v_fit, p0=p0, bounds=(lower, upper),
                         jac=analysis._gauss_jacobian, ftol=1e-15, xtol=1e-15,
                         gtol=1e-15, maxfev=100000)
     return popt
@@ -456,7 +461,7 @@ def test_front_velocity_error_paths():
 def test_arrival_times_excludes_outermost_site():
     J = ionchain.power_law_coupling(9, 1.4, J0)
     times = np.linspace(0.0, 0.04, 801)
-    mag = np.vstack([magnon.magnetisation_single(s)
+    mag = np.vstack([2.0 * np.abs(s.amplitudes) ** 2 - 1.0
                      for s in magnon.evolve_single_excitation(J, 5, times)])
     fits = analysis.arrival_times(times, mag, 5)
     distances = [d for d, _ in fits]

@@ -225,7 +225,7 @@ def test_lr_bound_holds_across_the_nearest_neighbour_ladder(propagator, top, dat
         traj = dynamics.evolve(psi0, dynamics.build_hamiltonian(J, model="xy"), times)
         mag = dynamics.magnetisation(traj)
     else:
-        mag = np.vstack([magnon.magnetisation_single(s)
+        mag = np.vstack([2.0 * np.abs(s.amplitudes) ** 2 - 1.0
                          for s in magnon.evolve_single_excitation(J, flip, times)])
     start = np.full(n, -1.0)
     start[flip - 1] = 1.0

@@ -110,7 +110,7 @@ def test_quench_single_excitation_model(tmp_path, capsys):
     rows = np.array(read_data_rows(tmp_path / "magnetisation.csv"))
     J = ionchain.power_law_coupling(9, 1.5, 2 * np.pi * 30.0)
     states = magnon.evolve_single_excitation(J, 5, np.linspace(0, 0.02, 11))
-    mag = np.vstack([magnon.magnetisation_single(s) for s in states])
+    mag = np.vstack([2.0 * np.abs(s.amplitudes) ** 2 - 1.0 for s in states])
     np.testing.assert_array_equal(rows[:, 2], mag.ravel())
 
 
@@ -219,7 +219,7 @@ def test_lightcone_csvs_match_row_formatter(tmp_path, capsys):
     J = ionchain.power_law_coupling(15, 1.2, 2 * np.pi * 30.0)
     times = np.linspace(0.0, 0.02, 201)
     states = magnon.evolve_single_excitation(J, 8, times)
-    mag = np.vstack([magnon.magnetisation_single(s) for s in states])
+    mag = np.vstack([2.0 * np.abs(s.amplitudes) ** 2 - 1.0 for s in states])
     columns, rows = _trajectory_csvs(times, mag, None)["magnetisation.csv"]
     assert (_data_text((tmp_path / "magnetisation.csv").read_text())
             == _data_text(reference_csv(columns, rows)))
@@ -237,7 +237,7 @@ def test_lightcone_n31_magnetisation_matches_row_formatter(tmp_path, capsys):
     assert run(argv, capsys)[0] == 0
     J = ionchain.power_law_coupling(31, 1.2, 2 * np.pi * 30.0)
     times = np.linspace(0.0, 0.04, 801)
-    mag = np.vstack([magnon.magnetisation_single(s)
+    mag = np.vstack([2.0 * np.abs(s.amplitudes) ** 2 - 1.0
                      for s in magnon.evolve_single_excitation(J, 16, times)])
     assert np.unique(mag).size < mag.size
     columns, rows = _trajectory_csvs(times, mag, None)["magnetisation.csv"]
@@ -518,8 +518,8 @@ def test_phases_without_digits_are_refused_naming_their_settings(tmp_path, capsy
     monkeypatch.setattr(magnon, "_single_excitation_amplitudes", never)
     assert cli.main(argv + ["-o", str(tmp_path / "refused")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: the phases ||H|| max|t| reach "), err
-    assert err.endswith(f"rad; they are set by {settings}\n"), err
+    assert err.startswith(f"config error: {settings}: the phases ||H|| max|t| reach "), err
+    assert err.endswith(" rad at which their roundoff, 2^-52 of themselves, passes 1e-6 rad\n")
     assert not (tmp_path / "refused").exists()
 
 
@@ -534,7 +534,10 @@ def test_the_phase_limit_is_checked_against_the_norm_bound(tmp_path, capsys, mon
     assert cli.main(argv + ["-o", str(tmp_path / "run")]) == 0
     monkeypatch.setattr(dynamics, "MAX_PHASE", np.nextafter(bound, 0.0))
     assert cli.main(argv + ["-o", str(tmp_path / "refused")]) == 2
-    assert "config error: the phases ||H|| max|t| reach" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "config error: --jbar / [couplings] nn_strength, --alpha / [couplings] alpha, "
+        "--field / [trap] transverse_field, --t-start / [run] t_start, --t-end / [run] t_end: "
+        "the phases ||H|| max|t| reach ")
 
 
 def test_missing_coupling_file_flag_is_config_error(tmp_path, capsys):
@@ -563,6 +566,70 @@ def test_unusable_coupling_file_is_config_error_naming_it(tmp_path, capsys, name
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text,line", [
+    ("0.0,1.0\n1.0,0.0\n", None),
+    ("# unit = eV\n0.0,1.0\n1.0,0.0\n", None),
+    ("# unit = Hz\n0.0,1.0\n1.0,oops\n", 3),
+    ("# unit = Hz\n0,1,2\n1,0\n2,1,0\n", 3),
+    ("# unit = Hz\n0,nan\nnan,0\n", 2),
+    ("# unit = Hz\n0,1\n1e400,0\n", 3),
+    ("# unit = rad/s\n0.0,1.0,2.0\n1.0,0.0,3.0\n", None),
+    ("# unit = rad/s\n0.0,1.2\n1.0,0.0\n", None),
+    ("# unit = Hz\n0.0\n", None),
+    (None, None),
+    ("", None),
+], ids=["no-unit", "unknown-unit", "unparseable", "ragged", "nan", "1e400", "non-square",
+        "asymmetric", "one-ion", "missing", "directory"])
+def test_every_coupling_file_fault_is_refused_naming_the_file(tmp_path, capsys, text, line):
+    """``io.load_couplings`` judges the file: each fault exits 2 led by the
+    file's setting and naming the path (and the line of a faulty row),
+    writes nothing, and raises no numpy warning on the way."""
+    path = tmp_path / "J.csv"
+    if text == "":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["fit", "--couplings", str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --couplings / [couplings] file: "), err
+    assert str(path) in err
+    if line is not None:
+        assert f"{path}:{line}: " in err
+    assert not (tmp_path / "out").exists()
+
+
+def _power_law_file(tmp_path, n, nn_hz=30.0):
+    path = tmp_path / f"J{n}.csv"
+    mio.save_couplings(path, ionchain.power_law_coupling(n, 1.5, 2 * np.pi * nn_hz), unit="Hz")
+    return path
+
+
+@pytest.mark.parametrize("command,n,nn_hz,message", [
+    ("global-quench", 17, 30.0, "--couplings / [couplings] file: N=17 reaches 131072 basis "
+     "states, above the limit of 65536 states"),
+    ("lightcone", 7, 30.0, "the light cone from site 4 has 2 sites to fit before the excluded "
+     "edge site 7, and the front velocity needs at least 3 (--couplings / [couplings] file, "
+     "--flip / [quench] flip)"),
+    ("dispersion", 2, 30.0,
+     "dispersion needs --couplings / [couplings] file >= 4 for its exponent fit, got 2"),
+    ("fit", 2, 30.0, "fit needs --couplings / [couplings] file >= 4 for its exponent fit, got 2"),
+    ("quench", 7, 1e300, "--couplings / [couplings] file, --t-start / [run] t_start, "
+     "--t-end / [run] t_end: the phases ||H|| max|t| reach "),
+])
+def test_a_chain_set_by_the_coupling_file_is_refused_naming_the_file(tmp_path, capsys, command,
+                                                                     n, nn_hz, message):
+    """Where the file sets N or the couplings, a refusal about them names
+    ``--couplings / [couplings] file``, never the ``--n`` the run did not give."""
+    argv = [command, "--source", "file", "--couplings", str(_power_law_file(tmp_path, n, nn_hz))]
+    assert cli.main(argv + ["-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}"), err
+    assert "--n / [trap] n_ions" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tomo_rejects_single_excitation_model(tmp_path, capsys):
     code, _ = run(["tomo", "-o", str(tmp_path), "--model", "single-excitation"],
                   capsys)
@@ -577,6 +644,9 @@ def test_seed_outside_the_philox_key_range_is_config_error(tmp_path, capsys, see
         assert capsys.readouterr().err == (
             f"config error: --seed / [run] seed must be in [0, 2^64), got {seed}\n")
         assert not any(tmp_path.iterdir())
+
+
+_OVERFLOW = ": coupling matrix has non-finite entries"
 
 
 @pytest.mark.parametrize("argv,ini,flag", [
@@ -601,20 +671,24 @@ def test_seed_outside_the_philox_key_range_is_config_error(tmp_path, capsys, see
      "--jbar / [couplings] nn_strength"),
     *((["couplings"], f"[{s.ini[0]}]\n{s.ini[1]} = {value}\n", s.label)
       for s in cli.SETTINGS if not s.flags for value in ("nan", "inf")),
-    *((["quench", *extra], "", "the power-law couplings of --jbar / [couplings] nn_strength "
-       "and --alpha / [couplings] alpha") for extra in (["--alpha=-400"], ["--alpha=-1e308"],
-                                                        ["--jbar", "1e308"])),
+    *((["quench", *extra], "", "--jbar / [couplings] nn_strength, --alpha / [couplings] alpha"
+       + _OVERFLOW) for extra in (["--alpha=-400"], ["--alpha=-1e308"], ["--jbar", "1e308"])),
     (["couplings", "--source", "nearest-neighbour", "--jbar", "1e308"], "",
-     "the nearest-neighbour couplings of --jbar / [couplings] nn_strength"),
+     "--jbar / [couplings] nn_strength" + _OVERFLOW),
 ])
 def test_non_finite_setting_is_config_error_naming_it(tmp_path, capsys, argv, ini, flag):
+    """A non-finite value is refused naming its setting, and finite scales
+    whose couplings overflow a double are refused naming those scales."""
     out = tmp_path / "out"
     if ini:
         (tmp_path / "run.ini").write_text(ini)
         argv = argv + ["-c", str(tmp_path / "run.ini")]
     assert cli.main(argv + ["--n", "7", "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {flag} must be finite, got "), err
+    if flag.endswith(_OVERFLOW):
+        assert err == f"config error: {flag}\n"
+    else:
+        assert err.startswith(f"config error: {flag} must be finite, got "), err
     assert not out.exists()
 
 

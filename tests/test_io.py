@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +449,43 @@ def test_load_couplings_rejects_non_square(tmp_path):
     p.write_text("# unit = rad/s\n0.0,1.0,2.0\n1.0,0.0,3.0\n")
     with pytest.raises(ConfigError, match="square"):
         mio.load_couplings(p)
+
+
+def test_load_couplings_refuses_a_ragged_row_naming_its_line(tmp_path):
+    p = tmp_path / "J.csv"
+    p.write_text("# unit = Hz\n0,1,2\n1,0\n2,1,0\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}:3: 2 values, but the first "
+                                          rf"row has 3$"):
+        mio.load_couplings(p)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_load_couplings_refuses_a_non_finite_value_naming_its_line(tmp_path, value):
+    p = tmp_path / "J.csv"
+    p.write_text(f"# unit = rad/s\n0.0,1.0\n{value},0.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}:3: non-finite value"):
+            mio.load_couplings(p)
+
+
+@pytest.mark.parametrize("kind,reason", [("missing", "No such file or directory"),
+                                         ("directory", "Is a directory")])
+def test_load_couplings_refuses_an_unreadable_path(tmp_path, kind, reason):
+    p = tmp_path / "J.csv"
+    if kind == "directory":
+        p.mkdir()
+    with pytest.raises(ConfigError) as refusal:
+        mio.load_couplings(p)
+    assert str(refusal.value) == f"cannot read {p}: {reason}"
+
+
+def test_load_couplings_refuses_a_single_ion(tmp_path):
+    p = tmp_path / "J.csv"
+    p.write_text("# unit = Hz\n0.0\n")
+    with pytest.raises(ConfigError) as refusal:
+        mio.load_couplings(p)
+    assert str(refusal.value) == f"{p} holds 1 ion, need at least 2"
 
 
 def test_load_couplings_symmetrizes_small_asymmetry(tmp_path):
