@@ -17,11 +17,11 @@ dynamics
     Hamiltonian on the conserved blocks a quench reaches (sector-native
     states and trajectories), with quench preparation and observables.
 entanglement
-    Reduced density matrices, entropy/concurrence/fidelity, simulated
+    Reduced density matrices, entropy and concurrence, simulated
     finite-shot two-qubit tomography with bootstrap error bars.
 bounds
-    Lieb-Robinson bound evaluation (path-counting series and Bessel closed
-    form) and nearest-neighbour light-cone references.
+    Nearest-neighbour light-cone references: the cone velocity of the
+    uniform chain at the mean bond, and the largest bond.
 analysis
     Fitting layer: power-law exponent fits, Gaussian arrival-time fits,
     front-velocity extraction.

@@ -723,7 +723,6 @@ _NUMERIC_ERRORS = (
     ionchain.ResonanceError,
     dynamics.PropagatorError,
     analysis.FitError,
-    bounds.TruncationError,
     np.linalg.LinAlgError,
 )
 

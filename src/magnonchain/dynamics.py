@@ -990,15 +990,3 @@ def averaged_correlations(C: np.ndarray) -> np.ndarray:
     n = C.shape[-1]
     means = [np.diagonal(C, k, axis1=-2, axis2=-1).mean(axis=-1) for k in range(1, n)]
     return np.stack(means, axis=-1) if means else np.zeros(C.shape[:-2] + (0,))
-
-
-def excitation_sector_weights(state: StateVector) -> np.ndarray:
-    """Probability weight in each total-excitation sector 0..N.
-
-    Entry n is the summed |amplitude|^2 over basis states with n spins up;
-    useful for auditing excitation-number conservation of the Ising model
-    at large B.
-    """
-    p = np.abs(state.amplitudes) ** 2
-    return np.bincount(_popcount(state.basis, state.n_sites), weights=p,
-                       minlength=state.n_sites + 1)

@@ -171,17 +171,14 @@ def _compose(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def fidelity(rho: DensityMatrix, target: np.ndarray) -> float:
-    """Overlap fidelity Tr(rho |psi><psi|) with a pure target state."""
-    return float(_fidelities(rho.matrix[None], target)[0])
-
-
 def _fidelities(rhos: np.ndarray, target) -> np.ndarray:
+    """Overlap fidelities Tr(rho |psi><psi|) of an (R, d, d) stack with a pure
+    target state."""
     psi = np.asarray(target, dtype=complex).ravel()
     if psi.size != rhos.shape[-1]:
         raise ValueError(f"target dimension {psi.size} != {rhos.shape[-1]}")
     psi = psi / np.linalg.norm(psi)
-    # one (1, d) @ (d, 1) product per matrix, as for a single psi^H rho psi
+    # psi^H rho psi of each matrix as one (1, d) @ (d, 1) product
     return np.real((psi.conj() @ rhos)[:, None, :] @ psi[:, None])[:, 0, 0]
 
 

@@ -260,17 +260,20 @@ def load_couplings(path) -> CouplingMatrix:
     The unit tag is mandatory.  Slightly asymmetric input (measurement
     noise) is repaired by averaging J and J^T with the maximum relative
     asymmetry reported; beyond 5% the file is rejected.  Every fault of
-    the file, from an unreadable path to a ragged or non-finite row (named
-    by its line) and a matrix of fewer than 2 ions, is a
-    :class:`ConfigError` naming the path.
+    the file, from an unreadable or non-UTF-8 path to a ragged, non-finite
+    or overflowing row (named by its line), a pair whose sum overflows and
+    a matrix of fewer than 2 ions, is a :class:`ConfigError` naming the
+    path.
     """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     unit = None
-    rows = []
+    rows, lines = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -291,25 +294,37 @@ def load_couplings(path) -> CouplingMatrix:
         if not all(map(math.isfinite, row)):
             raise ConfigError(f"{path}:{lineno}: non-finite value in row {raw!r}")
         rows.append(row)
+        lines.append((lineno, raw))
     if unit is None:
         raise ConfigError(f"{path}: no '# unit = ...' tag; refusing to guess units")
     if unit not in UNIT_FACTORS:
         raise ConfigError(f"{path}: unknown unit {unit!r}; expected one of {sorted(UNIT_FACTORS)}")
-    J = np.asarray(rows, dtype=float) * UNIT_FACTORS[unit]
+    J = np.asarray(rows, dtype=float)
     if J.ndim != 2 or J.shape[0] != J.shape[1]:          # ndim 1: no rows
         raise ConfigError(f"{path}: expected a square matrix, got shape {J.shape}")
     if J.shape[0] < 2:
         raise ConfigError(f"{path} holds 1 ion, need at least 2")
+    with np.errstate(over="ignore", invalid="ignore"):  # each overflow is refused below
+        J = J * UNIT_FACTORS[unit]
+        gap, total = J - J.T, J + J.T
+    converted = np.isfinite(J).all(axis=1)
+    if not converted.all():
+        lineno, raw = lines[np.argmin(converted)]
+        raise ConfigError(f"{path}:{lineno}: row {raw!r} overflows in rad/s")
 
     scale = np.abs(J).max()
-    asym = np.abs(J - J.T).max() / scale if scale > 0 else 0.0
+    asym = np.abs(gap).max() / scale if scale > 0 else 0.0
     if asym > MAX_IMPORT_ASYMMETRY:
         raise ConfigError(f"{path}: relative asymmetry {asym:.3g} exceeds "
                           f"{MAX_IMPORT_ASYMMETRY:.0%}; not a valid coupling matrix")
+    if not np.isfinite(total).all():
+        i, j = np.argwhere(~np.isfinite(total))[0] + 1
+        raise ConfigError(f"{path}: J[{i},{j}] + J[{j},{i}] overflows in rad/s; "
+                          f"cannot symmetrize")
     if asym > 1e-9:
         warnings.warn(f"{path.name}: symmetrized (max relative asymmetry {asym:.3g})",
                       stacklevel=2)
-    J = 0.5 * (J + J.T)
+    J = 0.5 * total
     diag = np.abs(np.diag(J)).max() / scale if scale > 0 else 0.0
     if diag > 1e-9:
         warnings.warn(f"{path.name}: dropped non-zero diagonal (max {diag:.3g} relative)",

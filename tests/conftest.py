@@ -5,10 +5,27 @@ obvious construction — precisely so they share no code with the bit-mask
 assembly in magnonchain.dynamics.  Basis convention matches the package:
 index 0 is spin down, site 1 is the least significant bit, so the operator
 for site s sits between identities of dimension 2^(n-s) and 2^(s-1).
+
+The Lieb-Robinson bound of a nearest-neighbour XY chain with bond strength
+g (rad/s) lives here too, as the package never evaluates it: the signal a
+local perturbation can deposit at distance d after time t is bounded by a
+sum over hopping paths,
+
+    F(d, t) = 2 sum_{m >= d} N(m) (2 g |t|)^m / m!,
+
+where N(m) = C(m, (m-d)/2) counts the m-step walks covering a net distance
+d (zero when m and d differ in parity).  The sum has the closed form
+F(d, t) = 2 I_d(4 g |t|), with I_d the modified Bessel function of the
+first kind.  :func:`lr_bound_series` sums the paths and
+:func:`lr_bound_bessel` takes the closed form from scipy; the overall
+factor 2 is part of the bound's normalization and both carry it.
 """
+
+import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 # Pauli matrices in the (|down>, |up>) ordering
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -41,6 +58,52 @@ def xy_oracle(J: np.ndarray, n: int) -> np.ndarray:
             H += J[i - 1, j - 1] * (op_on_site(SPLUS, i, n) @ op_on_site(SMINUS, j, n)
                                     + op_on_site(SMINUS, i, n) @ op_on_site(SPLUS, j, n))
     return H
+
+
+def sector_weights(state) -> np.ndarray:
+    """Probability in each total-excitation sector 0..N of a StateVector:
+    entry k sums |amplitude|^2 over the basis states with k spins up, whose
+    bits are counted one state at a time."""
+    ups = [int(b).bit_count() for b in state.basis]
+    return np.bincount(ups, weights=np.abs(state.amplitudes) ** 2, minlength=state.n_sites + 1)
+
+
+def fidelity(rho, target) -> float:
+    """<psi|rho|psi> / <psi|psi> of a DensityMatrix and a pure target psi."""
+    psi = np.asarray(target, dtype=complex)
+    return float(np.vdot(psi, rho.matrix @ psi).real / np.vdot(psi, psi).real)
+
+
+def path_count(m: int, d: int) -> int:
+    """Number of m-step nearest-neighbour walks with net displacement d:
+    C(m, (m-d)/2) when m >= d and m, d share parity, else 0 (exact at any
+    size, as Python integers)."""
+    if m < d or (m - d) % 2:
+        return 0
+    return math.comb(m, (m - d) // 2)
+
+
+def lr_bound_series(d: int, t: float, g: float, m_max: int = 2000, rtol: float = 1e-14) -> float:
+    """The bound F(d, t) summed over paths: terms 2 N(m) x^m / m!, x = 2 g |t|,
+    over m = d, d+2, ... until the next term falls below ``rtol`` of the
+    sum; RuntimeError if that takes terms past ``m_max``."""
+    x = 2.0 * g * abs(t)
+    xm_over_mfact = x ** d / math.factorial(d)      # x^m / m!, advanced two orders a step
+    total = 0.0
+    for m in range(d, m_max + 1, 2):
+        total += 2.0 * path_count(m, d) * xm_over_mfact
+        xm_over_mfact *= x * x / ((m + 1) * (m + 2))
+        if 2.0 * path_count(m + 2, d) * xm_over_mfact <= rtol * total:
+            return total
+    raise RuntimeError(f"series for d={d}, 2g|t|={x:.4g} not converged at m_max={m_max}")
+
+
+def lr_bound_bessel(d, t, g):
+    """The closed form F(d, t) = 2 I_d(4 g |t|), as 2 e^x times scipy's
+    exponentially scaled ``ive`` at x = 4 g |t|: ``iv`` itself underflows at
+    tiny x and high order.  Broadcasts over arrays of d and t."""
+    x = 4.0 * g * np.abs(t)
+    return 2.0 * np.exp(x) * special.ive(d, x)
 
 
 def full_space(x) -> np.ndarray:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import fidelity, lr_bound_bessel, lr_bound_series, sector_weights
 from magnonchain import analysis, bounds, cli, dynamics, entanglement, ionchain, magnon
 
 J0 = 2 * np.pi * 30.0       # experiment-scale NN coupling, rad/s (30 Hz)
@@ -65,8 +66,8 @@ def test_criterion_02_bessel_equals_series():
     worst = 0.0
     for d, x in grid:
         t = x / 4.0
-        s = bounds.lr_bound_series(d, t, 1.0, m_max=2000, rtol=1e-14).value
-        b = bounds.lr_bound_bessel(d, t, 1.0)
+        s = lr_bound_series(d, t, 1.0, m_max=2000, rtol=1e-14)
+        b = float(lr_bound_bessel(d, t, 1.0))
         if not math.isclose(s, b, rel_tol=1e-10, abs_tol=1e-300):
             ok = False
         if b > 0:
@@ -103,7 +104,7 @@ def test_criterion_04_ising_at_large_field_conserves_excitations():
     psi0 = dynamics.prepare_state(n, (4,))
     times = np.linspace(0.0, 10.0 / J.nn_mean, 101)
     traj = dynamics.evolve(psi0, H, times)
-    leak = max(1.0 - dynamics.excitation_sector_weights(traj.state(k))[1]
+    leak = max(1.0 - sector_weights(traj.state(k))[1]
                for k in range(traj.times.size))
     _verdict(4, "XY regime of the Ising model", leak < 1e-2,
              f"max sector leakage {leak:.1e} over t <= 10/Jbar", budget_s=30.0)
@@ -219,7 +220,7 @@ def test_criterion_09_lr_bound_holds_for_nn_chain():
             if d == 0:
                 continue
             delta = abs(mag[k, site - 1] - (-1.0))
-            bound = 2.0 * bounds.lr_bound_bessel(d, t, J0)
+            bound = 2.0 * lr_bound_bessel(d, t, J0)
             # 1e-12 absolute slack: at t = 0 the bound is exactly zero while
             # the reconstructed magnetisation sits at -1 +- machine epsilon
             if delta > bound + 1e-12:
@@ -239,14 +240,12 @@ def test_criterion_10_tomography_pipeline():
     # exact expected counts: all nine bases give integer counts at 1000 shots
     bell_rho = entanglement.DensityMatrix(np.outer(bell, bell), (1, 2))
     counts = np.round(entanglement.measurement_probabilities(bell_rho) * 1000).astype(int)
-    noiseless = entanglement.fidelity(
-        entanglement.tomography_reconstruct(counts, (1, 2)), bell)
+    noiseless = fidelity(entanglement.tomography_reconstruct(counts, (1, 2)), bell)
 
     fids = []
     for seed in range(100):
         counts = entanglement.simulate_tomography(bell_rho, shots=1000, seed=seed)
-        fids.append(entanglement.fidelity(
-            entanglement.tomography_reconstruct(counts, (1, 2)), bell))
+        fids.append(fidelity(entanglement.tomography_reconstruct(counts, (1, 2)), bell))
     fraction = float(np.mean(np.array(fids) > 0.97))
 
     counts_1 = entanglement.simulate_tomography(bell_rho, shots=500, seed=7)

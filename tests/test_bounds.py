@@ -1,4 +1,5 @@
-"""Path-counting bound, the scaled Bessel evaluation, and the NN cone."""
+"""The test-side Lieb-Robinson oracles, the bound across the nearest-neighbour
+ladder, and the NN cone reference."""
 
 import math
 
@@ -7,9 +8,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
+from conftest import lr_bound_bessel, lr_bound_series, path_count
 from magnonchain import bounds, dynamics, ionchain, magnon
 
 J0 = 2 * np.pi * 30.0
+
+
+def _bessel_i(order, x):
+    """I_order(x) as the closed-form oracle evaluates it: F(d, t) / 2 at
+    4 g |t| = x (x / 4 and its product with 4 are exact)."""
+    return float(lr_bound_bessel(order, x / 4.0, 1.0)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -17,43 +25,37 @@ J0 = 2 * np.pi * 30.0
 
 
 def test_path_count_by_hand():
-    assert bounds.path_count(0, 0) == 1
-    assert bounds.path_count(3, 3) == 1          # only the direct walk
-    assert bounds.path_count(4, 2) == 4          # C(4, 1)
-    assert bounds.path_count(6, 0) == 20         # C(6, 3)
-    assert bounds.path_count(5, 2) == 0          # parity mismatch
-    assert bounds.path_count(2, 5) == 0          # too few steps
-    with pytest.raises(ValueError):
-        bounds.path_count(-1, 0)
+    assert path_count(0, 0) == 1
+    assert path_count(3, 3) == 1          # only the direct walk
+    assert path_count(4, 2) == 4          # C(4, 1)
+    assert path_count(6, 0) == 20         # C(6, 3)
+    assert path_count(5, 2) == 0          # parity mismatch
+    assert path_count(2, 5) == 0          # too few steps
 
 
 def test_path_count_total_over_distances():
     # summing C(m, (m-d)/2) over all reachable d (signed) gives 2^m
     m = 9
-    total = bounds.path_count(m, 0) + 2 * sum(bounds.path_count(m, d)
-                                              for d in range(1, m + 1))
+    total = path_count(m, 0) + 2 * sum(path_count(m, d) for d in range(1, m + 1))
     # d = 0 unreachable for odd m; count signed displacements
     assert total == 2 ** m
 
 
 # ---------------------------------------------------------------------------
-# Bessel function vs scipy
+# the closed form, e^x ive(d, x), against independent references
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 5, 10])
 def test_bessel_series_region_against_scipy(order):
     for x in np.linspace(0.0, 90.0, 19):
-        mine = bounds.modified_bessel_i(order, float(x))
         ref = float(special.iv(order, x))
-        assert mine == pytest.approx(ref, rel=1e-12, abs=1e-300)
+        assert _bessel_i(order, float(x)) == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("x", [150.0, 400.0, 700.0])
 def test_bessel_asymptotic_region_against_scipy(x):
     for order in (0, 1, 3, 8):
-        mine = bounds.modified_bessel_i(order, x)
-        ref = float(special.iv(order, x))
-        assert mine == pytest.approx(ref, rel=1e-12)
+        assert _bessel_i(order, x) == pytest.approx(float(special.iv(order, x)), rel=1e-12)
 
 
 @pytest.mark.parametrize("order", [0, 15, 20, 35, 50, 60])
@@ -61,9 +63,8 @@ def test_bessel_high_order_against_path_count_series(order):
     # order^2 ~ x is where a large-argument expansion breaks down; the
     # path-count series F(d, t) = 2 I_d(4 g t) converges up to x ~ 700
     for x in (50.0, 101.0, 150.0, 300.0, 700.0):
-        series = bounds.lr_bound_series(order, x / 4.0, 1.0, m_max=2000, rtol=1e-15)
-        assert bounds.modified_bessel_i(order, x) == pytest.approx(series.value / 2.0,
-                                                                   rel=1e-12)
+        series = lr_bound_series(order, x / 4.0, 1.0, m_max=2000, rtol=1e-15)
+        assert _bessel_i(order, x) == pytest.approx(series / 2.0, rel=1e-12)
 
 
 def _scaled_bessel_by_quadrature(order: int, x: float, points: int = 4096) -> float:
@@ -76,27 +77,13 @@ def _scaled_bessel_by_quadrature(order: int, x: float, points: int = 4096) -> fl
 
 @pytest.mark.parametrize("order", [0, 1, 20, 45, 60])
 def test_bessel_beyond_overflow_against_quadrature(order):
-    # past x ~ 709 the series and the unscaled value overflow; the scaled
-    # value still has an independent oracle
-    for x in (700.0, 850.0, 1000.0):
-        expected = _scaled_bessel_by_quadrature(order, x)
-        assert bounds.modified_bessel_i(order, x, scaled=True) == pytest.approx(
-            expected, rel=1e-10)
-    assert np.isinf(bounds.modified_bessel_i(order, 1000.0))
-
-
-def test_bessel_scaled_survives_overflow():
-    # e^-x I_0(x) stays finite where the unscaled value overflows
-    assert np.isinf(bounds.modified_bessel_i(0, 800.0))
-    scaled = bounds.modified_bessel_i(0, 800.0, scaled=True)
-    assert scaled == pytest.approx(float(special.ive(0, 800.0)), rel=1e-12)
-
-
-def test_bessel_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        bounds.modified_bessel_i(-1, 1.0)
-    with pytest.raises(ValueError):
-        bounds.modified_bessel_i(0, -1.0)
+    # the quadrature stays an independent oracle up to where e^x overflows
+    # (x ~ 709); past it the closed form is inf, never nan
+    expected = math.exp(700.0) * _scaled_bessel_by_quadrature(order, 700.0)
+    assert _bessel_i(order, 700.0) == pytest.approx(expected, rel=1e-10)
+    with np.errstate(over="ignore"):
+        assert np.isinf(_bessel_i(order, 850.0))
+        assert np.isinf(_bessel_i(order, 1000.0))
 
 
 @settings(deadline=None, max_examples=40)
@@ -105,51 +92,33 @@ def test_bessel_rejects_bad_arguments():
        # result drops below ~1e-270, so keep x out of that corner
        x=st.floats(min_value=1e-18, max_value=300.0))
 def test_bessel_matches_scipy_everywhere(order, x):
-    assert bounds.modified_bessel_i(order, x) == pytest.approx(
-        float(special.iv(order, x)), rel=1e-11, abs=1e-300)
+    assert _bessel_i(order, x) == pytest.approx(float(special.iv(order, x)), rel=1e-11,
+                                                abs=1e-300)
 
 
 def test_bessel_tiny_argument_leading_term():
-    # below scipy's underflow threshold the series still returns the
+    # below iv's underflow threshold the scaled route still returns the
     # leading Taylor term (x/2)^n / n!
-    assert bounds.modified_bessel_i(7, 1e-40) == pytest.approx(
-        1.5500992063492054e-286, rel=1e-12)
-    assert bounds.modified_bessel_i(0, 1e-200) == pytest.approx(1.0, rel=1e-15)
+    assert _bessel_i(7, 1e-40) == pytest.approx(1.5500992063492054e-286, rel=1e-12)
+    assert _bessel_i(0, 1e-200) == pytest.approx(1.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
-# series vs closed form
-
-
-def test_series_equals_bessel_closed_form():
-    g = 1.0
-    for d in range(0, 11):
-        for x in np.linspace(0.0, 8.0, 9):
-            t = x / 4.0
-            s = bounds.lr_bound_series(d, t, g, m_max=400, rtol=1e-14)
-            b = bounds.lr_bound_bessel(d, t, g)
-            assert math.isclose(s.value, b, rel_tol=1e-10, abs_tol=1e-300)
+# the path-count series
 
 
 def test_series_value_at_zero_time():
     # only the m = 0 term survives: F(0, 0) = 2, F(d>0, 0) = 0
-    assert bounds.lr_bound_series(0, 0.0, 5.0).value == 2.0
-    assert bounds.lr_bound_series(3, 0.0, 5.0).value == 0.0
+    assert lr_bound_series(0, 0.0, 5.0) == 2.0
+    assert lr_bound_series(3, 0.0, 5.0) == 0.0
 
 
 def test_series_reports_truncation():
-    s = bounds.lr_bound_series(1, 0.01, J0)
-    assert s.remainder < 1e-12
-    assert s.terms_used >= 1
-    with pytest.raises(bounds.TruncationError):
-        bounds.lr_bound_series(0, 10.0, J0, m_max=10)
-
-
-def test_series_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        bounds.lr_bound_series(-1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        bounds.lr_bound_series(5, 1.0, 1.0, m_max=3)
+    # a converged sum is the closed form; one cut short is refused, not returned
+    assert lr_bound_series(1, 0.01, J0) == pytest.approx(lr_bound_bessel(1, 0.01, J0),
+                                                         rel=1e-12)
+    with pytest.raises(RuntimeError, match="not converged"):
+        lr_bound_series(0, 10.0, J0, m_max=10)
 
 
 @settings(deadline=None, max_examples=30)
@@ -157,14 +126,13 @@ def test_series_rejects_bad_arguments():
        t=st.floats(min_value=1e-6, max_value=0.02))
 def test_bound_decreases_with_distance(d, t):
     # deeper into the cone the bound can only shrink
-    assert bounds.lr_bound_bessel(d + 1, t, J0) <= bounds.lr_bound_bessel(d, t, J0)
+    assert lr_bound_bessel(d + 1, t, J0) <= lr_bound_bessel(d, t, J0)
 
 
 @settings(deadline=None, max_examples=30)
 @given(d=st.integers(min_value=0, max_value=6))
 def test_bound_grows_with_time(d):
-    ts = np.linspace(1e-4, 0.03, 10)
-    vals = [bounds.lr_bound_bessel(d, t, J0) for t in ts]
+    vals = lr_bound_bessel(d, np.linspace(1e-4, 0.03, 10), J0)
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
@@ -230,7 +198,6 @@ def test_lr_bound_holds_across_the_nearest_neighbour_ladder(propagator, top, dat
     start = np.full(n, -1.0)
     start[flip - 1] = 1.0
     distance = np.abs(np.arange(1, n + 1) - flip)
-    bound = np.array([[2.0 * bounds.lr_bound_bessel(d, t, J0) for d in distance]
-                      for t in times])
+    bound = 2.0 * lr_bound_bessel(distance, times[:, None], J0)
     # 1e-12 absolute slack: at t = 0 the bound of d > 0 is exactly zero
     assert (np.abs(mag - start) <= bound + 1e-12).all()

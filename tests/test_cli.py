@@ -578,8 +578,12 @@ def test_unusable_coupling_file_is_config_error_naming_it(tmp_path, capsys, name
     ("# unit = Hz\n0.0\n", None),
     (None, None),
     ("", None),
+    (b"# unit = Hz\n0,1\n1,0\xff\n", None),
+    ("# unit = Hz\n0,1e308\n1e308,0\n", 2),
+    ("# unit = rad/s\n0,1.5e308\n1.5e308,0\n", None),
 ], ids=["no-unit", "unknown-unit", "unparseable", "ragged", "nan", "1e400", "non-square",
-        "asymmetric", "one-ion", "missing", "directory"])
+        "asymmetric", "one-ion", "missing", "directory", "not-utf8", "hz-overflow",
+        "sum-overflow"])
 def test_every_coupling_file_fault_is_refused_naming_the_file(tmp_path, capsys, text, line):
     """``io.load_couplings`` judges the file: each fault exits 2 led by the
     file's setting and naming the path (and the line of a faulty row),
@@ -587,6 +591,8 @@ def test_every_coupling_file_fault_is_refused_naming_the_file(tmp_path, capsys, 
     path = tmp_path / "J.csv"
     if text == "":
         path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
     elif text is not None:
         path.write_text(text)
     with warnings.catch_warnings():
@@ -1225,7 +1231,7 @@ def test_main_reuses_one_parser_with_fresh_namespaces(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# cold start: scipy loads only for Krylov sectors and the Bessel bound
+# cold start: scipy loads only for Krylov sectors
 
 
 #: Runs each argv list of the JSON in argv[1] through ``cli.main`` and
@@ -1252,8 +1258,7 @@ def _in_fresh_interpreter(code: str, *args: str) -> str:
 
 def test_importing_the_cli_leaves_scipy_unloaded():
     """Starting the command line loads no scipy module: scipy.sparse and
-    scipy.linalg wait for a sector the cost rule sends to Krylov,
-    scipy.special for the Bessel bound."""
+    scipy.linalg wait for a sector the cost rule sends to Krylov."""
     code = ("import sys, magnonchain.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert _in_fresh_interpreter(code).strip() == "[]"

@@ -12,7 +12,8 @@ from scipy.sparse.linalg import expm_multiply
 from magnonchain import dynamics, ionchain, magnon
 from magnonchain.dynamics import StateVector, Trajectory
 
-from conftest import SZ, full_space, ising_oracle, op_on_site, random_coupling, xy_oracle
+from conftest import (SZ, full_space, ising_oracle, op_on_site, random_coupling,
+                      sector_weights, xy_oracle)
 
 J0 = 2 * np.pi * 30.0
 
@@ -1331,7 +1332,7 @@ def test_norm_sectors_and_magnetisation_hold_across_the_ladder(model, data):
     traj = dynamics.evolve(dynamics.prepare_state(n, flips or None), H,
                            np.linspace(0.0, 0.01, 5))
     np.testing.assert_allclose(np.linalg.norm(traj.states, axis=1), 1.0, rtol=0, atol=1e-10)
-    weights = np.array([dynamics.excitation_sector_weights(traj.state(t))
+    weights = np.array([sector_weights(traj.state(t))
                         for t in range(traj.times.size)])                     # (T, N + 1)
     if model == "xy":
         k = len(flips)
@@ -1512,7 +1513,7 @@ def test_averaged_correlations_of_a_stack_equals_each_matrix_bitwise():
 def test_sector_weights_of_global_state_are_binomial():
     n = 5
     state = dynamics.prepare_state(n)
-    weights = dynamics.excitation_sector_weights(state)
+    weights = sector_weights(state)
     from math import comb
     np.testing.assert_allclose(weights, [comb(n, k) / 2 ** n for k in range(n + 1)],
                                atol=1e-12)
@@ -1526,7 +1527,7 @@ def test_xy_evolution_conserves_excitation_number(t):
     H = dynamics.build_hamiltonian(J, model="xy")
     psi0 = dynamics.prepare_state(n, (2, 4))
     traj = dynamics.evolve(psi0, H, np.array([t]))
-    weights = dynamics.excitation_sector_weights(traj.state(0))
+    weights = sector_weights(traj.state(0))
     assert weights[2] == pytest.approx(1.0, abs=1e-10)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import full_space
+from conftest import fidelity, full_space
 from magnonchain import dynamics, ionchain, magnon
 from magnonchain import entanglement as ent
 from magnonchain.dynamics import StateVector
@@ -204,12 +204,17 @@ def test_measures_invariant_under_local_unitaries(seed):
 
 
 def test_fidelity_pure_targets():
-    rho = DensityMatrix(matrix=np.outer(BELL, BELL), subsystem=(1, 2))
-    assert ent.fidelity(rho, BELL) == pytest.approx(1.0, abs=1e-12)
+    """The fidelity oracle is 1 against the state itself and 0 against an
+    orthogonal one; the bootstrap's fidelity statistic refuses a target of
+    the wrong dimension."""
+    rho = _pure(BELL)
+    assert fidelity(rho, BELL) == pytest.approx(1.0, abs=1e-12)
     orth = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    assert ent.fidelity(rho, orth) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        ent.fidelity(rho, np.array([1.0, 0.0]))
+    assert fidelity(rho, orth) == pytest.approx(0.0, abs=1e-12)
+    counts = ent.simulate_tomography(rho, shots=100, seed=0)
+    with pytest.raises(ValueError, match="target dimension"):
+        ent.bootstrap(counts, resamples=100, statistic="fidelity", seed=0,
+                      target=np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +383,7 @@ def test_reconstruction_from_exact_counts_is_exact():
     counts[:, 0] += shots - counts.sum(axis=1)      # rounding slack, <= a few shots
     rho = ent.tomography_reconstruct(counts, subsystem=(2, 4))
     assert rho.subsystem == (2, 4)
-    assert ent.fidelity(rho, psi) > 0.999
+    assert fidelity(rho, psi) > 0.999
 
 
 def test_reconstruction_requires_all_bases():
@@ -513,7 +518,7 @@ def _bootstrap_loop(counts, resamples, statistic, seed, target=None):
     ``Generator(Philox(key=[seed, 1000]))``, which is what the one call on the
     bootstrap's stream must draw."""
     evaluate = {"concurrence": ent.concurrence,
-                "fidelity": lambda rho: ent.fidelity(rho, target)}[statistic]
+                "fidelity": lambda rho: fidelity(rho, target)}[statistic]
     rng = np.random.Generator(np.random.Philox(key=[seed, 1000]))
     values = []
     for _ in range(resamples):
