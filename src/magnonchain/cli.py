@@ -11,6 +11,14 @@ tomo           simulated two-qubit tomography after a quench
 lightcone      arrival-time fits, front velocity, and NN cone overlay
 fit            exponent / cone report for an existing coupling file
 
+``--model`` is ``xy`` or ``ising``.  An XY quench of one flipped site
+(:attr:`RunConfig.one_excitation`; ``quench``, ``tomo`` and ``lightcone``
+flip the centre site by default) stays in the one-excitation sector, so
+its observables and its exact pair density matrix follow from the N
+amplitudes of :func:`magnon._single_excitation_amplitudes`, at any N.
+Every other quench runs :func:`dynamics.evolve` on the blocks it reaches,
+within its limits on states and on the 63 sites of a basis state.
+
 Every run setting is declared once, in :data:`SETTINGS`: its flag, its
 INI section and key, its default and any per-subcommand default, the
 checks its value must pass, and the parser group that offers it.
@@ -167,8 +175,7 @@ SETTINGS = (
             "1-based sites to flip (default: centre site)", None, {"global-quench": ()},
             arg=dict(type=int, nargs="+", metavar="SITE")),
     Setting("model", "model", ("--model", "-m"), ("quench", "model"), "propagation model",
-            "xy", {"global-quench": "ising", "lightcone": "single_excitation"},
-            choices=("ising", "xy", "single_excitation")),
+            "xy", {"global-quench": "ising"}, choices=("ising", "xy")),
     Setting("field_hz", "model", ("--field",), ("trap", "transverse_field"),
             "transverse field for Ising runs; 'auto' (the default) = 50 max|J|, the "
             "excitation-conserving regime", low=0,
@@ -288,19 +295,7 @@ class RunConfig:
                               f"got {self.n_points}")
         if self.command == "tomo":
             self._check_sites("sites")
-        if self.model == "single_excitation":      # only the quench subcommands read it
-            if self.command in ("tomo", "global-quench"):
-                what = "tomography" if self.command == "tomo" else "a global quench"
-                raise ConfigError(f"{what} needs {_LABELS['model']} ising or xy, "
-                                  f"got single-excitation")
-            if len(self.flip) != 1:
-                raise ConfigError(f"{_LABELS['model']} single-excitation needs exactly one "
-                                  f"{_LABELS['flip']} site, got "
-                                  f"{' '.join(map(str, self.flip)) or 'none'}")
-            if "correlations" in self.observables:
-                raise ConfigError(f"{_LABELS['correlations']} needs {_LABELS['model']} "
-                                  f"ising or xy, got single-excitation")
-        elif self.kind == "local" and not self.flip:
+        if self.kind == "local" and not self.flip:
             raise ConfigError(f"a local quench needs at least one {_LABELS['flip']} site, "
                               f"got none")
 
@@ -317,6 +312,13 @@ class RunConfig:
         """The site whose arrival front ``lightcone`` fits: the first flip,
         else the centre site."""
         return self.flip[0] if self.flip else (self.n_ions + 1) // 2
+
+    @property
+    def one_excitation(self) -> bool:
+        """An XY quench of one flipped site: it stays in the N-state
+        one-excitation sector, whose amplitudes
+        :func:`magnon._single_excitation_amplitudes` gives at any N."""
+        return self.model == "xy" and self.kind == "local" and len(self.flip) == 1
 
     @property
     def times(self) -> np.ndarray:
@@ -494,9 +496,13 @@ def _quench(rc: RunConfig, J: ionchain.CouplingMatrix, window=("t_start", "t_end
     checked over the times of the ``window`` settings (:func:`_check_phases`)
     and its states against the limits of ``dynamics``, whose refusal names
     the settings that set the states: N, and for a local XY quench the
-    flips, which set C(N, k)."""
+    flips, which set C(N, k).  A one-excitation quench reaches the N states
+    of one flip, and its amplitudes need neither state nor Hamiltonian
+    (None, None, N)."""
     field_rad = _field_rad(rc, J)
     _check_phases(rc, J, field_rad, window)
+    if rc.one_excitation:
+        return None, None, rc.n_ions
     H = dynamics.build_hamiltonian(J, transverse_field=field_rad, model=rc.model)
     local = rc.kind == "local"
     psi0 = _naming(("n_ions",), dynamics.prepare_state, rc.n_ions, rc.flip if local else None,
@@ -534,44 +540,63 @@ def _naming(names: tuple[str, ...], check, *args, source: str | None = None):
 
 
 def _propagate(rc: RunConfig, J: ionchain.CouplingMatrix):
-    """(times, magnetisation (T,N), correlations (T,N,N) or None); the
-    ``n_points`` states of the window are checked against
-    ``dynamics.MAX_TRAJECTORY_BYTES`` before the times or the trajectory
-    are allocated."""
-    if rc.model == "single_excitation":          # the one-excitation block of H_XY
-        _naming(("n_points",), dynamics.check_trajectory, rc.n_points, rc.n_ions)
-        _check_phases(rc, J, 0.0)
-        times = rc.times
-        amps = magnon._single_excitation_amplitudes(J, rc.flip[0], times)
-        return times, 2.0 * np.abs(amps) ** 2 - 1.0, None
+    """(times, magnetisation (T,N), correlations (T,N,N) or None).
+
+    A one-flip XY quench (:attr:`RunConfig.one_excitation`) takes the N
+    amplitudes a_i of its one-excitation sector, at any N: with p = |a|^2,
+    <sigma^z> = 2p - 1 and C_ij = 4 p_i (delta_ij - p_j).  Any
+    other quench takes :func:`dynamics.evolve` on the blocks it reaches.
+    The ``n_points`` states of the window, with their N x N correlations
+    where they are exported, are checked against
+    ``dynamics.MAX_TRAJECTORY_BYTES`` before the times, the trajectory or
+    the correlations are allocated."""
+    correlated = rc.n_ions if "correlations" in rc.observables else 0
     psi0, H, n_states = _quench(rc, J)
-    _naming(("n_points",), dynamics.check_trajectory, rc.n_points, n_states)
+    _naming(("n_points",), dynamics.check_trajectory, rc.n_points, n_states, correlated)
     times = rc.times
+    if rc.one_excitation:
+        p = np.abs(magnon._single_excitation_amplitudes(J, rc.flip[0], times)) ** 2
+        corr = 4.0 * p[:, :, None] * (np.eye(rc.n_ions) - p[:, None, :]) if correlated else None
+        return times, 2.0 * p - 1.0, corr
     traj = dynamics.evolve(psi0, H, times)
-    corr = dynamics.two_point_correlations(traj) if "correlations" in rc.observables else None
+    corr = dynamics.two_point_correlations(traj) if correlated else None
     return times, dynamics.magnetisation(traj), corr
 
 
+def _exact_pair(rc: RunConfig, J: ionchain.CouplingMatrix,
+                sites: tuple[int, int]) -> entanglement.DensityMatrix:
+    """The exact density matrix of the site pair at ``sample_time``.  A
+    one-excitation quench gives it from a_i and a_j alone: the excitation
+    elsewhere, with weight 1 - p_i - p_j, leaves the pair in |dd>, so the
+    pair is sites 2 and 3 of the three-site state sqrt(1 - p_i - p_j)|udd>
+    + a_i|dud> + a_j|ddu> (site 1 first)."""
+    psi0, H, _ = _quench(rc, J, ("sample_time",))
+    times = np.array([rc.sample_time])
+    if rc.one_excitation:
+        a = magnon._single_excitation_amplitudes(J, rc.flip[0], times)[0, np.subtract(sites, 1)]
+        elsewhere = np.sqrt(max(0.0, 1.0 - abs(a[0]) ** 2 - abs(a[1]) ** 2))
+        state = dynamics.StateVector(np.array([elsewhere, *a]), 3, [1, 2, 4])
+        return entanglement.reduced_density_matrix(state, (2, 3))
+    return entanglement.reduced_density_matrix(dynamics.evolve(psi0, H, times).state(0), sites)
+
+
 def _export_trajectory(rc: RunConfig, times, mag, corr) -> None:
+    meta = rc.meta(model=rc.model)
     if corr is not None:
         cbar = dynamics.averaged_correlations(corr)
     if rc.format == "ndjson":
         records = list(mio.trajectory_records(times, mag, corr))
         if corr is not None:
             records = [dict(r, cbar=cb) for r, cb in zip(records, cbar.tolist())]
-        path = mio.write_ndjson(rc.outdir / "trajectory.ndjson", records,
-                                rc.meta(model=rc.model))
+        path = mio.write_ndjson(rc.outdir / "trajectory.ndjson", records, meta)
         _report(path, "trajectory")
         return
-    path = mio.save_magnetisation(rc.outdir / "magnetisation.csv", times, mag,
-                                  rc.meta(model=rc.model))
+    path = mio.save_magnetisation(rc.outdir / "magnetisation.csv", times, mag, meta)
     _report(path, "magnetisation")
     if corr is not None:
-        path = mio.save_correlations(rc.outdir / "correlations.csv", times, corr,
-                                     rc.meta(model=rc.model))
+        path = mio.save_correlations(rc.outdir / "correlations.csv", times, corr, meta)
         _report(path, "correlations")
-        path = mio.save_averaged_correlations(rc.outdir / "cbar.csv", times, cbar,
-                                              rc.meta(model=rc.model))
+        path = mio.save_averaged_correlations(rc.outdir / "cbar.csv", times, cbar, meta)
         _report(path, "cbar")
 
 
@@ -625,9 +650,7 @@ def _cmd_quench(rc: RunConfig) -> int:
 def _cmd_tomo(rc: RunConfig) -> int:
     J = _build_couplings(rc)
     sites = tuple(sorted(rc.sites))
-    psi0, H, _ = _quench(rc, J, ("sample_time",))
-    traj = dynamics.evolve(psi0, H, np.array([rc.sample_time]))
-    rho_exact = entanglement.reduced_density_matrix(traj.state(0), sites)
+    rho_exact = _exact_pair(rc, J, sites)
 
     counts = entanglement.simulate_tomography(rho_exact, rc.shots, rc.seed)
     rho_hat = entanglement.tomography_reconstruct(counts, sites)

@@ -511,15 +511,16 @@ def reached_blocks(state: StateVector, H: Hamiltonian) -> tuple[np.ndarray, int]
     return labels, size
 
 
-def check_trajectory(n_times: int, n_states: int) -> None:
+def check_trajectory(n_times: int, n_states: int, correlated_sites: int = 0) -> None:
     """Raises ValueError, naming both counts, the size and the limit, if the
-    complex amplitudes of ``n_times`` states on ``n_states`` basis states
-    take more than ``MAX_TRAJECTORY_BYTES``."""
-    size = 16 * n_times * n_states
+    complex amplitudes of ``n_times`` states on ``n_states`` basis states,
+    with the real N x N correlations of each state where N =
+    ``correlated_sites`` is given, take more than ``MAX_TRAJECTORY_BYTES``."""
+    size = n_times * (16 * n_states + 8 * correlated_sites ** 2)
     if size > MAX_TRAJECTORY_BYTES:
-        raise ValueError(f"{n_times} times on {n_states} basis states take "
-                         f"{size / 2 ** 30:.3g} GiB of amplitudes, above the limit of "
-                         f"{MAX_TRAJECTORY_BYTES / 2 ** 30:.3g} GiB")
+        raise ValueError(f"{n_times} times on {n_states} basis states take {size / 2 ** 30:.3g} "
+                         f"GiB of amplitudes{' and correlations' if correlated_sites else ''}, "
+                         f"above the limit of {MAX_TRAJECTORY_BYTES / 2 ** 30:.3g} GiB")
 
 
 def check_phases(coupling: CouplingMatrix, transverse_field: float, span: float) -> None:
@@ -530,8 +531,9 @@ def check_phases(coupling: CouplingMatrix, transverse_field: float, span: float)
     couplings before anything is assembled.  For H_Ising this is its norm
     bound, the largest absolute row sum of the whole space, which bounds
     every sector; H_XY and its one-excitation block take B = 0."""
-    upper = np.abs(np.triu(coupling.values, 1)).sum() + coupling.n_ions * abs(transverse_field)
-    phase = upper * abs(span)
+    with np.errstate(over="ignore", invalid="ignore"):      # an infinite bound is refused
+        upper = np.abs(np.triu(coupling.values, 1)).sum() + coupling.n_ions * abs(transverse_field)
+        phase = upper * abs(span)
     if span and not phase <= MAX_PHASE:
         raise ValueError(f"the phases ||H|| max|t| reach {phase:.3g} rad, above the "
                          f"{MAX_PHASE:.3g} rad at which their roundoff, 2^-52 of "

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_csv
-from magnonchain import analysis, bounds, cli, dynamics, ionchain, magnon
+from magnonchain import analysis, bounds, cli, dynamics, entanglement, ionchain, magnon
 from magnonchain import io as mio
 
 
@@ -87,31 +87,106 @@ def test_dispersion_from_reference_trap(tmp_path, capsys):
 
 
 def test_quench_magnetisation_matches_module(tmp_path, capsys):
-    code, _ = run(["quench", "-o", str(tmp_path), "--n", "5", "--flip", "3",
+    code, _ = run(["quench", "-o", str(tmp_path), "--n", "5", "--flip", "2", "4",
                    "--model", "xy", "--t-end", "0.01", "--n-points", "21"], capsys)
     assert code == 0
     rows = np.array(read_data_rows(tmp_path / "magnetisation.csv"))
     # recompute through the library: identical code path, identical floats
     J = ionchain.power_law_coupling(5, 1.5, 2 * np.pi * 30.0)
     H = dynamics.build_hamiltonian(J, model="xy")
-    psi0 = dynamics.prepare_state(5, (3,))
+    psi0 = dynamics.prepare_state(5, (2, 4))
     times = np.linspace(0.0, 0.01, 21)
     traj = dynamics.evolve(psi0, H, times)
-    mag = np.vstack([dynamics.magnetisation(traj.state(k)) for k in range(21)])
     assert rows.shape == (21 * 5, 3)
-    np.testing.assert_array_equal(rows[:, 2], mag.ravel())
+    np.testing.assert_array_equal(rows[:, 2], dynamics.magnetisation(traj).ravel())
 
 
 def test_quench_single_excitation_model(tmp_path, capsys):
     code, _ = run(["quench", "-o", str(tmp_path), "--n", "9", "--flip", "5",
-                   "--model", "single-excitation", "--t-end", "0.02",
-                   "--n-points", "11"], capsys)
+                   "--model", "xy", "--t-end", "0.02", "--n-points", "11"], capsys)
     assert code == 0
     rows = np.array(read_data_rows(tmp_path / "magnetisation.csv"))
     J = ionchain.power_law_coupling(9, 1.5, 2 * np.pi * 30.0)
     states = magnon.evolve_single_excitation(J, 5, np.linspace(0, 0.02, 11))
     mag = np.vstack([2.0 * np.abs(s.amplitudes) ** 2 - 1.0 for s in states])
     np.testing.assert_array_equal(rows[:, 2], mag.ravel())
+
+
+@pytest.mark.filterwarnings("ignore:site .*:UserWarning")       # skipped arrival sites
+@pytest.mark.parametrize("n,flip", [(7, 4), (15, 3), (41, 21), (63, 10)])
+def test_a_one_flip_xy_run_matches_evolve(tmp_path, capsys, monkeypatch, n, flip):
+    """A one-flip XY quench, light cone and tomography never call
+    ``dynamics.evolve``: their magnetisation, correlations (diagonal
+    included) and exact pair density matrices, for pairs with and without
+    the flipped site, match it to 1e-12."""
+    evolve = dynamics.evolve
+
+    def never(*args, **kwargs):
+        raise AssertionError("a one-flip XY run called dynamics.evolve")
+    monkeypatch.setattr(dynamics, "evolve", never)
+    window = ["--t-end", "0.02", "--n-points", "21"]
+    base = ["--n", str(n), "--model", "xy", "--flip", str(flip)]
+    parse = cli.build_parser().parse_args
+    rc = cli.resolve(parse(["quench", *base, "--correlations", *window]))
+    J = ionchain.power_law_coupling(n, 1.5, 2 * np.pi * 30.0)
+    times, mag, corr = cli._propagate(rc, J)
+
+    H = dynamics.build_hamiltonian(J, model="xy")
+    traj = evolve(dynamics.prepare_state(n, (flip,)), H, times)
+    np.testing.assert_allclose(mag, dynamics.magnetisation(traj), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(corr, dynamics.two_point_correlations(traj), rtol=0, atol=1e-12)
+
+    t = 0.0043
+    state = evolve(dynamics.prepare_state(n, (flip,)), H, np.array([t])).state(0)
+    for sites in ((flip - 1, flip), (flip, n), (1, n), (1, 2)):
+        rc = cli.resolve(parse(["tomo", *base, "--time", str(t), "--sites", *map(str, sites)]))
+        rho = cli._exact_pair(rc, J, sites)
+        expected = entanglement.reduced_density_matrix(state, sites)
+        np.testing.assert_allclose(rho.matrix, expected.matrix, rtol=0, atol=1e-12)
+
+    runs = [["quench", *window], ["tomo", "--shots", "50", "--resamples", "100"]]
+    if n - 1 - flip >= 3:                   # the sites a light cone fits past the flip
+        runs.append(["lightcone"])
+    for argv in runs:
+        assert cli.main(argv + base + ["-o", str(tmp_path / argv[0])]) == 0, argv
+    capsys.readouterr()
+
+
+def test_one_flip_xy_runs_past_the_basis_limit(tmp_path, capsys, monkeypatch):
+    """One XY flip runs at any N, tomography and correlations included;
+    from two flips on, the 63 sites of an int64 basis state bind."""
+    def never(*args, **kwargs):
+        raise AssertionError("a one-flip XY run called dynamics.evolve")
+    monkeypatch.setattr(dynamics, "evolve", never)
+    for k, argv in enumerate((["quench", "--n", "64", "--model", "xy", "--flip", "1"],
+                              ["tomo", "--n", "201", "--model", "xy", "--sites", "100", "102"],
+                              ["quench", "--n", "201", "--correlations", "--n-points", "11"])):
+        assert cli.main(argv + ["-o", str(tmp_path / str(k))]) == 0, argv
+    summary = json.loads((tmp_path / "1" / "tomo.ndjson").read_text().splitlines()[-1])
+    assert 0.0 < summary["concurrence_exact"] <= 1.0
+    assert count_data_lines(tmp_path / "2" / "correlations.csv") == 11 * 201 * 200 // 2
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert cli.main(["quench", "--n", "64", "--model", "xy", "--flip", "1", "2",
+                     "-o", str(tmp_path / "refused")]) == 2
+    assert capsys.readouterr().err == ("config error: --n / [trap] n_ions: N=64 is above the "
+                                       "63 sites an int64 basis state holds\n")
+    assert not (tmp_path / "refused").exists()
+
+
+@pytest.mark.parametrize("command", ["quench", "global-quench", "tomo", "lightcone"])
+def test_the_single_excitation_model_is_refused_naming_model(tmp_path, capsys, command):
+    """``single-excitation`` is no choice of ``--model`` or its key: a one-flip
+    XY quench is that model."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--model", "single-excitation"])
+    assert exc.value.code == 2
+    assert "argument --model/-m: invalid choice: 'single-excitation'" in capsys.readouterr().err
+    (tmp_path / "run.ini").write_text("[quench]\nmodel = single_excitation\n")
+    assert cli.main([command, "-c", str(tmp_path / "run.ini"), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("config error: --model / [quench] model must be one of "
+                                       "ising, xy, got 'single_excitation'\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_quench_correlations_flag(tmp_path, capsys):
@@ -200,12 +275,11 @@ def test_long_quench_csvs_match_row_formatter(tmp_path, capsys):
             "--correlations", "--t-end", "0.02", "--n-points", "801"]
     assert run(argv, capsys)[0] == 0
     J = ionchain.power_law_coupling(11, 1.5, 2 * np.pi * 30.0)
-    spec = (4,)
     times = np.linspace(0.0, 0.02, 801)
-    traj = dynamics.evolve(dynamics.prepare_state(11, spec),
-                           dynamics.build_hamiltonian(J, model="xy"), times)
-    csvs = _trajectory_csvs(times, dynamics.magnetisation(traj),
-                            dynamics.two_point_correlations(traj))
+    # one flip: the populations p of the one-excitation amplitudes give
+    # <sigma^z> = 2p - 1 and, off the diagonal the CSVs hold, C_ij = -4 p_i p_j
+    p = np.abs(magnon._single_excitation_amplitudes(J, 4, times)) ** 2
+    csvs = _trajectory_csvs(times, 2.0 * p - 1.0, -4.0 * p[:, :, None] * p[:, None, :])
     assert len(csvs["cbar.csv"][1]) > mio._CHUNK_ROWS
     for name, (columns, rows) in csvs.items():
         assert (_data_text((tmp_path / name).read_text())
@@ -363,7 +437,7 @@ def test_chain_length_comes_from_the_coupling_file(tmp_path, capsys, coupling_fi
                         lambda path, load=cli.import_couplings: loads.append(path) or load(path))
     out = tmp_path / "q"
     code, _ = run(["quench", "-o", str(out), "--source", "file", "--couplings",
-                   str(coupling_file_25), "--model", "single-excitation",
+                   str(coupling_file_25), "--model", "xy",
                    "--t-end", "0.001", "--n-points", "3"], capsys)
     assert code == 0
     assert _header(out / "magnetisation.csv")["n_ions"] == "25"
@@ -465,18 +539,19 @@ def test_flip_site_out_of_range_is_config_error(tmp_path, capsys):
     (["quench", "--n", "40", "--model", "ising"], 40, 2 ** 39),
     (["quench", "--n", "40", "--model", "xy", "--flip"] + [str(s) for s in range(1, 9)],
      40, 76904685),
-    (["tomo", "--n", "64", "--model", "xy", "--flip", "1"], 64, None),
+    (["tomo", "--n", "64", "--model", "xy", "--flip", "1", "2"], 64, None),
     (["quench", "--n", "18", "--model", "ising"], 18, 2 ** 17),
     (["tomo", "--n", "18", "--model", "ising"], 18, 2 ** 17),
-    (["quench", "--n", "64", "--model", "xy", "--flip", "1"], 64, None),
-    (["tomo", "--n", "64", "--model", "xy", "--flip", "3"], 64, None),
+    (["quench", "--n", "64", "--model", "xy", "--flip", "1", "2"], 64, None),
+    (["lightcone", "--n", "64", "--model", "xy", "--flip", "3", "4"], 64, None),
     (["global-quench", "--n", "64"], 64, None),
     (["tomo", "--n", "40", "--model", "xy", "--flip", "1", "2", "3", "4"], 40, 91390),
 ])
 def test_quench_above_the_state_limit_is_config_error(tmp_path, capsys, argv, n, states):
     """The refusal keeps the library's text behind the settings that set
     the number of states: N, and for a local XY quench also the flips,
-    which set C(N, k); N alone past the sites a basis state holds."""
+    which set C(N, k); N alone past the sites a basis state holds, which
+    binds from two XY flips on (one flip runs at any N)."""
     assert cli.main(argv + ["-o", str(tmp_path)]) == 2
     labels = "--n / [trap] n_ions"
     if states is None:
@@ -501,11 +576,12 @@ _XY_PHASE_SETTINGS = ("--jbar / [couplings] nn_strength, --alpha / [couplings] a
     (["global-quench", "--n", "7", "--field", "1e300"],
      _PHASE_SETTINGS + "--t-start / [run] t_start, --t-end / [run] t_end"),
     (["quench", "--n", "7", "--model", "xy", "--jbar", "1e300"], _XY_PHASE_SETTINGS),
-    (["quench", "--n", "7", "--model", "single-excitation", "--jbar", "1e300"],
-     _XY_PHASE_SETTINGS),
+    (["quench", "--n", "101", "--model", "xy", "--jbar", "1e300"], _XY_PHASE_SETTINGS),
     (["lightcone", "--source", "nearest-neighbour", "--jbar", "1e300"],
      "--jbar / [couplings] nn_strength, --t-start / [run] t_start, --t-end / [run] t_end"),
     (["tomo", "--n", "7", "--model", "ising", "--time", "1e7"], _PHASE_SETTINGS + "--time"),
+    (["tomo", "--n", "101", "--model", "xy", "--time", "1e7"],
+     "--jbar / [couplings] nn_strength, --alpha / [couplings] alpha, --time"),
 ])
 def test_phases_without_digits_are_refused_naming_their_settings(tmp_path, capsys,
                                                                 monkeypatch, argv, settings):
@@ -521,6 +597,25 @@ def test_phases_without_digits_are_refused_naming_their_settings(tmp_path, capsy
     assert err.startswith(f"config error: {settings}: the phases ||H|| max|t| reach "), err
     assert err.endswith(" rad at which their roundoff, 2^-52 of themselves, passes 1e-6 rad\n")
     assert not (tmp_path / "refused").exists()
+
+
+@pytest.mark.parametrize("command", ["quench", "global-quench"])
+def test_a_phase_bound_past_the_largest_double_is_refused_without_a_warning(
+        tmp_path, capsys, command):
+    """Four ions coupled at 6e307 rad/s: each entry and pair sum is finite,
+    their sum over pairs is not.  The bound is infinite and refused."""
+    path = tmp_path / "huge.csv"
+    path.write_text("# unit = rad/s\n" + "\n".join(
+        ",".join("0" if i == j else "6e307" for j in range(4)) for i in range(4)) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--source", "file", "--couplings", str(path),
+                         "-o", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --couplings / [couplings] file, "), err
+    assert "the phases ||H|| max|t| reach inf rad, above the " in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_the_phase_limit_is_checked_against_the_norm_bound(tmp_path, capsys, monkeypatch):
@@ -636,12 +731,6 @@ def test_a_chain_set_by_the_coupling_file_is_refused_naming_the_file(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
-def test_tomo_rejects_single_excitation_model(tmp_path, capsys):
-    code, _ = run(["tomo", "-o", str(tmp_path), "--model", "single-excitation"],
-                  capsys)
-    assert code == 2
-
-
 @pytest.mark.parametrize("seed,code", [(-1, 2), (0, 0), (2 ** 64 - 1, 0), (2 ** 64, 2)])
 def test_seed_outside_the_philox_key_range_is_config_error(tmp_path, capsys, seed, code):
     assert cli.main(["tomo", "-o", str(tmp_path), "--seed", str(seed), "--shots", "10",
@@ -708,15 +797,13 @@ def test_coupling_parameters_are_checked_only_for_the_sources_that_read_them(
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["lightcone", "--n", "31", "--correlations"],
-     "--correlations needs --model / [quench] model ising or xy, got single-excitation"),
-    (["quench", "--model", "single-excitation", "--flip", "2", "4"],
-     "--model / [quench] model single-excitation needs exactly one --flip / [quench] flip "
-     "site, got 2 4"),
-    (["global-quench", "--n", "7", "--model", "single-excitation"],
-     "a global quench needs --model / [quench] model ising or xy, got single-excitation"),
-    (["tomo", "--model", "single-excitation"],
-     "tomography needs --model / [quench] model ising or xy, got single-excitation"),
+    (["lightcone", "--n", "31", "--t-start", "0.04"],
+     "--t-end / [run] t_end must be > --t-start / [run] t_start, got 0.04 <= 0.04"),
+    (["quench", "--n", "64", "--t-end", "0"],
+     "--t-end / [run] t_end must be > --t-start / [run] t_start, got 0.0 <= 0.0"),
+    (["global-quench", "--t-start", "0.01"],
+     "--t-end / [run] t_end must be > --t-start / [run] t_start, got 0.005 <= 0.01"),
+    (["tomo", "--n", "201", "--sites", "100", "202"], "--sites: site 202 outside 1..201"),
     (["fit", "--source", "power-law", "--n", "2"],
      "fit needs --n / [trap] n_ions >= 4 for its exponent fit, got 2"),
     (["dispersion", "--source", "power-law", "--n", "3"],
@@ -761,9 +848,6 @@ _NO_FLIP = "a local quench needs at least one --flip / [quench] flip site, got n
     (["quench", "--model", "xy"], _NO_FLIP),
     (["tomo", "--model", "ising"], _NO_FLIP),
     (["lightcone", "--model", "xy"], _NO_FLIP),
-    (["quench", "--model", "single-excitation"],
-     "--model / [quench] model single-excitation needs exactly one --flip / [quench] flip "
-     "site, got none"),
 ])
 def test_an_empty_ini_flip_is_refused_naming_it(tmp_path, capsys, monkeypatch, argv, message):
     ini = tmp_path / "run.ini"
@@ -799,7 +883,7 @@ def test_power_law_with_negative_alpha_runs_without_warnings(tmp_path, capsys):
     np.testing.assert_array_equal(J, ionchain.nearest_neighbour_coupling(7, J[0, 1]).values)
 
 
-@pytest.mark.parametrize("command", [["lightcone"], ["quench", "--model", "single-excitation"]])
+@pytest.mark.parametrize("command", [["lightcone"], ["quench", "--model", "xy"]])
 def test_a_trap_single_excitation_run_does_not_label_modes(tmp_path, capsys, command):
     """Propagation sums over the modes without naming them, so a trap chain
     whose node counts repeat runs without a warning; ``dispersion``, which
@@ -1026,7 +1110,7 @@ _FLAG_AND_KEY = {
     "gap": ("couplings", ["20000"], "20e3"),
     "detuning": ("couplings", ["2700000"], "2.7e6"),
     "flip": ("quench", ["2", "4"], "2, 4"),
-    "model": ("quench", ["single-excitation"], "single_excitation"),
+    "model": ("global-quench", ["xy"], "xy"),
     "field_hz": ("quench", ["12.5"], "12.5"),
     "t_start": ("quench", ["0.001"], "0.001"),
     "t_end": ("quench", ["0.003"], "0.003"),
@@ -1185,15 +1269,20 @@ def test_unreachable_krylov_target_is_numeric_error(tmp_path, capsys, monkeypatc
     (["quench", "--n", "7"], 7),                        # one XY flip
     (["quench", "--n", "7", "--model", "ising"], 64),   # one parity half
     (["global-quench", "--n", "6"], 64),
-    (["quench", "--n", "7", "--model", "single-excitation"], 7),
+    (["quench", "--n", "7", "--correlations"], 7),
     (["lightcone", "--n", "15"], 15),
 ])
 def test_a_window_too_large_to_hold_is_refused_naming_n_points(tmp_path, capsys,
                                                               monkeypatch, argv, states):
-    """The (T, dim) amplitudes are checked against the trajectory limit
-    before the times or the trajectory exist; the limit is lowered so that
-    nothing large is ever allocated.  At the limit itself the run goes."""
-    monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 16 * 40 * states - 1)
+    """The (T, dim) complex amplitudes, with the (T, N, N) real correlations
+    where they are exported (always by ``global-quench``), are checked
+    against the trajectory limit before the times or the trajectory exist;
+    the limit is lowered so that nothing large is ever allocated.  At the
+    limit itself the run goes."""
+    n = int(argv[argv.index("--n") + 1])
+    correlated = "--correlations" in argv or argv[0] == "global-quench"
+    size = 40 * (16 * states + 8 * n ** 2 * correlated)
+    monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", size - 1)
 
     def never(*args, **kwargs):
         raise AssertionError("allocated before the window was checked")
@@ -1206,7 +1295,7 @@ def test_a_window_too_large_to_hold_is_refused_naming_n_points(tmp_path, capsys,
         f"take ")
     assert not (tmp_path / "refused").exists()
     monkeypatch.undo()
-    monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 16 * 40 * states)
+    monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", size)
     assert cli.main(argv + ["--n-points", "40", "-o", str(tmp_path / "run")]) == 0
 
 

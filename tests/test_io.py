@@ -375,7 +375,7 @@ def test_config_hash_of_each_default_run_is_frozen(tmp_path, monkeypatch):
     frozen = {"modes": "ccc8c8e99bf5", "couplings": "f6176e9703e2",
               "dispersion": "33a2e36214e2", "quench": "cc3498928eb0",
               "global-quench": "213ac91fde94", "tomo": "1f8619f598cc",
-              "lightcone": "aabf87f2ee60", "fit": "80ad80e5e401"}
+              "lightcone": "535e181505f1", "fit": "80ad80e5e401"}
     assert set(frozen) == set(cli.COMMANDS)
     for command, expected in frozen.items():
         argv = [command] + (["--couplings", "couplings.csv"] if command == "fit" else [])
