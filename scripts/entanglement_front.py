@@ -72,8 +72,7 @@ def main():
     rho = entanglement.reduced_density_matrix(traj.state(k), pair)
     counts = entanglement.simulate_tomography(rho, shots=TOMO_SHOTS, seed=TOMO_SEED)
     rec = entanglement.tomography_reconstruct(counts, subsystem=pair)
-    est, err = entanglement.bootstrap(counts, BOOT_RESAMPLES, "concurrence",
-                                      seed=TOMO_SEED + 1)
+    est, err = entanglement.bootstrap(counts, BOOT_RESAMPLES, seed=TOMO_SEED + 1)
     print(f"\npair {pair} at t = {times[k] * 1e3:.2f} ms, {TOMO_SHOTS} shots/basis:")
     print(f"  exact concurrence          {traces[pair][k]:.4f}")
     print(f"  reconstructed concurrence  {entanglement.concurrence(rec):.4f}")

@@ -556,7 +556,10 @@ def _propagate(rc: RunConfig, J: ionchain.CouplingMatrix):
     times = rc.times
     if rc.one_excitation:
         p = np.abs(magnon._single_excitation_amplitudes(J, rc.flip[0], times)) ** 2
-        corr = 4.0 * p[:, :, None] * (np.eye(rc.n_ions) - p[:, None, :]) if correlated else None
+        corr = None
+        if correlated:                  # in place: one (T, N, N) array, as checked
+            corr = np.eye(rc.n_ions) - p[:, None, :]
+            corr *= 4.0 * p[:, :, None]
         return times, 2.0 * p - 1.0, corr
     traj = dynamics.evolve(psi0, H, times)
     corr = dynamics.two_point_correlations(traj) if correlated else None
@@ -654,8 +657,7 @@ def _cmd_tomo(rc: RunConfig) -> int:
 
     counts = entanglement.simulate_tomography(rho_exact, rc.shots, rc.seed)
     rho_hat = entanglement.tomography_reconstruct(counts, sites)
-    boot_mean, boot_std = entanglement.bootstrap(
-        counts, rc.resamples, "concurrence", rc.seed)
+    boot_mean, boot_std = entanglement.bootstrap(counts, rc.resamples, rc.seed)
 
     path = mio.save_density_matrix(rc.outdir / "rho.csv", rho_hat,
                                    rc.meta(t_s=rc.sample_time, shots=rc.shots))
@@ -747,6 +749,7 @@ _NUMERIC_ERRORS = (
     dynamics.PropagatorError,
     analysis.FitError,
     np.linalg.LinAlgError,
+    MemoryError,
 )
 
 

@@ -60,9 +60,9 @@ error after a step dt is at most the integral of delta over [0, dt], so
 at most |dt| max_{s <= |dt|} delta(s) (Jawecki, Auzinger & Koch, BIT
 Numer. Math. 60, 157 (2020); cf. Expokit, Sidje, ACM TOMS 24, 130
 (1998)).  A subspace serves a time once that estimate, with the maximum
-taken over the steps it evaluates, is below ``step_tol / 4``.  So the
+taken over the steps it evaluates, is below ``STEP_TOL / 4``.  So the
 error at an output time is at most the sum of the estimates of the
-subspaces chained up to it: about ``step_tol / 4`` times their number,
+subspaces chained up to it: about ``STEP_TOL / 4`` times their number,
 which is smaller the more times each subspace serves.
 """
 
@@ -111,8 +111,8 @@ MAX_BASIS_SITES = 63
 #: ``order``    per Lanczos order, the Python of one step
 #: ``reorth``   per order and row of the subspace, its reorthogonalization
 #: ``test``     per order and row of the subspace, the ``eigh_tridiagonal``
-#:              of a convergence test every 4 orders from order 4; the
-#:              tests now start near the predicted order
+#:              of a convergence test every 4 orders from order 4, as
+#:              fitted; the tests start near the predicted order
 #:              (``FIRST_TEST_FRACTION``), so this term over-counts them
 #:              until it is refitted on the benchmark's size ladder
 #: ``orders``   a count: m = orders (G t)^0.3 d^0.15 Lanczos orders for
@@ -156,18 +156,25 @@ KRYLOV_ORDERS = 200
 
 #: Where a Lanczos subspace first tests its convergence, as a fraction of
 #: the orders :func:`_lanczos_orders` predicts for its longest step: about
-#: the lower envelope of the orders accepted.  Over 83 subspaces (Ising at
+#: the lower envelope of the orders accepted.  From there it tests every 4
+#: orders and accepts the first that passes.  Over 83 subspaces (Ising at
 #: B = 50 max|J|, N = 9 to 13, global to 5 ms and centre flip to 10 ms,
 #: N = 12 to 20 ms; XY, N = 16 and 24, 2 and 3 flips to 20 ms; alpha = 1.0,
-#: 1.5, 2.0) the accepted order was 0.70 to 1.22 times the predicted one,
-#: median 0.99, and 0.95 to 1.09 in the benchmark's two Ising jobs at every
-#: exponent.  With the first test at 0.85 of the prediction, rounded up to a
-#: multiple of 4, 72 of the 83 first tests lie at or below the accepted
-#: order; the other 11 (N = 9 and 12, accepting 0.70 to 0.83) step back
-#: with no matvec and grow 4 to 12 orders past the one they accept.  At
-#: 0.8, a pass of the benchmark's Ising jobs took up to 22 decompositions
-#: (18 at 0.85); from order 4, 88 to 94.
+#: 1.5, 2.0) the lowest passing order, of a test every 4 orders from order
+#: 4, was 0.70 to 1.22 times the predicted one, median 0.99, and 0.95 to
+#: 1.09 in the benchmark's two Ising jobs at every exponent.  With the
+#: first test at 0.85 of the prediction, rounded up to a multiple of 4, 72
+#: of the 83 first tests lie at or below that order; the other 11 (N = 9
+#: and 12, where it is 0.70 to 0.83) pass at once, 4 to 12 orders above
+#: it, which their matvecs had built anyway.  At 0.8, a pass of the
+#: benchmark's Ising jobs took up to 22 decompositions (18 at 0.85); from
+#: order 4, 88 to 94.
 FIRST_TEST_FRACTION = 0.85
+
+
+#: The error target of a Krylov propagation: a subspace serves a time once
+#: its error estimate is below a quarter of it (see the module docstring).
+STEP_TOL = 1e-9
 
 
 class PropagatorError(RuntimeError):
@@ -553,8 +560,7 @@ def _on_reached_blocks(state: StateVector, H: Hamiltonian):
     return labels, basis, amps
 
 
-def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
-           method: str = "auto", step_tol: float = 1e-9) -> Trajectory:
+def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray) -> Trajectory:
     """Propagate |psi(t)> = exp(-i H t) |psi(0)> onto the output times.
 
     The state is widened to the conserved blocks of H it reaches
@@ -566,31 +572,27 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
     two halves of its symmetric or antisymmetric pairs, into the rows of
     one (dim, T) array on the sorted union of the reached blocks, whose
     (T, dim) transpose the returned :class:`Trajectory` shares.  The
-    phases are checked first (:func:`check_phases`).  ``method='dense'``
-    uses the sector's exact eigendecomposition (no propagation error).
-    ``method='krylov'`` uses
-    Lanczos subspaces, each serving the output times whose error bound
-    estimate, the step |dt| times the largest Lanczos defect over the
-    steps up to it, is below ``step_tol / 4``, and handing its last state
-    to the next one; the error at an output time is at most the sum of
-    these estimates over the subspaces chained up to it, so fewer
-    subspaces give a smaller sum.  ``'auto'`` picks, per sector, the one
-    the cost model of ``PROPAGATOR_COSTS`` expects to be cheaper
-    (:func:`_propagator`), so the same sector and window always take the
-    same path.  Either way a time equal to 0 returns the initial state
+    phases are checked first (:func:`check_phases`).  Each sector takes
+    the propagator the cost model of ``PROPAGATOR_COSTS`` expects to be
+    cheaper (:func:`_propagator`), so the same sector and window always
+    take the same path: its exact dense eigendecomposition, or Lanczos
+    subspaces, each serving the output times whose error bound estimate,
+    the step |dt| times the largest Lanczos defect over the steps up to
+    it, is below ``STEP_TOL / 4``, and handing its last state to the next
+    one; the error at an output time is at most the sum of these
+    estimates over the subspaces chained up to it, so fewer subspaces give
+    a smaller sum.  Either way a time equal to 0 returns the initial state
     itself.
 
     Raises ValueError, naming N, the number of states and the limit, if
     the reached blocks hold more than ``MAX_STATES`` states, or naming
     the bound and the limit if the phases pass ``MAX_PHASE``, and
-    PropagatorError if a Krylov subspace cannot meet ``step_tol`` even
+    PropagatorError if a Krylov subspace cannot meet ``STEP_TOL`` even
     after repeated halving of the interval to the next output time.
     """
     if state.n_sites != H.n_sites:
         raise ValueError(f"state of {state.n_sites} sites, Hamiltonian of {H.n_sites}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if method not in ("auto", "dense", "krylov"):
-        raise ValueError(f"unknown method {method!r}")
     check_phases(H.coupling, H.transverse_field if H.model == "ising" else 0.0,
                  float(np.abs(times).max(initial=0.0)))
 
@@ -610,7 +612,7 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray,
                 continue
             sector = Hamiltonian(_assemble(H, basis[block], partner, rep, sign), H.n_sites,
                                  H.model, H.transverse_field, H.coupling)
-            propagated = _propagate_block(sector, psi, times, method, step_tol).T
+            propagated = _propagate_block(sector, psi, times).T
             propagated *= half[:, None]
             states[mine] += propagated
             states[theirs] += sign * propagated
@@ -646,21 +648,19 @@ def _mirror_sectors(H: Hamiltonian,
             (partner, np.flatnonzero(partner > every), -1.0)]
 
 
-def _propagate_block(H: Hamiltonian, psi: np.ndarray, times: np.ndarray,
-                     method: str, step_tol: float) -> np.ndarray:
-    """(T, dim) amplitudes of exp(-i H t) psi within one block or sector;
-    ``method='auto'`` takes :func:`_propagator`'s choice."""
+def _propagate_block(H: Hamiltonian, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(T, dim) amplitudes of exp(-i H t) psi within one block or sector,
+    by the propagator :func:`_propagator` picks."""
     data, _, indptr = H._csr_arrays
     norm = _row_sum_bound(data, indptr)
-    if method == "auto":
-        method = _propagator(H.dim, data.size, norm, float(np.abs(times).max(initial=0.0)),
-                             times.size)[0]
+    method = _propagator(H.dim, data.size, norm, float(np.abs(times).max(initial=0.0)),
+                         times.size)[0]
     if method == "dense":
         energies, vectors = H.eigensystem()
         modes = _real_matmul(vectors.T, psi)
         return _real_matmul(vectors, np.exp(-1j * np.outer(energies, times))
                             * modes[:, None]).T
-    return _krylov_trajectory(H.matvec, psi, times, step_tol, norm=norm)
+    return _krylov_trajectory(H.matvec, psi, times, STEP_TOL, norm)
 
 
 def _propagator(dim: int, nnz: int, norm: float, span: float,
@@ -712,20 +712,18 @@ def _real_matmul(a, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float,
-                       m_max: int = KRYLOV_ORDERS, max_splits: int = 40,
-                       norm: float | None = None) -> np.ndarray:
+def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float, norm: float,
+                       m_max: int = KRYLOV_ORDERS, max_splits: int = 40) -> np.ndarray:
     """(T, dim) amplitudes of exp(-i H t) psi for real symmetric H, from t = 0.
 
     One Lanczos subspace of at most ``m_max`` orders (``KRYLOV_ORDERS``),
     grown from the state at the time reached so far, serves every pending
     output time it converges for (:func:`_lanczos_subspace`); the next
-    subspace starts from the last of them.  Given ``norm``, a bound G on
-    the norm of H (rad/s), each subspace tests its convergence first at
+    subspace starts from the last of them.  ``norm`` is a bound G on the
+    norm of H (rad/s): each subspace tests its convergence first at
     ``FIRST_TEST_FRACTION`` of the orders :func:`_lanczos_orders` predicts
-    for G times its longest step; without it, from order 4.  Either way the
-    orders and states are the same wherever passing the test is monotone in
-    the order.  A subspace runs in the dtype of
+    for G times its longest step, then every 4 orders, and accepts the
+    first order that passes.  A subspace runs in the dtype of
     its start state: one with no imaginary part, as a local quench starts,
     spans a real Krylov space, so it is built in real arithmetic (one real
     matvec and real reorthogonalization per order); a complex one as
@@ -754,8 +752,8 @@ def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float,
                 buffer = None                   # freed before its successor is allocated
                 buffer = np.empty((m_max + 1, psi.size), dtype=start.dtype)
             subspace = _Lanczos(matvec, start, buffer)
-        first_test = 4 if norm is None else ceil(
-            FIRST_TEST_FRACTION * _lanczos_orders(norm * np.abs(dts).max(), psi.size))
+        first_test = ceil(FIRST_TEST_FRACTION
+                          * _lanczos_orders(norm * np.abs(dts).max(), psi.size))
         Y, V, _ = _lanczos_subspace(subspace, dts, tol, first_test)
         done = Y.shape[1]
         if done == 0:                           # the same subspace, tested for shorter stops
@@ -826,7 +824,7 @@ class _Lanczos:
 
 
 def _lanczos_subspace(lanczos: _Lanczos, dts: np.ndarray, tol: float,
-                      start: int = 4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lanczos approximations of exp(-i dt H) psi, psi the start of
     ``lanczos``, for the leading ``dts`` that converge in its subspace,
     grown as far as the test needs (``m_max`` is its buffer's row count
@@ -842,24 +840,20 @@ def _lanczos_subspace(lanczos: _Lanczos, dts: np.ndarray, tol: float,
     the steps of ``dts`` no longer than |dt|; a time converges when that
     is below tol / 4.  The defects of all steps come from one
     eigendecomposition of T_m, taken only at orders that are multiples of
-    4, at a breakdown (then the subspace is invariant and exact) and at
-    ``m_max``.  A test passes when every time converges; a breakdown
-    always passes, and ``m_max`` returns the times that converge there.
-    The subspace grows an order at a time and checks every order for a
-    breakdown, but it tests convergence first at ``start`` (rounded up to
-    a multiple of 4, at least 4, at most ``m_max``), then every 4 orders
-    up until a test passes.  If that first test passes, it tests again 4
-    orders lower, with no matvec, until a test fails, and accepts the
-    lowest order that passed.  So wherever passing is monotone in the
-    order, the order, states and estimates are those of testing every 4
-    orders from order 4, bit for bit, with fewer decompositions.  Orders
-    already built are not built again, nor tested orders decomposed again:
-    on a subspace that stalled, the test is replayed at the same orders for
-    other ``dts`` from ``lanczos.tested``, and only an order that returns
-    a state is decomposed once more, for its whole eigenvectors; the result
-    is what a rebuilt subspace would give, bit for bit.  An order that
-    certainly fails at the longest step (:func:`_fails_at`) skips the
-    (orders x steps) phases of the full test, which would fail too.
+    4 from ``start`` on, at a breakdown (then the subspace is invariant
+    and exact) and at ``m_max``.  A test passes when every time
+    converges; a breakdown always passes, and ``m_max`` returns the times
+    that converge there.  The subspace grows an order at a time and checks
+    every order for a breakdown, and it accepts the first tested order
+    that passes: ``start`` rounded up to a multiple of 4 if that one
+    passes already.  Orders already built are not built again, nor tested
+    orders decomposed again: on a subspace that stalled, the test is
+    replayed at the same orders for other ``dts`` from ``lanczos.tested``,
+    and only an order that returns a state is decomposed once more, for
+    its whole eigenvectors; the result is what a rebuilt subspace would
+    give, bit for bit.  An order that certainly fails at the longest step
+    (:func:`_fails_at`) skips the (orders x steps) phases of the full
+    test, which would fail too.
     """
     from scipy.linalg import eigh_tridiagonal     # on first use: dense sectors need no scipy
 
@@ -869,7 +863,7 @@ def _lanczos_subspace(lanczos: _Lanczos, dts: np.ndarray, tol: float,
     order = np.argsort(steps, kind="stable")
     longest = order[-1]
 
-    def test(m: int, breakdown: bool = False):
+    def test(m: int, breakdown: bool):
         """(m, converged times, phases, estimates, first eigenvector row,
         eigenvectors or None if not decomposed here) of the test at order
         m + 1 if every time converges or the test is the last; else None."""
@@ -891,23 +885,14 @@ def _lanczos_subspace(lanczos: _Lanczos, dts: np.ndarray, tol: float,
             return None
         return m, dts.size if ok.all() else int(np.argmin(ok)), phases, err, first, evecs
 
-    begin = min(max(4, -(-start // 4) * 4), m_max) - 1    # m of the first test (order m + 1)
-    climbed = False
     for m in range(m_max):
         if m == lanczos.orders:
             lanczos.grow()
         breakdown = beta[m] < 1e-14
-        if breakdown or m == m_max - 1 or m >= begin and (m + 1) % 4 == 0:
+        if breakdown or m == m_max - 1 or m + 1 >= start and (m + 1) % 4 == 0:
             found = test(m, breakdown)
             if found is not None:
                 break
-            climbed = True
-    if not climbed and found[1] == dts.size:      # the first test passed: step back
-        for m in range(found[0] // 4 * 4 - 1, 0, -4):
-            lower = test(m)
-            if lower is None:
-                break
-            found = lower
     m, done, phases, err, first, evecs = found
     if evecs is None and done:                  # a replay that returns states
         evecs = eigh_tridiagonal(alpha[:m + 1], beta[:m])[1]

@@ -171,17 +171,6 @@ def _compose(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _fidelities(rhos: np.ndarray, target) -> np.ndarray:
-    """Overlap fidelities Tr(rho |psi><psi|) of an (R, d, d) stack with a pure
-    target state."""
-    psi = np.asarray(target, dtype=complex).ravel()
-    if psi.size != rhos.shape[-1]:
-        raise ValueError(f"target dimension {psi.size} != {rhos.shape[-1]}")
-    psi = psi / np.linalg.norm(psi)
-    # psi^H rho psi of each matrix as one (1, d) @ (d, 1) product
-    return np.real((psi.conj() @ rhos)[:, None, :] @ psi[:, None])[:, 0, 0]
-
-
 # ---------------------------------------------------------------------------
 # simulated tomography
 
@@ -304,38 +293,24 @@ def _projected_spectra(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _BOOTSTRAP_STREAM = 1000
 
 
-def bootstrap(counts: np.ndarray, resamples: int, statistic: str, seed: int,
-              target: np.ndarray | None = None) -> tuple[float, float]:
-    """Monte-Carlo bootstrap of a tomography-derived statistic.
+def bootstrap(counts: np.ndarray, resamples: int, seed: int) -> tuple[float, float]:
+    """Monte-Carlo bootstrap of the concurrence of tomography counts.
 
     Each resample redraws every row of the (9, 4) ``counts`` from a
     multinomial with the row's shots and empirical frequencies,
-    reconstructs the density matrix, and evaluates the statistic
-    ('concurrence' or 'fidelity' against ``target``).  Returns
+    reconstructs the density matrix and takes its concurrence.  Returns
     (sample mean, sample standard deviation).  All resamples are drawn by
     one call from the one RNG stream (seed, 1000), resample by resample
     and row by row, so the R resamples of a run are the first R of any
-    longer run; they are then reconstructed and evaluated as one stack.
-    The concurrence takes sqrt(rho) from the eigendecomposition the
+    longer run; they are then reconstructed as one stack, and each
+    concurrence takes sqrt(rho) from the eigendecomposition the
     projection onto density matrices already made.
     """
     if resamples < 100:
         raise ValueError("need at least 100 resamples for a stable error bar")
-    evaluate = _statistic_fn(statistic, target)
     counts, shots = _checked_counts(counts)
     rng = _stream(seed, _BOOTSTRAP_STREAM)
     redrawn = rng.multinomial(np.broadcast_to(shots, (resamples, shots.size)),
                               counts / shots[:, None])
-    values = evaluate(*_projected_spectra(_linear_inversion(redrawn, shots)))
+    values = _spectral_concurrences(*_projected_spectra(_linear_inversion(redrawn, shots)))
     return float(values.mean()), float(values.std(ddof=1))
-
-
-def _statistic_fn(statistic: str, target):
-    """The statistic as a function of a stack's eigenvalues and eigenvectors."""
-    if statistic == "concurrence":
-        return _spectral_concurrences
-    if statistic == "fidelity":
-        if target is None:
-            raise ValueError("fidelity statistic needs a target state")
-        return lambda w, v: _fidelities(_compose(w, v), target)
-    raise ValueError(f"unknown statistic {statistic!r}")

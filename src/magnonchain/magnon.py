@@ -56,15 +56,14 @@ class MagnonSpectrum:
 
 @dataclass(frozen=True)
 class SingleExcitationState:
-    """Amplitudes a_i(t) of the excitation on each site at one time."""
+    """Amplitudes a_i(t) of the excitation on each site at one time: a row
+    of :func:`_single_excitation_amplitudes`, whose norm that checked."""
 
     amplitudes: np.ndarray
     time: float
 
     def __post_init__(self):
-        amps = _frozen(np.asarray(self.amplitudes, dtype=complex))
-        object.__setattr__(self, "amplitudes", amps)
-        _check_normalized(amps)
+        object.__setattr__(self, "amplitudes", _frozen(np.asarray(self.amplitudes, dtype=complex)))
 
 
 def _node_counts(vectors: np.ndarray, threshold: float = NODE_THRESHOLD) -> np.ndarray:

@@ -144,6 +144,25 @@ def reference_csv(names, rows, meta=None) -> str:
 
 
 @pytest.fixture
+def pin_propagator(monkeypatch):
+    """``pin_propagator(method, step_tol)``: every sector ``dynamics.evolve``
+    propagates from then on takes ``method`` ('dense' or 'krylov') instead
+    of the cost model's choice, if given, and the Krylov error target
+    ``dynamics.STEP_TOL`` is ``step_tol``, if given; both are restored at
+    the end of the test.  A later call replaces what it names."""
+    from magnonchain import dynamics
+
+    def pin(method=None, step_tol=None):
+        if method is not None:
+            monkeypatch.setattr(dynamics, "_propagator",
+                                lambda *sector: (method, f"{method}: pinned by the test"))
+        if step_tol is not None:
+            monkeypatch.setattr(dynamics, "STEP_TOL", step_tol)
+
+    return pin
+
+
+@pytest.fixture
 def reference_trap():
     """The reference trap used throughout: (0.219, 2.655, 2.628) MHz, N=7."""
     from magnonchain import ionchain

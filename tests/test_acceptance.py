@@ -233,7 +233,8 @@ def test_criterion_09_lr_bound_holds_for_nn_chain():
 
 def test_criterion_10_tomography_pipeline():
     """Noiseless fidelity > 0.999; 1000-shot Bell fidelity > 0.97 in >= 95%
-    of 100 seeds; bootstrap sigma halves (+-50%) when shots quadruple."""
+    of 100 seeds; the concurrence's bootstrap sigma halves (+-50%) when
+    shots quadruple."""
     _start()
     bell = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
 
@@ -250,10 +251,8 @@ def test_criterion_10_tomography_pipeline():
 
     counts_1 = entanglement.simulate_tomography(bell_rho, shots=500, seed=7)
     counts_4 = entanglement.simulate_tomography(bell_rho, shots=2000, seed=7)
-    _, sigma_1 = entanglement.bootstrap(counts_1, resamples=300,
-                                        statistic="fidelity", seed=11, target=bell)
-    _, sigma_4 = entanglement.bootstrap(counts_4, resamples=300,
-                                        statistic="fidelity", seed=11, target=bell)
+    _, sigma_1 = entanglement.bootstrap(counts_1, resamples=300, seed=11)
+    _, sigma_4 = entanglement.bootstrap(counts_4, resamples=300, seed=11)
     ratio = sigma_4 / sigma_1
 
     ok = noiseless > 0.999 and fraction >= 0.95 and 0.25 <= ratio <= 0.75

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -150,6 +151,27 @@ def test_a_one_flip_xy_run_matches_evolve(tmp_path, capsys, monkeypatch, n, flip
     for argv in runs:
         assert cli.main(argv + base + ["-o", str(tmp_path / argv[0])]) == 0, argv
     capsys.readouterr()
+
+
+def test_one_flip_correlations_peak_at_one_array():
+    """The one-flip correlations of N = 101 at 101 points are built in
+    place: ``_propagate`` peaks below 1.5 times the (T, N, N) result, the
+    one array ``check_trajectory`` counts (as one expression they took
+    two), with the bits of 4 p_i (delta_ij - p_j)."""
+    rc = cli.resolve(cli.build_parser().parse_args(
+        ["quench", "--n", "101", "--model", "xy", "--correlations", "--n-points", "101"]))
+    J = ionchain.power_law_coupling(101, 1.5, 2 * np.pi * 30.0)
+    tracemalloc.start()
+    try:
+        times, mag, corr = cli._propagate(rc, J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert corr.shape == (101, 101, 101)
+    assert peak < 1.5 * corr.nbytes, f"peak {peak / 1e6:.1f} MB for {corr.nbytes / 1e6:.1f} MB"
+    p = np.abs(magnon._single_excitation_amplitudes(J, rc.flip[0], times)) ** 2
+    expected = 4.0 * p[:, :, None] * (np.eye(101) - p[:, None, :])
+    np.testing.assert_array_equal(corr.view(np.uint8), expected.view(np.uint8))
 
 
 def test_one_flip_xy_runs_past_the_basis_limit(tmp_path, capsys, monkeypatch):
@@ -1245,14 +1267,15 @@ def test_resonant_detuning_is_numeric_error(tmp_path, capsys):
     assert code == 3
 
 
-def test_unreachable_krylov_target_is_numeric_error(tmp_path, capsys, monkeypatch):
+def test_unreachable_krylov_target_is_numeric_error(tmp_path, capsys, monkeypatch,
+                                                    pin_propagator):
     # the Krylov path on a 528-state mirror sector, above the Lanczos order
     # cap, every subspace tested against an error target of 0, so the CLI's
     # target of 1e-9 is never met
-    monkeypatch.setattr(dynamics, "_propagator", lambda *sector: ("krylov", "by the test"))
+    pin_propagator("krylov")
     subspace = dynamics._lanczos_subspace
     monkeypatch.setattr(dynamics, "_lanczos_subspace",
-                        lambda lanczos, dts, tol, *start: subspace(lanczos, dts, 0.0, *start))
+                        lambda lanczos, dts, tol, start: subspace(lanczos, dts, 0.0, start))
     code = cli.main(["quench", "-o", str(tmp_path), "--source", "power-law", "--n", "11",
                      "--model", "ising", "--field", "auto", "--flip", "3",
                      "--t-start", "1e-4", "--n-points", "3"])
@@ -1263,6 +1286,28 @@ def test_unreachable_krylov_target_is_numeric_error(tmp_path, capsys, monkeypatc
         "error (PropagatorError): Krylov propagation of a 528-state sector stalled at "
         "t = 0 s, short of the output time 0.0001 s: error target 1e-09 not met at "
         f"subspace dimension {dynamics.KRYLOV_ORDERS} after 40 step halvings\n")
+
+
+@pytest.mark.parametrize("argv,builder", [
+    (["couplings", "--source", "power-law", "--n", "7"], (ionchain, "power_law_coupling")),
+    (["lightcone", "--n", "31"], (magnon, "_single_excitation_amplitudes")),
+])
+def test_an_allocation_failure_is_numeric_error(tmp_path, capsys, monkeypatch, argv, builder):
+    """An array the machine cannot allocate exits 3 with one line and no
+    artifact, not with a traceback; the builder raises what numpy raises
+    for a 100 000-ion power law, with no real allocation."""
+    message = ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+               "and data type float64")
+
+    def refused(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(*builder, refused)
+    code = cli.main(argv + ["-o", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NUMERIC == 3
+    assert captured.out == "" and not list(tmp_path.iterdir())
+    assert captured.err == f"error (MemoryError): {message}\n"
 
 
 @pytest.mark.parametrize("argv,states", [

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
@@ -89,7 +89,7 @@ def _reached(state, model, field=1.0):
     """The trajectory at t = 0 of ``state`` under a nearest-neighbour H_``model``."""
     J = ionchain.nearest_neighbour_coupling(state.n_sites, J0)
     H = dynamics.build_hamiltonian(J, transverse_field=field, model=model)
-    return dynamics.evolve(state, H, np.array([0.0]), method="krylov")
+    return dynamics.evolve(state, H, np.array([0.0]))
 
 
 @pytest.mark.parametrize("n", [2, 5, 12])
@@ -230,31 +230,34 @@ def test_local_quench_site_out_of_range():
 # propagation
 
 
-def test_dense_evolution_matches_direct_expm():
+def test_dense_evolution_matches_direct_expm(pin_propagator):
+    pin_propagator("dense")
     n = 4
     J = random_coupling(n, seed=21, scale=50.0)
     H = dynamics.build_hamiltonian(_coupling(J), transverse_field=40.0, model="ising")
     psi0 = dynamics.prepare_state(n)
     t = 0.013
-    traj = dynamics.evolve(psi0, H, np.array([t]), method="dense")
+    traj = dynamics.evolve(psi0, H, np.array([t]))
     # oracle: diagonalize the kron-built matrix directly
     w, v = np.linalg.eigh(ising_oracle(J, 40.0, n))
     expected = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0.amplitudes))
     np.testing.assert_allclose(traj.states[0], expected, atol=1e-10)
 
 
-def test_krylov_agrees_with_dense():
+def test_krylov_agrees_with_dense(pin_propagator):
     n = 5
     J = random_coupling(n, seed=22, scale=80.0)
     H = dynamics.build_hamiltonian(_coupling(J), model="xy")
     psi0 = dynamics.prepare_state(n, (1, 4))
     times = np.linspace(0.0, 0.02, 9)
-    dense = dynamics.evolve(psi0, H, times, method="dense")
-    krylov = dynamics.evolve(psi0, H, times, method="krylov")
+    pin_propagator("dense")
+    dense = dynamics.evolve(psi0, H, times)
+    pin_propagator("krylov")
+    krylov = dynamics.evolve(psi0, H, times)
     np.testing.assert_allclose(krylov.states, dense.states, atol=1e-8)
 
 
-def test_krylov_large_chain_against_magnon_oracle():
+def test_krylov_large_chain_against_magnon_oracle(pin_propagator):
     """Check the Krylov path on a 13-site chain against the independent
     single-excitation spectral evolution."""
     n = 13
@@ -262,7 +265,8 @@ def test_krylov_large_chain_against_magnon_oracle():
     H = dynamics.build_hamiltonian(J, model="xy")
     psi0 = dynamics.prepare_state(n, (7,))
     times = np.linspace(0.0, 0.01, 6)
-    traj = dynamics.evolve(psi0, H, times, method="krylov")
+    pin_propagator("krylov")
+    traj = dynamics.evolve(psi0, H, times)
     mag_full = np.vstack([dynamics.magnetisation(traj.state(k)) for k in range(traj.times.size)])
     mag_ref = np.vstack([2.0 * np.abs(s.amplitudes) ** 2 - 1.0
                          for s in magnon.evolve_single_excitation(J, 7, times)])
@@ -305,7 +309,7 @@ def _full_space_oracle(H, psi, times):
 
 @pytest.mark.parametrize("n", range(4, 13))
 @pytest.mark.parametrize("model,flips,field", BLOCK_CASES)
-def test_block_propagation_matches_full_space(n, model, flips, field):
+def test_block_propagation_matches_full_space(n, model, flips, field, pin_propagator):
     J = _coupling(random_coupling(n, seed=100 + n, scale=50.0))
     B = field * np.abs(J.values).max()
     H = dynamics.build_hamiltonian(J, transverse_field=B, model=model)
@@ -320,7 +324,8 @@ def test_block_propagation_matches_full_space(n, model, flips, field):
     # checked at N <= 11 and would add seconds of eigh per case
     methods = ("krylov",) if model == "ising" and n == 12 else ("dense", "krylov")
     for method in methods:
-        traj = dynamics.evolve(psi0, H, times, method=method, step_tol=1e-12)
+        pin_propagator(method, 1e-12)
+        traj = dynamics.evolve(psi0, H, times)
         np.testing.assert_allclose(full_space(traj), expected, atol=1e-10, err_msg=method)
         assert np.all(full_space(traj)[:, outside] == 0.0)
 
@@ -362,11 +367,11 @@ def test_direct_block_assembly_equals_sliced_full_matrix(n, model):
         assert (block != full[basis][:, basis]).nnz == 0
 
 
-def test_quench_path_never_assembles_the_full_matrix():
+def test_quench_path_never_assembles_the_full_matrix(pin_propagator):
+    pin_propagator("krylov")
     J = ionchain.power_law_coupling(9, 1.2, J0)
     H = dynamics.build_hamiltonian(J, transverse_field=40.0, model="ising")
-    dynamics.evolve(dynamics.prepare_state(9, (2,)), H,
-                    np.linspace(0.0, 1e-3, 3), method="krylov")
+    dynamics.evolve(dynamics.prepare_state(9, (2,)), H, np.linspace(0.0, 1e-3, 3))
     assert H._arrays is None and H._csr is None
     assert H.dim == 2 ** 9 and H._matrix.shape == (2 ** 9, 2 ** 9)
 
@@ -431,7 +436,8 @@ def _flips(n, flips):
 
 @pytest.mark.parametrize("n", range(4, 13))
 @pytest.mark.parametrize("model,flips,field", MIRROR_CASES)
-def test_mirror_sector_propagation_matches_full_space(n, model, flips, field):
+def test_mirror_sector_propagation_matches_full_space(n, model, flips, field,
+                                                      pin_propagator):
     J = ionchain.power_law_coupling(n, 1.3, J0)
     assert np.array_equal(J.values, J.values[::-1, ::-1])
     B = field * np.abs(J.values).max()
@@ -452,13 +458,15 @@ def test_mirror_sector_propagation_matches_full_space(n, model, flips, field):
 
     methods = ("krylov",) if model == "ising" and n == 12 else ("dense", "krylov")
     for method in methods:
-        traj = dynamics.evolve(psi0, H, times, method=method, step_tol=1e-12)
+        pin_propagator(method, 1e-12)
+        traj = dynamics.evolve(psi0, H, times)
         np.testing.assert_allclose(full_space(traj), expected, atol=1e-10, err_msg=method)
         assert np.all(full_space(traj)[:, outside] == 0.0)
 
 
 @pytest.mark.parametrize("model,flips,field", [("xy", (2,), 0.0), ("ising", (1, 2), 50.0)])
-def test_coupling_off_mirror_by_one_ulp_propagates_the_whole_block(model, flips, field):
+def test_coupling_off_mirror_by_one_ulp_propagates_the_whole_block(model, flips, field,
+                                                                    pin_propagator):
     n = 7
     values = ionchain.power_law_coupling(n, 1.1, J0).values.copy()
     values[0, 1] = values[1, 0] = np.nextafter(values[0, 1], np.inf)
@@ -472,11 +480,12 @@ def test_coupling_off_mirror_by_one_ulp_propagates_the_whole_block(model, flips,
     times = np.linspace(0.0, 1.0, 3) / (np.abs(values).max() + B)
     expected = _full_space_oracle(H, full_space(psi0), times)
     for method in ("dense", "krylov"):
-        traj = dynamics.evolve(psi0, H, times, method=method, step_tol=1e-12)
+        pin_propagator(method, 1e-12)
+        traj = dynamics.evolve(psi0, H, times)
         np.testing.assert_allclose(full_space(traj), expected, atol=1e-10, err_msg=method)
 
 
-def test_reflected_but_asymmetric_couplings_propagate_the_whole_block():
+def test_reflected_but_asymmetric_couplings_propagate_the_whole_block(pin_propagator):
     """J equal to its reflection J[::-1, ::-1] but not exactly symmetric: H
     reads J_ij for i < j only, and J_12 != J_{N-1,N} there, so H does not
     commute with the reflection and the block is not split."""
@@ -490,7 +499,8 @@ def test_reflected_but_asymmetric_couplings_propagate_the_whole_block():
     (sector,) = _check_sectors(H, dynamics._block_basis(H, 1), mirrored=False)
     psi0 = dynamics.prepare_state(n, (2,))
     times = np.linspace(0.0, 1.0, 3) / (51.0 * np.abs(values).max())
-    traj = dynamics.evolve(psi0, H, times, method="krylov", step_tol=1e-12)
+    pin_propagator("krylov", 1e-12)
+    traj = dynamics.evolve(psi0, H, times)
     np.testing.assert_allclose(full_space(traj), _full_space_oracle(H, full_space(psi0), times),
                                atol=1e-10)
 
@@ -657,6 +667,13 @@ def _ising_n11():
     return H, dynamics.prepare_state(11, (3,))
 
 
+def _norm(H) -> float:
+    """The bound on ||H|| that ``evolve`` hands the Lanczos propagator: the
+    largest absolute row sum (:func:`dynamics._row_sum_bound`)."""
+    data, _, indptr = H._csr_arrays
+    return dynamics._row_sum_bound(data, indptr)
+
+
 class _Counting:
     """Counts the matvecs of H and the convergence tests of the Lanczos
     subspaces built on them: ``served`` holds the number of times (outputs
@@ -685,7 +702,8 @@ def test_one_krylov_subspace_serves_several_output_times(monkeypatch):
     H, psi0 = _ising_n9()
     count = _Counting(H, monkeypatch)
     times = np.linspace(0.0, 1e-3, 11)
-    states = dynamics._krylov_trajectory(count.matvec, full_space(psi0), times, 1e-9)
+    states = dynamics._krylov_trajectory(count.matvec, full_space(psi0), times, 1e-9,
+                                         _norm(H))
     assert sum(count.served) == times.size and 0 not in count.served
     assert max(count.served) >= 2 and len(count.served) <= times.size // 2
     assert count.matvecs <= dynamics.KRYLOV_ORDERS * len(count.served)
@@ -694,15 +712,16 @@ def test_one_krylov_subspace_serves_several_output_times(monkeypatch):
     np.testing.assert_allclose(states, expected, atol=1e-9)
 
 
-def test_krylov_halves_an_interval_too_long_for_one_subspace(monkeypatch):
+def test_krylov_halves_an_interval_too_long_for_one_subspace(monkeypatch, pin_propagator):
     H, psi0 = _ising_n11()
     count = _Counting(H, monkeypatch)
     t = 0.03
     (state,) = dynamics._krylov_trajectory(count.matvec, full_space(psi0), np.array([t]),
-                                           1e-9)
+                                           1e-9, _norm(H))
     assert count.served[0] == 0                 # the whole interval did not converge,
     assert len(count.served) > 2                # so stops short of it carried the state
-    expected = full_space(dynamics.evolve(psi0, H, np.array([t]), method="dense"))[0]
+    pin_propagator("dense")
+    expected = full_space(dynamics.evolve(psi0, H, np.array([t])))[0]
     np.testing.assert_allclose(state, expected, atol=1e-9)
 
 
@@ -726,7 +745,7 @@ def test_a_stalled_subspace_is_tested_again_without_a_matvec(monkeypatch):
     times = np.array([0.0, 0.03])
     count = _Counting(H, monkeypatch)
     decompositions = _count_decompositions(monkeypatch)
-    kept = dynamics._krylov_trajectory(count.matvec, full_space(psi0), times, 1e-9)
+    kept = dynamics._krylov_trajectory(count.matvec, full_space(psi0), times, 1e-9, _norm(H))
     assert count.served.count(0) >= 1
     assert count.matvecs == sum(lanczos.orders for lanczos in count.subspaces)
     assert len(count.subspaces) == len(count.served) - count.served.count(0)
@@ -744,13 +763,14 @@ def test_a_stalled_subspace_is_tested_again_without_a_matvec(monkeypatch):
     monkeypatch.setattr(dynamics, "_lanczos_subspace", rebuilt)
     count = _Counting(H, monkeypatch)
     decompositions.clear()
-    again = dynamics._krylov_trajectory(count.matvec, full_space(psi0), times, 1e-9)
+    again = dynamics._krylov_trajectory(count.matvec, full_space(psi0), times, 1e-9, _norm(H))
     assert count.matvecs == matvecs + stalls * dynamics.KRYLOV_ORDERS
     assert len(decompositions) > decomposed
     np.testing.assert_array_equal(again.view(np.uint8), kept.view(np.uint8))
 
 
-def test_a_subspace_that_never_converges_is_decomposed_once_per_tested_order(monkeypatch):
+def test_a_subspace_that_never_converges_is_decomposed_once_per_tested_order(monkeypatch,
+                                                                             pin_propagator):
     """A zero target stalls the 528-state sector for good: every halving
     replays the test, and each tested order (every 4th from the start
     order, which is the same for every replay) is decomposed once."""
@@ -759,27 +779,29 @@ def test_a_subspace_that_never_converges_is_decomposed_once_per_tested_order(mon
     monkeypatch.setattr(dynamics, "_lanczos_subspace", lambda lanczos, dts, tol, start:
                         starts.add(start) or subspace(lanczos, dts, tol, start))
     decompositions = _count_decompositions(monkeypatch)
+    pin_propagator("krylov", 0.0)
     with pytest.raises(dynamics.PropagatorError, match="528-state sector"):
-        dynamics.evolve(psi0, H, np.array([0.0, 1e-4, 2e-3]), method="krylov", step_tol=0.0)
+        dynamics.evolve(psi0, H, np.array([0.0, 1e-4, 2e-3]))
     (start,) = starts
     assert 4 < start < dynamics.KRYLOV_ORDERS
     assert decompositions == list(range(-(-start // 4) * 4, dynamics.KRYLOV_ORDERS + 1, 4))
 
 
-def test_the_test_shortcut_skips_only_orders_whose_full_test_fails(monkeypatch):
+def test_the_test_shortcut_skips_only_orders_whose_full_test_fails(monkeypatch,
+                                                                    pin_propagator):
     """Every order tested before a subspace returns fails the full test,
     recomputed from ``lanczos.tested``: not every time converges there.  So
     the one-time check at the longest step (:func:`dynamics._fails_at`),
     which skips the full test at most of those orders, never skips an order
     that would have returned.  Covered: 201 times on both sectors of the
     N = 11 global Ising quench, tested from the predicted order, and a
-    stall with its replay, tested from order 4 (a bare matvec, no norm
-    bound)."""
+    stall with its replay, on the whole parity half, tested every 4 orders
+    from order 4."""
     calls, skipped = [], []
     subspace, fails_at = dynamics._lanczos_subspace, dynamics._fails_at
 
-    def recorded(lanczos, dts, tol, *start):
-        result = subspace(lanczos, dts, tol, *start)
+    def recorded(lanczos, dts, tol, start):
+        result = subspace(lanczos, dts, tol, start)
         calls.append((lanczos, dts.copy(), tol, result[1].shape[0] - 1))
         return result
 
@@ -789,11 +811,14 @@ def test_the_test_shortcut_skips_only_orders_whose_full_test_fails(monkeypatch):
     J = ionchain.power_law_coupling(11, 1.5, J0)
     H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
                                    model="ising")
-    dynamics.evolve(dynamics.prepare_state(11), H,
-                    np.linspace(0.0, 0.005, 201), method="krylov")
+    pin_propagator("krylov")
+    dynamics.evolve(dynamics.prepare_state(11), H, np.linspace(0.0, 0.005, 201))
     predicted = len(calls)
     H, psi0 = _ising_n11()
-    dynamics._krylov_trajectory(H.matvec, full_space(psi0), np.array([0.0, 0.03]), 1e-9)
+    monkeypatch.setattr(dynamics, "_lanczos_subspace", lambda lanczos, dts, tol, start:
+                        recorded(lanczos, dts, tol, 4))
+    dynamics._krylov_trajectory(H.matvec, full_space(psi0), np.array([0.0, 0.03]), 1e-9,
+                                _norm(H))
     checked = []                                    # orders checked per call
     for lanczos, dts, tol, returned in calls:
         steps = np.abs(dts)
@@ -824,13 +849,23 @@ def _krylov_run(run, from_order_4=False):
     return states, tests
 
 
-#: (model, N, flipped sites (none: global), alpha, t_end, points, step_tol,
-#: the branch the window takes) for the start-order test below.
+def _start_order_window(model, n, flips, alpha, t_end, points, tol, pin_propagator):
+    """``run()`` of a Krylov quench at B = 50 max|J| on a power law, with
+    the error target ``tol``, its states as a contiguous array."""
+    J = ionchain.power_law_coupling(n, alpha, J0)
+    H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
+                                   model=model)
+    psi0 = dynamics.prepare_state(n, flips or None)
+    times = np.linspace(0.0, t_end, points)
+    pin_propagator("krylov", tol)
+    return lambda: np.ascontiguousarray(dynamics.evolve(psi0, H, times).states)
+
+
+#: (model, N, flipped sites (none: global), alpha, t_end, points, error
+#: target, the branch the window takes) for the start-order test below.
 START_ORDER_WINDOWS = [
-    ("ising", 9, (), 1.0, 0.005, 201, 1e-9, "step back"),
     ("ising", 10, (5,), 1.5, 0.01, 51, 1e-9, "climb"),
     ("ising", 11, (), 1.2, 0.005, 201, 1e-9, "climb"),        # benchmark, seed 1
-    ("ising", 12, (6,), 1.0, 0.02, 51, 1e-9, "step back"),
     ("ising", 13, (7,), 1.9, 0.01, 51, 1e-9, "climb"),        # benchmark, seed 1
     ("ising", 13, (), 2.0, 0.005, 51, 1e-9, "climb"),
     ("ising", 13, (7,), 1.5, 0.02, 2, 1e-9, "stall"),
@@ -845,39 +880,57 @@ START_ORDER_WINDOWS = [
                          ids=[f"{w[0]}-n{w[1]}-{'local' if w[2] else 'global'}-{w[-1]}"
                               for w in START_ORDER_WINDOWS])
 def test_testing_from_the_start_order_keeps_every_order_and_state(model, n, flips, alpha,
-                                                                  t_end, points, tol, branch):
+                                                                  t_end, points, tol, branch,
+                                                                  pin_propagator):
     """Each subspace tests its convergence first at a start order from the
-    predicted one, and it accepts the order, and gives the states, of
-    testing every 4 orders from order 4, bit for bit.  The windows take
-    each branch: a first test that fails and climbs; one that passes and
-    steps back; a stall and its replay; a breakdown below the start (the
-    sectors of ``test_krylov_is_exact_on_an_invariant_subspace``, whose
-    target of 0 only a breakdown meets)."""
-    J = ionchain.power_law_coupling(n, alpha, J0)
-    H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
-                                   model=model)
-    psi0 = dynamics.prepare_state(n, flips or None)
-    times = np.linspace(0.0, t_end, points)
-
-    def run():
-        return np.ascontiguousarray(
-            dynamics.evolve(psi0, H, times, method="krylov", step_tol=tol).states)
-
+    predicted one; where no order below that test passes, it accepts the
+    order, and gives the states, of testing every 4 orders from order 4,
+    bit for bit.  The windows take each such branch: a first test that
+    fails and climbs, or passes at the lowest passing order; a stall and
+    its replay; a breakdown below the start (the sectors of
+    ``test_krylov_is_exact_on_an_invariant_subspace``, whose target of 0
+    only a breakdown meets)."""
+    run = _start_order_window(model, n, flips, alpha, t_end, points, tol, pin_propagator)
     states, tests = _krylov_run(run)
     scanned, scan = _krylov_run(run, from_order_4=True)
     assert [test[1:] for test in tests] == [test[1:] for test in scan]
     np.testing.assert_array_equal(states.view(np.uint8), scanned.view(np.uint8))
     assert all(start > 4 for start, _, _ in tests)
-    # a first test at start, rounded up to a multiple of 4, that fails climbs
-    climbs = [order >= -(-start // 4) * 4 for start, order, served in tests if served]
-    if branch == "climb":
-        assert all(climbs)
-    elif branch == "step back":
-        assert not all(climbs)
+    if branch == "climb":   # no order below the first test (start rounded up to 4 k)
+        assert all(order >= -(-start // 4) * 4 for start, order, served in tests if served)
     elif branch == "stall":
         assert any(served == 0 for _, _, served in tests)
     else:
         assert all(order < start for start, order, _ in tests)
+
+
+#: Windows in which a subspace passes its first test (N = 9 global and
+#: N = 12 with site 6 flipped, alpha = 1.0): the lowest passing order of a
+#: scan from order 4 lies below it.
+FIRST_TEST_WINDOWS = [("ising", 9, (), 1.0, 0.005, 201, 1e-9),
+                      ("ising", 12, (6,), 1.0, 0.02, 51, 1e-9)]
+
+
+@pytest.mark.parametrize("model,n,flips,alpha,t_end,points,tol", FIRST_TEST_WINDOWS,
+                         ids=[f"{w[0]}-n{w[1]}-{'local' if w[2] else 'global'}"
+                              for w in FIRST_TEST_WINDOWS])
+def test_a_first_test_that_passes_is_accepted(model, n, flips, alpha, t_end, points, tol,
+                                              pin_propagator):
+    """A subspace accepts the first tested order that passes, also when
+    that is its first test: no order below it is tried, so it accepts an
+    order above the lowest that passes.  It serves the same times as a
+    scan from order 4, and both propagations are within their error
+    estimates of the exact one: tol / 4 per subspace, at most two
+    subspaces a sector here, so they differ by at most tol."""
+    run = _start_order_window(model, n, flips, alpha, t_end, points, tol, pin_propagator)
+    states, tests = _krylov_run(run)
+    scanned, scan = _krylov_run(run, from_order_4=True)
+    assert [served for _, _, served in tests] == [served for _, _, served in scan]
+    first = [-(-start // 4) * 4 for start, _, _ in tests]
+    assert all(order >= at for (_, order, _), at in zip(tests, first))
+    passed = [k for k, ((_, order, _), at) in enumerate(zip(tests, first)) if order == at]
+    assert any(scan[k][1] < tests[k][1] for k in passed)
+    assert np.abs(states - scanned).max() <= tol
 
 
 @pytest.mark.parametrize("empty", [(), (0,), (2, 3), (5,), (0, 1, 2, 3, 4, 5)])
@@ -893,7 +946,7 @@ def test_the_norm_bound_is_the_largest_absolute_row_sum(empty):
 
 
 def _krylov_blocks():
-    """A conserved block of each model that 'auto' propagates by Krylov,
+    """A conserved block of each model that the cost model sends to Krylov,
     assembled whole (no mirror split), and its one-basis-state start, as a
     complex array: the 2048-state odd parity half of N = 12 Ising at
     B = 50 max|J|, site 6 flipped, and the 1225-state two-flip block of
@@ -923,10 +976,11 @@ def test_a_real_start_runs_real_and_agrees_with_complex_arithmetic(phase, monkey
                         lambda self, psi: dtypes.append(psi.dtype) or matvec(self, psi))
     for block, psi, times in _krylov_blocks():
         dtypes.clear()
-        real = dynamics._krylov_trajectory(block.matvec, psi, times, 1e-9)
+        real = dynamics._krylov_trajectory(block.matvec, psi, times, 1e-9, _norm(block))
         assert set(dtypes) == {np.dtype(float)}
         dtypes.clear()
-        rotated = dynamics._krylov_trajectory(block.matvec, phase * psi, times, 1e-9)
+        rotated = dynamics._krylov_trajectory(block.matvec, phase * psi, times, 1e-9,
+                                              _norm(block))
         assert set(dtypes) == {np.dtype(complex)}
         np.testing.assert_allclose(rotated / phase, real, rtol=0, atol=1e-12)
 
@@ -938,50 +992,62 @@ def test_a_complex_start_agrees_with_expm_multiply():
     psi = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
     psi /= np.linalg.norm(psi)
     times = np.linspace(0.0, 1e-3, 6)
-    states = dynamics._krylov_trajectory(H.matvec, psi, times, 1e-9)
+    states = dynamics._krylov_trajectory(H.matvec, psi, times, 1e-9, _norm(H))
     expected = expm_multiply(-1j * H._matrix, psi, start=0.0, stop=1e-3, num=6,
                              endpoint=True)
     np.testing.assert_allclose(states, expected, rtol=0, atol=1e-9)
 
 
-def test_krylov_raises_when_the_error_target_is_unreachable():
+def test_krylov_raises_when_the_error_target_is_unreachable(pin_propagator):
     H, psi0 = _ising_n11()
     times = np.array([0.0, 1e-4, 2e-3])
     with pytest.raises(dynamics.PropagatorError) as err:
-        dynamics._krylov_trajectory(H.matvec, full_space(psi0), times, 1e-9, m_max=3,
-                                    max_splits=4)
+        dynamics._krylov_trajectory(H.matvec, full_space(psi0), times, 1e-9, _norm(H),
+                                    m_max=3, max_splits=4)
     assert str(err.value) == (
         "Krylov propagation of a 2048-state sector stalled at t = 0 s, short of the "
         "output time 0.0001 s: error target 1e-09 not met at subspace dimension 3 "
         "after 4 step halvings")
     # through evolve, in the 528-state mirror sector, a zero target is never met
+    pin_propagator("krylov", 0.0)
     with pytest.raises(dynamics.PropagatorError,
                        match=rf"528-state sector .* target 0 not met at subspace dimension "
                              rf"{dynamics.KRYLOV_ORDERS} "):
-        dynamics.evolve(psi0, H, times, method="krylov", step_tol=0.0)
+        dynamics.evolve(psi0, H, times)
 
 
 def test_krylov_error_stays_within_the_chained_estimates(monkeypatch):
     """The error at an output time is at most tol / 4 per subspace chained
-    up to it, and a looser target is met with fewer matvecs."""
+    up to it, and a looser target takes no more matvecs.  The first test
+    sits where the norm bound predicts, whatever the target, so a loose
+    target often passes there; tested every 4 orders from order 4, a
+    looser target takes fewer."""
     H, psi0 = _ising_n9()
     psi = full_space(psi0)
     count = _Counting(H, monkeypatch)
+    counted = dynamics._lanczos_subspace
     for times in (np.linspace(0.0, 2e-3, 9), np.linspace(0.0, 2e-2, 41)):
         expected = _full_space_oracle(H, psi, times)
-        matvecs = []
-        for tol in (1e-2, 1e-5, 1e-8):
-            count.matvecs, count.served = 0, []
-            states = dynamics._krylov_trajectory(count.matvec, psi, times, tol)
-            error = np.linalg.norm(states - expected, axis=1)
-            assert error.max() <= np.count_nonzero(count.served) * tol / 4
-            matvecs.append(count.matvecs)
-        assert matvecs[0] < matvecs[1] < matvecs[2]
+        for from_order_4 in (False, True):
+            monkeypatch.setattr(dynamics, "_lanczos_subspace",
+                                lambda lanczos, dts, tol, start, scan=from_order_4:
+                                counted(lanczos, dts, tol, 4 if scan else start))
+            matvecs = []
+            for tol in (1e-2, 1e-5, 1e-8):
+                count.matvecs, count.served = 0, []
+                states = dynamics._krylov_trajectory(count.matvec, psi, times, tol, _norm(H))
+                error = np.linalg.norm(states - expected, axis=1)
+                assert error.max() <= np.count_nonzero(count.served) * tol / 4
+                matvecs.append(count.matvecs)
+            if from_order_4:
+                assert matvecs[0] < matvecs[1] < matvecs[2]
+            else:
+                assert matvecs[0] <= matvecs[1] <= matvecs[2]
 
 
 @pytest.mark.parametrize("n,model,flips", [(9, "xy", (2,)), (9, "xy", (2, 5)),
                                            (5, "ising", (2,))])
-def test_krylov_is_exact_on_an_invariant_subspace(n, model, flips):
+def test_krylov_is_exact_on_an_invariant_subspace(n, model, flips, pin_propagator):
     # sectors of 4 to 20 states: the Lanczos recursion breaks down inside
     # them, and the subspace it spans then gives every time exactly, so
     # even an error target of 0 is met
@@ -990,15 +1056,18 @@ def test_krylov_is_exact_on_an_invariant_subspace(n, model, flips):
                                    model=model)
     psi0 = dynamics.prepare_state(n, flips)
     times = np.linspace(0.0, 0.05, 6)
-    dense = dynamics.evolve(psi0, H, times, method="dense")
-    krylov = dynamics.evolve(psi0, H, times, method="krylov", step_tol=0.0)
+    pin_propagator("dense")
+    dense = dynamics.evolve(psi0, H, times)
+    pin_propagator("krylov", 0.0)
+    krylov = dynamics.evolve(psi0, H, times)
     np.testing.assert_allclose(krylov.states, dense.states, atol=1e-12)
 
 
-def test_krylov_starts_late_and_repeats_output_times():
+def test_krylov_starts_late_and_repeats_output_times(pin_propagator):
     H, psi0 = _ising_n9()
     times = np.array([3e-4, 3e-4, 3e-4, 7e-4, 7e-4, 1e-3, 1e-3])
-    traj = dynamics.evolve(psi0, H, times, method="krylov", step_tol=1e-12)
+    pin_propagator("krylov", 1e-12)
+    traj = dynamics.evolve(psi0, H, times)
     np.testing.assert_allclose(full_space(traj), _full_space_oracle(H, full_space(psi0), times),
                                atol=1e-10)
     np.testing.assert_array_equal(traj.states[1], traj.states[0])
@@ -1066,7 +1135,8 @@ def test_krylov_estimate_bounds_the_error_of_every_time_served(n, alpha, field, 
             mock.patch.object(dynamics, "_lanczos_subspace", recorded):
         for matrix, psi in _reached_sectors(H, psi0):
             served.clear()
-            dynamics._krylov_trajectory(lambda v: matrix @ v, psi, times, tol)
+            dynamics._krylov_trajectory(lambda v: matrix @ v, psi, times, tol,
+                                        np.abs(matrix).sum(axis=1).max())
             w, v = np.linalg.eigh(matrix)
             for start, dts, states, estimates in served:
                 assert np.all(estimates < tol / 4)
@@ -1077,7 +1147,7 @@ def test_krylov_estimate_bounds_the_error_of_every_time_served(n, alpha, field, 
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
-def test_benchmark_ising_quench_needs_at_most_300_matvecs(alpha, monkeypatch):
+def test_benchmark_ising_quench_needs_at_most_300_matvecs(alpha, monkeypatch, pin_propagator):
     """The N = 13 centre flip at B = 50 max|J|, 51 points to 10 ms: the
     step-length bound stops each subspace at the order 1e-9 needs."""
     J = ionchain.power_law_coupling(13, alpha, J0)
@@ -1085,12 +1155,13 @@ def test_benchmark_ising_quench_needs_at_most_300_matvecs(alpha, monkeypatch):
                                    model="ising")
     psi0 = dynamics.prepare_state(13, (7,))
     times = np.linspace(0.0, 0.01, 51)
-    reference = dynamics.evolve(psi0, H, times, step_tol=1e-13)
     matvec, calls = dynamics.Hamiltonian.matvec, []
     monkeypatch.setattr(dynamics.Hamiltonian, "matvec",
                         lambda self, psi: calls.append(1) or matvec(self, psi))
-    traj = dynamics.evolve(psi0, H, times, step_tol=1e-9)
-    assert len(calls) <= 300
+    traj = dynamics.evolve(psi0, H, times)
+    assert dynamics.STEP_TOL == 1e-9 and len(calls) <= 300
+    pin_propagator(step_tol=1e-13)
+    reference = dynamics.evolve(psi0, H, times)
     assert np.linalg.norm(traj.states - reference.states, axis=1).max() <= 1e-9
 
 
@@ -1112,7 +1183,7 @@ def test_benchmark_ising_quench_fits_one_lanczos_subspace(alpha, monkeypatch):
     matvec, dtypes = dynamics.Hamiltonian.matvec, []
     monkeypatch.setattr(dynamics.Hamiltonian, "matvec",
                         lambda self, psi: dtypes.append(psi.dtype) or matvec(self, psi))
-    dynamics.evolve(psi0, H, np.linspace(0.0, 0.01, 51), step_tol=1e-9)
+    dynamics.evolve(psi0, H, np.linspace(0.0, 0.01, 51))
     assert 160 <= len(dtypes) <= 176 and count.served == [51]
     assert set(dtypes) == {np.dtype(float)}
 
@@ -1169,7 +1240,7 @@ def test_evolve_refuses_a_trajectory_above_the_byte_limit(monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["dense", "krylov"])
-def test_time_zero_returns_the_initial_state_exactly(method):
+def test_time_zero_returns_the_initial_state_exactly(method, pin_propagator):
     """No roundoff of either propagator at t = 0, so sigma-z starts at
     exactly +-1 and never leaves [-1, 1] there.  The centre flip lies wholly
     in the + mirror sector; a flip of site 2 is split between both, whose
@@ -1179,7 +1250,8 @@ def test_time_zero_returns_the_initial_state_exactly(method):
         H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
                                        model=model)
         psi0 = dynamics.prepare_state(9, (site,))
-        traj = dynamics.evolve(psi0, H, np.array([0.0, 1e-3]), method=method)
+        pin_propagator(method)
+        traj = dynamics.evolve(psi0, H, np.array([0.0, 1e-3]))
         np.testing.assert_array_equal(full_space(traj)[0], full_space(psi0))
         np.testing.assert_array_equal(dynamics.magnetisation(traj)[0],
                                       np.where(np.arange(1, 10) == site, 1.0, -1.0))
@@ -1187,7 +1259,7 @@ def test_time_zero_returns_the_initial_state_exactly(method):
 
 @pytest.mark.parametrize("n", [4, 7, 10])
 @pytest.mark.parametrize("model", ["xy", "ising"])
-def test_dense_sector_propagation_equals_the_complex_product(n, model):
+def test_dense_sector_propagation_equals_the_complex_product(n, model, pin_propagator):
     """Two real products give exp(-i H t) psi as the complex matmul did."""
     J = _coupling(random_coupling(n, seed=300 + n, scale=50.0))
     H = dynamics.build_hamiltonian(J, transverse_field=40.0, model=model)
@@ -1200,7 +1272,8 @@ def test_dense_sector_propagation_equals_the_complex_product(n, model):
     times = np.linspace(0.0, 0.01, 9)
     w, v = block.eigensystem()
     expected = (v @ (np.exp(-1j * np.outer(w, times)) * (v.T @ psi)[:, None])).T
-    states = dynamics._propagate_block(block, psi, times, "dense", 1e-9)
+    pin_propagator("dense")
+    states = dynamics._propagate_block(block, psi, times)
     np.testing.assert_allclose(states, expected, rtol=0, atol=1e-12)
 
 
@@ -1208,11 +1281,16 @@ def test_dense_sector_propagation_equals_the_complex_product(n, model):
 # the Krylov path against closed-form oracles (independent of the sector code)
 
 
-@settings(deadline=None, max_examples=10)
+#: The pinned propagator of a property test is set again by every example,
+#: so the fixture's one monkeypatch may serve them all.
+SHARED_PIN = dict(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(deadline=None, max_examples=10, **SHARED_PIN)
 @given(n=st.integers(4, 15), alpha=st.floats(0.5, 3.0), data=st.data())
 @example(n=14, alpha=1.3, data=None)
 @example(n=17, alpha=1.3, data=None)
-def test_krylov_ising_at_zero_field_is_a_product_of_cosines(n, alpha, data):
+def test_krylov_ising_at_zero_field_is_a_product_of_cosines(n, alpha, data, pin_propagator):
     """At B = 0 the sigma^x sigma^x terms commute, and from a sigma^z product
     state <sigma_i^z(t)> = s_i prod_j cos(2 J_ij t) (Foss-Feig et al., PRA 87,
     042101 (2013)).  N = 17 is the largest chain whose 2^(N-1)-state parity
@@ -1224,19 +1302,20 @@ def test_krylov_ising_at_zero_field_is_a_product_of_cosines(n, alpha, data):
     H = dynamics.build_hamiltonian(J, model="ising")
     psi0 = dynamics.prepare_state(n, tuple(flips))
     times = np.linspace(0.0, 0.02, 6)
-    traj = dynamics.evolve(psi0, H, times, method="krylov", step_tol=1e-12)
+    pin_propagator("krylov", 1e-12)
+    traj = dynamics.evolve(psi0, H, times)
     s = np.where(np.isin(np.arange(1, n + 1), list(flips)), 1.0, -1.0)
     expected = s * np.prod(np.cos(2.0 * J.values * times[:, None, None]), axis=2)
     np.testing.assert_allclose(dynamics.magnetisation(traj), expected, atol=1e-10)
 
 
-@settings(deadline=None, max_examples=10)
+@settings(deadline=None, max_examples=10, **SHARED_PIN)
 @given(n=st.integers(4, 40), method=st.sampled_from(["dense", "krylov"]), data=st.data())
 @example(n=14, method="krylov", data=None)
 @example(n=30, method="krylov", data=None)
 @example(n=40, method="dense", data=None)
 @example(n=40, method="krylov", data=None)
-def test_krylov_nearest_neighbour_xy_is_free_fermions(n, method, data):
+def test_krylov_nearest_neighbour_xy_is_free_fermions(n, method, data, pin_propagator):
     """Nearest-neighbour XY is a free-fermion chain (Lieb, Schultz & Mattis,
     Ann. Phys. 16, 407 (1961)): from flips at the sites S,
     n_i(t) = sum_{s in S} |U_is(t)|^2 with U the one-particle propagator.
@@ -1249,7 +1328,8 @@ def test_krylov_nearest_neighbour_xy_is_free_fermions(n, method, data):
     H = dynamics.build_hamiltonian(J, model="xy")
     psi0 = dynamics.prepare_state(n, tuple(flips))
     times = np.linspace(0.0, 0.05, 6)
-    traj = dynamics.evolve(psi0, H, times, method=method, step_tol=1e-12)
+    pin_propagator(method, 1e-12)
+    traj = dynamics.evolve(psi0, H, times)
     U = np.array([[a.amplitudes for a in magnon.evolve_single_excitation(J, s, times)]
                   for s in flips])                                  # (k, T, N)
     density = np.sum(np.abs(U) ** 2, axis=0)
@@ -1257,14 +1337,14 @@ def test_krylov_nearest_neighbour_xy_is_free_fermions(n, method, data):
                                atol=1e-10)
 
 
-def test_auto_method_takes_each_side_of_the_dense_limit():
+def test_auto_method_takes_each_side_of_the_dense_limit(pin_propagator):
     """The cost rule sends one sector size to each side by the window: the
     two 528-state sectors of a global quench at N = 11 (power law with
     alpha = 1.5, B = 50 max|J|, 201 points) go to Krylov over 5 ms and to
     the dense eigendecomposition over 50 ms, whose ten times more phase
-    takes about four times the Lanczos orders.  N = 7 quenches stay dense;
-    'dense' and 'krylov' override the rule.  'auto' agrees with 'dense'
-    to the Krylov error target."""
+    takes about four times the Lanczos orders.  N = 7 quenches stay dense.
+    The Krylov side agrees with the sectors' dense propagation to its error
+    target."""
     krylov_trajectory, eigensystem = dynamics._krylov_trajectory, dynamics.Hamiltonian.eigensystem
     ran = []
 
@@ -1276,7 +1356,7 @@ def test_auto_method_takes_each_side_of_the_dense_limit():
         ran.append(("dense", self.dim))
         return eigensystem(self)
 
-    def propagators(n, spec, t_end, method="auto"):
+    def propagators(n, spec, t_end):
         J = ionchain.power_law_coupling(n, 1.5, J0)
         H = dynamics.build_hamiltonian(J, transverse_field=50.0 * np.abs(J.values).max(),
                                        model="ising")
@@ -1284,22 +1364,21 @@ def test_auto_method_takes_each_side_of_the_dense_limit():
         with mock.patch.object(dynamics, "_krylov_trajectory", krylov), \
                 mock.patch.object(dynamics.Hamiltonian, "eigensystem", dense):
             traj = dynamics.evolve(dynamics.prepare_state(n, spec), H,
-                                   np.linspace(0.0, t_end, 201), method=method)
+                                   np.linspace(0.0, t_end, 201))
         return list(ran), traj
 
-    short, auto = propagators(11, None, 0.005)
+    short, chosen = propagators(11, None, 0.005)
     assert short == [("krylov", 528), ("krylov", 528)]
     assert propagators(11, None, 0.05)[0] == [("dense", 528), ("dense", 528)]
     choice, reason = dynamics._propagator(528, 27888, 1.06e5, 0.05, 201)   # those sectors
     assert choice == "dense" and reason.startswith("dense: about ") and "for krylov" in reason
-    forced, exact = propagators(11, None, 0.005, method="dense")
-    assert forced == [("dense", 528), ("dense", 528)]
-    np.testing.assert_array_equal(auto.basis, exact.basis)
-    np.testing.assert_allclose(auto.states, exact.states, rtol=0, atol=1e-9)
     for spec in (None, (2,), (4,)):
         assert {name for name, _ in propagators(7, spec, 0.005)[0]} == {"dense"}
-    assert {name for name, _ in propagators(7, (2,), 0.005,
-                                            method="krylov")[0]} == {"krylov"}
+    pin_propagator("dense")
+    forced, exact = propagators(11, None, 0.005)
+    assert forced == [("dense", 528), ("dense", 528)]
+    np.testing.assert_array_equal(chosen.basis, exact.basis)
+    np.testing.assert_allclose(chosen.states, exact.states, rtol=0, atol=1e-9)
 
 
 @settings(deadline=None, max_examples=12)

@@ -205,16 +205,11 @@ def test_measures_invariant_under_local_unitaries(seed):
 
 def test_fidelity_pure_targets():
     """The fidelity oracle is 1 against the state itself and 0 against an
-    orthogonal one; the bootstrap's fidelity statistic refuses a target of
-    the wrong dimension."""
+    orthogonal one."""
     rho = _pure(BELL)
     assert fidelity(rho, BELL) == pytest.approx(1.0, abs=1e-12)
     orth = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     assert fidelity(rho, orth) == pytest.approx(0.0, abs=1e-12)
-    counts = ent.simulate_tomography(rho, shots=100, seed=0)
-    with pytest.raises(ValueError, match="target dimension"):
-        ent.bootstrap(counts, resamples=100, statistic="fidelity", seed=0,
-                      target=np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +319,7 @@ def test_the_rng_layout_is_pinned():
     assert np.diff(np.sort(probs, axis=1), axis=1).min() > 0.02
     counts = ent.simulate_tomography(rho, shots=1000, seed=2024)
     np.testing.assert_array_equal(counts, _PINNED_COUNTS)
-    mean, std = ent.bootstrap(counts, resamples=200, statistic="concurrence", seed=2025)
+    mean, std = ent.bootstrap(counts, resamples=200, seed=2025)
     assert mean == pytest.approx(0.4924344826619043, rel=1e-12, abs=0)
     assert std == pytest.approx(0.02115376610530001, rel=1e-12, abs=0)
 
@@ -354,7 +349,7 @@ def test_tomography_draws_are_pinned_across_the_seed_range(seed):
     counts_pinned, mean_pinned, std_pinned = _PINNED_DRAWS[seed]
     counts = ent.simulate_tomography(_pure(_random_state(4, 48)), shots=1000, seed=seed)
     np.testing.assert_array_equal(counts, counts_pinned)
-    mean, std = ent.bootstrap(counts, resamples=200, statistic="concurrence", seed=seed)
+    mean, std = ent.bootstrap(counts, resamples=200, seed=seed)
     assert mean == pytest.approx(mean_pinned, rel=1e-12, abs=0)
     assert std == pytest.approx(std_pinned, rel=1e-12, abs=0)
 
@@ -372,7 +367,7 @@ def test_counts_validation_names_the_fault(counts, fault):
     with pytest.raises(ValueError, match=fault):
         ent.tomography_reconstruct(counts, (1, 2))
     with pytest.raises(ValueError, match=fault):
-        ent.bootstrap(counts, resamples=100, statistic="concurrence", seed=0)
+        ent.bootstrap(counts, resamples=100, seed=0)
 
 
 def test_reconstruction_from_exact_counts_is_exact():
@@ -487,54 +482,48 @@ def test_physicality_check_names_the_fault():
 
 def test_bootstrap_is_deterministic():
     counts = ent.simulate_tomography(_pure(BELL), shots=400, seed=3)
-    a = ent.bootstrap(counts, resamples=120, statistic="concurrence", seed=17)
-    b = ent.bootstrap(counts, resamples=120, statistic="concurrence", seed=17)
+    a = ent.bootstrap(counts, resamples=120, seed=17)
+    b = ent.bootstrap(counts, resamples=120, seed=17)
     assert a == b
-    c = ent.bootstrap(counts, resamples=120, statistic="concurrence", seed=18)
+    c = ent.bootstrap(counts, resamples=120, seed=18)
     assert a != c
 
 
 def test_bootstrap_validates_inputs():
     counts = ent.simulate_tomography(_pure(BELL), shots=100, seed=0)
     with pytest.raises(ValueError, match="resamples"):
-        ent.bootstrap(counts, resamples=50, statistic="concurrence", seed=0)
-    with pytest.raises(ValueError, match="statistic"):
-        ent.bootstrap(counts, resamples=100, statistic="purity", seed=0)
-    with pytest.raises(ValueError, match="target"):
-        ent.bootstrap(counts, resamples=100, statistic="fidelity", seed=0)
+        ent.bootstrap(counts, resamples=50, seed=0)
 
 
 def test_bootstrap_tracks_the_statistic():
     counts = ent.simulate_tomography(_pure(BELL), shots=2000, seed=5)
     point = ent.concurrence(ent.tomography_reconstruct(counts, (1, 2)))
-    mean, std = ent.bootstrap(counts, resamples=200, statistic="concurrence", seed=6)
+    mean, std = ent.bootstrap(counts, resamples=200, seed=6)
     assert std > 0.0
     assert abs(mean - point) < 5.0 * std + 0.02
 
 
-def _bootstrap_loop(counts, resamples, statistic, seed, target=None):
+def _bootstrap_loop(counts, resamples, seed):
     """Per-resample oracle: nine redrawn rows and one reconstruction at a time,
     every row of every resample drawn in turn from one fresh
     ``Generator(Philox(key=[seed, 1000]))``, which is what the one call on the
     bootstrap's stream must draw."""
-    evaluate = {"concurrence": ent.concurrence,
-                "fidelity": lambda rho: fidelity(rho, target)}[statistic]
     rng = np.random.Generator(np.random.Philox(key=[seed, 1000]))
     values = []
     for _ in range(resamples):
         redrawn = np.array([rng.multinomial(row.sum(), row / row.sum()) for row in counts])
-        values.append(evaluate(ent.tomography_reconstruct(redrawn, (1, 2))))
+        values.append(ent.concurrence(ent.tomography_reconstruct(redrawn, (1, 2))))
     return np.mean(values), np.std(values, ddof=1)
 
 
-@pytest.mark.parametrize("case", ["bell", "random", "noisy"])
-@pytest.mark.parametrize("statistic", ["concurrence", "fidelity"])
-def test_bootstrap_equals_per_resample_loop(case, statistic):
+@pytest.mark.parametrize("case", ["bell", "random", "noisy"],
+                         ids=lambda case: f"concurrence-{case}")
+def test_bootstrap_equals_per_resample_loop(case):
     psi = BELL if case in ("bell", "noisy") else _random_state(4, 31)
     shots = 20 if case == "noisy" else 500
     counts = ent.simulate_tomography(_pure(psi), shots=shots, seed=12)
-    got = ent.bootstrap(counts, resamples=150, statistic=statistic, seed=21, target=psi)
-    expected = _bootstrap_loop(counts, 150, statistic, seed=21, target=psi)
+    got = ent.bootstrap(counts, resamples=150, seed=21)
+    expected = _bootstrap_loop(counts, 150, seed=21)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -550,7 +539,7 @@ def test_bootstrap_draws_of_fewer_resamples_are_a_prefix(monkeypatch):
 
     monkeypatch.setattr(ent, "_linear_inversion", recording_inversion)
     for resamples in (100, 200):
-        ent.bootstrap(counts, resamples=resamples, statistic="concurrence", seed=8)
+        ent.bootstrap(counts, resamples=resamples, seed=8)
     short, long = drawn
     assert short.shape == (100, 9, 4) and long.shape == (200, 9, 4)
     np.testing.assert_array_equal(short, long[:100])

@@ -298,6 +298,12 @@ def test_amplitude_array_checks_the_norm_of_its_rows(monkeypatch):
         magnon._single_excitation_amplitudes(J, 3, np.linspace(0.0, 0.03, 7))
 
 
-def test_state_normalization_enforced():
-    with pytest.raises(ValueError):
-        magnon.SingleExcitationState(amplitudes=np.array([1.0, 1.0]), time=0.0)
+def test_state_normalization_enforced(monkeypatch):
+    """The states of ``evolve_single_excitation`` are refused unless
+    normalized: the one check, of the amplitude array, reaches them."""
+    J = ionchain.power_law_coupling(5, 1.3, J0)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: (eigh(a)[0], eigh(a)[1] * (1 + 1e-8)))
+    with pytest.raises(ValueError, match="not normalized"):
+        magnon.evolve_single_excitation(J, 2, np.linspace(0.0, 0.03, 4))

@@ -1,0 +1,57 @@
+"""The package's public surface serves the program: no module-level public
+name of ``src/magnonchain`` is read by the tests alone.
+
+The scan is by name, with ``ast``: a read is a ``Name`` in load context,
+an ``Attribute`` or a ``from ... import`` alias, f-string expressions
+included.  Reads count in ``src/`` (the definition itself is not a read),
+``scripts/`` and ``perfbench/`` for the program, and in ``tests/`` for the
+tests.  A name that is also an attribute elsewhere counts as read there.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "magnonchain"
+
+
+def _public_names(tree: ast.Module) -> set[str]:
+    """The module-level ``def``, ``class`` and assigned names of a module
+    that have no leading underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if not name.startswith("_")}
+
+
+def _reads(paths) -> Counter:
+    """How often each name is read in the Python files ``paths``."""
+    reads = Counter()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                reads[node.attr] += 1
+            elif isinstance(node, ast.ImportFrom):
+                reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def test_no_public_name_of_the_package_is_read_only_by_the_tests():
+    modules = sorted(PACKAGE.glob("*.py"))
+    defined = {name: path.stem for path in modules
+               for name in _public_names(ast.parse(path.read_text(encoding="utf-8")))}
+    program = _reads(modules + sorted((ROOT / "scripts").glob("*.py"))
+                     + sorted((ROOT / "perfbench").glob("*.py")))
+    tests = _reads(sorted((ROOT / "tests").glob("*.py")))
+    assert len(defined) > 100 and program["evolve"] and tests["evolve"]
+    only_tests = sorted(f"{module}.{name}" for name, module in defined.items()
+                        if tests[name] and not program[name])
+    assert not only_tests, f"read only by the tests: {only_tests}"
