@@ -326,10 +326,14 @@ class RunConfig:
 
     @cached_property
     def hash(self) -> str:
-        d = asdict(self)
-        d.pop("outdir")             # where artifacts land is not physics
-        d.pop("couplings")          # read from coupling_file, which is hashed
-        d.pop("modes")              # determined by trap, which is hashed
+        # not hashed: outdir (where artifacts land is not physics), couplings
+        # (read from coupling_file, which is) and modes (determined by trap),
+        # so that neither array is copied on the way
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name not in ("outdir", "couplings", "modes")}
+        for name in ("trap", "beam"):
+            if d[name] is not None:
+                d[name] = asdict(d[name])
         return mio.config_hash(d)
 
     def meta(self, **extra) -> dict:
@@ -594,13 +598,9 @@ def _export_trajectory(rc: RunConfig, times, mag, corr) -> None:
         path = mio.write_ndjson(rc.outdir / "trajectory.ndjson", records, meta)
         _report(path, "trajectory")
         return
-    path = mio.save_magnetisation(rc.outdir / "magnetisation.csv", times, mag, meta)
-    _report(path, "magnetisation")
-    if corr is not None:
-        path = mio.save_correlations(rc.outdir / "correlations.csv", times, corr, meta)
-        _report(path, "correlations")
-        path = mio.save_averaged_correlations(rc.outdir / "cbar.csv", times, cbar, meta)
-        _report(path, "cbar")
+    pair = None if corr is None else (corr, cbar)
+    for path in mio.save_trajectory(rc.outdir, times, mag, pair, meta):
+        _report(path, path.stem)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,10 @@ PROPAGATOR_COSTS = {"eigh": 2.2e-10, "product": 1e-10, "phase": 4e-8, "matvec": 
 #: subspace grows.
 KRYLOV_ORDERS = 200
 
+#: Most halvings of the step a Krylov propagation makes while no subspace
+#: converges at any time; one more raises :class:`PropagatorError`.
+MAX_SPLITS = 40
+
 
 #: Where a Lanczos subspace first tests its convergence, as a fraction of
 #: the orders :func:`_lanczos_orders` predicts for its longest step: about
@@ -712,11 +716,11 @@ def _real_matmul(a, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float, norm: float,
-                       m_max: int = KRYLOV_ORDERS, max_splits: int = 40) -> np.ndarray:
+def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float,
+                       norm: float) -> np.ndarray:
     """(T, dim) amplitudes of exp(-i H t) psi for real symmetric H, from t = 0.
 
-    One Lanczos subspace of at most ``m_max`` orders (``KRYLOV_ORDERS``),
+    One Lanczos subspace of at most ``KRYLOV_ORDERS`` orders,
     grown from the state at the time reached so far, serves every pending
     output time it converges for (:func:`_lanczos_subspace`); the next
     subspace starts from the last of them.  ``norm`` is a bound G on the
@@ -727,15 +731,15 @@ def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float, n
     its start state: one with no imaginary part, as a local quench starts,
     spans a real Krylov space, so it is built in real arithmetic (one real
     matvec and real reorthogonalization per order); a complex one as
-    complex.  When no time converges within ``m_max`` orders, the first
-    interval is halved: from then on the subspaces also try stops at h, 2h,
-    4h, ... short of the next output time, h being the last step that
-    converged, and restart from the furthest time that converges.  The
-    subspace that stalled is kept and its convergence test replayed for
-    the shorter stops, so a halving costs no matvec.  Every subspace is
-    built in one (m_max + 1, dim) buffer of its dtype, whose rows are
-    touched only as the subspace grows; a complex buffer replaces the real
-    one, never joins it.
+    complex.  When no time converges within ``KRYLOV_ORDERS`` orders, the
+    first interval is halved, at most ``MAX_SPLITS`` times: from then on
+    the subspaces also try stops at h, 2h, 4h, ... short of the next
+    output time, h being the last step that converged, and restart from
+    the furthest time that converges.  The subspace that stalled is kept
+    and its convergence test replayed for the shorter stops, so a halving
+    costs no matvec.  Every subspace is built in one (KRYLOV_ORDERS + 1,
+    dim) buffer of its dtype, whose rows are touched only as the subspace
+    grows; a complex buffer replaces the real one, never joins it.
     """
     states = np.empty((times.size, psi.size), dtype=complex)
     buffer = subspace = None
@@ -750,7 +754,7 @@ def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float, n
             start = psi if psi.imag.any() else psi.real
             if buffer is None or buffer.dtype != start.dtype:
                 buffer = None                   # freed before its successor is allocated
-                buffer = np.empty((m_max + 1, psi.size), dtype=start.dtype)
+                buffer = np.empty((KRYLOV_ORDERS + 1, psi.size), dtype=start.dtype)
             subspace = _Lanczos(matvec, start, buffer)
         first_test = ceil(FIRST_TEST_FRACTION
                           * _lanczos_orders(norm * np.abs(dts).max(), psi.size))
@@ -758,12 +762,12 @@ def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float, n
         done = Y.shape[1]
         if done == 0:                           # the same subspace, tested for shorter stops
             splits += 1
-            if splits > max_splits:
+            if splits > MAX_SPLITS:
                 raise PropagatorError(
                     f"Krylov propagation of a {psi.size}-state sector stalled at "
                     f"t = {t_now:.6g} s, short of the output time {times[k]:.6g} s: "
-                    f"error target {tol:g} not met at subspace dimension {m_max} "
-                    f"after {max_splits} step halvings")
+                    f"error target {tol:g} not met at subspace dimension {KRYLOV_ORDERS} "
+                    f"after {MAX_SPLITS} step halvings")
             h = min(h, abs(gap)) / 2
             continue
         subspace = None

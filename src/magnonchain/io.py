@@ -7,19 +7,24 @@ Floats are written as ``repr`` writes them, which round-trips IEEE doubles exact
 CSV always uses '.' as the decimal separator regardless of locale.
 
 Every CSV is written column-wise, 4096 rows at a time (:func:`write_columns`
-for tables; there is no row-wise writer).  Each numeric numpy column of a
-chunk formats each distinct value once, as a fixed-width ASCII field
-padded with NUL bytes: ``str`` per distinct
-integer, and per distinct float bit pattern either ``repr`` or, from
-``FLOAT_TEXT_MIN`` distinct floats on, the numpy formatter of
-:mod:`._floattext`, which writes exactly ``repr``'s text (and leaves
-zeros, subnormals, NaN and infinities to ``repr``).  Each row takes its
-fields by index, the fields and separators lie side by side in one byte
-array, and one boolean compress drops the NUL bytes.  The time and label
-columns of a long-format table repeat or tile a short array: they are
-passed as :class:`_Labels`, its values and a row index, and their values
-are formatted once per file.  A list or tuple column joins the same rows
-as a field of its cells' texts, one per row, in the file's encoding.
+for tables, :func:`save_trajectory` for the three tables of a quench; there
+is no row-wise writer).  Tables written together are written side by side:
+each step writes the next 4096 rows of every table that has rows left.
+The values of a step are formatted once per distinct value, as a
+fixed-width ASCII field padded with NUL bytes: all float columns of the
+step, across its tables, in one pass, each integer column in its own
+(``str`` per distinct integer; int64 and uint64 together would pass
+through float64).  Each distinct float bit pattern is written by ``repr``
+or, from ``FLOAT_TEXT_MIN`` distinct floats in the step on, by the numpy
+formatter of :mod:`._floattext`, which writes exactly ``repr``'s text (and
+leaves zeros, subnormals, NaN and infinities to ``repr``).  Each row takes
+its fields by index, the fields and separators lie side by side in one
+byte array, and one boolean compress drops the NUL bytes.  The time and
+label columns of a long-format table repeat or tile a short array: they
+are passed as :class:`_Labels`, its values and a row index, and each
+values array is formatted once per write, however many of the tables
+written together share it.  A list or tuple column joins the same rows as
+a field of its cells' texts, one per row, in the file's encoding.
 
 A fit record names its coupling matrix by :func:`matrix_hash`, taken from
 the matrix's bytes; :func:`config_hash` hashes the canonical JSON text of
@@ -40,6 +45,7 @@ import hashlib
 import json
 import math
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -98,13 +104,15 @@ def header_lines(meta: dict | None = None) -> list[str]:
     return lines
 
 
-#: Rows formatted and written per chunk: bounds the text held in memory.
+#: Rows of each table formatted and written per step: bounds the text held
+#: in memory.
 #: 8192 writes a 201-ion light cone's magnetisation about 12% faster, but
 #: raised the benchmark's chain-analysis peak RSS by about 3.5 MB in 9 of
 #: 33 runs (measured on a 2-core VM).
 _CHUNK_ROWS = 4096
 
-#: Distinct floats in a chunk from which :mod:`._floattext` formats them:
+#: Distinct floats in a step (the float columns of every table written
+#: together, 4096 rows of each) from which :mod:`._floattext` formats them:
 #: below it one ``repr`` per value costs less than the numpy formatter's
 #: fixed 0.2 ms.  Measured on a 2-core VM: the formatter is the faster from
 #: about 450 distinct 17-digit values and 1100 two-decimal ones.
@@ -148,8 +156,8 @@ def _distinct_field(col):
 class _Labels:
     """A column given as short numeric ``values`` taken at each row's
     ``index``, such as the repeated times or the tiled sites of a
-    long-format table: :func:`_write_lines` formats the values once per
-    file, not per chunk."""
+    long-format table: :func:`_write_tables` formats each values array once
+    per write, for every step and every table that shares it."""
 
     values: np.ndarray
     index: np.ndarray
@@ -177,6 +185,10 @@ def _field(col, encoding: str):
     return _strings_field([_cell(x).encode(encoding) for x in col]), np.arange(len(col))
 
 
+def _is_float(col) -> bool:
+    return isinstance(col, np.ndarray) and col.dtype.kind == "f"
+
+
 def _rows_text(fields, inverses) -> np.ndarray:
     """CSV rows of the distinct-value ``fields`` of each column taken at each
     row's index, as an array of bytes: the fields side by side with their
@@ -193,29 +205,55 @@ def _rows_text(fields, inverses) -> np.ndarray:
     return rows[rows != 0]
 
 
-def _write_lines(path, lines: list[str], columns=()) -> Path:
-    """Write ``lines``, then CSV rows assembled from equal-length ``columns``
-    as bytes (:func:`_rows_text`): a numeric numpy array by its distinct
-    values, a :class:`_Labels` column by the distinct values of its
-    ``values``, formatted once for all chunks, and any other column by the
-    :func:`_cell` text of each cell, encoded as the file encodes ``lines``."""
-    lengths = {len(c) for c in columns}
-    if len(lengths) > 1:
-        raise ValueError(f"columns differ in length: {sorted(lengths)}")
-    n_rows = lengths.pop() if lengths else 0
-    labels = [_distinct_field(c.values) if isinstance(c, _Labels) else None for c in columns]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        fh.flush()
-        for start in range(0, n_rows, _CHUNK_ROWS):
+def _write_tables(tables) -> list[Path]:
+    """Write each ``(path, lines, columns)`` of ``tables``: its ``lines``,
+    then CSV rows assembled from its equal-length ``columns`` as bytes
+    (:func:`_rows_text`), side by side: step k writes rows 4096 k to
+    4096 (k + 1) - 1 of every table that has them.  A step formats the
+    distinct values of all its float columns, across the tables, in one
+    :func:`_distinct_field` call, and each other numeric numpy array in
+    its own.  A :class:`_Labels` column takes the fields of its ``values``,
+    formatted once for all steps and all tables that share the array, and
+    any other column the :func:`_cell` text of each cell, encoded as its
+    file encodes ``lines``.  Returns the paths, in order."""
+    counts = []
+    for _, _, columns in tables:
+        lengths = {len(c) for c in columns}
+        if len(lengths) > 1:
+            raise ValueError(f"columns differ in length: {sorted(lengths)}")
+        counts.append(lengths.pop() if lengths else 0)
+    labels = {id(c.values): c.values for _, _, columns in tables
+              for c in columns if isinstance(c, _Labels)}
+    labels = {key: _distinct_field(values) for key, values in labels.items()}
+    paths = [Path(path) for path, _, _ in tables]
+    with ExitStack() as stack:
+        files = []
+        for path, (_, lines, _) in zip(paths, tables):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fh = stack.enter_context(open(path, "w"))
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
+            files.append(fh)
+        for start in range(0, max(counts, default=0), _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
-            chunk = [_field(c[rows], fh.encoding) if field is None
-                     else (field[0], field[1][c.index[rows]])
-                     for c, field in zip(columns, labels)]
-            fh.buffer.write(_rows_text(*zip(*chunk)))
-    return path
+            step = [(fh, [c if isinstance(c, _Labels) else c[rows] for c in columns])
+                    for fh, (_, _, columns), n in zip(files, tables, counts) if n > start]
+            floats = [c for _, chunk in step for c in chunk if _is_float(c)]
+            if floats:
+                text, inverse = _distinct_field(np.concatenate(floats))
+                inverses = iter(np.split(inverse, np.cumsum([c.size for c in floats])[:-1]))
+            for fh, chunk in step:
+                fields = []
+                for c in chunk:
+                    if isinstance(c, _Labels):
+                        label_text, label_inverse = labels[id(c.values)]
+                        fields.append((label_text, label_inverse[c.index[rows]]))
+                    elif _is_float(c):
+                        fields.append((text, next(inverses)))
+                    else:
+                        fields.append(_field(c, fh.encoding))
+                fh.buffer.write(_rows_text(*zip(*fields)))
+    return paths
 
 
 def write_columns(path, names, columns, meta: dict | None = None) -> Path:
@@ -223,20 +261,21 @@ def write_columns(path, names, columns, meta: dict | None = None) -> Path:
 
     Integral cells are written as integers, strings verbatim, everything
     else with full float round-trip precision.  The rows are built as bytes
-    a chunk at a time: a numeric numpy array formats each distinct value of
-    the chunk once, without per-cell type checks, a :class:`_Labels`
+    a chunk at a time (:func:`_write_tables`): the float arrays format each
+    distinct value of the chunk once, together, and each other numeric
+    numpy array its own, without per-cell type checks, a :class:`_Labels`
     column (a repeat or tile of short labels) formats its values once for
     the whole file, and every cell of a list or tuple column goes through
     the per-cell rule.
     """
-    return _write_lines(path, header_lines(meta) + [",".join(names)], columns)
+    return _write_tables([(path, header_lines(meta) + [",".join(names)], columns)])[0]
 
 
 def write_ndjson(path, records, meta: dict | None = None) -> Path:
     """NDJSON: a header record followed by one JSON record per line."""
     lines = [json.dumps(rec, sort_keys=True, default=_plain)
              for rec in ({"header": {"magnonchain": __version__, **(meta or {})}}, *records)]
-    return _write_lines(path, lines)
+    return _write_tables([(path, lines, ())])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +290,7 @@ def save_couplings(path, J: CouplingMatrix, meta: dict | None = None,
     meta = dict(meta or {})
     meta.setdefault("provenance", J.meta)
     lines = header_lines(meta) + [f"# unit = {unit}"]
-    return _write_lines(path, lines, (J.values / UNIT_FACTORS[unit]).T)
+    return _write_tables([(path, lines, (J.values / UNIT_FACTORS[unit]).T)])[0]
 
 
 def load_couplings(path) -> CouplingMatrix:
@@ -346,37 +385,36 @@ def save_dispersion(path, spectrum, meta: dict | None = None) -> Path:
     return write_columns(path, ("n", "k_n", "omega_k", "node_count"), columns, meta)
 
 
-def _save_long_format(path, names, times, values, meta: dict | None) -> Path:
-    """CSV of the (T, K) ``values`` in long format: a row (t, k, value) per
-    time t and column k = 1..K, in row-major order, under the three
-    column ``names``."""
-    values = np.asarray(values, dtype=float)
-    n_t, n = values.shape
-    columns = (_Labels.repeat(np.asarray(times, dtype=float), n),
-               _Labels.tile(np.arange(1, n + 1), n_t), values.ravel())
-    return write_columns(path, names, columns, meta)
+def save_trajectory(outdir, times, magnetisation, correlations=None,
+                    meta: dict | None = None) -> list[Path]:
+    """The long-format CSVs of a quench in ``outdir``, written side by side
+    (:func:`_write_tables`) under one header: ``magnetisation.csv`` of the
+    (T, N) ``magnetisation``, (t_s, site, sz) with 1-based sites; with the
+    pair ``correlations`` = (C, cbar), the (T, N, N) correlations and their
+    (T, N-1) distance averages of
+    :func:`~magnonchain.dynamics.averaged_correlations`, ``correlations.csv``,
+    (t_s, i, j, Cij) over pairs i < j, and ``cbar.csv``, (t_s, n, cbar),
+    n = 1..N-1.  Returns the paths written, in that order."""
+    times = np.asarray(times, dtype=float)          # one array: its text is made once
 
+    def long_format(values):
+        values = np.asarray(values, dtype=float)
+        n_t, n = values.shape
+        return (_Labels.repeat(times, n), _Labels.tile(np.arange(1, n + 1), n_t),
+                values.ravel())
 
-def save_magnetisation(path, times, values, meta: dict | None = None) -> Path:
-    """Long-format magnetisation CSV: (t_s, site, sz), site 1-based."""
-    return _save_long_format(path, ("t_s", "site", "sz"), times, values, meta)
-
-
-def save_averaged_correlations(path, times, cbar, meta: dict | None = None) -> Path:
-    """Long-format CSV of the distance-averaged correlations Cbar_n of
-    :func:`~magnonchain.dynamics.averaged_correlations`: (t_s, n, cbar),
-    n = 1..N-1."""
-    return _save_long_format(path, ("t_s", "n", "cbar"), times, cbar, meta)
-
-
-def save_correlations(path, times, corr, meta: dict | None = None) -> Path:
-    """Correlation CSV: (t_s, i, j, Cij) over pairs i < j, 1-based sites."""
-    corr = np.asarray(corr, dtype=float)
-    i, j = np.triu_indices(corr.shape[1], 1)
-    columns = (_Labels.repeat(np.asarray(times, dtype=float), i.size),
-               _Labels.tile(i + 1, corr.shape[0]), _Labels.tile(j + 1, corr.shape[0]),
-               corr[:, i, j].ravel())
-    return write_columns(path, ("t_s", "i", "j", "Cij"), columns, meta)
+    tables = [("magnetisation", ("t_s", "site", "sz"), long_format(magnetisation))]
+    if correlations is not None:
+        corr, cbar = correlations
+        corr = np.asarray(corr, dtype=float)
+        i, j = np.triu_indices(corr.shape[1], 1)
+        tables.append(("correlations", ("t_s", "i", "j", "Cij"),
+                       (_Labels.repeat(times, i.size), _Labels.tile(i + 1, corr.shape[0]),
+                        _Labels.tile(j + 1, corr.shape[0]), corr[:, i, j].ravel())))
+        tables.append(("cbar", ("t_s", "n", "cbar"), long_format(cbar)))
+    header = header_lines(meta)
+    return _write_tables([(Path(outdir) / f"{name}.csv", header + [",".join(names)], columns)
+                          for name, names, columns in tables])
 
 
 def save_density_matrix(path, rho, meta: dict | None = None) -> Path:

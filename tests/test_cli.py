@@ -1285,7 +1285,8 @@ def test_unreachable_krylov_target_is_numeric_error(tmp_path, capsys, monkeypatc
     assert captured.err == (
         "error (PropagatorError): Krylov propagation of a 528-state sector stalled at "
         "t = 0 s, short of the output time 0.0001 s: error target 1e-09 not met at "
-        f"subspace dimension {dynamics.KRYLOV_ORDERS} after 40 step halvings\n")
+        f"subspace dimension {dynamics.KRYLOV_ORDERS} after {dynamics.MAX_SPLITS} step "
+        "halvings\n")
 
 
 @pytest.mark.parametrize("argv,builder", [

@@ -998,12 +998,14 @@ def test_a_complex_start_agrees_with_expm_multiply():
     np.testing.assert_allclose(states, expected, rtol=0, atol=1e-9)
 
 
-def test_krylov_raises_when_the_error_target_is_unreachable(pin_propagator):
+def test_krylov_raises_when_the_error_target_is_unreachable(pin_propagator, monkeypatch):
     H, psi0 = _ising_n11()
     times = np.array([0.0, 1e-4, 2e-3])
-    with pytest.raises(dynamics.PropagatorError) as err:
-        dynamics._krylov_trajectory(H.matvec, full_space(psi0), times, 1e-9, _norm(H),
-                                    m_max=3, max_splits=4)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "KRYLOV_ORDERS", 3)
+        patch.setattr(dynamics, "MAX_SPLITS", 4)
+        with pytest.raises(dynamics.PropagatorError) as err:
+            dynamics._krylov_trajectory(H.matvec, full_space(psi0), times, 1e-9, _norm(H))
     assert str(err.value) == (
         "Krylov propagation of a 2048-state sector stalled at t = 0 s, short of the "
         "output time 0.0001 s: error target 1e-09 not met at subspace dimension 3 "

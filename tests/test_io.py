@@ -1,5 +1,6 @@
 """Artifact files: headers, coupling CSV round trips, config parsing."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -193,14 +194,14 @@ def test_long_format_time_column_matches_row_formatter_across_chunks(tmp_path):
     times = [0.0, -0.0, 1e-17, 5e-324, 1 / 3, 1e16, np.float32(0.1)] + list(
         rng.uniform(0.0, 2e-3, size=794))
     mag = rng.normal(size=(len(times), 7))
-    text = mio.save_magnetisation(tmp_path / "m.csv", times, mag).read_text()
+    corr = rng.normal(size=(len(times), 7, 7))
+    m, c, _ = mio.save_trajectory(tmp_path, times, mag,
+                                  (corr, dynamics.averaged_correlations(corr)))
     rows = ((t, s + 1, mag[it, s]) for it, t in enumerate(times) for s in range(7))
-    assert text == reference_csv(("t_s", "site", "sz"), rows)
-    corr = rng.normal(size=(len(times), 4, 4))
-    text = mio.save_correlations(tmp_path / "c.csv", times, corr).read_text()
+    assert m.read_text() == reference_csv(("t_s", "site", "sz"), rows)
     rows = ((t, i + 1, j + 1, corr[it, i, j]) for it, t in enumerate(times)
-            for i in range(4) for j in range(i + 1, 4))
-    assert text == reference_csv(("t_s", "i", "j", "Cij"), rows)
+            for i in range(7) for j in range(i + 1, 7))
+    assert c.read_text() == reference_csv(("t_s", "i", "j", "Cij"), rows)
 
 
 def test_long_format_labels_are_formatted_once_per_file(tmp_path, monkeypatch):
@@ -223,20 +224,64 @@ def test_long_format_labels_are_formatted_once_per_file(tmp_path, monkeypatch):
     times[0], times[400] = -0.0, times[399]
     assert mio.FLOAT_TEXT_MIN < np.unique(times.view(np.int64)).size < mio._CHUNK_ROWS
     mag = rng.normal(size=(801, 201))
-    text = mio.save_magnetisation(tmp_path / "m.csv", times, mag, {"seed": 5}).read_text()
+    (path,) = mio.save_trajectory(tmp_path / "cone", times, mag, meta={"seed": 5})
     rows = ((t, s + 1, mag[it, s]) for it, t in enumerate(times) for s in range(201))
-    assert text == reference_csv(("t_s", "site", "sz"), rows, {"seed": 5})
+    assert path.read_text() == reference_csv(("t_s", "site", "sz"), rows, {"seed": 5})
     distinct = np.unique(times.view(np.int64))
     assert sum(np.array_equal(np.sort(v.view(np.int64)), distinct) for v in rendered) == 1
 
     times = times[:201].copy()
     times[101] = times[100]
-    corr = rng.normal(size=(201, 11, 11))
-    text = mio.save_correlations(tmp_path / "c.csv", times, corr).read_text()
+    mag, corr = rng.normal(size=(201, 11)), rng.normal(size=(201, 11, 11))
+    m, c, _ = mio.save_trajectory(tmp_path / "pairs", times, mag,
+                                  (corr, dynamics.averaged_correlations(corr)))
+    rows = ((t, s + 1, mag[it, s]) for it, t in enumerate(times) for s in range(11))
+    assert m.read_text() == reference_csv(("t_s", "site", "sz"), rows)
+    text = c.read_text()
     assert len(text.splitlines()) > 2 * mio._CHUNK_ROWS
     rows = ((t, i + 1, j + 1, corr[it, i, j]) for it, t in enumerate(times)
             for i in range(11) for j in range(i + 1, 11))
     assert text == reference_csv(("t_s", "i", "j", "Cij"), rows)
+
+
+def test_trajectory_tables_ending_on_different_chunks_match_row_formatter(tmp_path,
+                                                                         monkeypatch):
+    """A 7-ion quench of 801 times writes 5607, 16821 and 4806 rows, so its
+    three tables end in steps 2, 5 and 2 of the side-by-side writer; every
+    row is the row formatter's, and the 801 times, shared by the three
+    files, pass the float formatter in one call."""
+    from magnonchain import _floattext
+
+    render, rendered = _floattext.render, []
+
+    def recording(values):
+        rendered.append(np.array(values))
+        return render(values)
+
+    monkeypatch.setattr(_floattext, "render", recording)
+    rng = np.random.default_rng(34)
+    times = np.linspace(0.0, 0.02, 801)
+    mag = rng.uniform(-1.0, 1.0, size=(801, 7))
+    corr = rng.normal(size=(801, 7, 7))
+    corr = corr + corr.transpose(0, 2, 1)
+    cbar = dynamics.averaged_correlations(corr)
+    meta = {"config_hash": "abc", "seed": 7, "model": "xy"}
+    paths = mio.save_trajectory(tmp_path, times, mag, (corr, cbar), meta)
+    assert [p.name for p in paths] == ["magnetisation.csv", "correlations.csv", "cbar.csv"]
+    expected = [
+        reference_csv(("t_s", "site", "sz"), ((t, s + 1, mag[it, s])
+                      for it, t in enumerate(times) for s in range(7)), meta),
+        reference_csv(("t_s", "i", "j", "Cij"), ((t, i + 1, j + 1, corr[it, i, j])
+                      for it, t in enumerate(times) for i in range(7)
+                      for j in range(i + 1, 7)), meta),
+        reference_csv(("t_s", "n", "cbar"), ((t, n + 1, cbar[it, n])
+                      for it, t in enumerate(times) for n in range(6)), meta)]
+    header = len(mio.header_lines(meta)) + 1
+    for path, text, n_rows in zip(paths, expected, (5607, 16821, 4806)):
+        lines = path.read_text().splitlines()
+        assert len(lines) == header + n_rows
+        assert lines == text.splitlines()
+    assert sum(np.array_equal(np.sort(v), times) for v in rendered) == 1
 
 
 def test_a_column_above_the_crossover_matches_row_formatter(tmp_path):
@@ -284,13 +329,13 @@ def test_observable_exports_match_row_formatter(tmp_path):
     mag = rng.normal(size=(7, 5))
     corr = rng.normal(size=(7, 5, 5))
     meta = {"seed": 3, "command": "test"}
-    text = mio.save_magnetisation(tmp_path / "m.csv", times, mag, meta).read_text()
+    m, c, _ = mio.save_trajectory(tmp_path, times, mag,
+                                  (corr, dynamics.averaged_correlations(corr)), meta)
     rows = ((t, s + 1, mag[it, s]) for it, t in enumerate(times) for s in range(5))
-    assert text == reference_csv(("t_s", "site", "sz"), rows, meta)
-    text = mio.save_correlations(tmp_path / "c.csv", times, corr, meta).read_text()
+    assert m.read_text() == reference_csv(("t_s", "site", "sz"), rows, meta)
     rows = ((t, i + 1, j + 1, corr[it, i, j]) for it, t in enumerate(times)
             for i in range(5) for j in range(i + 1, 5))
-    assert text == reference_csv(("t_s", "i", "j", "Cij"), rows, meta)
+    assert c.read_text() == reference_csv(("t_s", "i", "j", "Cij"), rows, meta)
     distances, cone = np.arange(1, 6), rng.uniform(size=5)
     text = mio.save_cone(tmp_path / "cone.csv", distances, cone, meta).read_text()
     assert text == reference_csv(("d", "t_cone_s"), zip(distances.astype(float), cone), meta)
@@ -368,18 +413,35 @@ def test_json_writes_numpy_values_as_their_plain_copy(tmp_path):
 
 def test_config_hash_of_each_default_run_is_frozen(tmp_path, monkeypatch):
     """The provenance hash of each subcommand's run without flags (``fit``
-    with a relative coupling file) is the one earlier runs recorded."""
+    with a relative coupling file), and of trap, file and power-law runs, is
+    the one earlier runs recorded: the hash of the whole config but its
+    output directory, coupling matrix and mode spectrum."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
     assert cli.main(["couplings"]) == 0
-    frozen = {"modes": "ccc8c8e99bf5", "couplings": "f6176e9703e2",
-              "dispersion": "33a2e36214e2", "quench": "cc3498928eb0",
-              "global-quench": "213ac91fde94", "tomo": "1f8619f598cc",
-              "lightcone": "535e181505f1", "fit": "80ad80e5e401"}
-    assert set(frozen) == set(cli.COMMANDS)
-    for command, expected in frozen.items():
-        argv = [command] + (["--couplings", "couplings.csv"] if command == "fit" else [])
-        assert cli.resolve(cli.build_parser().parse_args(argv)).hash == expected, command
+    frozen = [
+        (["modes"], "ccc8c8e99bf5"), (["couplings"], "f6176e9703e2"),
+        (["dispersion"], "33a2e36214e2"), (["quench"], "cc3498928eb0"),
+        (["global-quench"], "213ac91fde94"), (["tomo"], "1f8619f598cc"),
+        (["lightcone"], "535e181505f1"), (["fit", "--couplings", "couplings.csv"], "80ad80e5e401"),
+        (["lightcone", "--source", "trap", "--n", "11", "--flip", "3", "--t-end", "0.03"],
+         "54d93b958eb5"),
+        (["couplings", "--source", "trap", "--n", "9", "--unit", "Hz"], "4c23ff6d0184"),
+        (["quench", "--source", "file", "--couplings", "couplings.csv", "--model", "ising",
+          "--field", "120", "--correlations"], "a77d4fa391e6"),
+        (["quench", "--source", "power-law", "--n", "9", "--alpha", "1.3", "--jbar", "40",
+          "--model", "xy", "--flip", "2", "5", "--correlations", "--format", "ndjson"],
+         "53e0f0dd0a11"),
+        (["tomo", "--source", "power-law", "--n", "7", "--sites", "2", "6", "--seed", "11"],
+         "6923549c4433"),
+    ]
+    assert {argv[0] for argv, _ in frozen[:8]} == set(cli.COMMANDS)
+    for argv, expected in frozen:
+        rc = cli.resolve(cli.build_parser().parse_args(argv))
+        whole = dataclasses.asdict(rc)
+        for name in ("outdir", "couplings", "modes"):
+            whole.pop(name)
+        assert rc.hash == mio.config_hash(whole) == expected, argv
 
 
 def test_write_ndjson_header_first(tmp_path):
@@ -542,35 +604,42 @@ def test_save_dispersion_columns(tmp_path):
 def test_save_magnetisation_long_format(tmp_path):
     times = np.array([0.0, 0.5])
     values = np.array([[1.0, -1.0], [0.25, -0.25]])
-    path = mio.save_magnetisation(tmp_path / "m.csv", times, values)
+    (path,) = mio.save_trajectory(tmp_path, times, values)
+    assert path.name == "magnetisation.csv"
     rows = _parse_rows(path)
     assert rows == [[0.0, 1.0, 1.0], [0.0, 2.0, -1.0],
                     [0.5, 1.0, 0.25], [0.5, 2.0, -0.25]]
 
 
-@pytest.mark.parametrize("save,names", [
-    (mio.save_magnetisation, ("t_s", "site", "sz")),
-    (mio.save_averaged_correlations, ("t_s", "n", "cbar")),
+@pytest.mark.parametrize("file,names", [
+    pytest.param(0, ("t_s", "site", "sz"), id="save_magnetisation-names0"),
+    pytest.param(2, ("t_s", "n", "cbar"), id="save_averaged_correlations-names1"),
 ])
-def test_long_format_saves_have_the_bytes_of_their_former_columns(tmp_path, save, names):
+def test_long_format_saves_have_the_bytes_of_their_former_columns(tmp_path, file, names):
     """magnetisation.csv and cbar.csv share one long-format layout, which
-    writes what the columns built at each call site wrote: over two chunks
-    of rows and past FLOAT_TEXT_MIN distinct values."""
+    writes what the columns of each file, written alone, wrote: over two
+    chunks of rows and past FLOAT_TEXT_MIN distinct values. The ids name the
+    per-file saves that save_trajectory replaced."""
     rng = np.random.default_rng(4)
     times = np.linspace(0.0, 0.02, 801)
-    values = rng.normal(size=(times.size, 10))
+    mag, corr, cbar = (rng.normal(size=(times.size, 10)), rng.normal(size=(times.size, 3, 3)),
+                       rng.normal(size=(times.size, 10)))
     meta = {"config_hash": "abc", "seed": 3, "model": "xy"}
+    saved = mio.save_trajectory(tmp_path / "saved", times, mag, (corr, cbar), meta)[file]
+    values = (mag, corr, cbar)[file]
     n_t, n = values.shape
     columns = (mio._Labels.repeat(times, n), mio._Labels.tile(np.arange(1, n + 1), n_t),
                values.ravel())
     former = mio.write_columns(tmp_path / "former.csv", names, columns, meta)
     assert values.size > mio._CHUNK_ROWS and values.size > mio.FLOAT_TEXT_MIN
-    assert save(tmp_path / "saved.csv", times, values, meta).read_bytes() == former.read_bytes()
+    assert saved.read_bytes() == former.read_bytes()
 
 
 def test_save_correlations_upper_pairs_only(tmp_path):
     corr = np.arange(9.0).reshape(1, 3, 3)
-    path = mio.save_correlations(tmp_path / "c.csv", [0.1], corr)
+    _, path, _ = mio.save_trajectory(tmp_path, [0.1], np.zeros((1, 3)),
+                                     (corr, dynamics.averaged_correlations(corr)))
+    assert path.name == "correlations.csv"
     rows = _parse_rows(path)
     assert [(r[1], r[2]) for r in rows] == [(1, 2), (1, 3), (2, 3)]
     assert [r[3] for r in rows] == [1.0, 2.0, 5.0]
