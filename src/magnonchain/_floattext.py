@@ -50,6 +50,7 @@ _M63 = np.uint64(0x7FFFFFFFFFFFFFFF)
 _FRACTION = np.uint64((1 << 52) - 1)
 _HIDDEN = np.uint64(1 << 52)
 _U = {k: np.uint64(k) for k in (1, 2, 32, 52, 63)}
+_ONE = np.float64(1.0).view(np.uint64)
 
 
 @cache
@@ -207,8 +208,8 @@ def render(values) -> np.ndarray:
     bits = x.view(np.uint64)
     bq = (bits >> _U[52]) & np.uint64(0x7FF)
     normal = (bq != 0) & (bq != 0x7FF)
-    if not normal.all():
-        bits = bits[normal]
+    if not normal.all():                # laid out as 1.0, then given their repr below
+        bits = np.where(normal, bits, _ONE)
     f, k = shortest(bits)
 
     # 17 digits d0 . d1...d8 d9...d16, x = d0.d1...d16 10^E
@@ -248,11 +249,8 @@ def render(values) -> np.ndarray:
     words &= np.take(masks, code, axis=0)
     words |= np.take(texts, code, axis=0)
     text = raw.view(np.uint8)
-    if m == x.size:
-        return text
-    full = np.zeros((x.size, WIDTH), dtype=np.uint8)
-    full[normal] = text
     for i in np.flatnonzero(~normal):
         cell = repr(float(x[i])).encode()
-        full[i, :len(cell)] = np.frombuffer(cell, dtype=np.uint8)
-    return full
+        text[i] = 0
+        text[i, :len(cell)] = np.frombuffer(cell, dtype=np.uint8)
+    return text

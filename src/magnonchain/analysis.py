@@ -17,10 +17,12 @@ Three families of estimators:
   reduce finite-size effects.  "First maximum" means the earliest local
   maximum exceeding the pre-arrival baseline by three standard
   deviations; boundary reflections produce later, larger maxima that must
-  not be picked up.  Every site's pulse segment is detected first
-  (``_arrival_segment``), then all segments are fitted in one batched,
-  bounded Levenberg-Marquardt solve (``_fit_pulses``), which stops a site
-  once no parameter steps by more than ``FIT_STEP_RTOL`` relative.
+  not be picked up.  Every site's pulse segment is detected in one pass
+  over all traces (``_segments``), then all segments are fitted in one
+  batched, bounded Levenberg-Marquardt solve (``_fit_pulses``) that takes
+  Newton steps on the exact Hessian where it is positive definite, and
+  stops a site on an accepted step in which no parameter moves by more
+  than ``FIT_STEP_RTOL`` relative.
 * ``fit_front_velocity`` turns (distance, arrival-time) pairs into a cone
   velocity by ordinary least squares t0 = d / v + intercept.
 """
@@ -250,33 +252,54 @@ def fit_alpha_realspace(J: CouplingMatrix) -> AlphaFit:
 # arrival-time and front-velocity fits
 
 
-def _arrival_segment(t, v):
-    """(t_fit, v_fit, p0, lower, upper) of the first maximum of one trace.
+def _segments(t, traces) -> list:
+    """The segment of each trace's first maximum: (t_fit, v_fit, p0, lower,
+    upper) for each row of ``traces`` (traces, T), or the FitError of a
+    trace that has none.
 
     The segment runs between the local minima flanking the first
-    qualifying maximum, so neither the initial transient nor later
-    interference revivals bias the arrival time.  Initial guesses p0, to
-    be clipped into the bounds: t0 at the detected peak, w a sixth of the
-    segment (at least half a sample step), b the peak height; the
-    amplitude is constrained non-negative and the center to the segment,
-    which keeps the optimizer from inverting the pulse on weak precursor
-    bumps.
+    qualifying maximum (:func:`_first_maxima`, :func:`_flanking_minima`),
+    so neither the initial transient nor later interference revivals bias
+    the arrival time.  Initial guesses p0, to be clipped into the bounds:
+    t0 at the detected peak, w a sixth of the segment (at least half a
+    sample step), b the peak height; the amplitude is constrained
+    non-negative and the center to the segment, which keeps the optimizer
+    from inverting the pulse on weak precursor bumps.  Each step is one
+    pass over all traces.
+    """
+    peak, failure = _first_maxima(traces)
+    start, stop = _flanking_minima(traces, peak)
+    index = np.arange(traces.shape[1])
+    inside = (index >= start[:, None]) & (index <= stop[:, None])
+    baseline = np.where(inside, traces, np.inf).min(axis=1)
+    height = traces[np.arange(len(traces)), peak] - baseline
+    segments = []
+    for j, (s, e, top, reason) in enumerate(zip(start.tolist(), stop.tolist(),
+                                                 peak.tolist(), failure)):
+        if reason:
+            segments.append(FitError(reason))
+            continue
+        t_fit = t[s: e + 1]
+        span = float(t_fit[-1] - t_fit[0])
+        segments.append((t_fit, traces[j, s: e + 1],
+                         (float(baseline[j]), float(height[j]), float(t[top]), span / 6.0),
+                         (-np.inf, 0.0, t_fit[0], 0.5 * (t_fit[1] - t_fit[0])),
+                         (np.inf, np.inf, t_fit[-1], 10.0 * span)))
+    return segments
+
+
+def _arrival_segment(t, v):
+    """The segment of :func:`_segments` of the one trace ``v``.
 
     Raises
     ------
     FitError
         If no interior maximum rises above the detection threshold.
     """
-    peak = _first_maximum(v)
-    start, stop = _flanking_minima(v, peak)
-    t_fit, v_fit = t[start: stop + 1], v[start: stop + 1]
-
-    baseline = float(v_fit.min())
-    span = float(t_fit[-1] - t_fit[0])
-    p0 = (baseline, float(v[peak] - baseline), float(t[peak]), span / 6.0)
-    lower = (-np.inf, 0.0, t_fit[0], 0.5 * (t_fit[1] - t_fit[0]))
-    upper = (np.inf, np.inf, t_fit[-1], 10.0 * span)
-    return t_fit, v_fit, p0, lower, upper
+    segment, = _segments(t, np.asarray(v)[None, :])
+    if isinstance(segment, FitError):
+        raise segment
+    return segment
 
 
 def _fit_pulses(sites, segments) -> list:
@@ -285,131 +308,207 @@ def _fit_pulses(sites, segments) -> list:
 
     Each segment is padded to whole blocks of ``_BLOCK`` samples, masked,
     and the blocks of all segments are stacked.  One Levenberg-Marquardt
-    iteration advances every unconverged site: the normal equations come
-    from the augmented Jacobian [J | r] (:func:`_normal_equations`), the
-    damping is Marquardt scaled (lambda times the diagonal of J^T J) and
-    updated per site by Nielsen's rule.  Bounds are kept by an active
-    set: a parameter on a bound whose gradient points outward is held,
-    the other steps are clipped to the bounds.  A site leaves the batch
-    once every parameter's step is at most ``FIT_STEP_RTOL`` of the
-    larger of the parameter and its scale (the segment's signal excursion
-    for a and b, its time span for t0 and w).  Each site's arithmetic
-    depends only on its own blocks, so its fit does not depend on the
-    batch it is in.
+    iteration advances every unconverged site.  Its step is Newton's, on
+    the exact Hessian J^T J + sum r grad^2 f of the sum of squares SS
+    (:func:`_normal_equations`): Marquardt scaled by the diagonal of J^T J,
+    damped by lambda on that diagonal, and taken wherever this damped,
+    scaled system is positive definite (:func:`_positive_definite`, all
+    sites at once).  A site where it is not takes the Gauss-Newton step of
+    J^T J for that iteration.  The damping is updated per site by Nielsen's
+    rule on the ratio of the actual to the predicted reduction of SS.  A
+    trial whose predicted reduction is within the rounding error of the
+    site's SS is accepted, since its actual reduction is noise; over n
+    samples that error is 2^-52 (n SS + 2 (|a| + |b|) sqrt(n SS)), the
+    second term from residuals that cancel data of size |a| + |b|.  Bounds
+    are kept by an active set: a parameter on a bound whose gradient
+    points outward is held, the other steps are clipped to the bounds.  A
+    site leaves the batch on an accepted step in which no parameter moves
+    by more than ``FIT_STEP_RTOL`` of the larger of the parameter and its
+    scale (the segment's signal excursion for a and b, its time span for
+    t0 and w).  Each site's arithmetic depends only on its own blocks, so
+    its fit does not depend on the batch it is in.
     """
-    count = len(segments)
+    if not segments:
+        return []
     sizes = np.array([seg[0].size for seg in segments], dtype=int)
     blocks = -(-sizes // _BLOCK)
-    t = np.empty((int(blocks.sum()), _BLOCK))
-    y = np.zeros_like(t)
-    mask = np.zeros_like(t)
-    p = np.empty((count, 4))
-    lower, upper, scale = np.empty((3, count, 4))
-    first = np.cumsum(blocks) - blocks
-    for j, (t_fit, v_fit, p0, lo, hi) in enumerate(segments):
-        rows = slice(first[j], first[j] + blocks[j])
-        n = t_fit.size
-        t_site, y_site, mask_site = (a[rows].reshape(-1) for a in (t, y, mask))
-        t_site[:n], t_site[n:] = t_fit, t_fit[-1]
-        y_site[:n] = v_fit
-        mask_site[:n] = 1.0
-        lower[j], upper[j] = lo, hi
-        p[j] = np.clip(p0, lo, hi)
-        excursion = float(np.ptp(v_fit))
-        span = float(t_fit[-1] - t_fit[0])
-        scale[j] = (excursion, excursion, span, span)
+    t_all = np.concatenate([seg[0] for seg in segments])
+    v_all = np.concatenate([seg[1] for seg in segments])
+    offsets = np.cumsum(sizes) - sizes
+    # each padded sample's index within its segment; pads repeat the last sample
+    within = np.arange(int(blocks.sum()) * _BLOCK) - np.repeat(
+        (np.cumsum(blocks) - blocks) * _BLOCK, blocks * _BLOCK)
+    n_rep = np.repeat(sizes, blocks * _BLOCK)
+    taken = np.repeat(offsets, blocks * _BLOCK) + np.minimum(within, n_rep - 1)
+    t = t_all[taken].reshape(-1, _BLOCK)
+    y = v_all[taken].reshape(-1, _BLOCK)
+    mask = (within < n_rep).astype(float).reshape(-1, _BLOCK)
+    lower, upper = (np.array([seg[k] for seg in segments], dtype=float) for k in (3, 4))
+    p = np.clip(np.array([seg[2] for seg in segments], dtype=float), lower, upper)
+    excursion = np.maximum.reduceat(v_all, offsets) - np.minimum.reduceat(v_all, offsets)
+    span = t_all[offsets + sizes - 1] - t_all[offsets]
+    scale = np.column_stack([excursion, excursion, span, span])
 
-    work = np.empty((5,) + t.shape)
-    normal = _normal_equations(p, t, y, mask, blocks, work)
-    damping = np.full(count, _INITIAL_DAMPING)
-    growth = np.full(count, 2.0)
-    converged = np.zeros(count, dtype=bool)
-    active = np.arange(count)
+    fitted, final, final_ss = np.zeros(len(sites), dtype=bool), p.copy(), np.zeros(len(sites))
+    active, n = np.arange(len(sites)), sizes.astype(float)
+    damping = np.full(len(sites), _INITIAL_DAMPING)
+    growth = np.full(len(sites), 2.0)
+    work = np.empty((16,) + t.shape)
+    sums = _moments(p, t, y, mask, blocks, work)
     eye = np.eye(4)
     with np.errstate(all="ignore"):
         for _ in range(FIT_MAX_ITERATIONS):
             if active.size == 0:
                 break
-            pa, na, lo, hi = p[active], normal[active], lower[active], upper[active]
-            hess, grad = na[:, :4, :4], na[:, :4, 4]
-            held = ((pa <= lo) & (grad > 0.0)) | ((pa >= hi) & (grad < 0.0))
-            diag = np.diagonal(hess, axis1=1, axis2=2)
+            gram, grad, hess = _normal_equations(p, sums, n)
+            held = ((p <= lower) & (grad > 0.0)) | ((p >= upper) & (grad < 0.0))
+            diag = np.diagonal(gram, axis1=1, axis2=2)
             free = ~held & (diag > 0.0)
             inv = np.where(free, 1.0 / np.sqrt(np.where(free, diag, 1.0)), 0.0)
-            system = hess * inv[:, :, None] * inv[:, None, :]
-            system += eye * np.where(free, damping[active, None], 1.0)[:, :, None]
+            outer = inv[:, :, None] * inv[:, None, :]
+            damped = eye * np.where(free, damping[:, None], 1.0)[:, :, None]
+            system = hess * outer + damped
+            newton = _positive_definite(system)
+            if not newton.all():                # these sites take the Gauss-Newton step
+                gauss = ~newton[:, None, None]
+                hess = np.where(gauss, gram, hess)
+                system = np.where(gauss, gram * outer + damped, system)
             step = np.linalg.solve(system, (-grad * inv)[..., None])[..., 0] * inv
-            trial = np.clip(pa + step, lo, hi)
-            step = trial - pa
-            trial_normal = _normal_equations(trial, t, y, mask, blocks[active], work)
-            actual = 0.5 * (na[:, 4, 4] - trial_normal[:, 4, 4])
-            predicted = -((grad * step).sum(axis=1) + 0.5 * (
-                step[:, :, None] * hess * step[:, None, :]).sum(axis=(1, 2)))
-            better = (actual > 0.0) & (predicted > 0.0)
-            rho = actual / predicted
-            damping[active] = np.maximum(_DAMPING_FLOOR, damping[active] * np.where(
-                better, np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), growth[active]))
-            growth[active] = np.where(better, 2.0, 2.0 * growth[active])
-            p[active] = pa = np.where(better[:, None], trial, pa)
-            normal[active] = np.where(better[:, None, None], trial_normal, na)
-            done = np.all(np.abs(step) <= FIT_STEP_RTOL
-                          * np.maximum(np.abs(pa), scale[active]), axis=1)
+            trial = np.clip(p + step, lower, upper)
+            step = trial - p
+            trial_sums = _moments(trial, t, y, mask, blocks, work)
+            predicted = -((2.0 * grad + (hess @ step[..., None])[..., 0]) * step).sum(axis=1)
+            ss = sums[:, -1]
+            noise = 2.0 ** -52 * (n * ss + 2.0 * np.abs(p[:, :2]).sum(axis=1) * np.sqrt(n * ss))
+            actual = ss - trial_sums[:, -1]
+            settled = np.abs(predicted) <= noise
+            better = settled | (actual > 0.0) & (predicted > 0.0)
+            rho = np.where(settled, 1.0, actual / predicted)
+            damping = np.maximum(_DAMPING_FLOOR, damping * np.where(
+                better, np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), growth))
+            growth = np.where(better, 2.0, 2.0 * growth)
+            p = np.where(better[:, None], trial, p)
+            sums = np.where(better[:, None], trial_sums, sums)
+            done = better & np.all(np.abs(step) <= FIT_STEP_RTOL
+                                   * np.maximum(np.abs(p), scale), axis=1)
             if done.any():
-                converged[active[done]] = True
-                keep = np.repeat(~done, blocks[active])
+                fitted[active[done]] = True
+                final[active[done]], final_ss[active[done]] = p[done], sums[done, -1]
+                keep = np.repeat(~done, blocks)
                 t, y, mask = t[keep], y[keep], mask[keep]
-                active = active[~done]
+                active, p, sums, lower, upper, scale, n, blocks, damping, growth = (
+                    a[~done] for a in
+                    (active, p, sums, lower, upper, scale, n, blocks, damping, growth))
 
     fits = []
     for j, site in enumerate(sites):
-        if not converged[j]:
+        if not fitted[j]:
             fits.append(FitError(f"arrival fit for site {site} did not converge"))
             continue
-        a, b, t0, w = p[j]
-        fits.append(ArrivalFit(site=site, t0=float(t0), width=float(w),
-                               amplitude=float(b),
-                               goodness=float(np.sqrt(normal[j, 4, 4] / sizes[j]))))
+        a, b, t0, w = final[j]
+        fits.append(ArrivalFit(site=site, t0=float(t0), width=float(w), amplitude=float(b),
+                               goodness=float(np.sqrt(final_ss[j] / sizes[j]))))
     return fits
 
 
-def _normal_equations(p, t, y, mask, blocks, work):
-    """[J | r]^T [J | r] per site, shape (sites, 5, 5), for params p (sites, 4).
+#: Entry (i, j) of the Gram matrix of the columns (1, e, e z, e z^2): its
+#: index in the sample count followed by the sums of :func:`_moments`.
+_GRAM = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 6, 7], [3, 6, 7, 8]])
 
-    ``t``, ``y`` and ``mask`` are (total blocks, ``_BLOCK``); site j's
-    samples fill ``blocks[j]`` consecutive rows and masked samples add
-    exact zeros.  ``work`` is a (5, at least total blocks, ``_BLOCK``)
-    buffer, reused so that no evaluation allocates it afresh.  Each block
-    is one small matrix product, and a site's blocks are summed in order,
-    so its sums do not depend on the other sites' blocks.
+
+def _moments(p, t, y, mask, blocks, work):
+    """The sums over each site's samples that its normal equations and
+    second-order term take, shape (sites, 15), for params p (sites, 4).
+
+    With z = (t - t0) / w, e = exp(-z^2 / 2) and the residual r = a + b e - y,
+    the columns are the sums of e, e z, e z^2, e^2, e^2 z, e^2 z^2, e^2 z^3,
+    e^2 z^4, r, r e, r e z, r e z^2, r e z^3, r e z^4 and r^2.  ``t``,
+    ``y`` and ``mask`` are (total blocks, ``_BLOCK``); site j's samples
+    fill ``blocks[j]`` consecutive rows and masked samples add exact zeros.
+    ``work`` is a (16, at least total blocks, ``_BLOCK``) buffer, reused so
+    that no evaluation allocates it afresh.  Each block's samples are summed on
+    their own and a site's blocks in order, so its sums do not depend on
+    the other sites' blocks.
     """
-    owner = np.repeat(np.arange(blocks.size), blocks)
-    a, b, t0, w = p[owner].T[..., None]
-    aug = work[:, :owner.size]
-    _gauss_jacobian(t, a, b, t0, w, axis=0, out=aug[:4])
-    np.subtract(a + b * aug[1], y, out=aug[4])       # the model's residual
-    aug *= mask
-    per_block = aug.transpose(1, 0, 2) @ aug.transpose(1, 2, 0)
-    stacked = np.zeros((blocks.size, blocks.max(initial=0), 5, 5))
-    stacked[owner, np.arange(owner.size) - np.repeat(np.cumsum(blocks) - blocks, blocks)] = per_block
-    return stacked.sum(axis=1)
+    a, b, t0, w = np.repeat(p, blocks, axis=0).T[..., None]
+    rows = work[:, :t.shape[0]]
+    z, e, ez, ez2, e2, e2z, e2z2, e2z3, e2z4, r, re, rez, rez2, rez3, rez4, r2 = rows
+    np.subtract(t, t0, out=z)
+    z /= w
+    np.multiply(z, z, out=e)
+    e *= -0.5
+    np.exp(e, out=e)
+    e *= mask
+    np.multiply(e, z, out=ez)
+    np.multiply(ez, z, out=ez2)
+    np.multiply(e, b, out=r)
+    r += a
+    r -= y
+    r *= mask
+    for out, left, right in ((e2, e, e), (e2z, e, ez), (e2z2, ez, ez), (e2z3, ez, ez2),
+                             (e2z4, ez2, ez2), (re, r, e), (rez, r, ez), (rez2, r, ez2),
+                             (rez3, rez2, z), (rez4, rez3, z), (r2, r, r)):
+        np.multiply(left, right, out=out)
+    first = np.cumsum(blocks) - blocks
+    return np.add.reduceat(rows[1:].sum(axis=-1), first, axis=1).T
 
 
-def _gauss_jacobian(t, a, b, t0, w, axis=-1, out=None):
+def _normal_equations(p, sums, n):
+    """(J^T J, J^T r, J^T J + sum r grad^2 f) per site, shapes (sites, 4, 4),
+    (sites, 4) and (sites, 4, 4), from the :func:`_moments` ``sums`` at the
+    params p of sites with ``n`` samples each.
+
+    The Jacobian columns are (1, e, e z, e z^2) times d = (1, 1, b / w,
+    b / w) (:func:`_gauss_jacobian`).  The second-order term is
+    sum r d^2 f / dp_i dp_j: (1 / w) sum r e z and (1 / w) sum r e z^2 in
+    the (b, t0) and (b, w) entries, and b / w^2 times sum r e (z^2 - 1),
+    sum r e (z^3 - 2 z) and sum r e (z^4 - 3 z^2) in the (t0, t0), (t0, w)
+    and (w, w) entries.
+    """
+    moments = np.column_stack([n, sums])
+    b, w = p[:, 1], p[:, 3]
+    d = np.ones_like(p)
+    d[:, 2:] = (b / w)[:, None]
+    gram = moments[:, _GRAM] * (d[:, :, None] * d[:, None, :])
+    grad = moments[:, 9:13] * d
+    r_e, r_ez, r_ez2, r_ez3, r_ez4 = moments[:, 10:15].T
+    c = b / w ** 2
+    hess = gram.copy()
+    hess[:, 1, 2] += r_ez / w
+    hess[:, 1, 3] += r_ez2 / w
+    hess[:, 2, 2] += c * (r_ez2 - r_e)
+    hess[:, 2, 3] += c * (r_ez3 - 2.0 * r_ez)
+    hess[:, 3, 3] += c * (r_ez4 - 3.0 * r_ez2)
+    hess[:, 2, 1], hess[:, 3, 1], hess[:, 3, 2] = hess[:, 1, 2], hess[:, 1, 3], hess[:, 2, 3]
+    return gram, grad, hess
+
+
+def _positive_definite(m):
+    """Whether each symmetric matrix of the stack m (..., k, k) is positive
+    definite: every pivot of its elimination without exchanges is positive."""
+    a = m.copy()
+    for k in range(m.shape[-1] - 1):
+        a[..., k + 1:, k + 1:] -= a[..., k + 1:, k, None] * (
+            a[..., None, k, k + 1:] / a[..., k, k, None, None])
+    return np.all(np.diagonal(a, axis1=-2, axis2=-1) > 0.0, axis=-1)
+
+
+def _gauss_jacobian(t, a, b, t0, w):
     """Columns d/da, d/db, d/dt0, d/dw of the arrival model a + b exp(-(t -
     t0)^2 / 2 w^2), shape (len(t), 4).
 
     With x = t - t0 and e = exp(-x^2 / 2 w^2): 1, e, b e x / w^2, b e x^2 / w^3.
-    The parameters broadcast against ``t``; the four derivatives are
-    stacked on ``axis`` of the result, or written into ``out``.
     """
     x = t - t0
     e = np.exp(-(x ** 2) / (2.0 * w ** 2))
     be_x = b * e * x / w ** 2
-    return np.stack(np.broadcast_arrays(1.0, e, be_x, be_x * x / w), axis=axis, out=out)
+    return np.stack(np.broadcast_arrays(1.0, e, be_x, be_x * x / w), axis=-1)
 
 
-def _first_maximum(v: np.ndarray) -> int:
-    """Index of the earliest interior local maximum above the noise floor.
+def _first_maxima(v):
+    """Index of each trace's earliest interior local maximum above its
+    noise floor, and for each trace ``v`` (traces, T) the reason it has
+    none, or "".
 
     Threshold: the pre-arrival baseline (the trace start) plus three
     standard deviations of the samples preceding the first rise, with a
@@ -418,31 +517,32 @@ def _first_maximum(v: np.ndarray) -> int:
     before the first crossing keeps the arrival itself from inflating it,
     which matters for sites right next to the source.
     """
-    baseline = float(v[0])
-    excursion = float(v.max() - baseline)
-    if excursion <= 0.0:
-        raise FitError("signal never rises above its baseline")
+    baseline = v[:, 0]
+    excursion = v.max(axis=1) - baseline
     floor = baseline + 0.05 * excursion
-    rise = int(np.argmax(v > floor))            # first crossing of the floor
-    sigma = float(np.std(v[:rise])) if rise >= 2 else 0.0
-    threshold = baseline + max(3.0 * sigma, 0.05 * excursion)
-    interior = np.flatnonzero(
-        (v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:]) & (v[1:-1] > threshold)) + 1
-    if interior.size == 0:
-        raise FitError("no interior maximum above the detection threshold")
-    return int(interior[0])
+    rise = np.argmax(v > floor[:, None], axis=1)        # first crossing of the floor
+    lead = np.arange(v.shape[1]) < np.maximum(rise, 1)[:, None]
+    sigma = np.where(rise >= 2, np.std(v, axis=1, where=lead), 0.0)
+    threshold = baseline + np.maximum(3.0 * sigma, 0.05 * excursion)
+    inner = v[:, 1:-1]
+    peaks = (inner >= v[:, :-2]) & (inner >= v[:, 2:]) & (inner > threshold[:, None])
+    failure = np.where(excursion <= 0.0, "signal never rises above its baseline",
+                       np.where(peaks.any(axis=1), "",
+                                "no interior maximum above the detection threshold"))
+    return np.argmax(peaks, axis=1) + 1, failure.tolist()
 
 
-def _flanking_minima(v: np.ndarray, peak: int) -> tuple[int, int]:
-    """Indices of the closest interior local minima before and after
-    ``peak``, or the first and the last sample where there is none; both
-    are looked up in one sorted list of the trace's local minima."""
-    minima = np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1
-    before = np.searchsorted(minima, peak)
-    after = np.searchsorted(minima, peak, side="right")
-    start = minima[before - 1] if before > 0 else 0
-    stop = minima[after] if after < minima.size else v.size - 1
-    return int(start), int(stop)
+def _flanking_minima(v, peak):
+    """Indices of the closest interior local minima before and after each
+    trace's ``peak``, or its first and last sample where there is none, for
+    the traces ``v`` (traces, T)."""
+    inner = v[:, 1:-1]
+    minima = (inner <= v[:, :-2]) & (inner <= v[:, 2:])
+    index = np.arange(1, v.shape[1] - 1)
+    start = np.where(minima & (index < peak[:, None]), index, 0).max(axis=1, initial=0)
+    stop = np.where(minima & (index > peak[:, None]), index, v.shape[1] - 1).min(
+        axis=1, initial=v.shape[1] - 1)
+    return start, stop
 
 
 def fit_front_velocity(arrivals) -> FrontFit:
@@ -509,12 +609,8 @@ def arrival_times(times, magnetisation, source: int, skipped: list | None = None
                          f"magnetisation, got shape {t.shape}")
     if t.size < MIN_ARRIVAL_SAMPLES:
         raise ValueError(f"need at least {MIN_ARRIVAL_SAMPLES} samples per trace")
-    outcome = {}                     # distance -> segment, then fit or FitError
-    for dist in range(1, edge + 1):
-        try:
-            outcome[dist] = _arrival_segment(t, mag[:, source + dist - 1])
-        except FitError as exc:
-            outcome[dist] = exc
+    traces = np.ascontiguousarray(mag[:, source: source + edge].T)
+    outcome = dict(enumerate(_segments(t, traces), start=1))   # distance -> segment, then fit
     found = [d for d, seg in outcome.items() if not isinstance(seg, FitError)]
     outcome.update(zip(found, _fit_pulses([source + d for d in found],
                                           [outcome[d] for d in found])))

@@ -564,6 +564,7 @@ def _propagate(rc: RunConfig, J: ionchain.CouplingMatrix):
         if correlated:                  # in place: one (T, N, N) array, as checked
             corr = np.eye(rc.n_ions) - p[:, None, :]
             corr *= 4.0 * p[:, :, None]
+            corr += 0.0                 # the -0.0 of 0 (delta_ij - p_j) < 0 is 0.0
         return times, 2.0 * p - 1.0, corr
     traj = dynamics.evolve(psi0, H, times)
     corr = dynamics.two_point_correlations(traj) if correlated else None

@@ -151,7 +151,8 @@ def _single_excitation_amplitudes(J: CouplingMatrix, quench_site: int,
     of each row is a copy of the first, a_i = a_{N+1-i} bit for bit.  Any
     other J takes the eigendecomposition of the whole N x N matrix.  The
     sum over modes needs neither their node labels nor a sign convention:
-    each term c_{i,k} c_{l,k} is the same for -c_{.,k}."""
+    each term c_{i,k} c_{l,k} is the same for -c_{.,k}.  A time equal to 0
+    returns the initial state itself, as :func:`dynamics.evolve` does."""
     n = J.n_ions
     _check_site(n, quench_site)
     check_phases(J, 0.0, float(np.abs(times).max(initial=0.0)))
@@ -178,6 +179,7 @@ def _single_excitation_amplitudes(J: CouplingMatrix, quench_site: int,
             amps[:, n - h:] -= anti[:, ::-1]
             amps[:, :h] += anti
     _check_normalized(amps)
+    amps[times == 0.0] = np.eye(1, n, source)          # the initial state itself
     return amps
 
 

@@ -106,6 +106,35 @@ def lr_bound_bessel(d, t, g):
     return 2.0 * np.exp(x) * special.ive(d, x)
 
 
+def polished_arrival(t, v, t0, width, iterations=30) -> np.ndarray:
+    """The least-squares minimum (a, b, t0, w) of the arrival model
+    a + b exp(-(t - t0)^2 / 2 w^2) on the samples (t, v), polished by
+    Newton's method from a fit's ``t0`` and ``width``, with a and b first
+    solved for linearly there.  Residuals, gradient and the exact Hessian
+    are summed in extended precision (``np.longdouble``) over x = t - t0;
+    only the 4 x 4 step is solved in double."""
+    t, v = np.asarray(t, dtype=np.longdouble), np.asarray(v, dtype=np.longdouble)
+    e = np.exp(-((t - t0) ** 2) / (2 * np.longdouble(width) ** 2))
+    basis = np.column_stack([np.ones_like(e), e]).astype(float)
+    a, b = np.linalg.lstsq(basis, v.astype(float), rcond=None)[0]
+    p = np.array([a, b, t0, width], dtype=np.longdouble)
+    for _ in range(iterations):
+        a, b, t0, w = p
+        x = t - t0
+        e = np.exp(-x * x / (2 * w * w))
+        r = a + b * e - v
+        jac = np.stack([np.ones_like(x), e, b * e * x / w ** 2, b * e * x ** 2 / w ** 3], axis=1)
+        hess = jac.T @ jac
+        hess[1, 2] += np.sum(r * e * x) / w ** 2                       # d2f / db dt0
+        hess[1, 3] += np.sum(r * e * x ** 2) / w ** 3                  # d2f / db dw
+        hess[2, 2] += b * np.sum(r * e * (x ** 2 / w ** 4 - 1 / w ** 2))
+        hess[2, 3] += b * np.sum(r * e * (x ** 3 / w ** 5 - 2 * x / w ** 3))
+        hess[3, 3] += b * np.sum(r * e * (x ** 4 / w ** 6 - 3 * x ** 2 / w ** 4))
+        hess[2, 1], hess[3, 1], hess[3, 2] = hess[1, 2], hess[1, 3], hess[2, 3]
+        p = p + np.linalg.solve(hess.astype(float), -(jac.T @ r).astype(float))
+    return p.astype(float)
+
+
 def full_space(x) -> np.ndarray:
     """Amplitudes of a StateVector, shape (2^N,), or of a Trajectory,
     shape (T, 2^N), scattered from their basis into the whole product

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import curve_fit
 from scipy.optimize._numdiff import approx_derivative
 
+from conftest import polished_arrival
 from magnonchain import analysis, cli, ionchain, magnon
 from magnonchain.analysis import FitError
 
@@ -237,6 +238,37 @@ def test_gauss_jacobian_matches_numerical_derivative():
                                    rtol=1e-6, atol=1e-6)
 
 
+def test_normal_equations_match_the_jacobian_and_its_derivative():
+    """From the moments of a noisy pulse's masked blocks, J^T J and J^T r
+    are those of the model's Jacobian, and the Hessian is the derivative of
+    J^T r, taken by complex step: J^T J + sum r grad^2 f."""
+    rng = np.random.default_rng(7)
+    t = np.linspace(0.0, 0.02, 150)
+    for _ in range(10):
+        params = np.array([rng.uniform(-1.0, 0.0), rng.uniform(0.01, 2.0),
+                           rng.uniform(0.005, 0.015), rng.uniform(1e-3, 5e-3)])
+        y = _gauss(t, *(params * rng.uniform(0.9, 1.1, size=4))) + rng.normal(0, 1e-3, t.size)
+        padded = np.zeros((2, analysis._BLOCK))
+        padded.flat[:t.size] = t
+        data = np.zeros_like(padded)
+        data.flat[:t.size] = y
+        mask = (np.arange(padded.size) < t.size).astype(float).reshape(padded.shape)
+        sums = analysis._moments(params[None, :], padded, data, mask, np.array([2]),
+                                 np.empty((16,) + padded.shape))
+        gram, grad, hess = (m[0] for m in analysis._normal_equations(
+            params[None, :], sums, np.array([float(t.size)])))
+
+        def gradient(p):
+            return analysis._gauss_jacobian(t, *p).T @ (_gauss(t, *p) - y)
+
+        jac = analysis._gauss_jacobian(t, *params)
+        scale = np.sqrt(np.outer(np.diag(jac.T @ jac), np.diag(jac.T @ jac)))
+        np.testing.assert_allclose(gram / scale, jac.T @ jac / scale, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, gradient(params), rtol=1e-9, atol=1e-12)
+        second = approx_derivative(gradient, params, method="cs")
+        np.testing.assert_allclose(hess / scale, second / scale, rtol=0, atol=1e-9)
+
+
 CONE_ALPHAS = (1.07, 1.41, 1.75, 2.0)
 
 
@@ -287,7 +319,7 @@ def test_arrival_fits_match_tight_curve_fit_reference(alpha, cones):
 
 def _scanned_minima(v, peak):
     """The closest local minima before and after ``peak`` by a scalar scan
-    outward from it: the reference for the sorted-list lookup."""
+    outward from it: the reference for the one-pass lookup."""
     start = next((i for i in range(peak - 1, 0, -1)
                   if v[i] <= v[i - 1] and v[i] <= v[i + 1]), 0)
     stop = next((i for i in range(peak + 1, v.size - 1)
@@ -295,27 +327,67 @@ def _scanned_minima(v, peak):
     return start, stop
 
 
+def _scanned_segment(t, v):
+    """The segment of one trace's first maximum, found by scalar scans over
+    that trace alone: the reference for the one pass of ``_segments``."""
+    baseline = float(v[0])
+    excursion = float(v.max() - baseline)
+    if excursion <= 0.0:
+        return FitError("signal never rises above its baseline")
+    floor = baseline + 0.05 * excursion
+    rise = next(i for i in range(v.size) if v[i] > floor)
+    sigma = float(np.std(v[:rise])) if rise >= 2 else 0.0
+    threshold = baseline + max(3.0 * sigma, 0.05 * excursion)
+    peak = next((i for i in range(1, v.size - 1)
+                 if v[i] >= v[i - 1] and v[i] >= v[i + 1] and v[i] > threshold), None)
+    if peak is None:
+        return FitError("no interior maximum above the detection threshold")
+    start, stop = _scanned_minima(v, peak)
+    t_fit, v_fit = t[start: stop + 1], v[start: stop + 1]
+    baseline = float(v_fit.min())
+    span = float(t_fit[-1] - t_fit[0])
+    return (t_fit, v_fit, (baseline, float(v[peak] - baseline), float(t[peak]), span / 6.0),
+            (-np.inf, 0.0, t_fit[0], 0.5 * (t_fit[1] - t_fit[0])),
+            (np.inf, np.inf, t_fit[-1], 10.0 * span))
+
+
+def _same_segment(found, expected):
+    if isinstance(expected, FitError):
+        return isinstance(found, FitError) and str(found) == str(expected)
+    return (not isinstance(found, FitError)
+            and all(np.array_equal(f, e) for f, e in zip(found[:2], expected[:2]))
+            and all(np.asarray(f).tobytes() == np.asarray(e, dtype=float).tobytes()
+                    for f, e in zip(found[2:], expected[2:])))
+
+
 def test_flanking_minima_match_the_scalar_scan(cones):
-    """Every detected peak of the four N = 201 light cones, and every
-    interior sample of random, rounded (so with ties) and flat traces, gets
-    the segment the scalar scans find."""
+    """One pass over the traces finds, bit for bit, the segments that scalar
+    scans of each trace alone find: every trace of the four N = 201 light
+    cones, and random, rounded (so with ties), flat and monotone traces.
+    The minima flanking every interior sample of those traces, taken as
+    the peak, are the closest ones the scans find too."""
     times, mags = cones
-    checked = 0
+    fitted = 0
     for mag in mags.values():
-        for v in mag.T:
-            try:
-                peak = analysis._first_maximum(v)
-            except FitError:
-                continue
-            assert analysis._flanking_minima(v, peak) == _scanned_minima(v, peak)
-            checked += 1
-    assert checked >= 4 * 99
+        traces = np.ascontiguousarray(mag.T)
+        for found, v in zip(analysis._segments(times, traces), mag.T):
+            assert _same_segment(found, _scanned_segment(times, v))
+            fitted += not isinstance(found, FitError)
+    assert fitted >= 4 * 99
     rng = np.random.default_rng(5)
     traces = [rng.normal(size=size) for size in (3, 4, 5, 17, 200)]
     traces += [np.round(rng.normal(size=60), 0), np.zeros(9), np.arange(9.0), -np.arange(9.0)]
     for v in traces:
-        for peak in range(1, v.size - 1):
-            assert analysis._flanking_minima(v, peak) == _scanned_minima(v, peak)
+        t = np.linspace(0.0, 1.0, v.size)
+        assert _same_segment(analysis._segments(t, v[None, :])[0], _scanned_segment(t, v))
+        peaks = np.arange(1, v.size - 1)
+        start, stop = analysis._flanking_minima(np.tile(v, (peaks.size, 1)), peaks)
+        assert list(zip(start, stop)) == [_scanned_minima(v, peak) for peak in peaks]
+    tied = np.tile(np.round(rng.normal(size=60), 0), (40, 1))
+    tied[:, 0] = rng.integers(-2, 3, size=40)
+    t = np.linspace(0.0, 1.0, 60)
+    for found, v in zip(analysis._segments(t, tied), tied):
+        assert _same_segment(found, _scanned_segment(t, v))
 
 
 @pytest.mark.filterwarnings("ignore:site")
@@ -328,6 +400,57 @@ def test_single_site_fit_is_bit_identical_to_batch(cones):
         for dist, fit in analysis.arrival_times(times, mag, 101):
             alone = _fit_one(times, mag[:, 100 + dist], site=fit.site)
             assert alone == fit
+
+
+ARRIVAL_FITS = {1.07: 99, 1.41: 81, 1.75: 23, 2.0: 18}
+
+
+def _off_bounds(fit, segment):
+    """Whether an ArrivalFit's amplitude, t0 and width all lie strictly
+    inside the bounds of its segment."""
+    lower, upper = segment[3], segment[4]
+    return all(lo < x < hi for x, lo, hi in
+               zip((fit.amplitude, fit.t0, fit.width), lower[1:], upper[1:]))
+
+
+@pytest.mark.filterwarnings("ignore:site")
+@pytest.mark.parametrize("alpha", CONE_ALPHAS)
+def test_arrival_fits_land_on_the_polished_minimum(alpha, cones):
+    """Each arrival fit of the N = 201 light cones that is off its bounds
+    lies where Newton's method, polished in extended precision on the same
+    segment, puts the least-squares minimum: t0 within 1e-9 relative and
+    the width within 1e-8.  The fitted sites are those of the benchmark."""
+    times, mags = cones
+    mag = mags[alpha]
+    fits = analysis.arrival_times(times, mag, 101)
+    assert len(fits) == ARRIVAL_FITS[alpha]
+    polished = 0
+    for dist, fit in fits:
+        segment = analysis._arrival_segment(times, mag[:, 100 + dist])
+        if not _off_bounds(fit, segment):
+            continue
+        a, b, t0, w = polished_arrival(*segment[:2], fit.t0, fit.width)
+        assert fit.t0 == pytest.approx(t0, rel=1e-9, abs=0.0), fit.site
+        assert fit.width == pytest.approx(w, rel=1e-8, abs=0.0), fit.site
+        polished += 1
+    assert polished >= ARRIVAL_FITS[alpha] - 11
+
+
+@pytest.mark.filterwarnings("ignore:site")
+@pytest.mark.parametrize("alpha", [1.07, 1.41])
+def test_arrival_fits_do_not_follow_roundoff(alpha, cones):
+    """Moving every sz of a light cone by one ulp, up or down at random,
+    moves no fitted t0 by more than 1e-9 relative: the fits stop at the
+    minimum, not where roundoff in the residuals steers them."""
+    times, mags = cones
+    mag = mags[alpha]
+    rng = np.random.default_rng(35)
+    nudged = np.nextafter(mag, np.where(rng.random(mag.shape) < 0.5, -np.inf, np.inf))
+    fits = analysis.arrival_times(times, mag, 101)
+    moved = analysis.arrival_times(times, nudged, 101)
+    assert [d for d, _ in moved] == [d for d, _ in fits]
+    np.testing.assert_allclose([f.t0 for _, f in moved], [f.t0 for _, f in fits],
+                               rtol=1e-9, atol=0.0)
 
 
 def test_arrival_fit_with_t0_on_segment_bound_matches_curve_fit():

@@ -153,11 +153,33 @@ def test_a_one_flip_xy_run_matches_evolve(tmp_path, capsys, monkeypatch, n, flip
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n", [7, 31, 63])
+def test_one_flip_xy_starts_in_its_initial_state(tmp_path, capsys, n):
+    """At t = 0 a one-flip XY quench is its initial state, bit for bit, as
+    ``dynamics.evolve`` gives it: sz is exactly 1 at the flipped site and
+    -1 elsewhere, and every connected correlation and distance average is
+    exactly 0 (the mode sum gave the flipped site 1 + 9e-16 at N = 7)."""
+    code, _ = run(["quench", "--n", str(n), "--correlations", "--t-end", "0.01",
+                   "--n-points", "3", "-o", str(tmp_path)], capsys)
+    assert code == 0
+    flip = cli.resolve(cli.build_parser().parse_args(["quench", "--n", str(n)])).flip[0]
+    text = {name: [line.split(",") for line in (tmp_path / name).read_text().splitlines()
+                   if line[0] != "#"][1:] for name in
+            ("magnetisation.csv", "correlations.csv", "cbar.csv")}
+    start = [row for row in text["magnetisation.csv"] if row[0] == "0.0"]
+    assert start == [["0.0", str(site), "1.0" if site == flip else "-1.0"]
+                     for site in range(1, n + 1)]
+    for name in ("correlations.csv", "cbar.csv"):
+        values = {row[-1] for row in text[name] if row[0] == "0.0"}
+        assert values == {"0.0"}, name
+
+
 def test_one_flip_correlations_peak_at_one_array():
     """The one-flip correlations of N = 101 at 101 points are built in
     place: ``_propagate`` peaks below 1.5 times the (T, N, N) result, the
     one array ``check_trajectory`` counts (as one expression they took
-    two), with the bits of 4 p_i (delta_ij - p_j)."""
+    two), with the bits of 4 p_i (delta_ij - p_j) + 0, where adding 0
+    turns the -0.0 of p_i = 0 into 0.0."""
     rc = cli.resolve(cli.build_parser().parse_args(
         ["quench", "--n", "101", "--model", "xy", "--correlations", "--n-points", "101"]))
     J = ionchain.power_law_coupling(101, 1.5, 2 * np.pi * 30.0)
@@ -170,7 +192,7 @@ def test_one_flip_correlations_peak_at_one_array():
     assert corr.shape == (101, 101, 101)
     assert peak < 1.5 * corr.nbytes, f"peak {peak / 1e6:.1f} MB for {corr.nbytes / 1e6:.1f} MB"
     p = np.abs(magnon._single_excitation_amplitudes(J, rc.flip[0], times)) ** 2
-    expected = 4.0 * p[:, :, None] * (np.eye(101) - p[:, None, :])
+    expected = 4.0 * p[:, :, None] * (np.eye(101) - p[:, None, :]) + 0.0
     np.testing.assert_array_equal(corr.view(np.uint8), expected.view(np.uint8))
 
 
@@ -299,9 +321,10 @@ def test_long_quench_csvs_match_row_formatter(tmp_path, capsys):
     J = ionchain.power_law_coupling(11, 1.5, 2 * np.pi * 30.0)
     times = np.linspace(0.0, 0.02, 801)
     # one flip: the populations p of the one-excitation amplitudes give
-    # <sigma^z> = 2p - 1 and, off the diagonal the CSVs hold, C_ij = -4 p_i p_j
+    # <sigma^z> = 2p - 1 and, off the diagonal the CSVs hold, C_ij = -4 p_i p_j,
+    # which is 0.0, not -0.0, where p_i p_j = 0, as at t = 0
     p = np.abs(magnon._single_excitation_amplitudes(J, 4, times)) ** 2
-    csvs = _trajectory_csvs(times, 2.0 * p - 1.0, -4.0 * p[:, :, None] * p[:, None, :])
+    csvs = _trajectory_csvs(times, 2.0 * p - 1.0, -4.0 * p[:, :, None] * p[:, None, :] + 0.0)
     assert len(csvs["cbar.csv"][1]) > mio._CHUNK_ROWS
     for name, (columns, rows) in csvs.items():
         assert (_data_text((tmp_path / name).read_text())
