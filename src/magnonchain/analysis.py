@@ -288,20 +288,6 @@ def _segments(t, traces) -> list:
     return segments
 
 
-def _arrival_segment(t, v):
-    """The segment of :func:`_segments` of the one trace ``v``.
-
-    Raises
-    ------
-    FitError
-        If no interior maximum rises above the detection threshold.
-    """
-    segment, = _segments(t, np.asarray(v)[None, :])
-    if isinstance(segment, FitError):
-        raise segment
-    return segment
-
-
 def _fit_pulses(sites, segments) -> list:
     """Fit the arrival model a + b exp(-(t - t0)^2 / 2 w^2) to every segment
     at once; an ArrivalFit or FitError each.
@@ -458,8 +444,8 @@ def _normal_equations(p, sums, n):
     (sites, 4) and (sites, 4, 4), from the :func:`_moments` ``sums`` at the
     params p of sites with ``n`` samples each.
 
-    The Jacobian columns are (1, e, e z, e z^2) times d = (1, 1, b / w,
-    b / w) (:func:`_gauss_jacobian`).  The second-order term is
+    The Jacobian columns d/da, d/db, d/dt0, d/dw of the model are (1, e,
+    e z, e z^2) times d = (1, 1, b / w, b / w).  The second-order term is
     sum r d^2 f / dp_i dp_j: (1 / w) sum r e z and (1 / w) sum r e z^2 in
     the (b, t0) and (b, w) entries, and b / w^2 times sum r e (z^2 - 1),
     sum r e (z^3 - 2 z) and sum r e (z^4 - 3 z^2) in the (t0, t0), (t0, w)
@@ -491,18 +477,6 @@ def _positive_definite(m):
         a[..., k + 1:, k + 1:] -= a[..., k + 1:, k, None] * (
             a[..., None, k, k + 1:] / a[..., k, k, None, None])
     return np.all(np.diagonal(a, axis1=-2, axis2=-1) > 0.0, axis=-1)
-
-
-def _gauss_jacobian(t, a, b, t0, w):
-    """Columns d/da, d/db, d/dt0, d/dw of the arrival model a + b exp(-(t -
-    t0)^2 / 2 w^2), shape (len(t), 4).
-
-    With x = t - t0 and e = exp(-x^2 / 2 w^2): 1, e, b e x / w^2, b e x^2 / w^3.
-    """
-    x = t - t0
-    e = np.exp(-(x ** 2) / (2.0 * w ** 2))
-    be_x = b * e * x / w ** 2
-    return np.stack(np.broadcast_arrays(1.0, e, be_x, be_x * x / w), axis=-1)
 
 
 def _first_maxima(v):

@@ -572,10 +572,11 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray) -> Trajectory:
     a state from :func:`prepare_state` suits either model.  Each block is
     split into its mirror sectors when J is reflection symmetric
     (:func:`_mirror_sectors`).  Each sector the state reaches is assembled
-    on its representatives, propagated on its own and added back, as the
-    two halves of its symmetric or antisymmetric pairs, into the rows of
-    one (dim, T) array on the sorted union of the reached blocks, whose
-    (T, dim) transpose the returned :class:`Trajectory` shares.  The
+    on its representatives, propagated on its own and added back
+    (:func:`_add_sector`), as the two halves of its symmetric or
+    antisymmetric pairs, into the rows of one (dim, T) array on the sorted
+    union of the reached blocks, whose (T, dim) transpose the returned
+    :class:`Trajectory` shares.  The
     phases are checked first (:func:`check_phases`).  Each sector takes
     the propagator the cost model of ``PROPAGATOR_COSTS`` expects to be
     cheaper (:func:`_propagator`), so the same sector and window always
@@ -608,19 +609,10 @@ def evolve(state: StateVector, H: Hamiltonian, times: np.ndarray) -> Trajectory:
     for label in reached:
         block = np.flatnonzero(labels == label)
         for partner, rep, sign in _mirror_sectors(H, basis[block]):
-            # a palindrome is its own partner, so both terms fall on it
-            half = np.where(partner[rep] == rep, 0.5, np.sqrt(0.5))
-            mine, theirs = block[rep], block[partner[rep]]
-            psi = half * (amps[mine] + sign * amps[theirs])
-            if not psi.any():
-                continue
-            sector = Hamiltonian(_assemble(H, basis[block], partner, rep, sign), H.n_sites,
-                                 H.model, H.transverse_field, H.coupling)
-            propagated = _propagate_block(sector, psi, times).T
-            propagated *= half[:, None]
-            states[mine] += propagated
-            states[theirs] += sign * propagated
-            del sector, propagated                  # before the next sector is built
+            _add_sector(states, amps, block[rep], block[partner[rep]], sign,
+                        lambda psi: _propagate_block(Hamiltonian(
+                            _assemble(H, basis[block], partner, rep, sign), H.n_sites,
+                            H.model, H.transverse_field, H.coupling), psi, times))
     states[:, times == 0.0] = amps[:, None]
     return Trajectory(times=times, states=states.T, n_sites=H.n_sites, basis=basis)
 
@@ -652,6 +644,26 @@ def _mirror_sectors(H: Hamiltonian,
             (partner, np.flatnonzero(partner > every), -1.0)]
 
 
+def _add_sector(states: np.ndarray, amps: np.ndarray, mine: np.ndarray, theirs: np.ndarray,
+                sign: float, propagate) -> None:
+    """Adds the propagated mirror sector of the state ``amps`` whose state m
+    is (|mine[m]> + sign |theirs[m]>) / sqrt(2), or |mine[m]> where
+    ``mine[m] == theirs[m]`` (a palindrome), into the rows of ``states``
+    (dim, T).  Its start half (amps[mine] + sign amps[theirs]), half being
+    1/2 on a palindrome and sqrt(1/2) on a pair, is handed to ``propagate``,
+    which returns its (T, sector) amplitudes, unless it has no weight; those
+    times half are added to the rows ``mine`` and, times ``sign``, to the
+    rows ``theirs``."""
+    half = np.where(mine == theirs, 0.5, np.sqrt(0.5))      # a palindrome takes both terms
+    psi = half * (amps[mine] + sign * amps[theirs])
+    if not psi.any():
+        return
+    propagated = propagate(psi).T
+    propagated *= half[:, None]
+    states[mine] += propagated
+    states[theirs] += sign * propagated
+
+
 def _propagate_block(H: Hamiltonian, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
     """(T, dim) amplitudes of exp(-i H t) psi within one block or sector,
     by the propagator :func:`_propagator` picks."""
@@ -660,11 +672,17 @@ def _propagate_block(H: Hamiltonian, psi: np.ndarray, times: np.ndarray) -> np.n
     method = _propagator(H.dim, data.size, norm, float(np.abs(times).max(initial=0.0)),
                          times.size)[0]
     if method == "dense":
-        energies, vectors = H.eigensystem()
-        modes = _real_matmul(vectors.T, psi)
-        return _real_matmul(vectors, np.exp(-1j * np.outer(energies, times))
-                            * modes[:, None]).T
+        return _spectral(*H.eigensystem(), psi, times)
     return _krylov_trajectory(H.matvec, psi, times, STEP_TOL, norm)
+
+
+def _spectral(energies: np.ndarray, vectors: np.ndarray, psi: np.ndarray,
+              times: np.ndarray) -> np.ndarray:
+    """(T, d) amplitudes V (exp(-i E t) o V^T psi) of the real orthonormal
+    eigenvectors V (columns) with ``energies`` E, as two real products
+    (:func:`_real_matmul`) each way."""
+    modes = _real_matmul(vectors.T, psi)
+    return _real_matmul(vectors, np.exp(-1j * np.outer(energies, times)) * modes[:, None]).T
 
 
 def _propagator(dim: int, nnz: int, norm: float, span: float,

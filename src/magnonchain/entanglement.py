@@ -16,11 +16,17 @@ Tomography data is one (9, 4) integer counts array: row b counts the
 outcomes (++, +-, -+, --) of setting TOMOGRAPHY_BASES[b], where +/- are
 the eigenvalues of the two measured Pauli operators, and the shots of a
 setting are its row sum.  Simulated tomography draws multinomial
-projection noise from the counter-based bit generator Philox, keyed
-(seed, stream): stream b draws row b, so each row has its own
-reproducible stream regardless of evaluation order.  The bootstrap
-draws all its resamples, one after another, from the one stream 1000,
-so the first R resamples of a longer run are those of a run of R.
+projection noise by inversion, one uniform per shot, from the
+counter-based bit generator Philox, keyed (seed, stream): stream b draws
+row b, so each row has its own reproducible stream regardless of
+evaluation order.  Inversion moves a shot only when its uniform falls
+between the old and new cumulative probabilities, so a change of p in
+its last bits moves a count with a chance of about shots times that
+change, where ``multinomial``'s binomial steps branch at a conditional
+probability of 1/2 and can swap two tied outcomes' counts whole.  The
+bootstrap draws all its resamples, one after another, from the one
+stream 1000, so the first R resamples of a longer run are those of a run
+of R.
 """
 
 from __future__ import annotations
@@ -188,6 +194,11 @@ def measurement_probabilities(rho: DensityMatrix) -> np.ndarray:
     return probs / probs.sum(axis=1, keepdims=True)
 
 
+#: Uniforms :func:`simulate_tomography` draws at once for a row: 8 MB,
+#: whatever the shots.  The stream gives the same uniforms in any chunks.
+_SHOT_CHUNK = 1 << 20
+
+
 def _stream(seed: int, stream: int) -> np.random.Generator:
     """The generator of stream ``stream`` of ``seed``: Philox keyed (seed, stream)."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
@@ -196,13 +207,21 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
 def simulate_tomography(rho: DensityMatrix, shots: int, seed: int) -> np.ndarray:
     """Multinomial projection noise on all nine settings: (9, 4) counts.
 
-    Row b draws ``shots`` outcomes of setting TOMOGRAPHY_BASES[b] from
-    its own stream (seed, b).
+    Row b draws ``shots`` outcomes of setting TOMOGRAPHY_BASES[b] by
+    inversion: ``shots`` uniforms from its own stream (seed, b), drawn
+    ``_SHOT_CHUNK`` at a time, each counted for the first outcome whose
+    cumulative probability exceeds it.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = measurement_probabilities(rho)
-    return np.array([_stream(seed, b).multinomial(shots, p) for b, p in enumerate(probs)])
+    edges = np.cumsum(measurement_probabilities(rho), axis=1)[:, :-1]
+    counts = np.zeros((len(TOMOGRAPHY_BASES), 4), dtype=np.int64)
+    for b, row in enumerate(edges):
+        rng = _stream(seed, b)
+        for start in range(0, shots, _SHOT_CHUNK):
+            u = rng.random(min(_SHOT_CHUNK, shots - start))
+            counts[b] += np.bincount(np.searchsorted(row, u, side="right"), minlength=4)
+    return counts
 
 
 def _checked_counts(counts) -> tuple[np.ndarray, np.ndarray]:

@@ -9,13 +9,13 @@ Open boundaries make true momentum ill-defined, but the number of nodes of
 c_{.,k} is well defined and assigns each mode a pseudo-momentum
 k_n = n pi / (N+1) with n-1 nodes.  The node counts of all N mode functions
 are taken in one vectorised pass over the eigenvector matrix.  Only the
-dispersion needs these labels: the propagator sums over the modes of
-``eigh`` directly, as no amplitude depends on how the modes are named.
-A chain whose couplings are reflection symmetric bit for bit (a power law
-or a nearest-neighbour chain, not a trap's mode sum) splits into a
-symmetric and an antisymmetric block of about N/2 states each
-(:func:`_mirror_blocks`), which the propagator diagonalizes instead of J;
-a source on the mirror axis reaches the symmetric block alone.
+dispersion needs these labels: no amplitude depends on how the modes are
+named.  The quench propagator keeps no algebra of its own: it hands J, or
+on a chain whose couplings are reflection symmetric bit for bit (a power
+law or a nearest-neighbour chain, not a trap's mode sum) the symmetric and
+antisymmetric blocks of about N/2 states each (:func:`_mirror_blocks`), to
+the spectral product and mirror-sector layout of :mod:`dynamics`; a source
+on the mirror axis reaches the symmetric block alone.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import check_phases
+from .dynamics import _add_sector, _spectral, check_phases
 from .ionchain import (CouplingMatrix, _check_normalized, _check_site, _fix_gauge, _frozen,
                        _mirror_symmetric)
 
@@ -139,57 +139,36 @@ def evolve_single_excitation(J: CouplingMatrix, quench_site: int,
 def _single_excitation_amplitudes(J: CouplingMatrix, quench_site: int,
                                   times: np.ndarray) -> np.ndarray:
     """The (T, N) amplitudes a_i(t) of :func:`evolve_single_excitation`, as
-    one array; the phases are checked first, with no field
+    one C-ordered array; the phases are checked first, with no field
     (:func:`dynamics.check_phases`), and every row is checked to be
     normalized to 1e-9.
 
-    When J is reflection symmetric (:func:`ionchain._mirror_symmetric`),
-    the two half-size blocks of :func:`_mirror_blocks` are propagated on
-    their own and their amplitudes laid out on both halves of the chain; a
-    source on the mirror axis (the centre of an odd chain) has no weight in
-    the antisymmetric block, which is then skipped, and the mirrored half
-    of each row is a copy of the first, a_i = a_{N+1-i} bit for bit.  Any
-    other J takes the eigendecomposition of the whole N x N matrix.  The
-    sum over modes needs neither their node labels nor a sign convention:
-    each term c_{i,k} c_{l,k} is the same for -c_{.,k}.  A time equal to 0
-    returns the initial state itself, as :func:`dynamics.evolve` does."""
+    The one-excitation block is J itself, and it is propagated as
+    :func:`dynamics.evolve` propagates a block: split into the mirror
+    sectors of :func:`_mirror_blocks` when J is reflection symmetric
+    (:func:`ionchain._mirror_symmetric`), each diagonalized and laid out by
+    :func:`dynamics._add_sector`, a sector without weight skipped (the
+    antisymmetric one for a source on the mirror axis, whose amplitudes are
+    then mirror symmetric bit for bit); any other J is one sector.  A time
+    equal to 0 returns the initial state itself."""
     n = J.n_ions
     _check_site(n, quench_site)
     check_phases(J, 0.0, float(np.abs(times).max(initial=0.0)))
-    source = quench_site - 1
-    if not _mirror_symmetric(J.values):
-        amps = _spread(*np.linalg.eigh(J.values), source, times)
+    start = np.zeros(n, dtype=complex)
+    start[quench_site - 1] = 1.0
+    sites = np.arange(n)
+    if _mirror_symmetric(J.values):
+        partner, sectors = sites[::-1], zip(_mirror_blocks(J.values), (1.0, -1.0))
     else:
-        h = n // 2
-        symmetric, antisymmetric = _mirror_blocks(J.values)
-        mirrored = min(source, n - 1 - source)
-        amps = np.empty((times.size, n), dtype=complex)
-        # the symmetric block's state j < h is (|j> + |N-1-j>) / sqrt(2)
-        energies, c = np.linalg.eigh(symmetric)
-        c[:h] *= np.sqrt(0.5)                           # a mode's value on site j
-        amps[:, :n - h] = _spread(energies, c, mirrored, times)
-        amps[:, n - h:] = amps[:, :h][:, ::-1]
-        if mirrored != n - 1 - mirrored:                # off the mirror axis
-            # (|j> - |N-1-j>) / sqrt(2): the source on the right half sees -c
-            energies, c = np.linalg.eigh(antisymmetric)
-            c *= np.sqrt(0.5)
-            anti = _spread(energies, c, mirrored, times)
-            if source != mirrored:
-                anti *= -1.0
-            amps[:, n - h:] -= anti[:, ::-1]
-            amps[:, :h] += anti
+        partner, sectors = sites, [(J.values, 1.0)]
+    amps = np.zeros((times.size, n), dtype=complex)
+    for block, sign in sectors:
+        rep = sites[:len(block)]
+        _add_sector(amps.T, start, rep, partner[rep], sign,      # rows of the C-ordered (T, N)
+                    lambda psi: _spectral(*np.linalg.eigh(block), psi, times))
     _check_normalized(amps)
-    amps[times == 0.0] = np.eye(1, n, source)          # the initial state itself
+    amps[times == 0.0] = start                      # the initial state itself
     return amps
-
-
-def _spread(energies: np.ndarray, c: np.ndarray, source: int,
-            times: np.ndarray) -> np.ndarray:
-    """(T, sites) sum_k c_{i,k} c_{source,k} exp(-i omega_k t) over the modes
-    (columns) of ``c`` of the ``energies``, taken in descending energy."""
-    energies, c = energies[::-1], c[:, ::-1]
-    phases = np.exp(-1j * np.outer(times, energies))      # (T, modes)
-    return (phases * c[source, :]) @ c.T
 
 
 def _mirror_blocks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

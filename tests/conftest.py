@@ -135,6 +135,29 @@ def polished_arrival(t, v, t0, width, iterations=30) -> np.ndarray:
     return p.astype(float)
 
 
+def gauss_jacobian(t, a, b, t0, w) -> np.ndarray:
+    """Columns d/da, d/db, d/dt0, d/dw of the arrival model a + b exp(-(t -
+    t0)^2 / 2 w^2), shape (len(t), 4).
+
+    With x = t - t0 and e = exp(-x^2 / 2 w^2): 1, e, b e x / w^2, b e x^2 / w^3.
+    """
+    x = t - t0
+    e = np.exp(-(x ** 2) / (2.0 * w ** 2))
+    be_x = b * e * x / w ** 2
+    return np.stack(np.broadcast_arrays(1.0, e, be_x, be_x * x / w), axis=-1)
+
+
+def arrival_segment(t, v):
+    """The segment that ``analysis._segments`` cuts from the one trace
+    ``v``: (times, values, start, lower bounds, upper bounds); raises its
+    FitError if the trace has none."""
+    from magnonchain import analysis
+    segment, = analysis._segments(t, np.asarray(v)[None, :])
+    if isinstance(segment, analysis.FitError):
+        raise segment
+    return segment
+
+
 def full_space(x) -> np.ndarray:
     """Amplitudes of a StateVector, shape (2^N,), or of a Trajectory,
     shape (T, 2^N), scattered from their basis into the whole product

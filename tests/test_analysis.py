@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import curve_fit
 from scipy.optimize._numdiff import approx_derivative
 
-from conftest import polished_arrival
+from conftest import arrival_segment, gauss_jacobian, polished_arrival
 from magnonchain import analysis, cli, ionchain, magnon
 from magnonchain.analysis import FitError
 
@@ -200,7 +200,7 @@ def _pulse(t, t0, w, b=0.6, a=-1.0):
 
 def _fit_one(times, signal, site=0):
     """The arrival fit of one trace: the batched solver on its one segment."""
-    segment = analysis._arrival_segment(np.asarray(times, dtype=float),
+    segment = arrival_segment(np.asarray(times, dtype=float),
                                         np.asarray(signal, dtype=float))
     fit = analysis._fit_pulses([site], [segment])[0]
     if isinstance(fit, FitError):
@@ -229,7 +229,7 @@ def test_gauss_jacobian_matches_numerical_derivative():
     for _ in range(20):
         params = np.array([rng.uniform(-1.0, 0.0), rng.uniform(0.01, 2.0),
                            rng.uniform(0.0, 0.02), rng.uniform(2e-4, 5e-3)])
-        analytic = analysis._gauss_jacobian(t, *params)
+        analytic = gauss_jacobian(t, *params)
         numeric = approx_derivative(lambda p: _gauss(t, *p), params,
                                     method="cs")
         assert analytic.shape == (t.size, 4)
@@ -259,9 +259,9 @@ def test_normal_equations_match_the_jacobian_and_its_derivative():
             params[None, :], sums, np.array([float(t.size)])))
 
         def gradient(p):
-            return analysis._gauss_jacobian(t, *p).T @ (_gauss(t, *p) - y)
+            return gauss_jacobian(t, *p).T @ (_gauss(t, *p) - y)
 
-        jac = analysis._gauss_jacobian(t, *params)
+        jac = gauss_jacobian(t, *params)
         scale = np.sqrt(np.outer(np.diag(jac.T @ jac), np.diag(jac.T @ jac)))
         np.testing.assert_allclose(gram / scale, jac.T @ jac / scale, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grad, gradient(params), rtol=1e-9, atol=1e-12)
@@ -287,7 +287,7 @@ def cones():
 def _tight_curve_fit(t_fit, v_fit, p0, lower, upper):
     """Bounded curve_fit run to its tightest tolerances: the reference fit."""
     popt, _ = curve_fit(_gauss, t_fit, v_fit, p0=p0, bounds=(lower, upper),
-                        jac=analysis._gauss_jacobian, ftol=1e-15, xtol=1e-15,
+                        jac=gauss_jacobian, ftol=1e-15, xtol=1e-15,
                         gtol=1e-15, maxfev=100000)
     return popt
 
@@ -304,7 +304,7 @@ def test_arrival_fits_match_tight_curve_fit_reference(alpha, cones):
     reference = []
     for dist in range(1, 100):
         try:
-            segment = analysis._arrival_segment(times, mag[:, 100 + dist])
+            segment = arrival_segment(times, mag[:, 100 + dist])
         except FitError:
             continue
         reference.append((dist, _tight_curve_fit(*segment)[2]))
@@ -426,7 +426,7 @@ def test_arrival_fits_land_on_the_polished_minimum(alpha, cones):
     assert len(fits) == ARRIVAL_FITS[alpha]
     polished = 0
     for dist, fit in fits:
-        segment = analysis._arrival_segment(times, mag[:, 100 + dist])
+        segment = arrival_segment(times, mag[:, 100 + dist])
         if not _off_bounds(fit, segment):
             continue
         a, b, t0, w = polished_arrival(*segment[:2], fit.t0, fit.width)
@@ -460,7 +460,7 @@ def test_arrival_fit_with_t0_on_segment_bound_matches_curve_fit():
     t = np.linspace(0.0, 0.02, 201)
     v = _pulse(t, 0.0, 0.004)
     v[t < 0.004] = -1.0
-    segment = analysis._arrival_segment(t, v)
+    segment = arrival_segment(t, v)
     reference = _tight_curve_fit(*segment)
     fit = _fit_one(t, v)
     assert fit.t0 == segment[3][2]                      # the segment's first time

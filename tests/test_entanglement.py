@@ -301,11 +301,45 @@ def test_record_streams_differ_between_bases():
     assert len({tuple(row) for row in counts}) > 1
 
 
-#: A random state with no two outcomes of one setting within 0.02 in
-#: probability, so no draw below sits on a tie (see _random_state(4, 48)).
-_PINNED_COUNTS = [[301, 619, 70, 10], [685, 239, 30, 46], [844, 79, 18, 59],
-                  [52, 410, 298, 240], [316, 135, 376, 173], [325, 114, 535, 26],
-                  [207, 305, 157, 331], [487, 35, 234, 244], [368, 136, 467, 29]]
+@pytest.mark.parametrize("move", [1e-15, -1e-15])
+def test_counts_do_not_jump_when_a_tie_moves_by_roundoff(move, monkeypatch):
+    """Every setting of the triplet Bell state has its two likeliest
+    outcomes tied, at 1/2 or 1/4.  Moving 1e-15 of probability from one to
+    the other leaves every count of every seed as it was: an inverted
+    uniform changes its outcome only where it falls within 1e-15 of the
+    edge between them."""
+    moved = ent.measurement_probabilities(_pure(BELL))
+    for row in moved:
+        first, second = np.sort(np.argsort(row)[-2:])
+        assert abs(row[first] - row[second]) < 1e-15
+        row[first] -= move
+        row[second] += move
+    rho = _pure(BELL)
+    before = [ent.simulate_tomography(rho, shots=2000, seed=seed) for seed in range(10)]
+    monkeypatch.setattr(ent, "measurement_probabilities", lambda rho: moved)
+    for seed, counts in enumerate(before):
+        np.testing.assert_array_equal(ent.simulate_tomography(rho, shots=2000, seed=seed), counts)
+
+
+def test_counts_are_the_inverted_uniforms_of_each_row_stream_in_any_chunks(monkeypatch):
+    """Row b counts the outcomes at which ``shots`` uniforms of stream
+    (seed, b) fall in the cumulative probabilities; drawing them 7 at a
+    time gives the same counts as one draw."""
+    rho = _pure(_random_state(4, 48))
+    edges = np.cumsum(ent.measurement_probabilities(rho), axis=1)[:, :-1]
+    direct = [np.bincount(np.searchsorted(row, ent._stream(3, b).random(1000), side="right"),
+                          minlength=4) for b, row in enumerate(edges)]
+    np.testing.assert_array_equal(ent.simulate_tomography(rho, shots=1000, seed=3), direct)
+    monkeypatch.setattr(ent, "_SHOT_CHUNK", 7)
+    np.testing.assert_array_equal(ent.simulate_tomography(rho, shots=1000, seed=3), direct)
+
+
+#: The counts that inversion draws at seed 2024 from a random state with no
+#: two outcomes of one setting within 0.02 in probability (see
+#: _random_state(4, 48)).
+_PINNED_COUNTS = [[331, 604, 59, 6], [700, 231, 27, 42], [869, 74, 9, 48],
+                  [41, 420, 307, 232], [341, 130, 368, 161], [345, 101, 538, 16],
+                  [214, 308, 146, 332], [481, 45, 208, 266], [366, 131, 475, 28]]
 
 
 def test_the_rng_layout_is_pinned():
@@ -320,23 +354,23 @@ def test_the_rng_layout_is_pinned():
     counts = ent.simulate_tomography(rho, shots=1000, seed=2024)
     np.testing.assert_array_equal(counts, _PINNED_COUNTS)
     mean, std = ent.bootstrap(counts, resamples=200, seed=2025)
-    assert mean == pytest.approx(0.4924344826619043, rel=1e-12, abs=0)
-    assert std == pytest.approx(0.02115376610530001, rel=1e-12, abs=0)
+    assert mean == pytest.approx(0.5159131999207113, rel=1e-12, abs=0)
+    assert std == pytest.approx(0.018237349442705716, rel=1e-12, abs=0)
 
 
 #: (counts, bootstrap mean, bootstrap std) of the pinned state at 1000
 #: shots and 200 resamples, both drawn at the seed; 2^64 - 1 is the top of
 #: the --seed range, so the uint64 edge of the (seed, stream) key.
 _PINNED_DRAWS = {
-    0: ([[294, 639, 56, 11], [663, 260, 22, 55], [834, 90, 16, 60],
-         [41, 415, 308, 236], [322, 141, 365, 172], [343, 128, 507, 22],
-         [213, 313, 138, 336], [473, 41, 222, 264], [397, 132, 456, 15]],
-        0.4993310539094867, 0.018669388469886496),
-    2024: (_PINNED_COUNTS, 0.4933384781959665, 0.023177907037481713),
-    2 ** 64 - 1: ([[290, 636, 63, 11], [672, 251, 23, 54], [839, 86, 17, 58],
-                   [54, 413, 305, 228], [316, 146, 366, 172], [321, 115, 534, 30],
-                   [207, 288, 151, 354], [451, 41, 251, 257], [400, 143, 442, 15]],
-                  0.4767840092799904, 0.022634822260146112),
+    0: ([[297, 625, 62, 16], [667, 255, 29, 49], [843, 84, 10, 63],
+         [58, 415, 318, 209], [320, 130, 381, 169], [347, 130, 499, 24],
+         [196, 310, 144, 350], [460, 40, 242, 258], [363, 139, 476, 22]],
+        0.498184834057292, 0.021167722327683224),
+    2024: (_PINNED_COUNTS, 0.5157048209036068, 0.017460225523137758),
+    2 ** 64 - 1: ([[301, 623, 63, 13], [686, 246, 17, 51], [832, 86, 14, 68],
+                   [42, 435, 304, 219], [291, 137, 394, 178], [333, 124, 521, 22],
+                   [218, 292, 153, 337], [498, 32, 210, 260], [374, 123, 483, 20]],
+                  0.5412846872698683, 0.019043845382138644),
 }
 
 

@@ -210,10 +210,11 @@ def test_every_normalisation_path_has_one_tolerance_and_message(monkeypatch):
     values = ionchain.power_law_coupling(6, 1.3, 2 * np.pi * 30.0).values.copy()
     values[0, 1] = values[1, 0] = 1.1 * values[0, 1]     # no mirror symmetry: one eigh
     times = np.linspace(0.0, 0.01, 4)
-    spread = magnon._spread
+    spectral = dynamics._spectral
     scale = np.sqrt([[1.0], [1.0 + 0.5e-9], [1.0 + 2e-9], [1.0 - 3e-9]])
-    monkeypatch.setattr(magnon, "_spread", lambda *args: spread(*args) * scale)
-    norms = np.sum(np.abs(spread(*np.linalg.eigh(values), 0, times) * scale) ** 2, axis=1)
+    monkeypatch.setattr(magnon, "_spectral", lambda *args: spectral(*args) * scale)
+    start = np.eye(1, 6, 0, dtype=complex)[0]
+    norms = np.sum(np.abs(spectral(*np.linalg.eigh(values), start, times) * scale) ** 2, axis=1)
     with pytest.raises(ValueError, match=refused(norms[2])):
         magnon._single_excitation_amplitudes(CouplingMatrix(values), 1, times)
 

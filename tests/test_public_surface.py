@@ -1,5 +1,6 @@
-"""The package's public surface serves the program: no module-level public
-name of ``src/magnonchain`` is read by the tests alone.
+"""The package serves the program: no module-level name of
+``src/magnonchain``, public or private (dunders aside), is read by the
+tests alone.  A helper only tests read belongs in ``tests/conftest.py``.
 
 The scan is by name, with ``ast``: a read is a ``Name`` in load context,
 an ``Attribute`` or a ``from ... import`` alias, f-string expressions
@@ -16,9 +17,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "magnonchain"
 
 
-def _public_names(tree: ast.Module) -> set[str]:
-    """The module-level ``def``, ``class`` and assigned names of a module
-    that have no leading underscore."""
+def _module_names(tree: ast.Module) -> set[str]:
+    """The module-level ``def``, ``class`` and assigned names of a module,
+    dunders aside."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -27,7 +28,7 @@ def _public_names(tree: ast.Module) -> set[str]:
             names.update(target.id for target in node.targets if isinstance(target, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.add(node.target.id)
-    return {name for name in names if not name.startswith("_")}
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
 
 
 def _reads(paths) -> Counter:
@@ -44,10 +45,10 @@ def _reads(paths) -> Counter:
     return reads
 
 
-def test_no_public_name_of_the_package_is_read_only_by_the_tests():
+def test_no_name_of_the_package_is_read_only_by_the_tests():
     modules = sorted(PACKAGE.glob("*.py"))
     defined = {name: path.stem for path in modules
-               for name in _public_names(ast.parse(path.read_text(encoding="utf-8")))}
+               for name in _module_names(ast.parse(path.read_text(encoding="utf-8")))}
     program = _reads(modules + sorted((ROOT / "scripts").glob("*.py"))
                      + sorted((ROOT / "perfbench").glob("*.py")))
     tests = _reads(sorted((ROOT / "tests").glob("*.py")))
