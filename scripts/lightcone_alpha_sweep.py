@@ -32,9 +32,9 @@ def front_for_alpha(alpha, times):
     J = ionchain.power_law_coupling(N_IONS, alpha, JBAR)
     states = magnon.evolve_single_excitation(J, SOURCE, times)
     sz = np.array([2.0 * np.abs(s.amplitudes) ** 2 - 1.0 for s in states])
-    arrivals = analysis.arrival_times(times, sz, source=SOURCE)
+    arrivals, skipped = analysis.arrival_times(times, sz, source=SOURCE)
     front = analysis.fit_front_velocity([(d, fit.t0) for d, fit in arrivals])
-    return J, arrivals, front
+    return arrivals, skipped, front
 
 
 def main():
@@ -45,14 +45,15 @@ def main():
     cone = bounds.nn_lightcone(ionchain.nearest_neighbour_coupling(N_IONS, JBAR))
     print(f"N={N_IONS}, Jbar/2pi = {JBAR / (2 * np.pi):.1f} Hz, source site {SOURCE}")
     print(f"nearest-neighbour cone velocity: {cone.v:.2f} sites/s\n")
-    print(f"{'alpha':>6} {'v (sites/s)':>12} {'stderr':>8} {'v/v_cone':>9} {'sites':>6}")
+    print(f"{'alpha':>6} {'v (sites/s)':>12} {'stderr':>8} {'v/v_cone':>9} {'sites':>6} "
+          f"{'skipped':>8}")
 
     table = []
     for alpha in ALPHAS:
-        J, arrivals, front = front_for_alpha(alpha, times)
+        arrivals, skipped, front = front_for_alpha(alpha, times)
         ratio = front.velocity / cone.v
         print(f"{alpha:6.2f} {front.velocity:12.1f} {front.velocity_stderr:8.2f} "
-              f"{ratio:9.3f} {len(front.sites_used):6d}")
+              f"{ratio:9.3f} {len(front.sites_used):6d} {len(skipped):8d}")
         table.append((alpha, front.velocity, front.velocity_stderr, ratio))
         rows = [(fit.site, d, fit.t0, fit.width, fit.goodness) for d, fit in arrivals]
         io.write_columns(outdir / f"arrivals_alpha_{alpha:.2f}.csv",

@@ -18,11 +18,13 @@ Three families of estimators:
   maximum exceeding the pre-arrival baseline by three standard
   deviations; boundary reflections produce later, larger maxima that must
   not be picked up.  Every site's pulse segment is detected in one pass
-  over all traces (``_segments``), then all segments are fitted in one
-  batched, bounded Levenberg-Marquardt solve (``_fit_pulses``) that takes
-  Newton steps on the exact Hessian where it is positive definite, and
-  stops a site on an accepted step in which no parameter moves by more
-  than ``FIT_STEP_RTOL`` relative.
+  over all traces (``_segments``), as index arrays into them, then all
+  segments are fitted in one batched, bounded Levenberg-Marquardt solve
+  (``_fit_pulses``) that takes Newton steps on the exact Hessian where it
+  is positive definite, and stops a site on an accepted step in which no
+  parameter moves by more than ``FIT_STEP_RTOL`` relative.  A site with no
+  maximum or no converged fit is returned as skipped, with its reason;
+  nothing is warned.
 * ``fit_front_velocity`` turns (distance, arrival-time) pairs into a cone
   velocity by ordinary least squares t0 = d / v + intercept.
 """
@@ -91,10 +93,8 @@ class ArrivalFit:
 
 @dataclass(frozen=True)
 class ArrivalSkipped:
-    """A site left out of the light cone because its arrival fit failed.
-
-    ``reason`` is the :class:`FitError` text, as in the warning.
-    """
+    """A site left out of the light cone because its arrival fit failed,
+    and why (``reason``): no maximum to fit, or no convergence."""
 
     site: int
     distance: int
@@ -252,56 +252,51 @@ def fit_alpha_realspace(J: CouplingMatrix) -> AlphaFit:
 # arrival-time and front-velocity fits
 
 
-def _segments(t, traces) -> list:
-    """The segment of each trace's first maximum: (t_fit, v_fit, p0, lower,
-    upper) for each row of ``traces`` (traces, T), or the FitError of a
-    trace that has none.
+def _segments(traces) -> tuple:
+    """Where each trace's first maximum lies: (start, stop, peak, baseline,
+    height, reason) for the rows of ``traces`` (traces, T).
 
-    The segment runs between the local minima flanking the first
-    qualifying maximum (:func:`_first_maxima`, :func:`_flanking_minima`),
-    so neither the initial transient nor later interference revivals bias
-    the arrival time.  Initial guesses p0, to be clipped into the bounds:
-    t0 at the detected peak, w a sixth of the segment (at least half a
-    sample step), b the peak height; the amplitude is constrained
-    non-negative and the center to the segment, which keeps the optimizer
-    from inverting the pulse on weak precursor bumps.  Each step is one
-    pass over all traces.
+    The segment runs from sample ``start`` to ``stop``, the local minima
+    flanking the first qualifying maximum ``peak`` (:func:`_first_maxima`,
+    :func:`_flanking_minima`), so neither the initial transient nor later
+    interference revivals bias the arrival time.  ``baseline`` is the
+    segment's minimum and ``height`` its peak above that; a segment rises
+    to its peak and falls after it, so ``height`` is its max - min.
+    ``reason`` is a list holding, for each trace without a maximum, why,
+    and "" for the others, whose other entries are meaningless.  Each step
+    is one pass over all traces.
     """
-    peak, failure = _first_maxima(traces)
+    peak, reason = _first_maxima(traces)
     start, stop = _flanking_minima(traces, peak)
     index = np.arange(traces.shape[1])
     inside = (index >= start[:, None]) & (index <= stop[:, None])
     baseline = np.where(inside, traces, np.inf).min(axis=1)
     height = traces[np.arange(len(traces)), peak] - baseline
-    segments = []
-    for j, (s, e, top, reason) in enumerate(zip(start.tolist(), stop.tolist(),
-                                                 peak.tolist(), failure)):
-        if reason:
-            segments.append(FitError(reason))
-            continue
-        t_fit = t[s: e + 1]
-        span = float(t_fit[-1] - t_fit[0])
-        segments.append((t_fit, traces[j, s: e + 1],
-                         (float(baseline[j]), float(height[j]), float(t[top]), span / 6.0),
-                         (-np.inf, 0.0, t_fit[0], 0.5 * (t_fit[1] - t_fit[0])),
-                         (np.inf, np.inf, t_fit[-1], 10.0 * span)))
-    return segments
+    return start, stop, peak, baseline, height, reason
 
 
-def _fit_pulses(sites, segments) -> list:
-    """Fit the arrival model a + b exp(-(t - t0)^2 / 2 w^2) to every segment
-    at once; an ArrivalFit or FitError each.
+def _fit_pulses(times, traces, start, stop, peak, baseline, height) -> tuple:
+    """Fit the arrival model a + b exp(-(t - t0)^2 / 2 w^2) to the segment
+    of every row of ``traces`` at once, the segments given as by
+    :func:`_segments`; returns the params (a, b, t0, w) (traces, 4), the
+    rms residual and whether each fit converged.
 
-    Each segment is padded to whole blocks of ``_BLOCK`` samples, masked,
-    and the blocks of all segments are stacked.  One Levenberg-Marquardt
-    iteration advances every unconverged site.  Its step is Newton's, on
-    the exact Hessian J^T J + sum r grad^2 f of the sum of squares SS
-    (:func:`_normal_equations`): Marquardt scaled by the diagonal of J^T J,
-    damped by lambda on that diagonal, and taken wherever this damped,
-    scaled system is positive definite (:func:`_positive_definite`, all
-    sites at once).  A site where it is not takes the Gauss-Newton step of
-    J^T J for that iteration.  The damping is updated per site by Nielsen's
-    rule on the ratio of the actual to the predicted reduction of SS.  A
+    The start point, to be clipped into the bounds: a at the baseline, b
+    the height, t0 at the peak, w a sixth of the segment's span.  The
+    amplitude is constrained non-negative, the center to the segment and
+    the width to between half its first sample step and ten spans, which
+    keeps the optimizer from inverting the pulse on weak precursor bumps.
+    Each segment's samples are read from its trace, padded to whole blocks
+    of ``_BLOCK`` samples and masked, and the blocks of all segments are
+    stacked.  One Levenberg-Marquardt iteration advances every unconverged
+    site.  Its step is Newton's, on the exact Hessian J^T J + sum r grad^2
+    f of the sum of squares SS (:func:`_normal_equations`): Marquardt
+    scaled by the diagonal of J^T J, damped by lambda on that diagonal,
+    and taken wherever this damped, scaled system is positive definite
+    (:func:`_positive_definite`, all sites at once).  A site where it is
+    not takes the Gauss-Newton step of J^T J for that iteration.  The
+    damping is updated per site by Nielsen's rule on the ratio of the
+    actual to the predicted reduction of SS.  A
     trial whose predicted reduction is within the rounding error of the
     site's SS is accepted, since its actual reduction is noise; over n
     samples that error is 2^-52 (n SS + 2 (|a| + |b|) sqrt(n SS)), the
@@ -310,35 +305,32 @@ def _fit_pulses(sites, segments) -> list:
     points outward is held, the other steps are clipped to the bounds.  A
     site leaves the batch on an accepted step in which no parameter moves
     by more than ``FIT_STEP_RTOL`` of the larger of the parameter and its
-    scale (the segment's signal excursion for a and b, its time span for
-    t0 and w).  Each site's arithmetic depends only on its own blocks, so
-    its fit does not depend on the batch it is in.
+    scale (the segment's height for a and b, its time span for t0 and w).
+    Each site's arithmetic depends only on its own blocks, so its fit does
+    not depend on the batch it is in.
     """
-    if not segments:
-        return []
-    sizes = np.array([seg[0].size for seg in segments], dtype=int)
+    sizes = stop - start + 1
     blocks = -(-sizes // _BLOCK)
-    t_all = np.concatenate([seg[0] for seg in segments])
-    v_all = np.concatenate([seg[1] for seg in segments])
-    offsets = np.cumsum(sizes) - sizes
     # each padded sample's index within its segment; pads repeat the last sample
     within = np.arange(int(blocks.sum()) * _BLOCK) - np.repeat(
         (np.cumsum(blocks) - blocks) * _BLOCK, blocks * _BLOCK)
     n_rep = np.repeat(sizes, blocks * _BLOCK)
-    taken = np.repeat(offsets, blocks * _BLOCK) + np.minimum(within, n_rep - 1)
-    t = t_all[taken].reshape(-1, _BLOCK)
-    y = v_all[taken].reshape(-1, _BLOCK)
+    column = np.repeat(start, blocks * _BLOCK) + np.minimum(within, n_rep - 1)
+    t = times[column].reshape(-1, _BLOCK)
+    y = traces[np.repeat(np.arange(len(traces)), blocks * _BLOCK), column].reshape(-1, _BLOCK)
     mask = (within < n_rep).astype(float).reshape(-1, _BLOCK)
-    lower, upper = (np.array([seg[k] for seg in segments], dtype=float) for k in (3, 4))
-    p = np.clip(np.array([seg[2] for seg in segments], dtype=float), lower, upper)
-    excursion = np.maximum.reduceat(v_all, offsets) - np.minimum.reduceat(v_all, offsets)
-    span = t_all[offsets + sizes - 1] - t_all[offsets]
-    scale = np.column_stack([excursion, excursion, span, span])
+    span = times[stop] - times[start]
+    inf = np.full(span.shape, np.inf)
+    lower = np.column_stack([-inf, np.zeros_like(span), times[start],
+                             0.5 * (times[start + 1] - times[start])])
+    upper = np.column_stack([inf, inf, times[stop], 10.0 * span])
+    p = np.clip(np.column_stack([baseline, height, times[peak], span / 6.0]), lower, upper)
+    scale = np.column_stack([height, height, span, span])
 
-    fitted, final, final_ss = np.zeros(len(sites), dtype=bool), p.copy(), np.zeros(len(sites))
-    active, n = np.arange(len(sites)), sizes.astype(float)
-    damping = np.full(len(sites), _INITIAL_DAMPING)
-    growth = np.full(len(sites), 2.0)
+    fitted, final, final_ss = np.zeros(len(p), dtype=bool), p.copy(), np.zeros(len(p))
+    active, n = np.arange(len(p)), sizes.astype(float)
+    damping = np.full(len(p), _INITIAL_DAMPING)
+    growth = np.full(len(p), 2.0)
     work = np.empty((16,) + t.shape)
     sums = _moments(p, t, y, mask, blocks, work)
     eye = np.eye(4)
@@ -386,15 +378,7 @@ def _fit_pulses(sites, segments) -> list:
                     a[~done] for a in
                     (active, p, sums, lower, upper, scale, n, blocks, damping, growth))
 
-    fits = []
-    for j, site in enumerate(sites):
-        if not fitted[j]:
-            fits.append(FitError(f"arrival fit for site {site} did not converge"))
-            continue
-        a, b, t0, w = final[j]
-        fits.append(ArrivalFit(site=site, t0=float(t0), width=float(w), amplitude=float(b),
-                               goodness=float(np.sqrt(final_ss[j] / sizes[j]))))
-    return fits
+    return final, np.sqrt(final_ss / sizes), fitted
 
 
 #: Entry (i, j) of the Gram matrix of the columns (1, e, e z, e z^2): its
@@ -551,7 +535,7 @@ def fit_front_velocity(arrivals) -> FrontFit:
                     sites_used=[float(x) for x in d])
 
 
-def arrival_times(times, magnetisation, source: int, skipped: list | None = None):
+def arrival_times(times, magnetisation, source: int) -> tuple[list, list]:
     """Per-distance Gaussian arrival fits for a single-source quench.
 
     Parameters
@@ -562,14 +546,13 @@ def arrival_times(times, magnetisation, source: int, skipped: list | None = None
         <sigma_z> trace per site, shape (T, N).
     source:
         1-based site where the excitation started.
-    skipped:
-        Optional list; an :class:`ArrivalSkipped` is appended to it for
-        every site whose fit fails.
 
-    Returns a list of (distance, ArrivalFit) pairs following the front to
-    the right of the source, up to the second-to-last site.  All sites are
-    fitted in one batched solve, and a site's fit does not depend on the
-    others.  Sites whose arrival fit fails are skipped with a warning.
+    Returns (fits, skipped) for the sites right of the source up to the
+    second-to-last: ``fits`` the (distance, ArrivalFit) pairs of the sites
+    whose fit succeeds, following the front outward, and ``skipped`` an
+    :class:`ArrivalSkipped` for each other site, in distance order, with
+    the reason it failed.  All sites are fitted in one batched solve, and
+    a site's fit does not depend on the others.
     """
     mag = np.asarray(magnetisation, dtype=float)
     n = mag.shape[1]
@@ -584,17 +567,16 @@ def arrival_times(times, magnetisation, source: int, skipped: list | None = None
     if t.size < MIN_ARRIVAL_SAMPLES:
         raise ValueError(f"need at least {MIN_ARRIVAL_SAMPLES} samples per trace")
     traces = np.ascontiguousarray(mag[:, source: source + edge].T)
-    outcome = dict(enumerate(_segments(t, traces), start=1))   # distance -> segment, then fit
-    found = [d for d, seg in outcome.items() if not isinstance(seg, FitError)]
-    outcome.update(zip(found, _fit_pulses([source + d for d in found],
-                                          [outcome[d] for d in found])))
+    *segments, reasons = _segments(traces)
+    found = np.flatnonzero([not r for r in reasons])
+    params, goodness, converged = _fit_pulses(t, traces[found], *(a[found] for a in segments))
     fits = []
-    for dist, fit in outcome.items():
-        if isinstance(fit, FitError):
-            s = source + dist
-            warnings.warn(f"site {s}: {fit}", stacklevel=2)
-            if skipped is not None:
-                skipped.append(ArrivalSkipped(site=s, distance=dist, reason=str(fit)))
+    for j, (_, b, t0, w), rms, ok in zip(found.tolist(), params.tolist(), goodness.tolist(),
+                                        converged.tolist()):
+        if ok:
+            fits.append((j + 1, ArrivalFit(site=source + j + 1, t0=t0, width=w, amplitude=b,
+                                           goodness=rms)))
         else:
-            fits.append((dist, fit))
-    return fits
+            reasons[j] = f"arrival fit for site {source + j + 1} did not converge"
+    return fits, [ArrivalSkipped(site=source + d, distance=d, reason=r)
+                  for d, r in enumerate(reasons, start=1) if r]

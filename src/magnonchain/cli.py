@@ -200,7 +200,7 @@ SETTINGS = (
     Setting("sample_time", "tomo", ("--time",), None, "evolution time before tomography",
             0.0043, low=0, arg=dict(type=float, metavar="S")),
     Setting("shots", "tomo", ("--shots",), ("run", "shots"), "shots per basis", 1000, low=1,
-            arg=dict(type=int, metavar="K")),
+            bits=20, arg=dict(type=int, metavar="K")),
     Setting("resamples", "tomo", ("--resamples",), ("run", "resamples"),
             "bootstrap resamples", 200, low=100, arg=dict(type=int, metavar="R")),
     Setting("seed", "tomo", ("--seed", "-s"), ("run", "seed"), "RNG seed", 0, low=0,
@@ -685,8 +685,7 @@ def _cmd_tomo(rc: RunConfig) -> int:
 def _cmd_lightcone(rc: RunConfig) -> int:
     J = _build_couplings(rc)
     times, mag, corr = _propagate(rc, J)
-    skipped = []
-    fits = analysis.arrival_times(times, mag, rc.cone_source, skipped=skipped)
+    fits, skipped = analysis.arrival_times(times, mag, rc.cone_source)
     if len(fits) < 3:
         raise analysis.FitError(
             f"{len(fits)} of {len(fits) + len(skipped)} sites gave an arrival fit, and the "
@@ -704,6 +703,9 @@ def _cmd_lightcone(rc: RunConfig) -> int:
                             rc.meta(front_velocity=front.velocity,
                                     cone_velocity=cone.v))
     _report(path, "arrivals")
+    if skipped:
+        print(f"{len(skipped)} of {len(fits) + len(skipped)} sites gave no arrival fit; "
+              f"{path} records each as ArrivalSkipped, with its reason", file=sys.stderr)
 
     distances = np.arange(1, rc.n_ions)
     path = mio.save_cone(rc.outdir / "cone.csv", distances,

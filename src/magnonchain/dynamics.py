@@ -673,7 +673,7 @@ def _propagate_block(H: Hamiltonian, psi: np.ndarray, times: np.ndarray) -> np.n
                          times.size)[0]
     if method == "dense":
         return _spectral(*H.eigensystem(), psi, times)
-    return _krylov_trajectory(H.matvec, psi, times, STEP_TOL, norm)
+    return _krylov_trajectory(H.matvec, psi, times, norm)
 
 
 def _spectral(energies: np.ndarray, vectors: np.ndarray, psi: np.ndarray,
@@ -734,8 +734,7 @@ def _real_matmul(a, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float,
-                       norm: float) -> np.ndarray:
+def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, norm: float) -> np.ndarray:
     """(T, dim) amplitudes of exp(-i H t) psi for real symmetric H, from t = 0.
 
     One Lanczos subspace of at most ``KRYLOV_ORDERS`` orders,
@@ -776,7 +775,7 @@ def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float,
             subspace = _Lanczos(matvec, start, buffer)
         first_test = ceil(FIRST_TEST_FRACTION
                           * _lanczos_orders(norm * np.abs(dts).max(), psi.size))
-        Y, V, _ = _lanczos_subspace(subspace, dts, tol, first_test)
+        Y, V, _ = _lanczos_subspace(subspace, dts, first_test)
         done = Y.shape[1]
         if done == 0:                           # the same subspace, tested for shorter stops
             splits += 1
@@ -784,7 +783,7 @@ def _krylov_trajectory(matvec, psi: np.ndarray, times: np.ndarray, tol: float,
                 raise PropagatorError(
                     f"Krylov propagation of a {psi.size}-state sector stalled at "
                     f"t = {t_now:.6g} s, short of the output time {times[k]:.6g} s: "
-                    f"error target {tol:g} not met at subspace dimension {KRYLOV_ORDERS} "
+                    f"error target {STEP_TOL:g} not met at subspace dimension {KRYLOV_ORDERS} "
                     f"after {MAX_SPLITS} step halvings")
             h = min(h, abs(gap)) / 2
             continue
@@ -845,7 +844,7 @@ class _Lanczos:
         self.orders = m + 1
 
 
-def _lanczos_subspace(lanczos: _Lanczos, dts: np.ndarray, tol: float,
+def _lanczos_subspace(lanczos: _Lanczos, dts: np.ndarray,
                       start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lanczos approximations of exp(-i dt H) psi, psi the start of
     ``lanczos``, for the leading ``dts`` that converge in its subspace,
@@ -860,7 +859,7 @@ def _lanczos_subspace(lanczos: _Lanczos, dts: np.ndarray, tol: float,
     exp(-i s T_m) e_1| (a rate), whose integral over the step bounds the
     error, so the estimate at dt is |dt| times the largest delta among
     the steps of ``dts`` no longer than |dt|; a time converges when that
-    is below tol / 4.  The defects of all steps come from one
+    is below ``STEP_TOL / 4``.  The defects of all steps come from one
     eigendecomposition of T_m, taken only at orders that are multiples of
     4 from ``start`` on, at a breakdown (then the subspace is invariant
     and exact) and at ``m_max``.  A test passes when every time
@@ -896,13 +895,13 @@ def _lanczos_subspace(lanczos: _Lanczos, dts: np.ndarray, tol: float,
             lanczos.tested[m] = evals, evecs[0].copy(), evecs[m].copy()
         evals, first, last = lanczos.tested[m]
         weights = last * first
-        if not final and _fails_at(weights, evals, dts[longest], beta[m] * steps[longest], tol):
+        if not final and _fails_at(weights, evals, dts[longest], beta[m] * steps[longest]):
             return None
         phases = np.exp(-1j * np.outer(evals, dts))
         defect = beta[m] * np.abs(weights @ phases)
         err = np.empty_like(defect)
         err[order] = steps[order] * np.maximum.accumulate(defect[order])
-        ok = (err < tol / 4) | breakdown
+        ok = (err < STEP_TOL / 4) | breakdown
         if not (ok.all() or final):
             return None
         return m, dts.size if ok.all() else int(np.argmin(ok)), phases, err, first, evecs
@@ -922,19 +921,18 @@ def _lanczos_subspace(lanczos: _Lanczos, dts: np.ndarray, tol: float,
     return Y * lanczos.norm, V[:m + 1], err[:done] * lanczos.norm
 
 
-def _fails_at(weights: np.ndarray, evals: np.ndarray, dt: float, scale: float,
-              tol: float) -> bool:
+def _fails_at(weights: np.ndarray, evals: np.ndarray, dt: float, scale: float) -> bool:
     """True if a Lanczos test certainly fails at step ``dt``: its error
     there is at least ``scale`` = beta_m |dt| times the defect
     |sum_k weights_k exp(-i dt evals_k)|, the weights being the first times
     the last eigenvector components.  That sum, summed in any order, is
     within (m + 2) 2^-52 sum |weights| of the one computed here, so the
     test fails whenever the bound less twice that, and less a few ulps of
-    the products, reaches ``tol / 4``: one length-m sum instead of the
+    the products, reaches ``STEP_TOL / 4``: one length-m sum instead of the
     full test's (m x steps) phases."""
     slack = (weights.size + 2) * 2.0 ** -51 * np.abs(weights).sum()
     defect = abs(weights @ np.exp(-1j * evals * dt)) - slack
-    return scale * defect * (1.0 - 2.0 ** -50) >= tol / 4
+    return scale * defect * (1.0 - 2.0 ** -50) >= STEP_TOL / 4
 
 
 # ---------------------------------------------------------------------------

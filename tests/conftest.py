@@ -149,13 +149,21 @@ def gauss_jacobian(t, a, b, t0, w) -> np.ndarray:
 
 def arrival_segment(t, v):
     """The segment that ``analysis._segments`` cuts from the one trace
-    ``v``: (times, values, start, lower bounds, upper bounds); raises its
-    FitError if the trace has none."""
+    ``v``, bounded as ``analysis._fit_pulses`` bounds it: (times, values,
+    start, lower bounds, upper bounds); raises FitError if the trace has
+    none."""
     from magnonchain import analysis
-    segment, = analysis._segments(t, np.asarray(v)[None, :])
-    if isinstance(segment, analysis.FitError):
-        raise segment
-    return segment
+    v = np.asarray(v)
+    *segment, (reason,) = analysis._segments(v[None, :])
+    if reason:
+        raise analysis.FitError(reason)
+    start, stop, peak, baseline, height = (x[0] for x in segment)
+    t_fit = t[start: stop + 1]
+    span = float(t_fit[-1] - t_fit[0])
+    return (t_fit, v[start: stop + 1],
+            (float(baseline), float(height), float(t[peak]), span / 6.0),
+            (-np.inf, 0.0, t_fit[0], 0.5 * (t_fit[1] - t_fit[0])),
+            (np.inf, np.inf, t_fit[-1], 10.0 * span))
 
 
 def full_space(x) -> np.ndarray:

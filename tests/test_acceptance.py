@@ -191,7 +191,7 @@ def test_criterion_08_front_velocity_grows_as_alpha_shrinks():
         J = ionchain.power_law_coupling(15, alpha, J0)
         mag = np.vstack([2.0 * np.abs(s.amplitudes) ** 2 - 1.0
                          for s in magnon.evolve_single_excitation(J, 8, times)])
-        fits = analysis.arrival_times(times, mag, 8)
+        fits, _ = analysis.arrival_times(times, mag, 8)
         front = analysis.fit_front_velocity([(d, f.t0) for d, f in fits])
         velocity[alpha] = front.velocity
     cone = bounds.nn_lightcone(ionchain.power_law_coupling(15, 0.75, J0))

@@ -198,14 +198,16 @@ def _pulse(t, t0, w, b=0.6, a=-1.0):
     return a + b * np.exp(-((t - t0) ** 2) / (2 * w ** 2))
 
 
-def _fit_one(times, signal, site=0):
-    """The arrival fit of one trace: the batched solver on its one segment."""
-    segment = arrival_segment(np.asarray(times, dtype=float),
-                                        np.asarray(signal, dtype=float))
-    fit = analysis._fit_pulses([site], [segment])[0]
-    if isinstance(fit, FitError):
-        raise fit
-    return fit
+def _fit_one(times, signal, site=2):
+    """The arrival fit of one trace alone: ``arrival_times`` on a chain
+    whose one fitted site is ``site``; raises FitError with its reason if
+    it is skipped."""
+    mag = np.zeros((len(signal), site + 1))
+    mag[:, site - 1] = signal
+    fits, skipped = analysis.arrival_times(times, mag, site - 1)
+    if skipped:
+        raise FitError(skipped[0].reason)
+    return fits[0][1]
 
 
 def test_arrival_fit_recovers_synthetic_pulse():
@@ -292,7 +294,6 @@ def _tight_curve_fit(t_fit, v_fit, p0, lower, upper):
     return popt
 
 
-@pytest.mark.filterwarnings("ignore:site")
 @pytest.mark.parametrize("alpha", CONE_ALPHAS)
 def test_arrival_fits_match_tight_curve_fit_reference(alpha, cones):
     """On the N = 201 light cones the batched fits land where scipy's
@@ -300,7 +301,7 @@ def test_arrival_fits_match_tight_curve_fit_reference(alpha, cones):
     segments, puts them: same sites, t0 and front velocity to 1e-7."""
     times, mags = cones
     mag = mags[alpha]
-    fits = analysis.arrival_times(times, mag, 101)
+    fits, _ = analysis.arrival_times(times, mag, 101)
     reference = []
     for dist in range(1, 100):
         try:
@@ -327,9 +328,10 @@ def _scanned_minima(v, peak):
     return start, stop
 
 
-def _scanned_segment(t, v):
-    """The segment of one trace's first maximum, found by scalar scans over
-    that trace alone: the reference for the one pass of ``_segments``."""
+def _scanned_segment(v):
+    """(start, stop, peak, baseline, height) of one trace's first maximum,
+    found by scalar scans over that trace alone, or the FitError of a trace
+    without one: the reference for the one pass of ``_segments``."""
     baseline = float(v[0])
     excursion = float(v.max() - baseline)
     if excursion <= 0.0:
@@ -343,21 +345,18 @@ def _scanned_segment(t, v):
     if peak is None:
         return FitError("no interior maximum above the detection threshold")
     start, stop = _scanned_minima(v, peak)
-    t_fit, v_fit = t[start: stop + 1], v[start: stop + 1]
-    baseline = float(v_fit.min())
-    span = float(t_fit[-1] - t_fit[0])
-    return (t_fit, v_fit, (baseline, float(v[peak] - baseline), float(t[peak]), span / 6.0),
-            (-np.inf, 0.0, t_fit[0], 0.5 * (t_fit[1] - t_fit[0])),
-            (np.inf, np.inf, t_fit[-1], 10.0 * span))
+    baseline = float(v[start: stop + 1].min())
+    return start, stop, peak, baseline, float(v[peak] - baseline)
 
 
 def _same_segment(found, expected):
+    """Whether one row of ``_segments``, (start, stop, peak, baseline,
+    height, reason), is the scanned segment or FitError, bit for bit."""
+    *segment, reason = found
     if isinstance(expected, FitError):
-        return isinstance(found, FitError) and str(found) == str(expected)
-    return (not isinstance(found, FitError)
-            and all(np.array_equal(f, e) for f, e in zip(found[:2], expected[:2]))
-            and all(np.asarray(f).tobytes() == np.asarray(e, dtype=float).tobytes()
-                    for f, e in zip(found[2:], expected[2:])))
+        return reason == str(expected)
+    return (reason == "" and np.array(segment, dtype=float).tobytes()
+            == np.array(expected, dtype=float).tobytes())
 
 
 def test_flanking_minima_match_the_scalar_scan(cones):
@@ -370,34 +369,56 @@ def test_flanking_minima_match_the_scalar_scan(cones):
     fitted = 0
     for mag in mags.values():
         traces = np.ascontiguousarray(mag.T)
-        for found, v in zip(analysis._segments(times, traces), mag.T):
-            assert _same_segment(found, _scanned_segment(times, v))
-            fitted += not isinstance(found, FitError)
+        for found, v in zip(zip(*analysis._segments(traces)), mag.T):
+            assert _same_segment(found, _scanned_segment(v))
+            fitted += not found[-1]
     assert fitted >= 4 * 99
     rng = np.random.default_rng(5)
     traces = [rng.normal(size=size) for size in (3, 4, 5, 17, 200)]
     traces += [np.round(rng.normal(size=60), 0), np.zeros(9), np.arange(9.0), -np.arange(9.0)]
     for v in traces:
-        t = np.linspace(0.0, 1.0, v.size)
-        assert _same_segment(analysis._segments(t, v[None, :])[0], _scanned_segment(t, v))
+        found, = zip(*analysis._segments(v[None, :]))
+        assert _same_segment(found, _scanned_segment(v))
         peaks = np.arange(1, v.size - 1)
         start, stop = analysis._flanking_minima(np.tile(v, (peaks.size, 1)), peaks)
         assert list(zip(start, stop)) == [_scanned_minima(v, peak) for peak in peaks]
     tied = np.tile(np.round(rng.normal(size=60), 0), (40, 1))
     tied[:, 0] = rng.integers(-2, 3, size=40)
-    t = np.linspace(0.0, 1.0, 60)
-    for found, v in zip(analysis._segments(t, tied), tied):
-        assert _same_segment(found, _scanned_segment(t, v))
+    for found, v in zip(zip(*analysis._segments(tied)), tied):
+        assert _same_segment(found, _scanned_segment(v))
 
 
-@pytest.mark.filterwarnings("ignore:site")
+def test_segment_height_is_its_excursion(cones):
+    """A segment rises to its peak and falls after it, so the peak is its
+    maximum and ``height``, the peak above ``baseline``, is its max - min,
+    bit for bit: the scale of a and b in the fit's step test.  On every
+    trace of the four N = 201 light cones, and on random and rounded (so
+    tied) traces."""
+    times, mags = cones
+    rng = np.random.default_rng(37)
+    batches = [np.ascontiguousarray(mag.T) for mag in mags.values()]
+    batches += [rng.normal(size=(500, 60)), np.round(rng.normal(size=(500, 60)), 0),
+                np.cumsum(rng.normal(size=(500, 200)), axis=1)]
+    checked = 0
+    for traces in batches:
+        for v, start, stop, peak, baseline, height, reason in zip(traces,
+                                                                   *analysis._segments(traces)):
+            if reason:
+                continue
+            segment = v[start: stop + 1]
+            assert v[peak] == segment.max() and baseline == segment.min()
+            assert height == segment.max() - segment.min()
+            checked += 1
+    assert checked > 1500
+
+
 def test_single_site_fit_is_bit_identical_to_batch(cones):
     """The batched solver gives every site of a light cone the same fit
     alone as in arrival_times."""
     times, mags = cones
     for alpha in (1.41, 2.0):
         mag = mags[alpha]
-        for dist, fit in analysis.arrival_times(times, mag, 101):
+        for dist, fit in analysis.arrival_times(times, mag, 101)[0]:
             alone = _fit_one(times, mag[:, 100 + dist], site=fit.site)
             assert alone == fit
 
@@ -413,7 +434,6 @@ def _off_bounds(fit, segment):
                zip((fit.amplitude, fit.t0, fit.width), lower[1:], upper[1:]))
 
 
-@pytest.mark.filterwarnings("ignore:site")
 @pytest.mark.parametrize("alpha", CONE_ALPHAS)
 def test_arrival_fits_land_on_the_polished_minimum(alpha, cones):
     """Each arrival fit of the N = 201 light cones that is off its bounds
@@ -422,7 +442,7 @@ def test_arrival_fits_land_on_the_polished_minimum(alpha, cones):
     the width within 1e-8.  The fitted sites are those of the benchmark."""
     times, mags = cones
     mag = mags[alpha]
-    fits = analysis.arrival_times(times, mag, 101)
+    fits, _ = analysis.arrival_times(times, mag, 101)
     assert len(fits) == ARRIVAL_FITS[alpha]
     polished = 0
     for dist, fit in fits:
@@ -436,7 +456,6 @@ def test_arrival_fits_land_on_the_polished_minimum(alpha, cones):
     assert polished >= ARRIVAL_FITS[alpha] - 11
 
 
-@pytest.mark.filterwarnings("ignore:site")
 @pytest.mark.parametrize("alpha", [1.07, 1.41])
 def test_arrival_fits_do_not_follow_roundoff(alpha, cones):
     """Moving every sz of a light cone by one ulp, up or down at random,
@@ -446,8 +465,8 @@ def test_arrival_fits_do_not_follow_roundoff(alpha, cones):
     mag = mags[alpha]
     rng = np.random.default_rng(35)
     nudged = np.nextafter(mag, np.where(rng.random(mag.shape) < 0.5, -np.inf, np.inf))
-    fits = analysis.arrival_times(times, mag, 101)
-    moved = analysis.arrival_times(times, nudged, 101)
+    fits, _ = analysis.arrival_times(times, mag, 101)
+    moved, _ = analysis.arrival_times(times, nudged, 101)
     assert [d for d, _ in moved] == [d for d, _ in fits]
     np.testing.assert_allclose([f.t0 for _, f in moved], [f.t0 for _, f in fits],
                                rtol=1e-9, atol=0.0)
@@ -482,17 +501,18 @@ def test_one_sample_spike_fits_with_width_on_its_bound():
 
 
 def test_iteration_cap_gives_fit_error_and_skipped_record(monkeypatch):
-    """A fit still moving at FIT_MAX_ITERATIONS fails with FitError, and
-    arrival_times turns that into a warning and an ArrivalSkipped record."""
+    """A fit still moving at FIT_MAX_ITERATIONS is skipped: arrival_times
+    returns it as an ArrivalSkipped record with the whole reason, even when
+    every other reason is empty, and warns nothing."""
     monkeypatch.setattr(analysis, "FIT_MAX_ITERATIONS", 2)
     t = np.linspace(0.0, 0.02, 201)
     with pytest.raises(FitError, match="arrival fit for site 3 did not converge"):
         _fit_one(t, _pulse(t, 0.008, 0.0012), site=3)
     mag = np.full((201, 3), -1.0)
     mag[:, 1] = _pulse(t, 0.008, 0.0012)
-    skipped = []
-    with pytest.warns(UserWarning, match="site 2: arrival fit for site 2 did not converge"):
-        fits = analysis.arrival_times(t, mag, 1, skipped=skipped)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits, skipped = analysis.arrival_times(t, mag, 1)
     assert fits == []
     assert skipped == [analysis.ArrivalSkipped(
         site=2, distance=1, reason="arrival fit for site 2 did not converge")]
@@ -586,29 +606,57 @@ def test_arrival_times_excludes_outermost_site():
     times = np.linspace(0.0, 0.04, 801)
     mag = np.vstack([2.0 * np.abs(s.amplitudes) ** 2 - 1.0
                      for s in magnon.evolve_single_excitation(J, 5, times)])
-    fits = analysis.arrival_times(times, mag, 5)
+    fits, skipped = analysis.arrival_times(times, mag, 5)
     distances = [d for d, _ in fits]
     assert max(distances) == 3          # site 8; site 9 is the excluded edge
     sites = [f.site for _, f in fits]
-    assert sites == [6, 7, 8]
+    assert sites == [6, 7, 8] and skipped == []
     # arrivals are ordered outward
     t0s = [f.t0 for _, f in fits]
     assert t0s == sorted(t0s)
 
 
 def test_arrival_times_skips_failing_sites_with_warning():
+    """A site that fails is returned as skipped, not warned about."""
     times = np.linspace(0.0, 0.02, 201)
     mag = np.full((201, 5), -1.0)
     mag[:, 1] = _pulse(times, 0.005, 0.001)     # site 2 arrives
     mag[:, 2] = _pulse(times, 0.010, 0.001)     # site 3 arrives
-    # site 4 stays flat -> FitError -> skipped
-    skipped = []
-    with pytest.warns(UserWarning, match="site 4") as record:
-        fits = analysis.arrival_times(times, mag, 1, skipped=skipped)
+    # site 4 stays flat -> skipped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits, skipped = analysis.arrival_times(times, mag, 1)
     assert [d for d, _ in fits] == [1, 2]
     assert skipped == [analysis.ArrivalSkipped(
         site=4, distance=3, reason="signal never rises above its baseline")]
-    assert [str(w.message) for w in record] == ["site 4: signal never rises above its baseline"]
+
+
+def test_arrival_times_returns_skipped_sites_in_distance_order(monkeypatch):
+    """Sites that fail, for any reason, come back in distance order, each
+    with its whole reason, and nothing is warned: between fitted sites, and
+    when an iteration cap of 1 stops every fit, mixed with sites that have
+    no maximum or no rise at all."""
+    times = np.linspace(0.0, 0.02, 201)
+    mag = np.full((201, 9), -1.0)
+    mag[:, 2] = _pulse(times, 0.008, 0.0012)                  # site 3
+    mag[:, 3] = np.linspace(-1.0, 0.0, 201)                   # site 4: no maximum
+    mag[100, 4] = 0.5                                         # site 5: a spike
+    mag[:, 6] = _pulse(times, 0.012, 0.0012)                  # site 7
+    no_maximum = analysis.ArrivalSkipped(4, 2, "no interior maximum above the detection "
+                                               "threshold")
+    flat = [analysis.ArrivalSkipped(site, site - 2, "signal never rises above its baseline")
+            for site in (6, 8)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits, skipped = analysis.arrival_times(times, mag, 2)
+        assert [f.site for _, f in fits] == [3, 5, 7]
+        assert skipped == [no_maximum, flat[0], flat[1]]
+        monkeypatch.setattr(analysis, "FIT_MAX_ITERATIONS", 1)
+        fits, skipped = analysis.arrival_times(times, mag, 2)
+    capped = [analysis.ArrivalSkipped(site, site - 2, f"arrival fit for site {site} did not "
+                                                      "converge") for site in (3, 5, 7)]
+    assert fits == []
+    assert skipped == [capped[0], no_maximum, capped[1], flat[0], capped[2], flat[1]]
 
 
 def test_arrival_times_validates_source():

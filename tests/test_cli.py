@@ -113,7 +113,6 @@ def test_quench_single_excitation_model(tmp_path, capsys):
     np.testing.assert_array_equal(rows[:, 2], mag.ravel())
 
 
-@pytest.mark.filterwarnings("ignore:site .*:UserWarning")       # skipped arrival sites
 @pytest.mark.parametrize("n,flip", [(7, 4), (15, 3), (41, 21), (63, 10)])
 def test_a_one_flip_xy_run_matches_evolve(tmp_path, capsys, monkeypatch, n, flip):
     """A one-flip XY quench, light cone and tomography never call
@@ -426,18 +425,22 @@ def test_lightcone_reports_velocities(tmp_path, capsys):
 
 
 def test_lightcone_records_skipped_arrival_sites(tmp_path, capsys):
+    """Skipped sites are ArrivalSkipped records, in distance order, and one
+    stderr line counts them; nothing is warned."""
     argv = ["lightcone", "-o", str(tmp_path), "--source", "power-law", "--n", "31",
             "--alpha", "1.75", "--t-end", "0.02", "--n-points", "201"]
-    with pytest.warns(UserWarning) as warned:
-        code, _ = run(argv, capsys)
-    assert code == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == cli.EXIT_OK
     records = [json.loads(l)
                for l in (tmp_path / "arrivals.ndjson").read_text().splitlines()[1:]]
     skipped = [r for r in records if r["fit"] == "ArrivalSkipped"]
-    assert len(skipped) > 0
-    assert ([f"site {r['site']}: {r['reason']}" for r in skipped]
-            == [str(w.message) for w in warned])
+    assert len(skipped) > 0 and all(r["reason"] for r in skipped)
+    assert capsys.readouterr().err == (
+        f"{len(skipped)} of 14 sites gave no arrival fit; {tmp_path / 'arrivals.ndjson'} "
+        "records each as ArrivalSkipped, with its reason\n")
     assert all(r["distance"] == r["site"] - 16 for r in skipped)
+    assert [r["distance"] for r in skipped] == sorted(r["distance"] for r in skipped)
     # after the ArrivalFit records, before the front and cone records
     kinds = [r["fit"] for r in records]
     n_fits = kinds.count("ArrivalFit")
@@ -866,6 +869,7 @@ def test_coupling_parameters_are_checked_only_for_the_sources_that_read_them(
     (["lightcone", "--n", "201", "--n-points", "4"],
      f"lightcone needs --n-points / [run] n_points >= {analysis.MIN_ARRIVAL_SAMPLES} for its "
      f"arrival fits, got 4"),
+    (["tomo", "--shots", "1048576"], "--shots / [run] shots must be in [1, 2^20), got 1048576"),
 ])
 def test_run_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
     _refused_up_front(tmp_path, capsys, monkeypatch, argv, message)
@@ -1250,7 +1254,8 @@ def test_light_cone_with_too_few_arrival_fits_is_numeric_error(tmp_path, capsys)
     """A window too short for any arrival: every site is skipped, and the
     run fails as a numeric error naming the window, not as a bad argument."""
     argv = ["lightcone", "--n", "15", "--t-end", "1e-12", "-o", str(tmp_path)]
-    with pytest.warns(UserWarning, match="never rises above its baseline"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert cli.main(argv) == cli.EXIT_NUMERIC
     assert capsys.readouterr().err == (
         "error (FitError): 0 of 6 sites gave an arrival fit, and the front velocity needs "
@@ -1297,8 +1302,12 @@ def test_unreachable_krylov_target_is_numeric_error(tmp_path, capsys, monkeypatc
     # target of 1e-9 is never met
     pin_propagator("krylov")
     subspace = dynamics._lanczos_subspace
-    monkeypatch.setattr(dynamics, "_lanczos_subspace",
-                        lambda lanczos, dts, tol, start: subspace(lanczos, dts, 0.0, start))
+
+    def never_converges(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "STEP_TOL", 0.0)
+            return subspace(*args)
+    monkeypatch.setattr(dynamics, "_lanczos_subspace", never_converges)
     code = cli.main(["quench", "-o", str(tmp_path), "--source", "power-law", "--n", "11",
                      "--model", "ising", "--field", "auto", "--flip", "3",
                      "--t-start", "1e-4", "--n-points", "3"])

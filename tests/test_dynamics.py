@@ -702,8 +702,7 @@ def test_one_krylov_subspace_serves_several_output_times(monkeypatch):
     H, psi0 = _ising_n9()
     count = _Counting(H, monkeypatch)
     times = np.linspace(0.0, 1e-3, 11)
-    states = dynamics._krylov_trajectory(count.matvec, full_space(psi0), times, 1e-9,
-                                         _norm(H))
+    states = dynamics._krylov_trajectory(count.matvec, full_space(psi0), times, _norm(H))
     assert sum(count.served) == times.size and 0 not in count.served
     assert max(count.served) >= 2 and len(count.served) <= times.size // 2
     assert count.matvecs <= dynamics.KRYLOV_ORDERS * len(count.served)
@@ -717,7 +716,7 @@ def test_krylov_halves_an_interval_too_long_for_one_subspace(monkeypatch, pin_pr
     count = _Counting(H, monkeypatch)
     t = 0.03
     (state,) = dynamics._krylov_trajectory(count.matvec, full_space(psi0), np.array([t]),
-                                           1e-9, _norm(H))
+                                           _norm(H))
     assert count.served[0] == 0                 # the whole interval did not converge,
     assert len(count.served) > 2                # so stops short of it carried the state
     pin_propagator("dense")
@@ -745,7 +744,7 @@ def test_a_stalled_subspace_is_tested_again_without_a_matvec(monkeypatch):
     times = np.array([0.0, 0.03])
     count = _Counting(H, monkeypatch)
     decompositions = _count_decompositions(monkeypatch)
-    kept = dynamics._krylov_trajectory(count.matvec, full_space(psi0), times, 1e-9, _norm(H))
+    kept = dynamics._krylov_trajectory(count.matvec, full_space(psi0), times, _norm(H))
     assert count.served.count(0) >= 1
     assert count.matvecs == sum(lanczos.orders for lanczos in count.subspaces)
     assert len(count.subspaces) == len(count.served) - count.served.count(0)
@@ -763,7 +762,7 @@ def test_a_stalled_subspace_is_tested_again_without_a_matvec(monkeypatch):
     monkeypatch.setattr(dynamics, "_lanczos_subspace", rebuilt)
     count = _Counting(H, monkeypatch)
     decompositions.clear()
-    again = dynamics._krylov_trajectory(count.matvec, full_space(psi0), times, 1e-9, _norm(H))
+    again = dynamics._krylov_trajectory(count.matvec, full_space(psi0), times, _norm(H))
     assert count.matvecs == matvecs + stalls * dynamics.KRYLOV_ORDERS
     assert len(decompositions) > decomposed
     np.testing.assert_array_equal(again.view(np.uint8), kept.view(np.uint8))
@@ -776,8 +775,8 @@ def test_a_subspace_that_never_converges_is_decomposed_once_per_tested_order(mon
     order, which is the same for every replay) is decomposed once."""
     H, psi0 = _ising_n11()
     subspace, starts = dynamics._lanczos_subspace, set()
-    monkeypatch.setattr(dynamics, "_lanczos_subspace", lambda lanczos, dts, tol, start:
-                        starts.add(start) or subspace(lanczos, dts, tol, start))
+    monkeypatch.setattr(dynamics, "_lanczos_subspace", lambda lanczos, dts, start:
+                        starts.add(start) or subspace(lanczos, dts, start))
     decompositions = _count_decompositions(monkeypatch)
     pin_propagator("krylov", 0.0)
     with pytest.raises(dynamics.PropagatorError, match="528-state sector"):
@@ -800,9 +799,9 @@ def test_the_test_shortcut_skips_only_orders_whose_full_test_fails(monkeypatch,
     calls, skipped = [], []
     subspace, fails_at = dynamics._lanczos_subspace, dynamics._fails_at
 
-    def recorded(lanczos, dts, tol, start):
-        result = subspace(lanczos, dts, tol, start)
-        calls.append((lanczos, dts.copy(), tol, result[1].shape[0] - 1))
+    def recorded(lanczos, dts, start):
+        result = subspace(lanczos, dts, start)
+        calls.append((lanczos, dts.copy(), result[1].shape[0] - 1))
         return result
 
     monkeypatch.setattr(dynamics, "_lanczos_subspace", recorded)
@@ -815,12 +814,11 @@ def test_the_test_shortcut_skips_only_orders_whose_full_test_fails(monkeypatch,
     dynamics.evolve(dynamics.prepare_state(11), H, np.linspace(0.0, 0.005, 201))
     predicted = len(calls)
     H, psi0 = _ising_n11()
-    monkeypatch.setattr(dynamics, "_lanczos_subspace", lambda lanczos, dts, tol, start:
-                        recorded(lanczos, dts, tol, 4))
-    dynamics._krylov_trajectory(H.matvec, full_space(psi0), np.array([0.0, 0.03]), 1e-9,
-                                _norm(H))
+    monkeypatch.setattr(dynamics, "_lanczos_subspace", lambda lanczos, dts, start:
+                        recorded(lanczos, dts, 4))
+    dynamics._krylov_trajectory(H.matvec, full_space(psi0), np.array([0.0, 0.03]), _norm(H))
     checked = []                                    # orders checked per call
-    for lanczos, dts, tol, returned in calls:
+    for lanczos, dts, returned in calls:
         steps = np.abs(dts)
         checked.append(0)
         for m, (evals, first, last) in lanczos.tested.items():
@@ -828,7 +826,7 @@ def test_the_test_shortcut_skips_only_orders_whose_full_test_fails(monkeypatch,
                 continue
             defect = lanczos.beta[m] * np.abs((last * first) @ np.exp(-1j * np.outer(evals, dts)))
             err = steps * np.array([defect[steps <= s].max() for s in steps])
-            assert not np.all(err < tol / 4), (m, returned)
+            assert not np.all(err < dynamics.STEP_TOL / 4), (m, returned)
             checked[-1] += 1
     assert sum(checked[:predicted]) > 0 and sum(checked) > 50 and sum(skipped) > 50
 
@@ -839,8 +837,8 @@ def _krylov_run(run, from_order_4=False):
     ``tests`` holds (start, accepted order, times served) per test."""
     subspace, tests = dynamics._lanczos_subspace, []
 
-    def recorded(lanczos, dts, tol, start):
-        Y, V, estimates = subspace(lanczos, dts, tol, 4 if from_order_4 else start)
+    def recorded(lanczos, dts, start):
+        Y, V, estimates = subspace(lanczos, dts, 4 if from_order_4 else start)
         tests.append((start, V.shape[0], Y.shape[1]))
         return Y, V, estimates
 
@@ -976,11 +974,10 @@ def test_a_real_start_runs_real_and_agrees_with_complex_arithmetic(phase, monkey
                         lambda self, psi: dtypes.append(psi.dtype) or matvec(self, psi))
     for block, psi, times in _krylov_blocks():
         dtypes.clear()
-        real = dynamics._krylov_trajectory(block.matvec, psi, times, 1e-9, _norm(block))
+        real = dynamics._krylov_trajectory(block.matvec, psi, times, _norm(block))
         assert set(dtypes) == {np.dtype(float)}
         dtypes.clear()
-        rotated = dynamics._krylov_trajectory(block.matvec, phase * psi, times, 1e-9,
-                                              _norm(block))
+        rotated = dynamics._krylov_trajectory(block.matvec, phase * psi, times, _norm(block))
         assert set(dtypes) == {np.dtype(complex)}
         np.testing.assert_allclose(rotated / phase, real, rtol=0, atol=1e-12)
 
@@ -992,7 +989,7 @@ def test_a_complex_start_agrees_with_expm_multiply():
     psi = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
     psi /= np.linalg.norm(psi)
     times = np.linspace(0.0, 1e-3, 6)
-    states = dynamics._krylov_trajectory(H.matvec, psi, times, 1e-9, _norm(H))
+    states = dynamics._krylov_trajectory(H.matvec, psi, times, _norm(H))
     expected = expm_multiply(-1j * H._matrix, psi, start=0.0, stop=1e-3, num=6,
                              endpoint=True)
     np.testing.assert_allclose(states, expected, rtol=0, atol=1e-9)
@@ -1005,7 +1002,7 @@ def test_krylov_raises_when_the_error_target_is_unreachable(pin_propagator, monk
         patch.setattr(dynamics, "KRYLOV_ORDERS", 3)
         patch.setattr(dynamics, "MAX_SPLITS", 4)
         with pytest.raises(dynamics.PropagatorError) as err:
-            dynamics._krylov_trajectory(H.matvec, full_space(psi0), times, 1e-9, _norm(H))
+            dynamics._krylov_trajectory(H.matvec, full_space(psi0), times, _norm(H))
     assert str(err.value) == (
         "Krylov propagation of a 2048-state sector stalled at t = 0 s, short of the "
         "output time 0.0001 s: error target 1e-09 not met at subspace dimension 3 "
@@ -1018,7 +1015,7 @@ def test_krylov_raises_when_the_error_target_is_unreachable(pin_propagator, monk
         dynamics.evolve(psi0, H, times)
 
 
-def test_krylov_error_stays_within_the_chained_estimates(monkeypatch):
+def test_krylov_error_stays_within_the_chained_estimates(monkeypatch, pin_propagator):
     """The error at an output time is at most tol / 4 per subspace chained
     up to it, and a looser target takes no more matvecs.  The first test
     sits where the norm bound predicts, whatever the target, so a loose
@@ -1032,12 +1029,13 @@ def test_krylov_error_stays_within_the_chained_estimates(monkeypatch):
         expected = _full_space_oracle(H, psi, times)
         for from_order_4 in (False, True):
             monkeypatch.setattr(dynamics, "_lanczos_subspace",
-                                lambda lanczos, dts, tol, start, scan=from_order_4:
-                                counted(lanczos, dts, tol, 4 if scan else start))
+                                lambda lanczos, dts, start, scan=from_order_4:
+                                counted(lanczos, dts, 4 if scan else start))
             matvecs = []
             for tol in (1e-2, 1e-5, 1e-8):
+                pin_propagator(step_tol=tol)
                 count.matvecs, count.served = 0, []
-                states = dynamics._krylov_trajectory(count.matvec, psi, times, tol, _norm(H))
+                states = dynamics._krylov_trajectory(count.matvec, psi, times, _norm(H))
                 error = np.linalg.norm(states - expected, axis=1)
                 assert error.max() <= np.count_nonzero(count.served) * tol / 4
                 matvecs.append(count.matvecs)
@@ -1134,10 +1132,11 @@ def test_krylov_estimate_bounds_the_error_of_every_time_served(n, alpha, field, 
         return Y, basis, estimates
 
     with mock.patch.object(dynamics, "_Lanczos", Recorded), \
-            mock.patch.object(dynamics, "_lanczos_subspace", recorded):
+            mock.patch.object(dynamics, "_lanczos_subspace", recorded), \
+            mock.patch.object(dynamics, "STEP_TOL", tol):
         for matrix, psi in _reached_sectors(H, psi0):
             served.clear()
-            dynamics._krylov_trajectory(lambda v: matrix @ v, psi, times, tol,
+            dynamics._krylov_trajectory(lambda v: matrix @ v, psi, times,
                                         np.abs(matrix).sum(axis=1).max())
             w, v = np.linalg.eigh(matrix)
             for start, dts, states, estimates in served:
